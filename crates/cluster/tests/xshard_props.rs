@@ -36,6 +36,7 @@ proptest! {
             (0u32..SITES, 20u64..350),
             0..=2,
         ),
+        staged_crash in proptest::option::of((0u64..8u64, 0u64..60u64)),
         group_commit in proptest::bool::ANY,
     ) {
         let mut cfg = ClusterConfig {
@@ -47,11 +48,21 @@ proptest! {
             cfg = cfg.with_group_commit().with_force_latency(Duration(2));
         }
         let mut cluster = SimCluster::new(cfg);
+        let mut handles = Vec::new();
         for (k, pairs) in writesets.iter().enumerate() {
             let ws = WriteSet::new(pairs.iter().map(|&(i, v)| (ItemId(i), v)));
-            cluster.submit_at(Time(k as u64 * 45), ws);
+            handles.push(cluster.submit_at(Time(k as u64 * 45), ws));
         }
-        for &(site, at) in &crashes {
+        // The second crash point takes down one transaction's (parent
+        // and home-branch) coordinator a few ticks into its own commit:
+        // under group commit, between staging and forcing a record
+        // whose self-delivered consequence — its own vote or ack,
+        // counted at once — has already been handled.
+        let staged = staged_crash.map(|(k, after)| {
+            let h = handles[k as usize % handles.len()];
+            (h.coordinator.0, h.submitted_at.0 + after)
+        });
+        for (site, at) in crashes.iter().copied().chain(staged) {
             cluster.sim_mut().schedule_crash(Time(at), SiteId(site));
             cluster.sim_mut().schedule_recover(Time(at + 500), SiteId(site));
         }

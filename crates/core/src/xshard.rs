@@ -229,7 +229,7 @@ impl XTxnCoordinator {
 
     /// Reaches the top-level decision: force-log it (the cross-shard
     /// commit point), then relay it to every branch coordinator. The
-    /// driver's durability barrier keeps the sends behind the force.
+    /// driver's durability gate keeps the sends behind the force.
     fn decide(&mut self, decision: Decision) -> Vec<Action> {
         self.phase = XPhase::Decided(decision);
         let mut actions = Vec::with_capacity(self.branches.len() + 1);

@@ -66,9 +66,9 @@ pub struct NodeConfig {
     pub max_termination_rounds: u64,
     /// Group-commit batching: engine log records are staged and forced
     /// in one flush per batch instead of one flush each. Messages and
-    /// decision applications that depend on a staged record are withheld
-    /// until its batch is forced, so the durability contract (logged
-    /// before told) is preserved exactly.
+    /// decision applications are withheld until the records staged for
+    /// their own transaction are forced, so the durability contract
+    /// (logged before told) is preserved exactly.
     pub group_commit: bool,
     /// How long the first staged record of a batch waits for companions
     /// before the batch is forced.

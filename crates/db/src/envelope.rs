@@ -3,6 +3,7 @@
 use qbc_core::{Msg, ProtocolKind, TimerKind, TxnId, TxnSpec, WriteSet};
 use qbc_election::{ElectionMsg, ElectionTimer};
 use qbc_simnet::Label;
+use qbc_storage::Lsn;
 use qbc_votes::{ItemId, Version};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -109,6 +110,25 @@ pub enum NetMsg {
     },
 }
 
+impl NetMsg {
+    /// The transaction this message speaks for, if any (reads speak for
+    /// none): the one whose log records a sender must have forced
+    /// before the message may leave.
+    pub(crate) fn txn(&self) -> Option<TxnId> {
+        match self {
+            NetMsg::Proto(m) | NetMsg::ProtoW { msg: m, .. } => Some(m.txn()),
+            NetMsg::Election { txn, .. }
+            | NetMsg::BeginTxn { txn, .. }
+            | NetMsg::BeginXTxn { txn, .. } => Some(*txn),
+            NetMsg::ReadReq { .. }
+            | NetMsg::ReadRep { .. }
+            | NetMsg::SnapReadReq { .. }
+            | NetMsg::SnapReadRep { .. }
+            | NetMsg::BeginSnapRead { .. } => None,
+        }
+    }
+}
+
 impl Label for NetMsg {
     fn label(&self) -> &'static str {
         match self {
@@ -165,8 +185,9 @@ pub enum NodeTimer {
     /// A WAL force issued earlier completed (the serialized log device
     /// model of [`crate::NodeConfig::force_latency`]).
     WalForceDone {
-        /// Id of the completed force batch.
-        batch: u64,
+        /// End LSN of the forced batch: every record below it is
+        /// durable once this fires.
+        upto: Lsn,
     },
     /// The periodic checkpoint tick
     /// ([`crate::NodeConfig::checkpoint_interval`]): write a

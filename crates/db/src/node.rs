@@ -87,15 +87,23 @@ struct SnapReadCollect {
 struct TxnState {
     spec: Arc<TxnSpec>,
     participant: Participant,
-    coordinator: Option<Coordinator>,
+    /// The four driving engines are boxed: at two of three sites every
+    /// transaction is participant-only, and inline they were three
+    /// quarters of the entry.
+    coordinator: Option<Box<Coordinator>>,
     /// The Paxos Commit leader (at the submitting site, ballot 0) or
     /// recovery candidate (any participant whose watchdog fired, at a
     /// positive ballot) — the [`ProtocolKind::PaxosCommit`] peer of
     /// `coordinator`. A later candidacy replaces an earlier engine;
     /// ballots only grow.
-    paxos: Option<PaxosLeader>,
-    termination: Option<Termination>,
-    elector: Option<Elector>,
+    paxos: Option<Box<PaxosLeader>>,
+    termination: Option<Box<Termination>>,
+    elector: Option<Box<Elector>>,
+    /// End LSN of the newest log record this site staged for the
+    /// transaction ([`Lsn`]`(0)`: none). Whatever the transaction tells
+    /// another site, applies or releases waits until the durable
+    /// watermark reaches it — see [`SiteNode::closed_gate`].
+    gate: Lsn,
     last_coord_contact: Time,
     watchdog_armed: bool,
     decided: Option<Decision>,
@@ -118,6 +126,28 @@ struct TxnState {
 }
 
 impl TxnState {
+    /// A fresh entry: no driving engine, undecided, nothing logged.
+    fn new(spec: Arc<TxnSpec>, participant: Participant, now: Time) -> Self {
+        TxnState {
+            spec,
+            participant,
+            coordinator: None,
+            paxos: None,
+            termination: None,
+            elector: None,
+            gate: Lsn(0),
+            last_coord_contact: now,
+            watchdog_armed: false,
+            decided: None,
+            decided_at: None,
+            decided_version: None,
+            blocked: false,
+            termination_rounds: 0,
+            started_at: now,
+            x_siblings: Vec::new(),
+        }
+    }
+
     /// The commit version to re-announce with this entry's decision,
     /// whichever role learned it.
     fn commit_version(&self) -> Option<Version> {
@@ -127,6 +157,14 @@ impl TxnState {
             .or_else(|| self.paxos.as_ref().and_then(|p| p.commit_version()))
             .or(self.decided_version)
     }
+}
+
+/// A cross-shard coordination hosted at this site, with the gate LSN of
+/// the records staged for it (the same rule as [`TxnState::gate`]).
+#[derive(Clone, Debug)]
+struct XCoord {
+    engine: XTxnCoordinator,
+    gate: Lsn,
 }
 
 /// Compact outcome of a retired (decided, past the re-announce window)
@@ -193,8 +231,9 @@ pub struct Violation {
 
 /// An effect withheld until the WAL records it depends on are forced:
 /// the "logged before told" half of the durability contract. Protocol
-/// messages and decision applications queue here while their log
-/// records sit in the group-commit buffer or an in-flight force.
+/// messages and decision applications queue here while a log record of
+/// *their own* transaction sits in the group-commit buffer or an
+/// in-flight force.
 #[derive(Clone, Debug)]
 enum DeferredOp {
     Send {
@@ -212,6 +251,17 @@ enum DeferredOp {
     Truncate {
         cutoff: Lsn,
     },
+}
+
+impl DeferredOp {
+    /// The transaction whose records gate this effect.
+    fn txn(&self) -> Option<TxnId> {
+        match self {
+            DeferredOp::Send { msg, .. } => msg.txn(),
+            DeferredOp::Apply { txn, .. } => Some(*txn),
+            DeferredOp::Truncate { .. } => None,
+        }
+    }
 }
 
 /// One full database site.
@@ -232,7 +282,7 @@ pub struct SiteNode {
     /// way (accessors sort), so O(1) lookups are free determinism-wise.
     txns: FastMap<TxnId, TxnState>,
     /// Cross-shard (top-level 2PC) coordinations hosted at this site.
-    xcoords: FastMap<TxnId, XTxnCoordinator>,
+    xcoords: FastMap<TxnId, XCoord>,
     /// Paxos Commit acceptor state, one per transaction this site
     /// co-hosts an acceptor for (every participant site). Spec-free and
     /// keyed separately from `txns`: a recovering site re-installs it
@@ -262,17 +312,16 @@ pub struct SiteNode {
     local_queue: VecDeque<NetMsg>,
     /// Virtual time at which the serial log device becomes idle.
     wal_free_at: Time,
-    /// Ops gated on records still in the group-commit buffer.
-    gated_on_buffer: Vec<DeferredOp>,
-    /// Ops gated on an in-flight force, keyed by batch id (FIFO device:
-    /// batches complete in id order).
-    inflight_forces: BTreeMap<u64, Vec<DeferredOp>>,
-    next_force_batch: u64,
+    /// The durable-LSN watermark: every record below it has been forced
+    /// (and, on the modelled device, its force has completed). Equal to
+    /// the log's `next_lsn` whenever nothing is staged or in flight.
+    durable_lsn: Lsn,
+    /// Effects waiting for the watermark to reach their gate LSN, in
+    /// arrival order (so one transaction's effects keep theirs: a
+    /// transaction's gate only grows).
+    gated: VecDeque<(Lsn, DeferredOp)>,
     /// Pending batch-window timer, cancelled on early (batch-full) flush.
     flush_timer: Option<TimerId>,
-    /// Emptied deferred-op buffers kept for reuse, so the steady-state
-    /// group-commit cycle (defer → force → run) allocates nothing.
-    spare_deferred: Vec<Vec<DeferredOp>>,
     /// Emptied engine-action scratch buffers kept for reuse: engines
     /// push into a caller-supplied buffer, `apply_actions` drains it
     /// and returns it here, so the steady-state message path allocates
@@ -361,6 +410,8 @@ impl SiteNode {
             }
         };
         let mut storage = SiteStorage::with_wal(wal);
+        // A reopened log holds only what was forced.
+        let durable_lsn = storage.wal().next_lsn();
         storage.set_version_retention(cfg.version_retention.max(1));
         for item in catalog.items_at(cfg.site) {
             storage.initialize_item(item, initial_values(item));
@@ -397,11 +448,9 @@ impl SiteNode {
             violations: Vec::new(),
             local_queue: VecDeque::new(),
             wal_free_at: Time::ZERO,
-            gated_on_buffer: Vec::new(),
-            inflight_forces: BTreeMap::new(),
-            next_force_batch: 0,
+            durable_lsn,
+            gated: VecDeque::new(),
             flush_timer: None,
-            spare_deferred: Vec::new(),
             spare_actions: Vec::new(),
             decision_events: Vec::new(),
             first_lsn: FastMap::default(),
@@ -499,7 +548,7 @@ impl SiteNode {
     pub fn x_decision(&self, txn: TxnId) -> Option<Decision> {
         self.xcoords
             .get(&txn)
-            .and_then(|x| x.decision())
+            .and_then(|x| x.engine.decision())
             .or_else(|| self.xretired.get(&txn).map(|x| x.decision))
     }
 
@@ -717,14 +766,14 @@ impl SiteNode {
                 leader = leader.with_weakened_quorum();
             }
             leader.start(&mut actions);
-            self.txns.get_mut(&txn).expect("just ensured").paxos = Some(leader);
+            self.txns.get_mut(&txn).expect("just ensured").paxos = Some(Box::new(leader));
         } else {
             let mut coord = Coordinator::new(spec, self.cfg.site_votes.clone());
             if self.cfg.mutation_weaken_qc1 {
                 coord = coord.with_weakened_qc1();
             }
             coord.start(&mut actions);
-            self.txns.get_mut(&txn).expect("just ensured").coordinator = Some(coord);
+            self.txns.get_mut(&txn).expect("just ensured").coordinator = Some(Box::new(coord));
         }
         self.apply_actions(ctx, txn, self.cfg.site, actions);
         self.pump(ctx);
@@ -756,9 +805,15 @@ impl SiteNode {
                 },
             );
         }
-        let mut x = XTxnCoordinator::new(txn, branches);
-        let actions = x.start();
-        self.xcoords.insert(txn, x);
+        let mut engine = XTxnCoordinator::new(txn, branches);
+        let actions = engine.start();
+        self.xcoords.insert(
+            txn,
+            XCoord {
+                engine,
+                gate: Lsn(0),
+            },
+        );
         self.apply_actions(ctx, txn, self.cfg.site, actions);
         self.pump(ctx);
     }
@@ -795,13 +850,13 @@ impl SiteNode {
             if self.cfg.mutation_weaken_paxos {
                 leader = leader.with_weakened_quorum();
             }
-            st.paxos = Some(leader);
+            st.paxos = Some(Box::new(leader));
         } else {
             let mut coord = Coordinator::new(Arc::clone(spec), self.cfg.site_votes.clone());
             if self.cfg.mutation_weaken_qc1 {
                 coord = coord.with_weakened_qc1();
             }
-            st.coordinator = Some(coord);
+            st.coordinator = Some(Box::new(coord));
         }
         let mut actions = self.take_actions();
         let st = self.txns.get_mut(&txn).expect("just ensured");
@@ -1068,101 +1123,102 @@ impl SiteNode {
     fn ensure_txn(&mut self, now: Time, spec: &Arc<TxnSpec>) -> &mut TxnState {
         let site = self.cfg.site;
         let faulty = self.cfg.faulty;
-        self.txns.entry(spec.id).or_insert_with(|| TxnState {
-            spec: Arc::clone(spec),
-            participant: Participant::new(
+        self.txns.entry(spec.id).or_insert_with(|| {
+            let participant = Participant::new(
                 site,
                 spec.id,
                 ParticipantConfig {
                     vote_yes: true,
                     faulty,
                 },
-            ),
-            coordinator: None,
-            paxos: None,
-            termination: None,
-            elector: None,
-            last_coord_contact: now,
-            watchdog_armed: false,
-            decided: None,
-            decided_at: None,
-            decided_version: None,
-            blocked: false,
-            termination_rounds: 0,
-            started_at: now,
-            x_siblings: Vec::new(),
+            );
+            TxnState::new(Arc::clone(spec), participant, now)
         })
     }
 
-    /// Sends a message, or withholds it while a durability barrier is up:
-    /// no message may overtake a log record staged or forced before it.
+    /// Sends a message, or withholds it while a log record of the
+    /// transaction it speaks for is staged or being forced.
+    ///
+    /// The rule is per transaction, not per site: a message with no
+    /// undurable record of its own transaction behind it (a
+    /// `PrepareCommit` once every vote is in, any read request or reply)
+    /// leaves at once, whatever other transactions have staged. A
+    /// self-addressed message goes straight to the local queue (a site
+    /// never loses messages to itself) and is never withheld: it does
+    /// not leave the failure domain, and whatever its handler tells
+    /// another site is gated on a later LSN of the same log, which a
+    /// prefix-ordered force makes durable no earlier than the record it
+    /// followed.
     fn send_net(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, to: SiteId, msg: NetMsg) {
-        if self.durability_barrier() {
-            self.defer(DeferredOp::Send { to, msg });
+        if to == self.cfg.site {
+            self.local_queue.push_back(msg);
+        } else if let Some(gate) = self.closed_gate(msg.txn()) {
+            self.gated.push_back((gate, DeferredOp::Send { to, msg }));
         } else {
             self.send_net_now(ctx, to, msg);
         }
     }
 
-    /// Routes a self-addressed message through the local queue instead of
-    /// the network: a site never loses messages to itself.
+    /// Puts a message for another site on the wire.
     ///
     /// With snapshot reads on, outbound protocol messages carry this
     /// site's watermark piggybacked ([`NetMsg::ProtoW`]). The wrap
     /// happens here — the last moment before the wire — so messages
-    /// deferred behind a durability barrier ship the watermark as of
-    /// the send, not as of when they were queued.
+    /// withheld behind their gate ship the watermark as of the send,
+    /// not as of when they were queued.
     fn send_net_now(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, to: SiteId, msg: NetMsg) {
-        if to == self.cfg.site {
-            self.local_queue.push_back(msg);
-        } else {
-            let msg = match msg {
-                NetMsg::Proto(m) if self.cfg.snapshot_reads => NetMsg::ProtoW {
-                    msg: m,
-                    wm: self.local_wm,
-                },
-                other => other,
-            };
-            if let Some(obs) = &self.cfg.obs {
-                obs.note_msg(msg.label());
-            }
-            ctx.send(to, msg);
+        debug_assert!(
+            self.closed_gate(msg.txn()).is_none(),
+            "told before logged: {} to {to:?}",
+            msg.label()
+        );
+        let msg = match msg {
+            NetMsg::Proto(m) if self.cfg.snapshot_reads => NetMsg::ProtoW {
+                msg: m,
+                wm: self.local_wm,
+            },
+            other => other,
+        };
+        if let Some(obs) = &self.cfg.obs {
+            obs.note_msg(msg.label());
         }
+        ctx.send(to, msg);
     }
 
-    /// True while some log record is staged or being forced; outbound
-    /// effects must queue behind it to preserve logged-before-told.
-    fn durability_barrier(&self) -> bool {
-        self.storage.wal().pending_len() > 0 || !self.inflight_forces.is_empty()
+    /// The gate LSN an effect of `txn` must wait for, or `None` when it
+    /// may run now: every record this site staged for `txn` is durable
+    /// (or it is no transaction's effect at all). The first test is the
+    /// whole cost on a log that forces per record — nothing is ever
+    /// undurable there, so no table is consulted.
+    fn closed_gate(&self, txn: Option<TxnId>) -> Option<Lsn> {
+        if self.durable_lsn >= self.storage.wal().next_lsn() {
+            return None;
+        }
+        let txn = txn?;
+        let own = self.txns.get(&txn).map_or(Lsn(0), |st| st.gate);
+        let x = self.xcoords.get(&txn).map_or(Lsn(0), |x| x.gate);
+        let gate = own.max(x);
+        (gate > self.durable_lsn).then_some(gate)
     }
 
-    /// Queues an op behind the youngest durability barrier: the buffer
-    /// if records are staged, else the latest in-flight force.
-    fn defer(&mut self, op: DeferredOp) {
-        if self.storage.wal().pending_len() > 0 {
-            if self.gated_on_buffer.capacity() == 0 {
-                if let Some(spare) = self.spare_deferred.pop() {
-                    self.gated_on_buffer = spare;
-                }
-            }
-            self.gated_on_buffer.push(op);
-        } else {
-            let batch = *self
-                .inflight_forces
-                .keys()
-                .next_back()
-                .expect("barrier implies an in-flight force");
-            self.inflight_forces
-                .get_mut(&batch)
-                .expect("key just read")
-                .push(op);
-        }
+    /// Remembers a just-staged record as the newest one of its
+    /// transaction (LSNs only grow, so a plain store). A cross-shard
+    /// parent and its local branch share one id; both entries take the
+    /// gate, and [`SiteNode::closed_gate`] reads the larger.
+    fn raise_gate(&mut self, txn: TxnId, lsn: Lsn) {
+        let gate = Lsn(lsn.0 + 1);
+        let own = self.txns.get_mut(&txn).map(|st| st.gate = gate);
+        let x = self.xcoords.get_mut(&txn).map(|x| x.gate = gate);
+        debug_assert!(
+            own.or(x).is_some(),
+            "record staged for {txn:?}, which has no table entry to gate"
+        );
     }
 
     /// Forces the staged batch (if any) and models the device time it
-    /// costs. Ops gated on the buffer move behind the new force; with an
-    /// instant device they run immediately (the force is still one
-    /// flush, so batching still saves forces).
+    /// costs. With an instant device the watermark advances at once (the
+    /// force is still one flush, so batching still saves forces);
+    /// otherwise when the force completes.
     fn flush_wal(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
         if let Some(id) = self.flush_timer.take() {
             ctx.cancel_timer(id);
@@ -1178,24 +1234,50 @@ impl SiteNode {
                 records: forced as u64,
             },
         );
-        let ops = std::mem::take(&mut self.gated_on_buffer);
+        let upto = self.storage.wal().next_lsn();
         if self.cfg.force_latency == qbc_simnet::Duration::ZERO {
-            self.run_deferred(ctx, ops);
+            self.advance_durable(ctx, upto);
             return;
         }
         // Serial device: this force starts when the previous completes.
         let start = Time(ctx.now().0.max(self.wal_free_at.0));
         let done = start + self.cfg.force_latency;
         self.wal_free_at = done;
-        let batch = self.next_force_batch;
-        self.next_force_batch += 1;
-        self.inflight_forces.insert(batch, ops);
-        ctx.set_timer(done.since(ctx.now()), NodeTimer::WalForceDone { batch });
+        ctx.set_timer(done.since(ctx.now()), NodeTimer::WalForceDone { upto });
     }
 
-    /// Executes ops whose durability dependency has been satisfied.
-    fn run_deferred(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, mut ops: Vec<DeferredOp>) {
-        for op in ops.drain(..) {
+    /// Raises the durable watermark to `upto` and runs every withheld
+    /// effect whose gate it reached, in arrival order. One rotation of
+    /// the queue: the effects still waiting (behind a later, in-flight
+    /// force) keep their relative order, and the steady-state cycle
+    /// (withhold → force → run) allocates nothing.
+    fn advance_durable(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, upto: Lsn) {
+        self.durable_lsn = self.durable_lsn.max(upto);
+        for _ in 0..self.gated.len() {
+            let (gate, op) = self.gated.pop_front().expect("counted");
+            // Reached its own gate. On an instant device that is the
+            // end of it: the watermark sits at the log end and
+            // `closed_gate` returns at its first test. On the modelled
+            // device the transaction may have staged a later record
+            // while this force was in flight (a `Vote` behind its
+            // `Voted` record, then the abort or the cross-shard branch
+            // of the same id logs behind the next force), and then the
+            // effect waits for that one too. Its own gate would be
+            // enough for safety; waiting for the newest keeps the
+            // invariant the assertions in `send_net_now` and
+            // `apply_decision` check the plain one — nothing is told or
+            // applied of a transaction while any of its records is
+            // undurable (`xshard_props` trips them with a `Vote` in its
+            // first cases if this releases on the queued gate alone).
+            let still_closed = if gate > self.durable_lsn {
+                Some(gate)
+            } else {
+                self.closed_gate(op.txn())
+            };
+            if let Some(gate) = still_closed {
+                self.gated.push_back((gate, op));
+                continue;
+            }
             match op {
                 DeferredOp::Send { to, msg } => self.send_net_now(ctx, to, msg),
                 DeferredOp::Apply {
@@ -1207,9 +1289,6 @@ impl SiteNode {
                     self.storage.truncate_log_before(cutoff);
                 }
             }
-        }
-        if ops.capacity() > 0 && self.spare_deferred.len() < 4 {
-            self.spare_deferred.push(ops);
         }
     }
 
@@ -1250,11 +1329,20 @@ impl SiteNode {
             self.flush_wal(ctx);
             lsn
         } else {
-            // Seed model: instant force per record.
+            // Seed model: instant force per record. Durable on return,
+            // so the watermark follows the log end and no gate closes.
             let lsn = self.storage.log(rec);
+            self.durable_lsn = Lsn(lsn.0 + 1);
             self.emit(ctx.now(), None, EventKind::WalForce { records: 1 });
             lsn
         };
+        // Not durable on return (staged, or its force is in flight):
+        // whatever its transaction goes on to tell or apply waits for it.
+        if lsn >= self.durable_lsn {
+            if let Some(txn) = txn {
+                self.raise_gate(txn, lsn);
+            }
+        }
         // Track the live transaction's earliest record: the truncation
         // cutoff must never pass it. (`None`: the record is itself a
         // checkpoint.) Only the checkpointer reads this map, so the
@@ -1299,9 +1387,9 @@ impl SiteNode {
     /// The checkpoint tick: if the log grew since the last checkpoint,
     /// force a [`LogRecord::Checkpoint`] carrying every retired outcome
     /// and truncate the prefix no live transaction (and no recovery)
-    /// needs any more. Under group commit the truncation waits behind
-    /// the force that makes the checkpoint durable, like every other
-    /// effect that depends on a staged record.
+    /// needs any more. Under group commit the truncation waits for the
+    /// watermark to pass the checkpoint record, like every other effect
+    /// that depends on a staged record.
     fn on_checkpoint_tick(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
         self.checkpoint_armed = false;
         if self.cfg.checkpoint_interval.is_none() {
@@ -1382,8 +1470,9 @@ impl SiteNode {
         self.checkpointing = false;
         self.bytes_since_checkpoint = 0;
         self.last_checkpoint_end = self.storage.wal().next_lsn();
-        if self.durability_barrier() {
-            self.defer(DeferredOp::Truncate { cutoff });
+        if self.last_checkpoint_end > self.durable_lsn {
+            self.gated
+                .push_back((self.last_checkpoint_end, DeferredOp::Truncate { cutoff }));
         } else {
             self.storage.truncate_log_before(cutoff);
         }
@@ -1540,7 +1629,7 @@ impl SiteNode {
                 commit_version,
                 ..
             } => {
-                if let Some(x) = self.xcoords.get_mut(&txn) {
+                if let Some(XCoord { engine: x, .. }) = self.xcoords.get_mut(&txn) {
                     let was_decided = x.decision().is_some();
                     let actions = x.on_vote(from, *yes, *commit_version);
                     let now_decided = x.decision().is_some();
@@ -1558,7 +1647,7 @@ impl SiteNode {
             }
             Msg::XOutcomeReq { .. } => {
                 if let Some(x) = self.xcoords.get_mut(&txn) {
-                    let actions = x.on_outcome_req(from);
+                    let actions = x.engine.on_outcome_req(from);
                     self.apply_actions(ctx, txn, self.cfg.site, actions);
                 } else if let Some(xr) = self.xretired.get(&txn) {
                     let reply = xr.xdecide_for(from, txn);
@@ -1971,7 +2060,10 @@ impl SiteNode {
             return;
         };
         while let Some(&(t, txn)) = self.retire_queue.front() {
-            if now.since(t) < after {
+            // An entry with a record still undurable stays one more
+            // round: its gate LSN lives in it, and the compact outcome
+            // that replaces it answers stragglers ungated.
+            if now.since(t) < after || self.closed_gate(Some(txn)).is_some() {
                 break;
             }
             self.retire_queue.pop_front();
@@ -1991,7 +2083,7 @@ impl SiteNode {
                     retired_any = true;
                 }
             }
-            if let Some(x) = self.xcoords.get(&txn) {
+            if let Some(XCoord { engine: x, .. }) = self.xcoords.get(&txn) {
                 if let Some(decision) = x.decision() {
                     let versions = x.branch_versions();
                     let branches = x
@@ -2128,15 +2220,18 @@ impl SiteNode {
                     decision,
                     commit_version,
                 } => {
-                    if self.durability_barrier() {
+                    if let Some(gate) = self.closed_gate(Some(txn)) {
                         // The decision's log record is not durable yet;
                         // installing values and freeing locks waits for
                         // the force, like the messages announcing it.
-                        self.defer(DeferredOp::Apply {
-                            txn,
-                            decision,
-                            commit_version,
-                        });
+                        self.gated.push_back((
+                            gate,
+                            DeferredOp::Apply {
+                                txn,
+                                decision,
+                                commit_version,
+                            },
+                        ));
                     } else {
                         self.apply_decision(ctx.now(), txn, decision, commit_version)
                     }
@@ -2199,6 +2294,10 @@ impl SiteNode {
         decision: Decision,
         commit_version: Option<Version>,
     ) {
+        debug_assert!(
+            self.closed_gate(Some(txn)).is_none(),
+            "{txn:?} applied before its decision record is durable"
+        );
         let mut applied = false;
         if let Some(st) = self.txns.get_mut(&txn) {
             if st.decided.is_some() {
@@ -2321,7 +2420,7 @@ impl SiteNode {
             if self.cfg.mutation_weaken_paxos {
                 candidate = candidate.with_weakened_quorum();
             }
-            st.paxos = Some(candidate);
+            st.paxos = Some(Box::new(candidate));
             let mut actions = self.take_actions();
             let st = self.txns.get_mut(&txn).expect("still live");
             st.paxos
@@ -2333,7 +2432,10 @@ impl SiteNode {
         }
         let spec = Arc::clone(&st.spec);
         if st.elector.is_none() {
-            st.elector = Some(Elector::new(self.cfg.site, spec.participants.clone()));
+            st.elector = Some(Box::new(Elector::new(
+                self.cfg.site,
+                spec.participants.clone(),
+            )));
         }
         let actions = st
             .elector
@@ -2381,7 +2483,10 @@ impl SiteNode {
         }
         st.last_coord_contact = ctx.now();
         if st.elector.is_none() {
-            st.elector = Some(Elector::new(self.cfg.site, spec.participants.clone()));
+            st.elector = Some(Box::new(Elector::new(
+                self.cfg.site,
+                spec.participants.clone(),
+            )));
         }
         let actions = st
             .elector
@@ -2455,7 +2560,7 @@ impl SiteNode {
             st.participant.state(),
             st.participant.commit_version(),
         );
-        st.termination = Some(term);
+        st.termination = Some(Box::new(term));
         self.emit(ctx.now(), Some(txn), EventKind::TerminationRound { round });
         self.apply_actions(ctx, txn, self.cfg.site, actions);
     }
@@ -2561,7 +2666,7 @@ impl Process for SiteNode {
                     let actions = self
                         .xcoords
                         .get_mut(&txn)
-                        .map(|x| x.on_vote_timer())
+                        .map(|x| x.engine.on_vote_timer())
                         .unwrap_or_default();
                     let decided = !actions.is_empty();
                     self.apply_actions(ctx, txn, self.cfg.site, actions);
@@ -2609,11 +2714,7 @@ impl Process for SiteNode {
                 self.flush_timer = None;
                 self.flush_wal(ctx);
             }
-            NodeTimer::WalForceDone { batch } => {
-                if let Some(ops) = self.inflight_forces.remove(&batch) {
-                    self.run_deferred(ctx, ops);
-                }
-            }
+            NodeTimer::WalForceDone { upto } => self.advance_durable(ctx, upto),
             NodeTimer::Checkpoint => self.on_checkpoint_tick(ctx),
         }
         self.pump(ctx);
@@ -2624,6 +2725,10 @@ impl Process for SiteNode {
         // survive inside `storage` (which also drops staged-but-unforced
         // log records — the group-commit loss window).
         self.storage.crash();
+        // What survived is exactly what was forced; effects still
+        // waiting on the rest died with it.
+        self.durable_lsn = self.storage.wal().next_lsn();
+        self.gated.clear();
         self.txns.clear();
         self.xcoords.clear();
         // Acceptor promises/accepts are durable (force-logged before
@@ -2640,8 +2745,6 @@ impl Process for SiteNode {
         self.snap_reads.clear();
         self.locks = LockManager::new();
         self.local_queue.clear();
-        self.gated_on_buffer.clear();
-        self.inflight_forces.clear();
         self.flush_timer = None;
         self.wal_free_at = Time::ZERO;
         // Checkpoint bookkeeping is volatile (timers from before the
@@ -2788,32 +2891,12 @@ impl Process for SiteNode {
                     }
                 }
             }
-            self.txns.insert(
-                txn,
-                TxnState {
-                    spec,
-                    participant,
-                    coordinator: None,
-                    paxos: None,
-                    termination: None,
-                    elector: None,
-                    last_coord_contact: ctx.now(),
-                    watchdog_armed: false,
-                    decided,
-                    decided_at: if decided.is_some() {
-                        Some(ctx.now())
-                    } else {
-                        None
-                    },
-                    decided_version: None,
-                    blocked: false,
-                    termination_rounds: 0,
-                    started_at: ctx.now(),
-                    // Sibling knowledge is volatile: a recovered branch
-                    // falls back to parent-only outcome discovery.
-                    x_siblings: Vec::new(),
-                },
-            );
+            // Sibling knowledge is volatile: a recovered branch falls
+            // back to parent-only outcome discovery.
+            let mut st = TxnState::new(spec, participant, ctx.now());
+            st.decided = decided;
+            st.decided_at = decided.map(|_| ctx.now());
+            self.txns.insert(txn, st);
             if decided.is_none() {
                 self.arm_watchdog(ctx, txn);
             } else {
@@ -2902,8 +2985,14 @@ impl Process for SiteNode {
                 // storm) needed.
                 continue;
             }
-            let (x, actions) = XTxnCoordinator::from_recovery(txn, &rec);
-            self.xcoords.insert(txn, x);
+            let (engine, actions) = XTxnCoordinator::from_recovery(txn, &rec);
+            self.xcoords.insert(
+                txn,
+                XCoord {
+                    engine,
+                    gate: Lsn(0),
+                },
+            );
             self.apply_actions(ctx, txn, self.cfg.site, actions);
             self.schedule_retire(ctx.now(), txn);
         }
@@ -3028,10 +3117,13 @@ fn discovery_targets(parent: SiteId, siblings: &[SiteId], this: SiteId) -> Vec<S
 /// * absolute timestamps are hashed *relative* to `now`
 ///   (`last_coord_contact` feeds the watchdog's `now.since(..)`
 ///   comparison; `wal_free_at` is the log device's idle point), so
-///   states that differ only by a clock translation merge;
+///   states that differ only by a clock translation merge; the durable
+///   watermark likewise as its distance below the log end, and each
+///   table entry's gate as its distance above the watermark (zero for
+///   every open gate);
 /// * pure history is excluded: the participant's transition audit
 ///   trail, the lock manager's activity counters, `started_at`
-///   (metrics-only), force/batch counters and the spare-buffer cache —
+///   (metrics-only), force counters and the spare-buffer cache —
 ///   hashing any of it would make every distinct path hash distinct and
 ///   destroy the merging that keeps exhaustive search tractable.
 impl qbc_simnet::Fingerprint for SiteNode {
@@ -3058,15 +3150,20 @@ impl qbc_simnet::Fingerprint for SiteNode {
         let _ = write!(s, "|pend{}", wal.pending_len());
         // Volatile half: lock table (stats-free snapshot), reads,
         // violations, the local self-delivery queue (empty between
-        // events) and the durability-barrier machinery.
+        // events) and the durability gate (device, watermark, queue).
         let _ = write!(s, "|locks{:?}", self.locks.table_snapshot());
         let _ = write!(s, "|reads{:?}", self.reads);
         let _ = write!(s, "|viol{:?}", self.violations);
         let _ = write!(s, "|lq{:?}", self.local_queue);
         let _ = write!(s, "|dev{}", self.wal_free_at.since(now).0);
-        let _ = write!(s, "|gated{:?}", self.gated_on_buffer);
-        for ops in self.inflight_forces.values() {
-            let _ = write!(s, "|inflight{ops:?}");
+        let _ = write!(
+            s,
+            "|undurable{}",
+            wal.next_lsn().0.saturating_sub(self.durable_lsn.0)
+        );
+        for (gate, op) in &self.gated {
+            let above = gate.0.saturating_sub(self.durable_lsn.0);
+            let _ = write!(s, "|gated+{above}{op:?}");
         }
         let _ = write!(s, "|flush{}", self.flush_timer.is_some());
         let _ = write!(
@@ -3113,7 +3210,7 @@ impl qbc_simnet::Fingerprint for SiteNode {
             }
             let _ = write!(
                 t,
-                "|{}{}{}{}{}|{}|{:?}|{:?}|{}|{}|{:?}",
+                "|{}{}{}{}{}|{}|{:?}|{:?}|{}|{}|{:?}|{}",
                 st.coordinator.is_some() as u8,
                 st.termination.is_some() as u8,
                 st.elector.is_some() as u8,
@@ -3125,17 +3222,17 @@ impl qbc_simnet::Fingerprint for SiteNode {
                 st.blocked as u8,
                 st.termination_rounds,
                 st.x_siblings,
+                st.gate.0.saturating_sub(self.durable_lsn.0),
             );
             h.write(t.as_bytes());
         }
         let mut xids: Vec<TxnId> = self.xcoords.keys().copied().collect();
         xids.sort_unstable();
         for id in xids {
-            h.write(format!("x{id:?}").as_bytes());
-            self.xcoords
-                .get(&id)
-                .expect("sorted key")
-                .fingerprint(now, h);
+            let x = self.xcoords.get(&id).expect("sorted key");
+            let closed = x.gate.0.saturating_sub(self.durable_lsn.0);
+            h.write(format!("x{id:?}+{closed}").as_bytes());
+            x.engine.fingerprint(now, h);
         }
         // Paxos acceptor table, sorted by transaction.
         let mut aids: Vec<TxnId> = self.acceptors.keys().copied().collect();
