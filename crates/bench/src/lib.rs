@@ -1,4 +1,4 @@
-//! # qbc-bench — experiment binaries and microbenches
+//! # qbc-bench — experiment binaries
 //!
 //! One binary per paper artifact (see DESIGN.md §3 and EXPERIMENTS.md):
 //!
@@ -15,9 +15,10 @@
 //! | `e9_vulnerability` | §3.2/§5 claim — failure vulnerability window |
 //! | `e10_ablation` | Example 3 generalized — mutual-ignore-rule ablation |
 //!
-//! Criterion benches (`cargo bench -p qbc-bench`) measure the hot paths
-//! of every substrate: engine steps, rule evaluation, lock manager, WAL,
-//! the simulator event pump and a full end-to-end commit.
+//! `e11`–`e14`, `e16` and `e17` cover workloads, cluster throughput,
+//! protocol metrics and read availability. Per-layer costs (engine
+//! steps, lock manager, WAL, a full commit) are measured by qbench's
+//! layer drives — see `benchmark/README.md`.
 
 /// Shared output helper: prints a titled section.
 pub fn section(title: &str) {

@@ -14,8 +14,6 @@
 //!   waiting, any number of transactions run concurrently, and
 //!   `await_decision`/`decision` resolve handles later. [`ReadHandle`]s
 //!   do the same for quorum reads.
-//! * [`ThreadedCluster`] — the same cluster on the real-time threaded
-//!   transport, driven through the `NetMsg::BeginTxn` wire request.
 //! * [`ReactorCluster`] — the same cluster on the event-driven
 //!   `qbc-reactor` transport: every site plus the client front door
 //!   multiplexed onto a small fixed pool of event-loop workers, client
@@ -46,7 +44,7 @@
 //! phases, measuring blocking windows and copy pin times, and keeping a
 //! per-site flight recorder that dumps on atomicity violations. Export
 //! via [`SimCluster::metrics_json`] (deterministic JSON) or
-//! [`ClusterReport::prometheus_text`] (Prometheus text format). See
+//! [`ReactorReport::prometheus_text`] (Prometheus text format). See
 //! `docs/observability.md` for the event model and metric catalog.
 
 #![warn(missing_docs)]
@@ -59,7 +57,6 @@ mod metrics;
 mod reactor_cluster;
 mod shard;
 mod sim_cluster;
-mod threaded_cluster;
 
 pub use config::ClusterConfig;
 pub use metrics::{AtomicityViolation, ClusterMetrics, LatencyHistogram, ShardMetrics};
@@ -68,4 +65,3 @@ pub use qbc_reactor::{ClientStats, Handle, Outcome, PollerKind, ServerStats};
 pub use reactor_cluster::{ReactorCluster, ReactorConfig, ReactorReport};
 pub use shard::{ShardId, ShardMap};
 pub use sim_cluster::{ReadHandle, Session, SimCluster, TxnHandle, TxnStatus};
-pub use threaded_cluster::{ClusterReport, ThreadedCluster};

@@ -43,7 +43,7 @@ pub struct ShardMetrics {
     pub queue_depth: u64,
     /// Largest queue depth seen across harvests of one registry. Only
     /// [`crate::SimCluster::metrics`] harvests repeatedly and tracks a
-    /// running maximum; a single-harvest registry (the threaded
+    /// running maximum; a single-harvest registry (the reactor
     /// shutdown report) carries its final `queue_depth` here.
     pub peak_queue_depth: u64,
     /// Largest log-device backlog across the shard's sites at harvest.
@@ -133,7 +133,7 @@ impl ClusterMetrics {
 
     /// Appends every per-shard metric to `r`, labeled `shard="<k>"`.
     /// Combined with [`qbc_obs::Obs::fill_registry`] this is the full
-    /// exporter surface: the Prometheus text endpoint of the threaded
+    /// exporter surface: the Prometheus text report of the reactor
     /// cluster and the JSON snapshot of the simulated one both render
     /// the registry this fills.
     pub fn fill_registry(&self, r: &mut Registry) {

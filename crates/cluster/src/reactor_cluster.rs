@@ -1,19 +1,18 @@
 //! The cluster front-end on the event-driven reactor transport.
 //!
-//! Third substrate, same cluster: the deterministic simulator carries
-//! the correctness evidence, the threaded transport demonstrates
-//! substrate independence, and this front-end is the *serving* shape —
-//! every site plus the client front door multiplexed onto a small
+//! Second substrate, same cluster: the deterministic simulator carries
+//! the correctness evidence, and this front-end is the *serving* shape
+//! — every site plus the client front door multiplexed onto a small
 //! fixed pool of `qbc-reactor` event-loop workers, with clients as
 //! logical sessions over framed sockets instead of in-process calls.
 //!
-//! Placement and routing are byte-identical to the other front-ends:
+//! Placement and routing are byte-identical to [`crate::SimCluster`]:
 //! the same [`ShardMap`], the same round-robin coordinator rotation
 //! (extended to skip killed sites — the reactor is the substrate where
 //! sites die mid-run and clients keep submitting), and the same
 //! [`ShardMap::xtxn_branches`] split for cross-shard writesets. The
 //! differential test in `tests/reactor.rs` holds this front-end to the
-//! threaded baseline's decisions.
+//! deterministic oracle's decisions.
 
 use crate::config::ClusterConfig;
 use crate::harvest::{build_nodes, first_fresh_txn, harvest, make_obs};
@@ -82,7 +81,7 @@ struct PlanState {
 }
 
 /// The [`Planner`] the front door consults: same rotation and branch
-/// split as the other substrates, minus whatever sites are down.
+/// split as [`crate::SimCluster`], minus whatever sites are down.
 struct ClusterPlanner {
     map: ShardMap,
     protocol: ProtocolKind,
@@ -196,12 +195,20 @@ pub struct ReactorReport {
 }
 
 impl ReactorReport {
-    /// Renders cluster metrics plus the reactor gauges in the
-    /// Prometheus text exposition format.
+    /// Renders the full metrics registry in the Prometheus text
+    /// exposition format: per-shard counters/histograms, the reactor
+    /// gauges and (when observability was on) every observer metric.
     pub fn prometheus_text(&self) -> String {
         let mut r = Registry::new();
         self.metrics.fill_registry(&mut r);
         self.server.fill_registry(&mut r);
+        if let Some(obs) = &self.obs {
+            // "Now" for still-open windows: the newest event the
+            // flight recorder retained (the report is post-shutdown, so
+            // nothing further can happen).
+            let now = obs.events().last().map(|e| e.at).unwrap_or(Time::ZERO);
+            obs.fill_registry(now, &mut r);
+        }
         r.prometheus_text()
     }
 }
@@ -278,8 +285,7 @@ impl ReactorCluster {
         self.obs.as_ref()
     }
 
-    /// The in-process client (for direct session control — e.g. the
-    /// open-loop generator submits through it at a target rate).
+    /// The in-process client, for direct session control.
     pub fn client(&self) -> &ReactorClient {
         self.client.as_ref().expect("client live")
     }

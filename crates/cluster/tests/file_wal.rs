@@ -13,7 +13,8 @@
 //!    monotonically.
 //!
 //! Logical crashes only (processes, never the machine), so fsync is
-//! off for speed; `e15_file_wal` measures the real device.
+//! off for speed; qbench's `storage.fsync_us_p50` row measures the real
+//! device.
 
 use qbc_cluster::{ClusterConfig, ShardId, SimCluster};
 use qbc_core::{Decision, WriteSet};

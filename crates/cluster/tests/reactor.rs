@@ -1,12 +1,12 @@
 //! The reactor front-end: differential conformance against the
-//! threaded baseline, backpressure isolation, and coordinator-kill
-//! resubmission. Wall-clock tests — kept small and time-bounded like
-//! the threaded suite; the deterministic substrate carries the
+//! deterministic oracle, the Prometheus scrape text, backpressure
+//! isolation, and coordinator-kill resubmission. Wall-clock tests —
+//! kept small and time-bounded; the deterministic substrate carries the
 //! correctness evidence.
 
-use qbc_cluster::{ClusterConfig, Outcome, ReactorCluster, ReactorConfig, ThreadedCluster};
+use qbc_cluster::{ClusterConfig, ObsConfig, Outcome, ReactorCluster, ReactorConfig, SimCluster};
 use qbc_core::{Decision, WriteSet};
-use qbc_simnet::Duration;
+use qbc_simnet::{Duration, Time};
 use qbc_votes::ItemId;
 use std::io::Write as _;
 use std::os::unix::net::UnixStream;
@@ -30,7 +30,7 @@ fn workload() -> Vec<Vec<(ItemId, i64)>> {
 }
 
 #[test]
-fn reactor_decisions_match_the_threaded_baseline() {
+fn reactor_decisions_match_the_deterministic_oracle() {
     let cfg = || ClusterConfig {
         t_bound: Duration(20),
         seed: 21,
@@ -54,25 +54,75 @@ fn reactor_decisions_match_the_threaded_baseline() {
         assert_eq!(*d, Some(Decision::Commit), "{h:?} on the reactor");
     }
 
-    // Threaded baseline: same workload, decisions read at harvest.
-    let mut baseline = ThreadedCluster::spawn(cfg(), 1);
-    let n = workload().len();
-    for w in workload() {
-        baseline.submit(WriteSet::new(w));
-    }
-    std::thread::sleep(std::time::Duration::from_millis(900));
-    let report = baseline.shutdown();
-    assert_eq!(report.atomicity_violations, vec![]);
-    let threaded: Vec<Decision> = report
-        .decisions
+    // Deterministic oracle: same config, same workload, run to
+    // quiescence.
+    let mut oracle = SimCluster::new(cfg());
+    let handles: Vec<_> = workload()
+        .into_iter()
+        .map(|w| oracle.submit_at(Time::ZERO, WriteSet::new(w)))
+        .collect();
+    assert!(oracle.run_to_quiescence(10_000_000).drained());
+    assert_eq!(oracle.atomicity_violations(), vec![]);
+    let sim: Vec<Decision> = handles
         .iter()
-        .map(|(h, d)| d.unwrap_or_else(|| panic!("{h:?} undecided on the threaded substrate")))
+        .map(|h| {
+            oracle
+                .decision(h)
+                .unwrap_or_else(|| panic!("{h:?} undecided on the simulator"))
+        })
         .collect();
 
-    assert_eq!(reactor.len(), n);
     assert_eq!(
-        reactor, threaded,
+        reactor, sim,
         "the two substrates decided the same workload differently"
+    );
+}
+
+#[test]
+fn reactor_report_exports_prometheus_text() {
+    let cfg = ClusterConfig {
+        t_bound: Duration(20),
+        seed: 13,
+        ..Default::default()
+    }
+    .with_obs(ObsConfig::on());
+    let cluster = ReactorCluster::spawn(cfg, ReactorConfig::default());
+    // One transaction per shard (items 0 and 8 live in shards 0 and 1).
+    for h in [
+        cluster.submit(vec![(ItemId(0), 7)]),
+        cluster.submit(vec![(ItemId(8), 9)]),
+    ] {
+        assert!(matches!(h.wait(), Outcome::Committed { .. }));
+    }
+    let report = cluster.shutdown();
+    assert_eq!(report.atomicity_violations, vec![]);
+    assert_eq!(report.metrics.total_committed(), 2);
+
+    // The scrape payload: shard metrics, reactor gauges and the
+    // observer's protocol counters, in valid exposition format.
+    let text = report.prometheus_text();
+    assert!(
+        text.contains("# TYPE qbc_shard_committed_total counter"),
+        "{text}"
+    );
+    assert!(
+        text.contains("qbc_shard_committed_total{shard=\"0\"} 1"),
+        "{text}"
+    );
+    assert!(
+        text.contains("# TYPE qbc_reactor_sessions_in_flight_peak gauge"),
+        "{text}"
+    );
+    assert!(
+        text.contains("# TYPE qbc_msgs_sent_total counter"),
+        "{text}"
+    );
+    assert!(text.contains("qbc_txns_committed_total 2"), "{text}");
+    assert!(text.contains("qbc_commit_latency_ticks_count 2"), "{text}");
+    // Histograms render cumulative buckets.
+    assert!(
+        text.contains("qbc_pin_time_ticks_bucket{le=\"+Inf\"}"),
+        "{text}"
     );
 }
 

@@ -8,11 +8,10 @@
 use crate::states::LocalState;
 use crate::types::{Decision, TxnId, TxnSpec};
 use qbc_votes::Version;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A force-written log record of the commit/termination protocols.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum LogRecord {
     /// Written by the coordinator before soliciting votes: makes the
     /// spec (and this site's coordinatorship) durable, so a recovering
@@ -135,7 +134,7 @@ pub type ItemChain = Vec<(Version, i64)>;
 /// The compact outcome of one retired transaction, as carried by
 /// [`LogRecord::Checkpoint`]: everything a straggler's question can
 /// still need after the per-record history is truncated.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetiredOutcome {
     /// Transaction.
     pub txn: TxnId,
@@ -149,7 +148,7 @@ pub struct RetiredOutcome {
 /// carried by [`LogRecord::Checkpoint`]: per-branch membership and
 /// commit versions, enough to keep answering `X-OUTCOME-REQ` from late
 /// orphans.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct XRetiredOutcome {
     /// Cross-shard transaction.
     pub txn: TxnId,

@@ -4,7 +4,6 @@ use crate::states::LocalState;
 use crate::types::{Decision, TxnId, TxnSpec};
 use qbc_simnet::{Label, SiteId};
 use qbc_votes::Version;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// All messages exchanged by the commit and termination protocols.
@@ -12,7 +11,7 @@ use std::sync::Arc;
 /// One vocabulary serves every protocol variant: 2PC never sends
 /// `PrepareCommit`; only the termination protocols send `PrepareAbort`
 /// and `StateReq`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
     /// Coordinator → participants: the transaction spec (update values
     /// included); "vote on this transaction".

@@ -12,13 +12,12 @@
 //! non-terminal state — they are only ever sent after a quorum has made
 //! the opposite outcome impossible.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::types::Decision;
 
 /// A participant's local state for one transaction.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum LocalState {
     /// `q` — has not voted.
     Initial,

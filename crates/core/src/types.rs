@@ -2,12 +2,11 @@
 
 use qbc_simnet::SiteId;
 use qbc_votes::{Catalog, ItemId, Version};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Globally unique transaction identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
 
 impl fmt::Debug for TxnId {
@@ -23,7 +22,7 @@ impl fmt::Display for TxnId {
 }
 
 /// The two irrevocable transaction outcomes.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Decision {
     /// All of the transaction's updates are performed.
     Commit,
@@ -41,7 +40,7 @@ impl fmt::Display for Decision {
 }
 
 /// Which commit protocol a transaction runs under.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ProtocolKind {
     /// Two-phase commit (Fig. 1): fast, blocking on coordinator failure.
     TwoPhase,
@@ -113,7 +112,7 @@ impl fmt::Display for ProtocolKind {
 /// Each *site* carries votes; a transaction commits during termination
 /// only with `Vc` votes cast for committing and aborts only with `Va`
 /// cast for aborting, where `Vc + Va > V` (total).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SiteVotes {
     /// Vote weight per site.
     pub weights: BTreeMap<SiteId, u32>,
@@ -167,7 +166,7 @@ impl SiteVotes {
 }
 
 /// The writeset of a transaction: new values for the items it updates.
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct WriteSet {
     /// New value per updated item.
     pub updates: BTreeMap<ItemId, i64>,
@@ -199,7 +198,7 @@ impl WriteSet {
 
 /// Everything a participant must know about a transaction, distributed
 /// in the `VOTE-REQ` message and logged before voting.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TxnSpec {
     /// Transaction id.
     pub id: TxnId,

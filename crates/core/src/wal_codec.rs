@@ -1,7 +1,6 @@
 //! On-disk encoding of [`LogRecord`] for the file-backed WAL.
 //!
-//! The vendored `serde` is a compile-only marker (no wire format), so
-//! the durable encoding is written by hand against the primitives in
+//! The durable encoding is written by hand against the primitives in
 //! [`qbc_storage::codec`]: little-endian fixed-width integers, a
 //! one-byte variant tag per record and per enum, `u32`-count-prefixed
 //! sequences, `0/1`-tagged options. `docs/wal-format.md` documents the

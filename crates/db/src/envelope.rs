@@ -5,11 +5,10 @@ use qbc_election::{ElectionMsg, ElectionTimer};
 use qbc_simnet::Label;
 use qbc_storage::Lsn;
 use qbc_votes::{ItemId, Version};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Everything a site sends over the wire.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum NetMsg {
     /// A commit/termination protocol message.
     Proto(Msg),
@@ -79,7 +78,7 @@ pub enum NetMsg {
     /// A client asks this site to coordinate a new transaction. This is
     /// the wire form of [`crate::SiteNode::begin_transaction`], used by
     /// front-ends (the cluster runtime) on transports that cannot call
-    /// into a node directly (the threaded substrate).
+    /// into a node directly (the reactor substrate).
     BeginTxn {
         /// Client-chosen transaction id (globally unique).
         txn: TxnId,

@@ -5,7 +5,7 @@
 //! bully election of `qbc-election`, strict no-wait 2PL from
 //! `qbc-locks`, the WAL and versioned store of `qbc-storage`, and
 //! Gifford quorum reads over `qbc-votes` — all driven by the
-//! deterministic simulator (or the threaded transport) of `qbc-simnet`.
+//! deterministic simulator (or a `NodeDriver` host) of `qbc-simnet`.
 //!
 //! ## Lifecycle of a transaction
 //!

@@ -2,8 +2,8 @@
 //! lock manager and stable storage.
 //!
 //! A [`SiteNode`] implements [`Process`] and can run on the
-//! deterministic simulator or the threaded transport. Per transaction it
-//! hosts:
+//! deterministic simulator or under a `NodeDriver` (the reactor). Per
+//! transaction it hosts:
 //!
 //! * a [`Participant`] engine (always),
 //! * a [`Coordinator`] engine (at the site where the client submitted),

@@ -23,11 +23,10 @@
 #![warn(rust_2018_idioms)]
 
 use qbc_simnet::SiteId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Messages of the election protocol.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ElectionMsg {
     /// "I am holding an election" — sent to higher-id peers.
     Election {

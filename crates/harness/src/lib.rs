@@ -19,8 +19,6 @@
 //!   mid-stream failures (E11).
 //! * [`cluster_load`] — concurrent client sessions against the sharded
 //!   cluster runtime of `qbc-cluster` (E13).
-//! * [`open_loop`] — open-loop arrivals (target rate, completions
-//!   decoupled) against the reactor front-end (E18).
 //! * [`table`] — plain-text table rendering for experiment binaries.
 
 #![warn(missing_docs)]
@@ -32,7 +30,6 @@ pub mod concurrency;
 pub mod latency;
 pub mod montecarlo;
 pub mod msc;
-pub mod open_loop;
 pub mod paper;
 pub mod scenario;
 pub mod table;

@@ -206,7 +206,7 @@ impl fmt::Display for TraceEvent {
 ///
 /// Implementations must be cheap and must not call back into the
 /// emitting node. `&self` because sinks are shared (`Arc`) between
-/// sites and, on the threaded substrate, between threads.
+/// sites and, on the reactor substrate, between worker threads.
 pub trait TraceSink: Send + Sync {
     /// Consumes one event.
     fn record(&self, ev: TraceEvent);

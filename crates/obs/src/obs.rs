@@ -114,9 +114,9 @@ struct Inner {
 }
 
 /// The observer. Shared (`Arc`) between every site of a cluster and,
-/// on the threaded substrate, between threads; all state lives behind
-/// one mutex, which is fine because instrumentation is config-gated
-/// and off the simulator's hot path by default.
+/// on the reactor substrate, between worker threads; all state lives
+/// behind one mutex, which is fine because instrumentation is
+/// config-gated and off the simulator's hot path by default.
 pub struct Obs {
     cfg: ObsConfig,
     inner: Mutex<Inner>,

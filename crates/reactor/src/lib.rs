@@ -2,10 +2,9 @@
 //! cluster: 10k+ concurrent client sessions multiplexed onto a small
 //! fixed pool of nonblocking event-loop workers.
 //!
-//! The threaded runtime (`qbc-cluster`'s `ThreadedCluster`) spends one
-//! OS thread per site and drives client work by polling; it is the
-//! conformance baseline, not a serving architecture. This crate is the
-//! serving architecture:
+//! The deterministic simulator (`qbc-cluster`'s `SimCluster`) carries
+//! the correctness evidence and is the conformance oracle; it serves
+//! no sockets. This crate is the serving architecture:
 //!
 //! * [`Poller`] — readiness behind one interface: `epoll` on Linux,
 //!   portable `poll(2)` everywhere, both hand-rolled over raw syscalls

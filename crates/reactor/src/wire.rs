@@ -3,12 +3,10 @@
 //!
 //! Only the *front door* needs a wire format: inter-site protocol
 //! traffic stays in-process (the reactor routes [`qbc_db::NetMsg`]
-//! values between site inboxes by move, exactly like the threaded
-//! transport). Client sessions, in contrast, live on the far side of a
-//! socket, so their requests and replies are encoded with the same
-//! hand-rolled primitive codec the file WAL uses
-//! ([`qbc_storage::codec`]) — the vendored `serde` is compile-only and
-//! provides no format.
+//! values between site inboxes by move). Client sessions, in contrast,
+//! live on the far side of a socket, so their requests and replies are
+//! encoded with the same hand-rolled primitive codec the file WAL uses
+//! ([`qbc_storage::codec`]).
 //!
 //! Sessions are *logical*: one connection multiplexes any number of
 //! them, each identified by a client-chosen `session` id echoed on

@@ -1,12 +1,12 @@
 //! A single-process driver for embedding a [`Process`] in an external
 //! event loop.
 //!
-//! The deterministic [`crate::Sim`] and the threaded transport both
-//! drive processes through the crate-private [`Effect`] buffer. A
-//! [`NodeDriver`] packages that same contract — build a [`Ctx`], invoke
-//! a handler, then apply the buffered effects — behind a public API, so
-//! runtimes in *other* crates (the nonblocking reactor front door) can
-//! host a process without qbc-simnet having to expose its internals.
+//! The deterministic [`crate::Sim`] drives processes through the
+//! crate-private [`Effect`] buffer. A [`NodeDriver`] packages that same
+//! contract — build a [`Ctx`], invoke a handler, then apply the
+//! buffered effects — behind a public API, so runtimes in *other*
+//! crates (the nonblocking reactor front door) can host a process
+//! without qbc-simnet having to expose its internals.
 //!
 //! The driver owns the process, its timer heap and its RNG. It never
 //! blocks and never looks at a wall clock: the caller supplies `now` on
@@ -67,8 +67,8 @@ pub struct NodeDriver<P: Process> {
 impl<P: Process> NodeDriver<P> {
     /// Wraps `node` and runs its `on_start` at time `now`. The seed
     /// derives the driver's private RNG; distinct sites should use
-    /// distinct seeds (the threaded transport's per-site mixing
-    /// constant works well).
+    /// distinct seeds (the reactor mixes the site id into the cluster
+    /// seed).
     pub fn new(
         site: SiteId,
         node: P,

@@ -4,7 +4,6 @@
 //! Sites are the unit of failure in the paper's model: a site crashes and
 //! recovers as a whole, and network partitions separate *sites*.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a database site (node).
@@ -12,7 +11,7 @@ use std::fmt;
 /// Sites are small dense integers so they can be used as indices into
 /// per-site tables. Display renders as `s<N>` to match the paper's
 /// `site1`, `site2`, ... naming.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub u32);
 
 impl SiteId {
@@ -49,7 +48,7 @@ pub fn sites(n: u32) -> Vec<SiteId> {
 /// Identifier of a timer set by a process.
 ///
 /// Timer ids are unique per simulation run; cancelled timers never fire.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TimerId(pub u64);
 
 #[cfg(test)]

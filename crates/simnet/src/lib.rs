@@ -59,7 +59,6 @@ pub mod host;
 mod ids;
 mod process;
 mod sim;
-pub mod threaded;
 mod time;
 mod topology;
 mod trace;

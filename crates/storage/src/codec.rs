@@ -1,7 +1,6 @@
 //! Record serialization for disk-backed WAL backends.
 //!
-//! The vendored `serde` is a compile-only stand-in (no wire format), so
-//! the file WAL defines its own minimal codec contract: [`WalCodec`]
+//! The file WAL defines its own minimal codec contract: [`WalCodec`]
 //! turns a record into bytes and back. Framing, checksumming and
 //! torn-tail handling live in [`crate::FileWal`]; a codec only sees
 //! whole, checksum-verified payloads, so [`WalCodec::decode`] failing

@@ -13,12 +13,11 @@
 //!    cannot proceed in two partitions at once.
 
 use qbc_simnet::SiteId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Identifier of a logical data item.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ItemId(pub u32);
 
 impl fmt::Debug for ItemId {
@@ -37,9 +36,7 @@ impl fmt::Display for ItemId {
 ///
 /// Gifford's currency rule: a read quorum always contains at least one
 /// copy carrying the maximum version, which is the current value.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct Version(pub u64);
 
 impl Version {
@@ -132,7 +129,7 @@ impl std::error::Error for VoteError {}
 
 /// The replication specification of one data item: where its copies live,
 /// how many votes each copy carries, and its read/write quorums.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ItemSpec {
     /// Item identifier.
     pub id: ItemId,

@@ -120,23 +120,19 @@ fn docs_references_to_code_paths_exist() {
         "crates/core/tests/rule_safety.rs",
         "crates/bench/src/bin/e13_cluster_throughput.rs",
         "crates/bench/src/bin/e14_sim_throughput.rs",
-        "crates/bench/src/bin/e15_file_wal.rs",
         "crates/bench/src/bin/e16_protocol_metrics.rs",
         "crates/bench/src/bin/e17_read_availability.rs",
-        "crates/bench/src/bin/e18_open_loop.rs",
         "crates/cluster/tests/snapshot_reads.rs",
         "crates/db/tests/read_tables.rs",
         "crates/reactor/src/poller.rs",
         "crates/reactor/src/frame.rs",
         "crates/reactor/src/wire.rs",
         "crates/cluster/tests/reactor.rs",
-        "crates/harness/src/open_loop.rs",
+        "crates/cluster/tests/reactor_burst.rs",
         "BENCH_e14.json",
-        "BENCH_e15.json",
         "BENCH_e16.json",
         "BENCH_e16_flightdump.txt",
         "BENCH_e17.json",
-        "BENCH_e18.json",
     ] {
         assert!(
             root.join(rel).exists(),
