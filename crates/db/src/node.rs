@@ -2018,26 +2018,28 @@ impl SiteNode {
     /// command it broadcasts; its bookkeeping adopts the engine's
     /// decision directly. Participant coordinators are handled by the
     /// normal participant path (which also applies the updates), so
-    /// they are excluded here.
+    /// they are excluded here. The adoption is what tells the client, so
+    /// it waits for the engine's `Decided` record exactly as the
+    /// participant path's [`Action::ApplyAndDecide`] does.
     fn adopt_coordinator_decision(&mut self, now: Time, txn: TxnId) {
-        if let Some(st) = self.txns.get_mut(&txn) {
-            if st.decided.is_none() && !st.spec.participants.contains(&self.cfg.site) {
-                let decided = match st.coordinator.as_ref().map(|c| c.phase()) {
-                    Some(qbc_core::CoordPhase::Decided(d)) => Some(d),
-                    _ => match st.paxos.as_ref().map(|p| p.phase()) {
-                        Some(qbc_core::PaxosPhase::Decided(d)) => Some(d),
-                        _ => None,
-                    },
-                };
-                if let Some(d) = decided {
-                    let version = st.decided_version;
-                    st.decided = Some(d);
-                    st.decided_at = Some(now);
-                    self.schedule_retire(now, txn);
-                    self.note_decision(txn, d, version);
-                }
-            }
+        let Some(st) = self.txns.get(&txn) else {
+            return;
+        };
+        if st.decided.is_some() || st.spec.participants.contains(&self.cfg.site) {
+            return;
         }
+        let decision = match st.coordinator.as_ref().map(|c| c.phase()) {
+            Some(qbc_core::CoordPhase::Decided(d)) => d,
+            _ => match st.paxos.as_ref().map(|p| p.phase()) {
+                Some(qbc_core::PaxosPhase::Decided(d)) => d,
+                _ => return,
+            },
+        };
+        let commit_version = match decision {
+            Decision::Commit => st.commit_version(),
+            Decision::Abort => None,
+        };
+        self.apply_when_durable(now, txn, decision, commit_version);
     }
 
     /// Queues a decided transaction (or cross-shard coordination) for
@@ -2219,23 +2221,7 @@ impl SiteNode {
                 Action::ApplyAndDecide {
                     decision,
                     commit_version,
-                } => {
-                    if let Some(gate) = self.closed_gate(Some(txn)) {
-                        // The decision's log record is not durable yet;
-                        // installing values and freeing locks waits for
-                        // the force, like the messages announcing it.
-                        self.gated.push_back((
-                            gate,
-                            DeferredOp::Apply {
-                                txn,
-                                decision,
-                                commit_version,
-                            },
-                        ));
-                    } else {
-                        self.apply_decision(ctx.now(), txn, decision, commit_version)
-                    }
-                }
+                } => self.apply_when_durable(ctx.now(), txn, decision, commit_version),
                 Action::SetTimer(kind) => {
                     let span = match kind {
                         TimerKind::VoteCollection { .. }
@@ -2284,6 +2270,29 @@ impl SiteNode {
         debug_assert!(buf.is_empty());
         if buf.capacity() > 0 && self.spare_actions.len() < 4 {
             self.spare_actions.push(buf);
+        }
+    }
+
+    /// Applies a decision now, or — while the decision's log record is
+    /// not durable yet — once it is: installing values, freeing locks
+    /// and telling the front door wait for the force, like the messages
+    /// announcing it.
+    fn apply_when_durable(
+        &mut self,
+        now: Time,
+        txn: TxnId,
+        decision: Decision,
+        commit_version: Option<Version>,
+    ) {
+        if let Some(gate) = self.closed_gate(Some(txn)) {
+            let op = DeferredOp::Apply {
+                txn,
+                decision,
+                commit_version,
+            };
+            self.gated.push_back((gate, op));
+        } else {
+            self.apply_decision(now, txn, decision, commit_version)
         }
     }
 

@@ -2,13 +2,14 @@
 //! bare [`NodeDriver`], its peers played by the test.
 //!
 //! A `Send`/`Apply` waits only for the log records of *its own*
-//! transaction; a self-addressed message never waits. Every scenario
-//! runs on the instant log device and on the modelled one
-//! (`force_latency = 2`), where the wait ends at `WalForceDone` rather
-//! than at the flush.
+//! transaction; a self-addressed message never waits; a coordinator
+//! that holds no copy tells its client after the `Decided` force like
+//! everyone else. Every scenario runs on the instant log device and on
+//! the modelled one (`force_latency = 2`), where the wait ends at
+//! `WalForceDone` rather than at the flush.
 
 use qbc_core::{Decision, LocalState, LogRecord, Msg, ProtocolKind, TxnId, TxnSpec, WriteSet};
-use qbc_db::{NetMsg, NodeConfig, SiteNode};
+use qbc_db::{DecisionEvent, NetMsg, NodeConfig, SiteNode};
 use qbc_simnet::{sites, Duration, Label, NodeDriver, Process, SiteId, Time};
 use qbc_votes::{Catalog, CatalogBuilder, ItemId, Version};
 use std::sync::Arc;
@@ -21,10 +22,12 @@ const CLIENT: SiteId = SiteId(99);
 const WINDOW: u64 = 5;
 const X: ItemId = ItemId(0);
 const Y: ItemId = ItemId(1);
+const Z: ItemId = ItemId(2);
 const T1: TxnId = TxnId(1);
 const T2: TxnId = TxnId(2);
 
-/// Items `x` and `y`, each with unit copies at s0..s2, r = w = 2.
+/// Items `x` and `y`, each with unit copies at s0..s2, r = w = 2, and
+/// `z` with copies at s1 and s2 only: s0 coordinates it as a client.
 fn catalog() -> Catalog {
     CatalogBuilder::new()
         .item(X, "x")
@@ -32,6 +35,9 @@ fn catalog() -> Catalog {
         .quorums(2, 2)
         .item(Y, "y")
         .copies_at(sites(3))
+        .quorums(2, 2)
+        .item(Z, "z")
+        .copies_at([S1, S2])
         .quorums(2, 2)
         .build()
         .unwrap()
@@ -54,8 +60,12 @@ struct Site {
 
 impl Site {
     fn new(latency: u64) -> Self {
+        Site::with_config(config(latency), latency)
+    }
+
+    fn with_config(cfg: NodeConfig, latency: u64) -> Self {
         let mut out = Vec::new();
-        let node = SiteNode::new(config(latency), |_| 0);
+        let node = SiteNode::new(cfg, |_| 0);
         let driver = NodeDriver::new(ME, node, 7, Time(0), &mut out);
         Site {
             driver,
@@ -71,10 +81,14 @@ impl Site {
     }
 
     fn begin(&mut self, now: u64, txn: TxnId, item: ItemId) {
+        self.begin_under(now, txn, item, ProtocolKind::QuorumCommit2);
+    }
+
+    fn begin_under(&mut self, now: u64, txn: TxnId, item: ItemId, protocol: ProtocolKind) {
         let msg = NetMsg::BeginTxn {
             txn,
             writeset: WriteSet::new([(item, 7)]),
-            protocol: ProtocolKind::QuorumCommit2,
+            protocol,
         };
         self.driver.deliver(Time(now), CLIENT, msg, &mut self.out);
     }
@@ -100,6 +114,13 @@ impl Site {
 
     fn durable(&self) -> Vec<LogRecord> {
         self.node().log_records().cloned().collect()
+    }
+
+    /// Drains what the site has told its front door since the last call.
+    fn events(&mut self) -> Vec<DecisionEvent> {
+        let mut out = Vec::new();
+        self.driver.node_mut().drain_decision_events(&mut out);
+        out
     }
 }
 
@@ -245,6 +266,85 @@ fn self_delivery_is_immediate_and_its_apply_still_waits(latency: u64) {
     assert!(!s.node().is_item_locked(X));
 }
 
+/// Drives s0, coordinating T1 on `z` (copies at s1 and s2 only), to its
+/// commit point and returns the time it was reached. From here the
+/// `Decided` record is staged and nothing of the decision has left.
+fn copyless_coordinator_at_its_commit_point(s: &mut Site, protocol: ProtocolKind) -> u64 {
+    s.begin_under(0, T1, Z, protocol);
+    s.tick(WINDOW + s.latency);
+    assert_eq!(s.sent(), vec![(S1, "VOTE-REQ"), (S2, "VOTE-REQ")]);
+    let now = WINDOW + s.latency + 1;
+    s.deliver(now, S1, yes(T1));
+    s.deliver(now, S2, yes(T1));
+    if protocol == ProtocolKind::QuorumCommit2 {
+        assert_eq!(
+            s.sent(),
+            vec![(S1, "PREPARE-TO-COMMIT"), (S2, "PREPARE-TO-COMMIT")]
+        );
+        s.deliver(now, S1, Msg::PcAck { txn: T1 });
+        s.deliver(now, S2, Msg::PcAck { txn: T1 });
+    }
+    assert_eq!(s.sent(), vec![], "Commit waits for the Decided record");
+    let decided = |r: &LogRecord| matches!(r, LogRecord::Decided { .. });
+    assert!(!s.durable().iter().any(decided));
+    now
+}
+
+/// (d) A coordinator without a copy never hears its own `Commit`: it
+/// adopts the engine's decision, and that adoption is what the front
+/// door turns into the client's reply. It waits for the `Decided` force
+/// and carries the commit version; a crash before the flush takes the
+/// decision with it, so the client was never told a commit that the
+/// recovering coordinator (2PC presumes abort) would contradict.
+fn copyless_coordinator_tells_the_client_after_the_force(latency: u64, protocol: ProtocolKind) {
+    let with_events = || {
+        let mut cfg = config(latency);
+        cfg.decision_events = true;
+        Site::with_config(cfg, latency)
+    };
+    let mut s = with_events();
+    let now = copyless_coordinator_at_its_commit_point(&mut s, protocol);
+    assert_eq!(s.events(), vec![], "told before logged");
+    s.tick(now + WINDOW + latency - 1);
+    assert_eq!(s.events(), vec![]);
+    s.tick(now + WINDOW + latency);
+    assert_eq!(s.sent(), vec![(S1, "COMMIT"), (S2, "COMMIT")]);
+    assert_eq!(
+        s.events(),
+        vec![DecisionEvent {
+            txn: T1,
+            decision: Decision::Commit,
+            commit_version: Some(Version(1)),
+        }]
+    );
+    assert_eq!(s.node().decision(T1), Some(Decision::Commit));
+
+    let mut s = with_events();
+    let now = copyless_coordinator_at_its_commit_point(&mut s, protocol);
+    let mut node = s.driver.into_node();
+    node.on_crash(Time(now + 1));
+    let mut out = Vec::new();
+    let mut driver = NodeDriver::new(ME, node, 7, Time(now + 2), &mut out);
+    driver.tick(Time(1000), &mut out);
+    let mut events = Vec::new();
+    driver.node_mut().drain_decision_events(&mut events);
+    assert!(
+        events.iter().all(|e| e.decision == Decision::Abort),
+        "the lost commit was never told: {events:?}"
+    );
+    let committed = |r: &LogRecord| {
+        matches!(
+            r,
+            LogRecord::Decided {
+                decision: Decision::Commit,
+                ..
+            }
+        )
+    };
+    assert!(!driver.node().log_records().any(committed));
+    assert_ne!(driver.node().decision(T1), Some(Decision::Commit));
+}
+
 #[test]
 fn prepare_commit_overtakes_an_unrelated_record_instant_device() {
     prepare_commit_overtakes_an_unrelated_record(0);
@@ -273,4 +373,16 @@ fn self_delivery_is_immediate_and_its_apply_still_waits_instant_device() {
 #[test]
 fn self_delivery_is_immediate_and_its_apply_still_waits_inflight_force() {
     self_delivery_is_immediate_and_its_apply_still_waits(2);
+}
+
+#[test]
+fn copyless_coordinator_tells_the_client_after_the_force_instant_device() {
+    copyless_coordinator_tells_the_client_after_the_force(0, ProtocolKind::TwoPhase);
+    copyless_coordinator_tells_the_client_after_the_force(0, ProtocolKind::QuorumCommit2);
+}
+
+#[test]
+fn copyless_coordinator_tells_the_client_after_the_force_inflight_force() {
+    copyless_coordinator_tells_the_client_after_the_force(2, ProtocolKind::TwoPhase);
+    copyless_coordinator_tells_the_client_after_the_force(2, ProtocolKind::QuorumCommit2);
 }
