@@ -35,7 +35,7 @@
 //! rediscovered by orphaned sites, so the atomicity audit holds over
 //! the whole shard set. Group commit
 //! (`qbc_db::NodeConfig::group_commit`, `force_latency`) is configured
-//! per cluster here and exercised by `e13_cluster_throughput`; decided
+//! per cluster here and exercised by `paper_figures e13`; decided
 //! transaction state can be retired after a re-announce window
 //! ([`ClusterConfig::retire_after`]) to bound per-site tables.
 //!
@@ -61,7 +61,7 @@ mod sim_cluster;
 pub use config::ClusterConfig;
 pub use metrics::{AtomicityViolation, ClusterMetrics, LatencyHistogram, ShardMetrics};
 pub use qbc_obs::{Obs, ObsConfig, Registry};
-pub use qbc_reactor::{ClientStats, Handle, Outcome, PollerKind, ServerStats};
+pub use qbc_reactor::{ClientStats, Handle, Outcome, ServerStats};
 pub use reactor_cluster::{ReactorCluster, ReactorConfig, ReactorReport};
 pub use shard::{ShardId, ShardMap};
 pub use sim_cluster::{ReadHandle, Session, SimCluster, TxnHandle, TxnStatus};

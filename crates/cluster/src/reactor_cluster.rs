@@ -23,8 +23,8 @@ use qbc_core::{Decision, ProtocolKind, TxnId, WriteSet};
 use qbc_db::NetMsg;
 use qbc_obs::{LatencyHistogram, Obs, Registry};
 use qbc_reactor::{
-    ClientConfig, ClientStats, Handle, Planner, PollerKind, ReactorClient, ReactorServer,
-    ServerConfig, ServerStats,
+    ClientConfig, ClientStats, Handle, Planner, ReactorClient, ReactorServer, ServerConfig,
+    ServerStats,
 };
 use qbc_simnet::{SiteId, Time};
 use qbc_votes::ItemId;
@@ -42,8 +42,6 @@ pub struct ReactorConfig {
     /// Client connection pool size (sessions are logical and
     /// multiplexed over these).
     pub client_conns: usize,
-    /// Poller backend for server and client.
-    pub poller: PollerKind,
     /// Per-connection queued-reply bytes before the front door pauses
     /// reading that connection.
     pub write_hwm: usize,
@@ -63,7 +61,6 @@ impl Default for ReactorConfig {
         ReactorConfig {
             workers: 2,
             client_conns: 4,
-            poller: PollerKind::default(),
             write_hwm: 256 * 1024,
             max_attempts: 64,
             txn_timeout_ms: 30_000,
@@ -244,12 +241,10 @@ impl ReactorCluster {
         let server = ReactorServer::spawn(
             ServerConfig {
                 workers: rcfg.workers,
-                poller: rcfg.poller,
                 write_hwm: rcfg.write_hwm,
                 seed: cfg.seed,
                 first_txn,
                 txn_timeout_ms: rcfg.txn_timeout_ms,
-                client_site: SiteId(cfg.total_sites()),
                 sockbuf: rcfg.sockbuf,
             },
             nodes,
@@ -261,7 +256,6 @@ impl ReactorCluster {
             &path,
             ClientConfig {
                 conns: rcfg.client_conns,
-                poller: rcfg.poller,
                 max_attempts: rcfg.max_attempts,
             },
         )

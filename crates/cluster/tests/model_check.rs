@@ -62,6 +62,8 @@ fn qc1_three_sites_no_faults_is_exhaustively_clean() {
     }
     assert!(report.stats.complete, "exploration must finish in budget");
     assert_eq!(report.stats.frontier_cut, 0, "space must close below depth");
+    // `mc_probe clean 20`: the count every change to the node quotes.
+    assert_eq!(report.stats.explored, 81);
     assert!(report.stats.quiescent > 0, "must reach decided quiescence");
 }
 
@@ -79,6 +81,8 @@ fn qc1_three_sites_one_crash_is_exhaustively_clean() {
     }
     assert!(report.stats.complete, "exploration must finish in budget");
     assert_eq!(report.stats.frontier_cut, 0, "space must close below depth");
+    // `mc_probe crash 30`.
+    assert_eq!(report.stats.explored, 388);
     assert!(report.stats.quiescent > 0, "must reach decided quiescence");
 }
 

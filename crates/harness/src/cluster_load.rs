@@ -5,7 +5,7 @@
 
 use qbc_cluster::{ClusterConfig, ClusterMetrics, SimCluster};
 use qbc_core::WriteSet;
-use qbc_simnet::Time;
+use qbc_simnet::{Duration, Time};
 use qbc_votes::ItemId;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -58,6 +58,39 @@ impl Default for ClusterLoadConfig {
             read_fraction: 0.0,
             think_time: 60,
             seed: 0,
+        }
+    }
+}
+
+/// Ticks one log force costs in experiment E13's cells.
+pub const E13_FORCE_LATENCY: u64 = 6;
+
+impl ClusterLoadConfig {
+    /// One cell of experiment E13 (per-record forcing vs group commit):
+    /// 4 shards x 3 sites, 48 items per shard, a log device whose force
+    /// costs [`E13_FORCE_LATENCY`] ticks, 4 two-item transactions per
+    /// client.
+    pub fn e13(clients: u32, think_time: u64, group_commit: bool) -> Self {
+        let mut cluster = ClusterConfig {
+            shards: 4,
+            sites_per_shard: 3,
+            replication: 3,
+            items_per_shard: 48,
+            seed: 13,
+            force_latency: Duration(E13_FORCE_LATENCY),
+            ..Default::default()
+        };
+        if group_commit {
+            cluster = cluster.with_group_commit();
+        }
+        ClusterLoadConfig {
+            cluster,
+            clients,
+            txns_per_client: 4,
+            items_per_txn: 2,
+            think_time,
+            seed: 13,
+            ..Default::default()
         }
     }
 }
@@ -272,7 +305,6 @@ pub fn run_cluster_load(cfg: &ClusterLoadConfig) -> ClusterLoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qbc_simnet::Duration;
 
     #[test]
     fn light_load_commits_nearly_everything() {
@@ -427,6 +459,22 @@ mod tests {
         assert!(r.consistent);
         assert!(r.reads_issued > 0);
         assert_eq!(r.reads_success + r.reads_unavailable, r.reads_issued);
+    }
+
+    /// E13's acceptance bar. At 64 clients the serial log device
+    /// saturates under per-record forcing while group commit amortizes
+    /// one force over many records.
+    #[test]
+    fn group_commit_doubles_committed_throughput_at_64_clients() {
+        let plain = run_cluster_load(&ClusterLoadConfig::e13(64, 60, false));
+        let batched = run_cluster_load(&ClusterLoadConfig::e13(64, 60, true));
+        assert!(plain.consistent && batched.consistent);
+        assert!(
+            batched.committed_per_kilotick >= 2.0 * plain.committed_per_kilotick,
+            "group commit {:.2} vs per-record {:.2} committed per kilotick",
+            batched.committed_per_kilotick,
+            plain.committed_per_kilotick
+        );
     }
 
     #[test]

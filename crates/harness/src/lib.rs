@@ -19,7 +19,14 @@
 //!   mid-stream failures (E11).
 //! * [`cluster_load`] — concurrent client sessions against the sharded
 //!   cluster runtime of `qbc-cluster` (E13).
-//! * [`table`] — plain-text table rendering for experiment binaries.
+//! * [`protocol_metrics`] — phase breakdown, blocking windows, messages
+//!   and forces for the six engines on one schedule (E16).
+//! * [`read_availability`] — quorum vs snapshot reads under pinned
+//!   copies (E17).
+//! * [`table`] — plain-text table rendering.
+//!
+//! `src/bin/paper_figures.rs` prints every artifact above and exits
+//! non-zero when one does not reproduce.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,6 +38,8 @@ pub mod latency;
 pub mod montecarlo;
 pub mod msc;
 pub mod paper;
+pub mod protocol_metrics;
+pub mod read_availability;
 pub mod scenario;
 pub mod table;
 pub mod workload;

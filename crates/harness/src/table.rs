@@ -1,4 +1,4 @@
-//! Plain-text tables for experiment binaries.
+//! Plain-text tables for `paper_figures`.
 
 use std::fmt::Write as _;
 

@@ -48,8 +48,6 @@ use std::time::Instant;
 pub struct ClientConfig {
     /// Connections in the pool (sessions spread round-robin).
     pub conns: usize,
-    /// Poller backend for the IO thread.
-    pub poller: PollerKind,
     /// Resubmission attempts before a session fails.
     pub max_attempts: u32,
 }
@@ -58,7 +56,6 @@ impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
             conns: 4,
-            poller: PollerKind::default(),
             max_attempts: 64,
         }
     }
@@ -447,7 +444,7 @@ impl ReactorClient {
             waker: WakeFd::new()?,
             shutdown: AtomicBool::new(false),
         });
-        let mut poller = Poller::new(cfg.poller)?;
+        let mut poller = Poller::new(PollerKind::default())?;
         poller.register(shared.waker.fd(), Token(TOKEN_WAKER), Interest::READ)?;
         let mut io = IoThread {
             shared: Arc::clone(&shared),

@@ -74,8 +74,6 @@ pub struct ServerConfig {
     /// Event-loop workers (≥ 1). Worker 0 runs the front door; sites
     /// spread round-robin over all workers.
     pub workers: usize,
-    /// Poller backend for every worker.
-    pub poller: PollerKind,
     /// Per-connection queued-reply bytes above which the front door
     /// stops reading that connection.
     pub write_hwm: usize,
@@ -91,9 +89,6 @@ pub struct ServerConfig {
     /// outlive this and still decide later; the resubmission makes the
     /// client contract at-least-once, which the generators account for.
     pub txn_timeout_ms: u64,
-    /// Pseudo site id client-originated begins are stamped with (any
-    /// id no real site uses).
-    pub client_site: SiteId,
     /// When set, `SO_SNDBUF` for accepted connections — tests shrink it
     /// to hit the write high-water mark without megabytes of replies.
     pub sockbuf: Option<i32>,
@@ -103,12 +98,10 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 2,
-            poller: PollerKind::default(),
             write_hwm: 256 * 1024,
             seed: 0,
             first_txn: 1,
             txn_timeout_ms: 30_000,
-            client_site: SiteId(u32::MAX),
             sockbuf: None,
         }
     }
@@ -275,6 +268,9 @@ impl Shared {
     }
 }
 
+/// Pseudo site id client-originated begins are stamped with (an id no
+/// real site uses).
+const CLIENT_SITE: SiteId = SiteId(u32::MAX);
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 16;
@@ -305,7 +301,6 @@ struct FrontDoor {
     next_txn: u64,
     next_req: u64,
     write_hwm: usize,
-    client_site: SiteId,
     sockbuf: Option<i32>,
 }
 
@@ -771,8 +766,7 @@ impl Worker {
                 match front.planner.plan_submit(now, txn, &writes, &down) {
                     Some((coordinator, msg)) => {
                         front.by_txn.insert(txn.0, (token, session, now));
-                        let from = front.client_site;
-                        self.inject(from, coordinator, msg);
+                        self.inject(CLIENT_SITE, coordinator, msg);
                     }
                     None => {
                         self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
@@ -785,13 +779,12 @@ impl Worker {
                     let req_id = front.next_req;
                     front.next_req += 1;
                     front.pending_reads.insert(req_id, (token, session));
-                    let from = front.client_site;
                     let worker = self.site_worker.get(&site).copied();
                     match worker {
                         Some(w) if w == self.index => {
                             self.watched_reads.push((site, req_id));
                             self.inbox.push_back((
-                                from,
+                                CLIENT_SITE,
                                 site,
                                 NetMsg::BeginSnapRead { req_id, item },
                             ));
@@ -801,7 +794,7 @@ impl Worker {
                             self.shared.post(
                                 w,
                                 Mail::Deliver {
-                                    from,
+                                    from: CLIENT_SITE,
                                     to: site,
                                     msg: NetMsg::BeginSnapRead { req_id, item },
                                 },
@@ -952,7 +945,7 @@ impl ReactorServer {
         for (index, assigned) in per_worker.into_iter().enumerate() {
             let shared_w = Arc::clone(&shared);
             let site_worker_w = Arc::clone(&site_worker);
-            let mut poller = Poller::new(cfg.poller)?;
+            let mut poller = Poller::new(PollerKind::default())?;
             poller.register(
                 shared_w.mailboxes[index].waker.fd(),
                 Token(TOKEN_WAKER),
@@ -973,7 +966,6 @@ impl ReactorServer {
                     next_txn: cfg.first_txn,
                     next_req: 1,
                     write_hwm: cfg.write_hwm,
-                    client_site: cfg.client_site,
                     sockbuf: cfg.sockbuf,
                 })
             } else {

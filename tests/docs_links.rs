@@ -118,10 +118,7 @@ fn docs_references_to_code_paths_exist() {
         "crates/mc/src/lib.rs",
         "crates/cluster/src/mc_harness.rs",
         "crates/core/tests/rule_safety.rs",
-        "crates/bench/src/bin/e13_cluster_throughput.rs",
-        "crates/bench/src/bin/e14_sim_throughput.rs",
-        "crates/bench/src/bin/e16_protocol_metrics.rs",
-        "crates/bench/src/bin/e17_read_availability.rs",
+        "crates/harness/src/bin/paper_figures.rs",
         "crates/cluster/tests/snapshot_reads.rs",
         "crates/db/tests/read_tables.rs",
         "crates/reactor/src/poller.rs",
@@ -129,10 +126,6 @@ fn docs_references_to_code_paths_exist() {
         "crates/reactor/src/wire.rs",
         "crates/cluster/tests/reactor.rs",
         "crates/cluster/tests/reactor_burst.rs",
-        "BENCH_e14.json",
-        "BENCH_e16.json",
-        "BENCH_e16_flightdump.txt",
-        "BENCH_e17.json",
     ] {
         assert!(
             root.join(rel).exists(),
