@@ -38,10 +38,6 @@ pub struct ClusterConfig {
     pub group_commit_window: Option<Duration>,
     /// Force a batch early at this many staged records.
     pub group_commit_max_batch: usize,
-    /// Size each site's group-commit window from the observed
-    /// log-device backlog instead of the static constant (see
-    /// [`qbc_db::NodeConfig::adaptive_commit_window`]). Off by default.
-    pub adaptive_commit_window: bool,
     /// Simulated latency of one WAL force (serial log device).
     pub force_latency: Duration,
     /// Retire decided per-transaction state at every site this long
@@ -115,7 +111,6 @@ impl Default for ClusterConfig {
             group_commit: false,
             group_commit_window: None,
             group_commit_max_batch: 64,
-            adaptive_commit_window: false,
             force_latency: Duration::ZERO,
             retire_after: None,
             retire_horizon: None,
@@ -145,13 +140,6 @@ impl ClusterConfig {
     /// Enables group commit (builder style).
     pub fn with_group_commit(mut self) -> Self {
         self.group_commit = true;
-        self
-    }
-
-    /// Sizes the group-commit window adaptively from the live
-    /// `wal_backlog` gauge (builder style).
-    pub fn with_adaptive_commit_window(mut self) -> Self {
-        self.adaptive_commit_window = true;
         self
     }
 

@@ -3,12 +3,13 @@
 
 use crate::config::ClusterConfig;
 use crate::metrics::{AtomicityViolation, ClusterMetrics, ShardMetrics};
+use crate::plan::ClusterPlanner;
 use crate::shard::{ShardId, ShardMap};
-use crate::sim_cluster::TxnHandle;
-use qbc_core::{Decision, ProtocolKind, SiteVotes, TxnId};
+use qbc_core::{Decision, ProtocolKind, SiteVotes};
 use qbc_db::{NodeConfig, SiteNode};
 use qbc_obs::Obs;
 use qbc_simnet::{SiteId, Time};
+use qbc_storage::FileWalConfig;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -20,9 +21,6 @@ pub(crate) fn make_obs(cfg: &ClusterConfig, map: &ShardMap) -> Option<Arc<Obs>> 
         return None;
     }
     let obs = Arc::new(Obs::new(cfg.obs.clone()));
-    if cfg.obs.panic_hook {
-        obs.install_panic_hook();
-    }
     for shard in 0..cfg.shards {
         for spec in map.catalog(ShardId(shard)).items() {
             let copies: Vec<(SiteId, u32)> = spec.copies.iter().map(|(&s, &w)| (s, w)).collect();
@@ -66,7 +64,6 @@ pub(crate) fn build_nodes(
                 nc.group_commit_window = w;
             }
             nc.group_commit_max_batch = cfg.group_commit_max_batch;
-            nc.adaptive_commit_window = cfg.adaptive_commit_window;
             nc.force_latency = cfg.force_latency;
             nc.retire_after = cfg.retire_after;
             nc.retire_horizon = cfg.retire_horizon;
@@ -79,11 +76,11 @@ pub(crate) fn build_nodes(
                 nc.obs = Some(Arc::clone(obs));
             }
             if let Some(root) = &cfg.wal_dir {
-                nc.wal_backend = qbc_db::WalBackendConfig::File {
+                nc.wal_backend = qbc_db::WalBackendConfig::File(FileWalConfig {
                     dir: root.join(format!("site-{}", site.0)),
                     segment_bytes: cfg.wal_segment_bytes,
                     fsync: cfg.wal_fsync,
-                };
+                });
             }
             if cfg.protocol == ProtocolKind::SkeenQuorum {
                 let q = cfg.sites_per_shard / 2 + 1;
@@ -97,26 +94,22 @@ pub(crate) fn build_nodes(
 
 /// Walks the cluster's nodes and computes per-shard metrics plus the
 /// cluster-level atomicity check for every submitted handle. A
-/// cross-shard transaction (listed in `xshards`) is audited over the
+/// cross-shard transaction is audited over the
 /// *union* of its shards' sites — commit at any site of one shard plus
 /// abort at any site of another is exactly the violation the top-level
 /// 2PC must prevent — and counted in its home shard's metrics.
 pub(crate) fn harvest(
-    map: &ShardMap,
-    handles: &[TxnHandle],
-    xshards: &BTreeMap<TxnId, Vec<ShardId>>,
+    planned: &ClusterPlanner,
     nodes: &BTreeMap<SiteId, &SiteNode>,
     now: Time,
 ) -> (ClusterMetrics, Vec<AtomicityViolation>) {
+    let map = &planned.map;
     let mut shards: Vec<ShardMetrics> =
         (0..map.shards()).map(|_| ShardMetrics::default()).collect();
     let mut violations = Vec::new();
 
-    for h in handles {
-        let shard_set: &[ShardId] = xshards
-            .get(&h.txn)
-            .map(|v| v.as_slice())
-            .unwrap_or(std::slice::from_ref(&h.shard));
+    for h in &planned.handles {
+        let shard_set = planned.shards_of(h);
         let sites = || shard_set.iter().flat_map(|&s| map.sites_iter(s));
         let m = &mut shards[h.shard.0 as usize];
         m.submitted += 1;

@@ -17,7 +17,7 @@
 //! * [`ReactorCluster`] — the same cluster on the event-driven
 //!   `qbc-reactor` transport: every site plus the client front door
 //!   multiplexed onto a small fixed pool of event-loop workers, client
-//!   sessions as future-style [`Handle`]s over framed sockets, sites
+//!   sessions as [`Handle`]s over framed sockets, sites
 //!   killable mid-run with automatic rerouting and client
 //!   resubmission. See `docs/async-runtime.md`.
 //! * [`ClusterMetrics`] — per-shard commit/abort/blocked counters,
@@ -54,6 +54,7 @@ mod config;
 mod harvest;
 pub mod mc_harness;
 mod metrics;
+mod plan;
 mod reactor_cluster;
 mod shard;
 mod sim_cluster;

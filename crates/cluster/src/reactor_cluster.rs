@@ -6,25 +6,22 @@
 //! fixed pool of `qbc-reactor` event-loop workers, with clients as
 //! logical sessions over framed sockets instead of in-process calls.
 //!
-//! Placement and routing are byte-identical to [`crate::SimCluster`]:
-//! the same [`ShardMap`], the same round-robin coordinator rotation
-//! (extended to skip killed sites — the reactor is the substrate where
-//! sites die mid-run and clients keep submitting), and the same
-//! [`ShardMap::xtxn_branches`] split for cross-shard writesets. The
-//! differential test in `tests/reactor.rs` holds this front-end to the
-//! deterministic oracle's decisions.
+//! Placement and routing are [`crate::SimCluster`]'s: the same
+//! [`ShardMap`] and the same planner (`plan.rs`), here told which sites
+//! are down — the reactor is the substrate where sites die mid-run and
+//! clients keep submitting. The differential test in `tests/reactor.rs`
+//! holds this front-end to the deterministic oracle's decisions.
 
 use crate::config::ClusterConfig;
 use crate::harvest::{build_nodes, first_fresh_txn, harvest, make_obs};
 use crate::metrics::{AtomicityViolation, ClusterMetrics};
-use crate::shard::{ShardId, ShardMap};
+use crate::plan::{ClusterPlanner, SharedPlanner};
+use crate::shard::ShardMap;
 use crate::sim_cluster::TxnHandle;
-use qbc_core::{Decision, ProtocolKind, TxnId, WriteSet};
-use qbc_db::NetMsg;
+use qbc_core::Decision;
 use qbc_obs::{LatencyHistogram, Obs, Registry};
 use qbc_reactor::{
-    ClientConfig, ClientStats, Handle, Planner, ReactorClient, ReactorServer, ServerConfig,
-    ServerStats,
+    ClientConfig, ClientStats, Handle, ReactorClient, ReactorServer, ServerConfig, ServerStats,
 };
 use qbc_simnet::{SiteId, Time};
 use qbc_votes::ItemId;
@@ -45,8 +42,6 @@ pub struct ReactorConfig {
     /// Per-connection queued-reply bytes before the front door pauses
     /// reading that connection.
     pub write_hwm: usize,
-    /// Client resubmission attempts before a session fails.
-    pub max_attempts: u32,
     /// In-flight transaction age (ms) before the front door answers
     /// `Rejected` so the client resubmits (see
     /// `qbc_reactor::ServerConfig::txn_timeout_ms`).
@@ -62,103 +57,9 @@ impl Default for ReactorConfig {
             workers: 2,
             client_conns: 4,
             write_hwm: 256 * 1024,
-            max_attempts: 64,
             txn_timeout_ms: 30_000,
             sockbuf: None,
         }
-    }
-}
-
-/// What the planner records per planned submission, shared with the
-/// front-end for the shutdown harvest.
-struct PlanState {
-    handles: Vec<TxnHandle>,
-    xshards: BTreeMap<TxnId, Vec<ShardId>>,
-    rr_by_shard: Vec<u64>,
-}
-
-/// The [`Planner`] the front door consults: same rotation and branch
-/// split as [`crate::SimCluster`], minus whatever sites are down.
-struct ClusterPlanner {
-    map: ShardMap,
-    protocol: ProtocolKind,
-    state: Arc<Mutex<PlanState>>,
-}
-
-impl ClusterPlanner {
-    /// Round-robin coordinator pick skipping down sites; `None` when
-    /// the whole shard is down.
-    fn pick(
-        map: &ShardMap,
-        state: &mut PlanState,
-        shard: ShardId,
-        down: &std::collections::BTreeSet<SiteId>,
-    ) -> Option<SiteId> {
-        let width = map.sites_of(shard).len();
-        for _ in 0..width {
-            let n = state.rr_by_shard[shard.0 as usize];
-            state.rr_by_shard[shard.0 as usize] += 1;
-            let site = map.coordinator(shard, n);
-            if !down.contains(&site) {
-                return Some(site);
-            }
-        }
-        None
-    }
-}
-
-impl Planner for ClusterPlanner {
-    fn plan_submit(
-        &mut self,
-        now: Time,
-        txn: TxnId,
-        writes: &[(ItemId, i64)],
-        down: &std::collections::BTreeSet<SiteId>,
-    ) -> Option<(SiteId, NetMsg)> {
-        let writeset = WriteSet::new(writes.iter().copied());
-        if writeset.updates.is_empty() {
-            return None;
-        }
-        let split = self.map.split_writeset(&writeset);
-        let (home, _) = split[0];
-        let mut state = self.state.lock().expect("plan state");
-        let coordinator = Self::pick(&self.map, &mut state, home, down)?;
-        let msg = if split.len() == 1 {
-            let (_, writeset) = split.into_iter().next().expect("one slice");
-            NetMsg::BeginTxn {
-                txn,
-                writeset,
-                protocol: self.protocol,
-            }
-        } else {
-            let shards: Vec<ShardId> = split.iter().map(|(s, _)| *s).collect();
-            let mut picks: BTreeMap<ShardId, SiteId> = BTreeMap::new();
-            for &s in shards.iter().filter(|&&s| s != home) {
-                picks.insert(s, Self::pick(&self.map, &mut state, s, down)?);
-            }
-            let branches =
-                self.map
-                    .xtxn_branches(txn, self.protocol, coordinator, home, split, |s| picks[&s]);
-            state.xshards.insert(txn, shards);
-            NetMsg::BeginXTxn { txn, branches }
-        };
-        state.handles.push(TxnHandle {
-            txn,
-            shard: home,
-            coordinator,
-            submitted_at: now,
-        });
-        Some((coordinator, msg))
-    }
-
-    fn plan_read(
-        &mut self,
-        item: ItemId,
-        down: &std::collections::BTreeSet<SiteId>,
-    ) -> Option<SiteId> {
-        let shard = self.map.shard_of_item(item)?;
-        let mut state = self.state.lock().expect("plan state");
-        Self::pick(&self.map, &mut state, shard, down)
     }
 }
 
@@ -215,7 +116,7 @@ pub struct ReactorCluster {
     map: ShardMap,
     server: Option<ReactorServer>,
     client: Option<ReactorClient>,
-    state: Arc<Mutex<PlanState>>,
+    planner: Arc<Mutex<ClusterPlanner>>,
     obs: Option<Arc<Obs>>,
 }
 
@@ -227,16 +128,7 @@ impl ReactorCluster {
         let obs = make_obs(&cfg, &map);
         let nodes = build_nodes(&cfg, &map, obs.as_ref(), true);
         let first_txn = first_fresh_txn(&nodes);
-        let state = Arc::new(Mutex::new(PlanState {
-            handles: Vec::new(),
-            xshards: BTreeMap::new(),
-            rr_by_shard: vec![0; cfg.shards as usize],
-        }));
-        let planner = Box::new(ClusterPlanner {
-            map: map.clone(),
-            protocol: cfg.protocol,
-            state: Arc::clone(&state),
-        });
+        let planner = Arc::new(Mutex::new(ClusterPlanner::new(map.clone(), cfg.protocol)));
         let path = socket_path();
         let server = ReactorServer::spawn(
             ServerConfig {
@@ -248,7 +140,7 @@ impl ReactorCluster {
                 sockbuf: rcfg.sockbuf,
             },
             nodes,
-            planner,
+            Box::new(SharedPlanner(Arc::clone(&planner))),
             &path,
         )
         .expect("spawn reactor server");
@@ -256,7 +148,6 @@ impl ReactorCluster {
             &path,
             ClientConfig {
                 conns: rcfg.client_conns,
-                max_attempts: rcfg.max_attempts,
             },
         )
         .expect("connect reactor client");
@@ -264,7 +155,7 @@ impl ReactorCluster {
             map,
             server: Some(server),
             client: Some(client),
-            state,
+            planner,
             obs,
         }
     }
@@ -284,9 +175,9 @@ impl ReactorCluster {
         self.client.as_ref().expect("client live")
     }
 
-    /// Starts a write-transaction session; the returned [`Handle`] is a
-    /// future (also blockingly awaitable) and resubmits itself through
-    /// surviving coordinators on rejection or connection loss.
+    /// Starts a write-transaction session; the returned [`Handle`]
+    /// resubmits itself through surviving coordinators on rejection or
+    /// connection loss.
     pub fn submit(&self, writes: Vec<(ItemId, i64)>) -> Handle {
         self.client().submit(writes)
     }
@@ -326,26 +217,16 @@ impl ReactorCluster {
         let (nodes, server_stats) = self.server.take().expect("server live").shutdown();
         let by_site: BTreeMap<SiteId, &qbc_db::SiteNode> =
             nodes.iter().map(|(s, n)| (*s, n)).collect();
-        let state = self.state.lock().expect("plan state");
-        let (metrics, atomicity_violations) = harvest(
-            &self.map,
-            &state.handles,
-            &state.xshards,
-            &by_site,
-            Time(u64::MAX),
-        );
-        let decisions = state
+        let planned = self.planner.lock().expect("planner");
+        let (metrics, atomicity_violations) = harvest(&planned, &by_site, Time(u64::MAX));
+        let decisions = planned
             .handles
             .iter()
             .map(|h| {
-                let shards = state
-                    .xshards
-                    .get(&h.txn)
-                    .cloned()
-                    .unwrap_or_else(|| vec![h.shard]);
-                let d = shards
+                let d = planned
+                    .shards_of(h)
                     .iter()
-                    .flat_map(|&s| self.map.sites_of(s))
+                    .flat_map(|&s| self.map.sites_iter(s))
                     .find_map(|s| by_site.get(&s).and_then(|n| n.decision(h.txn)));
                 (*h, d)
             })

@@ -69,6 +69,11 @@ impl ShardMap {
         self.shards
     }
 
+    /// Number of sites in every shard.
+    pub fn sites_per_shard(&self) -> u32 {
+        self.sites_per_shard
+    }
+
     /// The shard owning `item`, or `None` for an id outside the space.
     pub fn shard_of_item(&self, item: ItemId) -> Option<ShardId> {
         let s = item.0 / self.items_per_shard;

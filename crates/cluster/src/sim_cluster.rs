@@ -3,13 +3,14 @@
 use crate::config::ClusterConfig;
 use crate::harvest::{build_nodes, first_fresh_txn, harvest, make_obs};
 use crate::metrics::{AtomicityViolation, ClusterMetrics};
+use crate::plan::ClusterPlanner;
 use crate::shard::{ShardId, ShardMap};
 use qbc_core::{Decision, TxnId, WriteSet};
-use qbc_db::{ReadResult, SiteNode, Violation};
+use qbc_db::{NetMsg, ReadResult, SiteNode, Violation};
 use qbc_obs::{Obs, Registry};
 use qbc_simnet::{DelayModel, Duration, Quiescence, Sim, SimConfig, SiteId, Time};
 use qbc_votes::{ItemId, Version};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Client-observable state of a submitted transaction.
@@ -119,15 +120,14 @@ impl Session {
 /// configuration and the submission schedule.
 pub struct SimCluster {
     cfg: ClusterConfig,
-    map: ShardMap,
+    /// Placement, coordinator rotation and the handles issued so far —
+    /// the planner the reactor front door uses, here with no site ever
+    /// routed around.
+    planner: ClusterPlanner,
     sim: Sim<SiteNode>,
     next_txn: u64,
     next_read: u64,
     next_session: u32,
-    rr_by_shard: Vec<u64>,
-    handles: Vec<TxnHandle>,
-    /// Shard sets of cross-shard transactions (absent ⇒ single-shard).
-    xshards: BTreeMap<TxnId, Vec<ShardId>>,
     peak_queue: Vec<u64>,
     obs: Option<Arc<Obs>>,
 }
@@ -149,25 +149,21 @@ impl SimCluster {
             },
             nodes,
         );
-        let shards = cfg.shards as usize;
         SimCluster {
+            peak_queue: vec![0; cfg.shards as usize],
+            planner: ClusterPlanner::new(map, cfg.protocol),
             cfg,
-            map,
             sim,
             next_txn,
             next_read: 1,
             next_session: 0,
-            rr_by_shard: vec![0; shards],
-            handles: Vec::new(),
-            xshards: BTreeMap::new(),
-            peak_queue: vec![0; shards],
             obs,
         }
     }
 
     /// The placement map.
     pub fn map(&self) -> &ShardMap {
-        &self.map
+        &self.planner.map
     }
 
     /// The configuration the cluster was built with.
@@ -200,58 +196,37 @@ impl SimCluster {
     /// in-shard commit point until the cross-shard decision. Panics on
     /// an empty writeset or items outside the cluster's space.
     pub fn submit_at(&mut self, at: Time, writeset: WriteSet) -> TxnHandle {
-        let split = self.map.split_writeset(&writeset);
         let txn = TxnId(self.next_txn);
+        let (coordinator, begin) = self
+            .planner
+            .plan_submit(at, txn, writeset, &BTreeSet::new())
+            .expect("no site is routed around");
         self.next_txn += 1;
-        let protocol = self.cfg.protocol;
-        let (home, _) = split[0];
-        let coordinator = self.pick_coordinator(home);
-        if split.len() == 1 {
-            let (_, writeset) = split.into_iter().next().expect("one slice");
-            self.sim.schedule_call(at, coordinator, move |node, ctx| {
-                node.begin_transaction(ctx, txn, writeset, protocol);
+        self.sim
+            .schedule_call(at, coordinator, move |node, ctx| match begin {
+                NetMsg::BeginTxn {
+                    txn,
+                    writeset,
+                    protocol,
+                } => node.begin_transaction(ctx, txn, writeset, protocol),
+                NetMsg::BeginXTxn { txn, branches } => node.begin_xshard(ctx, txn, branches),
+                other => unreachable!("planned a {other:?}"),
             });
-        } else {
-            let shards: Vec<ShardId> = split.iter().map(|(s, _)| *s).collect();
-            // Rotate the remote branch coordinators up front (the
-            // round-robin counters live next to the map).
-            let picks: BTreeMap<ShardId, SiteId> = shards
-                .iter()
-                .filter(|&&s| s != home)
-                .map(|&s| (s, self.pick_coordinator(s)))
-                .collect();
-            let branches = self
-                .map
-                .xtxn_branches(txn, protocol, coordinator, home, split, |s| picks[&s]);
-            self.xshards.insert(txn, shards);
-            self.sim.schedule_call(at, coordinator, move |node, ctx| {
-                node.begin_xshard(ctx, txn, branches);
-            });
-        }
-        let handle = TxnHandle {
-            txn,
-            shard: home,
-            coordinator,
-            submitted_at: at,
-        };
-        self.handles.push(handle);
-        handle
+        *self.planner.handles.last().expect("just planned")
     }
 
-    /// Round-robin coordinator choice within a shard.
-    fn pick_coordinator(&mut self, shard: ShardId) -> SiteId {
-        let n = self.rr_by_shard[shard.0 as usize];
-        self.rr_by_shard[shard.0 as usize] += 1;
-        self.map.coordinator(shard, n)
+    /// Round-robin coordinator for a read of `item` (the rotation
+    /// submissions use).
+    fn read_coordinator(&mut self, item: ItemId) -> SiteId {
+        self.planner
+            .plan_read(item, &BTreeSet::new())
+            .unwrap_or_else(|| panic!("{item:?} outside the cluster's item space"))
     }
 
     /// The shard set of a handle: the involved shards of a cross-shard
     /// transaction, or the handle's single shard.
     pub fn shards_of(&self, h: &TxnHandle) -> Vec<ShardId> {
-        self.xshards
-            .get(&h.txn)
-            .cloned()
-            .unwrap_or_else(|| vec![h.shard])
+        self.planner.shards_of(h).to_vec()
     }
 
     /// [`SimCluster::submit_at`], recorded in `session`.
@@ -264,11 +239,7 @@ impl SimCluster {
     /// Starts a quorum read of `item` at virtual time `at`, coordinated
     /// round-robin like a transaction.
     pub fn read_at(&mut self, at: Time, item: ItemId) -> ReadHandle {
-        let shard = self
-            .map
-            .shard_of_item(item)
-            .unwrap_or_else(|| panic!("{item:?} outside the cluster's item space"));
-        let coordinator = self.pick_coordinator(shard);
+        let coordinator = self.read_coordinator(item);
         let req_id = self.next_read;
         self.next_read += 1;
         self.sim.schedule_call(at, coordinator, move |node, ctx| {
@@ -292,11 +263,7 @@ impl SimCluster {
             self.cfg.snapshot_reads,
             "snapshot reads are off; enable ClusterConfig::snapshot_reads"
         );
-        let shard = self
-            .map
-            .shard_of_item(item)
-            .unwrap_or_else(|| panic!("{item:?} outside the cluster's item space"));
-        let coordinator = self.pick_coordinator(shard);
+        let coordinator = self.read_coordinator(item);
         let req_id = self.next_read;
         self.next_read += 1;
         self.sim.schedule_call(at, coordinator, move |node, ctx| {
@@ -368,12 +335,8 @@ impl SimCluster {
     /// Every site hosting any part of a handle's transaction (all sites
     /// of every involved shard).
     fn handle_sites<'a>(&'a self, h: &'a TxnHandle) -> impl Iterator<Item = SiteId> + 'a {
-        let shards = self
-            .xshards
-            .get(&h.txn)
-            .map(|v| v.as_slice())
-            .unwrap_or(std::slice::from_ref(&h.shard));
-        shards.iter().flat_map(|&s| self.map.sites_iter(s))
+        let shards = self.planner.shards_of(h);
+        shards.iter().flat_map(|&s| self.planner.map.sites_iter(s))
     }
 
     /// Client-observable status of a handle (see [`TxnStatus`]).
@@ -437,13 +400,7 @@ impl SimCluster {
     /// accumulate across harvests.
     pub fn metrics_and_violations(&mut self) -> (ClusterMetrics, Vec<AtomicityViolation>) {
         let nodes: BTreeMap<SiteId, &SiteNode> = self.sim.nodes().collect();
-        let (mut metrics, violations) = harvest(
-            &self.map,
-            &self.handles,
-            &self.xshards,
-            &nodes,
-            self.sim.now(),
-        );
+        let (mut metrics, violations) = harvest(&self.planner, &nodes, self.sim.now());
         for (i, m) in metrics.shards.iter_mut().enumerate() {
             self.peak_queue[i] = self.peak_queue[i].max(m.queue_depth);
             m.peak_queue_depth = self.peak_queue[i];
@@ -488,14 +445,7 @@ impl SimCluster {
     /// Transactions that terminated inconsistently (must be empty).
     pub fn atomicity_violations(&self) -> Vec<AtomicityViolation> {
         let nodes: BTreeMap<SiteId, &SiteNode> = self.sim.nodes().collect();
-        harvest(
-            &self.map,
-            &self.handles,
-            &self.xshards,
-            &nodes,
-            self.sim.now(),
-        )
-        .1
+        harvest(&self.planner, &nodes, self.sim.now()).1
     }
 
     /// Diagnostic violations recorded by any engine (must be empty).
@@ -508,7 +458,7 @@ impl SimCluster {
 
     /// Every handle submitted so far, in submission order.
     pub fn handles(&self) -> &[TxnHandle] {
-        &self.handles
+        &self.planner.handles
     }
 
     /// Read access to the underlying simulator (failure injection,

@@ -90,7 +90,9 @@ pub enum Msg {
         pc_version: Option<Version>,
     },
     /// A terminated participant re-announcing the outcome to anyone who
-    /// still asks (engineering addition; see DESIGN.md §2 decision 4).
+    /// still asks. An engineering addition: Fig. 5 has a participant in
+    /// `{C, A}` answer a late prepare or state request with its
+    /// decision but names no message for the answer.
     Decided {
         /// Transaction.
         txn: TxnId,

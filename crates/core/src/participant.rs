@@ -3,7 +3,8 @@
 //!
 //! One `Participant` instance tracks one transaction at one site. The
 //! engine implements the message handling of the paper's Fig. 5 with the
-//! safe reading of the PREPARE rules (DESIGN.md §2 decision 4):
+//! safe reading of the PREPARE rules (Example 3 is what the unsafe one
+//! costs):
 //!
 //! * `PREPARE-TO-COMMIT` is honoured in `{W, PC}` (idempotent re-ack in
 //!   PC), **ignored in PA**, answered with the decision in `{C, A}`;

@@ -3,9 +3,9 @@
 use qbc_core::{FaultyMode, ProtocolKind, SiteVotes, TxnId};
 use qbc_obs::Obs;
 use qbc_simnet::{Duration, SiteId};
+use qbc_storage::FileWalConfig;
 use qbc_votes::Catalog;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Which WAL implementation a site runs on.
@@ -21,17 +21,11 @@ pub enum WalBackendConfig {
     /// and the seed behaviour.
     #[default]
     Memory,
-    /// File-backed log (`qbc_storage::FileWal`) rooted at `dir`.
-    File {
-        /// Directory for this site's segment files (created if absent;
-        /// reopening a non-empty directory recovers the existing log).
-        dir: PathBuf,
-        /// Segment roll threshold in bytes.
-        segment_bytes: u64,
-        /// `fsync` every force. Disable only in tests that crash
-        /// processes logically, never the machine.
-        fsync: bool,
-    },
+    /// File-backed log (`qbc_storage::FileWal`): the directory
+    /// (created if absent; reopening a non-empty one recovers the
+    /// existing log), segment size and `fsync` switch are
+    /// [`FileWalConfig`]'s.
+    File(FileWalConfig),
 }
 
 /// Static configuration of one database site.
@@ -73,14 +67,6 @@ pub struct NodeConfig {
     /// How long the first staged record of a batch waits for companions
     /// before the batch is forced.
     pub group_commit_window: Duration,
-    /// Size the batch window from the observed log-device backlog
-    /// instead of the static constant: while the device is busy the
-    /// window stretches toward [`NodeConfig::group_commit_window`]
-    /// (batching is free — no force could start anyway), and on an
-    /// idle device it collapses to one tick so light load is not taxed
-    /// a full window of latency per decision. Off by default (the
-    /// static-window behaviour, and the golden digests, are unchanged).
-    pub adaptive_commit_window: bool,
     /// Force the batch early once this many records are staged.
     pub group_commit_max_batch: usize,
     /// Simulated latency of one WAL force. The log device is serial:
@@ -186,7 +172,6 @@ impl NodeConfig {
             max_termination_rounds: u64::MAX,
             group_commit: false,
             group_commit_window: Duration((t_bound.0 / 2).max(1)),
-            adaptive_commit_window: false,
             group_commit_max_batch: 64,
             force_latency: Duration::ZERO,
             retire_after: None,
@@ -217,18 +202,6 @@ impl NodeConfig {
         self
     }
 
-    /// Selects the file-backed WAL rooted at `dir` (4 MiB segments,
-    /// fsync on; set [`NodeConfig::wal_backend`] directly for other
-    /// shapes).
-    pub fn with_file_wal(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.wal_backend = WalBackendConfig::File {
-            dir: dir.into(),
-            segment_bytes: 4 << 20,
-            fsync: true,
-        };
-        self
-    }
-
     /// Enables periodic checkpointing + log truncation (builder style).
     pub fn with_checkpoints(mut self, interval: Duration) -> Self {
         self.checkpoint_interval = Some(interval);
@@ -253,13 +226,6 @@ impl NodeConfig {
     /// Enables group-commit batching of WAL forces.
     pub fn with_group_commit(mut self) -> Self {
         self.group_commit = true;
-        self
-    }
-
-    /// Sizes the group-commit window from the live `wal_backlog` gauge
-    /// instead of the static constant (builder style).
-    pub fn with_adaptive_commit_window(mut self) -> Self {
-        self.adaptive_commit_window = true;
         self
     }
 

@@ -25,6 +25,7 @@
 #![warn(rust_2018_idioms)]
 
 mod config;
+mod durable_log;
 mod envelope;
 mod node;
 

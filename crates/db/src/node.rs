@@ -23,7 +23,8 @@
 //! * **quorum reads** — `r(x)` votes collected over live, unlocked
 //!   copies, returning the max-version value (Gifford's currency rule).
 
-use crate::config::{NodeConfig, WalBackendConfig};
+use crate::config::NodeConfig;
+use crate::durable_log::{DeferredOp, DurableLog};
 use crate::envelope::{NetMsg, NodeTimer};
 use qbc_core::{
     last_checkpoint, recover_paxos, recover_state, recover_xstate, Action, Coordinator, Decision,
@@ -35,14 +36,10 @@ use qbc_election::{Action as ElAction, ElectionMsg, Elector, Input as ElInput};
 use qbc_locks::{LockManager, LockMode, LockOutcome};
 use qbc_obs::{EventKind, TraceEvent, TraceSink};
 use qbc_simnet::{Ctx, Label, Process, SiteId, Time, TimerId};
-use qbc_storage::{EitherWal, FileWal, FileWalConfig, Lsn, SiteStorage, Wal, WalBackend};
+use qbc_storage::{Lsn, VersionedStore, WalBackend};
 use qbc_votes::{Catalog, FastMap, ItemId, Version};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
-
-/// The WAL backend a site node runs on: in-memory for the simulator,
-/// file-backed for durable runs (see [`WalBackendConfig`]).
-pub type NodeWal = EitherWal<LogRecord>;
 
 /// Outcome of a quorum read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -229,52 +226,22 @@ pub struct Violation {
     pub note: &'static str,
 }
 
-/// An effect withheld until the WAL records it depends on are forced:
-/// the "logged before told" half of the durability contract. Protocol
-/// messages and decision applications queue here while a log record of
-/// *their own* transaction sits in the group-commit buffer or an
-/// in-flight force.
-#[derive(Clone, Debug)]
-enum DeferredOp {
-    Send {
-        to: SiteId,
-        msg: NetMsg,
-    },
-    Apply {
-        txn: TxnId,
-        decision: Decision,
-        commit_version: Option<Version>,
-    },
-    /// Truncate the log prefix below `cutoff` — queued behind the force
-    /// that makes its justifying checkpoint record durable (truncating
-    /// before the checkpoint survives a crash would lose history).
-    Truncate {
-        cutoff: Lsn,
-    },
-}
-
-impl DeferredOp {
-    /// The transaction whose records gate this effect.
-    fn txn(&self) -> Option<TxnId> {
-        match self {
-            DeferredOp::Send { msg, .. } => msg.txn(),
-            DeferredOp::Apply { txn, .. } => Some(*txn),
-            DeferredOp::Truncate { .. } => None,
-        }
-    }
-}
-
 /// One full database site.
 ///
 /// `Clone` is how the model checker branches on a choice point: it
-/// duplicates the entire site (engines, lock table, storage). Only
-/// meaningful on the in-memory WAL backend — cloning a site with a
-/// file-backed log panics (see [`qbc_storage::EitherWal`]).
+/// duplicates the entire site (engines, lock table, log, item store).
+/// Only meaningful on the in-memory WAL backend — cloning a site with
+/// a file-backed log panics (see [`qbc_storage::EitherWal`]).
 #[derive(Clone)]
 pub struct SiteNode {
     cfg: NodeConfig,
     catalog: Arc<Catalog>,
-    storage: SiteStorage<LogRecord, i64, NodeWal>,
+    /// The write-ahead log behind its durability gate: nothing of a
+    /// transaction is told or applied while a record of it is undurable.
+    log: DurableLog,
+    /// The versioned copies this site holds. Durable: survives `on_crash`
+    /// (the page store of a real site).
+    items: VersionedStore<i64>,
     locks: LockManager<ItemId, TxnId>,
     /// Per-transaction state. A (deterministic) hash map: the table
     /// grows with every transaction the site ever hosted and sits on
@@ -310,18 +277,10 @@ pub struct SiteNode {
     violations: Vec<Violation>,
     /// Self-addressed messages processed synchronously (local delivery).
     local_queue: VecDeque<NetMsg>,
-    /// Virtual time at which the serial log device becomes idle.
-    wal_free_at: Time,
-    /// The durable-LSN watermark: every record below it has been forced
-    /// (and, on the modelled device, its force has completed). Equal to
-    /// the log's `next_lsn` whenever nothing is staged or in flight.
-    durable_lsn: Lsn,
-    /// Effects waiting for the watermark to reach their gate LSN, in
-    /// arrival order (so one transaction's effects keep theirs: a
-    /// transaction's gate only grows).
-    gated: VecDeque<(Lsn, DeferredOp)>,
-    /// Pending batch-window timer, cancelled on early (batch-full) flush.
-    flush_timer: Option<TimerId>,
+    /// Scratch buffer [`DurableLog::force_done`] releases effects into,
+    /// kept so the withhold → force → run cycle allocates nothing in
+    /// steady state.
+    released: Vec<DeferredOp>,
     /// Emptied engine-action scratch buffers kept for reuse: engines
     /// push into a caller-supplied buffer, `apply_actions` drains it
     /// and returns it here, so the steady-state message path allocates
@@ -380,7 +339,7 @@ pub struct SiteNode {
 impl SiteNode {
     /// Builds a site and loads the initial value of every local copy.
     ///
-    /// With a file-backed WAL ([`WalBackendConfig::File`]) the log
+    /// With a file-backed WAL ([`crate::WalBackendConfig::File`]) the log
     /// directory is opened, recovering any existing segments; a node
     /// whose reopened log is non-empty then replays it automatically
     /// in `on_start` (both substrates invoke it before delivering
@@ -392,29 +351,11 @@ impl SiteNode {
     /// corruption): a site without its log has no safe way to run.
     pub fn new(cfg: NodeConfig, initial_values: impl Fn(ItemId) -> i64) -> Self {
         let catalog = Arc::new(cfg.catalog.clone());
-        let wal = match &cfg.wal_backend {
-            WalBackendConfig::Memory => EitherWal::Mem(Wal::new()),
-            WalBackendConfig::File {
-                dir,
-                segment_bytes,
-                fsync,
-            } => {
-                let mut fw_cfg = FileWalConfig::new(dir.clone()).with_segment_bytes(*segment_bytes);
-                if !fsync {
-                    fw_cfg = fw_cfg.without_fsync();
-                }
-                EitherWal::File(
-                    FileWal::open(fw_cfg)
-                        .unwrap_or_else(|e| panic!("open WAL at {}: {e}", dir.display())),
-                )
-            }
-        };
-        let mut storage = SiteStorage::with_wal(wal);
-        // A reopened log holds only what was forced.
-        let durable_lsn = storage.wal().next_lsn();
-        storage.set_version_retention(cfg.version_retention.max(1));
+        let log = DurableLog::open(&cfg);
+        let mut items = VersionedStore::new();
+        items.set_retention(cfg.version_retention.max(1));
         for item in catalog.items_at(cfg.site) {
-            storage.initialize_item(item, initial_values(item));
+            items.initialize(item, initial_values(item));
         }
         // The shard watermark is bounded by every other site that holds
         // a copy of anything this site hosts: those are exactly the
@@ -434,7 +375,8 @@ impl SiteNode {
         SiteNode {
             cfg,
             catalog,
-            storage,
+            log,
+            items,
             locks: LockManager::new(),
             txns: FastMap::default(),
             xcoords: FastMap::default(),
@@ -447,10 +389,7 @@ impl SiteNode {
             snap_reads: BTreeMap::new(),
             violations: Vec::new(),
             local_queue: VecDeque::new(),
-            wal_free_at: Time::ZERO,
-            durable_lsn,
-            gated: VecDeque::new(),
-            flush_timer: None,
+            released: Vec::new(),
             spare_actions: Vec::new(),
             decision_events: Vec::new(),
             first_lsn: FastMap::default(),
@@ -590,7 +529,7 @@ impl SiteNode {
 
     /// The durable value of a local copy.
     pub fn item_value(&self, item: ItemId) -> Option<(Version, i64)> {
-        self.storage.read_item(item).map(|(v, val)| (v, *val))
+        self.items.read(item).map(|(v, val)| (v, *val))
     }
 
     /// True when the local copy of `item` is pinned by an undecided
@@ -648,7 +587,7 @@ impl SiteNode {
 
     /// Read-only access to the durable log (for experiments and tests).
     pub fn log_records(&self) -> impl Iterator<Item = &LogRecord> + '_ {
-        self.storage.wal().replay().map(|(_, r)| r)
+        self.log.wal().replay().map(|(_, r)| r)
     }
 
     /// The largest transaction id with any durable trace at this site —
@@ -696,14 +635,14 @@ impl SiteNode {
     /// Number of WAL forces this site has paid (one per flush; with
     /// group commit many records share one force).
     pub fn wal_forces(&self) -> u64 {
-        self.storage.wal_forces()
+        self.log.wal().forces()
     }
 
     /// Number of *retained* durable WAL records at this site
     /// (checkpoint truncation shrinks this; see
     /// [`SiteNode::wal_appended`] for the cumulative count).
     pub fn wal_len(&self) -> usize {
-        self.storage.wal().len()
+        self.log.wal().len()
     }
 
     /// Number of records ever made durable at this site — the durable
@@ -711,7 +650,7 @@ impl SiteNode {
     /// of batching metrics (`records / forces`), so it must not shrink
     /// when checkpoints free the prefix.
     pub fn wal_appended(&self) -> u64 {
-        let wal = self.storage.wal();
+        let wal = self.log.wal();
         wal.start_lsn().0 + wal.len() as u64
     }
 
@@ -719,19 +658,19 @@ impl SiteNode {
     /// force issued now would wait before even starting. Zero when the
     /// device is idle.
     pub fn wal_backlog(&self, now: Time) -> qbc_simnet::Duration {
-        self.wal_free_at.since(now)
+        self.log.backlog(now)
     }
 
     /// Bytes of stable storage the WAL currently occupies (0 on the
     /// in-memory backend) — the quantity checkpoint truncation bounds.
     pub fn wal_storage_bytes(&self) -> u64 {
-        self.storage.wal().storage_bytes()
+        self.log.wal().storage_bytes()
     }
 
     /// LSN of the oldest retained WAL record: 0 until the first
     /// checkpoint truncation, then climbing as prefixes are freed.
     pub fn wal_start_lsn(&self) -> Lsn {
-        self.storage.wal().start_lsn()
+        self.log.wal().start_lsn()
     }
 
     // ---- client entry points -------------------------------------------
@@ -934,7 +873,7 @@ impl SiteNode {
             self.arm_read_retire(ctx, req_id);
             return;
         };
-        if let Some((version, value)) = self.storage.read_item_at(item, self.shard_watermark()) {
+        if let Some((version, value)) = self.items.read_at(item, self.shard_watermark()) {
             // Local copy: answered without any network round.
             self.snap_reads.insert(
                 req_id,
@@ -1153,7 +1092,7 @@ impl SiteNode {
         if to == self.cfg.site {
             self.local_queue.push_back(msg);
         } else if let Some(gate) = self.closed_gate(msg.txn()) {
-            self.gated.push_back((gate, DeferredOp::Send { to, msg }));
+            self.log.defer(gate, DeferredOp::Send { to, msg });
         } else {
             self.send_net_now(ctx, to, msg);
         }
@@ -1191,20 +1130,17 @@ impl SiteNode {
     /// whole cost on a log that forces per record — nothing is ever
     /// undurable there, so no table is consulted.
     fn closed_gate(&self, txn: Option<TxnId>) -> Option<Lsn> {
-        if self.durable_lsn >= self.storage.wal().next_lsn() {
+        if self.log.all_durable() {
             return None;
         }
-        let txn = txn?;
-        let own = self.txns.get(&txn).map_or(Lsn(0), |st| st.gate);
-        let x = self.xcoords.get(&txn).map_or(Lsn(0), |x| x.gate);
-        let gate = own.max(x);
-        (gate > self.durable_lsn).then_some(gate)
+        self.log
+            .closed(newest_gate(&self.txns, &self.xcoords, txn?))
     }
 
     /// Remembers a just-staged record as the newest one of its
     /// transaction (LSNs only grow, so a plain store). A cross-shard
     /// parent and its local branch share one id; both entries take the
-    /// gate, and [`SiteNode::closed_gate`] reads the larger.
+    /// gate, and [`newest_gate`] reads the larger.
     fn raise_gate(&mut self, txn: TxnId, lsn: Lsn) {
         let gate = Lsn(lsn.0 + 1);
         let own = self.txns.get_mut(&txn).map(|st| st.gate = gate);
@@ -1215,69 +1151,14 @@ impl SiteNode {
         );
     }
 
-    /// Forces the staged batch (if any) and models the device time it
-    /// costs. With an instant device the watermark advances at once (the
-    /// force is still one flush, so batching still saves forces);
-    /// otherwise when the force completes.
-    fn flush_wal(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
-        if let Some(id) = self.flush_timer.take() {
-            ctx.cancel_timer(id);
-        }
-        let forced = self.storage.force_log();
-        if forced == 0 {
-            return;
-        }
-        self.emit(
-            ctx.now(),
-            None,
-            EventKind::WalForce {
-                records: forced as u64,
-            },
-        );
-        let upto = self.storage.wal().next_lsn();
-        if self.cfg.force_latency == qbc_simnet::Duration::ZERO {
-            self.advance_durable(ctx, upto);
-            return;
-        }
-        // Serial device: this force starts when the previous completes.
-        let start = Time(ctx.now().0.max(self.wal_free_at.0));
-        let done = start + self.cfg.force_latency;
-        self.wal_free_at = done;
-        ctx.set_timer(done.since(ctx.now()), NodeTimer::WalForceDone { upto });
-    }
-
-    /// Raises the durable watermark to `upto` and runs every withheld
-    /// effect whose gate it reached, in arrival order. One rotation of
-    /// the queue: the effects still waiting (behind a later, in-flight
-    /// force) keep their relative order, and the steady-state cycle
-    /// (withhold → force → run) allocates nothing.
+    /// A force up to `upto` completed: runs every withheld effect the
+    /// log releases, in arrival order.
     fn advance_durable(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, upto: Lsn) {
-        self.durable_lsn = self.durable_lsn.max(upto);
-        for _ in 0..self.gated.len() {
-            let (gate, op) = self.gated.pop_front().expect("counted");
-            // Reached its own gate. On an instant device that is the
-            // end of it: the watermark sits at the log end and
-            // `closed_gate` returns at its first test. On the modelled
-            // device the transaction may have staged a later record
-            // while this force was in flight (a `Vote` behind its
-            // `Voted` record, then the abort or the cross-shard branch
-            // of the same id logs behind the next force), and then the
-            // effect waits for that one too. Its own gate would be
-            // enough for safety; waiting for the newest keeps the
-            // invariant the assertions in `send_net_now` and
-            // `apply_decision` check the plain one — nothing is told or
-            // applied of a transaction while any of its records is
-            // undurable (`xshard_props` trips them with a `Vote` in its
-            // first cases if this releases on the queued gate alone).
-            let still_closed = if gate > self.durable_lsn {
-                Some(gate)
-            } else {
-                self.closed_gate(op.txn())
-            };
-            if let Some(gate) = still_closed {
-                self.gated.push_back((gate, op));
-                continue;
-            }
+        let mut released = std::mem::take(&mut self.released);
+        let (txns, xcoords) = (&self.txns, &self.xcoords);
+        self.log
+            .force_done(upto, |txn| newest_gate(txns, xcoords, txn), &mut released);
+        for op in released.drain(..) {
             match op {
                 DeferredOp::Send { to, msg } => self.send_net_now(ctx, to, msg),
                 DeferredOp::Apply {
@@ -1285,14 +1166,12 @@ impl SiteNode {
                     decision,
                     commit_version,
                 } => self.apply_decision(ctx.now(), txn, decision, commit_version),
-                DeferredOp::Truncate { cutoff } => {
-                    self.storage.truncate_log_before(cutoff);
-                }
             }
         }
+        self.released = released;
     }
 
-    /// Records one engine log action under the configured force policy.
+    /// Records one engine log action; the log applies the force policy.
     fn log_record(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, rec: LogRecord) {
         let txn = rec.txn();
         // Sized before the record moves into the WAL; skipped entirely
@@ -1302,43 +1181,13 @@ impl SiteNode {
         } else {
             0
         };
-        let lsn = if self.cfg.group_commit {
-            let lsn = self.storage.log_buffered(rec);
-            if self.storage.wal().pending_len() >= self.cfg.group_commit_max_batch {
-                self.flush_wal(ctx);
-            } else if self.flush_timer.is_none() {
-                // Adaptive sizing: stretch the window only as far as the
-                // log device's observed backlog — waiting is free while
-                // no force could start anyway — and collapse it to one
-                // tick on an idle device so light load pays almost no
-                // batching latency. Clamped by the static window, the
-                // upper bound `storage_slack` budgets for.
-                let window = if self.cfg.adaptive_commit_window {
-                    let backlog = self.wal_backlog(ctx.now());
-                    qbc_simnet::Duration(backlog.0.clamp(1, self.cfg.group_commit_window.0.max(1)))
-                } else {
-                    self.cfg.group_commit_window
-                };
-                self.flush_timer = Some(ctx.set_timer(window, NodeTimer::FlushWal));
-            }
-            lsn
-        } else if self.cfg.force_latency.0 > 0 {
-            // Per-record forcing on a slow device: durable now, but the
-            // completion (and everything gated on it) costs device time.
-            let lsn = self.storage.log_buffered(rec);
-            self.flush_wal(ctx);
-            lsn
-        } else {
-            // Seed model: instant force per record. Durable on return,
-            // so the watermark follows the log end and no gate closes.
-            let lsn = self.storage.log(rec);
-            self.durable_lsn = Lsn(lsn.0 + 1);
-            self.emit(ctx.now(), None, EventKind::WalForce { records: 1 });
-            lsn
-        };
+        let (lsn, forced) = self.log.append(ctx, rec);
+        if let Some(upto) = forced {
+            self.advance_durable(ctx, upto);
+        }
         // Not durable on return (staged, or its force is in flight):
         // whatever its transaction goes on to tell or apply waits for it.
-        if lsn >= self.durable_lsn {
+        if !self.log.is_durable(lsn) {
             if let Some(txn) = txn {
                 self.raise_gate(txn, lsn);
             }
@@ -1406,7 +1255,7 @@ impl SiteNode {
     /// `false` (without logging anything) when the log has not grown
     /// since the last checkpoint — stay quiet until the next record.
     fn do_checkpoint(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) -> bool {
-        if self.checkpointing || self.storage.wal().next_lsn() <= self.last_checkpoint_end {
+        if self.checkpointing || self.log.wal().next_lsn() <= self.last_checkpoint_end {
             return false;
         }
         // Compact outcomes, sorted for a canonical on-disk encoding.
@@ -1439,16 +1288,16 @@ impl SiteNode {
         // snapshot reads below its watermark: committed values whose
         // records are truncated survive only here (the durable page
         // store of a real site, folded into the log).
-        let item_ids: Vec<ItemId> = self.storage.items().collect();
+        let item_ids: Vec<ItemId> = self.items.items().collect();
         let items: Vec<(ItemId, qbc_core::ItemChain)> = item_ids
             .into_iter()
-            .filter_map(|i| self.storage.item_versions(i).map(|c| (i, c.to_vec())))
+            .filter_map(|i| self.items.versions(i).map(|c| (i, c.to_vec())))
             .collect();
         // Everything below the oldest live transaction's first record
         // AND below this checkpoint is dead: retired outcomes live in
         // the checkpoint now, decided-but-unretired transactions still
         // have their Decided record above their first_lsn.
-        let checkpoint_lsn = self.storage.wal().next_lsn();
+        let checkpoint_lsn = self.log.wal().next_lsn();
         let live_min = self
             .txns
             .keys()
@@ -1469,13 +1318,9 @@ impl SiteNode {
         );
         self.checkpointing = false;
         self.bytes_since_checkpoint = 0;
-        self.last_checkpoint_end = self.storage.wal().next_lsn();
-        if self.last_checkpoint_end > self.durable_lsn {
-            self.gated
-                .push_back((self.last_checkpoint_end, DeferredOp::Truncate { cutoff }));
-        } else {
-            self.storage.truncate_log_before(cutoff);
-        }
+        self.last_checkpoint_end = self.log.wal().next_lsn();
+        self.log
+            .truncate_when_durable(self.last_checkpoint_end, cutoff);
         true
     }
 
@@ -1506,10 +1351,7 @@ impl SiteNode {
                 // Serve from the multi-version store at this site's own
                 // shard watermark — locks and pins are never consulted.
                 let wm = self.shard_watermark();
-                let copy = self
-                    .storage
-                    .read_item_at(item, wm)
-                    .map(|(v, val)| (v, *val));
+                let copy = self.items.read_at(item, wm).map(|(v, val)| (v, *val));
                 self.send_net(
                     ctx,
                     from,
@@ -1565,7 +1407,7 @@ impl SiteNode {
                     // Pinned by an undecided transaction: inaccessible.
                     None
                 } else {
-                    self.storage.read_item(item).map(|(v, val)| (v, *val))
+                    self.items.read(item).map(|(v, val)| (v, *val))
                 };
                 self.send_net(ctx, from, NetMsg::ReadRep { req_id, item, copy });
             }
@@ -1785,7 +1627,7 @@ impl SiteNode {
                     let floor = spec
                         .writeset
                         .items()
-                        .filter_map(|i| self.storage.item_version(i))
+                        .filter_map(|i| self.items.version(i))
                         .max();
                     if let Some(floor) = floor {
                         self.stable_floors.insert(txn, floor);
@@ -1806,7 +1648,7 @@ impl SiteNode {
             st.spec
                 .writeset
                 .items()
-                .filter_map(|i| self.storage.item_version(i))
+                .filter_map(|i| self.items.version(i))
                 .max()
                 .unwrap_or(Version::INITIAL)
         } else {
@@ -2290,7 +2132,7 @@ impl SiteNode {
                 decision,
                 commit_version,
             };
-            self.gated.push_back((gate, op));
+            self.log.defer(gate, op);
         } else {
             self.apply_decision(now, txn, decision, commit_version)
         }
@@ -2320,12 +2162,10 @@ impl SiteNode {
                 let version = commit_version.expect("commit carries version");
                 let spec = Arc::clone(&st.spec);
                 for (&item, &value) in spec.writeset.updates.iter() {
-                    if self.storage.read_item(item).is_some() {
+                    if self.items.read(item).is_some() {
                         // Regression errors mean the update was already
                         // applied (recovery replay): idempotent.
-                        if self.storage.apply_update(item, version, value).is_ok()
-                            && version > self.vmax
-                        {
+                        if self.items.apply(item, version, value).is_ok() && version > self.vmax {
                             self.vmax = version;
                         }
                     }
@@ -2376,7 +2216,7 @@ impl SiteNode {
         let wm = self.shard_watermark();
         if wm > self.last_gc_wm {
             self.last_gc_wm = wm;
-            self.storage.gc_versions_below(wm);
+            self.items.gc_below(wm);
         }
     }
 
@@ -2585,7 +2425,7 @@ impl Process for SiteNode {
         // anything, exactly as post-crash recovery would. A fresh log
         // is a no-op, so newly created clusters (and their golden
         // digests) are unaffected.
-        if !self.storage.wal().is_empty() {
+        if !self.log.wal().is_empty() {
             self.on_recover(ctx);
         }
     }
@@ -2720,8 +2560,9 @@ impl Process for SiteNode {
             }
             NodeTimer::SnapReadTimeout { req_id } => self.on_snap_read_timeout(ctx, req_id),
             NodeTimer::FlushWal => {
-                self.flush_timer = None;
-                self.flush_wal(ctx);
+                if let Some(upto) = self.log.flush(ctx) {
+                    self.advance_durable(ctx, upto);
+                }
             }
             NodeTimer::WalForceDone { upto } => self.advance_durable(ctx, upto),
             NodeTimer::Checkpoint => self.on_checkpoint_tick(ctx),
@@ -2730,14 +2571,10 @@ impl Process for SiteNode {
     }
 
     fn on_crash(&mut self, now: Time) {
-        // Volatile state dies with the site; the WAL and item store
-        // survive inside `storage` (which also drops staged-but-unforced
-        // log records — the group-commit loss window).
-        self.storage.crash();
-        // What survived is exactly what was forced; effects still
-        // waiting on the rest died with it.
-        self.durable_lsn = self.storage.wal().next_lsn();
-        self.gated.clear();
+        // Volatile state dies with the site; the item store survives,
+        // and of the log exactly what was forced (staged records and
+        // the effects waiting on them are the group-commit loss window).
+        self.log.crash();
         self.txns.clear();
         self.xcoords.clear();
         // Acceptor promises/accepts are durable (force-logged before
@@ -2754,8 +2591,6 @@ impl Process for SiteNode {
         self.snap_reads.clear();
         self.locks = LockManager::new();
         self.local_queue.clear();
-        self.flush_timer = None;
-        self.wal_free_at = Time::ZERO;
         // Checkpoint bookkeeping is volatile (timers from before the
         // crash never fire); recovery rebuilds it from the log.
         self.first_lsn.clear();
@@ -2789,8 +2624,8 @@ impl Process for SiteNode {
         // initial version) fall through to the load-time value
         // harmlessly.
         for (item, chain) in ck_items {
-            if self.storage.read_item(item).is_some() {
-                self.storage.install_item_chain(item, &chain);
+            if self.items.read(item).is_some() {
+                self.items.install_chain(item, &chain);
             }
         }
         for o in ck_retired {
@@ -2828,7 +2663,7 @@ impl Process for SiteNode {
         // Rebuild the truncation bookkeeping from the durable log: the
         // first retained LSN per transaction, and the log end as of the
         // newest checkpoint.
-        for (lsn, rec) in self.storage.wal().replay() {
+        for (lsn, rec) in self.log.wal().replay() {
             match rec.txn() {
                 Some(t) => {
                     self.first_lsn.entry(t).or_insert(lsn);
@@ -2836,7 +2671,7 @@ impl Process for SiteNode {
                 None => self.last_checkpoint_end = Lsn(lsn.0 + 1),
             }
         }
-        let recovered = recover_state(self.storage.wal().replay().map(|(_, r)| r));
+        let recovered = recover_state(self.log.wal().replay().map(|(_, r)| r));
         let site = self.cfg.site;
         let faulty = self.cfg.faulty;
         for (txn, rec) in recovered {
@@ -2866,8 +2701,8 @@ impl Process for SiteNode {
             if decided == Some(Decision::Commit) {
                 if let Some(version) = rec.commit_version {
                     for (&item, &value) in spec.writeset.updates.iter() {
-                        if self.storage.read_item(item).is_some() {
-                            let _ = self.storage.apply_update(item, version, value);
+                        if self.items.read(item).is_some() {
+                            let _ = self.items.apply(item, version, value);
                         }
                     }
                 }
@@ -2876,7 +2711,7 @@ impl Process for SiteNode {
             // is unknown, so their items must stay inaccessible.
             if decided.is_none() {
                 for item in spec.writeset.items() {
-                    if self.storage.read_item(item).is_some() {
+                    if self.items.read(item).is_some() {
                         let _ = self.locks.acquire(txn, item, LockMode::Exclusive);
                         self.emit(ctx.now(), Some(txn), EventKind::PinStart { item });
                     }
@@ -2889,7 +2724,7 @@ impl Process for SiteNode {
                     let mut floor = spec
                         .writeset
                         .items()
-                        .filter_map(|i| self.storage.item_version(i))
+                        .filter_map(|i| self.items.version(i))
                         .max();
                     if let Some(cv) = rec.commit_version {
                         let pc = Version(cv.0.saturating_sub(1));
@@ -2986,7 +2821,7 @@ impl Process for SiteNode {
         // undecided XStart is presumed aborted — no durable XDecision
         // proves no commit X-DECIDE ever left this site — and a decided
         // one is re-announced to every branch coordinator.
-        let xrecovered = recover_xstate(self.storage.wal().replay().map(|(_, r)| r));
+        let xrecovered = recover_xstate(self.log.wal().replay().map(|(_, r)| r));
         for (txn, rec) in xrecovered {
             if self.xretired.contains_key(&txn) {
                 // Retired into the checkpoint: the compact record keeps
@@ -3010,7 +2845,7 @@ impl Process for SiteNode {
         // records reconstruct exactly what this acceptor may still be
         // held to by a recovery candidate. Decided or retired
         // transactions answer with the outcome instead.
-        for (txn, rec) in recover_paxos(self.storage.wal().replay().map(|(_, r)| r)) {
+        for (txn, rec) in recover_paxos(self.log.wal().replay().map(|(_, r)| r)) {
             if self.retired.contains_key(&txn) {
                 continue;
             }
@@ -3029,9 +2864,9 @@ impl Process for SiteNode {
             // Rebuild vmax from the durable store (every installed
             // version survived in the chains) and recompute the local
             // watermark over the floors the in-doubt pass re-imposed.
-            let items: Vec<ItemId> = self.storage.items().collect();
+            let items: Vec<ItemId> = self.items.items().collect();
             for i in items {
-                if let Some(v) = self.storage.item_version(i) {
+                if let Some(v) = self.items.version(i) {
                     if v > self.vmax {
                         self.vmax = v;
                     }
@@ -3101,6 +2936,19 @@ impl SiteNode {
     }
 }
 
+/// The end LSN of the newest record staged for `txn` (`Lsn(0)`: none):
+/// the larger of its transaction entry's gate and, for a cross-shard
+/// parent hosted here, its coordination's.
+fn newest_gate(
+    txns: &FastMap<TxnId, TxnState>,
+    xcoords: &FastMap<TxnId, XCoord>,
+    txn: TxnId,
+) -> Lsn {
+    let own = txns.get(&txn).map_or(Lsn(0), |st| st.gate);
+    let x = xcoords.get(&txn).map_or(Lsn(0), |x| x.gate);
+    own.max(x)
+}
+
 /// Who an orphaned branch asks for the cross-shard outcome: the parent
 /// first, then every sibling branch coordinator (cooperative
 /// discovery), skipping the parent (no duplicate ask when a sibling's
@@ -3125,11 +2973,11 @@ fn discovery_targets(parent: SiteId, siblings: &[SiteId], this: SiteId) -> Vec<S
 ///   insertion history, not state;
 /// * absolute timestamps are hashed *relative* to `now`
 ///   (`last_coord_contact` feeds the watchdog's `now.since(..)`
-///   comparison; `wal_free_at` is the log device's idle point), so
-///   states that differ only by a clock translation merge; the durable
-///   watermark likewise as its distance below the log end, and each
-///   table entry's gate as its distance above the watermark (zero for
-///   every open gate);
+///   comparison), so states that differ only by a clock translation
+///   merge; each table entry's gate likewise as its distance above the
+///   durable watermark (zero for every open gate), and the log hashes
+///   its own device, watermark and queue the same way
+///   (`DurableLog::fingerprint_volatile`);
 /// * pure history is excluded: the participant's transition audit
 ///   trail, the lock manager's activity counters, `started_at`
 ///   (metrics-only), force counters and the spare-buffer cache —
@@ -3144,19 +2992,14 @@ impl qbc_simnet::Fingerprint for SiteNode {
         // Log content is state (recovery replays it), and per-site
         // record order is fixed by the site's own event order, so
         // hashing it does not break cross-site delivery commutation.
-        for item in self.storage.items() {
+        for item in self.items.items() {
             // The whole retained chain: with version retention > 1 the
             // older versions are observable (snapshot reads), so states
             // differing only there must not merge.
-            let chain = self.storage.item_versions(item);
+            let chain = self.items.versions(item);
             let _ = write!(s, "i{item:?}={chain:?};");
         }
-        let wal = self.storage.wal();
-        let _ = write!(s, "|wal@{:?}", wal.start_lsn());
-        for r in wal.records() {
-            let _ = write!(s, "{r:?};");
-        }
-        let _ = write!(s, "|pend{}", wal.pending_len());
+        self.log.fingerprint_durable(&mut s);
         // Volatile half: lock table (stats-free snapshot), reads,
         // violations, the local self-delivery queue (empty between
         // events) and the durability gate (device, watermark, queue).
@@ -3164,17 +3007,7 @@ impl qbc_simnet::Fingerprint for SiteNode {
         let _ = write!(s, "|reads{:?}", self.reads);
         let _ = write!(s, "|viol{:?}", self.violations);
         let _ = write!(s, "|lq{:?}", self.local_queue);
-        let _ = write!(s, "|dev{}", self.wal_free_at.since(now).0);
-        let _ = write!(
-            s,
-            "|undurable{}",
-            wal.next_lsn().0.saturating_sub(self.durable_lsn.0)
-        );
-        for (gate, op) in &self.gated {
-            let above = gate.0.saturating_sub(self.durable_lsn.0);
-            let _ = write!(s, "|gated+{above}{op:?}");
-        }
-        let _ = write!(s, "|flush{}", self.flush_timer.is_some());
+        self.log.fingerprint_volatile(now, &mut s);
         let _ = write!(
             s,
             "|ckpt{}@{:?}",
@@ -3231,7 +3064,7 @@ impl qbc_simnet::Fingerprint for SiteNode {
                 st.blocked as u8,
                 st.termination_rounds,
                 st.x_siblings,
-                st.gate.0.saturating_sub(self.durable_lsn.0),
+                self.log.above_watermark(st.gate),
             );
             h.write(t.as_bytes());
         }
@@ -3239,7 +3072,7 @@ impl qbc_simnet::Fingerprint for SiteNode {
         xids.sort_unstable();
         for id in xids {
             let x = self.xcoords.get(&id).expect("sorted key");
-            let closed = x.gate.0.saturating_sub(self.durable_lsn.0);
+            let closed = self.log.above_watermark(x.gate);
             h.write(format!("x{id:?}+{closed}").as_bytes());
             x.engine.fingerprint(now, h);
         }

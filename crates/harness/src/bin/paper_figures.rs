@@ -480,10 +480,10 @@ fn e9() -> bool {
         "integrated vulnerability, commit phase (t ≥ {PREPARE_ONSET}): Skeen {:.2}, QC1 {:.2}, QC2 {:.2}",
         commit_phase[0], commit_phase[1], commit_phase[2]
     );
-    println!("\nobserved trade-off (documented in EXPERIMENTS.md): QC2 closes its");
-    println!("window earliest — its commit point needs only r(x) acks — but TP2's");
-    println!("abort rule (w(x) of every item) is weaker than TP1's before the");
-    println!("prepare round, so QC2 is more exposed to very early failures.");
+    println!("\nobserved trade-off: QC2 closes its window earliest — its commit");
+    println!("point needs only r(x) acks — but TP2's abort rule (w(x) of every");
+    println!("item) is weaker than TP1's before the prepare round, so QC2 is more");
+    println!("exposed to very early failures.");
     // The paper's two susceptibility claims: (§3.2/§5) protocol 2 is
     // less susceptible than protocol 1 because its commit protocol runs
     // faster — a commit-phase statement; and (§1/§5) the per-item

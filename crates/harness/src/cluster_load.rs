@@ -354,71 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_window_collapses_when_idle_and_still_batches_under_load() {
-        // Light load over a costly device with a wide static window:
-        // the static batcher always waits the window out, the adaptive
-        // one sizes it from the live `wal_backlog` gauge and collapses
-        // to one tick while the device idles.
-        let light = ClusterLoadConfig {
-            clients: 4,
-            txns_per_client: 3,
-            think_time: 300,
-            seed: 9,
-            cluster: ClusterConfig {
-                force_latency: Duration(3),
-                group_commit_window: Some(Duration(12)),
-                ..ClusterConfig::default()
-            }
-            .with_group_commit(),
-            ..Default::default()
-        };
-        let static_run = run_cluster_load(&light);
-        let adaptive_run = run_cluster_load(&ClusterLoadConfig {
-            cluster: light.cluster.clone().with_adaptive_commit_window(),
-            ..light.clone()
-        });
-        assert!(static_run.consistent && adaptive_run.consistent);
-        assert_eq!(adaptive_run.undecided, 0);
-        assert!(
-            adaptive_run.mean_latency < static_run.mean_latency,
-            "idle-device adaptive latency {} should beat static-window {}",
-            adaptive_run.mean_latency,
-            static_run.mean_latency
-        );
-
-        // Heavy load on the same device: backlog stretches the adaptive
-        // window back out, so forces are still amortized over many
-        // records compared with per-record forcing.
-        let heavy = ClusterLoadConfig {
-            clients: 24,
-            txns_per_client: 4,
-            think_time: 30,
-            seed: 9,
-            cluster: ClusterConfig {
-                force_latency: Duration(6),
-                ..ClusterConfig::default()
-            },
-            ..Default::default()
-        };
-        let heavy_plain = run_cluster_load(&heavy);
-        let heavy_adaptive = run_cluster_load(&ClusterLoadConfig {
-            cluster: heavy
-                .cluster
-                .clone()
-                .with_group_commit()
-                .with_adaptive_commit_window(),
-            ..heavy.clone()
-        });
-        assert!(heavy_plain.consistent && heavy_adaptive.consistent);
-        assert!(
-            heavy_adaptive.wal_forces < heavy_plain.wal_forces,
-            "adaptive batching {} should amortize vs per-record {}",
-            heavy_adaptive.wal_forces,
-            heavy_plain.wal_forces
-        );
-    }
-
-    #[test]
     fn read_heavy_snapshot_load_observes_every_read() {
         // Snapshot reads under a concurrent write stream: every issued
         // read resolves while its collector is still alive, and the

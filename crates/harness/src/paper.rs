@@ -13,7 +13,8 @@
 //!   (s2 ↔ s3 and s2 → s5 blocked).
 //!
 //! The choreography uses constant delays equal to `T = 10` ticks so
-//! message arrival times are exact; DESIGN.md documents the timeline.
+//! message arrival times are exact; each builder's doc comment gives
+//! its timeline.
 
 use crate::scenario::{Fault, Scenario};
 use qbc_core::{ProtocolKind, SiteVotes, WriteSet};

@@ -1,6 +1,6 @@
 //! The flight recorder: a fixed-capacity ring of recent protocol
 //! events per site, dumped as a readable timeline when something goes
-//! wrong (crash injection, atomicity violation, panic).
+//! wrong (crash injection, atomicity violation).
 
 use crate::event::TraceEvent;
 use qbc_simnet::SiteId;

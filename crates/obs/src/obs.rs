@@ -13,7 +13,7 @@ use qbc_core::{Decision, TxnId};
 use qbc_simnet::{Duration, SiteId, Time};
 use qbc_votes::ItemId;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Configuration of the observability layer. Off by default: with
 /// `enabled = false` no [`Obs`] is constructed at all, so the
@@ -27,9 +27,6 @@ pub struct ObsConfig {
     pub ring_capacity: usize,
     /// Store a flight-recorder dump automatically when a site crashes.
     pub dump_on_crash: bool,
-    /// Chain a process panic hook that prints the flight recorder to
-    /// stderr before unwinding (opt-in: the hook is process-global).
-    pub panic_hook: bool,
 }
 
 impl Default for ObsConfig {
@@ -38,7 +35,6 @@ impl Default for ObsConfig {
             enabled: false,
             ring_capacity: 256,
             dump_on_crash: true,
-            panic_hook: false,
         }
     }
 }
@@ -157,8 +153,8 @@ impl Obs {
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        // Survive a panic that unwound while the lock was held (the
-        // panic hook still wants a dump).
+        // Survive a panic that unwound while the lock was held: the
+        // flight recorder is most wanted exactly then.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -426,24 +422,6 @@ impl Obs {
             "submission to applied decision at the coordinator",
             &g.phase_hists.commit,
         );
-    }
-
-    /// Installs a process panic hook that prints this observer's flight
-    /// recorder to stderr, then chains to the previous hook. Opt-in via
-    /// [`ObsConfig::panic_hook`]; the hook holds only a weak reference,
-    /// so a dropped observer silently stops printing.
-    pub fn install_panic_hook(self: &Arc<Self>) {
-        let weak = Arc::downgrade(self);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if let Some(obs) = weak.upgrade() {
-                // try_lock: the panic may have unwound mid-record.
-                if let Ok(mut g) = obs.inner.try_lock() {
-                    eprintln!("{}", Self::dump_locked(&mut g, "panic"));
-                }
-            }
-            prev(info);
-        }));
     }
 
     fn handle(&self, ev: TraceEvent) {

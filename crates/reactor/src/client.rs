@@ -4,8 +4,8 @@
 //! [`ReactorClient`] owns one background IO thread running its own
 //! [`Poller`] over a small pool of connections to the server's front
 //! door. Submitting work creates a *session slot* and returns a
-//! [`Handle`] — a `Future` that is also blockingly awaitable — while
-//! the IO thread multiplexes every outstanding session over the pool.
+//! [`Handle`] — blockingly awaitable or pollable — while the IO thread
+//! multiplexes every outstanding session over the pool.
 //! Ten thousand concurrent sessions cost ten thousand map entries, not
 //! ten thousand threads or descriptors.
 //!
@@ -15,7 +15,8 @@
 //!   coordinator yet, or the one picked died before starting the
 //!   transaction) silently re-enqueues the session; the server's
 //!   planner re-routes it to a survivor under a fresh transaction id.
-//!   Attempts are capped; exhaustion surfaces [`Outcome::Failed`].
+//!   Attempts are capped at 64; exhaustion surfaces
+//!   [`Outcome::Failed`].
 //! * **Connection loss → reconnect + replay.** When a connection drops,
 //!   the IO thread reconnects and re-enqueues every session that was
 //!   riding on it. A transaction whose decision reply was lost is
@@ -32,32 +33,27 @@ use qbc_obs::LatencyHistogram;
 use qbc_simnet::Duration as VDuration;
 use qbc_votes::{ItemId, Version};
 use std::collections::HashMap;
-use std::future::Future;
 use std::io;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Waker};
 use std::time::Instant;
+
+/// Resubmission attempts before a session fails.
+const MAX_ATTEMPTS: u32 = 64;
 
 /// Client tuning.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
     /// Connections in the pool (sessions spread round-robin).
     pub conns: usize,
-    /// Resubmission attempts before a session fails.
-    pub max_attempts: u32,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
-        ClientConfig {
-            conns: 4,
-            max_attempts: 64,
-        }
+        ClientConfig { conns: 4 }
     }
 }
 
@@ -127,7 +123,6 @@ struct Slot {
     conn: usize,
     attempts: u32,
     started: Instant,
-    waker: Option<Waker>,
 }
 
 struct Inner {
@@ -149,7 +144,7 @@ struct Shared {
 }
 
 impl Shared {
-    /// Marks `session` finished and wakes every style of waiter.
+    /// Marks `session` finished and wakes its waiters.
     fn resolve(&self, inner: &mut Inner, session: u64, outcome: Outcome) {
         let Some(slot) = inner.slots.get_mut(&session) else {
             return;
@@ -160,9 +155,6 @@ impl Shared {
         slot.state = SlotState::Done(outcome);
         inner.pending -= 1;
         let micros = slot.started.elapsed().as_micros() as u64;
-        if let Some(w) = slot.waker.take() {
-            w.wake();
-        }
         inner.latency.record(VDuration(micros));
         match outcome {
             Outcome::Committed { .. } => inner.stats.committed += 1,
@@ -385,7 +377,7 @@ impl IoThread {
                     return;
                 }
                 slot.attempts += 1;
-                if slot.attempts >= self.cfg.max_attempts {
+                if slot.attempts >= MAX_ATTEMPTS {
                     shared.resolve(&mut inner, session, Outcome::Failed);
                 } else {
                     inner.stats.resubmits += 1;
@@ -480,7 +472,6 @@ impl ReactorClient {
                 conn: usize::MAX,
                 attempts: 0,
                 started: Instant::now(),
-                waker: None,
             },
         );
         inner.pending += 1;
@@ -545,8 +536,8 @@ impl Drop for ReactorClient {
     }
 }
 
-/// One session's future outcome: `await` it in an async context or
-/// [`Handle::wait`] on a thread. Dropping it unwaited abandons the
+/// One session's eventual outcome: [`Handle::wait`] for it on a thread
+/// or poll [`Handle::try_outcome`]. Dropping it unwaited abandons the
 /// session (its slot is reclaimed on resolution or drop).
 pub struct Handle {
     shared: Arc<Shared>,
@@ -581,27 +572,6 @@ impl Handle {
         match inner.slots.get(&self.session).map(|s| &s.state) {
             Some(SlotState::Done(o)) => Some(*o),
             _ => None,
-        }
-    }
-}
-
-impl Future for Handle {
-    type Output = Outcome;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Outcome> {
-        let mut inner = self.shared.inner.lock().expect("client state");
-        match inner.slots.get_mut(&self.session) {
-            Some(slot) => match slot.state {
-                SlotState::Done(o) => {
-                    inner.slots.remove(&self.session);
-                    Poll::Ready(o)
-                }
-                SlotState::Pending => {
-                    slot.waker = Some(cx.waker().clone());
-                    Poll::Pending
-                }
-            },
-            None => Poll::Ready(Outcome::Failed),
         }
     }
 }

@@ -18,7 +18,7 @@
 //! * [`ReactorServer`] — every site of a cluster plus the client front
 //!   door on a fixed worker pool; routing decisions delegated to a
 //!   [`Planner`] implemented by the cluster layer.
-//! * [`ReactorClient`] — sessions as [`Handle`] futures with automatic
+//! * [`ReactorClient`] — sessions as [`Handle`]s with automatic
 //!   resubmission and reconnect; no thread parks per transaction.
 //!
 //! See `docs/async-runtime.md` for the design discussion.

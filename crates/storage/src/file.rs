@@ -157,7 +157,7 @@ impl From<std::io::Error> for WalError {
 }
 
 /// Shape and durability knobs of a [`FileWal`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileWalConfig {
     /// Directory holding the segment files (created if absent).
     pub dir: PathBuf,

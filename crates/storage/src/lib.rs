@@ -2,9 +2,10 @@
 //!
 //! The durability substrate beneath the commit protocols: a force-written
 //! [`Wal`] (what a participant knows after recovering is exactly what it
-//! logged before crashing), a [`VersionedStore`] implementing Gifford's
-//! version-number currency rule, and [`SiteStorage`] combining both with
-//! crash/incarnation semantics.
+//! logged before crashing) and a [`VersionedStore`] implementing
+//! Gifford's version-number currency rule. The site node owns one of
+//! each; the rule that ties the log to what the node may say
+//! (`qbc_db`'s `DurableLog`) lives with the node.
 //!
 //! The WAL is a pluggable [`WalBackend`]: the paper assumes disk-based
 //! stable storage, which [`FileWal`] provides directly (append-only
@@ -12,23 +13,22 @@
 //! repair, checkpoint-driven prefix truncation — see
 //! `docs/wal-format.md`), while the in-memory [`Wal`] models the same
 //! durable/volatile split deterministically for the simulator
-//! (DESIGN.md §2). The protocols depend only on the durability
-//! contract — a logged record survives any crash, an unlogged state
-//! does not — which every backend preserves exactly.
+//! (`docs/architecture.md`, § `qbc-storage`). The protocols depend
+//! only on the durability contract — a logged record survives any
+//! crash, an unlogged state does not — which every backend preserves
+//! exactly.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod codec;
 mod file;
-mod site;
 mod store;
 pub mod temp;
 mod wal;
 
 pub use codec::WalCodec;
 pub use file::{crc32, EitherWal, FileWal, FileWalConfig, WalError};
-pub use site::SiteStorage;
 pub use store::{StoreError, VersionedStore};
 pub use temp::TempDir;
 pub use wal::{Lsn, Wal, WalBackend, WalReplay};
@@ -46,18 +46,18 @@ mod proptests {
         fn replay_is_exact_history(
             ops in proptest::collection::vec((0u8..3, 0u32..100), 0..60)
         ) {
-            let mut st: SiteStorage<u32, i64> = SiteStorage::new();
+            let mut wal: Wal<u32> = Wal::new();
             let mut expected = Vec::new();
             for (kind, val) in ops {
                 match kind {
                     0 | 1 => {
-                        st.log(val);
+                        wal.append(val);
                         expected.push(val);
                     }
-                    _ => st.crash(),
+                    _ => wal.lose_volatile(),
                 }
             }
-            let replayed: Vec<u32> = st.wal().replay().map(|(_, r)| *r).collect();
+            let replayed: Vec<u32> = wal.replay().map(|(_, r)| *r).collect();
             prop_assert_eq!(replayed, expected);
         }
 
@@ -70,43 +70,41 @@ mod proptests {
         fn batched_replay_equals_unbatched_replay(
             ops in proptest::collection::vec((0u8..4, 0u32..100), 0..80)
         ) {
-            let mut batched: SiteStorage<u32, i64> = SiteStorage::new();
-            let mut unbatched: SiteStorage<u32, i64> = SiteStorage::new();
+            let mut batched: Wal<u32> = Wal::new();
+            let mut unbatched: Wal<u32> = Wal::new();
             // Records staged in `batched` but not yet forced; the
             // unbatched reference receives them only at the force.
             let mut staged: Vec<u32> = Vec::new();
             for (kind, val) in ops {
                 match kind {
                     0 => {
-                        batched.log_buffered(val);
+                        batched.buffer(val);
                         staged.push(val);
                     }
                     1 => {
-                        let n = batched.force_log();
+                        let n = batched.force();
                         prop_assert_eq!(n, staged.len());
                         for r in staged.drain(..) {
-                            unbatched.log(r);
+                            unbatched.append(r);
                         }
                     }
                     2 => {
                         // Forced append: flushes the batch, then itself.
-                        batched.log(val);
+                        batched.append(val);
                         for r in staged.drain(..) {
-                            unbatched.log(r);
+                            unbatched.append(r);
                         }
-                        unbatched.log(val);
+                        unbatched.append(val);
                     }
                     _ => {
                         // Crash: buffered records die with the site.
-                        batched.crash();
-                        unbatched.crash();
+                        batched.lose_volatile();
+                        unbatched.lose_volatile();
                         staged.clear();
                     }
                 }
-                let b: Vec<u32> =
-                    batched.wal().replay().map(|(_, r)| *r).collect();
-                let u: Vec<u32> =
-                    unbatched.wal().replay().map(|(_, r)| *r).collect();
+                let b: Vec<u32> = batched.replay().map(|(_, r)| *r).collect();
+                let u: Vec<u32> = unbatched.replay().map(|(_, r)| *r).collect();
                 prop_assert_eq!(b, u);
             }
         }
@@ -118,22 +116,22 @@ mod proptests {
         fn forces_never_exceed_durable_records(
             ops in proptest::collection::vec((0u8..3, 0u32..100), 0..80)
         ) {
-            let mut st: SiteStorage<u32, i64> = SiteStorage::new();
+            let mut wal: Wal<u32> = Wal::new();
             for (kind, val) in ops {
                 match kind {
                     0 => {
-                        st.log_buffered(val);
+                        wal.buffer(val);
                     }
                     1 => {
-                        st.force_log();
+                        wal.force();
                     }
                     _ => {
-                        st.log(val);
+                        wal.append(val);
                     }
                 }
             }
-            st.force_log();
-            prop_assert!(st.wal_forces() <= st.wal().len() as u64);
+            wal.force();
+            prop_assert!(wal.forces() <= wal.len() as u64);
         }
 
         /// A disk log is the same log: for any interleaving of buffered
@@ -282,18 +280,18 @@ mod proptests {
         fn versions_are_monotone(
             versions in proptest::collection::vec(1u64..50, 1..40)
         ) {
-            let mut st: SiteStorage<u32, u64> = SiteStorage::new();
-            st.initialize_item(ItemId(0), 0);
+            let mut st: VersionedStore<u64> = VersionedStore::new();
+            st.initialize(ItemId(0), 0);
             let mut high = 0u64;
             for v in versions {
-                let res = st.apply_update(ItemId(0), Version(v), v);
+                let res = st.apply(ItemId(0), Version(v), v);
                 if v > high {
                     prop_assert!(res.is_ok());
                     high = v;
                 } else {
                     prop_assert!(res.is_err());
                 }
-                prop_assert_eq!(st.item_version(ItemId(0)), Some(Version(high)));
+                prop_assert_eq!(st.version(ItemId(0)), Some(Version(high)));
             }
         }
     }

@@ -217,6 +217,15 @@ mod tests {
     }
 
     #[test]
+    fn items_are_listed_in_id_order() {
+        let mut s = VersionedStore::new();
+        s.initialize(ItemId(3), 0i64);
+        s.initialize(ItemId(1), 0i64);
+        let items: Vec<ItemId> = s.items().collect();
+        assert_eq!(items, vec![ItemId(1), ItemId(3)]);
+    }
+
+    #[test]
     fn apply_advances_version() {
         let mut s = VersionedStore::new();
         s.initialize(ItemId(1), 0i64);

@@ -4,10 +4,11 @@
 //! that answered an ack must still know, after recovering, that it did.
 //! [`WalBackend`] is that durability contract behind a `buffer`/`force`
 //! API; [`Wal`] is the deterministic in-memory model the simulator runs
-//! on (see DESIGN.md §2), and [`crate::FileWal`] is the disk-backed
-//! implementation whose `force` is a real `fsync`. The protocols depend
-//! only on the contract — a forced record survives any crash, a
-//! buffered one does not — which every backend preserves exactly.
+//! on (see `docs/architecture.md`, § `qbc-storage`), and
+//! [`crate::FileWal`] is the disk-backed implementation whose `force`
+//! is a real `fsync`. The protocols depend only on the contract — a
+//! forced record survives any crash, a buffered one does not — which
+//! every backend preserves exactly.
 //!
 //! ## Group commit
 //!

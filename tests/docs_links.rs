@@ -1,6 +1,7 @@
 //! Docs link check: every relative markdown link in `README.md` and
-//! `docs/*.md` must resolve to a file that exists, and every page the
-//! docs tree is supposed to contain must be present and non-trivial.
+//! `docs/*.md` must resolve to a file that exists, every page the docs
+//! tree is supposed to contain must be present and non-trivial, and
+//! every markdown file the Rust sources name must exist.
 //! Runs in `cargo test` (and as an explicit CI step), so a renamed
 //! test file or a dropped docs page breaks the build instead of
 //! silently 404ing readers.
@@ -126,10 +127,68 @@ fn docs_references_to_code_paths_exist() {
         "crates/reactor/src/wire.rs",
         "crates/cluster/tests/reactor.rs",
         "crates/cluster/tests/reactor_burst.rs",
+        "crates/db/src/durable_log.rs",
+        "crates/cluster/src/plan.rs",
     ] {
         assert!(
             root.join(rel).exists(),
             "docs reference a missing path: {rel}"
         );
     }
+}
+
+/// Markdown file names (`[A-Za-z0-9_./-]+.md`) mentioned anywhere in
+/// `text` — comments and string literals alike.
+fn md_names(text: &str) -> Vec<&str> {
+    let bytes = text.as_bytes();
+    let is_name = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'/' | b'-');
+    let mut out = Vec::new();
+    for (dot, _) in text.match_indices(".md") {
+        let end = dot + 3;
+        let start = bytes[..dot]
+            .iter()
+            .rposition(|&b| !is_name(b))
+            .map_or(0, |i| i + 1);
+        if start < dot {
+            out.push(&text[start..end]);
+        }
+    }
+    out
+}
+
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn markdown_files_named_in_rust_sources_exist() {
+    // A comment or a printed line that sends the reader to a document
+    // is a link too: the name must resolve from the repo root or from
+    // `docs/`.
+    let root = repo_root();
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    rust_sources(&root.join("src"), &mut sources);
+    let mut failures = Vec::new();
+    for path in sources {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        for name in md_names(&text) {
+            if !root.join(name).exists() && !root.join("docs").join(name).exists() {
+                failures.push(format!("{}: names `{name}`", path.display()));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "Rust sources name markdown files that do not exist:\n{}",
+        failures.join("\n")
+    );
 }
