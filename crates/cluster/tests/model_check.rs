@@ -114,6 +114,7 @@ fn weakened_qc1_mutation_is_caught_with_replayable_trace() {
     println!("mutation caught: {}", report.stats.summary());
     println!("{}", cex.render());
     assert_eq!(cex.invariant, "atomicity");
+    assert_eq!(report.stats.explored, 141_975);
     assert!(
         cex.schedule.contains(&Choice::Crash { site: SiteId(0) }),
         "the minimal trace crashes the over-eager coordinator"
@@ -163,6 +164,7 @@ fn paxos_three_sites_no_faults_is_exhaustively_clean() {
     }
     assert!(report.stats.complete, "exploration must finish in budget");
     assert_eq!(report.stats.frontier_cut, 0, "space must close below depth");
+    assert_eq!(report.stats.explored, 85);
     assert!(report.stats.quiescent > 0, "must reach decided quiescence");
 }
 
@@ -190,6 +192,7 @@ fn paxos_one_acceptor_crash_is_exhaustively_clean() {
     }
     assert!(report.stats.complete, "exploration must finish in budget");
     assert_eq!(report.stats.frontier_cut, 0, "space must close below depth");
+    assert_eq!(report.stats.explored, 211);
     assert!(report.stats.quiescent > 0, "must reach decided quiescence");
 }
 
@@ -212,6 +215,7 @@ fn paxos_coordinator_crash_is_exhaustively_clean() {
     }
     assert!(report.stats.complete, "exploration must finish in budget");
     assert_eq!(report.stats.frontier_cut, 0, "space must close below depth");
+    assert_eq!(report.stats.explored, 284);
     assert!(report.stats.quiescent > 0, "must reach decided quiescence");
 }
 
@@ -243,6 +247,7 @@ fn weakened_paxos_mutation_is_caught_with_replayable_trace() {
     println!("paxos mutation caught: {}", report.stats.summary());
     println!("{}", cex.render());
     assert_eq!(cex.invariant, "atomicity");
+    assert_eq!(report.stats.explored, 3_909);
     assert!(
         cex.schedule.contains(&Choice::Crash { site: SiteId(0) }),
         "the minimal trace crashes the under-quorumed leader"
@@ -291,6 +296,9 @@ fn cross_shard_parent_crash_is_exhaustively_clean() {
         panic!("unexpected violation:\n{}", cex.render());
     }
     assert!(report.stats.complete, "exploration must finish in budget");
+    // `mc_probe xshard 40`.
+    assert_eq!(report.stats.explored, 180);
+    assert_eq!(report.stats.frontier_cut, 3);
     assert!(report.stats.quiescent > 0, "must reach decided quiescence");
 }
 
@@ -315,5 +323,8 @@ fn cross_shard_client_parent_crash_is_exhaustively_clean() {
         panic!("unexpected violation:\n{}", cex.render());
     }
     assert!(report.stats.complete, "exploration must finish in budget");
+    // `mc_probe xclient 40`.
+    assert_eq!(report.stats.explored, 135);
+    assert_eq!(report.stats.frontier_cut, 1);
     assert!(report.stats.quiescent > 0, "must reach decided quiescence");
 }
