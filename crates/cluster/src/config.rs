@@ -74,12 +74,6 @@ pub struct ClusterConfig {
     /// [`ClusterConfig::retire_after`], since live transactions pin
     /// the log. `None` (the default) never truncates.
     pub checkpoint_interval: Option<Duration>,
-    /// Per-site byte-threshold checkpoint trigger (see
-    /// [`qbc_db::NodeConfig::checkpoint_bytes`]): checkpoint when this
-    /// many encoded log bytes accumulate since the last one, so a site
-    /// with a skewed write rate truncates by growth, not just by clock.
-    /// `None` (the default) leaves the timer as the only trigger.
-    pub checkpoint_bytes: Option<u64>,
     /// Enable MVCC snapshot reads at every site: multi-version item
     /// stores, commit-stable watermark exchange piggybacked on protocol
     /// messages, and the [`crate::SimCluster::snapshot_read_at`] path
@@ -118,7 +112,6 @@ impl Default for ClusterConfig {
             wal_segment_bytes: 4 << 20,
             wal_fsync: true,
             checkpoint_interval: None,
-            checkpoint_bytes: None,
             snapshot_reads: false,
             version_retention: 1,
             obs: ObsConfig::default(),
@@ -179,12 +172,6 @@ impl ClusterConfig {
     /// (builder style).
     pub fn with_checkpoints(mut self, interval: Duration) -> Self {
         self.checkpoint_interval = Some(interval);
-        self
-    }
-
-    /// Adds the byte-threshold checkpoint trigger (builder style).
-    pub fn with_checkpoint_bytes(mut self, bytes: u64) -> Self {
-        self.checkpoint_bytes = Some(bytes);
         self
     }
 

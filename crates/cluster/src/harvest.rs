@@ -68,7 +68,6 @@ pub(crate) fn build_nodes(
             nc.retire_after = cfg.retire_after;
             nc.retire_horizon = cfg.retire_horizon;
             nc.checkpoint_interval = cfg.checkpoint_interval;
-            nc.checkpoint_bytes = cfg.checkpoint_bytes;
             nc.snapshot_reads = cfg.snapshot_reads;
             nc.decision_events = decision_events;
             nc.version_retention = cfg.version_retention;

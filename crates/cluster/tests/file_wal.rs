@@ -250,47 +250,6 @@ fn checkpoints_bound_disk_bytes_while_a_control_grows() {
 }
 
 #[test]
-fn byte_triggered_checkpoints_follow_skewed_write_rates() {
-    // Two shards with wildly skewed write rates, byte trigger only (no
-    // timer): the busy shard's sites cross the byte threshold and
-    // truncate their logs; the near-idle shard's sites never accumulate
-    // enough bytes and keep their full (tiny) logs. A timer would have
-    // checkpointed both alike — triggering on appended bytes makes
-    // truncation follow actual log growth.
-    let dir = TempDir::new("cluster-ckpt-bytes");
-    let mut cfg = file_config(13, dir.path());
-    cfg.checkpoint_interval = None;
-    let mut cluster = SimCluster::new(cfg.with_checkpoint_bytes(1_500));
-
-    // 90 transactions on shard 0, 2 on shard 1.
-    for k in 0..90u64 {
-        let ws = writeset(&cluster, ShardId(0), k);
-        cluster.submit_at(Time(10 + k * 25), ws);
-    }
-    for k in 0..2u64 {
-        let ws = writeset(&cluster, ShardId(1), k);
-        cluster.submit_at(Time(500 + k * 400), ws);
-    }
-    let q = cluster.run_to_quiescence(50_000_000);
-    assert!(q.drained());
-    assert_eq!(cluster.atomicity_violations(), vec![]);
-
-    for site in cluster.map().sites_of(ShardId(0)) {
-        assert!(
-            cluster.sim().node(site).wal_start_lsn().0 > 0,
-            "busy {site} never hit the byte trigger"
-        );
-    }
-    for site in cluster.map().sites_of(ShardId(1)) {
-        assert_eq!(
-            cluster.sim().node(site).wal_start_lsn().0,
-            0,
-            "quiet {site} checkpointed below the byte threshold"
-        );
-    }
-}
-
-#[test]
 fn restarted_cluster_resumes_txn_ids_past_the_durable_maximum() {
     let dir = TempDir::new("cluster-txn-ids");
     let committed_max = {

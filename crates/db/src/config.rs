@@ -111,15 +111,6 @@ pub struct NodeConfig {
     /// (the default) never checkpoints (the seed behaviour: the log
     /// grows forever).
     pub checkpoint_interval: Option<Duration>,
-    /// Also checkpoint once this many bytes of log records have been
-    /// appended since the last checkpoint (measured with the on-disk
-    /// encoding, [`qbc_core::encoded_len`]). Complements the timer: a
-    /// read-mostly site with a quiet WAL stops checkpointing
-    /// pointlessly, and a write-heavy one checkpoints as soon as the
-    /// suffix balloons instead of waiting out the tick. Works alone or
-    /// alongside [`NodeConfig::checkpoint_interval`]. `None` (the
-    /// default) triggers on the timer only.
-    pub checkpoint_bytes: Option<u64>,
     /// Enable MVCC snapshot reads: the site maintains a commit-stable
     /// watermark (piggybacked on outgoing protocol messages), retains
     /// [`NodeConfig::version_retention`] versions per item, and answers
@@ -179,7 +170,6 @@ impl NodeConfig {
             decision_events: false,
             wal_backend: WalBackendConfig::Memory,
             checkpoint_interval: None,
-            checkpoint_bytes: None,
             snapshot_reads: false,
             version_retention: 1,
             obs: None,
@@ -205,13 +195,6 @@ impl NodeConfig {
     /// Enables periodic checkpointing + log truncation (builder style).
     pub fn with_checkpoints(mut self, interval: Duration) -> Self {
         self.checkpoint_interval = Some(interval);
-        self
-    }
-
-    /// Also checkpoint every `bytes` of appended log records (builder
-    /// style; see [`NodeConfig::checkpoint_bytes`]).
-    pub fn with_checkpoint_bytes(mut self, bytes: u64) -> Self {
-        self.checkpoint_bytes = Some(bytes);
         self
     }
 

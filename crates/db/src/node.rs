@@ -1,5 +1,5 @@
 //! The database site node: protocol engines wired to the network, the
-//! lock manager and stable storage.
+//! pin table and stable storage.
 //!
 //! A [`SiteNode`] implements [`Process`] and can run on the
 //! deterministic simulator or under a `NodeDriver` (the reactor). Per
@@ -13,13 +13,14 @@
 //!
 //! and integrates them with:
 //!
-//! * **strict 2PL (no-wait)** — voting yes requires X-locks on every
-//!   local copy of the writeset; a conflict makes the site vote no;
-//!   locks are held until the decision, which is what makes *blocked*
-//!   transactions reduce availability (the paper's Section 1 argument);
+//! * **strict 2PL (no-wait)** — voting yes pins every local copy of the
+//!   writeset in the `qbc-locks` table; a copy another transaction holds
+//!   makes the site vote no; pins are held until the decision, which is
+//!   what makes *blocked* transactions reduce availability (the paper's
+//!   Section 1 argument);
 //! * **stable storage** — every engine `Log` action is force-written
-//!   before subsequent sends; recovery replays the log and re-enters the
-//!   termination path;
+//!   before subsequent sends; recovery replays the log, re-pins the
+//!   copies of in-doubt yes votes and re-enters the termination path;
 //! * **quorum reads** — `r(x)` votes collected over live, unlocked
 //!   copies, returning the max-version value (Gifford's currency rule).
 
@@ -33,7 +34,7 @@ use qbc_core::{
     XRetiredOutcome, XTxnCoordinator,
 };
 use qbc_election::{Action as ElAction, ElectionMsg, Elector, Input as ElInput};
-use qbc_locks::{LockManager, LockMode, LockOutcome};
+use qbc_locks::{LockManager, LockMode};
 use qbc_obs::{EventKind, TraceEvent, TraceSink};
 use qbc_simnet::{Ctx, Label, Process, SiteId, Time, TimerId};
 use qbc_storage::{Lsn, VersionedStore, WalBackend};
@@ -302,15 +303,6 @@ pub struct SiteNode {
     /// Log end as of the last checkpoint (including the checkpoint
     /// record itself); no new checkpoint until the log outgrows it.
     last_checkpoint_end: Lsn,
-    /// Encoded bytes of log records appended since the last checkpoint
-    /// (the [`NodeConfig::checkpoint_bytes`] trigger). Only maintained
-    /// when that threshold is configured; volatile (a post-recovery
-    /// checkpoint re-baselines it).
-    bytes_since_checkpoint: u64,
-    /// Recursion guard: the checkpoint record itself passes through
-    /// `log_record`, which must not re-enter the byte-threshold
-    /// checkpoint while one is being written.
-    checkpointing: bool,
     /// This site's commit-stable watermark: every version at or below
     /// it on a local copy belongs to a *decided* transaction. Monotone;
     /// maintained only when [`NodeConfig::snapshot_reads`] is on.
@@ -395,8 +387,6 @@ impl SiteNode {
             first_lsn: FastMap::default(),
             checkpoint_armed: false,
             last_checkpoint_end: Lsn(0),
-            bytes_since_checkpoint: 0,
-            checkpointing: false,
             local_wm: Version::INITIAL,
             vmax: Version::INITIAL,
             stable_floors: FastMap::default(),
@@ -1174,13 +1164,6 @@ impl SiteNode {
     /// Records one engine log action; the log applies the force policy.
     fn log_record(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, rec: LogRecord) {
         let txn = rec.txn();
-        // Sized before the record moves into the WAL; skipped entirely
-        // (a constant zero) unless the byte threshold is configured.
-        let rec_bytes = if self.cfg.checkpoint_bytes.is_some() {
-            qbc_core::encoded_len(&rec) as u64
-        } else {
-            0
-        };
         let (lsn, forced) = self.log.append(ctx, rec);
         if let Some(upto) = forced {
             self.advance_durable(ctx, upto);
@@ -1196,36 +1179,12 @@ impl SiteNode {
         // cutoff must never pass it. (`None`: the record is itself a
         // checkpoint.) Only the checkpointer reads this map, so the
         // common no-checkpoint configuration pays nothing on the
-        // logging hot path.
-        if self.checkpoints_enabled() {
+        // logging hot path. The tick is armed lazily, by record
+        // arrival rather than free-running, so an idle site quiesces.
+        if let Some(interval) = self.cfg.checkpoint_interval {
             if let Some(txn) = txn {
                 self.first_lsn.entry(txn).or_insert(lsn);
             }
-            self.arm_checkpoint(ctx);
-        }
-        // Byte-threshold trigger: a site with a skewed write rate
-        // checkpoints when the log *grows* enough, not merely when the
-        // clock ticks. The guard keeps the checkpoint record itself
-        // (which passes through here) from re-entering.
-        if let Some(limit) = self.cfg.checkpoint_bytes {
-            self.bytes_since_checkpoint += rec_bytes;
-            if self.bytes_since_checkpoint >= limit && !self.checkpointing {
-                self.do_checkpoint(ctx);
-            }
-        }
-    }
-
-    /// True when any checkpoint trigger (periodic tick or byte
-    /// threshold) is configured — the gate on truncation bookkeeping.
-    fn checkpoints_enabled(&self) -> bool {
-        self.cfg.checkpoint_interval.is_some() || self.cfg.checkpoint_bytes.is_some()
-    }
-
-    /// Arms the periodic checkpoint tick if configured and not already
-    /// outstanding. Lazy (armed by record arrival, not free-running) so
-    /// an idle site quiesces.
-    fn arm_checkpoint(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
-        if let Some(interval) = self.cfg.checkpoint_interval {
             if !self.checkpoint_armed {
                 self.checkpoint_armed = true;
                 ctx.set_timer(interval, NodeTimer::Checkpoint);
@@ -1238,25 +1197,13 @@ impl SiteNode {
     /// and truncate the prefix no live transaction (and no recovery)
     /// needs any more. Under group commit the truncation waits for the
     /// watermark to pass the checkpoint record, like every other effect
-    /// that depends on a staged record.
+    /// that depends on a staged record. Logging the checkpoint re-arms
+    /// the tick, so the site keeps ticking while it keeps logging; a
+    /// quiet log stays quiet until the next record.
     fn on_checkpoint_tick(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
         self.checkpoint_armed = false;
-        if self.cfg.checkpoint_interval.is_none() {
+        if self.log.wal().next_lsn() <= self.last_checkpoint_end {
             return;
-        }
-        if self.do_checkpoint(ctx) {
-            // Keep ticking while the site keeps logging.
-            self.arm_checkpoint(ctx);
-        }
-    }
-
-    /// Writes and forces one checkpoint record, then truncates. Shared
-    /// by the periodic tick and the byte-threshold trigger. Returns
-    /// `false` (without logging anything) when the log has not grown
-    /// since the last checkpoint — stay quiet until the next record.
-    fn do_checkpoint(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) -> bool {
-        if self.checkpointing || self.log.wal().next_lsn() <= self.last_checkpoint_end {
-            return false;
         }
         // Compact outcomes, sorted for a canonical on-disk encoding.
         let mut retired: Vec<RetiredOutcome> = self
@@ -1307,7 +1254,6 @@ impl SiteNode {
             .copied()
             .unwrap_or(checkpoint_lsn);
         let cutoff = live_min.min(checkpoint_lsn);
-        self.checkpointing = true;
         self.log_record(
             ctx,
             LogRecord::Checkpoint {
@@ -1316,12 +1262,9 @@ impl SiteNode {
                 items,
             },
         );
-        self.checkpointing = false;
-        self.bytes_since_checkpoint = 0;
         self.last_checkpoint_end = self.log.wal().next_lsn();
         self.log
             .truncate_when_durable(self.last_checkpoint_end, cutoff);
-        true
     }
 
     /// Drains locally queued (self-addressed) messages.
@@ -1992,17 +1935,13 @@ impl SiteNode {
                     .unwrap_or(false)
             })
             .collect();
-        for (k, item) in local_items.iter().enumerate() {
-            match self.locks.acquire(txn, *item, LockMode::Exclusive) {
-                LockOutcome::Granted => {}
-                LockOutcome::Waiting => {
-                    // Roll back the partial acquisition (and the queued
-                    // request).
-                    for it in &local_items[..=k] {
-                        self.locks.release(&txn, it);
-                    }
-                    return false;
+        for (k, &item) in local_items.iter().enumerate() {
+            if !self.locks.acquire(txn, item, LockMode::Exclusive) {
+                // Roll back the partial acquisition.
+                for it in &local_items[..k] {
+                    self.locks.release(&txn, it);
                 }
+                return false;
             }
         }
         // The yes vote pins every local copy until the decision: the
@@ -2177,7 +2116,7 @@ impl SiteNode {
         // Pin-time clocks stop with the release; the walk over held
         // locks is skipped entirely when no sink is wired.
         if self.cfg.obs.is_some() {
-            for (item, _) in self.locks.held_by(&txn) {
+            for &item in self.locks.held_by(&txn) {
                 self.emit(now, Some(txn), EventKind::PinEnd { item });
             }
         }
@@ -2596,8 +2535,6 @@ impl Process for SiteNode {
         self.first_lsn.clear();
         self.checkpoint_armed = false;
         self.last_checkpoint_end = Lsn(0);
-        self.bytes_since_checkpoint = 0;
-        self.checkpointing = false;
         // Watermark state is volatile; recovery rebuilds floors from
         // in-doubt records and vmax from the durable store. Peers keep
         // their last-heard value for this site — stale but valid, since
@@ -2707,12 +2644,18 @@ impl Process for SiteNode {
                     }
                 }
             }
-            // Re-acquire locks for in-doubt transactions: their outcome
-            // is unknown, so their items must stay inaccessible.
-            if decided.is_none() {
+            // Re-pin the copies of an in-doubt yes vote: its outcome is
+            // unknown, so its items must stay inaccessible. A transaction
+            // recovered in `Initial` (only its `CoordinatorStart` durable)
+            // never voted here and pins nothing. The re-pins cannot
+            // collide: a copy is released only once its holder's
+            // `Decided` record is durable, so a prefix-forced log keeps
+            // at most one undecided yes vote per copy.
+            if decided.is_none() && state != LocalState::Initial {
                 for item in spec.writeset.items() {
                     if self.items.read(item).is_some() {
-                        let _ = self.locks.acquire(txn, item, LockMode::Exclusive);
+                        let pinned = self.locks.acquire(txn, item, LockMode::Exclusive);
+                        debug_assert!(pinned, "{txn:?} re-pins {item:?}, already pinned");
                         self.emit(ctx.now(), Some(txn), EventKind::PinStart { item });
                     }
                 }
@@ -2979,9 +2922,8 @@ fn discovery_targets(parent: SiteId, siblings: &[SiteId], this: SiteId) -> Vec<S
 ///   its own device, watermark and queue the same way
 ///   (`DurableLog::fingerprint_volatile`);
 /// * pure history is excluded: the participant's transition audit
-///   trail, the lock manager's activity counters, `started_at`
-///   (metrics-only), force counters and the spare-buffer cache —
-///   hashing any of it would make every distinct path hash distinct and
+///   trail, `started_at` (metrics-only), force counters and the
+///   spare-buffer cache — hashing any of it would make every distinct path hash distinct and
 ///   destroy the merging that keeps exhaustive search tractable.
 impl qbc_simnet::Fingerprint for SiteNode {
     fn fingerprint(&self, now: Time, h: &mut qbc_simnet::FastHasher) {
@@ -3000,9 +2942,9 @@ impl qbc_simnet::Fingerprint for SiteNode {
             let _ = write!(s, "i{item:?}={chain:?};");
         }
         self.log.fingerprint_durable(&mut s);
-        // Volatile half: lock table (stats-free snapshot), reads,
-        // violations, the local self-delivery queue (empty between
-        // events) and the durability gate (device, watermark, queue).
+        // Volatile half: pin table, reads, violations, the local
+        // self-delivery queue (empty between events) and the durability
+        // gate (device, watermark, queue).
         let _ = write!(s, "|locks{:?}", self.locks.table_snapshot());
         let _ = write!(s, "|reads{:?}", self.reads);
         let _ = write!(s, "|viol{:?}", self.violations);
@@ -3016,7 +2958,6 @@ impl qbc_simnet::Fingerprint for SiteNode {
         // Snapshot-read machinery (all constant when the feature is
         // off, so legacy state spaces merge exactly as before).
         let _ = write!(s, "|snreads{:?}", self.snap_reads);
-        let _ = write!(s, "|ckb{}", self.bytes_since_checkpoint);
         let _ = write!(
             s,
             "|wm{:?},{:?},{:?}",

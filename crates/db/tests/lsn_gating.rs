@@ -6,7 +6,8 @@
 //! that holds no copy tells its client after the `Decided` force like
 //! everyone else. Every scenario runs on the instant log device and on
 //! the modelled one (`force_latency = 2`), where the wait ends at
-//! `WalForceDone` rather than at the flush.
+//! `WalForceDone` rather than at the flush. One more pins what a crash
+//! inside the group-commit window leaves locked after recovery.
 
 use qbc_core::{Decision, LocalState, LogRecord, Msg, ProtocolKind, TxnId, TxnSpec, WriteSet};
 use qbc_db::{DecisionEvent, NetMsg, NodeConfig, SiteNode};
@@ -343,6 +344,42 @@ fn copyless_coordinator_tells_the_client_after_the_force(latency: u64, protocol:
     };
     assert!(!driver.node().log_records().any(committed));
     assert_ne!(driver.node().decision(T1), Some(Decision::Commit));
+}
+
+/// (e) Recovery re-pins only copies this site voted yes on. With a batch
+/// of two, T2's staged `Voted` record and T1's `CoordinatorStart` fill
+/// the batch and are forced together, while T1's own `Voted` record is
+/// staged behind them and dies in the crash. Recovered, T1 never voted
+/// here (`Initial`) and must leave `x` free; T2 is in doubt and keeps
+/// `y` pinned.
+#[test]
+fn recovery_repins_only_copies_this_site_voted_on() {
+    let mut cfg = config(0);
+    cfg.group_commit_max_batch = 2;
+    let mut s = Site::with_config(cfg, 0);
+    s.deliver(
+        0,
+        S1,
+        Msg::VoteReq {
+            spec: spec(T2, S1, Y),
+        },
+    );
+    s.begin(0, T1, X);
+    assert_eq!(s.node().local_state(T1), Some(LocalState::Wait));
+    assert!(matches!(
+        s.durable()[..],
+        [LogRecord::Voted { .. }, LogRecord::CoordinatorStart { .. }]
+    ));
+
+    let mut node = s.driver.into_node();
+    node.on_crash(Time(1));
+    let mut out = Vec::new();
+    let driver = NodeDriver::new(ME, node, 7, Time(2), &mut out);
+    let node = driver.node();
+    assert_eq!(node.local_state(T1), Some(LocalState::Initial));
+    assert!(!node.is_item_locked(X), "T1 never voted here");
+    assert_eq!(node.local_state(T2), Some(LocalState::Wait));
+    assert!(node.is_item_locked(Y), "T2's yes vote is in doubt");
 }
 
 #[test]

@@ -1,103 +1,81 @@
-//! # qbc-locks — per-site lock manager (strict two-phase locking)
+//! # qbc-locks — per-site no-wait pin table
 //!
 //! Serializability inside a partition is delegated to classical
-//! concurrency control (refs. \[2,6,10,13\] in the paper); we implement strict
-//! 2PL. The lock manager matters to the paper's argument because a
-//! *blocked* transaction — one whose commit protocol can neither commit
-//! nor abort — keeps holding its locks, "rendering those data items
-//! inaccessible to the other transactions". The availability experiments
-//! ask this crate which copies are pinned by undecided transactions.
-//!
-//! The manager is generic over resource and transaction identifiers so it
-//! is reusable and independently testable:
-//!
-//! * shared/exclusive modes with FIFO wait queues,
-//! * lock upgrade (S→X) with priority over new requests,
-//! * wait-for-graph construction and cycle (deadlock) detection,
-//! * deterministic victim selection.
+//! concurrency control (refs. \[2,6,10,13\] in the paper); the site runs
+//! strict **no-wait** 2PL. Voting yes pins every local copy of the
+//! writeset exclusively until the decision; a copy another transaction
+//! holds makes the site vote no instead of waiting, so there are no
+//! queues and no deadlocks to detect. The table matters to the paper's
+//! argument because a *blocked* transaction — one whose commit protocol
+//! can neither commit nor abort — keeps its pins, "rendering those data
+//! items inaccessible to the other transactions". The availability
+//! experiments ask this crate which copies are pinned.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod manager;
-mod waitfor;
 
-pub use manager::{Granted, LockManager, LockMode, LockOutcome, LockStats};
-pub use waitfor::{detect_cycles, pick_victims, WaitForGraph};
+pub use manager::{LockManager, LockMode};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[derive(Clone, Debug)]
     enum Op {
-        Acquire { txn: u8, res: u8, exclusive: bool },
+        Acquire { txn: u8, res: u8 },
+        Release { txn: u8, res: u8 },
         ReleaseAll { txn: u8 },
     }
 
     fn arb_op() -> impl Strategy<Value = Op> {
         prop_oneof![
-            (0u8..6, 0u8..4, proptest::bool::ANY).prop_map(|(txn, res, exclusive)| Op::Acquire {
-                txn,
-                res,
-                exclusive
-            }),
+            (0u8..6, 0u8..4).prop_map(|(txn, res)| Op::Acquire { txn, res }),
+            (0u8..6, 0u8..4).prop_map(|(txn, res)| Op::Release { txn, res }),
             (0u8..6).prop_map(|txn| Op::ReleaseAll { txn }),
         ]
     }
 
     proptest! {
-        /// Under any interleaving of acquires and releases, the holder
-        /// invariant holds: an exclusive holder is always alone.
+        /// Under any interleaving of acquires and releases, the table
+        /// behaves as a plain "resource → holder" map: a grant exactly
+        /// when the copy is free or already the requester's, and the
+        /// snapshot and every reverse-index lookup agree with the map.
         #[test]
-        fn no_conflicting_grants(ops in proptest::collection::vec(arb_op(), 1..120)) {
+        fn matches_a_resource_to_holder_map(ops in proptest::collection::vec(arb_op(), 1..120)) {
             let mut lm: LockManager<u8, u8> = LockManager::new();
+            let mut model: BTreeMap<u8, u8> = BTreeMap::new();
             for op in ops {
                 match op {
-                    Op::Acquire { txn, res, exclusive } => {
-                        let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
-                        lm.acquire(txn, res, mode);
+                    Op::Acquire { txn, res } => {
+                        let free = *model.entry(res).or_insert(txn) == txn;
+                        prop_assert_eq!(lm.acquire(txn, res, LockMode::Exclusive), free);
+                    }
+                    Op::Release { txn, res } => {
+                        if model.get(&res) == Some(&txn) {
+                            model.remove(&res);
+                        }
+                        lm.release(&txn, &res);
                     }
                     Op::ReleaseAll { txn } => {
+                        model.retain(|_, t| *t != txn);
                         lm.release_all(&txn);
                     }
                 }
-                prop_assert!(lm.check_invariants().is_ok());
-            }
-        }
-
-        /// Releasing everything empties the table completely.
-        #[test]
-        fn full_release_leaves_empty_table(ops in proptest::collection::vec(arb_op(), 1..80)) {
-            let mut lm: LockManager<u8, u8> = LockManager::new();
-            for op in ops {
-                if let Op::Acquire { txn, res, exclusive } = op {
-                    let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
-                    lm.acquire(txn, res, mode);
+                let expect: Vec<(u8, u8)> = model.iter().map(|(r, t)| (*r, *t)).collect();
+                prop_assert_eq!(lm.table_snapshot(), expect);
+                for txn in 0u8..6 {
+                    let held: Vec<u8> =
+                        model.iter().filter(|(_, t)| **t == txn).map(|(r, _)| *r).collect();
+                    prop_assert_eq!(lm.held_by(&txn), held.as_slice());
+                }
+                for res in 0u8..4 {
+                    prop_assert_eq!(lm.is_locked(&res), model.contains_key(&res));
                 }
             }
-            for txn in 0u8..6 {
-                lm.release_all(&txn);
-            }
-            prop_assert!(lm.transactions().is_empty());
-        }
-
-        /// Deadlock detection finds a cycle whenever one is constructed.
-        #[test]
-        fn constructed_cycles_are_detected(n in 2usize..6) {
-            let mut lm: LockManager<u8, u8> = LockManager::new();
-            // txn i holds res i and requests res (i+1) % n: a perfect cycle.
-            for i in 0..n {
-                lm.acquire(i as u8, i as u8, LockMode::Exclusive);
-            }
-            for i in 0..n {
-                lm.acquire(i as u8, ((i + 1) % n) as u8, LockMode::Exclusive);
-            }
-            let cycles = detect_cycles(&lm.wait_for_edges());
-            prop_assert!(!cycles.is_empty(), "cycle of length {} missed", n);
-            let victims = pick_victims(&cycles);
-            prop_assert!(!victims.is_empty());
         }
     }
 }

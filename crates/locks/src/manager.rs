@@ -1,387 +1,98 @@
-//! The lock table: modes, queues, grants and upgrades.
+//! The pin table: which transaction holds each copy.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
-/// Lock modes of strict two-phase locking.
+/// The one lock mode the protocol takes: a yes vote pins every local
+/// copy of its writeset exclusively until the decision.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum LockMode {
-    /// Shared (read) lock; compatible with other shared locks.
-    Shared,
     /// Exclusive (write) lock; compatible with nothing.
     Exclusive,
 }
 
-impl LockMode {
-    /// Lock compatibility matrix.
-    pub fn compatible(self, other: LockMode) -> bool {
-        matches!((self, other), (LockMode::Shared, LockMode::Shared))
-    }
-
-    /// True when `self` covers `other` (X covers S).
-    pub fn covers(self, other: LockMode) -> bool {
-        self == LockMode::Exclusive || other == LockMode::Shared
-    }
-}
-
-/// Result of a lock request.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LockOutcome {
-    /// The lock was granted immediately.
-    Granted,
-    /// The request was queued behind incompatible holders.
-    Waiting,
-}
-
-/// A lock that became granted as the result of a release.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Granted<R, T> {
-    /// Resource the lock is on.
-    pub resource: R,
-    /// The transaction now holding it.
-    pub txn: T,
-    /// Mode granted.
-    pub mode: LockMode,
-}
-
-/// Counters describing lock-manager activity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LockStats {
-    /// Requests granted immediately.
-    pub immediate_grants: u64,
-    /// Requests that had to wait.
-    pub waits: u64,
-    /// Grants made when a holder released.
-    pub deferred_grants: u64,
-    /// In-place S→X upgrades.
-    pub upgrades: u64,
-    /// Release operations.
-    pub releases: u64,
-}
-
+/// A per-site no-wait lock table over resources `R` held by
+/// transactions `T`: a request on a copy another transaction holds is
+/// refused, never queued.
 #[derive(Clone, Debug)]
-struct Request<T> {
-    txn: T,
-    mode: LockMode,
-    /// True when this is an upgrade request from a current S holder.
-    upgrade: bool,
+pub struct LockManager<R, T> {
+    holder: BTreeMap<R, T>,
+    /// Reverse index: the resources each transaction holds, sorted.
+    /// Keeps `release_all` — the per-decision hot path — and `held_by`
+    /// proportional to the transaction's own footprint.
+    by_txn: BTreeMap<T, Vec<R>>,
 }
 
-#[derive(Clone, Debug, Default)]
-struct Entry<T: Ord> {
-    holders: BTreeMap<T, LockMode>,
-    queue: VecDeque<Request<T>>,
-}
-
-impl<T: Ord + Clone> Entry<T> {
-    fn is_free(&self) -> bool {
-        self.holders.is_empty() && self.queue.is_empty()
-    }
-
-    fn can_grant(&self, txn: &T, mode: LockMode) -> bool {
-        match mode {
-            LockMode::Shared => self
-                .holders
-                .iter()
-                .all(|(t, m)| t == txn || m.compatible(LockMode::Shared)),
-            LockMode::Exclusive => self.holders.keys().all(|t| t == txn),
-        }
-    }
-}
-
-/// A per-site lock table over resources `R` held by transactions `T`.
-#[derive(Clone, Debug)]
-pub struct LockManager<R, T>
-where
-    R: Ord + Clone,
-    T: Ord + Clone,
-{
-    table: BTreeMap<R, Entry<T>>,
-    /// Reverse index: every resource a transaction holds or waits on.
-    /// Keeps `release_all` — the per-decision hot path — proportional
-    /// to the transaction's own footprint instead of the table size.
-    by_txn: BTreeMap<T, BTreeSet<R>>,
-    stats: LockStats,
-}
-
-impl<R, T> Default for LockManager<R, T>
-where
-    R: Ord + Clone + fmt::Debug,
-    T: Ord + Clone + fmt::Debug,
-{
+impl<R: Ord + Clone, T: Ord + Clone> Default for LockManager<R, T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<R, T> LockManager<R, T>
-where
-    R: Ord + Clone + fmt::Debug,
-    T: Ord + Clone + fmt::Debug,
-{
+impl<R: Ord + Clone, T: Ord + Clone> LockManager<R, T> {
     /// An empty lock table.
     pub fn new() -> Self {
         LockManager {
-            table: BTreeMap::new(),
+            holder: BTreeMap::new(),
             by_txn: BTreeMap::new(),
-            stats: LockStats::default(),
         }
     }
 
-    /// Activity counters.
-    pub fn stats(&self) -> LockStats {
-        self.stats
-    }
-
-    /// The mode `txn` currently holds on `res`, if any.
-    pub fn holds(&self, txn: &T, res: &R) -> Option<LockMode> {
-        self.table
-            .get(res)
-            .and_then(|e| e.holders.get(txn))
-            .copied()
-    }
-
-    /// True when any transaction holds any lock on `res`.
+    /// True when any transaction holds `res`.
     pub fn is_locked(&self, res: &R) -> bool {
-        self.table
-            .get(res)
-            .map(|e| !e.holders.is_empty())
-            .unwrap_or(false)
+        self.holder.contains_key(res)
     }
 
-    /// Current holders of `res` with their modes.
-    pub fn holders(&self, res: &R) -> Vec<(T, LockMode)> {
-        self.table
-            .get(res)
-            .map(|e| e.holders.iter().map(|(t, m)| (t.clone(), *m)).collect())
-            .unwrap_or_default()
-    }
-
-    /// Transactions queued on `res`, front first.
-    pub fn waiters(&self, res: &R) -> Vec<(T, LockMode)> {
-        self.table
-            .get(res)
-            .map(|e| e.queue.iter().map(|r| (r.txn.clone(), r.mode)).collect())
-            .unwrap_or_default()
-    }
-
-    /// All resources on which `txn` holds a lock.
-    pub fn held_by(&self, txn: &T) -> Vec<(R, LockMode)> {
-        self.table
-            .iter()
-            .filter_map(|(r, e)| e.holders.get(txn).map(|m| (r.clone(), *m)))
-            .collect()
-    }
-
-    /// True when `txn` is waiting on any resource.
-    pub fn is_waiting(&self, txn: &T) -> bool {
-        self.table
-            .values()
-            .any(|e| e.queue.iter().any(|req| &req.txn == txn))
-    }
-
-    /// Requests a lock. Returns [`LockOutcome::Granted`] when the lock is
-    /// held on return; [`LockOutcome::Waiting`] when queued.
-    ///
-    /// Re-entrancy: a transaction already holding a covering mode is
-    /// granted immediately. An S holder requesting X is *upgraded* in
-    /// place when it is the sole holder; otherwise the upgrade waits at
-    /// the front of the queue (classical upgrade priority), preventing
-    /// starvation by later requests.
-    pub fn acquire(&mut self, txn: T, res: R, mode: LockMode) -> LockOutcome {
-        // Whatever the outcome, the transaction ends up holding or
-        // queued on the resource; index it for `release_all`.
-        self.by_txn
-            .entry(txn.clone())
-            .or_default()
-            .insert(res.clone());
-        let entry = self.table.entry(res).or_insert_with(|| Entry {
-            holders: BTreeMap::new(),
-            queue: VecDeque::new(),
-        });
-        if let Some(&held) = entry.holders.get(&txn) {
-            if held.covers(mode) {
-                self.stats.immediate_grants += 1;
-                return LockOutcome::Granted;
+    /// Pins `res` for `txn`. Granted (`true`) when the copy is free or
+    /// already `txn`'s; otherwise refused (`false`) with nothing changed.
+    pub fn acquire(&mut self, txn: T, res: R, _mode: LockMode) -> bool {
+        match self.holder.entry(res) {
+            Entry::Occupied(e) => *e.get() == txn,
+            Entry::Vacant(e) => {
+                let held = self.by_txn.entry(txn.clone()).or_default();
+                let at = held
+                    .binary_search(e.key())
+                    .expect_err("a free copy is in no transaction's index");
+                held.insert(at, e.key().clone());
+                e.insert(txn);
+                true
             }
-            // S -> X upgrade.
-            if entry.holders.len() == 1 {
-                entry.holders.insert(txn, LockMode::Exclusive);
-                self.stats.upgrades += 1;
-                return LockOutcome::Granted;
-            }
-            // Duplicate upgrade request: keep a single queued entry.
-            if entry
-                .queue
-                .iter()
-                .any(|r| r.txn == txn && r.mode == LockMode::Exclusive)
-            {
-                return LockOutcome::Waiting;
-            }
-            entry.queue.push_front(Request {
-                txn,
-                mode: LockMode::Exclusive,
-                upgrade: true,
-            });
-            self.stats.waits += 1;
-            return LockOutcome::Waiting;
-        }
-        // FIFO fairness: a new request must also wait behind the queue.
-        if entry.queue.is_empty() && entry.can_grant(&txn, mode) {
-            entry.holders.insert(txn, mode);
-            self.stats.immediate_grants += 1;
-            LockOutcome::Granted
-        } else {
-            if entry.queue.iter().any(|r| r.txn == txn) {
-                return LockOutcome::Waiting;
-            }
-            entry.queue.push_back(Request {
-                txn,
-                mode,
-                upgrade: false,
-            });
-            self.stats.waits += 1;
-            LockOutcome::Waiting
         }
     }
 
-    /// Releases `txn`'s lock on `res` (and removes any queued request),
-    /// returning locks granted to waiters as a result.
-    pub fn release(&mut self, txn: &T, res: &R) -> Vec<Granted<R, T>> {
-        if let Some(set) = self.by_txn.get_mut(txn) {
-            set.remove(res);
-            if set.is_empty() {
+    /// Frees `res` if `txn` holds it.
+    pub fn release(&mut self, txn: &T, res: &R) {
+        if self.holder.get(res) != Some(txn) {
+            return;
+        }
+        self.holder.remove(res);
+        if let Some(held) = self.by_txn.get_mut(txn) {
+            held.retain(|r| r != res);
+            if held.is_empty() {
                 self.by_txn.remove(txn);
             }
         }
-        let mut granted = Vec::new();
-        if let Some(entry) = self.table.get_mut(res) {
-            entry.holders.remove(txn);
-            entry.queue.retain(|r| &r.txn != txn);
-            self.stats.releases += 1;
-            Self::pump(res, entry, &mut granted, &mut self.stats);
-            if entry.is_free() {
-                self.table.remove(res);
-            }
-        }
-        granted
     }
 
-    /// Releases every lock and queued request of `txn` (commit/abort),
-    /// returning locks granted to waiters as a result.
-    pub fn release_all(&mut self, txn: &T) -> Vec<Granted<R, T>> {
-        // The index lists exactly the resources the table scan used to
-        // find (held or queued), in the same sorted order, so grant
-        // order — and with it simulator determinism — is unchanged.
-        let resources = self.by_txn.remove(txn).unwrap_or_default();
-        let mut granted = Vec::new();
-        for res in resources {
-            granted.extend(self.release(txn, &res));
-        }
-        granted
-    }
-
-    /// Grants queued requests that have become compatible (front-first,
-    /// stopping at the first request that cannot be granted).
-    fn pump(
-        res: &R,
-        entry: &mut Entry<T>,
-        granted: &mut Vec<Granted<R, T>>,
-        stats: &mut LockStats,
-    ) {
-        while let Some(front) = entry.queue.front() {
-            let ok = if front.upgrade {
-                // Upgrade can proceed when the requester is the only holder.
-                entry.holders.len() == 1 && entry.holders.contains_key(&front.txn)
-            } else {
-                entry.can_grant(&front.txn, front.mode)
-            };
-            if !ok {
-                break;
-            }
-            let req = entry.queue.pop_front().expect("front exists");
-            entry.holders.insert(req.txn.clone(), req.mode);
-            stats.deferred_grants += 1;
-            granted.push(Granted {
-                resource: res.clone(),
-                txn: req.txn,
-                mode: req.mode,
-            });
+    /// Frees every pin of `txn` (its decision).
+    pub fn release_all(&mut self, txn: &T) {
+        for res in self.by_txn.remove(txn).unwrap_or_default() {
+            self.holder.remove(&res);
         }
     }
 
-    /// Canonical snapshot of the table for state hashing: per resource
-    /// (in key order), the holders (in key order) and the queue (in
-    /// queue order, with the upgrade flag). Excludes the activity
-    /// counters ([`LockManager::stats`]), which are history rather than
-    /// state: two tables that will grant identically can have got there
-    /// through different request sequences.
-    #[allow(clippy::type_complexity)]
-    pub fn table_snapshot(&self) -> Vec<(R, Vec<(T, LockMode)>, Vec<(T, LockMode, bool)>)> {
-        self.table
+    /// The resources `txn` holds, in resource order.
+    pub fn held_by(&self, txn: &T) -> &[R] {
+        self.by_txn.get(txn).map_or(&[], Vec::as_slice)
+    }
+
+    /// Canonical snapshot of the table for state hashing: every held
+    /// resource with its holder, in resource order.
+    pub fn table_snapshot(&self) -> Vec<(R, T)> {
+        self.holder
             .iter()
-            .map(|(r, e)| {
-                (
-                    r.clone(),
-                    e.holders.iter().map(|(t, m)| (t.clone(), *m)).collect(),
-                    e.queue
-                        .iter()
-                        .map(|q| (q.txn.clone(), q.mode, q.upgrade))
-                        .collect(),
-                )
-            })
+            .map(|(r, t)| (r.clone(), t.clone()))
             .collect()
-    }
-
-    /// Builds the wait-for relation: `waiter -> holder` edges for every
-    /// queued request. Input to deadlock detection.
-    pub fn wait_for_edges(&self) -> Vec<(T, T)> {
-        let mut edges = Vec::new();
-        for entry in self.table.values() {
-            for req in &entry.queue {
-                for holder in entry.holders.keys() {
-                    if holder != &req.txn {
-                        edges.push((req.txn.clone(), holder.clone()));
-                    }
-                }
-                // A queued request also waits for earlier queued requests
-                // that conflict with it (they will be granted first).
-                for earlier in &entry.queue {
-                    if std::ptr::eq(earlier, req) {
-                        break;
-                    }
-                    if earlier.txn != req.txn && !earlier.mode.compatible(req.mode) {
-                        edges.push((req.txn.clone(), earlier.txn.clone()));
-                    }
-                }
-            }
-        }
-        edges
-    }
-
-    /// All transactions appearing in the table (holders or waiters).
-    pub fn transactions(&self) -> BTreeSet<T> {
-        let mut out = BTreeSet::new();
-        for e in self.table.values() {
-            out.extend(e.holders.keys().cloned());
-            out.extend(e.queue.iter().map(|r| r.txn.clone()));
-        }
-        out
-    }
-
-    /// Invariant check used by tests: no two incompatible holders coexist.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        for (res, e) in &self.table {
-            let modes: Vec<&LockMode> = e.holders.values().collect();
-            let exclusives = modes.iter().filter(|m| ***m == LockMode::Exclusive).count();
-            if exclusives > 0 && e.holders.len() > 1 {
-                return Err(format!(
-                    "resource {res:?} has {} holders alongside an X lock",
-                    e.holders.len()
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -392,155 +103,44 @@ mod tests {
     type Lm = LockManager<&'static str, u32>;
 
     #[test]
-    fn shared_locks_coexist() {
+    fn a_held_copy_refuses_other_transactions_and_changes_nothing() {
         let mut lm = Lm::new();
-        assert_eq!(lm.acquire(1, "x", LockMode::Shared), LockOutcome::Granted);
-        assert_eq!(lm.acquire(2, "x", LockMode::Shared), LockOutcome::Granted);
-        assert_eq!(lm.holders(&"x").len(), 2);
-        lm.check_invariants().unwrap();
+        assert!(lm.acquire(1, "x", LockMode::Exclusive));
+        assert!(!lm.acquire(2, "x", LockMode::Exclusive));
+        assert_eq!(lm.table_snapshot(), vec![("x", 1)]);
+        assert!(lm.held_by(&2).is_empty());
     }
 
     #[test]
-    fn exclusive_conflicts_queue_fifo() {
+    fn reacquiring_an_own_pin_is_granted() {
         let mut lm = Lm::new();
-        assert_eq!(
-            lm.acquire(1, "x", LockMode::Exclusive),
-            LockOutcome::Granted
-        );
-        assert_eq!(
-            lm.acquire(2, "x", LockMode::Exclusive),
-            LockOutcome::Waiting
-        );
-        assert_eq!(
-            lm.acquire(3, "x", LockMode::Exclusive),
-            LockOutcome::Waiting
-        );
-        let granted = lm.release_all(&1);
-        assert_eq!(granted.len(), 1);
-        assert_eq!(granted[0].txn, 2, "FIFO: txn 2 first");
-        let granted = lm.release_all(&2);
-        assert_eq!(granted[0].txn, 3);
+        assert!(lm.acquire(1, "x", LockMode::Exclusive));
+        assert!(lm.acquire(1, "x", LockMode::Exclusive));
+        assert_eq!(lm.held_by(&1), ["x"]);
     }
 
     #[test]
-    fn shared_behind_exclusive_waits() {
+    fn release_frees_only_the_holders_pin() {
         let mut lm = Lm::new();
         lm.acquire(1, "x", LockMode::Exclusive);
-        assert_eq!(lm.acquire(2, "x", LockMode::Shared), LockOutcome::Waiting);
-        let granted = lm.release_all(&1);
-        assert_eq!(granted.len(), 1);
-        assert_eq!(lm.holds(&2, &"x"), Some(LockMode::Shared));
-    }
-
-    #[test]
-    fn batch_of_shared_grants_together() {
-        let mut lm = Lm::new();
-        lm.acquire(1, "x", LockMode::Exclusive);
-        lm.acquire(2, "x", LockMode::Shared);
-        lm.acquire(3, "x", LockMode::Shared);
-        let granted = lm.release_all(&1);
-        assert_eq!(granted.len(), 2, "both shared waiters granted at once");
-        lm.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn fifo_blocks_new_shared_behind_queued_exclusive() {
-        let mut lm = Lm::new();
-        lm.acquire(1, "x", LockMode::Shared);
-        lm.acquire(2, "x", LockMode::Exclusive); // queued
-                                                 // A later shared request must not jump over the queued X.
-        assert_eq!(lm.acquire(3, "x", LockMode::Shared), LockOutcome::Waiting);
-        let granted = lm.release_all(&1);
-        assert_eq!(granted[0].txn, 2);
-        assert_eq!(granted.len(), 1);
-    }
-
-    #[test]
-    fn reentrant_acquire_is_granted() {
-        let mut lm = Lm::new();
-        lm.acquire(1, "x", LockMode::Exclusive);
-        assert_eq!(lm.acquire(1, "x", LockMode::Shared), LockOutcome::Granted);
-        assert_eq!(
-            lm.acquire(1, "x", LockMode::Exclusive),
-            LockOutcome::Granted
-        );
-        assert_eq!(lm.holds(&1, &"x"), Some(LockMode::Exclusive));
-    }
-
-    #[test]
-    fn sole_holder_upgrade_is_immediate() {
-        let mut lm = Lm::new();
-        lm.acquire(1, "x", LockMode::Shared);
-        assert_eq!(
-            lm.acquire(1, "x", LockMode::Exclusive),
-            LockOutcome::Granted
-        );
-        assert_eq!(lm.holds(&1, &"x"), Some(LockMode::Exclusive));
-        assert_eq!(lm.stats().upgrades, 1);
-    }
-
-    #[test]
-    fn contended_upgrade_waits_with_priority() {
-        let mut lm = Lm::new();
-        lm.acquire(1, "x", LockMode::Shared);
-        lm.acquire(2, "x", LockMode::Shared);
-        lm.acquire(3, "x", LockMode::Exclusive); // queued behind both
-        assert_eq!(
-            lm.acquire(1, "x", LockMode::Exclusive),
-            LockOutcome::Waiting
-        );
-        // When txn 2 releases, the upgrade (front of queue) wins over txn 3.
-        let granted = lm.release_all(&2);
-        assert_eq!(granted.len(), 1);
-        assert_eq!(granted[0].txn, 1);
-        assert_eq!(granted[0].mode, LockMode::Exclusive);
-        assert_eq!(lm.holds(&1, &"x"), Some(LockMode::Exclusive));
-    }
-
-    #[test]
-    fn release_all_drops_queued_requests_too() {
-        let mut lm = Lm::new();
-        lm.acquire(1, "x", LockMode::Exclusive);
-        lm.acquire(2, "x", LockMode::Exclusive);
-        assert!(lm.is_waiting(&2));
-        lm.release_all(&2); // abort the waiter
-        assert!(!lm.is_waiting(&2));
-        let granted = lm.release_all(&1);
-        assert!(granted.is_empty(), "no waiter left to grant");
-        assert!(!lm.is_locked(&"x"));
-    }
-
-    #[test]
-    fn wait_for_edges_point_at_holders_and_earlier_waiters() {
-        let mut lm = Lm::new();
-        lm.acquire(1, "x", LockMode::Exclusive);
-        lm.acquire(2, "x", LockMode::Exclusive);
-        lm.acquire(3, "x", LockMode::Exclusive);
-        let edges = lm.wait_for_edges();
-        assert!(edges.contains(&(2, 1)));
-        assert!(edges.contains(&(3, 1)));
-        assert!(edges.contains(&(3, 2)), "3 waits for earlier waiter 2");
-    }
-
-    #[test]
-    fn held_by_lists_resources() {
-        let mut lm = Lm::new();
-        lm.acquire(1, "x", LockMode::Shared);
         lm.acquire(1, "y", LockMode::Exclusive);
-        let mut held = lm.held_by(&1);
-        held.sort();
-        assert_eq!(
-            held,
-            vec![("x", LockMode::Shared), ("y", LockMode::Exclusive)]
-        );
+        lm.release(&2, &"x");
+        assert!(lm.is_locked(&"x"));
+        lm.release(&1, &"x");
+        assert!(!lm.is_locked(&"x"));
+        assert_eq!(lm.held_by(&1), ["y"]);
+        assert!(lm.acquire(2, "x", LockMode::Exclusive));
     }
 
     #[test]
-    fn empty_entries_are_garbage_collected() {
+    fn release_all_frees_exactly_the_transactions_pins() {
         let mut lm = Lm::new();
-        lm.acquire(1, "x", LockMode::Shared);
+        lm.acquire(1, "y", LockMode::Exclusive);
+        lm.acquire(1, "x", LockMode::Exclusive);
+        lm.acquire(2, "z", LockMode::Exclusive);
+        assert_eq!(lm.held_by(&1), ["x", "y"], "resource order");
         lm.release_all(&1);
-        assert!(lm.transactions().is_empty());
-        assert!(!lm.is_locked(&"x"));
+        assert!(lm.held_by(&1).is_empty());
+        assert_eq!(lm.table_snapshot(), vec![("z", 2)]);
     }
 }

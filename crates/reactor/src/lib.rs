@@ -6,11 +6,10 @@
 //! the correctness evidence and is the conformance oracle; it serves
 //! no sockets. This crate is the serving architecture:
 //!
-//! * [`Poller`] — readiness behind one interface: `epoll` on Linux,
-//!   portable `poll(2)` everywhere, both hand-rolled over raw syscalls
-//!   (no external crates).
-//! * [`WakeFd`] — the cross-thread doorbell that interrupts a parked
-//!   worker.
+//! * [`Poller`] — readiness over Linux `epoll`, hand-rolled over raw
+//!   syscalls (no external crates). Linux is the only supported target.
+//! * [`WakeFd`] — the cross-thread doorbell (an `eventfd`) that
+//!   interrupts a parked worker.
 //! * [`FrameReader`]/[`FrameWriter`] — length-prefixed nonblocking
 //!   framing with an explicit write-backpressure signal.
 //! * [`Request`]/[`Reply`] — the client wire protocol (sessions are
@@ -24,6 +23,9 @@
 //! See `docs/async-runtime.md` for the design discussion.
 
 #![warn(missing_docs)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("qbc-reactor runs on Linux only: it polls with epoll and wakes with eventfd");
 
 mod sys;
 

@@ -1,12 +1,7 @@
-//! Readiness polling behind one interface: `epoll` where available,
-//! portable `poll(2)` everywhere.
+//! Readiness polling over Linux `epoll`.
 //!
-//! The reactor's workers are written against [`Poller`] alone; which
-//! backend runs is a [`PollerKind`] configuration choice. On Linux the
-//! default is `epoll` (O(ready) wakeups — the thing that makes 10k+
-//! sessions cheap); the `poll(2)` backend is the portability fallback
-//! and is exercised by the test suite on every platform, so the two
-//! stay behaviourally interchangeable.
+//! The reactor's workers are written against [`Poller`] alone. `epoll`
+//! gives O(ready) wakeups — the thing that makes 10k+ sessions cheap.
 
 use crate::sys;
 use std::io;
@@ -58,62 +53,26 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// Which backend a [`Poller`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Which backend a [`Poller`] runs. Linux `epoll` is the only one; the
+/// kind stays a parameter of [`Poller::new`] so callers name it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PollerKind {
-    /// Linux `epoll` (the default there).
-    #[cfg(target_os = "linux")]
+    /// Linux `epoll`.
+    #[default]
     Epoll,
-    /// Portable `poll(2)`.
-    Poll,
-}
-
-impl Default for PollerKind {
-    #[cfg(target_os = "linux")]
-    fn default() -> Self {
-        PollerKind::Epoll
-    }
-    #[cfg(not(target_os = "linux"))]
-    fn default() -> Self {
-        PollerKind::Poll
-    }
-}
-
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll { epfd: RawFd },
-    /// `poll(2)` keeps the registered set in user space: a dense
-    /// `pollfd` array plus a parallel token array, deregistration by
-    /// swap-remove.
-    Poll {
-        fds: Vec<sys::pollfd>,
-        tokens: Vec<u64>,
-    },
 }
 
 /// A readiness poller over a set of registered descriptors.
 pub struct Poller {
-    backend: Backend,
-    #[cfg(target_os = "linux")]
+    epfd: RawFd,
     scratch: Vec<sys::epoll_event>,
 }
 
 impl Poller {
     /// Opens a poller of the given kind.
-    pub fn new(kind: PollerKind) -> io::Result<Poller> {
-        let backend = match kind {
-            #[cfg(target_os = "linux")]
-            PollerKind::Epoll => Backend::Epoll {
-                epfd: sys::sys_epoll_create()?,
-            },
-            PollerKind::Poll => Backend::Poll {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-            },
-        };
+    pub fn new(_kind: PollerKind) -> io::Result<Poller> {
         Ok(Poller {
-            backend,
-            #[cfg(target_os = "linux")]
+            epfd: sys::sys_epoll_create()?,
             scratch: vec![sys::epoll_event { events: 0, u64: 0 }; 1024],
         })
     }
@@ -121,112 +80,56 @@ impl Poller {
     /// Registers `fd` with the given interest. One registration per
     /// descriptor; use [`Poller::modify`] to change interest.
     pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                sys::sys_epoll_ctl(*epfd, sys::EPOLL_CTL_ADD, fd, epoll_mask(interest), token.0)
-            }
-            Backend::Poll { fds, tokens } => {
-                fds.push(sys::pollfd {
-                    fd,
-                    events: poll_mask(interest),
-                    revents: 0,
-                });
-                tokens.push(token.0);
-                Ok(())
-            }
-        }
+        sys::sys_epoll_ctl(
+            self.epfd,
+            sys::EPOLL_CTL_ADD,
+            fd,
+            epoll_mask(interest),
+            token.0,
+        )
     }
 
     /// Changes the interest of a registered descriptor.
     pub fn modify(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                sys::sys_epoll_ctl(*epfd, sys::EPOLL_CTL_MOD, fd, epoll_mask(interest), token.0)
-            }
-            Backend::Poll { fds, tokens } => {
-                for (p, t) in fds.iter_mut().zip(tokens.iter_mut()) {
-                    if p.fd == fd {
-                        p.events = poll_mask(interest);
-                        *t = token.0;
-                        return Ok(());
-                    }
-                }
-                Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-            }
-        }
+        sys::sys_epoll_ctl(
+            self.epfd,
+            sys::EPOLL_CTL_MOD,
+            fd,
+            epoll_mask(interest),
+            token.0,
+        )
     }
 
     /// Removes a descriptor from the set (idempotent enough for the
     /// close path: an unknown fd is reported, not fatal).
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => sys::sys_epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, 0, 0),
-            Backend::Poll { fds, tokens } => {
-                if let Some(i) = fds.iter().position(|p| p.fd == fd) {
-                    fds.swap_remove(i);
-                    tokens.swap_remove(i);
-                    Ok(())
-                } else {
-                    Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-                }
-            }
-        }
+        sys::sys_epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Waits up to `timeout_ms` (`None` blocks) for readiness, clearing
     /// and refilling `events`. Returns the number of ready descriptors.
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: Option<i32>) -> io::Result<usize> {
         events.clear();
-        let timeout = timeout_ms.unwrap_or(-1);
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                let n = sys::sys_epoll_wait(*epfd, &mut self.scratch, timeout)?;
-                for ev in &self.scratch[..n] {
-                    let mask = ev.events;
-                    events.push(Event {
-                        token: Token(ev.u64),
-                        readable: mask & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLERR) != 0,
-                        writable: mask & sys::EPOLLOUT != 0,
-                        hangup: mask & (sys::EPOLLHUP | sys::EPOLLERR) != 0,
-                    });
-                }
-                Ok(n)
-            }
-            Backend::Poll { fds, tokens } => {
-                let n = sys::sys_poll(fds, timeout)?;
-                if n > 0 {
-                    for (p, &t) in fds.iter().zip(tokens.iter()) {
-                        if p.revents == 0 {
-                            continue;
-                        }
-                        events.push(Event {
-                            token: Token(t),
-                            readable: p.revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0,
-                            writable: p.revents & sys::POLLOUT != 0,
-                            hangup: p.revents & (sys::POLLHUP | sys::POLLERR) != 0,
-                        });
-                    }
-                }
-                Ok(n)
-            }
+        let n = sys::sys_epoll_wait(self.epfd, &mut self.scratch, timeout_ms.unwrap_or(-1))?;
+        for ev in &self.scratch[..n] {
+            let mask = ev.events;
+            events.push(Event {
+                token: Token(ev.u64),
+                readable: mask & (sys::EPOLLIN | sys::EPOLLHUP | sys::EPOLLERR) != 0,
+                writable: mask & sys::EPOLLOUT != 0,
+                hangup: mask & (sys::EPOLLHUP | sys::EPOLLERR) != 0,
+            });
         }
+        Ok(n)
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Backend::Epoll { epfd } = self.backend {
-            sys::sys_close(epfd);
-        }
+        sys::sys_close(self.epfd);
     }
 }
 
-#[cfg(target_os = "linux")]
 fn epoll_mask(interest: Interest) -> u32 {
     let mut m = 0;
     if interest.readable {
@@ -238,17 +141,6 @@ fn epoll_mask(interest: Interest) -> u32 {
     m
 }
 
-fn poll_mask(interest: Interest) -> i16 {
-    let mut m = 0;
-    if interest.readable {
-        m |= sys::POLLIN;
-    }
-    if interest.writable {
-        m |= sys::POLLOUT;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,58 +148,43 @@ mod tests {
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
 
-    fn kinds() -> Vec<PollerKind> {
-        #[cfg(target_os = "linux")]
-        {
-            vec![PollerKind::Epoll, PollerKind::Poll]
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            vec![PollerKind::Poll]
-        }
-    }
-
     #[test]
-    fn reports_readability_on_both_backends() {
-        for kind in kinds() {
-            let (mut a, b) = UnixStream::pair().unwrap();
-            b.set_nonblocking(true).unwrap();
-            let mut p = Poller::new(kind).unwrap();
-            p.register(b.as_raw_fd(), Token(7), Interest::READ).unwrap();
+    fn reports_readability_and_follows_interest_changes() {
+        let (mut a, b) = UnixStream::pair().unwrap();
+        b.set_nonblocking(true).unwrap();
+        let mut p = Poller::new(PollerKind::default()).unwrap();
+        p.register(b.as_raw_fd(), Token(7), Interest::READ).unwrap();
 
-            let mut events = Vec::new();
-            // Nothing ready yet: a zero-timeout wait returns empty.
-            assert_eq!(p.wait(&mut events, Some(0)).unwrap(), 0, "{kind:?}");
+        let mut events = Vec::new();
+        // Nothing ready yet: a zero-timeout wait returns empty.
+        assert_eq!(p.wait(&mut events, Some(0)).unwrap(), 0);
 
-            a.write_all(b"x").unwrap();
-            assert_eq!(p.wait(&mut events, Some(1000)).unwrap(), 1, "{kind:?}");
-            assert_eq!(events[0].token, Token(7));
-            assert!(events[0].readable && !events[0].writable);
+        a.write_all(b"x").unwrap();
+        assert_eq!(p.wait(&mut events, Some(1000)).unwrap(), 1);
+        assert_eq!(events[0].token, Token(7));
+        assert!(events[0].readable && !events[0].writable);
 
-            // Modify to write interest: a socket with buffer space is
-            // writable immediately.
-            p.modify(b.as_raw_fd(), Token(8), Interest::WRITE).unwrap();
-            assert_eq!(p.wait(&mut events, Some(1000)).unwrap(), 1, "{kind:?}");
-            assert_eq!(events[0].token, Token(8));
-            assert!(events[0].writable);
+        // Modify to write interest: a socket with buffer space is
+        // writable immediately.
+        p.modify(b.as_raw_fd(), Token(8), Interest::WRITE).unwrap();
+        assert_eq!(p.wait(&mut events, Some(1000)).unwrap(), 1);
+        assert_eq!(events[0].token, Token(8));
+        assert!(events[0].writable);
 
-            p.deregister(b.as_raw_fd()).unwrap();
-            assert_eq!(p.wait(&mut events, Some(0)).unwrap(), 0, "{kind:?}");
-        }
+        p.deregister(b.as_raw_fd()).unwrap();
+        assert_eq!(p.wait(&mut events, Some(0)).unwrap(), 0);
     }
 
     #[test]
     fn reports_hangup_when_peer_closes() {
-        for kind in kinds() {
-            let (a, b) = UnixStream::pair().unwrap();
-            b.set_nonblocking(true).unwrap();
-            let mut p = Poller::new(kind).unwrap();
-            p.register(b.as_raw_fd(), Token(1), Interest::READ).unwrap();
-            drop(a);
-            let mut events = Vec::new();
-            assert_eq!(p.wait(&mut events, Some(1000)).unwrap(), 1, "{kind:?}");
-            assert!(events[0].hangup, "{kind:?}: {:?}", events[0]);
-            assert!(events[0].readable, "owner must read the EOF");
-        }
+        let (a, b) = UnixStream::pair().unwrap();
+        b.set_nonblocking(true).unwrap();
+        let mut p = Poller::new(PollerKind::default()).unwrap();
+        p.register(b.as_raw_fd(), Token(1), Interest::READ).unwrap();
+        drop(a);
+        let mut events = Vec::new();
+        assert_eq!(p.wait(&mut events, Some(1000)).unwrap(), 1);
+        assert!(events[0].hangup, "{:?}", events[0]);
+        assert!(events[0].readable, "owner must read the EOF");
     }
 }

@@ -1,9 +1,9 @@
-//! Raw syscall surface of the reactor: `epoll`, `poll`, `eventfd`.
+//! Raw syscall surface of the reactor: `epoll`, `eventfd`.
 //!
 //! The build container has no crates.io access, so there is no `libc`
 //! crate to lean on; the reactor declares the handful of C functions it
 //! needs directly. Everything here is a thin `unsafe extern` shim plus
-//! the constants the two pollers use — all policy lives in
+//! the constants the poller uses — all policy lives in
 //! [`crate::poller`].
 
 #![allow(non_camel_case_types)]
@@ -11,31 +11,8 @@
 use std::io;
 use std::os::unix::io::RawFd;
 
-/// `struct pollfd` from `<poll.h>` (identical layout on every POSIX
-/// platform the workspace targets).
-#[repr(C)]
-#[derive(Clone, Copy, Debug)]
-pub struct pollfd {
-    /// File descriptor to watch.
-    pub fd: RawFd,
-    /// Requested events (`POLLIN` | `POLLOUT`).
-    pub events: i16,
-    /// Returned events.
-    pub revents: i16,
-}
-
-/// `POLLIN`.
-pub const POLLIN: i16 = 0x001;
-/// `POLLOUT`.
-pub const POLLOUT: i16 = 0x004;
-/// `POLLERR` (always reported, never requested).
-pub const POLLERR: i16 = 0x008;
-/// `POLLHUP` (always reported, never requested).
-pub const POLLHUP: i16 = 0x010;
-
 /// `struct epoll_event`. On x86-64 Linux the kernel ABI packs it; the
 /// attribute is correct (and harmless) on the other Linux targets too.
-#[cfg(target_os = "linux")]
 #[repr(C, packed)]
 #[derive(Clone, Copy, Debug)]
 pub struct epoll_event {
@@ -46,44 +23,30 @@ pub struct epoll_event {
 }
 
 /// `EPOLLIN`.
-#[cfg(target_os = "linux")]
 pub const EPOLLIN: u32 = 0x001;
 /// `EPOLLOUT`.
-#[cfg(target_os = "linux")]
 pub const EPOLLOUT: u32 = 0x004;
 /// `EPOLLERR`.
-#[cfg(target_os = "linux")]
 pub const EPOLLERR: u32 = 0x008;
 /// `EPOLLHUP`.
-#[cfg(target_os = "linux")]
 pub const EPOLLHUP: u32 = 0x010;
 /// `EPOLL_CTL_ADD`.
-#[cfg(target_os = "linux")]
 pub const EPOLL_CTL_ADD: i32 = 1;
 /// `EPOLL_CTL_DEL`.
-#[cfg(target_os = "linux")]
 pub const EPOLL_CTL_DEL: i32 = 2;
 /// `EPOLL_CTL_MOD`.
-#[cfg(target_os = "linux")]
 pub const EPOLL_CTL_MOD: i32 = 3;
 /// `EPOLL_CLOEXEC`.
-#[cfg(target_os = "linux")]
 pub const EPOLL_CLOEXEC: i32 = 0o2000000;
 
 /// `EFD_CLOEXEC | EFD_NONBLOCK` for [`eventfd`].
-#[cfg(target_os = "linux")]
 pub const EFD_CLOEXEC_NONBLOCK: i32 = 0o2000000 | 0o4000;
 
 extern "C" {
-    #[cfg(target_os = "linux")]
     fn epoll_create1(flags: i32) -> i32;
-    #[cfg(target_os = "linux")]
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut epoll_event) -> i32;
-    #[cfg(target_os = "linux")]
     fn epoll_wait(epfd: i32, events: *mut epoll_event, maxevents: i32, timeout: i32) -> i32;
-    #[cfg(target_os = "linux")]
     fn eventfd(initval: u32, flags: i32) -> i32;
-    fn poll(fds: *mut pollfd, nfds: u64, timeout: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
@@ -104,20 +67,17 @@ fn cvt(ret: i32) -> io::Result<i32> {
 }
 
 /// `epoll_create1(EPOLL_CLOEXEC)`.
-#[cfg(target_os = "linux")]
 pub fn sys_epoll_create() -> io::Result<RawFd> {
     cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })
 }
 
 /// `epoll_ctl`. `event` is ignored by the kernel for `EPOLL_CTL_DEL`.
-#[cfg(target_os = "linux")]
 pub fn sys_epoll_ctl(epfd: RawFd, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
     let mut ev = epoll_event { events, u64: token };
     cvt(unsafe { epoll_ctl(epfd, op, fd, &mut ev) }).map(|_| ())
 }
 
 /// `epoll_wait`, retried on `EINTR`. `timeout_ms` of `-1` blocks.
-#[cfg(target_os = "linux")]
 pub fn sys_epoll_wait(
     epfd: RawFd,
     events: &mut [epoll_event],
@@ -135,22 +95,7 @@ pub fn sys_epoll_wait(
     }
 }
 
-/// `poll(2)`, retried on `EINTR`. `timeout_ms` of `-1` blocks.
-pub fn sys_poll(fds: &mut [pollfd], timeout_ms: i32) -> io::Result<usize> {
-    loop {
-        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-        if n >= 0 {
-            return Ok(n as usize);
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    }
-}
-
 /// `eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)`.
-#[cfg(target_os = "linux")]
 pub fn sys_eventfd() -> io::Result<RawFd> {
     cvt(unsafe { eventfd(0, EFD_CLOEXEC_NONBLOCK) })
 }

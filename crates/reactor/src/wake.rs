@@ -4,8 +4,7 @@
 //! handing it work (another worker's mail, a client submission, the
 //! shutdown flag) must be able to interrupt that wait. A [`WakeFd`] is
 //! a descriptor registered with the worker's poller whose sole job is
-//! becoming readable on demand: `eventfd` on Linux (one fd, one
-//! counter), a nonblocking pipe elsewhere.
+//! becoming readable on demand: an `eventfd` (one fd, one counter).
 
 use crate::sys;
 use std::io;
@@ -14,53 +13,32 @@ use std::os::unix::io::RawFd;
 /// A level-triggered doorbell usable from any thread.
 #[derive(Debug)]
 pub struct WakeFd {
-    read_fd: RawFd,
-    #[cfg(not(target_os = "linux"))]
-    write_fd: RawFd,
+    fd: RawFd,
 }
-
-// The fds are used raw and never reborrowed as Rust IO objects;
-// concurrent `write(2)` (wake) and `read(2)` (drain) are exactly what
-// eventfd/pipes are specified for.
-unsafe impl Send for WakeFd {}
-unsafe impl Sync for WakeFd {}
 
 impl WakeFd {
     /// Opens the doorbell.
     pub fn new() -> io::Result<WakeFd> {
-        #[cfg(target_os = "linux")]
-        {
-            Ok(WakeFd {
-                read_fd: sys::sys_eventfd()?,
-            })
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            compile_error!("WakeFd: add a pipe-based fallback for this platform");
-        }
+        Ok(WakeFd {
+            fd: sys::sys_eventfd()?,
+        })
     }
 
     /// The descriptor to register for read interest.
     pub fn fd(&self) -> RawFd {
-        self.read_fd
+        self.fd
     }
 
-    /// Rings the doorbell. Safe from any thread; a full counter/pipe
-    /// (EAGAIN) already guarantees the sleeper will wake, so it is not
-    /// an error.
+    /// Rings the doorbell. Safe from any thread; a full counter (EAGAIN)
+    /// already guarantees the sleeper will wake, so it is not an error.
     pub fn wake(&self) {
-        let one = 1u64.to_ne_bytes();
-        #[cfg(target_os = "linux")]
-        let fd = self.read_fd;
-        #[cfg(not(target_os = "linux"))]
-        let fd = self.write_fd;
-        let _ = sys::sys_write(fd, &one);
+        let _ = sys::sys_write(self.fd, &1u64.to_ne_bytes());
     }
 
     /// Drains pending wakeups so the fd stops polling readable.
     pub fn drain(&self) {
         let mut buf = [0u8; 8];
-        while let Ok(n) = sys::sys_read(self.read_fd, &mut buf) {
+        while let Ok(n) = sys::sys_read(self.fd, &mut buf) {
             if n == 0 {
                 break;
             }
@@ -70,9 +48,7 @@ impl WakeFd {
 
 impl Drop for WakeFd {
     fn drop(&mut self) {
-        sys::sys_close(self.read_fd);
-        #[cfg(not(target_os = "linux"))]
-        sys::sys_close(self.write_fd);
+        sys::sys_close(self.fd);
     }
 }
 
