@@ -279,8 +279,8 @@ fn decisions_of(
                 commit_version,
             } = r
             {
-                if *t == txn {
-                    out.push((s, *decision, *commit_version, "durable"));
+                if t == txn {
+                    out.push((s, decision, commit_version, "durable"));
                 }
             }
         }
@@ -350,18 +350,18 @@ pub fn decision_stability() -> impl Fn(&ControlledHost<SiteNode>) -> Result<(), 
                         decision,
                         commit_version,
                     } => {
-                        if let Some(prev) = durable.insert(*txn, (*decision, *commit_version)) {
-                            if prev != (*decision, *commit_version) {
+                        if let Some(prev) = durable.insert(txn, (decision, commit_version)) {
+                            if prev != (decision, commit_version) {
                                 return Err(format!(
                                     "{s} logged conflicting decisions for {txn:?}: {prev:?} then {:?}",
-                                    (*decision, *commit_version)
+                                    (decision, commit_version)
                                 ));
                             }
                         }
                     }
                     LogRecord::XDecision { txn, decision, .. } => {
-                        if let Some(prev) = x_durable.insert(*txn, *decision) {
-                            if prev != *decision {
+                        if let Some(prev) = x_durable.insert(txn, decision) {
+                            if prev != decision {
                                 return Err(format!(
                                     "{s} logged conflicting X-decisions for {txn:?}: {prev:?} then {decision:?}"
                                 ));

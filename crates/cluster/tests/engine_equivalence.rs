@@ -20,8 +20,10 @@
 //! A second property aims a crash instead of scattering it: one
 //! transaction's coordinator dies a few ticks into its own commit
 //! (under group commit: between staging and forcing a record whose
-//! self-delivered consequence was already handled). It checks each
-//! engine on its own — quiescence, atomicity, no engine violation.
+//! self-delivered consequence was already handled), or right after its
+//! `VOTE-REQ`s left and before its start record was forced. It checks
+//! each engine on its own — quiescence, atomicity, no engine violation,
+//! and for the second point an Abort wherever the transaction is known.
 
 use proptest::prelude::*;
 use qbc_cluster::{ClusterConfig, SimCluster};
@@ -60,8 +62,22 @@ fn run_engine(
     run_engine_aimed(protocol, seed, group_commit, txns, crash, None)
 }
 
-/// [`run_engine`] plus an aimed crash `(k, after)`: the coordinator of
-/// transaction `k` (modulo the workload) dies `after` ticks into that
+/// Where an aimed crash lands in its transaction's commit.
+#[derive(Clone, Copy, Debug)]
+enum Aim {
+    /// This many ticks in.
+    After(u64),
+    /// One tick in, under group commit (window `T/2` = 5 ticks): after
+    /// the coordinator's `VOTE-REQ`s left, before its start record's
+    /// force. Only a plain 2PC coordinator, whose recovery presumes abort
+    /// from that record, still holds its requests for the force, and so
+    /// does a cross-shard parent for its `XStart`. Whoever learned of the
+    /// transaction must decide Abort: nothing of a commit was logged.
+    StartUnforced,
+}
+
+/// [`run_engine`] plus an aimed crash `(k, aim)`: the coordinator of
+/// transaction `k` (modulo the workload) dies where `aim` says in that
 /// transaction's commit and recovers like the scattered one.
 fn run_engine_aimed(
     protocol: ProtocolKind,
@@ -69,7 +85,7 @@ fn run_engine_aimed(
     group_commit: bool,
     txns: &[(bool, i64)],
     crash: Option<(u32, u64)>,
-    aimed: Option<(u64, u64)>,
+    aimed: Option<(u64, Aim)>,
 ) -> Option<BTreeMap<TxnId, Option<Decision>>> {
     let mut cfg = ClusterConfig {
         protocol,
@@ -92,11 +108,15 @@ fn run_engine_aimed(
         }
         handles.push(cluster.submit_at(Time(k as u64 * 45), WriteSet::new(pairs)));
     }
-    let aimed = aimed.map(|(k, after)| {
-        let h = handles[k as usize % handles.len()];
+    let aimed = aimed.map(|(k, aim)| (handles[k as usize % handles.len()], aim));
+    let aimed_crash = aimed.map(|(h, aim)| {
+        let after = match aim {
+            Aim::After(ticks) => ticks,
+            Aim::StartUnforced => 1,
+        };
         (h.coordinator.0, h.submitted_at.0 + after)
     });
-    for (site, at) in crash.into_iter().chain(aimed) {
+    for (site, at) in crash.into_iter().chain(aimed_crash) {
         cluster.sim_mut().schedule_crash(Time(at), SiteId(site));
         cluster
             .sim_mut()
@@ -120,6 +140,18 @@ fn run_engine_aimed(
         cluster.engine_violations().is_empty(),
         "{protocol:?}: engine violation (seed {seed})"
     );
+    if let Some((h, Aim::StartUnforced)) = aimed {
+        for (site, node) in cluster.sim().nodes() {
+            if node.local_state(h.txn).is_some() {
+                assert_eq!(
+                    node.decision(h.txn),
+                    Some(Decision::Abort),
+                    "{protocol:?}: {site} on {:?}, whose start record was lost (seed {seed})",
+                    h.txn
+                );
+            }
+        }
+    }
     let mut outcomes: BTreeMap<TxnId, Option<Decision>> = BTreeMap::new();
     for h in &handles {
         let mut decision = None;
@@ -137,6 +169,27 @@ fn run_engine_aimed(
         outcomes.insert(h.txn, decision);
     }
     Some(outcomes)
+}
+
+/// A case the aimed property found at `cases: 3000`: under Paxos Commit
+/// the coordinator s2 of tx3 dies before its start record's force, s0
+/// dies too, and s1 decides Abort alone meanwhile. s2 recovers knowing
+/// nothing; s0 recovers and runs a ballot whose 1a draws s2 in, in `q`,
+/// then adopts s1's decided answer and tells no one. s2's watchdog must
+/// end the wait with a veto, or the run never quiesces.
+#[test]
+fn a_paxos_site_drawn_into_a_ballot_it_never_voted_in_does_not_wait_forever() {
+    let txns = [(false, 700), (true, 596), (false, 552)];
+    let outcomes = run_engine_aimed(
+        ProtocolKind::PaxosCommit,
+        6879,
+        true,
+        &txns,
+        Some((0, 180)),
+        Some((2, Aim::StartUnforced)),
+    )
+    .expect("quiesces");
+    assert_eq!(outcomes[&TxnId(3)], Some(Decision::Abort));
 }
 
 proptest! {
@@ -199,7 +252,9 @@ proptest! {
     /// side of the victim's vote such a crash falls on differs by
     /// engine, so verdicts are not compared across engines here: each
     /// engine must quiesce, stay atomic and report no violation (the
-    /// last two asserted inside the run).
+    /// last two asserted inside the run). Half the cases aim instead at
+    /// [`Aim::StartUnforced`], where the survivors must also decide
+    /// Abort.
     #[test]
     fn a_coordinator_crash_inside_its_own_commit_stays_atomic_under_all_six_engines(
         seed in 0u64..10_000,
@@ -208,9 +263,13 @@ proptest! {
             2..=6,
         ),
         crash in proptest::option::of((0u32..6u32, 20u64..350u64)),
-        aimed in (0u64..6u64, 0u64..60u64),
+        aimed in (
+            0u64..6u64,
+            prop_oneof![(0u64..60u64).prop_map(Aim::After), Just(Aim::StartUnforced)],
+        ),
         group_commit in proptest::bool::ANY,
     ) {
+        let group_commit = group_commit || matches!(aimed.1, Aim::StartUnforced);
         for protocol in ENGINES {
             let outcomes =
                 run_engine_aimed(protocol, seed, group_commit, &txns, crash, Some(aimed));

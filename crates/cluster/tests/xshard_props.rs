@@ -99,10 +99,10 @@ proptest! {
         prop_assert_eq!(metrics.total_undecided(), 0);
 
         // (b) WAL replay after volatile loss matches the outcome:
-        // `log_records()` iterates durable records only, exactly what a
-        // crash at this instant would preserve.
+        // `log_records()` reads back durable records only, exactly what
+        // a crash at this instant would preserve.
         for (site, node) in cluster.sim().nodes() {
-            let recovered = recover_state(node.log_records());
+            let recovered = recover_state(&node.log_records().collect::<Vec<_>>());
             for (txn, rec) in recovered {
                 let wal_decision = match rec.state {
                     LocalState::Committed => Some(Decision::Commit),

@@ -153,21 +153,32 @@ impl Coordinator {
         self.commit_version
     }
 
-    /// Kicks off phase 1: durably record coordinatorship, distribute the
-    /// spec (update values included) and wait `2T` for votes. Actions
-    /// are appended to the caller's scratch buffer (as everywhere on
-    /// this engine: no per-event allocation in steady state).
+    /// Kicks off phase 1: distribute the spec (update values included),
+    /// log coordinatorship and wait `2T` for votes. Actions are appended
+    /// to the caller's scratch buffer (as everywhere on this engine: no
+    /// per-event allocation in steady state).
+    ///
+    /// The `VOTE-REQ` goes first unless recovery presumes abort from the
+    /// start record ([`TxnSpec::coordinator_presumes_abort`]): with no
+    /// record of its transaction staged ahead of it, the request leaves
+    /// at once instead of waiting for a force no recovery reads, and the
+    /// start record shares the next force with the votes.
     pub fn start(&mut self, out: &mut Vec<Action>) {
         let everyone: Vec<SiteId> = self.spec.participants.iter().copied().collect();
-        out.push(Action::Log(LogRecord::CoordinatorStart {
-            spec: Arc::clone(&self.spec),
-        }));
-        out.push(Action::Broadcast(
+        let vote_req = Action::Broadcast(
             everyone,
             Msg::VoteReq {
                 spec: Arc::clone(&self.spec),
             },
-        ));
+        );
+        let log = Action::Log(LogRecord::CoordinatorStart {
+            spec: Arc::clone(&self.spec),
+        });
+        if self.spec.coordinator_presumes_abort() {
+            out.extend([log, vote_req]);
+        } else {
+            out.extend([vote_req, log]);
+        }
         out.push(Action::SetTimer(TimerKind::VoteCollection {
             txn: self.spec.id,
         }));
@@ -581,6 +592,40 @@ mod tests {
         ));
         assert_eq!(c.phase(), CoordPhase::Decided(Decision::Commit));
         assert_eq!(c.commit_version(), Some(Version(1)));
+    }
+
+    #[test]
+    fn only_a_presumed_abort_coordinator_logs_its_start_before_asking() {
+        let sv = SiteVotes::uniform((1..=8).map(SiteId), 5, 4);
+        for protocol in [
+            ProtocolKind::TwoPhase,
+            ProtocolKind::ThreePhase,
+            ProtocolKind::SkeenQuorum,
+            ProtocolKind::QuorumCommit1,
+            ProtocolKind::QuorumCommit2,
+        ] {
+            for parent in [None, Some(SiteId(5))] {
+                let spec = TxnSpec {
+                    parent,
+                    ..(*spec(protocol)).clone()
+                };
+                let presumes = spec.coordinator_presumes_abort();
+                assert_eq!(
+                    presumes,
+                    protocol == ProtocolKind::TwoPhase && parent.is_none()
+                );
+                let start = Coordinator::new(Arc::new(spec), Some(sv.clone())).start_v();
+                let (first, second) = (&start[0], &start[1]);
+                let logged =
+                    |a: &Action| matches!(a, Action::Log(LogRecord::CoordinatorStart { .. }));
+                let asked = |a: &Action| matches!(a, Action::Broadcast(_, Msg::VoteReq { .. }));
+                if presumes {
+                    assert!(logged(first) && asked(second), "{protocol:?}");
+                } else {
+                    assert!(asked(first) && logged(second), "{protocol:?} {parent:?}");
+                }
+            }
+        }
     }
 
     #[test]

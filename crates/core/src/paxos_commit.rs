@@ -168,15 +168,17 @@ impl PaxosLeader {
     pub fn start(&mut self, out: &mut Vec<Action>) {
         match self.phase {
             PaxosPhase::SolicitingVotes => {
-                out.push(Action::Log(LogRecord::CoordinatorStart {
-                    spec: Arc::clone(&self.spec),
-                }));
+                // Broadcast first: no recovery presumes anything from
+                // the start record (see `Coordinator::start`).
                 out.push(Action::Broadcast(
                     self.everyone(),
                     Msg::VoteReq {
                         spec: Arc::clone(&self.spec),
                     },
                 ));
+                out.push(Action::Log(LogRecord::CoordinatorStart {
+                    spec: Arc::clone(&self.spec),
+                }));
                 out.push(Action::SetTimer(TimerKind::VoteCollection {
                     txn: self.spec.id,
                 }));
@@ -780,13 +782,14 @@ mod tests {
     fn happy_path_commits_at_acceptor_majority() {
         let mut l = PaxosLeader::new(spec());
         let start = l.start_v();
+        // The requests lead: no recovery reads the start record.
         assert!(matches!(
             start[0],
-            Action::Log(LogRecord::CoordinatorStart { .. })
+            Action::Broadcast(_, Msg::VoteReq { .. })
         ));
         assert!(matches!(
             start[1],
-            Action::Broadcast(_, Msg::VoteReq { .. })
+            Action::Log(LogRecord::CoordinatorStart { .. })
         ));
         // All yes → the 2a batch goes out, nothing is decided yet.
         let actions = all_yes(&mut l);

@@ -252,6 +252,17 @@ impl TxnSpec {
         self.parent.is_some()
     }
 
+    /// True when a recovered coordinator presumes abort from its
+    /// [`LogRecord::CoordinatorStart`](crate::LogRecord::CoordinatorStart)
+    /// alone: plain 2PC, whose commit point is the coordinator's own
+    /// `Decided` record, so a durable start without one proves no commit
+    /// was sent. Only then must that record be durable before any
+    /// `VOTE-REQ` leaves. Every other engine — and a 2PC branch, whose
+    /// commit point lives at the parent — recovers without reading it.
+    pub fn coordinator_presumes_abort(&self) -> bool {
+        self.protocol == ProtocolKind::TwoPhase && self.parent.is_none()
+    }
+
     /// The items of `W(TR)`.
     pub fn writeset_items(&self) -> Vec<ItemId> {
         self.writeset.items().collect()

@@ -353,11 +353,19 @@ impl DurableLog {
     /// pending log. Log content is state (recovery replays it), and
     /// per-site record order is fixed by the site's own event order, so
     /// hashing it does not break cross-site delivery commutation.
+    ///
+    /// The in-memory log is hashed in place: the model checker
+    /// fingerprints every state it explores, and a read-back would copy
+    /// the whole log each time.
     pub(crate) fn fingerprint_durable(&self, s: &mut String) {
         use std::fmt::Write as _;
         let _ = write!(s, "|wal@{:?}", self.wal.start_lsn());
-        for r in self.wal.records() {
+        let mut hash = |r: &LogRecord| {
             let _ = write!(s, "{r:?};");
+        };
+        match &self.wal {
+            EitherWal::Mem(wal) => wal.replay().for_each(|(_, r)| hash(r)),
+            EitherWal::File(wal) => wal.records().iter().for_each(hash),
         }
         let _ = write!(s, "|pend{}", self.wal.pending_len());
     }

@@ -575,9 +575,9 @@ impl SiteNode {
         wm
     }
 
-    /// Read-only access to the durable log (for experiments and tests).
-    pub fn log_records(&self) -> impl Iterator<Item = &LogRecord> + '_ {
-        self.log.wal().replay().map(|(_, r)| r)
+    /// The durable log, read back (for experiments and tests).
+    pub fn log_records(&self) -> impl Iterator<Item = LogRecord> {
+        self.log.wal().records().into_iter()
     }
 
     /// The largest transaction id with any durable trace at this site —
@@ -2548,21 +2548,22 @@ impl Process for SiteNode {
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
+        // The log is read back once; every pass below walks this copy.
+        let log: Vec<(Lsn, LogRecord)> = self.log.wal().replay().collect();
+        let records = || log.iter().map(|(_, r)| r);
         // Checkpoint outcomes first: they stand in for truncated
         // per-transaction records, so the retired maps must answer
         // before the replay passes decide what to resurrect.
-        let (ck_retired, ck_xretired, ck_items) = match last_checkpoint(self.log_records()) {
-            Some((r, x, i)) => (r.to_vec(), x.to_vec(), i.to_vec()),
-            None => (Vec::new(), Vec::new(), Vec::new()),
-        };
+        let (ck_retired, ck_xretired, ck_items) =
+            last_checkpoint(records()).unwrap_or((&[], &[], &[]));
         // Item snapshot before the replay passes: suffix records carry
         // only post-checkpoint updates. Chain installation is additive
         // and idempotent, so never-written copies (snapshot at the
         // initial version) fall through to the load-time value
         // harmlessly.
         for (item, chain) in ck_items {
-            if self.items.read(item).is_some() {
-                self.items.install_chain(item, &chain);
+            if self.items.read(*item).is_some() {
+                self.items.install_chain(*item, chain);
             }
         }
         for o in ck_retired {
@@ -2591,8 +2592,8 @@ impl Process for SiteNode {
                     decision: o.decision,
                     branches: o
                         .branches
-                        .into_iter()
-                        .map(|(c, p, v)| (c, p.into_iter().collect(), v))
+                        .iter()
+                        .map(|(c, p, v)| (*c, p.iter().copied().collect(), *v))
                         .collect(),
                 },
             );
@@ -2600,15 +2601,15 @@ impl Process for SiteNode {
         // Rebuild the truncation bookkeeping from the durable log: the
         // first retained LSN per transaction, and the log end as of the
         // newest checkpoint.
-        for (lsn, rec) in self.log.wal().replay() {
+        for (lsn, rec) in &log {
             match rec.txn() {
                 Some(t) => {
-                    self.first_lsn.entry(t).or_insert(lsn);
+                    self.first_lsn.entry(t).or_insert(*lsn);
                 }
                 None => self.last_checkpoint_end = Lsn(lsn.0 + 1),
             }
         }
-        let recovered = recover_state(self.log.wal().replay().map(|(_, r)| r));
+        let recovered = recover_state(records());
         let site = self.cfg.site;
         let faulty = self.cfg.faulty;
         for (txn, rec) in recovered {
@@ -2696,8 +2697,7 @@ impl Process for SiteNode {
             }
             let targets: Vec<SiteId> = st.spec.participants.iter().copied().collect();
             let is_participant = st.spec.participants.contains(&site);
-            let protocol = st.spec.protocol;
-            let is_branch = st.spec.parent.is_some();
+            let presumes_abort = st.spec.coordinator_presumes_abort();
             let commit_version = st.participant.commit_version();
             match st.decided {
                 // Re-announce a decision that may never have left this
@@ -2725,8 +2725,10 @@ impl Process for SiteNode {
                 // protocol: its commit point lives at the parent, which
                 // may already have counted this shard's yes vote. A
                 // recovered branch rejoins and rediscovers the outcome
-                // (the watchdog armed above drives the asks).
-                None if protocol == ProtocolKind::TwoPhase && !is_branch => {
+                // (the watchdog armed above drives the asks). The same
+                // predicate is why only this coordinator forces its start
+                // record before asking for votes.
+                None if presumes_abort => {
                     // Through the configured force policy, so recovery
                     // pays the same device costs as normal operation and
                     // the abort broadcasts below wait for the force.
@@ -2764,7 +2766,7 @@ impl Process for SiteNode {
         // undecided XStart is presumed aborted — no durable XDecision
         // proves no commit X-DECIDE ever left this site — and a decided
         // one is re-announced to every branch coordinator.
-        let xrecovered = recover_xstate(self.log.wal().replay().map(|(_, r)| r));
+        let xrecovered = recover_xstate(records());
         for (txn, rec) in xrecovered {
             if self.xretired.contains_key(&txn) {
                 // Retired into the checkpoint: the compact record keeps
@@ -2788,7 +2790,7 @@ impl Process for SiteNode {
         // records reconstruct exactly what this acceptor may still be
         // held to by a recovery candidate. Decided or retired
         // transactions answer with the outcome instead.
-        for (txn, rec) in recover_paxos(self.log.wal().replay().map(|(_, r)| r)) {
+        for (txn, rec) in recover_paxos(records()) {
             if self.retired.contains_key(&txn) {
                 continue;
             }
@@ -2844,7 +2846,23 @@ impl SiteNode {
         let (expired, orphan_discovery) = {
             let st = self.txns.get_mut(&txn).expect("checked above");
             if now.since(st.last_coord_contact) >= watchdog {
-                st.participant.on_coordinator_silent(&mut actions);
+                if st.spec.protocol == ProtocolKind::PaxosCommit
+                    && st.participant.state() == LocalState::Initial
+                    && st.spec.participants.contains(&site)
+                {
+                    // A Paxos copy holder still in `q` was drawn in by a
+                    // candidate's 1a (the quorum engines' `STATE-REQ`
+                    // vetoes on arrival instead). It never voted: its
+                    // vote cannot leave before its `Voted` record is
+                    // forced, so no commit can count on it. Waiting could
+                    // be forever — a candidate that adopts a decided
+                    // peer's answer tells no one, and a coordinator that
+                    // lost its unforced start record knows nothing of the
+                    // transaction — so it vetoes.
+                    st.participant.veto_abort(&mut actions);
+                } else {
+                    st.participant.on_coordinator_silent(&mut actions);
+                }
                 // A held branch coordinator that holds no copies has
                 // a participant still in `q` (which stays quiet):
                 // it must still discover the cross-shard outcome —

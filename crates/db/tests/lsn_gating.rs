@@ -114,7 +114,7 @@ impl Site {
     }
 
     fn durable(&self) -> Vec<LogRecord> {
-        self.node().log_records().cloned().collect()
+        self.node().log_records().collect()
     }
 
     /// Drains what the site has told its front door since the last call.
@@ -143,8 +143,8 @@ fn yes(txn: TxnId) -> Msg {
     }
 }
 
-/// s0 coordinates T1 on `x`; returns once its `VoteReq`s are on the wire
-/// (so T1's `CoordinatorStart` and `Voted` records are durable). The
+/// s0 coordinates T1 on `x`; returns once T1's `CoordinatorStart` and
+/// `Voted` records are durable (its `VoteReq`s left with the begin). The
 /// returned time is the first tick after that.
 fn t1_soliciting(s: &mut Site) -> u64 {
     s.begin(0, T1, X);
@@ -230,25 +230,52 @@ fn vote_waits_for_voted_and_dies_with_it(latency: u64) {
 /// (c) Self-addressed `VoteReq`, `PrepareCommit` and `Commit` are handled
 /// before any flush — the coordinator counts its own vote and ack — and
 /// the `Apply` the self-delivered `Commit` triggers still waits, with
-/// the remote `Commit`s, for the decision record.
+/// the remote `Commit`s, for the decision record. No recovery under QC2
+/// reads `CoordinatorStart`, so the `VoteReq`s leave in the tick the
+/// begin arrives, ahead of it; the `PrepareCommit`s wait for it and for
+/// the coordinator's own `Voted`, which share one force.
 fn self_delivery_is_immediate_and_its_apply_still_waits(latency: u64) {
     let mut s = Site::new(latency);
     s.begin(0, T1, X);
-    assert_eq!(s.sent(), vec![], "VoteReqs wait for CoordinatorStart");
+    assert_eq!(
+        s.sent(),
+        vec![(S1, "VOTE-REQ"), (S2, "VOTE-REQ")],
+        "nothing of T1 is staged ahead of its VoteReqs"
+    );
     assert_eq!(
         s.node().local_state(T1),
         Some(LocalState::Wait),
         "the self-addressed VoteReq was handled before the flush"
     );
     assert!(s.durable().is_empty());
+    s.deliver(0, S1, yes(T1));
+    s.deliver(0, S2, yes(T1));
+    assert_eq!(
+        s.node().local_state(T1),
+        Some(LocalState::PreCommit),
+        "every vote is in: the self-addressed PrepareCommit was handled"
+    );
+    s.tick(WINDOW + latency - 1);
+    assert_eq!(
+        s.sent(),
+        vec![],
+        "PrepareCommits wait for the staged records"
+    );
     s.tick(WINDOW + latency);
-    assert_eq!(s.sent(), vec![(S1, "VOTE-REQ"), (S2, "VOTE-REQ")]);
+    assert_eq!(
+        s.sent(),
+        vec![(S1, "PREPARE-TO-COMMIT"), (S2, "PREPARE-TO-COMMIT")]
+    );
+    assert!(matches!(
+        s.durable()[..],
+        [
+            LogRecord::CoordinatorStart { .. },
+            LogRecord::Voted { .. },
+            LogRecord::PreCommit { .. }
+        ]
+    ));
 
     let now = WINDOW + latency + 1;
-    s.deliver(now, S1, yes(T1));
-    s.deliver(now, S2, yes(T1));
-    s.sent();
-    assert_eq!(s.node().local_state(T1), Some(LocalState::PreCommit));
     // s0's own ack (counted while its PreCommit record is only staged)
     // plus s1's reach w(x) = 2: the commit point.
     s.deliver(now, S1, Msg::PcAck { txn: T1 });
@@ -265,6 +292,25 @@ fn self_delivery_is_immediate_and_its_apply_still_waits(latency: u64) {
     assert_eq!(s.node().decision(T1), Some(Decision::Commit));
     assert_eq!(s.node().item_value(X), Some((Version(1), 7)));
     assert!(!s.node().is_item_locked(X));
+}
+
+/// (c) under 2PC: a recovered coordinator presumes abort from its
+/// `CoordinatorStart`, so the record is forced before any `VoteReq`
+/// leaves — with the coordinator's own `Voted`, staged meanwhile by the
+/// self-addressed request, in the same force.
+fn two_pc_vote_reqs_wait_for_coordinator_start(latency: u64) {
+    let mut s = Site::new(latency);
+    s.begin_under(0, T1, X, ProtocolKind::TwoPhase);
+    assert_eq!(s.sent(), vec![], "VoteReqs wait for CoordinatorStart");
+    assert_eq!(s.node().local_state(T1), Some(LocalState::Wait));
+    s.tick(WINDOW + latency - 1);
+    assert_eq!(s.sent(), vec![]);
+    s.tick(WINDOW + latency);
+    assert_eq!(s.sent(), vec![(S1, "VOTE-REQ"), (S2, "VOTE-REQ")]);
+    assert!(matches!(
+        s.durable()[..],
+        [LogRecord::CoordinatorStart { .. }, LogRecord::Voted { .. }]
+    ));
 }
 
 /// Drives s0, coordinating T1 on `z` (copies at s1 and s2 only), to its
@@ -333,7 +379,7 @@ fn copyless_coordinator_tells_the_client_after_the_force(latency: u64, protocol:
         events.iter().all(|e| e.decision == Decision::Abort),
         "the lost commit was never told: {events:?}"
     );
-    let committed = |r: &LogRecord| {
+    let committed = |r: LogRecord| {
         matches!(
             r,
             LogRecord::Decided {
@@ -410,6 +456,16 @@ fn self_delivery_is_immediate_and_its_apply_still_waits_instant_device() {
 #[test]
 fn self_delivery_is_immediate_and_its_apply_still_waits_inflight_force() {
     self_delivery_is_immediate_and_its_apply_still_waits(2);
+}
+
+#[test]
+fn two_pc_vote_reqs_wait_for_coordinator_start_instant_device() {
+    two_pc_vote_reqs_wait_for_coordinator_start(0);
+}
+
+#[test]
+fn two_pc_vote_reqs_wait_for_coordinator_start_inflight_force() {
+    two_pc_vote_reqs_wait_for_coordinator_start(2);
 }
 
 #[test]

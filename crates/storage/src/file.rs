@@ -32,9 +32,11 @@
 //!   entirely below the cutoff (whole-segment granularity: the backend
 //!   may retain slightly more than asked, never less).
 //!
-//! The retained durable records are mirrored in memory (like the
-//! in-memory model, which the simulator's recovery path reads), so
-//! replay never re-reads the disk after open.
+//! Only counters stay in memory — the first retained LSN and the
+//! durable record count — plus the staged batch. Open decodes every
+//! frame to verify it but keeps none; [`WalBackend::records`] reads the
+//! segments back with the same scanner, so memory does not grow with
+//! the log.
 
 use crate::codec::WalCodec;
 use crate::wal::{Lsn, WalBackend};
@@ -225,10 +227,10 @@ pub struct FileWal<R> {
     /// The segment new frames go to (`None` until the first force after
     /// open-empty or a seal).
     active: Option<Active>,
-    /// LSN of `records[0]`.
+    /// LSN of the oldest retained durable record.
     start: u64,
-    /// Retained durable records (in-memory mirror of the segments).
-    records: Vec<R>,
+    /// Number of retained durable records (they live only on disk).
+    len: u64,
     /// Buffered records: staged for the next force, lost on crash.
     pending: Vec<R>,
     /// Reused frame-encoding buffer.
@@ -237,9 +239,10 @@ pub struct FileWal<R> {
 }
 
 impl<R: WalCodec> FileWal<R> {
-    /// Opens (or creates) the log at `cfg.dir`, scanning every segment,
-    /// repairing a torn tail, and mirroring the retained records in
-    /// memory. Fails on I/O errors or non-tail damage.
+    /// Opens (or creates) the log at `cfg.dir`, scanning every segment
+    /// (each frame's checksum verified and its payload decoded) and
+    /// repairing a torn tail. Only the record count is kept. Fails on
+    /// I/O errors or non-tail damage.
     pub fn open(cfg: FileWalConfig) -> Result<Self, WalError> {
         fs::create_dir_all(&cfg.dir)?;
         let mut firsts: Vec<u64> = Vec::new();
@@ -266,7 +269,7 @@ impl<R: WalCodec> FileWal<R> {
             cfg,
             sealed: Vec::new(),
             active: None,
-            records: Vec::new(),
+            len: 0,
             pending: Vec::new(),
             scratch: Vec::new(),
             forces: 0,
@@ -282,8 +285,10 @@ impl<R: WalCodec> FileWal<R> {
                 });
             }
             let is_last = i + 1 == firsts.len();
-            let bytes = wal.scan_segment(&path, is_last)?;
-            expected = wal.start + wal.records.len() as u64;
+            let mut n = 0u64;
+            let bytes = wal.scan_segment(&path, is_last, |_| n += 1)?;
+            wal.len += n;
+            expected = wal.start + wal.len;
             if is_last {
                 let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
                 file.seek(SeekFrom::Start(bytes))?;
@@ -302,10 +307,15 @@ impl<R: WalCodec> FileWal<R> {
         self.cfg.dir.join(format!("wal-{first:016x}.seg"))
     }
 
-    /// Reads one segment into the mirror. Every force ends with a
-    /// boundary marker, so the markers partition a segment into
-    /// acknowledged batches plus (possibly) one unmarked tail that no
-    /// caller was ever acknowledged for.
+    /// Reads one segment, checking every frame's checksum and decoding
+    /// its payload, and hands each retained record to `visit` in log
+    /// order. Every force ends with a boundary marker, so the markers
+    /// partition a segment into acknowledged batches plus (possibly) one
+    /// unmarked tail that no caller was ever acknowledged for; a batch
+    /// is handed over once its marker is read. `open` counts the
+    /// records; [`WalBackend::records`] collects them, scanning every
+    /// segment as non-last (a running log's segments all end at a
+    /// marker, so any damage there is corruption, never a tail to cut).
     ///
     /// Damage rules, in order of what a bad frame can mean:
     ///
@@ -324,13 +334,19 @@ impl<R: WalCodec> FileWal<R> {
     ///   unacknowledged).
     ///
     /// Returns the retained byte length.
-    fn scan_segment(&mut self, path: &Path, is_last: bool) -> Result<u64, WalError> {
+    fn scan_segment(
+        &self,
+        path: &Path,
+        is_last: bool,
+        mut visit: impl FnMut(R),
+    ) -> Result<u64, WalError> {
         let data = fs::read(path)?;
         let mut pos = 0usize;
         // End of the most recent intact marker: everything at or below
         // this is acknowledged.
         let mut acked_bytes = 0usize;
-        let mut acked_records = self.records.len();
+        // Decoded records the next marker acknowledges.
+        let mut batch: Vec<R> = Vec::new();
         let corrupt = |reason: String| WalError::Corrupt {
             segment: path.to_path_buf(),
             reason,
@@ -354,7 +370,7 @@ impl<R: WalCodec> FileWal<R> {
                 }
                 pos += MARKER_SIZE;
                 acked_bytes = pos;
-                acked_records = self.records.len();
+                batch.drain(..).for_each(&mut visit);
                 continue;
             }
             let body = pos + FRAME_HEADER;
@@ -368,7 +384,7 @@ impl<R: WalCodec> FileWal<R> {
             }
             let rec = R::decode(payload)
                 .ok_or_else(|| corrupt(format!("payload does not decode at offset {pos}")))?;
-            self.records.push(rec);
+            batch.push(rec);
             pos = body + len;
         };
         let Some(reason) = bad else {
@@ -377,7 +393,6 @@ impl<R: WalCodec> FileWal<R> {
                 // persisted an exact prefix of a batch whose force
                 // never returned. Unacknowledged, so dropped — "survives
                 // open" means exactly "was acknowledged".
-                self.records.truncate(acked_records);
                 let file = OpenOptions::new().write(true).open(path)?;
                 file.set_len(acked_bytes as u64)?;
                 if self.cfg.fsync {
@@ -385,6 +400,9 @@ impl<R: WalCodec> FileWal<R> {
                 }
                 return Ok(acked_bytes as u64);
             }
+            // Only a sealed segment gets here with frames past its last
+            // marker, and keeps them: a completed force sealed it.
+            batch.into_iter().for_each(visit);
             return Ok(pos as u64);
         };
         if !is_last {
@@ -397,9 +415,9 @@ impl<R: WalCodec> FileWal<R> {
             )));
         }
         // Torn tail: roll back to the last acknowledged force boundary.
-        // The dropped records were never acknowledged (their force
-        // never returned), so losing them is exactly `lose_volatile`.
-        self.records.truncate(acked_records);
+        // The dropped records (still in `batch`) were never acknowledged
+        // (their force never returned), so losing them is exactly
+        // `lose_volatile`.
         let file = OpenOptions::new().write(true).open(path)?;
         file.set_len(acked_bytes as u64)?;
         if self.cfg.fsync {
@@ -440,7 +458,7 @@ impl<R: WalCodec> FileWal<R> {
             return Ok(0);
         }
         if self.active.is_none() {
-            let first = self.start + self.records.len() as u64;
+            let first = self.start + self.len;
             let path = self.segment_path(first);
             let file = OpenOptions::new()
                 .create_new(true)
@@ -475,7 +493,8 @@ impl<R: WalCodec> FileWal<R> {
             active.file.sync_data()?;
         }
         active.bytes += self.scratch.len() as u64;
-        self.records.append(&mut self.pending);
+        self.len += n as u64;
+        self.pending.clear();
         self.forces += 1;
         self.maybe_seal()?;
         Ok(n)
@@ -502,7 +521,7 @@ impl<R: WalCodec> FileWal<R> {
                 .get(i + 1)
                 .map(|s| s.first)
                 .or_else(|| self.active.as_ref().map(|a| a.first))
-                .unwrap_or(self.start + self.records.len() as u64);
+                .unwrap_or(self.start + self.len);
             if end <= cutoff.0 {
                 removed = i + 1;
             } else {
@@ -517,15 +536,33 @@ impl<R: WalCodec> FileWal<R> {
             .get(removed)
             .map(|s| s.first)
             .or_else(|| self.active.as_ref().map(|a| a.first))
-            .unwrap_or(self.start + self.records.len() as u64);
+            .unwrap_or(self.start + self.len);
         let dropped: Vec<Sealed> = self.sealed.drain(..removed).collect();
         for seg in dropped {
             fs::remove_file(self.segment_path(seg.first))?;
         }
         self.sync_dir()?;
-        self.records.drain(..(new_start - self.start) as usize);
+        self.len -= new_start - self.start;
         self.start = new_start;
         Ok(())
+    }
+
+    /// Reads the retained durable records back from the segments, in
+    /// log order (see [`WalBackend::records`], which panics on the
+    /// error).
+    fn try_records(&self) -> Result<Vec<R>, WalError> {
+        let mut out = Vec::with_capacity(self.len as usize);
+        let firsts = self.sealed.iter().map(|s| s.first);
+        for first in firsts.chain(self.active.as_ref().map(|a| a.first)) {
+            self.scan_segment(&self.segment_path(first), false, |r| out.push(r))?;
+        }
+        if out.len() as u64 != self.len {
+            return Err(WalError::Corrupt {
+                segment: self.cfg.dir.clone(),
+                reason: format!("{} records on disk, {} durable", out.len(), self.len),
+            });
+        }
+        Ok(out)
     }
 
     /// The log directory.
@@ -541,7 +578,7 @@ impl<R: WalCodec> FileWal<R> {
 
 impl<R: WalCodec> WalBackend<R> for FileWal<R> {
     fn buffer(&mut self, record: R) -> Lsn {
-        let lsn = Lsn(self.start + (self.records.len() + self.pending.len()) as u64);
+        let lsn = Lsn(self.start + self.len + self.pending.len() as u64);
         self.pending.push(record);
         lsn
     }
@@ -567,8 +604,13 @@ impl<R: WalCodec> WalBackend<R> for FileWal<R> {
         Lsn(self.start)
     }
 
-    fn records(&self) -> &[R] {
-        &self.records
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn records(&self) -> Vec<R> {
+        self.try_records()
+            .unwrap_or_else(|e| panic!("WAL read-back failed: {e}"))
     }
 
     fn truncate_before(&mut self, cutoff: Lsn) {
@@ -654,7 +696,14 @@ impl<R: Clone + WalCodec> WalBackend<R> for EitherWal<R> {
         }
     }
 
-    fn records(&self) -> &[R] {
+    fn len(&self) -> usize {
+        match self {
+            EitherWal::Mem(w) => WalBackend::len(w),
+            EitherWal::File(w) => WalBackend::len(w),
+        }
+    }
+
+    fn records(&self) -> Vec<R> {
         match self {
             EitherWal::Mem(w) => WalBackend::records(w),
             EitherWal::File(w) => WalBackend::records(w),
@@ -687,6 +736,16 @@ mod tests {
         FileWalConfig::new(dir.path()).without_fsync()
     }
 
+    /// Everything a replay of `wal` returns, read back from its segments.
+    fn replayed(wal: &FileWal<u64>) -> Vec<(Lsn, u64)> {
+        wal.replay().collect()
+    }
+
+    /// `records` at consecutive LSNs from `first`: an expected replay.
+    fn from(first: u64, records: impl IntoIterator<Item = u64>) -> Vec<(Lsn, u64)> {
+        (first..).map(Lsn).zip(records).collect()
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The classic IEEE check value.
@@ -705,8 +764,8 @@ mod tests {
             // Buffered but never forced: must not survive.
         }
         let wal: FileWal<u64> = FileWal::open(cfg(&dir)).unwrap();
-        assert_eq!(wal.records(), &[10, 20]);
-        assert_eq!(wal.start_lsn(), Lsn(0));
+        assert_eq!(replayed(&wal), from(0, [10, 20]));
+        assert_eq!(wal.len(), 2);
     }
 
     #[test]
@@ -718,8 +777,9 @@ mod tests {
         }
         assert_eq!(WalBackend::force(&mut wal), 10);
         assert_eq!(wal.forces(), 1);
+        assert_eq!(replayed(&wal), from(0, 0..10));
         let reopened: FileWal<u64> = FileWal::open(cfg(&dir)).unwrap();
-        assert_eq!(reopened.records(), (0..10).collect::<Vec<_>>().as_slice());
+        assert_eq!(replayed(&reopened), from(0, 0..10));
     }
 
     #[test]
@@ -735,15 +795,14 @@ mod tests {
         assert!(wal.storage_bytes() < before, "truncation frees bytes");
         // Whole-segment granularity: everything >= 30 retained, start
         // may be earlier but never later.
-        assert!(wal.start_lsn() <= Lsn(30));
-        assert_eq!(*wal.records().last().unwrap(), 39);
-        assert_eq!(wal.get(Lsn(39)), Some(&39));
+        let start = wal.start_lsn().0;
+        assert!(start <= 30);
+        assert!(start > 0, "whole sealed segments were dropped");
+        assert_eq!(replayed(&wal), from(start, start..40));
         // LSNs stay stable across reopen after truncation.
         drop(wal);
         let wal: FileWal<u64> = FileWal::open(cfg(&dir).with_segment_bytes(64)).unwrap();
-        assert!(wal.start_lsn() <= Lsn(30));
-        assert_eq!(wal.get(Lsn(39)), Some(&39));
-        assert_eq!(wal.get(Lsn(0)), None);
+        assert_eq!(replayed(&wal), from(start, start..40));
     }
 
     #[test]
@@ -760,12 +819,17 @@ mod tests {
         f.write_all(&[5, 0, 0, 0, 0xAA]).unwrap(); // len=5, partial crc
         drop(f);
         let mut wal: FileWal<u64> = FileWal::open(cfg(&dir)).unwrap();
-        assert_eq!(wal.records(), &[1, 2], "whole frames survive the tear");
+        assert_eq!(
+            replayed(&wal),
+            from(0, [1, 2]),
+            "whole frames survive the tear"
+        );
         // The log keeps working after repair.
         assert_eq!(wal.append(3), Lsn(2));
+        assert_eq!(replayed(&wal), from(0, [1, 2, 3]));
         drop(wal);
         let wal: FileWal<u64> = FileWal::open(cfg(&dir)).unwrap();
-        assert_eq!(wal.records(), &[1, 2, 3]);
+        assert_eq!(replayed(&wal), from(0, [1, 2, 3]));
     }
 
     #[test]
@@ -783,7 +847,7 @@ mod tests {
         data[last] ^= 0xFF;
         fs::write(&seg, &data).unwrap();
         let wal: FileWal<u64> = FileWal::open(cfg(&dir)).unwrap();
-        assert_eq!(wal.records(), &[1], "damaged tail frame dropped");
+        assert_eq!(replayed(&wal), from(0, [1]), "damaged tail frame dropped");
     }
 
     #[test]
@@ -852,8 +916,8 @@ mod tests {
         fs::write(&seg, &data).unwrap();
         let wal: FileWal<u64> = FileWal::open(cfg(&dir)).unwrap();
         assert_eq!(
-            wal.records(),
-            &[1],
+            replayed(&wal),
+            from(0, [1]),
             "the whole unacknowledged batch goes, intact frames included"
         );
     }
@@ -875,8 +939,42 @@ mod tests {
         data.truncate(marker_end as usize + FRAME_HEADER + 8);
         fs::write(&seg, &data).unwrap();
         let mut wal: FileWal<u64> = FileWal::open(cfg(&dir)).unwrap();
-        assert_eq!(wal.records(), &[1], "unmarked tail is not acknowledged");
+        assert_eq!(
+            replayed(&wal),
+            from(0, [1]),
+            "unmarked tail is not acknowledged"
+        );
         assert_eq!(wal.append(5), Lsn(1), "the log continues from the boundary");
+        assert_eq!(replayed(&wal), from(0, [1, 5]));
+    }
+
+    #[test]
+    fn replay_reads_back_exactly_the_retained_durable_records() {
+        let dir = TempDir::new("filewal-replay");
+        let mut wal: FileWal<u64> = FileWal::open(cfg(&dir).with_segment_bytes(64)).unwrap();
+        // Forced batches of two records (52 bytes a force: two 16-byte
+        // frames and the marker) seal a 64-byte segment every second
+        // force, so each segment holds four records.
+        for i in 0..6u64 {
+            wal.buffer(2 * i);
+            wal.buffer(2 * i + 1);
+            WalBackend::force(&mut wal);
+        }
+        assert!(wal.segment_count() >= 3, "segments rolled");
+        wal.truncate_before(Lsn(5));
+        let start = wal.start_lsn().0;
+        assert!(start > 0 && start <= 5, "whole segments dropped: {start}");
+        // Staged and lost, staged and still pending: neither is durable.
+        wal.buffer(100);
+        wal.lose_volatile();
+        wal.buffer(101);
+        assert_eq!(wal.pending_len(), 1);
+        assert_eq!(replayed(&wal), from(start, start..12));
+        assert_eq!(wal.len() as u64, 12 - start);
+        assert_eq!(wal.next_lsn(), Lsn(13), "the pending record's slot");
+        // Forced, the survivor of the two continues the numbering.
+        WalBackend::force(&mut wal);
+        assert_eq!(replayed(&wal), from(start, (start..12).chain([101])));
     }
 
     #[test]
@@ -928,7 +1026,7 @@ mod tests {
             w.buffer(1);
             w.buffer(2);
             assert_eq!(w.force(), 2);
-            assert_eq!(w.records(), &[1, 2]);
+            assert_eq!(w.records(), [1, 2]);
         }
         assert_eq!(mem.storage_bytes(), 0);
         assert!(file.storage_bytes() > 0);

@@ -44,15 +44,16 @@ impl fmt::Display for Lsn {
 }
 
 /// Iterator over a log's retained durable records with their LSNs,
-/// returned by [`WalBackend::replay`].
+/// returned by [`WalBackend::replay`]. It owns the records: a backend
+/// that keeps its log on disk reads them back for the replay.
 #[derive(Debug)]
-pub struct WalReplay<'a, R> {
+pub struct WalReplay<R> {
     start: u64,
-    iter: std::iter::Enumerate<std::slice::Iter<'a, R>>,
+    iter: std::iter::Enumerate<std::vec::IntoIter<R>>,
 }
 
-impl<'a, R> Iterator for WalReplay<'a, R> {
-    type Item = (Lsn, &'a R);
+impl<R> Iterator for WalReplay<R> {
+    type Item = (Lsn, R);
 
     fn next(&mut self) -> Option<Self::Item> {
         self.iter
@@ -95,9 +96,14 @@ pub trait WalBackend<R> {
     /// truncation).
     fn start_lsn(&self) -> Lsn;
 
-    /// The retained durable records in log order; element `i` sits at
-    /// LSN `start_lsn + i`.
-    fn records(&self) -> &[R];
+    /// Number of retained durable records in the log.
+    fn len(&self) -> usize;
+
+    /// The retained durable records in log order, owned; element `i`
+    /// sits at LSN `start_lsn + i`. A disk-backed log keeps no copy in
+    /// memory and reads them back from stable storage, so this is for
+    /// cold callers — recovery, inspection, tests.
+    fn records(&self) -> Vec<R>;
 
     /// Discards durable records below `cutoff`, keeping LSNs stable.
     /// A backend may retain *more* than asked (e.g. whole-segment
@@ -118,40 +124,23 @@ pub trait WalBackend<R> {
         lsn
     }
 
-    /// Number of retained durable records in the log.
-    fn len(&self) -> usize {
-        self.records().len()
-    }
-
     /// True when the log holds no retained durable records.
     fn is_empty(&self) -> bool {
-        self.records().is_empty()
+        self.len() == 0
     }
 
     /// The LSN the next buffered record would occupy.
     fn next_lsn(&self) -> Lsn {
-        Lsn(self.start_lsn().0 + self.records().len() as u64 + self.pending_len() as u64)
+        Lsn(self.start_lsn().0 + self.len() as u64 + self.pending_len() as u64)
     }
 
-    /// Replays the retained log from its start (recovery).
-    fn replay(&self) -> WalReplay<'_, R> {
+    /// Replays the retained log from its start (recovery): the
+    /// [`WalBackend::records`] with their LSNs.
+    fn replay(&self) -> WalReplay<R> {
         WalReplay {
             start: self.start_lsn().0,
-            iter: self.records().iter().enumerate(),
+            iter: self.records().into_iter().enumerate(),
         }
-    }
-
-    /// The most recent durable record, if any.
-    fn last(&self) -> Option<&R> {
-        self.records().last()
-    }
-
-    /// The durable record at `lsn`, if retained.
-    fn get(&self, lsn: Lsn) -> Option<&R> {
-        let start = self.start_lsn().0;
-        lsn.0
-            .checked_sub(start)
-            .and_then(|i| self.records().get(i as usize))
     }
 }
 
@@ -312,8 +301,12 @@ impl<R: Clone> WalBackend<R> for Wal<R> {
         Wal::start_lsn(self)
     }
 
-    fn records(&self) -> &[R] {
-        &self.records
+    fn len(&self) -> usize {
+        Wal::len(self)
+    }
+
+    fn records(&self) -> Vec<R> {
+        self.records.clone()
     }
 
     fn truncate_before(&mut self, cutoff: Lsn) {
@@ -448,7 +441,8 @@ mod tests {
         assert_eq!(w.next_lsn(), Lsn(1));
         w.force();
         assert_eq!(w.len(), 1);
-        assert_eq!(w.last(), Some(&7));
+        assert_eq!(w.records(), [7]);
+        assert_eq!(w.replay().collect::<Vec<_>>(), [(Lsn(0), 7)]);
         assert_eq!(w.storage_bytes(), 0);
     }
 }
