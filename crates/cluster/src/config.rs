@@ -125,11 +125,6 @@ impl ClusterConfig {
         self.shards * self.sites_per_shard
     }
 
-    /// Total number of items across all shards.
-    pub fn total_items(&self) -> u32 {
-        self.shards * self.items_per_shard
-    }
-
     /// Enables group commit (builder style).
     pub fn with_group_commit(mut self) -> Self {
         self.group_commit = true;
@@ -219,7 +214,6 @@ mod tests {
         let cfg = ClusterConfig::default();
         cfg.validate();
         assert_eq!(cfg.total_sites(), 6);
-        assert_eq!(cfg.total_items(), 16);
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod sim_cluster;
 pub use config::ClusterConfig;
 pub use metrics::{AtomicityViolation, ClusterMetrics, LatencyHistogram, ShardMetrics};
 pub use qbc_obs::{Obs, ObsConfig, Registry};
-pub use qbc_reactor::{ClientStats, Handle, Outcome, ServerStats};
-pub use reactor_cluster::{ReactorCluster, ReactorConfig, ReactorReport};
+pub use qbc_reactor::{ClientStats, Handle, Outcome, ReactorConfig, ServerStats};
+pub use reactor_cluster::{ReactorCluster, ReactorReport};
 pub use shard::{ShardId, ShardMap};
 pub use sim_cluster::{ReadHandle, Session, SimCluster, TxnHandle, TxnStatus};

@@ -20,48 +20,13 @@ use crate::shard::ShardMap;
 use crate::sim_cluster::TxnHandle;
 use qbc_core::Decision;
 use qbc_obs::{LatencyHistogram, Obs, Registry};
-use qbc_reactor::{
-    ClientConfig, ClientStats, Handle, ReactorClient, ReactorServer, ServerConfig, ServerStats,
-};
+use qbc_reactor::{ClientStats, Handle, ReactorClient, ReactorConfig, ReactorServer, ServerStats};
 use qbc_simnet::{SiteId, Time};
 use qbc_votes::ItemId;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Reactor substrate tuning (the cluster-level knobs stay in
-/// [`ClusterConfig`]).
-#[derive(Clone, Debug)]
-pub struct ReactorConfig {
-    /// Event-loop workers hosting the sites and the front door.
-    pub workers: usize,
-    /// Client connection pool size (sessions are logical and
-    /// multiplexed over these).
-    pub client_conns: usize,
-    /// Per-connection queued-reply bytes before the front door pauses
-    /// reading that connection.
-    pub write_hwm: usize,
-    /// In-flight transaction age (ms) before the front door answers
-    /// `Rejected` so the client resubmits (see
-    /// `qbc_reactor::ServerConfig::txn_timeout_ms`).
-    pub txn_timeout_ms: u64,
-    /// Optional `SO_SNDBUF` for accepted connections (tests shrink it
-    /// to exercise backpressure cheaply).
-    pub sockbuf: Option<i32>,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            workers: 2,
-            client_conns: 4,
-            write_hwm: 256 * 1024,
-            txn_timeout_ms: 30_000,
-            sockbuf: None,
-        }
-    }
-}
 
 /// A per-process-unique Unix socket path under the system temp dir.
 fn socket_path() -> PathBuf {
@@ -131,26 +96,16 @@ impl ReactorCluster {
         let planner = Arc::new(Mutex::new(ClusterPlanner::new(map.clone(), cfg.protocol)));
         let path = socket_path();
         let server = ReactorServer::spawn(
-            ServerConfig {
-                workers: rcfg.workers,
-                write_hwm: rcfg.write_hwm,
-                seed: cfg.seed,
-                first_txn,
-                txn_timeout_ms: rcfg.txn_timeout_ms,
-                sockbuf: rcfg.sockbuf,
-            },
+            &rcfg,
+            cfg.seed,
+            first_txn,
             nodes,
             Box::new(SharedPlanner(Arc::clone(&planner))),
             &path,
         )
         .expect("spawn reactor server");
-        let client = ReactorClient::connect(
-            &path,
-            ClientConfig {
-                conns: rcfg.client_conns,
-            },
-        )
-        .expect("connect reactor client");
+        let client =
+            ReactorClient::connect(&path, rcfg.client_conns).expect("connect reactor client");
         ReactorCluster {
             map,
             server: Some(server),

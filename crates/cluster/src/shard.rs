@@ -80,12 +80,6 @@ impl ShardMap {
         (s < self.shards).then_some(ShardId(s))
     }
 
-    /// The shard a site belongs to, or `None` for a foreign site id.
-    pub fn shard_of_site(&self, site: SiteId) -> Option<ShardId> {
-        let s = site.0 / self.sites_per_shard;
-        (s < self.shards).then_some(ShardId(s))
-    }
-
     /// The sites of one shard, in id order.
     pub fn sites_of(&self, shard: ShardId) -> Vec<SiteId> {
         self.sites_iter(shard).collect()
@@ -195,9 +189,6 @@ mod tests {
         assert_eq!(m.shard_of_item(ItemId(7)), Some(ShardId(0)));
         assert_eq!(m.shard_of_item(ItemId(8)), Some(ShardId(1)));
         assert_eq!(m.shard_of_item(ItemId(99)), None);
-        assert_eq!(m.shard_of_site(SiteId(2)), Some(ShardId(0)));
-        assert_eq!(m.shard_of_site(SiteId(3)), Some(ShardId(1)));
-        assert_eq!(m.shard_of_site(SiteId(6)), None);
     }
 
     #[test]

@@ -120,26 +120,3 @@ pub enum Action {
         note: &'static str,
     },
 }
-
-impl Action {
-    /// Convenience for tests: the message if this is a Reply.
-    pub fn as_reply(&self) -> Option<&Msg> {
-        match self {
-            Action::Reply(m) => Some(m),
-            _ => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn as_reply_filters() {
-        let a = Action::Reply(Msg::PcAck { txn: TxnId(1) });
-        assert!(a.as_reply().is_some());
-        let b = Action::DeclareBlocked { txn: TxnId(1) };
-        assert!(b.as_reply().is_none());
-    }
-}

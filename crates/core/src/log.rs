@@ -5,6 +5,7 @@
 //! remember; recovery replays these records to rebuild the local state
 //! (see [`recover_state`]).
 
+use crate::messages::Msg;
 use crate::states::LocalState;
 use crate::types::{Decision, TxnId, TxnSpec};
 use qbc_votes::Version;
@@ -157,6 +158,27 @@ pub struct XRetiredOutcome {
     /// `(branch coordinator, branch participants, in-shard commit
     /// version)` per branch.
     pub branches: Vec<(qbc_simnet::SiteId, Vec<qbc_simnet::SiteId>, Option<Version>)>,
+}
+
+impl XRetiredOutcome {
+    /// The `X-DECIDE` answering a late orphan at `to`: on commit it
+    /// carries the in-shard commit version of the branch `to` belongs
+    /// to (as coordinator or participant).
+    pub fn xdecide_for(&self, to: qbc_simnet::SiteId) -> Msg {
+        let commit_version = match self.decision {
+            Decision::Commit => self
+                .branches
+                .iter()
+                .find(|(c, p, _)| *c == to || p.contains(&to))
+                .and_then(|(_, _, v)| *v),
+            Decision::Abort => None,
+        };
+        Msg::XDecide {
+            txn: self.txn,
+            decision: self.decision,
+            commit_version,
+        }
+    }
 }
 
 impl LogRecord {

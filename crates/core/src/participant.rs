@@ -145,11 +145,6 @@ impl Participant {
         self.cfg.vote_yes = yes;
     }
 
-    /// True when a command conflicting with the local decision arrived.
-    pub fn saw_conflicting_command(&self) -> bool {
-        self.conflicting_command
-    }
-
     /// The decision, once terminal.
     pub fn decision(&self) -> Option<Decision> {
         self.state.decision()
@@ -749,7 +744,6 @@ mod tests {
             Version(0),
         );
         assert_eq!(p.state(), LocalState::Aborted, "decision is irrevocable");
-        assert!(p.saw_conflicting_command());
         assert!(matches!(out[0], Action::ViolationNote { .. }));
     }
 

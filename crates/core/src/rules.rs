@@ -102,11 +102,6 @@ impl StateView {
         self.states.is_empty()
     }
 
-    /// The collected state of a site.
-    pub fn state_of(&self, site: SiteId) -> Option<LocalState> {
-        self.states.get(&site).copied()
-    }
-
     /// Iterate over reports.
     pub fn iter(&self) -> impl Iterator<Item = (SiteId, LocalState)> + '_ {
         self.states.iter().map(|(&s, &st)| (s, st))

@@ -45,7 +45,6 @@ pub enum TerminationPhase {
 /// The termination coordinator for one transaction, one round.
 #[derive(Clone, Debug)]
 pub struct Termination {
-    self_site: SiteId,
     spec: Arc<TxnSpec>,
     kind: TerminationKind,
     round: u64,
@@ -79,7 +78,6 @@ impl Termination {
         let mut view = StateView::new();
         view.record(self_site, own_state);
         let t = Termination {
-            self_site,
             spec,
             kind,
             round,
@@ -117,11 +115,6 @@ impl Termination {
     /// The round of this attempt.
     pub fn round(&self) -> u64 {
         self.round
-    }
-
-    /// The site running this termination attempt.
-    pub fn coordinator_site(&self) -> SiteId {
-        self.self_site
     }
 
     /// Current phase.

@@ -262,11 +262,6 @@ impl TxnSpec {
     pub fn coordinator_presumes_abort(&self) -> bool {
         self.protocol == ProtocolKind::TwoPhase && self.parent.is_none()
     }
-
-    /// The items of `W(TR)`.
-    pub fn writeset_items(&self) -> Vec<ItemId> {
-        self.writeset.items().collect()
-    }
 }
 
 /// The version a committed transaction installs on every copy it writes:
@@ -326,7 +321,6 @@ mod tests {
             &catalog,
         );
         assert_eq!(spec.participants.len(), 5);
-        assert_eq!(spec.writeset_items(), vec![ItemId(0), ItemId(1)]);
     }
 
     #[test]

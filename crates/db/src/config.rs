@@ -236,19 +236,6 @@ impl NodeConfig {
         self
     }
 
-    /// Enables the Example 3 fault.
-    pub fn with_fault(mut self, faulty: FaultyMode) -> Self {
-        self.faulty = faulty;
-        self
-    }
-
-    /// Disables blocked-transaction retries (lets experiments observe a
-    /// lasting blocked state).
-    pub fn no_retry(mut self) -> Self {
-        self.retry_blocked = false;
-        self
-    }
-
     /// Extra delay a message may suffer at its sender waiting for WAL
     /// durability: one batch window (if batching) plus one force. The
     /// paper's timeout arithmetic assumes `T` bounds end-to-end delay;
@@ -353,10 +340,7 @@ mod tests {
 
     #[test]
     fn builder_helpers() {
-        let cfg = NodeConfig::new(SiteId(0), catalog(), Duration(10))
-            .vote_no(TxnId(4))
-            .no_retry();
+        let cfg = NodeConfig::new(SiteId(0), catalog(), Duration(10)).vote_no(TxnId(4));
         assert!(cfg.vote_no_on.contains(&TxnId(4)));
-        assert!(!cfg.retry_blocked);
     }
 }

@@ -28,6 +28,7 @@ mod config;
 mod durable_log;
 mod envelope;
 mod node;
+mod txn_table;
 
 pub use config::{NodeConfig, WalBackendConfig};
 pub use envelope::{NetMsg, NodeTimer};

@@ -3,11 +3,11 @@
 //!
 //! A [`SiteNode`] implements [`Process`] and can run on the
 //! deterministic simulator or under a `NodeDriver` (the reactor). Per
-//! transaction it hosts:
+//! transaction it hosts, in its `TxnTable` (`txn_table.rs`):
 //!
 //! * a [`Participant`] engine (always),
 //! * a [`Coordinator`] engine (at the site where the client submitted),
-//! * an [`Elector`] plus a [`Termination`] engine while the termination
+//! * an [`Elector`](qbc_election::Elector) plus a [`Termination`] engine while the termination
 //!   protocol runs (any site of the partition can end up coordinator —
 //!   including several at once),
 //!
@@ -27,13 +27,13 @@
 use crate::config::NodeConfig;
 use crate::durable_log::{DeferredOp, DurableLog};
 use crate::envelope::{NetMsg, NodeTimer};
+use crate::txn_table::{Outcome, TxnState, TxnTable, XCoord};
 use qbc_core::{
     last_checkpoint, recover_paxos, recover_state, recover_xstate, Action, Coordinator, Decision,
     LocalState, LogRecord, Msg, Participant, ParticipantConfig, PaxosAcceptor, PaxosLeader,
-    ProtocolKind, RetiredOutcome, Termination, TimerKind, Transition, TxnId, TxnSpec, WriteSet,
-    XRetiredOutcome, XTxnCoordinator,
+    ProtocolKind, Termination, TimerKind, Transition, TxnId, TxnSpec, WriteSet, XTxnCoordinator,
 };
-use qbc_election::{Action as ElAction, ElectionMsg, Elector, Input as ElInput};
+use qbc_election::{Action as ElAction, ElectionMsg, Input as ElInput};
 use qbc_locks::{LockManager, LockMode};
 use qbc_obs::{EventKind, TraceEvent, TraceSink};
 use qbc_simnet::{Ctx, Label, Process, SiteId, Time, TimerId};
@@ -80,126 +80,14 @@ struct SnapReadCollect {
     result: ReadResult,
 }
 
-/// Per-transaction state hosted at this site.
-#[derive(Clone, Debug)]
-struct TxnState {
-    spec: Arc<TxnSpec>,
-    participant: Participant,
-    /// The four driving engines are boxed: at two of three sites every
-    /// transaction is participant-only, and inline they were three
-    /// quarters of the entry.
-    coordinator: Option<Box<Coordinator>>,
-    /// The Paxos Commit leader (at the submitting site, ballot 0) or
-    /// recovery candidate (any participant whose watchdog fired, at a
-    /// positive ballot) — the [`ProtocolKind::PaxosCommit`] peer of
-    /// `coordinator`. A later candidacy replaces an earlier engine;
-    /// ballots only grow.
-    paxos: Option<Box<PaxosLeader>>,
-    termination: Option<Box<Termination>>,
-    elector: Option<Box<Elector>>,
-    /// End LSN of the newest log record this site staged for the
-    /// transaction ([`Lsn`]`(0)`: none). Whatever the transaction tells
-    /// another site, applies or releases waits until the durable
-    /// watermark reaches it — see [`SiteNode::closed_gate`].
-    gate: Lsn,
-    last_coord_contact: Time,
-    watchdog_armed: bool,
-    decided: Option<Decision>,
-    decided_at: Option<Time>,
-    /// Commit version adopted with an engine-less decision (a recovered
-    /// copy-less branch coordinator learning `X-DECIDE` directly): the
-    /// participant never saw a command, so the version must be kept
-    /// here for retirement records and `Decided` re-announces.
-    decided_version: Option<Version>,
-    blocked: bool,
-    termination_rounds: u64,
-    started_at: Time,
-    /// Coordinators of the sibling branches of a cross-shard
-    /// transaction (from `X-BRANCH-REQ`). Outcome discovery asks them
-    /// alongside the parent: any branch that learned the top-level
-    /// decision can answer, so a crashed parent no longer blocks this
-    /// shard until recovery. Volatile — a branch coordinator that
-    /// crashes falls back to parent-only discovery.
-    x_siblings: Vec<SiteId>,
-}
-
-impl TxnState {
-    /// A fresh entry: no driving engine, undecided, nothing logged.
-    fn new(spec: Arc<TxnSpec>, participant: Participant, now: Time) -> Self {
-        TxnState {
-            spec,
-            participant,
-            coordinator: None,
-            paxos: None,
-            termination: None,
-            elector: None,
-            gate: Lsn(0),
-            last_coord_contact: now,
-            watchdog_armed: false,
-            decided: None,
-            decided_at: None,
-            decided_version: None,
-            blocked: false,
-            termination_rounds: 0,
-            started_at: now,
-            x_siblings: Vec::new(),
-        }
-    }
-
-    /// The commit version to re-announce with this entry's decision,
-    /// whichever role learned it.
-    fn commit_version(&self) -> Option<Version> {
-        self.participant
-            .commit_version()
-            .or_else(|| self.coordinator.as_ref().and_then(|c| c.commit_version()))
-            .or_else(|| self.paxos.as_ref().and_then(|p| p.commit_version()))
-            .or(self.decided_version)
-    }
-}
-
-/// A cross-shard coordination hosted at this site, with the gate LSN of
-/// the records staged for it (the same rule as [`TxnState::gate`]).
-#[derive(Clone, Debug)]
-struct XCoord {
-    engine: XTxnCoordinator,
-    gate: Lsn,
-}
-
-/// Compact outcome of a retired (decided, past the re-announce window)
-/// transaction: everything a straggler's question can still need,
-/// without the engines, spec and audit trail of a live [`TxnState`].
-#[derive(Clone, Copy, Debug)]
-struct RetiredTxn {
-    decision: Decision,
-    commit_version: Option<Version>,
-    decided_at: Time,
-}
-
-/// Compact outcome of a retired cross-shard coordination: enough to
-/// keep answering `X-OUTCOME-REQ` from late orphans (per-branch
-/// membership and commit versions) after the engine and its specs are
-/// dropped.
-#[derive(Clone, Debug)]
-struct XRetired {
-    decision: Decision,
-    /// `(coordinator, participants, in-shard commit version)` per branch.
-    branches: Vec<(SiteId, BTreeSet<SiteId>, Option<Version>)>,
-}
-
-impl XRetired {
-    fn xdecide_for(&self, to: SiteId, txn: TxnId) -> Msg {
-        let commit_version = match self.decision {
-            Decision::Commit => self
-                .branches
-                .iter()
-                .find(|(c, p, _)| *c == to || p.contains(&to))
-                .and_then(|(_, _, v)| *v),
-            Decision::Abort => None,
-        };
-        Msg::XDecide {
-            txn,
-            decision: self.decision,
-            commit_version,
+impl SnapReadCollect {
+    /// A collector answered on the spot: nothing left to ask.
+    fn resolved(item: ItemId, result: ReadResult) -> Self {
+        SnapReadCollect {
+            item,
+            targets: Vec::new(),
+            next_target: 0,
+            result,
         }
     }
 }
@@ -244,32 +132,9 @@ pub struct SiteNode {
     /// (the page store of a real site).
     items: VersionedStore<i64>,
     locks: LockManager<ItemId, TxnId>,
-    /// Per-transaction state. A (deterministic) hash map: the table
-    /// grows with every transaction the site ever hosted and sits on
-    /// every message's path; nothing iterates it in an order-sensitive
-    /// way (accessors sort), so O(1) lookups are free determinism-wise.
-    txns: FastMap<TxnId, TxnState>,
-    /// Cross-shard (top-level 2PC) coordinations hosted at this site.
-    xcoords: FastMap<TxnId, XCoord>,
-    /// Paxos Commit acceptor state, one per transaction this site
-    /// co-hosts an acceptor for (every participant site). Spec-free and
-    /// keyed separately from `txns`: a recovering site re-installs it
-    /// straight from its `PaxosPromise`/`PaxosAccept` records, and a
-    /// candidate's 1a can be answered before the site ever saw the
-    /// `VOTE-REQ`. Dropped at retirement alongside the `txns` entry.
-    acceptors: FastMap<TxnId, PaxosAcceptor>,
-    /// Compact outcomes of retired transactions (see
-    /// [`NodeConfig::retire_after`]); rebuilt from the WAL on recovery.
-    retired: FastMap<TxnId, RetiredTxn>,
-    /// Compact outcomes of retired cross-shard coordinations.
-    xretired: FastMap<TxnId, XRetired>,
-    /// Decisions awaiting retirement, in decision-time order (times are
-    /// event times, hence monotonic — a plain queue, no heap needed).
-    retire_queue: VecDeque<(Time, TxnId)>,
-    /// Retired outcomes queued for aging out entirely (only with
-    /// [`NodeConfig::retire_horizon`]); retirement-time order, so the
-    /// sweep stops at the first young entry.
-    age_queue: VecDeque<(Time, TxnId)>,
+    /// Everything this site knows about each transaction, live or
+    /// retired, with the retirement policy.
+    table: TxnTable,
     reads: BTreeMap<u64, ReadCollect>,
     /// Snapshot-read collectors. Kept apart from `reads` (different
     /// resolution machinery) but sharing its request-id space; both
@@ -291,11 +156,6 @@ pub struct SiteNode {
     /// [`NodeConfig::decision_events`]); push-style front-ends drain it
     /// after every delivery to answer waiting client sessions.
     decision_events: Vec<DecisionEvent>,
-    /// First log record of every *live* transaction — the LSNs a
-    /// checkpoint's truncation cutoff must stay below. Entries are
-    /// dropped at retirement (the checkpoint record then carries the
-    /// outcome instead).
-    first_lsn: FastMap<TxnId, Lsn>,
     /// Whether a [`NodeTimer::Checkpoint`] tick is outstanding (armed
     /// lazily by the first record after a quiet period, so an idle site
     /// quiesces instead of ticking forever).
@@ -365,18 +225,12 @@ impl SiteNode {
             Vec::new()
         };
         SiteNode {
+            table: TxnTable::new(&cfg),
             cfg,
             catalog,
             log,
             items,
             locks: LockManager::new(),
-            txns: FastMap::default(),
-            xcoords: FastMap::default(),
-            acceptors: FastMap::default(),
-            retired: FastMap::default(),
-            xretired: FastMap::default(),
-            retire_queue: VecDeque::new(),
-            age_queue: VecDeque::new(),
             reads: BTreeMap::new(),
             snap_reads: BTreeMap::new(),
             violations: Vec::new(),
@@ -384,7 +238,6 @@ impl SiteNode {
             released: Vec::new(),
             spare_actions: Vec::new(),
             decision_events: Vec::new(),
-            first_lsn: FastMap::default(),
             checkpoint_armed: false,
             last_checkpoint_end: Lsn(0),
             local_wm: Version::INITIAL,
@@ -406,47 +259,33 @@ impl SiteNode {
     /// The decision reached for a transaction at this site, if any
     /// (retired transactions keep answering from their compact record).
     pub fn decision(&self, txn: TxnId) -> Option<Decision> {
-        self.txns
-            .get(&txn)
-            .and_then(|t| t.decided)
-            .or_else(|| self.retired.get(&txn).map(|r| r.decision))
+        self.table.decision(txn)
     }
 
     /// Virtual time at which this site decided the transaction.
     pub fn decided_at(&self, txn: TxnId) -> Option<Time> {
-        self.txns
-            .get(&txn)
-            .and_then(|t| t.decided_at)
-            .or_else(|| self.retired.get(&txn).map(|r| r.decided_at))
+        self.table.decided_at(txn)
     }
 
     /// The local participant state for a transaction.
     pub fn local_state(&self, txn: TxnId) -> Option<LocalState> {
-        self.txns
-            .get(&txn)
-            .map(|t| t.participant.state())
-            .or_else(|| {
-                self.retired.get(&txn).map(|r| match r.decision {
-                    Decision::Commit => LocalState::Committed,
-                    Decision::Abort => LocalState::Aborted,
-                })
-            })
+        self.table.local_state(txn)
     }
 
     /// Number of live (unretired) per-transaction state entries — the
     /// table the retention policy ([`NodeConfig::retire_after`]) bounds.
     pub fn txn_table_len(&self) -> usize {
-        self.txns.len()
+        self.table.txns.len()
     }
 
     /// Number of transactions retired to compact outcome records.
     pub fn retired_len(&self) -> usize {
-        self.retired.len()
+        self.table.retired_len()
     }
 
     /// Number of cross-shard coordinations retired to compact records.
     pub fn xretired_len(&self) -> usize {
-        self.xretired.len()
+        self.table.xretired_len()
     }
 
     /// Drains the decision transitions recorded since the last drain
@@ -475,37 +314,36 @@ impl SiteNode {
     /// The top-level decision of a cross-shard transaction coordinated
     /// at this site, if reached.
     pub fn x_decision(&self, txn: TxnId) -> Option<Decision> {
-        self.xcoords
-            .get(&txn)
-            .and_then(|x| x.engine.decision())
-            .or_else(|| self.xretired.get(&txn).map(|x| x.decision))
+        self.table.x_decision(txn)
     }
 
     /// True while the transaction is declared blocked at this site.
     pub fn is_blocked(&self, txn: TxnId) -> bool {
-        self.txns.get(&txn).map(|t| t.blocked).unwrap_or(false)
+        self.table
+            .txns
+            .get(&txn)
+            .map(|t| t.blocked)
+            .unwrap_or(false)
     }
 
     /// The commit version this site associates with its decision for
     /// `txn`, whichever role learned it (participant command, coordinator
     /// decision, engine-less `X-DECIDE` adoption, or a retired record).
     pub fn commit_version_of(&self, txn: TxnId) -> Option<Version> {
-        self.txns
-            .get(&txn)
-            .and_then(|t| t.commit_version())
-            .or_else(|| self.retired.get(&txn).and_then(|r| r.commit_version))
+        self.table.commit_version_of(txn)
     }
 
     /// All transactions this site knows about, in id order.
     pub fn known_txns(&self) -> Vec<TxnId> {
-        let mut out: Vec<TxnId> = self.txns.keys().copied().collect();
+        let mut out: Vec<TxnId> = self.table.txns.keys().copied().collect();
         out.sort_unstable();
         out
     }
 
     /// The audit trail of participant state transitions (experiment E6).
     pub fn transitions(&self, txn: TxnId) -> &[Transition] {
-        self.txns
+        self.table
+            .txns
             .get(&txn)
             .map(|t| t.participant.transitions())
             .unwrap_or(&[])
@@ -553,26 +391,14 @@ impl SiteNode {
         self.snap_reads.len()
     }
 
-    /// This site's own commit-stable watermark (monotone;
-    /// [`Version::INITIAL`] when snapshot reads are off).
-    pub fn local_watermark(&self) -> Version {
-        self.local_wm
-    }
-
     /// The shard watermark this site currently serves snapshot reads
     /// at: its own watermark bounded by the latest one heard from every
     /// copy-sharing peer (unheard peers count as [`Version::INITIAL`]).
     pub fn shard_watermark(&self) -> Version {
-        let mut wm = self.local_wm;
-        for p in &self.wm_peers {
-            let pw = self
-                .peer_watermarks
-                .get(p)
-                .copied()
-                .unwrap_or(Version::INITIAL);
-            wm = wm.min(pw);
-        }
-        wm
+        let heard = |p| self.peer_watermarks.get(p).copied();
+        self.wm_peers.iter().fold(self.local_wm, |wm, p| {
+            wm.min(heard(p).unwrap_or(Version::INITIAL))
+        })
     }
 
     /// The durable log, read back (for experiments and tests).
@@ -586,37 +412,24 @@ impl SiteNode {
     /// allocator above the maximum across sites, so restarted workloads
     /// never re-issue an id the old incarnation already used.
     pub fn max_durable_txn(&self) -> Option<TxnId> {
-        let mut max: Option<TxnId> = None;
-        let mut note = |t: TxnId| {
-            if max.map(|m| t > m).unwrap_or(true) {
-                max = Some(t);
-            }
-        };
-        for rec in self.log_records() {
-            match rec {
+        self.log_records()
+            .map(|rec| match rec {
                 LogRecord::Checkpoint {
                     retired, xretired, ..
                 } => {
-                    for o in retired {
-                        note(o.txn);
-                    }
-                    for o in xretired {
-                        note(o.txn);
-                    }
+                    let x = xretired.iter().map(|o| o.txn);
+                    retired.iter().map(|o| o.txn).chain(x).max()
                 }
-                other => {
-                    if let Some(t) = other.txn() {
-                        note(t);
-                    }
-                }
-            }
-        }
-        max
+                other => other.txn(),
+            })
+            .max()
+            .flatten()
     }
 
     /// Number of termination rounds this site initiated for `txn`.
     pub fn termination_rounds(&self, txn: TxnId) -> u64 {
-        self.txns
+        self.table
+            .txns
             .get(&txn)
             .map(|t| t.termination_rounds)
             .unwrap_or(0)
@@ -626,13 +439,6 @@ impl SiteNode {
     /// group commit many records share one force).
     pub fn wal_forces(&self) -> u64 {
         self.log.wal().forces()
-    }
-
-    /// Number of *retained* durable WAL records at this site
-    /// (checkpoint truncation shrinks this; see
-    /// [`SiteNode::wal_appended`] for the cumulative count).
-    pub fn wal_len(&self) -> usize {
-        self.log.wal().len()
     }
 
     /// Number of records ever made durable at this site — the durable
@@ -688,24 +494,33 @@ impl SiteNode {
         let state = self.ensure_txn(ctx.now(), &spec);
         state.started_at = ctx.now();
         self.emit(ctx.now(), Some(txn), EventKind::Submitted { protocol });
+        let actions = self.start_leader(spec);
+        self.apply_actions(ctx, txn, self.cfg.site, actions);
+        self.pump(ctx);
+    }
+
+    /// Installs this site as the driving engine of `spec` — a Paxos
+    /// Commit leader at ballot 0 or a commit coordinator, with the
+    /// configured test mutation — and returns what its start does.
+    fn start_leader(&mut self, spec: Arc<TxnSpec>) -> Vec<Action> {
         let mut actions = self.take_actions();
-        if protocol == ProtocolKind::PaxosCommit {
+        let st = self.table.txns.get_mut(&spec.id).expect("ensured");
+        if spec.protocol == ProtocolKind::PaxosCommit {
             let mut leader = PaxosLeader::new(spec);
             if self.cfg.mutation_weaken_paxos {
                 leader = leader.with_weakened_quorum();
             }
             leader.start(&mut actions);
-            self.txns.get_mut(&txn).expect("just ensured").paxos = Some(Box::new(leader));
+            st.paxos = Some(Box::new(leader));
         } else {
             let mut coord = Coordinator::new(spec, self.cfg.site_votes.clone());
             if self.cfg.mutation_weaken_qc1 {
                 coord = coord.with_weakened_qc1();
             }
             coord.start(&mut actions);
-            self.txns.get_mut(&txn).expect("just ensured").coordinator = Some(Box::new(coord));
+            st.coordinator = Some(Box::new(coord));
         }
-        self.apply_actions(ctx, txn, self.cfg.site, actions);
-        self.pump(ctx);
+        actions
     }
 
     /// Submits a *cross-shard* transaction at this site (this site runs
@@ -722,7 +537,7 @@ impl SiteNode {
         txn: TxnId,
         branches: Vec<Arc<TxnSpec>>,
     ) {
-        if self.xcoords.contains_key(&txn) || self.xretired.contains_key(&txn) {
+        if self.table.x_known(txn) {
             return; // duplicate submission
         }
         if let Some(b) = branches.first() {
@@ -736,7 +551,7 @@ impl SiteNode {
         }
         let mut engine = XTxnCoordinator::new(txn, branches);
         let actions = engine.start();
-        self.xcoords.insert(
+        self.table.xcoords.insert(
             txn,
             XCoord {
                 engine,
@@ -758,12 +573,11 @@ impl SiteNode {
         debug_assert_eq!(spec.coordinator, self.cfg.site, "misrouted X-BRANCH-REQ");
         debug_assert!(self.cfg.validate_for(spec.protocol).is_ok());
         let txn = spec.id;
-        if self.retired.contains_key(&txn) {
+        if self.table.retired_outcome(txn).is_some() {
             return; // long decided; duplicate request
         }
-        let state = self.ensure_txn(ctx.now(), spec);
-        state.started_at = ctx.now();
-        let st = self.txns.get_mut(&txn).expect("just ensured");
+        let st = self.ensure_txn(ctx.now(), spec);
+        st.started_at = ctx.now();
         // Remember the sibling coordinators even on a duplicate request:
         // a retried solicitation may be the first one that arrives after
         // this entry was created by an in-shard message.
@@ -771,29 +585,10 @@ impl SiteNode {
         if st.coordinator.is_some() || st.paxos.is_some() || st.decided.is_some() {
             return; // duplicate request
         }
-        if spec.protocol == ProtocolKind::PaxosCommit {
-            // A Paxos branch behaves like 2PC toward the parent: all
-            // yes → held + X-VOTE yes; the parent is the only outcome
-            // authority, so no Paxos rounds ever run in-shard.
-            let mut leader = PaxosLeader::new(Arc::clone(spec));
-            if self.cfg.mutation_weaken_paxos {
-                leader = leader.with_weakened_quorum();
-            }
-            st.paxos = Some(Box::new(leader));
-        } else {
-            let mut coord = Coordinator::new(Arc::clone(spec), self.cfg.site_votes.clone());
-            if self.cfg.mutation_weaken_qc1 {
-                coord = coord.with_weakened_qc1();
-            }
-            st.coordinator = Some(Box::new(coord));
-        }
-        let mut actions = self.take_actions();
-        let st = self.txns.get_mut(&txn).expect("just ensured");
-        if let Some(leader) = st.paxos.as_mut() {
-            leader.start(&mut actions);
-        } else if let Some(coord) = st.coordinator.as_mut() {
-            coord.start(&mut actions);
-        }
+        // A Paxos branch behaves like 2PC toward the parent: all yes →
+        // held + X-VOTE yes; the parent is the only outcome authority,
+        // so no Paxos rounds ever run in-shard.
+        let actions = self.start_leader(Arc::clone(spec));
         self.apply_actions(ctx, txn, self.cfg.site, actions);
         // A held branch coordinator may be left orphaned by a crashed
         // parent: the watchdog drives its outcome discovery.
@@ -802,31 +597,25 @@ impl SiteNode {
 
     /// Starts a quorum read of `item`, collecting `r(item)` votes.
     pub fn start_read(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, req_id: u64, item: ItemId) {
-        let Some(spec) = self.catalog.item(item) else {
+        let spec = self.catalog.item(item);
+        let result = match spec {
+            Some(_) => ReadResult::Pending,
+            None => ReadResult::Unavailable,
+        };
+        let collector = ReadCollect {
+            item,
+            votes: 0,
+            best: None,
+            result,
+        };
+        self.reads.insert(req_id, collector);
+        let Some(spec) = spec else {
             // Unknown item: an immediately-Unavailable collector, on the
             // same retirement path as every other read (it used to leak
             // here forever — no timer ever referenced it).
-            self.reads.insert(
-                req_id,
-                ReadCollect {
-                    item,
-                    votes: 0,
-                    best: None,
-                    result: ReadResult::Unavailable,
-                },
-            );
             self.arm_read_retire(ctx, req_id);
             return;
         };
-        self.reads.insert(
-            req_id,
-            ReadCollect {
-                item,
-                votes: 0,
-                best: None,
-                result: ReadResult::Pending,
-            },
-        );
         let targets: Vec<SiteId> = spec.sites().collect();
         for to in targets {
             self.send_net(ctx, to, NetMsg::ReadReq { req_id, item });
@@ -850,33 +639,17 @@ impl SiteNode {
         item: ItemId,
     ) {
         let Some(spec) = self.catalog.item(item) else {
-            self.snap_reads.insert(
-                req_id,
-                SnapReadCollect {
-                    item,
-                    targets: Vec::new(),
-                    next_target: 0,
-                    result: ReadResult::Unavailable,
-                },
-            );
+            let collector = SnapReadCollect::resolved(item, ReadResult::Unavailable);
+            self.snap_reads.insert(req_id, collector);
             self.emit(ctx.now(), None, EventKind::SnapshotReadUnavailable { item });
             self.arm_read_retire(ctx, req_id);
             return;
         };
         if let Some((version, value)) = self.items.read_at(item, self.shard_watermark()) {
             // Local copy: answered without any network round.
-            self.snap_reads.insert(
-                req_id,
-                SnapReadCollect {
-                    item,
-                    targets: Vec::new(),
-                    next_target: 0,
-                    result: ReadResult::Success {
-                        version,
-                        value: *value,
-                    },
-                },
-            );
+            let value = *value;
+            let collector = SnapReadCollect::resolved(item, ReadResult::Success { version, value });
+            self.snap_reads.insert(req_id, collector);
             self.emit(
                 ctx.now(),
                 None,
@@ -927,36 +700,22 @@ impl SiteNode {
     /// partitioned): try the next copy site, or give up once every one
     /// has been asked.
     fn on_snap_read_timeout(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, req_id: u64) {
-        enum Next {
-            Try(SiteId, ItemId),
-            Exhausted(ItemId),
-            Done,
-        }
-        let next = match self.snap_reads.get_mut(&req_id) {
-            Some(r) if r.result == ReadResult::Pending => {
-                match r.targets.get(r.next_target).copied() {
-                    Some(to) => {
-                        r.next_target += 1;
-                        Next::Try(to, r.item)
-                    }
-                    None => {
-                        r.result = ReadResult::Unavailable;
-                        Next::Exhausted(r.item)
-                    }
-                }
-            }
-            _ => Next::Done,
+        let pending = |r: &&mut SnapReadCollect| r.result == ReadResult::Pending;
+        let Some(r) = self.snap_reads.get_mut(&req_id).filter(pending) else {
+            return;
         };
-        match next {
-            Next::Try(to, item) => {
+        let item = r.item;
+        match r.targets.get(r.next_target).copied() {
+            Some(to) => {
+                r.next_target += 1;
                 self.send_net(ctx, to, NetMsg::SnapReadReq { req_id, item });
                 ctx.set_timer(self.cfg.window_2t(), NodeTimer::SnapReadTimeout { req_id });
             }
-            Next::Exhausted(item) => {
+            None => {
+                r.result = ReadResult::Unavailable;
                 self.emit(ctx.now(), None, EventKind::SnapshotReadUnavailable { item });
                 self.arm_read_retire(ctx, req_id);
             }
-            Next::Done => {}
         }
     }
 
@@ -1029,13 +788,14 @@ impl SiteNode {
                 })
             {
                 let driving = self
+                    .table
                     .txns
                     .get(&txn)
                     .map(|st| {
                         st.coordinator.is_some() || st.termination.is_some() || st.paxos.is_some()
                     })
                     .unwrap_or(false)
-                    || self.xcoords.contains_key(&txn);
+                    || self.table.xcoords.contains_key(&txn);
                 if driving {
                     self.emit(at, Some(txn), EventKind::CommitPoint);
                 }
@@ -1052,7 +812,7 @@ impl SiteNode {
     fn ensure_txn(&mut self, now: Time, spec: &Arc<TxnSpec>) -> &mut TxnState {
         let site = self.cfg.site;
         let faulty = self.cfg.faulty;
-        self.txns.entry(spec.id).or_insert_with(|| {
+        self.table.txns.entry(spec.id).or_insert_with(|| {
             let participant = Participant::new(
                 site,
                 spec.id,
@@ -1123,31 +883,16 @@ impl SiteNode {
         if self.log.all_durable() {
             return None;
         }
-        self.log
-            .closed(newest_gate(&self.txns, &self.xcoords, txn?))
-    }
-
-    /// Remembers a just-staged record as the newest one of its
-    /// transaction (LSNs only grow, so a plain store). A cross-shard
-    /// parent and its local branch share one id; both entries take the
-    /// gate, and [`newest_gate`] reads the larger.
-    fn raise_gate(&mut self, txn: TxnId, lsn: Lsn) {
-        let gate = Lsn(lsn.0 + 1);
-        let own = self.txns.get_mut(&txn).map(|st| st.gate = gate);
-        let x = self.xcoords.get_mut(&txn).map(|x| x.gate = gate);
-        debug_assert!(
-            own.or(x).is_some(),
-            "record staged for {txn:?}, which has no table entry to gate"
-        );
+        self.log.closed(self.table.gate(txn?))
     }
 
     /// A force up to `upto` completed: runs every withheld effect the
     /// log releases, in arrival order.
     fn advance_durable(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, upto: Lsn) {
         let mut released = std::mem::take(&mut self.released);
-        let (txns, xcoords) = (&self.txns, &self.xcoords);
+        let table = &self.table;
         self.log
-            .force_done(upto, |txn| newest_gate(txns, xcoords, txn), &mut released);
+            .force_done(upto, |txn| table.gate(txn), &mut released);
         for op in released.drain(..) {
             match op {
                 DeferredOp::Send { to, msg } => self.send_net_now(ctx, to, msg),
@@ -1172,7 +917,7 @@ impl SiteNode {
         // whatever its transaction goes on to tell or apply waits for it.
         if !self.log.is_durable(lsn) {
             if let Some(txn) = txn {
-                self.raise_gate(txn, lsn);
+                self.table.raise_gate(txn, lsn);
             }
         }
         // Track the live transaction's earliest record: the truncation
@@ -1183,7 +928,7 @@ impl SiteNode {
         // arrival rather than free-running, so an idle site quiesces.
         if let Some(interval) = self.cfg.checkpoint_interval {
             if let Some(txn) = txn {
-                self.first_lsn.entry(txn).or_insert(lsn);
+                self.table.note_record(txn, lsn);
             }
             if !self.checkpoint_armed {
                 self.checkpoint_armed = true;
@@ -1205,31 +950,7 @@ impl SiteNode {
         if self.log.wal().next_lsn() <= self.last_checkpoint_end {
             return;
         }
-        // Compact outcomes, sorted for a canonical on-disk encoding.
-        let mut retired: Vec<RetiredOutcome> = self
-            .retired
-            .iter()
-            .map(|(&txn, r)| RetiredOutcome {
-                txn,
-                decision: r.decision,
-                commit_version: r.commit_version,
-            })
-            .collect();
-        retired.sort_unstable_by_key(|r| r.txn);
-        let mut xretired: Vec<XRetiredOutcome> = self
-            .xretired
-            .iter()
-            .map(|(&txn, x)| XRetiredOutcome {
-                txn,
-                decision: x.decision,
-                branches: x
-                    .branches
-                    .iter()
-                    .map(|(c, p, v)| (*c, p.iter().copied().collect(), *v))
-                    .collect(),
-            })
-            .collect();
-        xretired.sort_unstable_by_key(|x| x.txn);
+        let (retired, xretired) = self.table.checkpoint_outcomes();
         // Snapshot the versioned copies — the full retained chain per
         // item, so a recovered multi-version store can keep serving
         // snapshot reads below its watermark: committed values whose
@@ -1243,17 +964,12 @@ impl SiteNode {
         // Everything below the oldest live transaction's first record
         // AND below this checkpoint is dead: retired outcomes live in
         // the checkpoint now, decided-but-unretired transactions still
-        // have their Decided record above their first_lsn.
+        // have their Decided record above their first record.
         let checkpoint_lsn = self.log.wal().next_lsn();
-        let live_min = self
-            .txns
-            .keys()
-            .chain(self.xcoords.keys())
-            .filter_map(|t| self.first_lsn.get(t))
-            .min()
-            .copied()
-            .unwrap_or(checkpoint_lsn);
-        let cutoff = live_min.min(checkpoint_lsn);
+        let cutoff = self
+            .table
+            .truncation_floor()
+            .map_or(checkpoint_lsn, |floor| floor.min(checkpoint_lsn));
         self.log_record(
             ctx,
             LogRecord::Checkpoint {
@@ -1279,15 +995,9 @@ impl SiteNode {
         match msg {
             NetMsg::Proto(m) => self.handle_proto(ctx, from, m),
             NetMsg::ProtoW { msg: m, wm } => {
-                // Piggybacked watermark: max-merge (deliveries can
-                // reorder; a watermark never regresses) then dispatch
-                // the protocol message as if it arrived bare.
-                if self.cfg.snapshot_reads {
-                    let e = self.peer_watermarks.entry(from).or_insert(Version::INITIAL);
-                    if wm > *e {
-                        *e = wm;
-                    }
-                }
+                // Piggybacked watermark: merge it, then dispatch the
+                // protocol message as if it arrived bare.
+                self.hear_watermark(from, wm);
                 self.handle_proto(ctx, from, m);
             }
             NetMsg::SnapReadReq { req_id, item } => {
@@ -1312,12 +1022,7 @@ impl SiteNode {
                 copy,
                 wm,
             } => {
-                if self.cfg.snapshot_reads {
-                    let e = self.peer_watermarks.entry(from).or_insert(Version::INITIAL);
-                    if wm > *e {
-                        *e = wm;
-                    }
-                }
+                self.hear_watermark(from, wm);
                 let resolved = match self.snap_reads.get_mut(&req_id) {
                     Some(r) if r.result == ReadResult::Pending && r.item == item => {
                         match copy {
@@ -1399,6 +1104,41 @@ impl SiteNode {
         }
     }
 
+    /// Records a peer's watermark, max-merged: deliveries can reorder,
+    /// and a watermark never regresses.
+    fn hear_watermark(&mut self, from: SiteId, wm: Version) {
+        if self.cfg.snapshot_reads {
+            let e = self.peer_watermarks.entry(from).or_default();
+            *e = (*e).max(wm);
+        }
+    }
+
+    /// The highest local version among `spec`'s writeset copies: what a
+    /// yes vote reports, and the floor its pin puts on the watermark.
+    fn local_max_version(&self, spec: &TxnSpec) -> Option<Version> {
+        spec.writeset
+            .items()
+            .filter_map(|i| self.items.version(i))
+            .max()
+    }
+
+    /// Answers a straggler asking after a decided transaction with its
+    /// outcome instead of resurrecting state.
+    fn send_decided(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        to: SiteId,
+        txn: TxnId,
+        (decision, commit_version): Outcome,
+    ) {
+        let reply = Msg::Decided {
+            txn,
+            decision,
+            commit_version,
+        };
+        self.send_net(ctx, to, NetMsg::Proto(reply));
+    }
+
     fn handle_proto(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, from: SiteId, m: Msg) {
         let txn = m.txn();
         // Cross-shard messages first: they address the X coordinator or
@@ -1414,7 +1154,7 @@ impl SiteNode {
                 commit_version,
                 ..
             } => {
-                if let Some(XCoord { engine: x, .. }) = self.xcoords.get_mut(&txn) {
+                if let Some(XCoord { engine: x, .. }) = self.table.xcoords.get_mut(&txn) {
                     let was_decided = x.decision().is_some();
                     let actions = x.on_vote(from, *yes, *commit_version);
                     let now_decided = x.decision().is_some();
@@ -1422,42 +1162,20 @@ impl SiteNode {
                     // Only the None→Some transition queues retirement;
                     // late votes after the decision must not re-enqueue.
                     if now_decided && !was_decided {
-                        self.schedule_retire(ctx.now(), txn);
+                        self.table.schedule_retire(ctx.now(), txn);
                     }
-                } else if let Some(xr) = self.xretired.get(&txn) {
-                    let reply = xr.xdecide_for(from, txn);
+                } else if let Some(reply) = self.table.x_reply(txn, from, false) {
                     self.send_net(ctx, from, NetMsg::Proto(reply));
                 }
                 return;
             }
             Msg::XOutcomeReq { .. } => {
-                if let Some(x) = self.xcoords.get_mut(&txn) {
+                if let Some(x) = self.table.xcoords.get_mut(&txn) {
                     let actions = x.engine.on_outcome_req(from);
                     self.apply_actions(ctx, txn, self.cfg.site, actions);
-                } else if let Some(xr) = self.xretired.get(&txn) {
-                    let reply = xr.xdecide_for(from, txn);
-                    self.send_net(ctx, from, NetMsg::Proto(reply));
-                } else if let Some(decision) = self
-                    .txns
-                    .get(&txn)
-                    .and_then(|st| st.decided)
-                    .or_else(|| self.retired.get(&txn).map(|r| r.decision))
-                {
-                    // Cooperative discovery: not the parent, but a
-                    // decided branch of the same transaction (a branch
-                    // only ever decides with the top-level outcome —
-                    // via the parent's X-DECIDE or by aborting before
-                    // voting yes, which forces a top-level abort). A
-                    // sibling cannot know the asker's *branch* commit
-                    // version, so the answer carries none; the asker's
-                    // engine keeps its own held version, and an
-                    // engine-less asker falls back to its locally
-                    // learned PC version.
-                    let reply = Msg::XDecide {
-                        txn,
-                        decision,
-                        commit_version: None,
-                    };
+                } else if let Some(reply) = self.table.x_reply(txn, from, true) {
+                    // Not the parent: a retired coordination, or
+                    // cooperative discovery from a decided branch.
                     self.send_net(ctx, from, NetMsg::Proto(reply));
                 }
                 return;
@@ -1475,15 +1193,10 @@ impl SiteNode {
         // A retired transaction answers every straggler with its outcome
         // instead of resurrecting state (`Decided` itself needs no
         // answer — and must not echo into a reply loop).
-        if !self.txns.contains_key(&txn) {
-            if let Some(r) = self.retired.get(&txn) {
+        if !self.table.txns.contains_key(&txn) {
+            if let Some(outcome) = self.table.retired_outcome(txn) {
                 if !matches!(m, Msg::Decided { .. }) {
-                    let reply = Msg::Decided {
-                        txn,
-                        decision: r.decision,
-                        commit_version: r.commit_version,
-                    };
-                    self.send_net(ctx, from, NetMsg::Proto(reply));
+                    self.send_decided(ctx, from, txn, outcome);
                 }
                 return;
             }
@@ -1497,7 +1210,7 @@ impl SiteNode {
             }
             _ => {}
         }
-        if !self.txns.contains_key(&txn) {
+        if !self.table.txns.contains_key(&txn) {
             // A message about a transaction this site knows nothing of
             // (e.g. a stray ack to a recovered coordinator): ignore.
             return;
@@ -1514,65 +1227,41 @@ impl SiteNode {
         // not, or a stale-ballot candidacy being ignored by every peer
         // would pet its own watchdog forever instead of escalating.
         if matches!(m, Msg::PaxosP1a { .. } | Msg::PaxosP2a { .. }) {
-            if let Some(st) = self.txns.get_mut(&txn) {
-                if let Some(decision) = st.decided {
-                    let commit_version = st.commit_version();
-                    self.send_net(
-                        ctx,
-                        from,
-                        NetMsg::Proto(Msg::Decided {
-                            txn,
-                            decision,
-                            commit_version,
-                        }),
-                    );
-                    return;
-                }
-                if from != self.cfg.site {
+            if let Some(outcome) = self.table.decided_outcome(txn) {
+                self.send_decided(ctx, from, txn, outcome);
+                return;
+            }
+            if from != self.cfg.site {
+                if let Some(st) = self.table.txns.get_mut(&txn) {
                     st.last_coord_contact = ctx.now();
                 }
             }
-        }
-        match &m {
-            Msg::PaxosP1a { bal, .. } => {
-                let mut actions = self.take_actions();
-                self.acceptors
-                    .entry(txn)
-                    .or_default()
-                    .on_p1a(txn, *bal, &mut actions);
-                self.apply_actions(ctx, txn, from, actions);
+            let mut actions = self.take_actions();
+            let acceptor = self.table.acceptors.entry(txn).or_default();
+            match &m {
+                Msg::PaxosP2a { bal, votes, .. } => acceptor.on_p2a(txn, *bal, votes, &mut actions),
+                Msg::PaxosP1a { bal, .. } => acceptor.on_p1a(txn, *bal, &mut actions),
+                _ => unreachable!("matched above"),
+            }
+            self.apply_actions(ctx, txn, from, actions);
+            if matches!(m, Msg::PaxosP1a { .. }) {
                 self.arm_watchdog(ctx, txn);
-                return;
             }
-            Msg::PaxosP2a { bal, votes, .. } => {
-                let mut actions = self.take_actions();
-                self.acceptors
-                    .entry(txn)
-                    .or_default()
-                    .on_p2a(txn, *bal, votes, &mut actions);
-                self.apply_actions(ctx, txn, from, actions);
-                return;
-            }
-            _ => {}
+            return;
         }
 
         // Dynamic vote decision: scripted no-votes and lock conflicts.
         if let Msg::VoteReq { spec } = &m {
-            if self.txns[&txn].participant.state() == LocalState::Initial {
+            if self.table.txns[&txn].participant.state() == LocalState::Initial {
                 let scripted_no = self.cfg.vote_no_on.contains(&txn);
                 let locked = scripted_no || !self.try_lock_writeset(ctx.now(), txn, spec);
-                let st = self.txns.get_mut(&txn).expect("ensured");
+                let st = self.table.txns.get_mut(&txn).expect("ensured");
                 st.participant.set_vote(!locked);
                 if !locked && self.cfg.snapshot_reads {
                     // A yes vote pins local copies whose eventual commit
                     // version (if any) exceeds the local max it reports:
                     // that max floors the watermark until the decision.
-                    let floor = spec
-                        .writeset
-                        .items()
-                        .filter_map(|i| self.items.version(i))
-                        .max();
-                    if let Some(floor) = floor {
+                    if let Some(floor) = self.local_max_version(spec) {
                         self.stable_floors.insert(txn, floor);
                     }
                 }
@@ -1582,26 +1271,20 @@ impl SiteNode {
             self.emit(ctx.now(), Some(txn), EventKind::VoteIn { yes: *yes });
         }
 
-        // The highest local version among writeset copies (reported in
-        // yes votes; basis of the commit version). Only `VOTE-REQ`
-        // handling reads it — a vote is the only reply that carries a
-        // version — so every other message skips the writeset walk.
-        let local_max_version = if matches!(m, Msg::VoteReq { .. }) {
-            let st = &self.txns[&txn];
-            st.spec
-                .writeset
-                .items()
-                .filter_map(|i| self.items.version(i))
-                .max()
-                .unwrap_or(Version::INITIAL)
-        } else {
-            Version::INITIAL
+        // Reported in yes votes (basis of the commit version). Only
+        // `VOTE-REQ` handling reads it — a vote is the only reply that
+        // carries a version — so every other message skips the walk.
+        let local_max_version = match &m {
+            Msg::VoteReq { .. } => self
+                .local_max_version(&self.table.txns[&txn].spec)
+                .unwrap_or(Version::INITIAL),
+            _ => Version::INITIAL,
         };
 
         let catalog = Arc::clone(&self.catalog);
         let mut actions = self.take_actions();
         {
-            let st = self.txns.get_mut(&txn).expect("checked");
+            let st = self.table.txns.get_mut(&txn).expect("checked");
             st.last_coord_contact = ctx.now();
             match &m {
                 Msg::Vote {
@@ -1703,87 +1386,49 @@ impl SiteNode {
         commit_version: Option<Version>,
     ) {
         let site = self.cfg.site;
-        enum Route {
-            Engine(Vec<Action>),
-            Rebroadcast(Arc<TxnSpec>, Option<Version>),
-            Participant(Vec<Action>),
-            Ignore,
-        }
-        let mut scratch = self.take_actions();
-        let route = match self.txns.get_mut(&txn) {
-            None => Route::Ignore, // unknown or retired: nothing held here
-            Some(st) if st.decided.is_some() => Route::Ignore,
-            Some(st) => {
-                st.last_coord_contact = ctx.now();
-                if let Some(c) = st.coordinator.as_mut() {
-                    c.on_x_decide(decision, commit_version, &mut scratch);
-                    Route::Engine(std::mem::take(&mut scratch))
-                } else if let Some(p) = st.paxos.as_mut() {
-                    p.on_x_decide(decision, commit_version, &mut scratch);
-                    Route::Engine(std::mem::take(&mut scratch))
-                } else if st.spec.coordinator == site {
-                    // The parent's echo carries the branch version; a
-                    // sibling's answer does not — fall back to the
-                    // locally learned PC version.
-                    let v = commit_version.or(st.participant.commit_version());
-                    Route::Rebroadcast(Arc::clone(&st.spec), v)
-                } else {
-                    // A discovering participant: obey the command. The
-                    // version falls back to the locally learned PC
-                    // version; a commit without either is undeliverable
-                    // (cannot happen: the parent echoes the version our
-                    // branch reported) and is dropped defensively.
-                    let v = commit_version.or(st.participant.commit_version());
-                    let msg = match decision {
-                        Decision::Commit => v.map(|v| Msg::Commit {
-                            txn,
-                            commit_version: v,
-                        }),
-                        Decision::Abort => Some(Msg::Abort { txn }),
-                    };
-                    match msg {
-                        Some(m) if st.participant.state() != LocalState::Initial => {
-                            st.participant
-                                .on_msg(from, &m, Version::INITIAL, &mut scratch);
-                            Route::Participant(std::mem::take(&mut scratch))
-                        }
-                        _ => Route::Ignore,
-                    }
-                }
-            }
+        let mut actions = self.take_actions();
+        let Some(st) = self
+            .table
+            .txns
+            .get_mut(&txn)
+            .filter(|st| st.decided.is_none())
+        else {
+            // Unknown, retired or decided: nothing held here.
+            self.recycle_actions(actions);
+            return;
         };
-        self.recycle_actions(scratch);
-        match route {
-            Route::Ignore => {}
-            Route::Engine(actions) | Route::Participant(actions) => {
-                self.apply_actions(ctx, txn, self.cfg.site, actions);
-                self.adopt_coordinator_decision(ctx.now(), txn);
-            }
-            Route::Rebroadcast(spec, version) => {
-                // Recovered branch coordinator without an engine:
-                // re-issue the in-shard command (idempotent at every
-                // receiver; self-addressed copy terminates the local
+        st.last_coord_contact = ctx.now();
+        if let Some(c) = st.coordinator.as_mut() {
+            c.on_x_decide(decision, commit_version, &mut actions);
+        } else if let Some(p) = st.paxos.as_mut() {
+            p.on_x_decide(decision, commit_version, &mut actions);
+        } else {
+            // No engine: a recovered branch coordinator or a discovering
+            // participant carries the command out itself. The parent's
+            // echo carries the branch version; a sibling's answer does
+            // not — fall back to the locally learned PC version. A commit
+            // with neither cannot be built yet: drop it — the watchdog
+            // re-arms, and the parent's echo answers a later retry.
+            let version = commit_version.or(st.participant.commit_version());
+            let command = match (decision, version) {
+                (Decision::Commit, Some(v)) => Msg::Commit {
+                    txn,
+                    commit_version: v,
+                },
+                (Decision::Abort, _) => Msg::Abort { txn },
+                (Decision::Commit, None) => return self.recycle_actions(actions),
+            };
+            if st.spec.coordinator == site {
+                // Re-issue the in-shard command (idempotent at every
+                // receiver; the self-addressed copy terminates the local
                 // participant).
-                let msg = match decision {
-                    Decision::Commit => match version {
-                        Some(v) => Msg::Commit {
-                            txn,
-                            commit_version: v,
-                        },
-                        // A sibling's versionless commit answer with no
-                        // local PC version either: the in-shard command
-                        // cannot be built yet. Drop it — the watchdog
-                        // re-arms, and the parent's echo (which carries
-                        // the version) answers a later retry.
-                        None => return,
-                    },
-                    Decision::Abort => Msg::Abort { txn },
-                };
+                let spec = Arc::clone(&st.spec);
+                self.recycle_actions(actions);
                 for to in spec.participants.iter().copied() {
-                    self.send_net(ctx, to, NetMsg::Proto(msg.clone()));
+                    self.send_net(ctx, to, NetMsg::Proto(command.clone()));
                 }
                 if !spec.participants.contains(&site) {
-                    if let Some(st) = self.txns.get_mut(&txn) {
+                    if let Some(st) = self.table.txns.get_mut(&txn) {
                         let fresh = st.decided.is_none();
                         st.decided = Some(decision);
                         st.decided_at = Some(ctx.now());
@@ -1792,10 +1437,18 @@ impl SiteNode {
                             self.note_decision(txn, decision, version);
                         }
                     }
-                    self.schedule_retire(ctx.now(), txn);
+                    self.table.schedule_retire(ctx.now(), txn);
                 }
+                return;
             }
+            if st.participant.state() == LocalState::Initial {
+                return self.recycle_actions(actions);
+            }
+            st.participant
+                .on_msg(from, &command, Version::INITIAL, &mut actions);
         }
+        self.apply_actions(ctx, txn, site, actions);
+        self.adopt_coordinator_decision(ctx.now(), txn);
     }
 
     /// A coordinator that holds no copies (it is a client, not a
@@ -1807,7 +1460,7 @@ impl SiteNode {
     /// it waits for the engine's `Decided` record exactly as the
     /// participant path's [`Action::ApplyAndDecide`] does.
     fn adopt_coordinator_decision(&mut self, now: Time, txn: TxnId) {
-        let Some(st) = self.txns.get(&txn) else {
+        let Some(st) = self.table.txns.get(&txn) else {
             return;
         };
         if st.decided.is_some() || st.spec.participants.contains(&self.cfg.site) {
@@ -1825,101 +1478,6 @@ impl SiteNode {
             Decision::Abort => None,
         };
         self.apply_when_durable(now, txn, decision, commit_version);
-    }
-
-    /// Queues a decided transaction (or cross-shard coordination) for
-    /// retirement after the re-announce window. No-op without a
-    /// configured [`NodeConfig::retire_after`].
-    fn schedule_retire(&mut self, now: Time, txn: TxnId) {
-        if self.cfg.retire_after.is_some() {
-            self.retire_queue.push_back((now, txn));
-        }
-    }
-
-    /// Retires everything decided longer than `retire_after` ago: the
-    /// heavy per-transaction entry (engines, spec, audit trail) is
-    /// replaced by a compact outcome record that keeps answering
-    /// stragglers, bounding the live tables on long-running sites. Runs
-    /// at the top of every message/timer delivery; the queue is in
-    /// decision-time order, so the scan stops at the first young entry.
-    fn sweep_retired(&mut self, now: Time) {
-        let Some(after) = self.cfg.retire_after else {
-            return;
-        };
-        while let Some(&(t, txn)) = self.retire_queue.front() {
-            // An entry with a record still undurable stays one more
-            // round: its gate LSN lives in it, and the compact outcome
-            // that replaces it answers stragglers ungated.
-            if now.since(t) < after || self.closed_gate(Some(txn)).is_some() {
-                break;
-            }
-            self.retire_queue.pop_front();
-            let mut retired_any = false;
-            if let Some(st) = self.txns.get(&txn) {
-                if let (Some(decision), Some(decided_at)) = (st.decided, st.decided_at) {
-                    let commit_version = st.commit_version();
-                    self.retired.insert(
-                        txn,
-                        RetiredTxn {
-                            decision,
-                            commit_version,
-                            decided_at,
-                        },
-                    );
-                    self.txns.remove(&txn);
-                    retired_any = true;
-                }
-            }
-            if let Some(XCoord { engine: x, .. }) = self.xcoords.get(&txn) {
-                if let Some(decision) = x.decision() {
-                    let versions = x.branch_versions();
-                    let branches = x
-                        .branches()
-                        .iter()
-                        .zip(versions)
-                        .map(|(b, (_, v))| (b.coordinator, b.participants.clone(), v))
-                        .collect();
-                    self.xretired.insert(txn, XRetired { decision, branches });
-                    self.xcoords.remove(&txn);
-                    retired_any = true;
-                }
-            }
-            // The acceptor's promise/accept state is only needed while
-            // recovery candidates may still ask; a retired outcome
-            // answers them directly.
-            if !self.txns.contains_key(&txn) {
-                self.acceptors.remove(&txn);
-            }
-            // Fully retired: the next checkpoint carries the outcome, so
-            // this transaction no longer pins the truncation cutoff.
-            if !self.txns.contains_key(&txn) && !self.xcoords.contains_key(&txn) {
-                self.first_lsn.remove(&txn);
-            }
-            if retired_any && self.cfg.retire_horizon.is_some() {
-                self.age_queue.push_back((now, txn));
-            }
-        }
-        self.sweep_aged(now);
-    }
-
-    /// Ages retired outcomes out entirely once they have sat in the
-    /// compact maps for [`NodeConfig::retire_horizon`]: the maps — and
-    /// every checkpoint record serializing them — stay O(live +
-    /// horizon) instead of O(history). A straggler asking after the
-    /// horizon gets silence instead of the outcome, which is why the
-    /// horizon must dwarf every retry window (see the config doc).
-    fn sweep_aged(&mut self, now: Time) {
-        let Some(horizon) = self.cfg.retire_horizon else {
-            return;
-        };
-        while let Some(&(t, txn)) = self.age_queue.front() {
-            if now.since(t) < horizon {
-                break;
-            }
-            self.age_queue.pop_front();
-            self.retired.remove(&txn);
-            self.xretired.remove(&txn);
-        }
     }
 
     fn try_lock_writeset(&mut self, now: Time, txn: TxnId, spec: &TxnSpec) -> bool {
@@ -1988,13 +1546,8 @@ impl SiteNode {
                         } = &rec
                         {
                             let floor = Version(commit_version.0.saturating_sub(1));
-                            let e = self
-                                .stable_floors
-                                .entry(*pc_txn)
-                                .or_insert(Version::INITIAL);
-                            if floor > *e {
-                                *e = floor;
-                            }
+                            let e = self.stable_floors.entry(*pc_txn).or_default();
+                            *e = (*e).max(floor);
                         }
                     }
                     self.log_record(ctx, rec)
@@ -2021,7 +1574,7 @@ impl SiteNode {
                     self.start_termination_election(ctx, txn);
                 }
                 Action::DeclareBlocked { txn } => {
-                    if let Some(st) = self.txns.get_mut(&txn) {
+                    if let Some(st) = self.table.txns.get_mut(&txn) {
                         st.blocked = true;
                     }
                     if self.cfg.retry_blocked {
@@ -2037,6 +1590,21 @@ impl SiteNode {
             }
         }
         self.recycle_actions(actions);
+    }
+
+    /// Runs `f` on `txn`'s live entry, if any, with a scratch action
+    /// buffer, and applies what it emits.
+    fn step(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        txn: TxnId,
+        f: impl FnOnce(&mut TxnState, &Catalog, &mut Vec<Action>),
+    ) {
+        let mut actions = self.take_actions();
+        if let Some(st) = self.table.txns.get_mut(&txn) {
+            f(st, &self.catalog, &mut actions);
+        }
+        self.apply_actions(ctx, txn, self.cfg.site, actions);
     }
 
     /// Pops a spare engine-action scratch buffer (empty, capacity
@@ -2089,7 +1657,7 @@ impl SiteNode {
             "{txn:?} applied before its decision record is durable"
         );
         let mut applied = false;
-        if let Some(st) = self.txns.get_mut(&txn) {
+        if let Some(st) = self.table.txns.get_mut(&txn) {
             if st.decided.is_some() {
                 return;
             }
@@ -2110,7 +1678,7 @@ impl SiteNode {
                     }
                 }
             }
-            self.schedule_retire(now, txn);
+            self.table.schedule_retire(now, txn);
             self.note_decision(txn, decision, commit_version);
         }
         // Pin-time clocks stop with the release; the walk over held
@@ -2139,13 +1707,11 @@ impl SiteNode {
     /// transaction's floor still protects. Monotone by construction
     /// (only ever raised).
     fn refresh_watermark(&mut self) {
-        let mut wm = self.vmax;
-        for &floor in self.stable_floors.values() {
-            wm = wm.min(floor);
-        }
-        if wm > self.local_wm {
-            self.local_wm = wm;
-        }
+        let wm = self
+            .stable_floors
+            .values()
+            .fold(self.vmax, |wm, &f| wm.min(f));
+        self.local_wm = self.local_wm.max(wm);
     }
 
     /// Drops item versions below the *shard* watermark (the level
@@ -2160,7 +1726,7 @@ impl SiteNode {
     }
 
     fn arm_watchdog(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
-        if let Some(st) = self.txns.get_mut(&txn) {
+        if let Some(st) = self.table.txns.get_mut(&txn) {
             if st.decided.is_none() && !st.watchdog_armed {
                 st.watchdog_armed = true;
                 ctx.set_timer(
@@ -2172,7 +1738,7 @@ impl SiteNode {
     }
 
     fn start_termination_election(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
-        let Some(st) = self.txns.get_mut(&txn) else {
+        let Some(st) = self.table.txns.get_mut(&txn) else {
             return;
         };
         if st.decided.is_some() || st.termination_rounds >= self.cfg.max_termination_rounds {
@@ -2210,7 +1776,7 @@ impl SiteNode {
             }
             st.paxos = Some(Box::new(candidate));
             let mut actions = self.take_actions();
-            let st = self.txns.get_mut(&txn).expect("still live");
+            let st = self.table.txns.get_mut(&txn).expect("still live");
             st.paxos
                 .as_mut()
                 .expect("just installed")
@@ -2219,17 +1785,7 @@ impl SiteNode {
             return;
         }
         let spec = Arc::clone(&st.spec);
-        if st.elector.is_none() {
-            st.elector = Some(Box::new(Elector::new(
-                self.cfg.site,
-                spec.participants.clone(),
-            )));
-        }
-        let actions = st
-            .elector
-            .as_mut()
-            .expect("just created")
-            .step(ElInput::Start);
+        let actions = st.elector(self.cfg.site).step(ElInput::Start);
         self.emit(ctx.now(), Some(txn), EventKind::ElectionStarted);
         self.apply_election_actions(ctx, txn, spec, actions);
     }
@@ -2242,45 +1798,20 @@ impl SiteNode {
         spec: Arc<TxnSpec>,
         msg: ElectionMsg,
     ) {
-        // A retired transaction answers the election with its outcome
-        // instead of resurrecting state.
-        if let Some(r) = self.retired.get(&txn) {
-            let reply = Msg::Decided {
-                txn,
-                decision: r.decision,
-                commit_version: r.commit_version,
-            };
-            self.send_net(ctx, from, NetMsg::Proto(reply));
+        // A retired or decided site answers the election with the
+        // outcome directly.
+        if let Some(outcome) = self.table.retired_outcome(txn) {
+            self.send_decided(ctx, from, txn, outcome);
             return;
         }
         self.ensure_txn(ctx.now(), &spec);
-        let st = self.txns.get_mut(&txn).expect("ensured");
-        // A decided site answers elections with the outcome directly.
-        if let Some(decision) = st.decided {
-            let commit_version = st.commit_version();
-            self.send_net(
-                ctx,
-                from,
-                NetMsg::Proto(Msg::Decided {
-                    txn,
-                    decision,
-                    commit_version,
-                }),
-            );
+        if let Some(outcome) = self.table.decided_outcome(txn) {
+            self.send_decided(ctx, from, txn, outcome);
             return;
         }
+        let st = self.table.txns.get_mut(&txn).expect("ensured");
         st.last_coord_contact = ctx.now();
-        if st.elector.is_none() {
-            st.elector = Some(Box::new(Elector::new(
-                self.cfg.site,
-                spec.participants.clone(),
-            )));
-        }
-        let actions = st
-            .elector
-            .as_mut()
-            .expect("just created")
-            .step(ElInput::Msg { from, msg });
+        let actions = st.elector(self.cfg.site).step(ElInput::Msg { from, msg });
         self.apply_election_actions(ctx, txn, spec, actions);
         self.arm_watchdog(ctx, txn);
     }
@@ -2307,7 +1838,7 @@ impl SiteNode {
                 }
                 ElAction::Elected => self.start_termination_round(ctx, txn),
                 ElAction::CoordinatorIs(_) => {
-                    if let Some(st) = self.txns.get_mut(&txn) {
+                    if let Some(st) = self.table.txns.get_mut(&txn) {
                         st.last_coord_contact = ctx.now();
                     }
                 }
@@ -2316,7 +1847,7 @@ impl SiteNode {
     }
 
     fn start_termination_round(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
-        let Some(st) = self.txns.get_mut(&txn) else {
+        let Some(st) = self.table.txns.get_mut(&txn) else {
             return;
         };
         if st.decided.is_some() {
@@ -2327,14 +1858,14 @@ impl SiteNode {
         // irrevocable before the round runs (see
         // `Participant::veto_abort`).
         let mut veto = self.take_actions();
-        let st = self.txns.get_mut(&txn).expect("checked above");
+        let st = self.table.txns.get_mut(&txn).expect("checked above");
         st.participant.veto_abort(&mut veto);
         if veto.is_empty() {
             self.recycle_actions(veto);
         } else {
             self.apply_actions(ctx, txn, self.cfg.site, veto);
         }
-        let Some(st) = self.txns.get_mut(&txn) else {
+        let Some(st) = self.table.txns.get_mut(&txn) else {
             return;
         };
         st.termination_rounds += 1;
@@ -2370,88 +1901,69 @@ impl Process for SiteNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, from: SiteId, msg: NetMsg) {
-        self.sweep_retired(ctx.now());
+        let log = &self.log;
+        self.table
+            .retire_due(ctx.now(), |gate| log.closed(gate).is_some());
         self.handle_net(ctx, from, msg);
         self.pump(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, _id: TimerId, timer: NodeTimer) {
-        self.sweep_retired(ctx.now());
-        let catalog = Arc::clone(&self.catalog);
+        let log = &self.log;
+        self.table
+            .retire_due(ctx.now(), |gate| log.closed(gate).is_some());
         match timer {
             NodeTimer::Proto(kind) => match kind {
                 TimerKind::VoteCollection { txn } => {
-                    let mut actions = self.take_actions();
-                    if let Some(st) = self.txns.get_mut(&txn) {
+                    self.step(ctx, txn, |st, _, out| {
                         if let Some(c) = st.coordinator.as_mut() {
-                            c.on_vote_timer(&mut actions);
+                            c.on_vote_timer(out);
                         } else if let Some(p) = st.paxos.as_mut() {
-                            p.on_vote_timer(&mut actions);
+                            p.on_vote_timer(out);
                         }
-                    }
-                    self.apply_actions(ctx, txn, self.cfg.site, actions);
+                    });
                     self.adopt_coordinator_decision(ctx.now(), txn);
                 }
-                TimerKind::Paxos1bCollection { txn, bal } => {
-                    // Guarded on the undecided state: a leader stuck in
-                    // `Proposing` after a higher-ballot candidate already
-                    // decided would otherwise re-broadcast forever.
-                    let mut actions = self.take_actions();
-                    if let Some(p) = self
-                        .txns
-                        .get_mut(&txn)
-                        .filter(|st| st.decided.is_none())
-                        .and_then(|st| st.paxos.as_mut())
-                    {
-                        p.on_1b_timer(bal, &mut actions);
+                // The Paxos timers are guarded on the undecided state: a
+                // leader stuck in `Proposing` after a higher-ballot
+                // candidate already decided would otherwise re-broadcast
+                // forever.
+                TimerKind::Paxos1bCollection { txn, bal } => self.step(ctx, txn, |st, _, out| {
+                    if let (None, Some(p)) = (st.decided, st.paxos.as_mut()) {
+                        p.on_1b_timer(bal, out);
                     }
-                    self.apply_actions(ctx, txn, self.cfg.site, actions);
-                }
-                TimerKind::Paxos2bCollection { txn, bal } => {
-                    let mut actions = self.take_actions();
-                    if let Some(p) = self
-                        .txns
-                        .get_mut(&txn)
-                        .filter(|st| st.decided.is_none())
-                        .and_then(|st| st.paxos.as_mut())
-                    {
-                        p.on_2b_timer(bal, &mut actions);
+                }),
+                TimerKind::Paxos2bCollection { txn, bal } => self.step(ctx, txn, |st, _, out| {
+                    if let (None, Some(p)) = (st.decided, st.paxos.as_mut()) {
+                        p.on_2b_timer(bal, out);
                     }
-                    self.apply_actions(ctx, txn, self.cfg.site, actions);
-                }
+                }),
                 TimerKind::AckCollection { txn } => {
-                    let mut actions = self.take_actions();
-                    if let Some(c) = self
-                        .txns
-                        .get_mut(&txn)
-                        .and_then(|st| st.coordinator.as_mut())
-                    {
-                        c.on_ack_timer(&catalog, &mut actions);
-                    }
-                    self.apply_actions(ctx, txn, self.cfg.site, actions);
+                    self.step(ctx, txn, |st, catalog, out| {
+                        if let Some(c) = st.coordinator.as_mut() {
+                            c.on_ack_timer(catalog, out);
+                        }
+                    });
                     self.adopt_coordinator_decision(ctx.now(), txn);
                 }
                 TimerKind::StateCollection { txn, round } => {
-                    let actions = self
-                        .txns
-                        .get_mut(&txn)
-                        .and_then(|st| st.termination.as_mut())
-                        .map(|t| t.on_state_timer(round, &catalog))
-                        .unwrap_or_default();
-                    self.apply_actions(ctx, txn, self.cfg.site, actions);
+                    self.step(ctx, txn, |st, catalog, out| {
+                        if let Some(t) = st.termination.as_mut() {
+                            out.extend(t.on_state_timer(round, catalog));
+                        }
+                    })
                 }
                 TimerKind::TerminationAcks { txn, round } => {
-                    let actions = self
-                        .txns
-                        .get_mut(&txn)
-                        .and_then(|st| st.termination.as_mut())
-                        .map(|t| t.on_acks_timer(round, &catalog))
-                        .unwrap_or_default();
-                    self.apply_actions(ctx, txn, self.cfg.site, actions);
+                    self.step(ctx, txn, |st, catalog, out| {
+                        if let Some(t) = st.termination.as_mut() {
+                            out.extend(t.on_acks_timer(round, catalog));
+                        }
+                    })
                 }
                 TimerKind::CoordinatorWatch { txn } => self.on_watchdog(ctx, txn),
                 TimerKind::XVoteCollection { txn } => {
                     let actions = self
+                        .table
                         .xcoords
                         .get_mut(&txn)
                         .map(|x| x.engine.on_vote_timer())
@@ -2459,11 +1971,12 @@ impl Process for SiteNode {
                     let decided = !actions.is_empty();
                     self.apply_actions(ctx, txn, self.cfg.site, actions);
                     if decided {
-                        self.schedule_retire(ctx.now(), txn);
+                        self.table.schedule_retire(ctx.now(), txn);
                     }
                 }
                 TimerKind::BlockedRetry { txn } => {
                     let undecided = self
+                        .table
                         .txns
                         .get(&txn)
                         .map(|st| st.decided.is_none())
@@ -2474,7 +1987,7 @@ impl Process for SiteNode {
                 }
             },
             NodeTimer::Election { txn, timer } => {
-                let (spec, actions) = match self.txns.get_mut(&txn) {
+                let (spec, actions) = match self.table.txns.get_mut(&txn) {
                     Some(st) if st.decided.is_none() => match st.elector.as_mut() {
                         Some(e) => (Arc::clone(&st.spec), e.step(ElInput::Timer(timer))),
                         None => return,
@@ -2514,17 +2027,7 @@ impl Process for SiteNode {
         // and of the log exactly what was forced (staged records and
         // the effects waiting on them are the group-commit loss window).
         self.log.crash();
-        self.txns.clear();
-        self.xcoords.clear();
-        // Acceptor promises/accepts are durable (force-logged before
-        // every echo); the in-memory map is rebuilt from the WAL.
-        self.acceptors.clear();
-        // Retired summaries are volatile too: the WAL still holds every
-        // record they were distilled from, so recovery rebuilds them.
-        self.retired.clear();
-        self.xretired.clear();
-        self.retire_queue.clear();
-        self.age_queue.clear();
+        self.table.crash();
         self.decision_events.clear();
         self.reads.clear();
         self.snap_reads.clear();
@@ -2532,7 +2035,6 @@ impl Process for SiteNode {
         self.local_queue.clear();
         // Checkpoint bookkeeping is volatile (timers from before the
         // crash never fire); recovery rebuilds it from the log.
-        self.first_lsn.clear();
         self.checkpoint_armed = false;
         self.last_checkpoint_end = Lsn(0);
         // Watermark state is volatile; recovery rebuilds floors from
@@ -2566,46 +2068,14 @@ impl Process for SiteNode {
                 self.items.install_chain(*item, chain);
             }
         }
-        for o in ck_retired {
-            self.retired.insert(
-                o.txn,
-                RetiredTxn {
-                    decision: o.decision,
-                    commit_version: o.commit_version,
-                    decided_at: ctx.now(),
-                },
-            );
-            // Re-enter the aging pipeline with a fresh clock: the
-            // recovered site grants stragglers a full horizon again
-            // rather than guessing how much had already elapsed.
-            if self.cfg.retire_horizon.is_some() {
-                self.age_queue.push_back((ctx.now(), o.txn));
-            }
-        }
-        for o in ck_xretired {
-            if self.cfg.retire_horizon.is_some() && !self.retired.contains_key(&o.txn) {
-                self.age_queue.push_back((ctx.now(), o.txn));
-            }
-            self.xretired.insert(
-                o.txn,
-                XRetired {
-                    decision: o.decision,
-                    branches: o
-                        .branches
-                        .iter()
-                        .map(|(c, p, v)| (*c, p.iter().copied().collect(), *v))
-                        .collect(),
-                },
-            );
-        }
+        self.table
+            .install_checkpoint(ctx.now(), ck_retired, ck_xretired);
         // Rebuild the truncation bookkeeping from the durable log: the
         // first retained LSN per transaction, and the log end as of the
         // newest checkpoint.
         for (lsn, rec) in &log {
             match rec.txn() {
-                Some(t) => {
-                    self.first_lsn.entry(t).or_insert(*lsn);
-                }
+                Some(t) => self.table.note_record(t, *lsn),
                 None => self.last_checkpoint_end = Lsn(lsn.0 + 1),
             }
         }
@@ -2613,7 +2083,7 @@ impl Process for SiteNode {
         let site = self.cfg.site;
         let faulty = self.cfg.faulty;
         for (txn, rec) in recovered {
-            if self.retired.contains_key(&txn) {
+            if self.table.retired_outcome(txn).is_some() {
                 // Retired before the checkpoint: only leftover records
                 // of an already-answered history (truncation keeps
                 // whole segments). The compact outcome keeps answering.
@@ -2665,11 +2135,7 @@ impl Process for SiteNode {
                     // imposes: at least the current local max of its
                     // writeset copies, raised to just below the commit
                     // version when a PreCommit record fixed it.
-                    let mut floor = spec
-                        .writeset
-                        .items()
-                        .filter_map(|i| self.items.version(i))
-                        .max();
+                    let mut floor = self.local_max_version(&spec);
                     if let Some(cv) = rec.commit_version {
                         let pc = Version(cv.0.saturating_sub(1));
                         floor = Some(floor.map_or(pc, |f| f.max(pc)));
@@ -2684,14 +2150,14 @@ impl Process for SiteNode {
             let mut st = TxnState::new(spec, participant, ctx.now());
             st.decided = decided;
             st.decided_at = decided.map(|_| ctx.now());
-            self.txns.insert(txn, st);
+            self.table.txns.insert(txn, st);
             if decided.is_none() {
                 self.arm_watchdog(ctx, txn);
             } else {
-                self.schedule_retire(ctx.now(), txn);
+                self.table.schedule_retire(ctx.now(), txn);
             }
             // Coordinator-side recovery duties.
-            let st = self.txns.get(&txn).expect("just inserted");
+            let st = self.table.txns.get(&txn).expect("just inserted");
             if st.spec.coordinator != site {
                 continue;
             }
@@ -2704,15 +2170,7 @@ impl Process for SiteNode {
                 // site (crash between log force and broadcast).
                 Some(decision) => {
                     for to in targets {
-                        self.send_net(
-                            ctx,
-                            to,
-                            NetMsg::Proto(Msg::Decided {
-                                txn,
-                                decision,
-                                commit_version,
-                            }),
-                        );
+                        self.send_decided(ctx, to, txn, (decision, commit_version));
                     }
                 }
                 // 2PC presumed abort: the commit point is this site's
@@ -2743,13 +2201,14 @@ impl Process for SiteNode {
                     if is_participant {
                         // Terminate the local participant too.
                         let mut actions = self.take_actions();
-                        self.txns
+                        self.table
+                            .txns
                             .get_mut(&txn)
                             .expect("present")
                             .participant
                             .on_msg(site, &Msg::Abort { txn }, Version::INITIAL, &mut actions);
                         self.apply_actions(ctx, txn, site, actions);
-                    } else if let Some(st) = self.txns.get_mut(&txn) {
+                    } else if let Some(st) = self.table.txns.get_mut(&txn) {
                         st.decided = Some(Decision::Abort);
                         st.decided_at = Some(ctx.now());
                         self.note_decision(txn, Decision::Abort, None);
@@ -2768,14 +2227,14 @@ impl Process for SiteNode {
         // one is re-announced to every branch coordinator.
         let xrecovered = recover_xstate(records());
         for (txn, rec) in xrecovered {
-            if self.xretired.contains_key(&txn) {
+            if self.table.x_known(txn) {
                 // Retired into the checkpoint: the compact record keeps
                 // answering orphans; no engine (and no re-announce
                 // storm) needed.
                 continue;
             }
             let (engine, actions) = XTxnCoordinator::from_recovery(txn, &rec);
-            self.xcoords.insert(
+            self.table.xcoords.insert(
                 txn,
                 XCoord {
                     engine,
@@ -2783,7 +2242,7 @@ impl Process for SiteNode {
                 },
             );
             self.apply_actions(ctx, txn, self.cfg.site, actions);
-            self.schedule_retire(ctx.now(), txn);
+            self.table.schedule_retire(ctx.now(), txn);
         }
         // Paxos Commit acceptor recovery: promises and accepted batches
         // were force-logged before every 1b/2b echo, so the durable
@@ -2791,32 +2250,19 @@ impl Process for SiteNode {
         // held to by a recovery candidate. Decided or retired
         // transactions answer with the outcome instead.
         for (txn, rec) in recover_paxos(records()) {
-            if self.retired.contains_key(&txn) {
-                continue;
+            if self.table.decision(txn).is_none() {
+                self.table
+                    .acceptors
+                    .insert(txn, PaxosAcceptor::from_recovery(&rec));
             }
-            if self.txns.get(&txn).is_some_and(|st| st.decided.is_some()) {
-                continue;
-            }
-            self.acceptors
-                .insert(txn, PaxosAcceptor::from_recovery(&rec));
         }
-        // Only live transactions pin the truncation cutoff; leftover
-        // entries for retired/abandoned ones would pin it forever.
-        let (txns, xcoords) = (&self.txns, &self.xcoords);
-        self.first_lsn
-            .retain(|t, _| txns.contains_key(t) || xcoords.contains_key(t));
+        self.table.forget_dead_records();
         if self.cfg.snapshot_reads {
             // Rebuild vmax from the durable store (every installed
             // version survived in the chains) and recompute the local
             // watermark over the floors the in-doubt pass re-imposed.
-            let items: Vec<ItemId> = self.items.items().collect();
-            for i in items {
-                if let Some(v) = self.items.version(i) {
-                    if v > self.vmax {
-                        self.vmax = v;
-                    }
-                }
-            }
+            let newest = self.items.items().filter_map(|i| self.items.version(i));
+            self.vmax = newest.fold(self.vmax, Version::max);
             self.refresh_watermark();
         }
         // Emitted after the re-pins above: recovery's re-acquired locks
@@ -2834,7 +2280,7 @@ impl SiteNode {
         let watchdog = self.cfg.watchdog_3t();
         let site = self.cfg.site;
         {
-            let Some(st) = self.txns.get_mut(&txn) else {
+            let Some(st) = self.table.txns.get_mut(&txn) else {
                 return;
             };
             st.watchdog_armed = false;
@@ -2844,7 +2290,7 @@ impl SiteNode {
         }
         let mut actions = self.take_actions();
         let (expired, orphan_discovery) = {
-            let st = self.txns.get_mut(&txn).expect("checked above");
+            let st = self.table.txns.get_mut(&txn).expect("checked above");
             if now.since(st.last_coord_contact) >= watchdog {
                 if st.spec.protocol == ProtocolKind::PaxosCommit
                     && st.participant.state() == LocalState::Initial
@@ -2897,19 +2343,6 @@ impl SiteNode {
     }
 }
 
-/// The end LSN of the newest record staged for `txn` (`Lsn(0)`: none):
-/// the larger of its transaction entry's gate and, for a cross-shard
-/// parent hosted here, its coordination's.
-fn newest_gate(
-    txns: &FastMap<TxnId, TxnState>,
-    xcoords: &FastMap<TxnId, XCoord>,
-    txn: TxnId,
-) -> Lsn {
-    let own = txns.get(&txn).map_or(Lsn(0), |st| st.gate);
-    let x = xcoords.get(&txn).map_or(Lsn(0), |x| x.gate);
-    own.max(x)
-}
-
 /// Who an orphaned branch asks for the cross-shard outcome: the parent
 /// first, then every sibling branch coordinator (cooperative
 /// discovery), skipping the parent (no duplicate ask when a sibling's
@@ -2929,20 +2362,18 @@ fn discovery_targets(parent: SiteId, siblings: &[SiteId], this: SiteId) -> Vec<S
 ///
 /// Canonicalisation rules:
 ///
-/// * hash-map tables (`txns`, `xcoords`, `retired`, `xretired`,
-///   `first_lsn`) are sorted by key first — their iteration order is
+/// * hash-map tables are sorted by key first — their iteration order is
 ///   insertion history, not state;
-/// * absolute timestamps are hashed *relative* to `now`
-///   (`last_coord_contact` feeds the watchdog's `now.since(..)`
-///   comparison), so states that differ only by a clock translation
-///   merge; each table entry's gate likewise as its distance above the
-///   durable watermark (zero for every open gate), and the log hashes
-///   its own device, watermark and queue the same way
-///   (`DurableLog::fingerprint_volatile`);
-/// * pure history is excluded: the participant's transition audit
-///   trail, `started_at` (metrics-only), force counters and the
-///   spare-buffer cache — hashing any of it would make every distinct path hash distinct and
-///   destroy the merging that keeps exhaustive search tractable.
+/// * absolute timestamps are hashed *relative* to `now`, so states that
+///   differ only by a clock translation merge; the log hashes its own
+///   device, watermark and queue the same way
+///   (`DurableLog::fingerprint_volatile`), and the transaction table
+///   each entry's gate as its distance above the durable watermark
+///   (`TxnTable::fingerprint`), which comes last;
+/// * pure history is excluded: force counters and the spare-buffer
+///   cache here, audit trails in the table — hashing any of it would
+///   make every distinct path hash distinct and destroy the merging
+///   that keeps exhaustive search tractable.
 impl qbc_simnet::Fingerprint for SiteNode {
     fn fingerprint(&self, now: Time, h: &mut qbc_simnet::FastHasher) {
         use std::fmt::Write as _;
@@ -2990,91 +2421,8 @@ impl qbc_simnet::Fingerprint for SiteNode {
         pws.sort_unstable();
         let _ = write!(s, "|pwm{pws:?}");
         h.write(s.as_bytes());
-        // Per-transaction engines, sorted by id.
-        let mut ids: Vec<TxnId> = self.txns.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let st = self.txns.get(&id).expect("sorted key");
-            let mut t = format!("t{id:?}");
-            st.participant.fingerprint(now, h);
-            if let Some(c) = &st.coordinator {
-                c.fingerprint(now, h);
-            }
-            if let Some(term) = &st.termination {
-                term.fingerprint(now, h);
-            }
-            if let Some(e) = &st.elector {
-                e.fingerprint(now, h);
-            }
-            if let Some(p) = &st.paxos {
-                p.fingerprint(now, h);
-            }
-            let _ = write!(
-                t,
-                "|{}{}{}{}{}|{}|{:?}|{:?}|{}|{}|{:?}|{}",
-                st.coordinator.is_some() as u8,
-                st.termination.is_some() as u8,
-                st.elector.is_some() as u8,
-                st.paxos.is_some() as u8,
-                st.watchdog_armed as u8,
-                now.since(st.last_coord_contact).0,
-                st.decided,
-                st.decided_version,
-                st.blocked as u8,
-                st.termination_rounds,
-                st.x_siblings,
-                self.log.above_watermark(st.gate),
-            );
-            h.write(t.as_bytes());
-        }
-        let mut xids: Vec<TxnId> = self.xcoords.keys().copied().collect();
-        xids.sort_unstable();
-        for id in xids {
-            let x = self.xcoords.get(&id).expect("sorted key");
-            let closed = self.log.above_watermark(x.gate);
-            h.write(format!("x{id:?}+{closed}").as_bytes());
-            x.engine.fingerprint(now, h);
-        }
-        // Paxos acceptor table, sorted by transaction.
-        let mut aids: Vec<TxnId> = self.acceptors.keys().copied().collect();
-        aids.sort_unstable();
-        for id in aids {
-            h.write(format!("a{id:?}").as_bytes());
-            self.acceptors
-                .get(&id)
-                .expect("sorted key")
-                .fingerprint(now, h);
-        }
-        // Compact outcomes and retirement/checkpoint bookkeeping.
-        let mut rids: Vec<TxnId> = self.retired.keys().copied().collect();
-        rids.sort_unstable();
-        for id in rids {
-            let r = self.retired.get(&id).expect("sorted key");
-            h.write(
-                format!(
-                    "r{id:?}={:?},{:?},{}",
-                    r.decision,
-                    r.commit_version,
-                    now.since(r.decided_at).0
-                )
-                .as_bytes(),
-            );
-        }
-        let mut xrids: Vec<TxnId> = self.xretired.keys().copied().collect();
-        xrids.sort_unstable();
-        for id in xrids {
-            h.write(
-                format!("xr{id:?}={:?}", self.xretired.get(&id).expect("sorted key")).as_bytes(),
-            );
-        }
-        for (t, id) in &self.retire_queue {
-            h.write(format!("rq{}:{id:?}", now.since(*t).0).as_bytes());
-        }
-        let mut lsns: Vec<(TxnId, Lsn)> = self.first_lsn.iter().map(|(t, l)| (*t, *l)).collect();
-        lsns.sort_unstable();
-        for (id, lsn) in lsns {
-            h.write(format!("fl{id:?}@{lsn:?}").as_bytes());
-        }
+        self.table
+            .fingerprint(now, h, |gate| self.log.above_watermark(gate));
     }
 }
 

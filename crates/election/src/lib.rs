@@ -166,12 +166,6 @@ impl Elector {
         }
     }
 
-    /// Resets to idle (e.g. after the protocol that needed a coordinator
-    /// finished).
-    pub fn reset(&mut self) {
-        self.phase = Phase::Idle;
-    }
-
     fn higher_peers(&self) -> impl Iterator<Item = SiteId> + '_ {
         let me = self.id;
         self.peers.iter().copied().filter(move |p| *p > me)

@@ -316,11 +316,6 @@ impl ScenarioOutcome {
         Some(t.since(sub.at))
     }
 
-    /// Messages delivered during the run, by label.
-    pub fn messages_by_label(&self) -> BTreeMap<&'static str, u64> {
-        self.sim.stats().delivered_by_label()
-    }
-
     /// The partition components of currently-up sites.
     pub fn live_components(&self) -> Vec<BTreeSet<SiteId>> {
         self.sim
@@ -379,7 +374,6 @@ mod tests {
         assert!(out.all_consistent());
         assert!(out.latency(TxnId(1)).is_some());
         assert!(out.coordinator_latency(TxnId(1)).is_some());
-        assert!(out.messages_by_label().contains_key("VOTE-REQ"));
     }
 
     #[test]

@@ -33,22 +33,6 @@ impl Window {
     }
 }
 
-/// Per-item availability report.
-#[derive(Clone, Debug)]
-pub struct ItemAvailability {
-    /// The item.
-    pub item: ItemId,
-    /// Every unavailability window observed, in time order.
-    pub windows: Vec<Window>,
-}
-
-impl ItemAvailability {
-    /// Total unavailable virtual time up to `now`.
-    pub fn unavailable(&self, now: Time) -> qbc_simnet::Duration {
-        qbc_simnet::Duration(self.windows.iter().map(|w| w.length(now).0).sum())
-    }
-}
-
 #[derive(Clone, Debug)]
 struct ItemState {
     copies: Vec<(SiteId, u32)>,
@@ -182,20 +166,6 @@ impl BlockingTracker {
             })
             .sum()
     }
-
-    /// Per-item report (open windows included with `until: None`).
-    pub(crate) fn report(&self) -> Vec<ItemAvailability> {
-        self.items
-            .iter()
-            .map(|(&item, st)| {
-                let mut windows = st.windows.clone();
-                if let Some(from) = st.open {
-                    windows.push(Window { from, until: None });
-                }
-                ItemAvailability { item, windows }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -224,9 +194,8 @@ mod tests {
         t.pin_end(Time(55), SiteId(0), ItemId(0));
         assert_eq!(t.unavailable_total(Time(100)), 30); // [20, 50)
         assert_eq!(t.window_count(), 1);
-        let rep = t.report();
         assert_eq!(
-            rep[0].windows,
+            t.items[&ItemId(0)].windows,
             vec![Window {
                 from: Time(20),
                 until: Some(Time(50))

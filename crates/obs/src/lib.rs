@@ -37,7 +37,6 @@ mod hist;
 mod obs;
 mod registry;
 
-pub use block::{ItemAvailability, Window};
 pub use event::{EventKind, TraceEvent, TraceSink};
 pub use hist::LatencyHistogram;
 pub use obs::{Obs, ObsConfig, PhaseHists};

@@ -4,7 +4,7 @@
 //! and the message/force counters of Gray & Lamport's comparison
 //! table.
 
-use crate::block::{BlockingTracker, ItemAvailability};
+use crate::block::BlockingTracker;
 use crate::event::{EventKind, TraceEvent, TraceSink};
 use crate::flight::FlightRecorder;
 use crate::hist::LatencyHistogram;
@@ -225,16 +225,6 @@ impl Obs {
     /// Total virtual time some item lacked a read quorum, up to `now`.
     pub fn unavailable_total(&self, now: Time) -> Duration {
         Duration(self.lock().blocking.unavailable_total(now))
-    }
-
-    /// Number of read-unavailability windows opened so far.
-    pub fn unavailable_windows(&self) -> u64 {
-        self.lock().blocking.window_count()
-    }
-
-    /// Per-item unavailability windows.
-    pub fn availability_report(&self) -> Vec<ItemAvailability> {
-        self.lock().blocking.report()
     }
 
     /// Every event currently retained by the flight recorder, merged

@@ -44,19 +44,6 @@ use std::time::Instant;
 /// Resubmission attempts before a session fails.
 const MAX_ATTEMPTS: u32 = 64;
 
-/// Client tuning.
-#[derive(Clone, Debug)]
-pub struct ClientConfig {
-    /// Connections in the pool (sessions spread round-robin).
-    pub conns: usize,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig { conns: 4 }
-    }
-}
-
 /// Terminal state of a session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Outcome {
@@ -181,7 +168,6 @@ const TOKEN_WAKER: u64 = u64::MAX;
 struct IoThread {
     shared: Arc<Shared>,
     path: PathBuf,
-    cfg: ClientConfig,
     poller: Poller,
     conns: Vec<Option<Conn>>,
     events: Vec<Event>,
@@ -419,10 +405,11 @@ pub struct ReactorClient {
 }
 
 impl ReactorClient {
-    /// Connects the pool to the server socket at `path` and starts the
-    /// IO thread.
-    pub fn connect(path: &Path, cfg: ClientConfig) -> io::Result<ReactorClient> {
-        assert!(cfg.conns >= 1, "need at least one connection");
+    /// Connects a pool of `conns` connections (sessions spread
+    /// round-robin) to the server socket at `path` and starts the IO
+    /// thread.
+    pub fn connect(path: &Path, conns: usize) -> io::Result<ReactorClient> {
+        assert!(conns >= 1, "need at least one connection");
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 slots: HashMap::new(),
@@ -441,13 +428,12 @@ impl ReactorClient {
         let mut io = IoThread {
             shared: Arc::clone(&shared),
             path: path.to_path_buf(),
-            cfg,
             poller,
             conns: Vec::new(),
             events: Vec::with_capacity(64),
             next_conn: 0,
         };
-        io.conns.resize_with(io.cfg.conns, || None);
+        io.conns.resize_with(conns, || None);
         // Fail fast if the server is not there at all.
         io.connect_one(0)?;
         let handle = std::thread::Builder::new()

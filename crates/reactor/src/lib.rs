@@ -36,9 +36,9 @@ pub mod server;
 pub mod wake;
 pub mod wire;
 
-pub use client::{ClientConfig, ClientStats, Handle, Outcome, ReactorClient};
+pub use client::{ClientStats, Handle, Outcome, ReactorClient};
 pub use frame::{FrameReader, FrameWriter, ReadState, MAX_FRAME};
 pub use poller::{Event, Interest, Poller, PollerKind, Token};
-pub use server::{Planner, ReactorServer, ServerConfig, ServerStats};
+pub use server::{Planner, ReactorConfig, ReactorServer, ServerStats};
 pub use wake::WakeFd;
 pub use wire::{Reply, Request};

@@ -68,19 +68,19 @@ pub trait Planner: Send {
     fn plan_read(&mut self, item: ItemId, down: &BTreeSet<SiteId>) -> Option<SiteId>;
 }
 
-/// Reactor server tuning.
+/// Reactor tuning: the server's workers and front door, and the size of
+/// the client's connection pool.
 #[derive(Clone, Debug)]
-pub struct ServerConfig {
+pub struct ReactorConfig {
     /// Event-loop workers (≥ 1). Worker 0 runs the front door; sites
     /// spread round-robin over all workers.
     pub workers: usize,
+    /// Client connection pool size (sessions are logical and
+    /// multiplexed over these).
+    pub client_conns: usize,
     /// Per-connection queued-reply bytes above which the front door
     /// stops reading that connection.
     pub write_hwm: usize,
-    /// Seed mixed into each driver's RNG.
-    pub seed: u64,
-    /// First transaction id the front door assigns.
-    pub first_txn: u64,
     /// In-flight transaction age (ms) after which the front door gives
     /// up waiting and answers `Rejected` so the client resubmits.
     /// Covers the one silent case — a begin swallowed whole by a
@@ -94,13 +94,12 @@ pub struct ServerConfig {
     pub sockbuf: Option<i32>,
 }
 
-impl Default for ServerConfig {
+impl Default for ReactorConfig {
     fn default() -> Self {
-        ServerConfig {
+        ReactorConfig {
             workers: 2,
+            client_conns: 4,
             write_hwm: 256 * 1024,
-            seed: 0,
-            first_txn: 1,
             txn_timeout_ms: 30_000,
             sockbuf: None,
         }
@@ -569,7 +568,7 @@ impl Worker {
     }
 
     /// Times out sessions whose transaction has been silent for
-    /// `txn_timeout_ms` (see [`ServerConfig::txn_timeout_ms`]).
+    /// `txn_timeout_ms` (see [`ReactorConfig::txn_timeout_ms`]).
     fn sweep_stale_txns(&mut self, now: Time) {
         let front = self.front.as_mut().expect("front door");
         if front.txn_timeout_ms == 0 {
@@ -900,9 +899,12 @@ pub struct ReactorServer {
 impl ReactorServer {
     /// Boots the server: binds `listen` (any stale socket file is
     /// replaced), partitions `nodes` round-robin over the workers and
-    /// starts the event loops.
+    /// starts the event loops. `seed` is mixed into each driver's RNG;
+    /// the front door numbers transactions from `first_txn`.
     pub fn spawn(
-        cfg: ServerConfig,
+        cfg: &ReactorConfig,
+        seed: u64,
+        first_txn: u64,
         nodes: Vec<(SiteId, SiteNode)>,
         planner: Box<dyn Planner>,
         listen: &Path,
@@ -963,7 +965,7 @@ impl ReactorServer {
                     txn_timeout_ms: cfg.txn_timeout_ms,
                     last_sweep: Time(0),
                     pending_reads: HashMap::new(),
-                    next_txn: cfg.first_txn,
+                    next_txn: first_txn,
                     next_req: 1,
                     write_hwm: cfg.write_hwm,
                     sockbuf: cfg.sockbuf,
@@ -973,7 +975,6 @@ impl ReactorServer {
             };
             // Boot the drivers inside the worker thread so on_start
             // effects (recovery, announcements) route like any others.
-            let seed = cfg.seed;
             let handle = std::thread::Builder::new()
                 .name(format!("qbc-reactor-{index}"))
                 .spawn(move || {

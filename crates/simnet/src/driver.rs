@@ -206,7 +206,6 @@ impl<P: Process> NodeDriver<P> {
                 Effect::CancelTimer(id) => {
                     self.cancelled.insert(id);
                 }
-                Effect::Annotate(_) => {}
             }
         }
     }

@@ -606,7 +606,6 @@ impl<N: Process> ControlledHost<N> {
                 Effect::CancelTimer(id) => {
                     self.timers.retain(|t| !(t.site == site && t.id == id));
                 }
-                Effect::Annotate(_) => {}
             }
         }
     }

@@ -73,7 +73,6 @@ pub(crate) enum Effect<M, T> {
         timer: T,
     },
     CancelTimer(TimerId),
-    Annotate(String),
 }
 
 /// Handler context: the only way a process can affect the world.
@@ -134,12 +133,6 @@ impl<'a, M, T> Ctx<'a, M, T> {
     /// unknown timer is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.effects.push(Effect::CancelTimer(id));
-    }
-
-    /// Records a free-form annotation in the simulation trace (debugging
-    /// and experiment narration).
-    pub fn annotate(&mut self, text: impl Into<String>) {
-        self.effects.push(Effect::Annotate(text.into()));
     }
 }
 

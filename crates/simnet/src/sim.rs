@@ -629,15 +629,6 @@ impl<N: Process> Sim<N> {
                 Effect::CancelTimer(id) => {
                     self.cancelled.insert(id);
                 }
-                Effect::Annotate(text) => {
-                    if self.config.record_trace {
-                        self.trace.push(TraceEvent::Note {
-                            at: self.now,
-                            site,
-                            text,
-                        });
-                    }
-                }
             }
         }
     }

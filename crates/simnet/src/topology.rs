@@ -144,20 +144,9 @@ impl Topology {
         self.blocked.insert((from, to));
     }
 
-    /// Blocks both directions between two sites.
-    pub fn block_pair(&mut self, a: SiteId, b: SiteId) {
-        self.blocked.insert((a, b));
-        self.blocked.insert((b, a));
-    }
-
     /// Unblocks a directed link.
     pub fn unblock_link(&mut self, from: SiteId, to: SiteId) {
         self.blocked.remove(&(from, to));
-    }
-
-    /// Removes all link blocks.
-    pub fn unblock_all(&mut self) {
-        self.blocked.clear();
     }
 
     /// Sets the probability that any individual message is lost.
@@ -187,15 +176,6 @@ impl Topology {
     /// True when the site is currently crashed.
     pub fn is_down(&self, s: SiteId) -> bool {
         self.down.contains(&s)
-    }
-
-    /// Sites that are up (not crashed), regardless of partition.
-    pub fn up_sites(&self) -> BTreeSet<SiteId> {
-        self.component
-            .keys()
-            .copied()
-            .filter(|s| !self.down.contains(s))
-            .collect()
     }
 
     /// Sites that are up *and* in the same component as `s`.
@@ -310,21 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn block_pair_blocks_both_directions() {
-        let mut t = Topology::fully_connected(sites(3));
-        t.block_pair(SiteId(1), SiteId(2));
-        let mut r = rng();
-        assert_eq!(
-            t.route(SiteId(1), SiteId(2), &mut r),
-            Err(DropReason::LinkBlocked)
-        );
-        assert_eq!(
-            t.route(SiteId(2), SiteId(1), &mut r),
-            Err(DropReason::LinkBlocked)
-        );
-    }
-
-    #[test]
     fn crashed_sites_drop_traffic() {
         let mut t = Topology::fully_connected(sites(2));
         t.mark_down(SiteId(1));
@@ -339,7 +304,6 @@ mod tests {
         );
         t.mark_up(SiteId(1));
         assert_eq!(t.route(SiteId(0), SiteId(1), &mut r), Ok(()));
-        assert!(t.up_sites().contains(&SiteId(1)));
     }
 
     #[test]

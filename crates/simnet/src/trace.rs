@@ -47,12 +47,6 @@ pub enum TraceEvent {
     Partitioned { at: Time, components: usize },
     /// The network healed to full connectivity.
     Healed { at: Time },
-    /// Free-form annotation from a process.
-    Note {
-        at: Time,
-        site: SiteId,
-        text: String,
-    },
 }
 
 impl TraceEvent {
@@ -66,8 +60,7 @@ impl TraceEvent {
             | TraceEvent::Crashed { at, .. }
             | TraceEvent::Recovered { at, .. }
             | TraceEvent::Partitioned { at, .. }
-            | TraceEvent::Healed { at }
-            | TraceEvent::Note { at, .. } => *at,
+            | TraceEvent::Healed { at } => *at,
         }
     }
 }
@@ -125,15 +118,6 @@ impl NetStats {
         self.by_label[i].2 += 1;
     }
 
-    /// Sends per message label, in label order.
-    pub fn sent_by_label(&self) -> BTreeMap<&'static str, u64> {
-        self.by_label
-            .iter()
-            .filter(|&&(_, s, _)| s > 0)
-            .map(|&(l, s, _)| (l, s))
-            .collect()
-    }
-
     /// Deliveries per message label, in label order.
     pub fn delivered_by_label(&self) -> BTreeMap<&'static str, u64> {
         self.by_label
@@ -141,14 +125,6 @@ impl NetStats {
             .filter(|&&(_, _, d)| d > 0)
             .map(|&(l, _, d)| (l, d))
             .collect()
-    }
-
-    /// Deliveries recorded for one label.
-    pub fn delivered_of(&self, label: &str) -> u64 {
-        self.by_label
-            .iter()
-            .find(|&&(l, _, _)| l == label)
-            .map_or(0, |&(_, _, d)| d)
     }
 
     pub(crate) fn record_dropped(&mut self, reason: DropReason) {
@@ -208,10 +184,7 @@ mod tests {
         assert_eq!(s.sent, 2);
         assert_eq!(s.delivered, 1);
         assert_eq!(s.dropped_total(), 2);
-        assert_eq!(s.sent_by_label()["VOTE-REQ"], 2);
         assert_eq!(s.delivered_by_label()["VOTE-REQ"], 1);
-        assert_eq!(s.delivered_of("VOTE-REQ"), 1);
-        assert_eq!(s.delivered_of("NOPE"), 0);
     }
 
     #[test]

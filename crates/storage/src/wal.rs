@@ -258,11 +258,6 @@ impl<R: Clone> Wal<R> {
             .map(move |(i, r)| (Lsn(start + i as u64), r))
     }
 
-    /// Replays records at or after `from`.
-    pub fn replay_from(&self, from: Lsn) -> impl Iterator<Item = (Lsn, &R)> {
-        self.replay().filter(move |(l, _)| *l >= from)
-    }
-
     /// The most recent record, if any.
     pub fn last(&self) -> Option<&R> {
         self.records.last()
@@ -339,16 +334,6 @@ mod tests {
         }
         let replayed: Vec<&str> = wal.replay().map(|(_, r)| *r).collect();
         assert_eq!(replayed, vec!["x", "y", "z"]);
-    }
-
-    #[test]
-    fn replay_from_skips_prefix() {
-        let mut wal = Wal::new();
-        for r in 0..5 {
-            wal.append(r);
-        }
-        let tail: Vec<i32> = wal.replay_from(Lsn(3)).map(|(_, r)| *r).collect();
-        assert_eq!(tail, vec![3, 4]);
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl Catalog {
             .unwrap_or_else(|| panic!("unknown item {id}"))
     }
 
-    /// Looks an item up by name.
-    pub fn item_by_name(&self, name: &str) -> Option<&ItemSpec> {
-        self.items.values().find(|s| s.name == name)
-    }
-
     /// Iterates over all items.
     pub fn items(&self) -> impl Iterator<Item = &ItemSpec> {
         self.items.values()
@@ -239,7 +234,7 @@ mod tests {
     fn example1_catalog_builds() {
         let c = example1_catalog();
         assert_eq!(c.len(), 2);
-        let x = c.item_by_name("x").unwrap();
+        let x = c.item(ItemId(0)).unwrap();
         assert_eq!(x.total_votes(), 4);
         assert_eq!(x.read_quorum, 2);
         assert_eq!(x.write_quorum, 3);
@@ -319,8 +314,7 @@ mod tests {
     #[test]
     fn item_lookup_by_name_and_id() {
         let c = example1_catalog();
-        assert_eq!(c.item_by_name("y").unwrap().id, ItemId(1));
+        assert_eq!(c.item(ItemId(1)).unwrap().name, "y");
         assert!(c.item(ItemId(5)).is_none());
-        assert!(c.item_by_name("zz").is_none());
     }
 }

@@ -128,6 +128,8 @@ fn docs_references_to_code_paths_exist() {
         "crates/cluster/tests/reactor.rs",
         "crates/cluster/tests/reactor_burst.rs",
         "crates/db/src/durable_log.rs",
+        "crates/db/src/txn_table.rs",
+        "crates/db/tests/retired_answers.rs",
         "crates/cluster/src/plan.rs",
     ] {
         assert!(
