@@ -20,10 +20,13 @@
 //! A second property aims a crash instead of scattering it: one
 //! transaction's coordinator dies a few ticks into its own commit
 //! (under group commit: between staging and forcing a record whose
-//! self-delivered consequence was already handled), or right after its
-//! `VOTE-REQ`s left and before its start record was forced. It checks
-//! each engine on its own — quiescence, atomicity, no engine violation,
-//! and for the second point an Abort wherever the transaction is known.
+//! self-delivered consequence was already handled), right after its
+//! `VOTE-REQ`s left and before its start record was forced, or at its
+//! commit point with its `Decided` record staged. It checks each engine
+//! on its own — quiescence, atomicity, no engine violation; for the
+//! second point an Abort wherever the transaction is known, and for the
+//! third a Commit wherever it is known when the engine (or the branch)
+//! commits before its `Decided` record.
 
 use proptest::prelude::*;
 use qbc_cluster::{ClusterConfig, SimCluster};
@@ -74,6 +77,15 @@ enum Aim {
     /// does a cross-shard parent for its `XStart`. Whoever learned of the
     /// transaction must decide Abort: nothing of a commit was logged.
     StartUnforced,
+    /// Under group commit, in the tick the coordinator reaches its
+    /// commit point: the first event after which its entry for the
+    /// transaction is decided, found by stepping the simulator. Under
+    /// QC1, QC2 and Skeen, and for every branch of a cross-shard
+    /// transaction, the commit was irrevocable before its `Decided`
+    /// record, so that record is still staged — it dies in the crash —
+    /// while the `COMMIT`s are already out. Whoever learned of such a
+    /// transaction must decide Commit.
+    DecidedUnforced,
 }
 
 /// [`run_engine`] plus an aimed crash `(k, aim)`: the coordinator of
@@ -109,18 +121,39 @@ fn run_engine_aimed(
         handles.push(cluster.submit_at(Time(k as u64 * 45), WriteSet::new(pairs)));
     }
     let aimed = aimed.map(|(k, aim)| (handles[k as usize % handles.len()], aim));
-    let aimed_crash = aimed.map(|(h, aim)| {
+    let aimed_crash = aimed.and_then(|(h, aim)| {
         let after = match aim {
             Aim::After(ticks) => ticks,
             Aim::StartUnforced => 1,
+            Aim::DecidedUnforced => return None,
         };
-        (h.coordinator.0, h.submitted_at.0 + after)
+        Some((h.coordinator.0, h.submitted_at.0 + after))
     });
-    for (site, at) in crash.into_iter().chain(aimed_crash) {
+    let crash_and_recover = |cluster: &mut SimCluster, site: u32, at: u64| {
         cluster.sim_mut().schedule_crash(Time(at), SiteId(site));
         cluster
             .sim_mut()
             .schedule_recover(Time(at + 600), SiteId(site));
+    };
+    for (site, at) in crash.into_iter().chain(aimed_crash) {
+        crash_and_recover(&mut cluster, site, at);
+    }
+    // The coordinator's decision as of the tick it reached it, when that
+    // tick is the aim: a crash scheduled for the current tick runs
+    // before any other event of it, the window's flush included.
+    let mut decided_at_crash = None;
+    if let Some((h, Aim::DecidedUnforced)) = aimed {
+        let decided = |c: &SimCluster| c.sim().node(h.coordinator).decision(h.txn);
+        for _ in 0..5_000_000 {
+            if decided(&cluster).is_some() || !cluster.sim_mut().step() {
+                break;
+            }
+        }
+        decided_at_crash = decided(&cluster);
+        if decided_at_crash.is_some() {
+            let now = cluster.now().0;
+            crash_and_recover(&mut cluster, h.coordinator.0, now);
+        }
     }
     let mut drained = false;
     for _ in 0..100 {
@@ -149,6 +182,26 @@ fn run_engine_aimed(
                     "{protocol:?}: {site} on {:?}, whose start record was lost (seed {seed})",
                     h.txn
                 );
+            }
+        }
+    }
+    if let Some((h, Aim::DecidedUnforced)) = aimed {
+        let quorum = matches!(
+            protocol,
+            ProtocolKind::QuorumCommit1 | ProtocolKind::QuorumCommit2 | ProtocolKind::SkeenQuorum
+        );
+        let branch = cluster.shards_of(&h).len() > 1;
+        if decided_at_crash == Some(Decision::Commit) && (quorum || branch) {
+            for (site, node) in cluster.sim().nodes() {
+                if node.local_state(h.txn).is_some() {
+                    assert_eq!(
+                        node.decision(h.txn),
+                        Some(Decision::Commit),
+                        "{protocol:?}: {site} on {:?}, committed before its coordinator \
+                         lost its Decided record (seed {seed})",
+                        h.txn
+                    );
+                }
             }
         }
     }
@@ -252,9 +305,10 @@ proptest! {
     /// side of the victim's vote such a crash falls on differs by
     /// engine, so verdicts are not compared across engines here: each
     /// engine must quiesce, stay atomic and report no violation (the
-    /// last two asserted inside the run). Half the cases aim instead at
-    /// [`Aim::StartUnforced`], where the survivors must also decide
-    /// Abort.
+    /// last two asserted inside the run). A third of the cases aim
+    /// instead at [`Aim::StartUnforced`], where the survivors must also
+    /// decide Abort, and a third at [`Aim::DecidedUnforced`], where a
+    /// quorum engine's or a branch's commit must hold everywhere.
     #[test]
     fn a_coordinator_crash_inside_its_own_commit_stays_atomic_under_all_six_engines(
         seed in 0u64..10_000,
@@ -265,11 +319,15 @@ proptest! {
         crash in proptest::option::of((0u32..6u32, 20u64..350u64)),
         aimed in (
             0u64..6u64,
-            prop_oneof![(0u64..60u64).prop_map(Aim::After), Just(Aim::StartUnforced)],
+            prop_oneof![
+                (0u64..60u64).prop_map(Aim::After),
+                Just(Aim::StartUnforced),
+                Just(Aim::DecidedUnforced),
+            ],
         ),
         group_commit in proptest::bool::ANY,
     ) {
-        let group_commit = group_commit || matches!(aimed.1, Aim::StartUnforced);
+        let group_commit = group_commit || !matches!(aimed.1, Aim::After(_));
         for protocol in ENGINES {
             let outcomes =
                 run_engine_aimed(protocol, seed, group_commit, &txns, crash, Some(aimed));

@@ -262,6 +262,36 @@ impl TxnSpec {
     pub fn coordinator_presumes_abort(&self) -> bool {
         self.protocol == ProtocolKind::TwoPhase && self.parent.is_none()
     }
+
+    /// True when a commit of this transaction is irrevocable before any
+    /// site's [`LogRecord::Decided`](crate::LogRecord::Decided) of it is
+    /// durable, so that record need not be forced before the commit is
+    /// told or applied.
+    ///
+    /// QC1, QC2 and Skeen's protocol commit only on a commit quorum of
+    /// durable PREPARE-TO-COMMIT states, at the normal coordinator and
+    /// at every termination coordinator alike: "receiving these PC-ACKs
+    /// ensures that an abort quorum can never be formed" (the QC1/QC2
+    /// commit points, `coordinator.rs:13–19`). TP2's abort rule 4, for
+    /// one, needs `w(x)` non-PC votes for every `x`, which `r(x)`
+    /// durable PC votes for some `x` rule out. A branch of a cross-shard
+    /// transaction commits only on the parent's `X-DECIDE`, which leaves
+    /// after the parent's `XDecision` is durable.
+    ///
+    /// Plain 2PC is false: the coordinator's own `Decided` record is its
+    /// commit point. So is 3PC, whose ack-timeout commit presumes the
+    /// stragglers crashed, and Paxos Commit, whose leader and recovery
+    /// candidates decide along paths of their own. Aborts are never
+    /// covered: the caller asks only about a commit.
+    pub fn commit_precedes_decided(&self) -> bool {
+        self.parent.is_some()
+            || matches!(
+                self.protocol,
+                ProtocolKind::QuorumCommit1
+                    | ProtocolKind::QuorumCommit2
+                    | ProtocolKind::SkeenQuorum
+            )
+    }
 }
 
 /// The version a committed transaction installs on every copy it writes:
@@ -321,6 +351,35 @@ mod tests {
             &catalog,
         );
         assert_eq!(spec.participants.len(), 5);
+    }
+
+    #[test]
+    fn only_quorum_commits_and_branches_are_irrevocable_before_decided() {
+        let catalog = CatalogBuilder::new()
+            .item(ItemId(0), "x")
+            .copies_at([SiteId(1), SiteId(2), SiteId(3)])
+            .quorums(2, 2)
+            .build()
+            .unwrap();
+        let spec = |protocol| {
+            let ws = WriteSet::new([(ItemId(0), 1)]);
+            TxnSpec::from_catalog(TxnId(1), SiteId(1), ws, protocol, &catalog)
+        };
+        for protocol in ProtocolKind::ALL {
+            let quorum = matches!(
+                protocol,
+                ProtocolKind::QuorumCommit1
+                    | ProtocolKind::QuorumCommit2
+                    | ProtocolKind::SkeenQuorum
+            );
+            assert_eq!(
+                spec(protocol).commit_precedes_decided(),
+                quorum,
+                "{protocol}"
+            );
+            let branch = spec(protocol).with_parent(SiteId(9));
+            assert!(branch.commit_precedes_decided(), "{protocol} branch");
+        }
     }
 
     #[test]

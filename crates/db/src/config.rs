@@ -61,8 +61,13 @@ pub struct NodeConfig {
     /// Group-commit batching: engine log records are staged and forced
     /// in one flush per batch instead of one flush each. Messages and
     /// decision applications are withheld until the records staged for
-    /// their own transaction are forced, so the durability contract
-    /// (logged before told) is preserved exactly.
+    /// their own transaction are forced, so nothing is told or applied
+    /// before it is irrevocable. The one record nothing waits for is the
+    /// `Decided` of a commit that was irrevocable before it — a quorum
+    /// engine's commit point or a branch under the parent's durable
+    /// decision ([`qbc_core::TxnSpec::commit_precedes_decided`]): it is
+    /// staged and forced with the next batch, so such a commit is told
+    /// and applied one window sooner.
     pub group_commit: bool,
     /// How long the first staged record of a batch waits for companions
     /// before the batch is forced.

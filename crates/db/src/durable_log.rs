@@ -1,4 +1,5 @@
-//! The site's log and the one rule built on it: *logged before told*.
+//! The site's log and the one rule built on it: *irrevocable before
+//! told*.
 //!
 //! Every step of the paper's commit and termination protocols is "write
 //! the record to stable storage, then send". [`DurableLog`] owns what
@@ -10,8 +11,10 @@
 //! mutator takes `&mut self`.
 //!
 //! The node's half of the contract is small. It remembers, per
-//! transaction, the *gate* — the end LSN of the newest record
-//! [`DurableLog::append`] reported as not yet durable — asks
+//! transaction, the *gate* — the end LSN of the newest gating record
+//! [`DurableLog::append`] reported as not yet durable (every record but
+//! the `Decided` of a commit that was irrevocable before it, so the
+//! rule the node keeps is *irrevocable before told*) — asks
 //! [`DurableLog::closed`] before telling or applying anything of that
 //! transaction, hands a withheld effect to [`DurableLog::defer`], and
 //! runs what [`DurableLog::force_done`] gives back.
@@ -42,9 +45,9 @@ pub(crate) type NodeWal = EitherWal<LogRecord>;
 
 /// An effect withheld until the WAL records it depends on are forced:
 /// the "logged before told" half of the durability contract. Protocol
-/// messages and decision applications wait here while a log record of
-/// *their own* transaction sits in the group-commit buffer or an
-/// in-flight force.
+/// messages and decision applications wait here while a gating log
+/// record of *their own* transaction sits in the group-commit buffer or
+/// an in-flight force.
 #[derive(Clone, Debug)]
 pub(crate) enum DeferredOp {
     Send {
@@ -308,7 +311,7 @@ impl DurableLog {
             // enough for safety; waiting for the newest keeps the
             // invariant the node's send and apply assertions check the
             // plain one — nothing is told or applied of a transaction
-            // while any of its records is undurable (`xshard_props`
+            // while any of its gating records is undurable (`xshard_props`
             // trips them with a `Vote` in its first cases if this
             // releases on the queued gate alone).
             let still_closed = self.closed(gate).or_else(|| {

@@ -18,9 +18,13 @@
 //!   makes the site vote no; pins are held until the decision, which is
 //!   what makes *blocked* transactions reduce availability (the paper's
 //!   Section 1 argument);
-//! * **stable storage** — every engine `Log` action is force-written
-//!   before subsequent sends; recovery replays the log, re-pins the
-//!   copies of in-doubt yes votes and re-enters the termination path;
+//! * **stable storage** — nothing of a transaction is told or applied
+//!   before its outcome is irrevocable: every engine `Log` action is
+//!   force-written before subsequent sends, except the `Decided` of a
+//!   commit already fixed by durable state elsewhere
+//!   ([`TxnSpec::commit_precedes_decided`]), which rides the next
+//!   force; recovery replays the log, re-pins the copies of in-doubt
+//!   yes votes and re-enters the termination path;
 //! * **quorum reads** — `r(x)` votes collected over live, unlocked
 //!   copies, returning the max-version value (Gifford's currency rule).
 
@@ -126,7 +130,9 @@ pub struct SiteNode {
     cfg: NodeConfig,
     catalog: Arc<Catalog>,
     /// The write-ahead log behind its durability gate: nothing of a
-    /// transaction is told or applied while a record of it is undurable.
+    /// transaction is told or applied before it is irrevocable — while a
+    /// record of it is undurable, bar the `Decided` of a commit that was
+    /// irrevocable before it.
     log: DurableLog,
     /// The versioned copies this site holds. Durable: survives `on_crash`
     /// (the page store of a real site).
@@ -780,8 +786,11 @@ impl SiteNode {
         if let Some(kind) = kind {
             // The commit point: the site driving the protocol (commit
             // or termination coordinator, or the cross-shard parent)
-            // forcing a commit decision — past this force the
-            // transaction can no longer abort.
+            // logging a commit decision. Under 2PC, 3PC and Paxos
+            // Commit the transaction can no longer abort once this
+            // record is forced; under a quorum engine it already
+            // cannot — the durable PC quorum just counted fixed it
+            // (`TxnSpec::commit_precedes_decided`).
             if kind
                 == (EventKind::DecisionLogged {
                     decision: Decision::Commit,
@@ -825,8 +834,10 @@ impl SiteNode {
         })
     }
 
-    /// Sends a message, or withholds it while a log record of the
-    /// transaction it speaks for is staged or being forced.
+    /// Sends a message, or withholds it while a gating log record of the
+    /// transaction it speaks for is staged or being forced (every record
+    /// gates but the `Decided` of an irrevocable commit — see
+    /// [`SiteNode::log_record`]).
     ///
     /// The rule is per transaction, not per site: a message with no
     /// undurable record of its own transaction behind it (a
@@ -858,7 +869,7 @@ impl SiteNode {
     fn send_net_now(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, to: SiteId, msg: NetMsg) {
         debug_assert!(
             self.closed_gate(msg.txn()).is_none(),
-            "told before logged: {} to {to:?}",
+            "told before irrevocable: {} to {to:?}",
             msg.label()
         );
         let msg = match msg {
@@ -875,10 +886,10 @@ impl SiteNode {
     }
 
     /// The gate LSN an effect of `txn` must wait for, or `None` when it
-    /// may run now: every record this site staged for `txn` is durable
-    /// (or it is no transaction's effect at all). The first test is the
-    /// whole cost on a log that forces per record — nothing is ever
-    /// undurable there, so no table is consulted.
+    /// may run now: every gating record this site staged for `txn` is
+    /// durable (or it is no transaction's effect at all). The first test
+    /// is the whole cost on a log that forces per record — nothing is
+    /// ever undurable there, so no table is consulted.
     fn closed_gate(&self, txn: Option<TxnId>) -> Option<Lsn> {
         if self.log.all_durable() {
             return None;
@@ -909,15 +920,34 @@ impl SiteNode {
     /// Records one engine log action; the log applies the force policy.
     fn log_record(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, rec: LogRecord) {
         let txn = rec.txn();
+        let commit = matches!(
+            rec,
+            LogRecord::Decided {
+                decision: Decision::Commit,
+                ..
+            }
+        );
         let (lsn, forced) = self.log.append(ctx, rec);
         if let Some(upto) = forced {
             self.advance_durable(ctx, upto);
         }
         // Not durable on return (staged, or its force is in flight):
-        // whatever its transaction goes on to tell or apply waits for it.
+        // whatever its transaction goes on to tell or apply waits for it
+        // — unless it is the `Decided` of a commit that was irrevocable
+        // before it (a quorum commit point, or a branch under the
+        // parent's durable decision): that record rides the next force
+        // and gates nothing. A `Decided` without a live entry gates.
         if !self.log.is_durable(lsn) {
             if let Some(txn) = txn {
-                self.table.raise_gate(txn, lsn);
+                let irrevocable = commit
+                    && self
+                        .table
+                        .txns
+                        .get(&txn)
+                        .is_some_and(|st| st.spec.commit_precedes_decided());
+                if !irrevocable {
+                    self.table.raise_gate(txn, lsn);
+                }
             }
         }
         // Track the live transaction's earliest record: the truncation
@@ -1457,8 +1487,11 @@ impl SiteNode {
     /// decision directly. Participant coordinators are handled by the
     /// normal participant path (which also applies the updates), so
     /// they are excluded here. The adoption is what tells the client, so
-    /// it waits for the engine's `Decided` record exactly as the
-    /// participant path's [`Action::ApplyAndDecide`] does.
+    /// it takes the gate the participant path's
+    /// [`Action::ApplyAndDecide`] takes: the engine's `Decided` record
+    /// where that record is the commit point (2PC), only the records
+    /// before it where the commit was irrevocable first (a quorum
+    /// engine's PC-ACK quorum).
     fn adopt_coordinator_decision(&mut self, now: Time, txn: TxnId) {
         let Some(st) = self.table.txns.get(&txn) else {
             return;
@@ -1622,10 +1655,12 @@ impl SiteNode {
         }
     }
 
-    /// Applies a decision now, or — while the decision's log record is
-    /// not durable yet — once it is: installing values, freeing locks
-    /// and telling the front door wait for the force, like the messages
-    /// announcing it.
+    /// Applies a decision now, or — while a gating record of its
+    /// transaction is not durable yet — once it is: installing values,
+    /// freeing locks and telling the front door wait for the force, like
+    /// the messages announcing it. The `Decided` record of an
+    /// irrevocable commit does not gate, so such a commit applies at its
+    /// commit point and the record reaches the log in the next force.
     fn apply_when_durable(
         &mut self,
         now: Time,
@@ -1654,7 +1689,7 @@ impl SiteNode {
     ) {
         debug_assert!(
             self.closed_gate(Some(txn)).is_none(),
-            "{txn:?} applied before its decision record is durable"
+            "{txn:?} applied before irrevocable"
         );
         let mut applied = false;
         if let Some(st) = self.table.txns.get_mut(&txn) {
@@ -2120,8 +2155,9 @@ impl Process for SiteNode {
             // recovered in `Initial` (only its `CoordinatorStart` durable)
             // never voted here and pins nothing. The re-pins cannot
             // collide: a copy is released only once its holder's
-            // `Decided` record is durable, so a prefix-forced log keeps
-            // at most one undecided yes vote per copy.
+            // `Decided` record is at least staged, and the next yes vote
+            // on it is logged behind that record, so a prefix-forced log
+            // keeps at most one undecided yes vote per copy.
             if decided.is_none() && state != LocalState::Initial {
                 for item in spec.writeset.items() {
                     if self.items.read(item).is_some() {

@@ -19,9 +19,9 @@
 //!
 //! Every outcome lookup tries the live entry first, then the compact
 //! one. The table also keeps what the log needs to know of its entries:
-//! each entry's *gate* (the end LSN of the newest record staged for the
-//! transaction) and every live transaction's first LSN, below which a
-//! checkpoint may truncate. The checkpoint's outcome lists are written
+//! each entry's *gate* (the end LSN of the newest gating record staged
+//! for the transaction) and every live transaction's first LSN, below
+//! which a checkpoint may truncate. The checkpoint's outcome lists are written
 //! by [`TxnTable::checkpoint_outcomes`] and read back by
 //! [`TxnTable::install_checkpoint`], and by nothing else.
 
@@ -58,8 +58,9 @@ pub(crate) struct TxnState {
     pub(crate) paxos: Option<Box<PaxosLeader>>,
     pub(crate) termination: Option<Box<Termination>>,
     pub(crate) elector: Option<Box<Elector>>,
-    /// End LSN of the newest log record this site staged for the
-    /// transaction ([`Lsn`]`(0)`: none). Whatever the transaction tells
+    /// End LSN of the newest gating log record this site staged for the
+    /// transaction ([`Lsn`]`(0)`: none) — every record but the `Decided`
+    /// of a commit irrevocable before it. Whatever the transaction tells
     /// another site, applies or releases waits until the durable
     /// watermark reaches it.
     pub(crate) gate: Lsn,
@@ -288,16 +289,16 @@ impl TxnTable {
 
     // ---- gates --------------------------------------------------------
 
-    /// The end LSN of the newest record staged for `txn` (`Lsn(0)`:
-    /// none): the larger of its entry's gate and, for a cross-shard
-    /// parent hosted here, its coordination's.
+    /// The end LSN of the newest gating record staged for `txn`
+    /// (`Lsn(0)`: none): the larger of its entry's gate and, for a
+    /// cross-shard parent hosted here, its coordination's.
     pub(crate) fn gate(&self, txn: TxnId) -> Lsn {
         let own = self.txns.get(&txn).map_or(Lsn(0), |st| st.gate);
         let x = self.xcoords.get(&txn).map_or(Lsn(0), |x| x.gate);
         own.max(x)
     }
 
-    /// Remembers a just-staged record as the newest one of its
+    /// Remembers a just-staged gating record as the newest one of its
     /// transaction (LSNs only grow, so a plain store). A cross-shard
     /// parent and its local branch share one id; both entries take the
     /// gate, and [`TxnTable::gate`] reads the larger.
@@ -328,8 +329,10 @@ impl TxnTable {
     /// top of every delivery; the queue is in decision-time order, so
     /// the scan stops at the first young entry. `gated(gate)` tells
     /// whether a gate is still above the durable watermark: an entry
-    /// with a record still undurable stays one more round, because its
-    /// gate lives in it and the compact outcome answers ungated.
+    /// with a gating record still undurable stays one more round,
+    /// because its gate lives in it and the compact outcome answers
+    /// ungated. (An irrevocable commit's staged `Decided` gates nothing,
+    /// so its outcome may be answered before that record is forced.)
     pub(crate) fn retire_due(&mut self, now: Time, gated: impl Fn(Lsn) -> bool) {
         let Some(after) = self.retire_after else {
             return;

@@ -1,13 +1,18 @@
-//! Logged before told, per transaction: one group-commit site under a
-//! bare [`NodeDriver`], its peers played by the test.
+//! Irrevocable before told, per transaction: one group-commit site under
+//! a bare [`NodeDriver`], its peers played by the test.
 //!
 //! A `Send`/`Apply` waits only for the log records of *its own*
-//! transaction; a self-addressed message never waits; a coordinator
-//! that holds no copy tells its client after the `Decided` force like
-//! everyone else. Every scenario runs on the instant log device and on
-//! the modelled one (`force_latency = 2`), where the wait ends at
-//! `WalForceDone` rather than at the flush. One more pins what a crash
-//! inside the group-commit window leaves locked after recovery.
+//! transaction; a self-addressed message never waits. Every record
+//! gates except the `Decided` of a commit that was irrevocable before
+//! it: under QC2 the commit point is the PC-ACK quorum, so `COMMIT`
+//! leaves, applies and answers the client there, and the `Decided`
+//! records ride the next force. Under 2PC the coordinator's `Decided`
+//! *is* the commit point, and a coordinator that holds no copy tells
+//! its client after that force like everyone else. Every scenario runs
+//! on the instant log device and on the modelled one
+//! (`force_latency = 2`), where the wait ends at `WalForceDone` rather
+//! than at the flush. Two more pin what a crash inside the group-commit
+//! window leaves locked after recovery.
 
 use qbc_core::{Decision, LocalState, LogRecord, Msg, ProtocolKind, TxnId, TxnSpec, WriteSet};
 use qbc_db::{DecisionEvent, NetMsg, NodeConfig, SiteNode};
@@ -123,6 +128,27 @@ impl Site {
         self.driver.node_mut().drain_decision_events(&mut out);
         out
     }
+
+    /// The site crashes at `at` and recovers under a fresh driver one
+    /// tick later: the crashed site's timers never fire.
+    fn crash_and_recover(self, at: u64) -> Site {
+        let mut node = self.driver.into_node();
+        node.on_crash(Time(at));
+        let mut out = Vec::new();
+        let driver = NodeDriver::new(ME, node, 7, Time(at + 1), &mut out);
+        Site {
+            driver,
+            out,
+            latency: self.latency,
+            clock: at + 1,
+        }
+    }
+
+    /// The `Decided` records of the durable log.
+    fn durable_decided(&self) -> usize {
+        let decided = |r: &LogRecord| matches!(r, LogRecord::Decided { .. });
+        self.node().log_records().filter(decided).count()
+    }
 }
 
 fn spec(txn: TxnId, coordinator: SiteId, item: ItemId) -> Arc<TxnSpec> {
@@ -228,13 +254,16 @@ fn vote_waits_for_voted_and_dies_with_it(latency: u64) {
 }
 
 /// (c) Self-addressed `VoteReq`, `PrepareCommit` and `Commit` are handled
-/// before any flush — the coordinator counts its own vote and ack — and
-/// the `Apply` the self-delivered `Commit` triggers still waits, with
-/// the remote `Commit`s, for the decision record. No recovery under QC2
-/// reads `CoordinatorStart`, so the `VoteReq`s leave in the tick the
-/// begin arrives, ahead of it; the `PrepareCommit`s wait for it and for
-/// the coordinator's own `Voted`, which share one force.
-fn self_delivery_is_immediate_and_its_apply_still_waits(latency: u64) {
+/// before any flush — the coordinator counts its own vote and ack. No
+/// recovery under QC2 reads `CoordinatorStart`, so the `VoteReq`s leave
+/// in the tick the begin arrives, ahead of it; the `PrepareCommit`s wait
+/// for it and for the coordinator's own `Voted`, which share one force.
+/// The commit point is the PC-ACK quorum, with s0's own `PreCommit`
+/// already durable: the remote `Commit`s leave at once, and the `Apply`
+/// the self-delivered `Commit` triggers — decision, value and unpin —
+/// comes with them. The `Decided` records are staged and reach the log
+/// in the next force.
+fn self_delivery_is_immediate_and_commit_leaves_at_the_commit_point(latency: u64) {
     let mut s = Site::new(latency);
     s.begin(0, T1, X);
     assert_eq!(
@@ -276,22 +305,73 @@ fn self_delivery_is_immediate_and_its_apply_still_waits(latency: u64) {
     ));
 
     let now = WINDOW + latency + 1;
-    // s0's own ack (counted while its PreCommit record is only staged)
-    // plus s1's reach w(x) = 2: the commit point.
+    // s0's own ack (counted while its PreCommit record was only staged,
+    // durable since) plus s1's reach r(x) = 2: the commit point.
     s.deliver(now, S1, Msg::PcAck { txn: T1 });
     assert_eq!(s.node().local_state(T1), Some(LocalState::Committed));
-    assert_eq!(s.sent(), vec![], "Commit waits for the Decided record");
-    assert_eq!(s.node().decision(T1), None, "not applied before the force");
-    assert_eq!(s.node().item_value(X), Some((Version(0), 0)));
+    assert_eq!(
+        s.sent(),
+        vec![(S1, "COMMIT"), (S2, "COMMIT")],
+        "irrevocable at the commit point: Commit waits for no Decided record"
+    );
+    assert_eq!(s.node().decision(T1), Some(Decision::Commit));
+    assert_eq!(s.node().item_value(X), Some((Version(1), 7)));
+    assert!(!s.node().is_item_locked(X));
+    assert_eq!(s.durable_decided(), 0, "the Decided records are staged");
+
+    s.tick(now + WINDOW - 1);
+    assert_eq!(s.durable_decided(), 0);
+    s.tick(now + WINDOW);
+    assert!(matches!(
+        s.durable()[3..],
+        [LogRecord::Decided { .. }, LogRecord::Decided { .. }]
+    ));
+    assert_eq!(s.sent(), vec![]);
+}
+
+/// (c′) The remote PC-ACK completes the quorum while s0's own
+/// `PreCommit` — whose ack was counted on self-delivery — is still
+/// staged: `Commit` and the `Apply` wait for exactly that record's force
+/// and not one more. On the modelled device the ack arrives while that
+/// force is in flight, so the `Decided` records miss it and are still
+/// staged when the commit is told.
+fn commit_waits_for_its_own_pre_commit_and_no_later_force(latency: u64) {
+    let mut s = Site::new(latency);
+    let t1 = t1_soliciting(&mut s);
+    s.deliver(t1, S1, yes(T1));
+    s.deliver(t1, S2, yes(T1));
+    assert_eq!(
+        s.sent(),
+        vec![(S1, "PREPARE-TO-COMMIT"), (S2, "PREPARE-TO-COMMIT")]
+    );
+    let mut now = t1;
+    if latency > 0 {
+        now += WINDOW;
+        s.tick(now);
+        assert_eq!(s.node().wal_forces(), 2, "PreCommit's force is in flight");
+    }
+    s.deliver(now, S1, Msg::PcAck { txn: T1 });
+    assert_eq!(s.node().local_state(T1), Some(LocalState::Committed));
+    assert_eq!(s.sent(), vec![], "Commit waits for s0's own PreCommit");
+    assert_eq!(s.node().decision(T1), None, "not applied before it either");
     assert!(s.node().is_item_locked(X));
 
-    s.tick(now + WINDOW + latency - 1);
+    let pre_commit_durable = t1 + WINDOW + latency;
+    s.tick(pre_commit_durable - 1);
+    assert_eq!(s.sent(), vec![]);
     assert_eq!(s.node().decision(T1), None);
-    s.tick(now + WINDOW + latency);
+    s.tick(pre_commit_durable);
     assert_eq!(s.sent(), vec![(S1, "COMMIT"), (S2, "COMMIT")]);
     assert_eq!(s.node().decision(T1), Some(Decision::Commit));
     assert_eq!(s.node().item_value(X), Some((Version(1), 7)));
     assert!(!s.node().is_item_locked(X));
+    if latency > 0 {
+        assert_eq!(
+            s.durable_decided(),
+            0,
+            "the Decided records ride the next force"
+        );
+    }
 }
 
 /// (c) under 2PC: a recovered coordinator presumes abort from its
@@ -315,7 +395,8 @@ fn two_pc_vote_reqs_wait_for_coordinator_start(latency: u64) {
 
 /// Drives s0, coordinating T1 on `z` (copies at s1 and s2 only), to its
 /// commit point and returns the time it was reached. From here the
-/// `Decided` record is staged and nothing of the decision has left.
+/// `Decided` record is staged; under 2PC nothing of the decision has
+/// left, under QC2 the `Commit`s have.
 fn copyless_coordinator_at_its_commit_point(s: &mut Site, protocol: ProtocolKind) -> u64 {
     s.begin_under(0, T1, Z, protocol);
     s.tick(WINDOW + s.latency);
@@ -330,8 +411,10 @@ fn copyless_coordinator_at_its_commit_point(s: &mut Site, protocol: ProtocolKind
         );
         s.deliver(now, S1, Msg::PcAck { txn: T1 });
         s.deliver(now, S2, Msg::PcAck { txn: T1 });
+        assert_eq!(s.sent(), vec![(S1, "COMMIT"), (S2, "COMMIT")]);
+    } else {
+        assert_eq!(s.sent(), vec![], "Commit waits for the Decided record");
     }
-    assert_eq!(s.sent(), vec![], "Commit waits for the Decided record");
     let decided = |r: &LogRecord| matches!(r, LogRecord::Decided { .. });
     assert!(!s.durable().iter().any(decided));
     now
@@ -392,6 +475,48 @@ fn copyless_coordinator_tells_the_client_after_the_force(latency: u64, protocol:
     assert_ne!(driver.node().decision(T1), Some(Decision::Commit));
 }
 
+/// (d) under QC2: the PC-ACK quorum made the commit irrevocable, so the
+/// copy-less coordinator tells its client at the commit point, with the
+/// commit version, before its `Decided` record is forced. A crash before
+/// the flush loses that record, and nothing the recovered coordinator
+/// does contradicts what the client was told: it never reports Abort.
+fn copyless_quorum_coordinator_tells_the_client_at_the_commit_point(latency: u64) {
+    let with_events = || {
+        let mut cfg = config(latency);
+        cfg.decision_events = true;
+        Site::with_config(cfg, latency)
+    };
+    let mut s = with_events();
+    let now = copyless_coordinator_at_its_commit_point(&mut s, ProtocolKind::QuorumCommit2);
+    assert_eq!(
+        s.events(),
+        vec![DecisionEvent {
+            txn: T1,
+            decision: Decision::Commit,
+            commit_version: Some(Version(1)),
+        }]
+    );
+    assert_eq!(s.node().decision(T1), Some(Decision::Commit));
+    s.tick(now + WINDOW + latency);
+    assert_eq!(
+        s.durable_decided(),
+        1,
+        "the Decided record rode the next force"
+    );
+
+    let mut s = with_events();
+    let now = copyless_coordinator_at_its_commit_point(&mut s, ProtocolKind::QuorumCommit2);
+    assert_eq!(s.events().len(), 1, "told");
+    let mut s = s.crash_and_recover(now + 1);
+    s.tick(1000);
+    assert_eq!(s.durable_decided(), 0, "the Decided record was lost");
+    assert!(
+        s.events().iter().all(|e| e.decision != Decision::Abort),
+        "a told commit is never contradicted"
+    );
+    assert_ne!(s.node().decision(T1), Some(Decision::Abort));
+}
+
 /// (e) Recovery re-pins only copies this site voted yes on. With a batch
 /// of two, T2's staged `Voted` record and T1's `CoordinatorStart` fill
 /// the batch and are forced together, while T1's own `Voted` record is
@@ -428,6 +553,62 @@ fn recovery_repins_only_copies_this_site_voted_on() {
     assert!(node.is_item_locked(Y), "T2's yes vote is in doubt");
 }
 
+/// (f) s0 is a QC2 participant of T2 on `y`. The `Commit` it receives was
+/// sent past the commit point, so it applies and unpins before s0's own
+/// `Decided` record is forced. A crash before the flush loses that
+/// record: s0 recovers in `PreCommit` with `y` pinned again, and the
+/// re-sent `Commit` commits it at the same version.
+fn a_participant_applies_before_its_decided_is_forced(latency: u64) {
+    let mut s = Site::new(latency);
+    s.deliver(
+        0,
+        S1,
+        Msg::VoteReq {
+            spec: spec(T2, S1, Y),
+        },
+    );
+    let mut now = WINDOW + latency;
+    s.tick(now);
+    assert_eq!(s.sent(), vec![(S1, "VOTE-YES")]);
+    now += 1;
+    let commit_version = Version(1);
+    s.deliver(
+        now,
+        S1,
+        Msg::PrepareCommit {
+            txn: T2,
+            commit_version,
+        },
+    );
+    now += WINDOW + latency;
+    s.tick(now);
+    assert_eq!(s.sent(), vec![(S1, "PC-ACK")]);
+    now += 1;
+    let commit = Msg::Commit {
+        txn: T2,
+        commit_version,
+    };
+    s.deliver(now, S1, commit.clone());
+    assert_eq!(s.node().decision(T2), Some(Decision::Commit));
+    assert_eq!(s.node().item_value(Y), Some((commit_version, 7)));
+    assert!(!s.node().is_item_locked(Y), "unpinned at once");
+    assert_eq!(
+        s.durable_decided(),
+        0,
+        "before its Decided record is forced"
+    );
+
+    let mut s = s.crash_and_recover(now + 1);
+    assert_eq!(s.node().local_state(T2), Some(LocalState::PreCommit));
+    assert_eq!(s.node().decision(T2), None);
+    assert!(s.node().is_item_locked(Y), "in doubt again: re-pinned");
+    s.deliver(now + 2, S1, commit);
+    assert_eq!(s.node().decision(T2), Some(Decision::Commit));
+    assert_eq!(s.node().commit_version_of(T2), Some(commit_version));
+    assert_eq!(s.node().item_value(Y), Some((commit_version, 7)));
+    assert!(!s.node().is_item_locked(Y));
+}
+
 #[test]
 fn prepare_commit_overtakes_an_unrelated_record_instant_device() {
     prepare_commit_overtakes_an_unrelated_record(0);
@@ -449,13 +630,23 @@ fn vote_waits_for_voted_and_dies_with_it_inflight_force() {
 }
 
 #[test]
-fn self_delivery_is_immediate_and_its_apply_still_waits_instant_device() {
-    self_delivery_is_immediate_and_its_apply_still_waits(0);
+fn self_delivery_is_immediate_and_commit_leaves_at_the_commit_point_instant_device() {
+    self_delivery_is_immediate_and_commit_leaves_at_the_commit_point(0);
 }
 
 #[test]
-fn self_delivery_is_immediate_and_its_apply_still_waits_inflight_force() {
-    self_delivery_is_immediate_and_its_apply_still_waits(2);
+fn self_delivery_is_immediate_and_commit_leaves_at_the_commit_point_inflight_force() {
+    self_delivery_is_immediate_and_commit_leaves_at_the_commit_point(2);
+}
+
+#[test]
+fn commit_waits_for_its_own_pre_commit_and_no_later_force_instant_device() {
+    commit_waits_for_its_own_pre_commit_and_no_later_force(0);
+}
+
+#[test]
+fn commit_waits_for_its_own_pre_commit_and_no_later_force_inflight_force() {
+    commit_waits_for_its_own_pre_commit_and_no_later_force(2);
 }
 
 #[test]
@@ -469,13 +660,23 @@ fn two_pc_vote_reqs_wait_for_coordinator_start_inflight_force() {
 }
 
 #[test]
-fn copyless_coordinator_tells_the_client_after_the_force_instant_device() {
+fn copyless_coordinator_tells_the_client_once_irrevocable_instant_device() {
     copyless_coordinator_tells_the_client_after_the_force(0, ProtocolKind::TwoPhase);
-    copyless_coordinator_tells_the_client_after_the_force(0, ProtocolKind::QuorumCommit2);
+    copyless_quorum_coordinator_tells_the_client_at_the_commit_point(0);
 }
 
 #[test]
-fn copyless_coordinator_tells_the_client_after_the_force_inflight_force() {
+fn copyless_coordinator_tells_the_client_once_irrevocable_inflight_force() {
     copyless_coordinator_tells_the_client_after_the_force(2, ProtocolKind::TwoPhase);
-    copyless_coordinator_tells_the_client_after_the_force(2, ProtocolKind::QuorumCommit2);
+    copyless_quorum_coordinator_tells_the_client_at_the_commit_point(2);
+}
+
+#[test]
+fn a_participant_applies_before_its_decided_is_forced_instant_device() {
+    a_participant_applies_before_its_decided_is_forced(0);
+}
+
+#[test]
+fn a_participant_applies_before_its_decided_is_forced_inflight_force() {
+    a_participant_applies_before_its_decided_is_forced(2);
 }
