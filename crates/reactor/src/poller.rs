@@ -6,6 +6,7 @@
 use crate::sys;
 use std::io;
 use std::os::unix::io::RawFd;
+use std::time::Duration;
 
 /// Caller-chosen identity echoed back on every event for a registered
 /// descriptor.
@@ -106,11 +107,26 @@ impl Poller {
         sys::sys_epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    /// Waits up to `timeout_ms` (`None` blocks) for readiness, clearing
-    /// and refilling `events`. Returns the number of ready descriptors.
+    /// Waits up to `timeout_ms` (`None` or a negative value blocks) for
+    /// readiness, clearing and refilling `events`. Returns the number of
+    /// ready descriptors.
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: Option<i32>) -> io::Result<usize> {
+        let timeout = timeout_ms
+            .and_then(|ms| u64::try_from(ms).ok())
+            .map(Duration::from_millis);
+        self.wait_for(events, timeout)
+    }
+
+    /// [`Poller::wait`] with a nanosecond-resolution `timeout` (`None`
+    /// blocks). A wait that times out never returns before `timeout` has
+    /// elapsed.
+    pub fn wait_for(
+        &mut self,
+        events: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
         events.clear();
-        let n = sys::sys_epoll_wait(self.epfd, &mut self.scratch, timeout_ms.unwrap_or(-1))?;
+        let n = sys::sys_epoll_pwait2(self.epfd, &mut self.scratch, timeout)?;
         for ev in &self.scratch[..n] {
             let mask = ev.events;
             events.push(Event {
@@ -186,5 +202,23 @@ mod tests {
         assert_eq!(p.wait(&mut events, Some(1000)).unwrap(), 1);
         assert!(events[0].hangup, "{:?}", events[0]);
         assert!(events[0].readable, "owner must read the EOF");
+    }
+
+    #[test]
+    fn an_idle_wait_for_never_returns_before_its_timeout() {
+        let (_a, b) = UnixStream::pair().unwrap();
+        let mut p = Poller::new(PollerKind::default()).unwrap();
+        p.register(b.as_raw_fd(), Token(1), Interest::READ).unwrap();
+        let mut events = Vec::new();
+        let timeout = Duration::from_micros(300);
+        let start = std::time::Instant::now();
+        assert_eq!(p.wait_for(&mut events, Some(timeout)).unwrap(), 0);
+        assert!(events.is_empty());
+        // Lower bound only: how late the wake comes is up to the host.
+        assert!(
+            start.elapsed() >= timeout,
+            "woke after {:?}",
+            start.elapsed()
+        );
     }
 }

@@ -44,7 +44,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Routing oracle the front door consults per request. Implemented by
 /// the cluster layer (only it holds the shard map and catalogs); the
@@ -273,6 +273,22 @@ const CLIENT_SITE: SiteId = SiteId(u32::MAX);
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 16;
+/// Longest a worker sleeps, so control-plane changes are still noticed
+/// promptly even if a wake is lost.
+const MAX_SLEEP: Duration = Duration::from_millis(50);
+
+/// How long a worker may sleep at instant `now`: until the earliest site
+/// timer falls due, that is until `start + earliest` ms, where the
+/// floored clock of [`Worker::now`] first reads `earliest` — zero once
+/// that has passed, and never past [`MAX_SLEEP`].
+fn sleep_until_due(start: Instant, now: Instant, earliest: Option<Time>) -> Duration {
+    match earliest {
+        Some(Time(t)) => Duration::from_millis(t)
+            .saturating_sub(now.saturating_duration_since(start))
+            .min(MAX_SLEEP),
+        None => MAX_SLEEP,
+    }
+}
 
 struct Conn {
     stream: UnixStream,
@@ -301,6 +317,8 @@ struct FrontDoor {
     next_req: u64,
     write_hwm: usize,
     sockbuf: Option<i32>,
+    /// Scratch for encoding one reply.
+    reply_buf: Vec<u8>,
 }
 
 struct Worker {
@@ -309,6 +327,8 @@ struct Worker {
     poller: Poller,
     events: Vec<Event>,
     drivers: BTreeMap<SiteId, NodeDriver<SiteNode>>,
+    /// The keys of `drivers`, in order; sites leave it as they retire.
+    sites: Vec<SiteId>,
     /// Retired (killed) sites, kept for harvest.
     dead: Vec<(SiteId, SiteNode)>,
     /// (from, to, msg) queue of local deliveries.
@@ -341,8 +361,8 @@ impl Worker {
             if self.shared.shutdown.load(Ordering::Acquire) {
                 break;
             }
-            let timeout = self.poll_timeout(now);
-            let n = match self.poller.wait(&mut self.events, Some(timeout)) {
+            let timeout = self.poll_timeout();
+            let n = match self.poller.wait_for(&mut self.events, Some(timeout)) {
                 Ok(n) => n,
                 Err(e) => panic!("reactor worker {}: poller failed: {e}", self.index),
             };
@@ -362,20 +382,19 @@ impl Worker {
         nodes
     }
 
-    /// Sleep no longer than the earliest site timer (clamped so
-    /// control-plane changes are still noticed promptly even if a wake
-    /// is lost).
-    fn poll_timeout(&mut self, now: Time) -> i32 {
+    /// Sleep exactly until the earliest site timer falls due (see
+    /// [`sleep_until_due`]). A timed-out wait never returns early, so the
+    /// next iteration's clock reads at least that deadline and `pump`
+    /// fires the timer; every deadline `pump` leaves lies above the
+    /// clock, so the loop never spins.
+    fn poll_timeout(&mut self) -> Duration {
         let mut earliest: Option<Time> = None;
         for d in self.drivers.values_mut() {
             if let Some(t) = d.next_deadline() {
                 earliest = Some(earliest.map_or(t, |e: Time| e.min(t)));
             }
         }
-        match earliest {
-            Some(t) => (t.0.saturating_sub(now.0)).min(50) as i32,
-            None => 50,
-        }
+        sleep_until_due(self.shared.start, Instant::now(), earliest)
     }
 
     fn dispatch(&mut self, ev: Event) {
@@ -409,17 +428,15 @@ impl Worker {
         if down.is_empty() {
             return;
         }
-        let doomed: Vec<SiteId> = self
-            .drivers
-            .keys()
-            .copied()
-            .filter(|s| down.contains(s))
-            .collect();
-        drop(down);
-        for site in doomed {
-            let driver = self.drivers.remove(&site).expect("listed");
-            self.dead.push((site, driver.into_node()));
-        }
+        let (drivers, dead) = (&mut self.drivers, &mut self.dead);
+        self.sites.retain(|site| {
+            if !down.contains(site) {
+                return true;
+            }
+            let driver = drivers.remove(site).expect("listed");
+            dead.push((*site, driver.into_node()));
+            false
+        });
     }
 
     /// Drives hosted sites to local quiescence: due timers fire,
@@ -428,8 +445,8 @@ impl Worker {
         let mut rounds = 0;
         loop {
             let mut progress = false;
-            let sites: Vec<SiteId> = self.drivers.keys().copied().collect();
-            for site in sites {
+            for i in 0..self.sites.len() {
+                let site = self.sites[i];
                 let d = self.drivers.get_mut(&site).expect("listed");
                 d.tick(now, &mut self.out);
                 if !self.out.is_empty() {
@@ -649,9 +666,9 @@ impl Worker {
         // The connection may have died while the answer was in flight;
         // the reconnected client resubmits under a fresh session.
         if let Some(c) = front.conns.get_mut(&conn) {
-            let mut buf = Vec::new();
-            reply.encode_into(&mut buf);
-            c.writer.push(&buf);
+            front.reply_buf.clear();
+            reply.encode_into(&mut front.reply_buf);
+            c.writer.push(&front.reply_buf);
             if !c.paused && c.writer.queued() > front.write_hwm {
                 c.paused = true;
                 shared
@@ -756,13 +773,17 @@ impl Worker {
 
     fn serve_request(&mut self, token: u64, req: Request) {
         let now = self.now();
-        let down = self.shared.down.lock().expect("down set").clone();
         let front = self.front.as_mut().expect("front door");
+        // Plans read the set under its lock; the submit arm releases it
+        // before `inject`, which borrows all of `self`.
+        let down = self.shared.down.lock().expect("down set");
         match req {
             Request::Submit { session, writes } => {
                 let txn = TxnId(front.next_txn);
                 front.next_txn += 1;
-                match front.planner.plan_submit(now, txn, &writes, &down) {
+                let plan = front.planner.plan_submit(now, txn, &writes, &down);
+                drop(down);
+                match plan {
                     Some((coordinator, msg)) => {
                         front.by_txn.insert(txn.0, (token, session, now));
                         self.inject(CLIENT_SITE, coordinator, msg);
@@ -969,6 +990,7 @@ impl ReactorServer {
                     next_req: 1,
                     write_hwm: cfg.write_hwm,
                     sockbuf: cfg.sockbuf,
+                    reply_buf: Vec::new(),
                 })
             } else {
                 None
@@ -978,12 +1000,17 @@ impl ReactorServer {
             let handle = std::thread::Builder::new()
                 .name(format!("qbc-reactor-{index}"))
                 .spawn(move || {
+                    // A sleep to a deadline would otherwise overshoot it
+                    // by the default 50 µs slack; failing to trim it
+                    // costs only that.
+                    let _ = crate::sys::sys_set_timer_slack_ns(1);
                     let mut worker = Worker {
                         index,
                         shared: shared_w,
                         poller,
                         events: Vec::with_capacity(256),
                         drivers: BTreeMap::new(),
+                        sites: Vec::new(),
                         dead: Vec::new(),
                         inbox: VecDeque::new(),
                         out: Vec::new(),
@@ -1000,6 +1027,7 @@ impl ReactorServer {
                         worker.drivers.insert(site, driver);
                         worker.route(site);
                     }
+                    worker.sites = worker.drivers.keys().copied().collect();
                     worker.run()
                 })
                 .expect("spawn reactor worker");
@@ -1045,5 +1073,37 @@ impl ReactorServer {
         nodes.sort_by_key(|(s, _)| *s);
         let _ = std::fs::remove_file(&self.path);
         (nodes, self.shared.stats.snapshot())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_worker_sleeps_exactly_to_its_earliest_deadline() {
+        let start = Instant::now();
+        let now = start + Duration::from_micros(2_300);
+        assert_eq!(
+            sleep_until_due(start, now, Some(Time(3))),
+            Duration::from_micros(700)
+        );
+    }
+
+    #[test]
+    fn a_past_deadline_means_no_sleep() {
+        let start = Instant::now();
+        let now = start + Duration::from_micros(3_100);
+        assert_eq!(sleep_until_due(start, now, Some(Time(3))), Duration::ZERO);
+        assert_eq!(sleep_until_due(start, now, Some(Time(0))), Duration::ZERO);
+    }
+
+    #[test]
+    fn no_timer_or_a_far_one_sleeps_the_cap() {
+        let start = Instant::now();
+        let now = start + Duration::from_micros(2_300);
+        assert_eq!(sleep_until_due(start, now, None), MAX_SLEEP);
+        assert_eq!(sleep_until_due(start, now, Some(Time(60_000))), MAX_SLEEP);
+        assert_eq!(sleep_until_due(start, now, Some(Time(u64::MAX))), MAX_SLEEP);
     }
 }
