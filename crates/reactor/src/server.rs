@@ -327,7 +327,7 @@ struct Worker {
     poller: Poller,
     events: Vec<Event>,
     drivers: BTreeMap<SiteId, NodeDriver<SiteNode>>,
-    /// The keys of `drivers`, in order; sites leave it as they retire.
+    /// Scratch for the hosted sites `pump` visits in a round.
     sites: Vec<SiteId>,
     /// Retired (killed) sites, kept for harvest.
     dead: Vec<(SiteId, SiteNode)>,
@@ -385,8 +385,9 @@ impl Worker {
     /// Sleep exactly until the earliest site timer falls due (see
     /// [`sleep_until_due`]). A timed-out wait never returns early, so the
     /// next iteration's clock reads at least that deadline and `pump`
-    /// fires the timer; every deadline `pump` leaves lies above the
-    /// clock, so the loop never spins.
+    /// fires the timer. A deadline already reached gives a zero wait and
+    /// the next `pump` fires it; none stays due after a `pump`, so there
+    /// is no sustained spin.
     fn poll_timeout(&mut self) -> Duration {
         let mut earliest: Option<Time> = None;
         for d in self.drivers.values_mut() {
@@ -428,15 +429,17 @@ impl Worker {
         if down.is_empty() {
             return;
         }
-        let (drivers, dead) = (&mut self.drivers, &mut self.dead);
-        self.sites.retain(|site| {
-            if !down.contains(site) {
-                return true;
-            }
-            let driver = drivers.remove(site).expect("listed");
-            dead.push((*site, driver.into_node()));
-            false
-        });
+        let doomed: Vec<SiteId> = self
+            .drivers
+            .keys()
+            .copied()
+            .filter(|s| down.contains(s))
+            .collect();
+        drop(down);
+        for site in doomed {
+            let driver = self.drivers.remove(&site).expect("listed");
+            self.dead.push((site, driver.into_node()));
+        }
     }
 
     /// Drives hosted sites to local quiescence: due timers fire,
@@ -445,8 +448,10 @@ impl Worker {
         let mut rounds = 0;
         loop {
             let mut progress = false;
-            for i in 0..self.sites.len() {
-                let site = self.sites[i];
+            let mut sites = std::mem::take(&mut self.sites);
+            sites.clear();
+            sites.extend(self.drivers.keys().copied());
+            for &site in &sites {
                 let d = self.drivers.get_mut(&site).expect("listed");
                 d.tick(now, &mut self.out);
                 if !self.out.is_empty() {
@@ -455,6 +460,7 @@ impl Worker {
                 }
                 self.forward_decisions(site);
             }
+            self.sites = sites;
             while let Some((from, to, msg)) = self.inbox.pop_front() {
                 progress = true;
                 match self.drivers.get_mut(&to) {
@@ -774,15 +780,15 @@ impl Worker {
     fn serve_request(&mut self, token: u64, req: Request) {
         let now = self.now();
         let front = self.front.as_mut().expect("front door");
-        // Plans read the set under its lock; the submit arm releases it
-        // before `inject`, which borrows all of `self`.
-        let down = self.shared.down.lock().expect("down set");
+        let down = &self.shared.down;
         match req {
             Request::Submit { session, writes } => {
                 let txn = TxnId(front.next_txn);
                 front.next_txn += 1;
-                let plan = front.planner.plan_submit(now, txn, &writes, &down);
-                drop(down);
+                let plan =
+                    front
+                        .planner
+                        .plan_submit(now, txn, &writes, &down.lock().expect("down set"));
                 match plan {
                     Some((coordinator, msg)) => {
                         front.by_txn.insert(txn.0, (token, session, now));
@@ -794,52 +800,57 @@ impl Worker {
                     }
                 }
             }
-            Request::SnapRead { session, item } => match front.planner.plan_read(item, &down) {
-                Some(site) => {
-                    let req_id = front.next_req;
-                    front.next_req += 1;
-                    front.pending_reads.insert(req_id, (token, session));
-                    let worker = self.site_worker.get(&site).copied();
-                    match worker {
-                        Some(w) if w == self.index => {
-                            self.watched_reads.push((site, req_id));
-                            self.inbox.push_back((
-                                CLIENT_SITE,
-                                site,
-                                NetMsg::BeginSnapRead { req_id, item },
-                            ));
-                        }
-                        Some(w) => {
-                            self.shared.post(w, Mail::WatchRead { site, req_id });
-                            self.shared.post(
-                                w,
-                                Mail::Deliver {
-                                    from: CLIENT_SITE,
-                                    to: site,
-                                    msg: NetMsg::BeginSnapRead { req_id, item },
-                                },
-                            );
-                        }
-                        None => {
-                            self.local_front.push(FrontEvent::ReadDone {
-                                req_id,
-                                value: None,
-                            });
+            Request::SnapRead { session, item } => {
+                let target = front
+                    .planner
+                    .plan_read(item, &down.lock().expect("down set"));
+                match target {
+                    Some(site) => {
+                        let req_id = front.next_req;
+                        front.next_req += 1;
+                        front.pending_reads.insert(req_id, (token, session));
+                        let worker = self.site_worker.get(&site).copied();
+                        match worker {
+                            Some(w) if w == self.index => {
+                                self.watched_reads.push((site, req_id));
+                                self.inbox.push_back((
+                                    CLIENT_SITE,
+                                    site,
+                                    NetMsg::BeginSnapRead { req_id, item },
+                                ));
+                            }
+                            Some(w) => {
+                                self.shared.post(w, Mail::WatchRead { site, req_id });
+                                self.shared.post(
+                                    w,
+                                    Mail::Deliver {
+                                        from: CLIENT_SITE,
+                                        to: site,
+                                        msg: NetMsg::BeginSnapRead { req_id, item },
+                                    },
+                                );
+                            }
+                            None => {
+                                self.local_front.push(FrontEvent::ReadDone {
+                                    req_id,
+                                    value: None,
+                                });
+                            }
                         }
                     }
+                    None => {
+                        Self::queue_reply(
+                            front,
+                            &self.shared,
+                            token,
+                            &Reply::SnapRead {
+                                session,
+                                value: None,
+                            },
+                        );
+                    }
                 }
-                None => {
-                    Self::queue_reply(
-                        front,
-                        &self.shared,
-                        token,
-                        &Reply::SnapRead {
-                            session,
-                            value: None,
-                        },
-                    );
-                }
-            },
+            }
         }
     }
 
@@ -1027,7 +1038,6 @@ impl ReactorServer {
                         worker.drivers.insert(site, driver);
                         worker.route(site);
                     }
-                    worker.sites = worker.drivers.keys().copied().collect();
                     worker.run()
                 })
                 .expect("spawn reactor worker");

@@ -6,7 +6,7 @@
 //! poller uses — all policy lives in [`crate::poller`].
 //!
 //! The one wait is `epoll_pwait2`: its `timespec` timeout has nanosecond
-//! resolution, where `epoll_wait` takes whole milliseconds, so a worker
+//! resolution, not the whole milliseconds of the older wait, so a worker
 //! can sleep exactly to a timer's deadline. It needs Linux ≥ 5.11 and
 //! glibc ≥ 2.35; there is no fallback. [`sys_set_timer_slack_ns`] trims
 //! the calling thread's timer slack (50 µs by default), which every such

@@ -1,6 +1,6 @@
 //! Cross-thread wakeup for a blocked poller.
 //!
-//! Each reactor worker parks in [`crate::poller::Poller::wait`]; anyone
+//! Each reactor worker parks in [`crate::poller::Poller::wait_for`]; anyone
 //! handing it work (another worker's mail, a client submission, the
 //! shutdown flag) must be able to interrupt that wait. A [`WakeFd`] is
 //! a descriptor registered with the worker's poller whose sole job is
