@@ -45,7 +45,8 @@ pub(crate) fn first_fresh_txn(nodes: &[(SiteId, SiteNode)]) -> u64 {
 }
 
 /// Builds one configured [`SiteNode`] per cluster site (initial item
-/// values zero), ready for any substrate. `decision_events` is on for
+/// values zero), ready for any substrate. Every site of a shard shares
+/// the map's catalog for it. `decision_events` is on for
 /// push-style front-ends (the reactor) and off for the polling ones.
 pub(crate) fn build_nodes(
     cfg: &ClusterConfig,
@@ -58,7 +59,7 @@ pub(crate) fn build_nodes(
         let shard = ShardId(shard);
         let sites = map.sites_of(shard);
         for &site in &sites {
-            let mut nc = NodeConfig::new(site, map.catalog(shard).clone(), cfg.t_bound);
+            let mut nc = NodeConfig::new(site, Arc::clone(map.catalog(shard)), cfg.t_bound);
             nc.group_commit = cfg.group_commit;
             if let Some(w) = cfg.group_commit_window {
                 nc.group_commit_window = w;

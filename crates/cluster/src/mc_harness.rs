@@ -22,7 +22,7 @@
 //! what the checker proves about the memory model carries over.
 
 use qbc_core::{Decision, LogRecord, ProtocolKind, TxnId, TxnSpec, WriteSet};
-use qbc_db::{build_cluster, NetMsg, NodeConfig, SiteNode};
+use qbc_db::{NetMsg, NodeConfig, SiteNode};
 use qbc_simnet::{ControlledHost, Duration, HostConfig, SiteId};
 use qbc_votes::{Catalog, CatalogBuilder, ItemId, Version};
 use std::collections::BTreeMap;
@@ -49,6 +49,22 @@ pub fn three_site_catalog() -> Catalog {
         .expect("static catalog")
 }
 
+/// One node per `(site, catalog)` placement, configured through
+/// `customize`. Sites placed over one catalog share its allocation, so
+/// the checker's branch clones never copy a catalog.
+fn nodes_over<'a>(
+    placement: impl IntoIterator<Item = (SiteId, &'a Arc<Catalog>)>,
+    mut customize: impl FnMut(NodeConfig) -> NodeConfig,
+) -> Vec<(SiteId, SiteNode)> {
+    placement
+        .into_iter()
+        .map(|(s, cat)| {
+            let cfg = customize(NodeConfig::new(s, Arc::clone(cat), T_BOUND));
+            (s, SiteNode::new(cfg, |_| 0))
+        })
+        .collect()
+}
+
 /// A single-shard host: three sites over [`three_site_catalog`], one
 /// client transaction (`TxnId(1)`, writing item 0) injected at site 0,
 /// fault budgets from `host_cfg`, per-site knobs via `customize`.
@@ -60,10 +76,9 @@ pub fn single_shard_host(
     host_cfg: HostConfig,
     customize: impl FnMut(NodeConfig) -> NodeConfig,
 ) -> ControlledHost<SiteNode> {
-    let catalog = three_site_catalog();
-    let sites = [SiteId(0), SiteId(1), SiteId(2)];
-    let mut host =
-        ControlledHost::new(host_cfg, build_cluster(sites, &catalog, T_BOUND, customize));
+    let catalog = Arc::new(three_site_catalog());
+    let sites = [SiteId(0), SiteId(1), SiteId(2)].map(|s| (s, &catalog));
+    let mut host = ControlledHost::new(host_cfg, nodes_over(sites, customize));
     host.inject(
         CLIENT,
         SiteId(0),
@@ -99,19 +114,21 @@ pub fn paxos_host(
 pub fn two_shard_host(
     protocol: ProtocolKind,
     host_cfg: HostConfig,
-    mut customize: impl FnMut(NodeConfig) -> NodeConfig,
+    customize: impl FnMut(NodeConfig) -> NodeConfig,
 ) -> ControlledHost<SiteNode> {
     let shard_a = CatalogBuilder::new()
         .item(ItemId(0), "a")
         .copies_at([SiteId(0), SiteId(1)])
         .quorums(1, 2)
         .build()
+        .map(Arc::new)
         .expect("static catalog");
     let shard_b = CatalogBuilder::new()
         .item(ItemId(1), "b")
         .copies_at([SiteId(2)])
         .quorums(1, 1)
         .build()
+        .map(Arc::new)
         .expect("static catalog");
     let parent = SiteId(0);
     let branches = vec![
@@ -136,16 +153,12 @@ pub fn two_shard_host(
             .with_parent(parent),
         ),
     ];
-    let nodes: Vec<(SiteId, SiteNode)> = [SiteId(0), SiteId(1)]
-        .into_iter()
-        .map(|s| (s, &shard_a))
-        .chain([(SiteId(2), &shard_b)])
-        .map(|(s, cat)| {
-            let cfg = customize(NodeConfig::new(s, cat.clone(), T_BOUND));
-            (s, SiteNode::new(cfg, |_| 0))
-        })
-        .collect();
-    let mut host = ControlledHost::new(host_cfg, nodes);
+    let placement = [
+        (SiteId(0), &shard_a),
+        (SiteId(1), &shard_a),
+        (SiteId(2), &shard_b),
+    ];
+    let mut host = ControlledHost::new(host_cfg, nodes_over(placement, customize));
     host.inject(
         CLIENT,
         parent,
@@ -168,19 +181,21 @@ pub fn two_shard_host(
 pub fn client_parent_host(
     protocol: ProtocolKind,
     host_cfg: HostConfig,
-    mut customize: impl FnMut(NodeConfig) -> NodeConfig,
+    customize: impl FnMut(NodeConfig) -> NodeConfig,
 ) -> ControlledHost<SiteNode> {
     let shard_a = CatalogBuilder::new()
         .item(ItemId(0), "a")
         .copies_at([SiteId(1)])
         .quorums(1, 1)
         .build()
+        .map(Arc::new)
         .expect("static catalog");
     let shard_b = CatalogBuilder::new()
         .item(ItemId(1), "b")
         .copies_at([SiteId(2)])
         .quorums(1, 1)
         .build()
+        .map(Arc::new)
         .expect("static catalog");
     let parent = SiteId(0);
     let branches = vec![
@@ -205,15 +220,12 @@ pub fn client_parent_host(
             .with_parent(parent),
         ),
     ];
-    let nodes: Vec<(SiteId, SiteNode)> = [(parent, &shard_a), (SiteId(1), &shard_a)]
-        .into_iter()
-        .chain([(SiteId(2), &shard_b)])
-        .map(|(s, cat)| {
-            let cfg = customize(NodeConfig::new(s, cat.clone(), T_BOUND));
-            (s, SiteNode::new(cfg, |_| 0))
-        })
-        .collect();
-    let mut host = ControlledHost::new(host_cfg, nodes);
+    let placement = [
+        (parent, &shard_a),
+        (SiteId(1), &shard_a),
+        (SiteId(2), &shard_b),
+    ];
+    let mut host = ControlledHost::new(host_cfg, nodes_over(placement, customize));
     host.inject(
         CLIENT,
         parent,

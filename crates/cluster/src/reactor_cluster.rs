@@ -200,3 +200,45 @@ impl ReactorCluster {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shard::ShardId;
+    use crate::sim_cluster::SimCluster;
+    use qbc_db::SiteNode;
+
+    /// Every site holds the catalog allocation the map built for its
+    /// shard, not a copy of it.
+    fn assert_shared<'a>(map: &ShardMap, nodes: impl IntoIterator<Item = (SiteId, &'a SiteNode)>) {
+        let mut sites = 0;
+        for (site, node) in nodes {
+            let shard = ShardId(site.0 / map.sites_per_shard());
+            assert!(
+                Arc::ptr_eq(node.catalog(), map.catalog(shard)),
+                "{site} holds a copy of {shard}'s catalog"
+            );
+            sites += 1;
+        }
+        assert_eq!(sites, map.all_sites().len());
+    }
+
+    #[test]
+    fn every_site_shares_its_shards_catalog() {
+        let cfg = ClusterConfig::default();
+        let sim = SimCluster::new(cfg.clone());
+        assert_shared(sim.map(), sim.sim().nodes());
+
+        let mut reactor = ReactorCluster::spawn(cfg, ReactorConfig::default());
+        for s in 0..reactor.map.shards() {
+            let planned = reactor.planner.lock().expect("planner");
+            assert!(Arc::ptr_eq(
+                planned.map.catalog(ShardId(s)),
+                reactor.map.catalog(ShardId(s))
+            ));
+        }
+        reactor.client.take().expect("client live").shutdown();
+        let (nodes, _) = reactor.server.take().expect("server live").shutdown();
+        assert_shared(&reactor.map, nodes.iter().map(|(s, n)| (*s, n)));
+    }
+}

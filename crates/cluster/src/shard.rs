@@ -28,13 +28,15 @@ impl fmt::Display for ShardId {
 /// shard, and the per-shard replication catalog.
 ///
 /// Both id spaces are contiguous per shard, so routing is arithmetic —
-/// no lookup table sits on the submit path.
+/// no lookup table sits on the submit path. Each shard's catalog is
+/// built once and held by `Arc`: cloning the map (the planner's copy)
+/// and configuring the shard's sites share it instead of copying it.
 #[derive(Clone, Debug)]
 pub struct ShardMap {
     shards: u32,
     sites_per_shard: u32,
     items_per_shard: u32,
-    catalogs: Vec<Catalog>,
+    catalogs: Vec<Arc<Catalog>>,
 }
 
 impl ShardMap {
@@ -54,7 +56,7 @@ impl ShardMap {
                 }
                 b = b.quorums(cfg.read_quorum, cfg.write_quorum);
             }
-            catalogs.push(b.build().expect("validated cluster config"));
+            catalogs.push(Arc::new(b.build().expect("validated cluster config")));
         }
         ShardMap {
             shards: cfg.shards,
@@ -105,8 +107,9 @@ impl ShardMap {
             .collect()
     }
 
-    /// The replication catalog of one shard.
-    pub fn catalog(&self, shard: ShardId) -> &Catalog {
+    /// The replication catalog of one shard: the one allocation the
+    /// shard's sites share.
+    pub fn catalog(&self, shard: ShardId) -> &Arc<Catalog> {
         &self.catalogs[shard.0 as usize]
     }
 

@@ -33,8 +33,11 @@ pub enum WalBackendConfig {
 pub struct NodeConfig {
     /// This site's id.
     pub site: SiteId,
-    /// The shared replication catalog (copy placement, `r`/`w` quorums).
-    pub catalog: Catalog,
+    /// The replication catalog (copy placement, `r`/`w` quorums),
+    /// shared: a cluster builds each shard's catalog once and every
+    /// site of the shard holds a handle to that one allocation, so
+    /// cloning a config (or a site) never copies the catalog.
+    pub catalog: Arc<Catalog>,
     /// Site-vote parameters, required when any transaction runs
     /// [`ProtocolKind::SkeenQuorum`].
     pub site_votes: Option<SiteVotes>,
@@ -154,11 +157,13 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// A configuration with conventional defaults.
-    pub fn new(site: SiteId, catalog: Catalog, t_bound: Duration) -> Self {
+    /// A configuration with conventional defaults. Pass an
+    /// `Arc<Catalog>` to share one catalog between sites; a plain
+    /// [`Catalog`] is moved into a handle of its own.
+    pub fn new(site: SiteId, catalog: impl Into<Arc<Catalog>>, t_bound: Duration) -> Self {
         NodeConfig {
             site,
-            catalog,
+            catalog: catalog.into(),
             site_votes: None,
             t_bound,
             vote_no_on: BTreeSet::new(),

@@ -128,7 +128,6 @@ pub struct Violation {
 #[derive(Clone)]
 pub struct SiteNode {
     cfg: NodeConfig,
-    catalog: Arc<Catalog>,
     /// The write-ahead log behind its durability gate: nothing of a
     /// transaction is told or applied before it is irrevocable — while a
     /// record of it is undurable, bar the `Decided` of a commit that was
@@ -208,32 +207,26 @@ impl SiteNode {
     /// When the file-backed log cannot be opened (I/O error or non-tail
     /// corruption): a site without its log has no safe way to run.
     pub fn new(cfg: NodeConfig, initial_values: impl Fn(ItemId) -> i64) -> Self {
-        let catalog = Arc::new(cfg.catalog.clone());
         let log = DurableLog::open(&cfg);
         let mut items = VersionedStore::new();
         items.set_retention(cfg.version_retention.max(1));
-        for item in catalog.items_at(cfg.site) {
-            items.initialize(item, initial_values(item));
-        }
-        // The shard watermark is bounded by every other site that holds
-        // a copy of anything this site hosts: those are exactly the
-        // sites whose in-flight transactions can pin a local copy.
-        let wm_peers: Vec<SiteId> = if cfg.snapshot_reads {
-            let mut peers: BTreeSet<SiteId> = BTreeSet::new();
-            for item in catalog.items_at(cfg.site) {
-                if let Some(spec) = catalog.item(item) {
-                    peers.extend(spec.sites());
-                }
+        // One walk over the catalog loads every local copy and, with
+        // snapshot reads, collects the peers bounding the shard
+        // watermark: every other site that holds a copy of anything
+        // this site hosts, exactly the sites whose in-flight
+        // transactions can pin a local copy.
+        let mut peers: BTreeSet<SiteId> = BTreeSet::new();
+        for spec in cfg.catalog.items_at(cfg.site) {
+            items.initialize(spec.id, initial_values(spec.id));
+            if cfg.snapshot_reads {
+                peers.extend(spec.sites());
             }
-            peers.remove(&cfg.site);
-            peers.into_iter().collect()
-        } else {
-            Vec::new()
-        };
+        }
+        peers.remove(&cfg.site);
+        let wm_peers: Vec<SiteId> = peers.into_iter().collect();
         SiteNode {
             table: TxnTable::new(&cfg),
             cfg,
-            catalog,
             log,
             items,
             locks: LockManager::new(),
@@ -261,6 +254,12 @@ impl SiteNode {
     }
 
     // ---- public inspection API (used by the harness and tests) --------
+
+    /// The replication catalog this site runs over: the handle its
+    /// configuration shares with the rest of its shard.
+    pub fn catalog(&self) -> &Arc<Catalog> {
+        &self.cfg.catalog
+    }
 
     /// The decision reached for a transaction at this site, if any
     /// (retired transactions keep answering from their compact record).
@@ -495,7 +494,7 @@ impl SiteNode {
             self.cfg.site,
             writeset,
             protocol,
-            &self.catalog,
+            &self.cfg.catalog,
         ));
         let state = self.ensure_txn(ctx.now(), &spec);
         state.started_at = ctx.now();
@@ -603,7 +602,7 @@ impl SiteNode {
 
     /// Starts a quorum read of `item`, collecting `r(item)` votes.
     pub fn start_read(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, req_id: u64, item: ItemId) {
-        let spec = self.catalog.item(item);
+        let spec = self.cfg.catalog.item(item);
         let result = match spec {
             Some(_) => ReadResult::Pending,
             None => ReadResult::Unavailable,
@@ -644,7 +643,7 @@ impl SiteNode {
         req_id: u64,
         item: ItemId,
     ) {
-        let Some(spec) = self.catalog.item(item) else {
+        let Some(spec) = self.cfg.catalog.item(item) else {
             let collector = SnapReadCollect::resolved(item, ReadResult::Unavailable);
             self.snap_reads.insert(req_id, collector);
             self.emit(ctx.now(), None, EventKind::SnapshotReadUnavailable { item });
@@ -1107,10 +1106,12 @@ impl SiteNode {
                 self.start_snapshot_read(ctx, req_id, item);
             }
             NetMsg::ReadRep { req_id, item, copy } => {
-                let Some(weight) = self.catalog.item(item).map(|spec| spec.weight_at(from)) else {
+                let Some(weight) = self.cfg.catalog.item(item).map(|spec| spec.weight_at(from))
+                else {
                     return;
                 };
                 let read_quorum = self
+                    .cfg
                     .catalog
                     .item(item)
                     .map(|s| s.read_quorum)
@@ -1311,9 +1312,9 @@ impl SiteNode {
             _ => Version::INITIAL,
         };
 
-        let catalog = Arc::clone(&self.catalog);
         let mut actions = self.take_actions();
         {
+            let catalog: &Catalog = &self.cfg.catalog;
             let st = self.table.txns.get_mut(&txn).expect("checked");
             st.last_coord_contact = ctx.now();
             match &m {
@@ -1321,7 +1322,7 @@ impl SiteNode {
                     yes, max_version, ..
                 } => {
                     if let Some(c) = st.coordinator.as_mut() {
-                        c.on_vote(from, *yes, *max_version, &catalog, &mut actions);
+                        c.on_vote(from, *yes, *max_version, catalog, &mut actions);
                     } else if let Some(p) = st.paxos.as_mut() {
                         p.on_vote(from, *yes, *max_version, &mut actions);
                     }
@@ -1338,15 +1339,15 @@ impl SiteNode {
                 }
                 Msg::PcAck { .. } => {
                     if let Some(c) = st.coordinator.as_mut() {
-                        c.on_pc_ack(from, &catalog, &mut actions);
+                        c.on_pc_ack(from, catalog, &mut actions);
                     }
                     if let Some(t) = st.termination.as_mut() {
-                        actions.extend(t.on_pc_ack(from, &catalog));
+                        actions.extend(t.on_pc_ack(from, catalog));
                     }
                 }
                 Msg::PaAck { .. } => {
                     if let Some(t) = st.termination.as_mut() {
-                        actions.extend(t.on_pa_ack(from, &catalog));
+                        actions.extend(t.on_pa_ack(from, catalog));
                     }
                 }
                 Msg::StateRep {
@@ -1356,7 +1357,7 @@ impl SiteNode {
                     ..
                 } => {
                     if let Some(t) = st.termination.as_mut() {
-                        actions.extend(t.on_state_rep(from, *round, *state, *pc_version, &catalog));
+                        actions.extend(t.on_state_rep(from, *round, *state, *pc_version, catalog));
                     }
                 }
                 Msg::Decided {
@@ -1515,29 +1516,27 @@ impl SiteNode {
 
     fn try_lock_writeset(&mut self, now: Time, txn: TxnId, spec: &TxnSpec) -> bool {
         // No-wait 2PL: X-lock every local copy of the writeset; any
-        // conflict means vote no (prevents distributed deadlock).
-        let local_items: Vec<ItemId> = spec
-            .writeset
-            .items()
-            .filter(|&i| {
-                self.catalog
-                    .item(i)
-                    .map(|s| s.copies.contains_key(&self.cfg.site))
-                    .unwrap_or(false)
-            })
-            .collect();
-        for (k, &item) in local_items.iter().enumerate() {
+        // conflict means vote no (prevents distributed deadlock). The
+        // local copies are walked in place: no list per VOTE-REQ.
+        let catalog: &Catalog = &self.cfg.catalog;
+        let site = self.cfg.site;
+        let local = |&i: &ItemId| {
+            catalog
+                .item(i)
+                .is_some_and(|s| s.copies.contains_key(&site))
+        };
+        for (k, item) in spec.writeset.items().filter(local).enumerate() {
             if !self.locks.acquire(txn, item, LockMode::Exclusive) {
                 // Roll back the partial acquisition.
-                for it in &local_items[..k] {
-                    self.locks.release(&txn, it);
+                for it in spec.writeset.items().filter(local).take(k) {
+                    self.locks.release(&txn, &it);
                 }
                 return false;
             }
         }
         // The yes vote pins every local copy until the decision: the
         // pin-time clock starts here.
-        for &item in &local_items {
+        for item in spec.writeset.items().filter(local) {
             self.emit(now, Some(txn), EventKind::PinStart { item });
         }
         true
@@ -1635,7 +1634,7 @@ impl SiteNode {
     ) {
         let mut actions = self.take_actions();
         if let Some(st) = self.table.txns.get_mut(&txn) {
-            f(st, &self.catalog, &mut actions);
+            f(st, &self.cfg.catalog, &mut actions);
         }
         self.apply_actions(ctx, txn, self.cfg.site, actions);
     }
@@ -2465,17 +2464,19 @@ impl qbc_simnet::Fingerprint for SiteNode {
 /// Convenience: builds one [`SiteNode`] per site over a shared catalog.
 ///
 /// `sites` should cover every site appearing in the catalog (plus any
-/// extra client-only sites). Initial values default to zero.
+/// extra client-only sites). Initial values default to zero. The
+/// catalog is copied once and every site shares that copy.
 pub fn build_cluster(
     sites: impl IntoIterator<Item = SiteId>,
     catalog: &Catalog,
     t_bound: qbc_simnet::Duration,
     mut customize: impl FnMut(NodeConfig) -> NodeConfig,
 ) -> Vec<(SiteId, SiteNode)> {
+    let catalog = Arc::new(catalog.clone());
     sites
         .into_iter()
         .map(|s| {
-            let cfg = customize(NodeConfig::new(s, catalog.clone(), t_bound));
+            let cfg = customize(NodeConfig::new(s, Arc::clone(&catalog), t_bound));
             (s, SiteNode::new(cfg, |_| 0))
         })
         .collect()

@@ -5,7 +5,10 @@ use qbc_simnet::SiteId;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The full replication catalog of the database: one [`ItemSpec`] per
-/// logical data item. Immutable once built; shared by every site.
+/// logical data item. Immutable once built, and shared rather than
+/// copied: sites hold it behind one `Arc` per replica group (see
+/// `NodeConfig::catalog` in `qbc-db`), so a cluster keeps one catalog
+/// per shard however many sites it runs.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Catalog {
     items: BTreeMap<ItemId, ItemSpec>,
@@ -59,13 +62,12 @@ impl Catalog {
         self.items.is_empty()
     }
 
-    /// The items stored (replicated) at a given site.
-    pub fn items_at(&self, site: SiteId) -> BTreeSet<ItemId> {
+    /// The specs of the items stored (replicated) at a given site, in id
+    /// order, walked lazily.
+    pub fn items_at(&self, site: SiteId) -> impl Iterator<Item = &ItemSpec> {
         self.items
             .values()
-            .filter(|s| s.copies.contains_key(&site))
-            .map(|s| s.id)
-            .collect()
+            .filter(move |s| s.copies.contains_key(&site))
     }
 
     /// The participant set of a transaction: every site holding a copy of
@@ -257,9 +259,10 @@ mod tests {
     #[test]
     fn items_at_reports_placement() {
         let c = example1_catalog();
-        assert_eq!(c.items_at(SiteId(2)), [ItemId(0)].into());
-        assert_eq!(c.items_at(SiteId(7)), [ItemId(1)].into());
-        assert!(c.items_at(SiteId(99)).is_empty());
+        let ids = |site| c.items_at(site).map(|s| s.id).collect::<Vec<_>>();
+        assert_eq!(ids(SiteId(2)), [ItemId(0)]);
+        assert_eq!(ids(SiteId(7)), [ItemId(1)]);
+        assert!(ids(SiteId(99)).is_empty());
     }
 
     #[test]
