@@ -1,12 +1,13 @@
 //! State-space probe: one bounded exhaustive exploration per run, with
 //! the explored-state counts on stdout. Used ad hoc for tuning
 //! `tests/model_check.rs` depths, and by the CI model-check smoke job
-//! (which runs the `clean` and `crash` configs and relies on the
-//! nonzero exit + trace file below to surface a violation).
+//! (which runs the `clean`, `crash` and `paxos-crash` configs and relies
+//! on the nonzero exit + trace file below to surface a violation).
 //!
 //! Usage: `cargo run --release -p qbc-cluster --example mc_probe -- <config> <depth>`
-//! where `<config>` is `clean`, `crash`, `mutant`, `xshard`, or
-//! `xclient`. On a violation the counterexample trace is printed and
+//! where `<config>` is `clean`, `crash`, `mutant`, `xshard`, `xclient`
+//! (QC1), or `paxos-crash` (Paxos Commit, the ballot-0 leader at site 0
+//! crashing once; 284 states at depth 34). On a violation the counterexample trace is printed and
 //! also written to the path in `$MC_TRACE` (default
 //! `mc_counterexample.txt`), and the process exits 1.
 
@@ -47,6 +48,7 @@ fn main() {
         ),
         "xshard" => two_shard_host(proto, one_crash, |c| c),
         "xclient" => client_parent_host(proto, one_crash, |c| c),
+        "paxos-crash" => paxos_host(one_crash, |c| c),
         other => panic!("unknown config {other}"),
     };
 

@@ -2,25 +2,26 @@
 //!
 //! Every commit protocol in this repo is a sans-IO state machine that
 //! consumes messages and timer expiries and returns [`Action`]s. This
-//! module names that shape as a trait, so the five quorum-paper engines
-//! (driven by [`Coordinator`] + [`Participant`]) and Gray & Lamport's
-//! Paxos Commit ([`crate::paxos_commit::PaxosLeader`]) are peers: the
-//! driver selects an engine by [`crate::types::ProtocolKind`] and talks
-//! to it only through this interface. The trait requires
-//! [`qbc_simnet::Fingerprint`], so any engine slots straight into the
-//! model checker's visited-state hashing.
+//! module names the *leader* half of that shape as a trait, so the
+//! [`Coordinator`] that drives the five quorum-paper engines and Gray &
+//! Lamport's Paxos Commit leader ([`crate::paxos_commit::PaxosLeader`])
+//! are peers: a site builds one by [`crate::types::ProtocolKind`], holds
+//! it in a single slot per transaction, and from then on talks to it only
+//! through this interface. The trait requires
+//! [`qbc_simnet::Fingerprint`], so the slot hashes straight into the
+//! model checker's visited states, and [`CommitEngine::clone_box`], so
+//! the table holding it stays `Clone` for the checker.
 //!
-//! The trait impls for [`Coordinator`] and [`Participant`] delegate to
-//! the exact per-message methods the driver used to call directly —
-//! the refactor is behavior-preserving by construction, and the golden
-//! digests in `crates/cluster/tests/determinism.rs` pin that it stays
-//! so.
+//! Each impl only routes a message or timer to the engine's method for
+//! that event (crate-private, so the trait is the one way in); the
+//! tests below check the routing event by event, and the golden digests
+//! in `crates/cluster/tests/determinism.rs` pin the schedule a site
+//! driving its leader this way produces.
 
 use crate::actions::{Action, TimerKind};
 use crate::coordinator::{CoordPhase, Coordinator};
 use crate::messages::Msg;
-use crate::participant::Participant;
-use crate::types::{Decision, TxnId};
+use crate::types::Decision;
 use qbc_simnet::SiteId;
 use qbc_votes::{Catalog, Version};
 
@@ -35,22 +36,20 @@ pub struct EngineCtx<'a> {
     pub local_max_version: Version,
 }
 
-/// One commit-protocol role (coordinator, participant, Paxos leader)
-/// for one transaction, as a uniform message-in/actions-out machine.
+/// One transaction's leader (commit coordinator or Paxos Commit
+/// leader/candidate), as a uniform message-in/actions-out machine.
 ///
 /// Effects are appended to a caller-supplied scratch buffer rather than
 /// returned in a fresh `Vec`: the driver recycles a small pool of
 /// buffers, so the steady-state message path performs no allocation per
 /// event. Engines only ever *push* — they must not read, clear, or
 /// reorder what the caller already buffered.
-pub trait CommitEngine: qbc_simnet::Fingerprint {
-    /// The transaction this engine drives.
-    fn txn(&self) -> TxnId;
-
-    /// Kicks the engine off (no-op for purely reactive roles).
+pub trait CommitEngine: qbc_simnet::Fingerprint + std::fmt::Debug + Send {
+    /// Kicks the engine off.
     fn start(&mut self, out: &mut Vec<Action>);
 
     /// Feeds one protocol message; appends the effects to `out`.
+    /// Messages addressed to another role are ignored.
     fn on_msg(&mut self, from: SiteId, msg: &Msg, ctx: &EngineCtx<'_>, out: &mut Vec<Action>);
 
     /// Feeds one timer expiry; appends the effects to `out`.
@@ -62,17 +61,17 @@ pub trait CommitEngine: qbc_simnet::Fingerprint {
     /// The commit version, once fixed.
     fn commit_version(&self) -> Option<Version>;
 
-    /// The [`crate::log::LogRecord`] kinds this engine force-writes, by
-    /// stable name — the durability contract an engine declares to the
-    /// driver and the docs.
-    fn log_record_kinds(&self) -> &'static [&'static str];
+    /// A boxed copy of this engine.
+    fn clone_box(&self) -> Box<dyn CommitEngine>;
+}
+
+impl Clone for Box<dyn CommitEngine> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
 }
 
 impl CommitEngine for Coordinator {
-    fn txn(&self) -> TxnId {
-        Coordinator::txn(self)
-    }
-
     fn start(&mut self, out: &mut Vec<Action>) {
         Coordinator::start(self, out)
     }
@@ -111,48 +110,16 @@ impl CommitEngine for Coordinator {
         Coordinator::commit_version(self)
     }
 
-    fn log_record_kinds(&self) -> &'static [&'static str] {
-        &["coordinator-start", "decided"]
-    }
-}
-
-impl CommitEngine for Participant {
-    fn txn(&self) -> TxnId {
-        Participant::txn(self)
-    }
-
-    fn start(&mut self, _out: &mut Vec<Action>) {
-        // participants are purely reactive
-    }
-
-    fn on_msg(&mut self, from: SiteId, msg: &Msg, ctx: &EngineCtx<'_>, out: &mut Vec<Action>) {
-        Participant::on_msg(self, from, msg, ctx.local_max_version, out)
-    }
-
-    fn on_timer(&mut self, kind: TimerKind, _ctx: &EngineCtx<'_>, out: &mut Vec<Action>) {
-        if let TimerKind::CoordinatorWatch { .. } = kind {
-            self.on_coordinator_silent(out)
-        }
-    }
-
-    fn decision(&self) -> Option<Decision> {
-        Participant::decision(self)
-    }
-
-    fn commit_version(&self) -> Option<Version> {
-        Participant::commit_version(self)
-    }
-
-    fn log_record_kinds(&self) -> &'static [&'static str] {
-        &["voted", "voted-no", "pre-commit", "pre-abort", "decided"]
+    fn clone_box(&self) -> Box<dyn CommitEngine> {
+        Box::new(self.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::participant::ParticipantConfig;
-    use crate::types::{ProtocolKind, TxnSpec, WriteSet};
+    use crate::paxos_commit::PaxosLeader;
+    use crate::types::{ProtocolKind, TxnId, TxnSpec, WriteSet};
     use qbc_votes::{CatalogBuilder, ItemId};
     use std::sync::Arc;
 
@@ -176,71 +143,99 @@ mod tests {
         })
     }
 
+    fn vote(s: u32) -> Msg {
+        Msg::Vote {
+            txn: TxnId(1),
+            yes: true,
+            max_version: Version(s as u64),
+        }
+    }
+
+    /// One event through the direct method and through the trait: both
+    /// must emit the same actions.
+    fn same(direct: impl FnOnce(&mut Vec<Action>), via_trait: impl FnOnce(&mut Vec<Action>)) {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        direct(&mut a);
+        via_trait(&mut b);
+        assert_eq!(a, b);
+    }
+
     /// The trait path and the direct-method path must emit identical
-    /// actions — the refactor's behavior-preservation contract, checked
-    /// here message by message on a full 2PC run.
+    /// actions, checked event by event on a full 2PC run through a
+    /// coordinator and a full Paxos Commit run through a ballot-0 leader.
     #[test]
-    fn trait_dispatch_matches_direct_calls_for_coordinator() {
+    fn trait_dispatch_matches_direct_calls_for_each_leader() {
         let cat = catalog();
         let ctx = EngineCtx {
             catalog: &cat,
             local_max_version: Version(0),
         };
         let mut direct = Coordinator::new(spec(ProtocolKind::TwoPhase), None);
-        let mut via_trait = Coordinator::new(spec(ProtocolKind::TwoPhase), None);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        direct.start(&mut a);
-        CommitEngine::start(&mut via_trait, &mut b);
-        assert_eq!(a, b);
+        let mut via: Box<dyn CommitEngine> = Box::new(direct.clone());
+        same(|o| direct.start(o), |o| via.start(o));
         for s in 0..3u32 {
-            a.clear();
-            b.clear();
-            direct.on_vote(SiteId(s), true, Version(s as u64), &cat, &mut a);
-            via_trait.on_msg(
-                SiteId(s),
-                &Msg::Vote {
-                    txn: TxnId(1),
-                    yes: true,
-                    max_version: Version(s as u64),
-                },
-                &ctx,
-                &mut b,
+            same(
+                |o| direct.on_vote(SiteId(s), true, Version(s.into()), &cat, o),
+                |o| via.on_msg(SiteId(s), &vote(s), &ctx, o),
             );
-            assert_eq!(a, b);
         }
-        assert_eq!(CommitEngine::decision(&via_trait), Some(Decision::Commit));
-        assert_eq!(CommitEngine::commit_version(&via_trait), Some(Version(3)));
+        assert_eq!(via.decision(), Some(Decision::Commit));
+        assert_eq!(via.commit_version(), Some(Version(3)));
+
+        let mut direct = PaxosLeader::new(spec(ProtocolKind::PaxosCommit));
+        let mut via: Box<dyn CommitEngine> = Box::new(direct.clone());
+        same(|o| direct.start(o), |o| via.start(o));
+        for s in 0..3u32 {
+            same(
+                |o| direct.on_vote(SiteId(s), true, Version(s.into()), o),
+                |o| via.on_msg(SiteId(s), &vote(s), &ctx, o),
+            );
+        }
+        let (txn, bal) = (TxnId(1), 0);
+        same(
+            |o| direct.on_2b_timer(bal, o),
+            |o| via.on_timer(TimerKind::Paxos2bCollection { txn, bal }, &ctx, o),
+        );
+        let votes = Vec::new();
+        let p2b = Msg::PaxosP2b { txn, bal, votes };
+        for s in 0..2u32 {
+            same(
+                |o| direct.on_p2b(SiteId(s), bal, o),
+                |o| via.on_msg(SiteId(s), &p2b, &ctx, o),
+            );
+        }
+        assert_eq!(via.decision(), Some(Decision::Commit));
+        assert_eq!(via.commit_version(), Some(Version(3)));
     }
 
+    /// A straggler's `Decided` ends a live recovery candidacy quietly:
+    /// the candidate reports the outcome, and its Phase-1b and
+    /// Phase-2b windows re-broadcast nothing more.
     #[test]
-    fn trait_dispatch_matches_direct_calls_for_participant() {
+    fn decided_through_on_msg_ends_a_paxos_candidacy() {
+        let cat = catalog();
         let ctx = EngineCtx {
-            catalog: &catalog(),
-            local_max_version: Version(5),
+            catalog: &cat,
+            local_max_version: Version(0),
         };
-        let mut direct = Participant::new(SiteId(1), TxnId(1), ParticipantConfig::default());
-        let mut via_trait = Participant::new(SiteId(1), TxnId(1), ParticipantConfig::default());
-        let req = Msg::VoteReq {
-            spec: spec(ProtocolKind::QuorumCommit1),
+        let mut candidate: Box<dyn CommitEngine> =
+            Box::new(PaxosLeader::recover(spec(ProtocolKind::PaxosCommit), 5));
+        let mut out = Vec::new();
+        candidate.start(&mut out);
+        assert!(matches!(out[0], Action::Broadcast(_, Msg::PaxosP1a { .. })));
+        out.clear();
+        let decided = Msg::Decided {
+            txn: TxnId(1),
+            decision: Decision::Commit,
+            commit_version: Some(Version(4)),
         };
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        direct.on_msg(SiteId(0), &req, Version(5), &mut a);
-        CommitEngine::on_msg(&mut via_trait, SiteId(0), &req, &ctx, &mut b);
-        assert_eq!(a, b);
-        // The watchdog timer maps to the coordinator-silence event.
-        a.clear();
-        b.clear();
-        direct.on_coordinator_silent(&mut a);
-        via_trait.on_timer(TimerKind::CoordinatorWatch { txn: TxnId(1) }, &ctx, &mut b);
-        assert_eq!(a, b);
-        assert!(matches!(a[0], Action::RequestTermination { .. }));
-    }
-
-    #[test]
-    fn engines_declare_their_log_records() {
-        let c = Coordinator::new(spec(ProtocolKind::TwoPhase), None);
-        assert!(c.log_record_kinds().contains(&"decided"));
-        let p = Participant::new(SiteId(1), TxnId(1), ParticipantConfig::default());
-        assert!(p.log_record_kinds().contains(&"voted"));
+        candidate.on_msg(SiteId(2), &decided, &ctx, &mut out);
+        assert!(out.is_empty(), "adopting announces nothing: {out:?}");
+        assert_eq!(candidate.decision(), Some(Decision::Commit));
+        assert_eq!(candidate.commit_version(), Some(Version(4)));
+        let txn = TxnId(1);
+        candidate.on_timer(TimerKind::Paxos1bCollection { txn, bal: 5 }, &ctx, &mut out);
+        candidate.on_timer(TimerKind::Paxos2bCollection { txn, bal: 5 }, &ctx, &mut out);
+        assert!(out.is_empty(), "a decided candidate stays quiet: {out:?}");
     }
 }

@@ -21,7 +21,7 @@
 use crate::actions::{Action, TimerKind};
 use crate::log::LogRecord;
 use crate::messages::Msg;
-use crate::types::{Decision, ProtocolKind, SiteVotes, TxnId, TxnSpec};
+use crate::types::{Decision, ProtocolKind, SiteVotes, TxnSpec};
 use qbc_simnet::SiteId;
 use qbc_votes::{Catalog, Version};
 use std::collections::{BTreeMap, BTreeSet};
@@ -138,11 +138,6 @@ impl Coordinator {
             .collect();
     }
 
-    /// The transaction.
-    pub fn txn(&self) -> TxnId {
-        self.spec.id
-    }
-
     /// Current phase.
     pub fn phase(&self) -> CoordPhase {
         self.phase
@@ -185,7 +180,7 @@ impl Coordinator {
     }
 
     /// Handles a vote.
-    pub fn on_vote(
+    pub(crate) fn on_vote(
         &mut self,
         from: SiteId,
         yes: bool,
@@ -258,7 +253,7 @@ impl Coordinator {
 
     /// Handles a PC-ACK; commits when the protocol's commit point is
     /// reached.
-    pub fn on_pc_ack(&mut self, from: SiteId, _catalog: &Catalog, out: &mut Vec<Action>) {
+    pub(crate) fn on_pc_ack(&mut self, from: SiteId, _catalog: &Catalog, out: &mut Vec<Action>) {
         if self.phase != CoordPhase::Preparing {
             return;
         }
@@ -318,7 +313,7 @@ impl Coordinator {
 
     /// The cross-shard decision arrived (branches only): terminate the
     /// held branch with the parent's outcome. Idempotent once decided.
-    pub fn on_x_decide(
+    pub(crate) fn on_x_decide(
         &mut self,
         decision: Decision,
         commit_version: Option<Version>,
@@ -408,7 +403,7 @@ impl Coordinator {
     }
 
     /// Vote-collection window expired.
-    pub fn on_vote_timer(&mut self, out: &mut Vec<Action>) {
+    pub(crate) fn on_vote_timer(&mut self, out: &mut Vec<Action>) {
         if self.phase != CoordPhase::SolicitingVotes {
             return;
         }
@@ -418,7 +413,7 @@ impl Coordinator {
     }
 
     /// Ack-collection window expired.
-    pub fn on_ack_timer(&mut self, _catalog: &Catalog, out: &mut Vec<Action>) {
+    pub(crate) fn on_ack_timer(&mut self, _catalog: &Catalog, out: &mut Vec<Action>) {
         if self.phase != CoordPhase::Preparing {
             return;
         }
@@ -536,7 +531,7 @@ impl qbc_simnet::Fingerprint for Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::WriteSet;
+    use crate::types::{TxnId, WriteSet};
     use qbc_votes::{CatalogBuilder, ItemId};
 
     fn catalog() -> Catalog {

@@ -111,11 +111,6 @@ impl Participant {
         self.site
     }
 
-    /// The transaction this engine tracks.
-    pub fn txn(&self) -> TxnId {
-        self.txn
-    }
-
     /// Current local state.
     pub fn state(&self) -> LocalState {
         self.state

@@ -130,19 +130,9 @@ impl PaxosLeader {
         self
     }
 
-    /// The transaction.
-    pub fn txn(&self) -> TxnId {
-        self.spec.id
-    }
-
     /// Current phase.
     pub fn phase(&self) -> PaxosPhase {
         self.phase
-    }
-
-    /// This engine's ballot.
-    pub fn ballot(&self) -> u64 {
-        self.bal
     }
 
     /// The commit version, once the decision batch is fixed.
@@ -202,7 +192,7 @@ impl PaxosLeader {
     }
 
     /// Handles a participant vote (ballot-0 leaders only).
-    pub fn on_vote(
+    pub(crate) fn on_vote(
         &mut self,
         from: SiteId,
         yes: bool,
@@ -275,7 +265,7 @@ impl PaxosLeader {
     }
 
     /// Handles a Phase-1b promise (recovery candidates only).
-    pub fn on_p1b(
+    pub(crate) fn on_p1b(
         &mut self,
         from: SiteId,
         bal: u64,
@@ -323,7 +313,7 @@ impl PaxosLeader {
     }
 
     /// Handles a Phase-2b acceptance echo.
-    pub fn on_p2b(&mut self, from: SiteId, bal: u64, out: &mut Vec<Action>) {
+    pub(crate) fn on_p2b(&mut self, from: SiteId, bal: u64, out: &mut Vec<Action>) {
         match self.phase {
             PaxosPhase::Proposing => {}
             PaxosPhase::Decided(d) => {
@@ -359,7 +349,7 @@ impl PaxosLeader {
     /// Vote-collection window expired (ballot-0 leaders only): missing
     /// votes are presumed aborts — safe for the same reason a no vote
     /// is (no 2a out yet).
-    pub fn on_vote_timer(&mut self, out: &mut Vec<Action>) {
+    pub(crate) fn on_vote_timer(&mut self, out: &mut Vec<Action>) {
         if self.phase != PaxosPhase::SolicitingVotes {
             return;
         }
@@ -368,7 +358,7 @@ impl PaxosLeader {
 
     /// Phase-1b collection window expired: re-broadcast the 1a (lost
     /// promises; the acceptors re-answer idempotently).
-    pub fn on_1b_timer(&mut self, bal: u64, out: &mut Vec<Action>) {
+    pub(crate) fn on_1b_timer(&mut self, bal: u64, out: &mut Vec<Action>) {
         if self.phase != PaxosPhase::Recovering || bal != self.bal {
             return;
         }
@@ -387,7 +377,7 @@ impl PaxosLeader {
     }
 
     /// Phase-2b collection window expired: re-broadcast the 2a.
-    pub fn on_2b_timer(&mut self, bal: u64, out: &mut Vec<Action>) {
+    pub(crate) fn on_2b_timer(&mut self, bal: u64, out: &mut Vec<Action>) {
         if self.phase != PaxosPhase::Proposing || bal != self.bal {
             return;
         }
@@ -407,7 +397,7 @@ impl PaxosLeader {
     }
 
     /// The cross-shard decision arrived (branches only).
-    pub fn on_x_decide(
+    pub(crate) fn on_x_decide(
         &mut self,
         decision: Decision,
         commit_version: Option<Version>,
@@ -428,7 +418,7 @@ impl PaxosLeader {
     /// Another engine (a higher-ballot candidate, or a decided
     /// straggler's re-announcement) already terminated the transaction:
     /// adopt the outcome without re-commanding anyone.
-    pub fn adopt_decision(&mut self, decision: Decision, commit_version: Option<Version>) {
+    pub(crate) fn adopt_decision(&mut self, decision: Decision, commit_version: Option<Version>) {
         if matches!(self.phase, PaxosPhase::Decided(_)) {
             return;
         }
@@ -586,10 +576,6 @@ impl qbc_simnet::Fingerprint for PaxosLeader {
 }
 
 impl CommitEngine for PaxosLeader {
-    fn txn(&self) -> TxnId {
-        PaxosLeader::txn(self)
-    }
-
     fn start(&mut self, out: &mut Vec<Action>) {
         PaxosLeader::start(self, out)
     }
@@ -606,6 +592,13 @@ impl CommitEngine for PaxosLeader {
                 commit_version,
                 ..
             } => self.on_x_decide(*decision, *commit_version, out),
+            // A straggler's answer (or a higher-ballot candidate's
+            // announcement) ends this leader's rounds quietly.
+            Msg::Decided {
+                decision,
+                commit_version,
+                ..
+            } => self.adopt_decision(*decision, *commit_version),
             _ => {}
         }
     }
@@ -630,8 +623,8 @@ impl CommitEngine for PaxosLeader {
         PaxosLeader::commit_version(self)
     }
 
-    fn log_record_kinds(&self) -> &'static [&'static str] {
-        &["coordinator-start", "decided"]
+    fn clone_box(&self) -> Box<dyn CommitEngine> {
+        Box::new(self.clone())
     }
 }
 
@@ -718,11 +711,6 @@ impl PaxosAcceptor {
             bal,
             votes: votes.to_vec(),
         }));
-    }
-
-    /// The log record kinds this role force-writes.
-    pub fn log_record_kinds() -> &'static [&'static str] {
-        &["paxos-promise", "paxos-accept"]
     }
 }
 

@@ -138,7 +138,7 @@ pub struct NodeConfig {
     /// The observability sink this site emits protocol trace events
     /// into (shared across the cluster). `None` (the default) emits
     /// nothing: no event is even constructed, so the simulator hot
-    /// path — and both golden digests — are byte-identical to the
+    /// path — and the three golden digests — are byte-identical to the
     /// uninstrumented build.
     pub obs: Option<Arc<Obs>>,
     /// Seeded protocol mutation for model-checker validation: this

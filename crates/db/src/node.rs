@@ -6,7 +6,11 @@
 //! transaction it hosts, in its `TxnTable` (`txn_table.rs`):
 //!
 //! * a [`Participant`] engine (always),
-//! * a [`Coordinator`] engine (at the site where the client submitted),
+//! * a leader, at most one: the commit [`Coordinator`] or the Paxos
+//!   Commit [`PaxosLeader`] at the site where the client submitted, or a
+//!   Paxos recovery candidate at a participant whose watchdog fired —
+//!   named only where it is built and driven only through
+//!   [`CommitEngine`],
 //! * an [`Elector`](qbc_election::Elector) plus a [`Termination`] engine while the termination
 //!   protocol runs (any site of the partition can end up coordinator —
 //!   including several at once),
@@ -33,9 +37,10 @@ use crate::durable_log::{DeferredOp, DurableLog};
 use crate::envelope::{NetMsg, NodeTimer};
 use crate::txn_table::{Outcome, TxnState, TxnTable, XCoord};
 use qbc_core::{
-    last_checkpoint, recover_paxos, recover_state, recover_xstate, Action, Coordinator, Decision,
-    LocalState, LogRecord, Msg, Participant, ParticipantConfig, PaxosAcceptor, PaxosLeader,
-    ProtocolKind, Termination, TimerKind, Transition, TxnId, TxnSpec, WriteSet, XTxnCoordinator,
+    last_checkpoint, recover_paxos, recover_state, recover_xstate, Action, CommitEngine,
+    Coordinator, Decision, EngineCtx, LocalState, LogRecord, Msg, Participant, ParticipantConfig,
+    PaxosAcceptor, PaxosLeader, ProtocolKind, Termination, TimerKind, Transition, TxnId, TxnSpec,
+    WriteSet, XTxnCoordinator,
 };
 use qbc_election::{Action as ElAction, ElectionMsg, Input as ElInput};
 use qbc_locks::{LockManager, LockMode};
@@ -508,23 +513,36 @@ impl SiteNode {
     /// Commit leader at ballot 0 or a commit coordinator, with the
     /// configured test mutation — and returns what its start does.
     fn start_leader(&mut self, spec: Arc<TxnSpec>) -> Vec<Action> {
-        let mut actions = self.take_actions();
-        let st = self.table.txns.get_mut(&spec.id).expect("ensured");
-        if spec.protocol == ProtocolKind::PaxosCommit {
-            let mut leader = PaxosLeader::new(spec);
-            if self.cfg.mutation_weaken_paxos {
-                leader = leader.with_weakened_quorum();
-            }
-            leader.start(&mut actions);
-            st.paxos = Some(Box::new(leader));
+        let txn = spec.id;
+        let leader: Box<dyn CommitEngine> = if spec.protocol == ProtocolKind::PaxosCommit {
+            self.paxos_leader(PaxosLeader::new(spec))
         } else {
-            let mut coord = Coordinator::new(spec, self.cfg.site_votes.clone());
-            if self.cfg.mutation_weaken_qc1 {
-                coord = coord.with_weakened_qc1();
-            }
-            coord.start(&mut actions);
-            st.coordinator = Some(Box::new(coord));
-        }
+            let coord = Coordinator::new(spec, self.cfg.site_votes.clone());
+            Box::new(if self.cfg.mutation_weaken_qc1 {
+                coord.with_weakened_qc1()
+            } else {
+                coord
+            })
+        };
+        self.install_leader(txn, leader)
+    }
+
+    /// A Paxos Commit leader or candidate with the configured test
+    /// mutation.
+    fn paxos_leader(&self, leader: PaxosLeader) -> Box<dyn CommitEngine> {
+        Box::new(if self.cfg.mutation_weaken_paxos {
+            leader.with_weakened_quorum()
+        } else {
+            leader
+        })
+    }
+
+    /// Starts `leader` as `txn`'s leader, replacing any earlier one, and
+    /// returns what its start does.
+    fn install_leader(&mut self, txn: TxnId, mut leader: Box<dyn CommitEngine>) -> Vec<Action> {
+        let mut actions = self.take_actions();
+        leader.start(&mut actions);
+        self.table.txns.get_mut(&txn).expect("ensured").leader = Some(leader);
         actions
     }
 
@@ -587,7 +605,7 @@ impl SiteNode {
         // a retried solicitation may be the first one that arrives after
         // this entry was created by an in-shard message.
         st.x_siblings = siblings.to_vec();
-        if st.coordinator.is_some() || st.paxos.is_some() || st.decided.is_some() {
+        if st.leader.is_some() || st.decided.is_some() {
             return; // duplicate request
         }
         // A Paxos branch behaves like 2PC toward the parent: all yes →
@@ -799,10 +817,7 @@ impl SiteNode {
                     .table
                     .txns
                     .get(&txn)
-                    .map(|st| {
-                        st.coordinator.is_some() || st.termination.is_some() || st.paxos.is_some()
-                    })
-                    .unwrap_or(false)
+                    .is_some_and(|st| st.leader.is_some() || st.termination.is_some())
                     || self.table.xcoords.contains_key(&txn);
                 if driving {
                     self.emit(at, Some(txn), EventKind::CommitPoint);
@@ -1317,30 +1332,21 @@ impl SiteNode {
             let catalog: &Catalog = &self.cfg.catalog;
             let st = self.table.txns.get_mut(&txn).expect("checked");
             st.last_coord_contact = ctx.now();
+            // The leader's messages: votes, PC-ACKs, Paxos 1b/2b, and a
+            // straggler's `Decided`, which ends a live Paxos candidacy
+            // quietly (the participant path below applies the outcome).
+            // It ignores the rest.
+            if let Some(l) = st.leader.as_mut() {
+                let ectx = EngineCtx {
+                    catalog,
+                    local_max_version,
+                };
+                l.on_msg(from, &m, &ectx, &mut actions);
+            }
             match &m {
-                Msg::Vote {
-                    yes, max_version, ..
-                } => {
-                    if let Some(c) = st.coordinator.as_mut() {
-                        c.on_vote(from, *yes, *max_version, catalog, &mut actions);
-                    } else if let Some(p) = st.paxos.as_mut() {
-                        p.on_vote(from, *yes, *max_version, &mut actions);
-                    }
-                }
-                Msg::PaxosP1b { bal, accepted, .. } => {
-                    if let Some(p) = st.paxos.as_mut() {
-                        p.on_p1b(from, *bal, accepted, &mut actions);
-                    }
-                }
-                Msg::PaxosP2b { bal, .. } => {
-                    if let Some(p) = st.paxos.as_mut() {
-                        p.on_p2b(from, *bal, &mut actions);
-                    }
-                }
+                // Leader-only: handled above.
+                Msg::Vote { .. } | Msg::PaxosP1b { .. } | Msg::PaxosP2b { .. } => {}
                 Msg::PcAck { .. } => {
-                    if let Some(c) = st.coordinator.as_mut() {
-                        c.on_pc_ack(from, catalog, &mut actions);
-                    }
                     if let Some(t) = st.termination.as_mut() {
                         actions.extend(t.on_pc_ack(from, catalog));
                     }
@@ -1367,13 +1373,6 @@ impl SiteNode {
                 } => {
                     if let Some(t) = st.termination.as_mut() {
                         actions.extend(t.on_decided(*decision, *commit_version));
-                    }
-                    if let Some(p) = st.paxos.as_mut() {
-                        // A straggler's answer terminates a live Paxos
-                        // candidacy quietly: the participant path below
-                        // applies the outcome locally, and the engine
-                        // must stop re-broadcasting its round.
-                        p.adopt_decision(*decision, *commit_version);
                     }
                     st.participant
                         .on_msg(from, &m, local_max_version, &mut actions);
@@ -1429,10 +1428,17 @@ impl SiteNode {
             return;
         };
         st.last_coord_contact = ctx.now();
-        if let Some(c) = st.coordinator.as_mut() {
-            c.on_x_decide(decision, commit_version, &mut actions);
-        } else if let Some(p) = st.paxos.as_mut() {
-            p.on_x_decide(decision, commit_version, &mut actions);
+        if let Some(l) = st.leader.as_mut() {
+            let ectx = EngineCtx {
+                catalog: &self.cfg.catalog,
+                local_max_version: Version::INITIAL,
+            };
+            let msg = Msg::XDecide {
+                txn,
+                decision,
+                commit_version,
+            };
+            l.on_msg(from, &msg, &ectx, &mut actions);
         } else {
             // No engine: a recovered branch coordinator or a discovering
             // participant carries the command out itself. The parent's
@@ -1500,12 +1506,8 @@ impl SiteNode {
         if st.decided.is_some() || st.spec.participants.contains(&self.cfg.site) {
             return;
         }
-        let decision = match st.coordinator.as_ref().map(|c| c.phase()) {
-            Some(qbc_core::CoordPhase::Decided(d)) => d,
-            _ => match st.paxos.as_ref().map(|p| p.phase()) {
-                Some(qbc_core::PaxosPhase::Decided(d)) => d,
-                _ => return,
-            },
+        let Some(decision) = st.leader.as_ref().and_then(|l| l.decision()) else {
+            return;
         };
         let commit_version = match decision {
             Decision::Commit => st.commit_version(),
@@ -1803,18 +1805,9 @@ impl SiteNode {
             // presumed aborted.
             st.termination_rounds += 1;
             let bal = qbc_election::recovery_ballot(st.termination_rounds, self.cfg.site);
-            let spec = Arc::clone(&st.spec);
-            let mut candidate = PaxosLeader::recover(spec, bal);
-            if self.cfg.mutation_weaken_paxos {
-                candidate = candidate.with_weakened_quorum();
-            }
-            st.paxos = Some(Box::new(candidate));
-            let mut actions = self.take_actions();
-            let st = self.table.txns.get_mut(&txn).expect("still live");
-            st.paxos
-                .as_mut()
-                .expect("just installed")
-                .start(&mut actions);
+            let candidate = PaxosLeader::recover(Arc::clone(&st.spec), bal);
+            let candidate = self.paxos_leader(candidate);
+            let actions = self.install_leader(txn, candidate);
             self.apply_actions(ctx, txn, self.cfg.site, actions);
             return;
         }
@@ -1948,37 +1941,34 @@ impl Process for SiteNode {
             .retire_due(ctx.now(), |gate| log.closed(gate).is_some());
         match timer {
             NodeTimer::Proto(kind) => match kind {
-                TimerKind::VoteCollection { txn } => {
-                    self.step(ctx, txn, |st, _, out| {
-                        if let Some(c) = st.coordinator.as_mut() {
-                            c.on_vote_timer(out);
-                        } else if let Some(p) = st.paxos.as_mut() {
-                            p.on_vote_timer(out);
-                        }
-                    });
-                    self.adopt_coordinator_decision(ctx.now(), txn);
-                }
-                // The Paxos timers are guarded on the undecided state: a
-                // leader stuck in `Proposing` after a higher-ballot
-                // candidate already decided would otherwise re-broadcast
-                // forever.
-                TimerKind::Paxos1bCollection { txn, bal } => self.step(ctx, txn, |st, _, out| {
-                    if let (None, Some(p)) = (st.decided, st.paxos.as_mut()) {
-                        p.on_1b_timer(bal, out);
-                    }
-                }),
-                TimerKind::Paxos2bCollection { txn, bal } => self.step(ctx, txn, |st, _, out| {
-                    if let (None, Some(p)) = (st.decided, st.paxos.as_mut()) {
-                        p.on_2b_timer(bal, out);
-                    }
-                }),
-                TimerKind::AckCollection { txn } => {
+                TimerKind::VoteCollection { txn }
+                | TimerKind::AckCollection { txn }
+                | TimerKind::Paxos1bCollection { txn, .. }
+                | TimerKind::Paxos2bCollection { txn, .. } => {
+                    // The Paxos round timers are guarded on the undecided
+                    // state: a leader stuck in `Proposing` after a
+                    // higher-ballot candidate already decided would
+                    // otherwise re-broadcast forever. They decide nothing,
+                    // so there is no decision to adopt after them.
+                    let paxos_round = matches!(
+                        kind,
+                        TimerKind::Paxos1bCollection { .. } | TimerKind::Paxos2bCollection { .. }
+                    );
                     self.step(ctx, txn, |st, catalog, out| {
-                        if let Some(c) = st.coordinator.as_mut() {
-                            c.on_ack_timer(catalog, out);
+                        if paxos_round && st.decided.is_some() {
+                            return;
+                        }
+                        if let Some(l) = st.leader.as_mut() {
+                            let ectx = EngineCtx {
+                                catalog,
+                                local_max_version: Version::INITIAL,
+                            };
+                            l.on_timer(kind, &ectx, out);
                         }
                     });
-                    self.adopt_coordinator_decision(ctx.now(), txn);
+                    if !paxos_round {
+                        self.adopt_coordinator_decision(ctx.now(), txn);
+                    }
                 }
                 TimerKind::StateCollection { txn, round } => {
                     self.step(ctx, txn, |st, catalog, out| {

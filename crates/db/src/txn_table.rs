@@ -5,8 +5,8 @@
 //! local state, so a site keeps answering for a transaction long after
 //! it decided. [`TxnTable`] owns that promise through three stages:
 //!
-//! * **live** — the transaction's entry ([`TxnState`]: spec, participant
-//!   and driving engines), a cross-shard coordination hosted here
+//! * **live** — the transaction's entry ([`TxnState`]: spec, participant,
+//!   leader and termination engines), a cross-shard coordination hosted here
 //!   ([`XCoord`]) and the co-hosted Paxos acceptor, all driven by
 //!   [`SiteNode`](crate::SiteNode);
 //! * **retired** — [`NodeConfig::retire_after`] past the decision the
@@ -27,8 +27,8 @@
 
 use crate::config::NodeConfig;
 use qbc_core::{
-    Coordinator, Decision, LocalState, Msg, Participant, PaxosAcceptor, PaxosLeader,
-    RetiredOutcome, Termination, TxnId, TxnSpec, XRetiredOutcome, XTxnCoordinator,
+    CommitEngine, Decision, LocalState, Msg, Participant, PaxosAcceptor, RetiredOutcome,
+    Termination, TxnId, TxnSpec, XRetiredOutcome, XTxnCoordinator,
 };
 use qbc_election::Elector;
 use qbc_simnet::{Duration, FastHasher, Fingerprint, SiteId, Time};
@@ -46,16 +46,15 @@ pub(crate) type Outcome = (Decision, Option<Version>);
 pub(crate) struct TxnState {
     pub(crate) spec: Arc<TxnSpec>,
     pub(crate) participant: Participant,
-    /// The four driving engines are boxed: at two of three sites every
-    /// transaction is participant-only, and inline they were three
-    /// quarters of the entry.
-    pub(crate) coordinator: Option<Box<Coordinator>>,
-    /// The Paxos Commit leader (at the submitting site, ballot 0) or
-    /// recovery candidate (any participant whose watchdog fired, at a
-    /// positive ballot) — the [`qbc_core::ProtocolKind::PaxosCommit`]
-    /// peer of `coordinator`. A later candidacy replaces an earlier
-    /// engine; ballots only grow.
-    pub(crate) paxos: Option<Box<PaxosLeader>>,
+    /// The engine driving the commit: a [`qbc_core::Coordinator`] at the
+    /// submitting site, or under [`qbc_core::ProtocolKind::PaxosCommit`]
+    /// a [`qbc_core::PaxosLeader`] — the ballot-0 leader there, or a
+    /// recovery candidate at any participant whose watchdog fired. A
+    /// later candidacy replaces an earlier engine; ballots only grow.
+    /// It and the two termination engines below are boxed: at two of
+    /// three sites every transaction is participant-only, and inline
+    /// they were three quarters of the entry.
+    pub(crate) leader: Option<Box<dyn CommitEngine>>,
     pub(crate) termination: Option<Box<Termination>>,
     pub(crate) elector: Option<Box<Elector>>,
     /// End LSN of the newest gating log record this site staged for the
@@ -91,8 +90,7 @@ impl TxnState {
         TxnState {
             spec,
             participant,
-            coordinator: None,
-            paxos: None,
+            leader: None,
             termination: None,
             elector: None,
             gate: Lsn(0),
@@ -113,8 +111,7 @@ impl TxnState {
     pub(crate) fn commit_version(&self) -> Option<Version> {
         self.participant
             .commit_version()
-            .or_else(|| self.coordinator.as_ref().and_then(|c| c.commit_version()))
-            .or_else(|| self.paxos.as_ref().and_then(|p| p.commit_version()))
+            .or_else(|| self.leader.as_ref().and_then(|l| l.commit_version()))
             .or(self.decided_version)
     }
 
@@ -529,8 +526,8 @@ impl TxnTable {
             let st = &self.txns[&id];
             let mut t = format!("t{id:?}");
             st.participant.fingerprint(now, h);
-            if let Some(c) = &st.coordinator {
-                c.fingerprint(now, h);
+            if let Some(l) = &st.leader {
+                l.fingerprint(now, h);
             }
             if let Some(term) = &st.termination {
                 term.fingerprint(now, h);
@@ -538,16 +535,12 @@ impl TxnTable {
             if let Some(e) = &st.elector {
                 e.fingerprint(now, h);
             }
-            if let Some(p) = &st.paxos {
-                p.fingerprint(now, h);
-            }
             let _ = write!(
                 t,
-                "|{}{}{}{}{}|{}|{:?}|{:?}|{}|{}|{:?}|{}",
-                st.coordinator.is_some() as u8,
+                "|{}{}{}{}|{}|{:?}|{:?}|{}|{}|{:?}|{}",
+                st.leader.is_some() as u8,
                 st.termination.is_some() as u8,
                 st.elector.is_some() as u8,
-                st.paxos.is_some() as u8,
                 st.watchdog_armed as u8,
                 now.since(st.last_coord_contact).0,
                 st.decided,
