@@ -49,7 +49,8 @@ impl ShardMap {
             let mut b = CatalogBuilder::new();
             for k in 0..cfg.items_per_shard {
                 let item = ItemId(shard * cfg.items_per_shard + k);
-                b = b.item(item, format!("x{}", item.0));
+                // Unnamed: an empty name allocates nothing.
+                b = b.item(item, String::new());
                 for j in 0..cfg.replication {
                     let site = SiteId(shard * cfg.sites_per_shard + (k + j) % cfg.sites_per_shard);
                     b = b.copy(site, 1);

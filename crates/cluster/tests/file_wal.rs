@@ -20,7 +20,7 @@ use qbc_cluster::{ClusterConfig, ShardId, SimCluster};
 use qbc_core::{Decision, WriteSet};
 use qbc_simnet::{Duration, SiteId, Time};
 use qbc_storage::TempDir;
-use qbc_votes::ItemId;
+use qbc_votes::{ItemId, Version};
 use std::path::Path;
 
 /// A small sharded cluster tuned so retirement and checkpointing both
@@ -183,6 +183,56 @@ fn full_restart_replays_checkpoint_plus_suffix_to_the_same_state() {
         committed_state(&restarted),
         state,
         "committed item state changed across restart"
+    );
+}
+
+/// `(site, item) -> every retained (version, value)` across the cluster.
+type RetainedChains = Vec<(SiteId, ItemId, Vec<(Version, i64)>)>;
+
+/// Every site's whole retained version chain of every item it holds.
+fn retained_chains(cluster: &SimCluster) -> RetainedChains {
+    let mut out = Vec::new();
+    for shard in 0..cluster.map().shards() {
+        for site in cluster.map().sites_of(ShardId(shard)) {
+            let node = cluster.sim().node(site);
+            for item in cluster.map().items_of(ShardId(shard)) {
+                out.push((site, item, node.item_versions(item)));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn full_restart_preserves_multi_version_chains() {
+    // The restart above at retention 4: checkpoints carry multi-version
+    // chains through the segment files, and recovery must rebuild every
+    // retained version, not just the newest.
+    let dir = TempDir::new("cluster-restart-chains");
+    let config = || file_config(7, dir.path()).with_snapshot_reads(4);
+    let chains = {
+        let mut cluster = SimCluster::new(config());
+        drive(&mut cluster, 80);
+        assert_eq!(cluster.atomicity_violations(), vec![]);
+        let truncated = (0..cluster.config().total_sites())
+            .map(SiteId)
+            .any(|s| cluster.sim().node(s).wal_start_lsn().0 > 0);
+        assert!(truncated, "no site ever truncated its log");
+        let chains = retained_chains(&cluster);
+        assert!(
+            chains.iter().any(|(_, _, chain)| chain.len() > 1),
+            "no site retained an older version"
+        );
+        chains
+    };
+
+    let mut restarted = SimCluster::new(config());
+    let q = restarted.run_to_quiescence(20_000_000);
+    assert!(q.drained(), "recovery must quiesce, got {q:?}");
+    assert_eq!(
+        retained_chains(&restarted),
+        chains,
+        "retained version chains changed across restart"
     );
 }
 

@@ -43,8 +43,8 @@ pub use actions::{Action, TimerKind};
 pub use commit_engine::{CommitEngine, EngineCtx};
 pub use coordinator::{CoordPhase, Coordinator};
 pub use log::{
-    last_checkpoint, recover_paxos, recover_state, recover_xstate, ItemChain, LogRecord,
-    RecoveredAcceptor, RecoveredTxn, RecoveredXTxn, RetiredOutcome, XRetiredOutcome,
+    last_checkpoint, recover_paxos, recover_state, recover_xstate, LogRecord, RecoveredAcceptor,
+    RecoveredTxn, RecoveredXTxn, RetiredOutcome, XRetiredOutcome,
 };
 pub use messages::Msg;
 pub use participant::{FaultyMode, Participant, ParticipantConfig};

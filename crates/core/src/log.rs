@@ -118,19 +118,17 @@ pub enum LogRecord {
         retired: Vec<RetiredOutcome>,
         /// Outcomes of retired cross-shard coordinations hosted here.
         xretired: Vec<XRetiredOutcome>,
-        /// The retained version chain of every local copy as of the
-        /// checkpoint (ascending, newest last) — the durable home of
-        /// updates whose commit records are about to be truncated.
-        /// Single-slot sites carry one-entry chains; multi-version
-        /// retention (snapshot reads) carries the full bounded chain
-        /// so recovery can still answer watermark reads.
-        items: Vec<(qbc_votes::ItemId, ItemChain)>,
+        /// Every retained `(item, version, value)` of the local copies
+        /// as of the checkpoint, ascending by item and then by version
+        /// — the durable home of updates whose commit records are
+        /// about to be truncated. Single-slot sites carry one entry per
+        /// item; multi-version retention (snapshot reads) carries each
+        /// item's full bounded chain so recovery can still answer
+        /// watermark reads. Flat in memory, grouped per item on disk
+        /// (`wal_codec`).
+        items: Vec<(qbc_votes::ItemId, Version, i64)>,
     },
 }
-
-/// The retained `(version, value)` chain of one item, ascending — the
-/// per-item payload of [`LogRecord::Checkpoint`].
-pub type ItemChain = Vec<(Version, i64)>;
 
 /// The compact outcome of one retired transaction, as carried by
 /// [`LogRecord::Checkpoint`]: everything a straggler's question can
@@ -204,14 +202,14 @@ impl LogRecord {
 /// retired outcomes and item snapshot a recovering site must
 /// re-install before replaying the per-transaction suffix (their own
 /// records may be truncated). Returns
-/// `(retired, xretired, item version chains)`.
+/// `(retired, xretired, item versions)`.
 #[allow(clippy::type_complexity)]
 pub fn last_checkpoint<'a>(
     records: impl IntoIterator<Item = &'a LogRecord>,
 ) -> Option<(
     &'a [RetiredOutcome],
     &'a [XRetiredOutcome],
-    &'a [(qbc_votes::ItemId, ItemChain)],
+    &'a [(qbc_votes::ItemId, Version, i64)],
 )> {
     let mut found = None;
     for rec in records {

@@ -208,12 +208,17 @@ pub fn encoded_len(rec: &LogRecord) -> usize {
                             .sum::<usize>()
                     })
                     .sum::<usize>())
-                + (4 + items
-                    .iter()
-                    .map(|(_, chain)| 8 + 16 * chain.len())
-                    .sum::<usize>())
+                + (4 + 8 * item_chains(items).count() + 16 * items.len())
         }
     }
+}
+
+/// A checkpoint's flat item versions cut into per-item chains, the unit
+/// the on-disk layout counts: one count-prefixed chain per item.
+fn item_chains(
+    items: &[(ItemId, Version, i64)],
+) -> impl Iterator<Item = &[(ItemId, Version, i64)]> {
+    items.chunk_by(|a, b| a.0 == b.0)
 }
 
 impl WalCodec for LogRecord {
@@ -317,13 +322,13 @@ impl WalCodec for LogRecord {
                         put_opt_version(buf, *v);
                     }
                 }
-                put_u32(buf, items.len() as u32);
-                for (item, chain) in items {
-                    put_u32(buf, item.0);
+                put_u32(buf, item_chains(items).count() as u32);
+                for chain in item_chains(items) {
+                    put_u32(buf, chain[0].0 .0);
                     put_u32(buf, chain.len() as u32);
-                    for (version, value) in chain {
+                    for &(_, version, value) in chain {
                         put_u64(buf, version.0);
-                        put_i64(buf, *value);
+                        put_i64(buf, value);
                     }
                 }
             }
@@ -437,14 +442,10 @@ impl WalCodec for LogRecord {
                 let mut items = Vec::with_capacity(cap(n, &d));
                 for _ in 0..n {
                     let item = ItemId(d.u32()?);
-                    let cn = d.u32()?;
-                    let mut chain = Vec::with_capacity(cap(cn, &d));
-                    for _ in 0..cn {
+                    for _ in 0..d.u32()? {
                         let version = Version(d.u64()?);
-                        let value = d.i64()?;
-                        chain.push((version, value));
+                        items.push((item, version, d.i64()?));
                     }
-                    items.push((item, chain));
                 }
                 LogRecord::Checkpoint {
                     retired,
@@ -543,9 +544,9 @@ mod tests {
                 ],
             }],
             items: vec![
-                (ItemId(0), vec![(Version(0), 0)]),
-                (ItemId(7), vec![(Version(10), 4), (Version(12), -3)]),
-                (ItemId(9), vec![]),
+                (ItemId(0), Version(0), 0),
+                (ItemId(7), Version(10), 4),
+                (ItemId(7), Version(12), -3),
             ],
         });
         roundtrip(LogRecord::Checkpoint {
@@ -608,5 +609,47 @@ mod tests {
             buf,
             vec![3, 0x02, 0x01, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0]
         );
+    }
+
+    #[test]
+    fn checkpoint_layout_is_pinned() {
+        // The flat item list goes to disk grouped per item: a count of
+        // chains, then per chain its item, length and entries — the
+        // layout every existing segment holds.
+        let rec = LogRecord::Checkpoint {
+            retired: vec![RetiredOutcome {
+                txn: TxnId(0x0102),
+                decision: Decision::Commit,
+                commit_version: Some(Version(3)),
+            }],
+            xretired: vec![],
+            items: vec![
+                (ItemId(1), Version(0), 7),
+                (ItemId(2), Version(4), -1),
+                (ItemId(2), Version(5), 16),
+                (ItemId(2), Version(6), 2),
+            ],
+        };
+        #[rustfmt::skip]
+        let pinned: Vec<u8> = vec![
+            8, // Checkpoint tag
+            1, 0, 0, 0, // one retired outcome:
+            2, 1, 0, 0, 0, 0, 0, 0, // txn
+            0, // commit
+            1, 3, 0, 0, 0, 0, 0, 0, 0, // Some(version 3)
+            0, 0, 0, 0, // no cross-shard outcomes
+            2, 0, 0, 0, // two item chains:
+            1, 0, 0, 0, 1, 0, 0, 0, // item 1, one version
+            0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0,
+            2, 0, 0, 0, 3, 0, 0, 0, // item 2, three versions
+            4, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+            5, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0,
+            6, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        let mut buf = Vec::new();
+        rec.encode_into(&mut buf);
+        assert_eq!(buf, pinned);
+        assert_eq!(encoded_len(&rec), pinned.len());
+        assert_eq!(LogRecord::decode(&pinned), Some(rec));
     }
 }

@@ -370,6 +370,14 @@ impl SiteNode {
         self.items.read(item).map(|(v, val)| (v, *val))
     }
 
+    /// Every retained `(version, value)` of a local copy, oldest first:
+    /// one entry unless snapshot reads retain more. Empty when the site
+    /// holds no copy.
+    pub fn item_versions(&self, item: ItemId) -> Vec<(Version, i64)> {
+        let chain = self.items.versions(item).into_iter().flatten();
+        chain.map(|(v, &val)| (v, val)).collect()
+    }
+
     /// True when the local copy of `item` is pinned by an undecided
     /// transaction's lock.
     pub fn is_item_locked(&self, item: ItemId) -> bool {
@@ -995,16 +1003,18 @@ impl SiteNode {
             return;
         }
         let (retired, xretired) = self.table.checkpoint_outcomes();
-        // Snapshot the versioned copies — the full retained chain per
-        // item, so a recovered multi-version store can keep serving
-        // snapshot reads below its watermark: committed values whose
-        // records are truncated survive only here (the durable page
-        // store of a real site, folded into the log).
-        let item_ids: Vec<ItemId> = self.items.items().collect();
-        let items: Vec<(ItemId, qbc_core::ItemChain)> = item_ids
-            .into_iter()
-            .filter_map(|i| self.items.versions(i).map(|c| (i, c.to_vec())))
-            .collect();
+        // Snapshot the versioned copies — every retained version, so a
+        // recovered multi-version store can keep serving snapshot reads
+        // below its watermark: committed values whose records are
+        // truncated survive only here (the durable page store of a real
+        // site, folded into the log). One pass over the store, already
+        // in id order, into one allocation sized up front.
+        let mut items = Vec::with_capacity(self.items.entry_count());
+        items.extend(
+            self.items
+                .entries()
+                .map(|(item, v, &value)| (item, v, value)),
+        );
         // Everything below the oldest live transaction's first record
         // AND below this checkpoint is dead: retired outcomes live in
         // the checkpoint now, decided-but-unretired transactions still
@@ -2086,10 +2096,13 @@ impl Process for SiteNode {
         // only post-checkpoint updates. Chain installation is additive
         // and idempotent, so never-written copies (snapshot at the
         // initial version) fall through to the load-time value
-        // harmlessly.
-        for (item, chain) in ck_items {
-            if self.items.read(*item).is_some() {
-                self.items.install_chain(*item, chain);
+        // harmlessly; over a store reloaded from scratch it also drops
+        // the load-time value wherever the snapshot had trimmed it.
+        for chain in ck_items.chunk_by(|a, b| a.0 == b.0) {
+            let item = chain[0].0;
+            if self.items.read(item).is_some() {
+                let versions = chain.iter().map(|&(_, v, value)| (v, value));
+                self.items.install_chain(item, versions);
             }
         }
         self.table
@@ -2286,8 +2299,8 @@ impl Process for SiteNode {
             // Rebuild vmax from the durable store (every installed
             // version survived in the chains) and recompute the local
             // watermark over the floors the in-doubt pass re-imposed.
-            let newest = self.items.items().filter_map(|i| self.items.version(i));
-            self.vmax = newest.fold(self.vmax, Version::max);
+            let installed = self.items.entries().map(|(_, v, _)| v);
+            self.vmax = installed.fold(self.vmax, Version::max);
             self.refresh_watermark();
         }
         // Emitted after the re-pins above: recovery's re-acquired locks
@@ -2411,9 +2424,15 @@ impl qbc_simnet::Fingerprint for SiteNode {
         for item in self.items.items() {
             // The whole retained chain: with version retention > 1 the
             // older versions are observable (snapshot reads), so states
-            // differing only there must not merge.
-            let chain = self.items.versions(item);
-            let _ = write!(s, "i{item:?}={chain:?};");
+            // differing only there must not merge. The text is the
+            // `Debug` of `Some(&[(Version, i64)])`, the form the model
+            // checker's state counts were pinned with.
+            let _ = write!(s, "i{item:?}=Some([");
+            for (k, (v, val)) in self.items.versions(item).into_iter().flatten().enumerate() {
+                let sep = if k == 0 { "" } else { ", " };
+                let _ = write!(s, "{sep}({v:?}, {val:?})");
+            }
+            s.push_str("]);");
         }
         self.log.fingerprint_durable(&mut s);
         // Volatile half: pin table, reads, violations, the local

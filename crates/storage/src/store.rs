@@ -13,6 +13,10 @@
 //! length is bounded by `retention` (default 1, i.e. the classic
 //! single-slot behaviour) and further trimmed by [`VersionedStore::
 //! gc_below`] once a watermark has passed a version.
+//!
+//! A copy costs one slot, not an allocation: the newest version of
+//! every copy lives in one dense id-sorted array, and only items that
+//! actually retain older versions (retention > 1) get a side entry.
 
 use qbc_votes::{FastMap, ItemId, Version};
 
@@ -49,26 +53,35 @@ impl std::error::Error for StoreError {}
 
 /// A durable map from item to a bounded chain of `(version, value)`
 /// pairs (ascending, newest last) for the copies a site replicates.
-/// Copies are keyed by a deterministic hash map: the store sits on the
-/// per-message hot path (version witnesses, update installs) and is
-/// only ever read by key; [`VersionedStore::items`] sorts, so no
-/// observer sees hash order and determinism is unaffected.
+///
+/// Layout: `ids` is the ascending array of held item ids (4 bytes a
+/// copy, so lookups binary-search 64 KiB for 16 384 copies) and
+/// `newest` the parallel array of each copy's newest `(version,
+/// value)`. A site loads its copies in catalog order, so filling the
+/// arrays is an append per copy. Versions older than the newest sit in
+/// `older`, keyed by item, only for items that retain any — with the
+/// default retention of 1 it stays empty. Iteration walks the dense
+/// arrays in id order, so no observer sees hash order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VersionedStore<V> {
-    copies: FastMap<ItemId, Vec<(Version, V)>>,
+    ids: Vec<ItemId>,
+    newest: Vec<(Version, V)>,
+    older: FastMap<ItemId, Vec<(Version, V)>>,
     retention: usize,
 }
 
 impl<V> Default for VersionedStore<V> {
     fn default() -> Self {
         VersionedStore {
-            copies: FastMap::default(),
+            ids: Vec::new(),
+            newest: Vec::new(),
+            older: FastMap::default(),
             retention: 1,
         }
     }
 }
 
-impl<V: Clone> VersionedStore<V> {
+impl<V> VersionedStore<V> {
     /// An empty store retaining one version per item (the classic
     /// single-slot behaviour).
     pub fn new() -> Self {
@@ -79,8 +92,8 @@ impl<V: Clone> VersionedStore<V> {
     /// (clamped to at least 1).
     pub fn with_retention(retention: usize) -> Self {
         VersionedStore {
-            copies: FastMap::default(),
             retention: retention.max(1),
+            ..Self::default()
         }
     }
 
@@ -95,18 +108,50 @@ impl<V: Clone> VersionedStore<V> {
         self.retention
     }
 
+    /// The slot of `item` in the dense arrays.
+    fn slot(&self, item: ItemId) -> Option<usize> {
+        self.ids.binary_search(&item).ok()
+    }
+
+    /// The retained versions of `item` older than its newest.
+    fn older_of(&self, item: ItemId) -> &[(Version, V)] {
+        if self.older.is_empty() {
+            return &[];
+        }
+        self.older.get(&item).map_or(&[], Vec::as_slice)
+    }
+
+    /// Makes `entry` the only retained version of `item`: an append
+    /// when ids arrive ascending (the load-time catalog walk), an
+    /// ordered insert otherwise.
+    fn place(&mut self, item: ItemId, entry: (Version, V)) {
+        if self.ids.last().is_none_or(|&last| last < item) {
+            self.ids.push(item);
+            self.newest.push(entry);
+            return;
+        }
+        match self.ids.binary_search(&item) {
+            Ok(i) => {
+                self.newest[i] = entry;
+                self.older.remove(&item);
+            }
+            Err(i) => {
+                self.ids.insert(i, item);
+                self.newest.insert(i, entry);
+            }
+        }
+    }
+
     /// Initialises a copy at `Version::INITIAL` (database load time).
     pub fn initialize(&mut self, item: ItemId, value: V) {
-        self.copies.insert(item, vec![(Version::INITIAL, value)]);
+        self.place(item, (Version::INITIAL, value));
     }
 
     /// The newest stored `(version, value)` of an item, if this site
     /// has a copy.
     pub fn read(&self, item: ItemId) -> Option<(Version, &V)> {
-        self.copies
-            .get(&item)
-            .and_then(|chain| chain.last())
-            .map(|(v, val)| (*v, val))
+        let (v, val) = &self.newest[self.slot(item)?];
+        Some((*v, val))
     }
 
     /// The newest stored version ≤ `at`, or — when every retained
@@ -114,13 +159,19 @@ impl<V: Clone> VersionedStore<V> {
     /// keeps reads total (a copy always answers) and monotone per
     /// site: a chain's oldest entry only ever advances.
     pub fn read_at(&self, item: ItemId, at: Version) -> Option<(Version, &V)> {
-        let chain = self.copies.get(&item)?;
-        chain
-            .iter()
-            .rev()
-            .find(|(v, _)| *v <= at)
-            .or_else(|| chain.first())
-            .map(|(v, val)| (*v, val))
+        let newest = &self.newest[self.slot(item)?];
+        let (v, val) = if newest.0 <= at {
+            newest
+        } else {
+            let older = self.older_of(item);
+            older
+                .iter()
+                .rev()
+                .find(|(v, _)| *v <= at)
+                .or(older.first())
+                .unwrap_or(newest)
+        };
+        Some((*v, val))
     }
 
     /// The newest stored version only.
@@ -129,8 +180,14 @@ impl<V: Clone> VersionedStore<V> {
     }
 
     /// The full retained chain of an item, ascending by version.
-    pub fn versions(&self, item: ItemId) -> Option<&[(Version, V)]> {
-        self.copies.get(&item).map(|chain| chain.as_slice())
+    pub fn versions(&self, item: ItemId) -> Option<impl Iterator<Item = (Version, &V)>> {
+        let newest = &self.newest[self.slot(item)?];
+        Some(
+            self.older_of(item)
+                .iter()
+                .chain(std::iter::once(newest))
+                .map(|(v, val)| (*v, val)),
+        )
     }
 
     /// Applies a committed write. The offered version must exceed the
@@ -138,29 +195,30 @@ impl<V: Clone> VersionedStore<V> {
     /// impossible; a regression indicates a protocol bug). Superseded
     /// versions beyond the retention bound are dropped oldest-first.
     pub fn apply(&mut self, item: ItemId, version: Version, value: V) -> Result<(), StoreError> {
-        match self.copies.get_mut(&item) {
-            Some(chain) => {
-                if let Some((stored, _)) = chain.last() {
-                    if *stored >= version {
-                        return Err(StoreError::VersionRegression {
-                            item,
-                            stored: *stored,
-                            offered: version,
-                        });
-                    }
-                }
-                chain.push((version, value));
-                if chain.len() > self.retention {
-                    let excess = chain.len() - self.retention;
-                    chain.drain(..excess);
-                }
-                Ok(())
-            }
-            None => {
-                self.copies.insert(item, vec![(version, value)]);
-                Ok(())
-            }
+        let Some(i) = self.slot(item) else {
+            self.place(item, (version, value));
+            return Ok(());
+        };
+        let stored = self.newest[i].0;
+        if stored >= version {
+            return Err(StoreError::VersionRegression {
+                item,
+                stored,
+                offered: version,
+            });
         }
+        let superseded = std::mem::replace(&mut self.newest[i], (version, value));
+        if self.retention > 1 {
+            let older = self.older.entry(item).or_default();
+            older.push(superseded);
+            if older.len() >= self.retention {
+                let excess = older.len() + 1 - self.retention;
+                older.drain(..excess);
+            }
+        } else if !self.older.is_empty() {
+            self.older.remove(&item);
+        }
+        Ok(())
     }
 
     /// Drops versions made unreachable by a watermark: for each item,
@@ -169,43 +227,89 @@ impl<V: Clone> VersionedStore<V> {
     /// watermark is monotone) and are discarded. Entries newer than
     /// the watermark, and the newest-≤-watermark entry itself, stay.
     pub fn gc_below(&mut self, watermark: Version) {
-        for chain in self.copies.values_mut() {
-            if let Some(keep_from) = chain.iter().rposition(|(v, _)| *v <= watermark) {
-                chain.drain(..keep_from);
+        let (ids, newest) = (&self.ids, &self.newest);
+        self.older.retain(|item, older| {
+            let Ok(i) = ids.binary_search(item) else {
+                return false;
+            };
+            if newest[i].0 <= watermark {
+                return false;
             }
-        }
+            if let Some(keep_from) = older.iter().rposition(|(v, _)| *v <= watermark) {
+                older.drain(..keep_from);
+            }
+            true
+        });
     }
 
     /// Installs a recovered chain wholesale (checkpoint recovery). The
     /// chain must be ascending; entries at or below the newest already
-    /// stored version are ignored via [`VersionedStore::apply`] rules.
-    pub fn install_chain(&mut self, item: ItemId, chain: &[(Version, V)]) {
+    /// stored version are ignored via [`VersionedStore::apply`] rules,
+    /// so reinstalling is a no-op. When every stored version is older
+    /// than the chain's oldest — a store reloaded from scratch under a
+    /// snapshot taken later — the stored versions are dropped first:
+    /// they had been trimmed from the copy before the snapshot was
+    /// taken, and must not resurface beneath it.
+    pub fn install_chain(&mut self, item: ItemId, chain: impl IntoIterator<Item = (Version, V)>) {
+        let mut chain = chain.into_iter();
+        let Some(oldest) = chain.next() else {
+            return;
+        };
+        match self.slot(item) {
+            Some(i) if self.newest[i].0 < oldest.0 => self.place(item, oldest),
+            _ => {
+                let _ = self.apply(item, oldest.0, oldest.1);
+            }
+        }
         for (v, val) in chain {
-            let _ = self.apply(item, *v, val.clone());
+            let _ = self.apply(item, v, val);
         }
     }
 
     /// Items this site holds copies of, in id order.
-    pub fn items(&self) -> impl Iterator<Item = ItemId> {
-        let mut items: Vec<ItemId> = self.copies.keys().copied().collect();
-        items.sort_unstable();
-        items.into_iter()
+    pub fn items(&self) -> impl Iterator<Item = ItemId> + '_ {
+        self.ids.iter().copied()
+    }
+
+    /// Every retained `(item, version, value)`, ascending by item and
+    /// then by version: one pass over the dense arrays, with a side
+    /// lookup only while some item retains older versions.
+    pub fn entries(&self) -> impl Iterator<Item = (ItemId, Version, &V)> {
+        self.ids
+            .iter()
+            .zip(&self.newest)
+            .flat_map(move |(&item, newest)| {
+                self.older_of(item)
+                    .iter()
+                    .chain(std::iter::once(newest))
+                    .map(move |(v, val)| (item, *v, val))
+            })
+    }
+
+    /// The number of items [`VersionedStore::entries`] yields, without
+    /// walking them.
+    pub fn entry_count(&self) -> usize {
+        self.ids.len() + self.older.values().map(Vec::len).sum::<usize>()
     }
 
     /// Number of items with at least one copy stored.
     pub fn len(&self) -> usize {
-        self.copies.len()
+        self.ids.len()
     }
 
     /// True when no copies are stored.
     pub fn is_empty(&self) -> bool {
-        self.copies.is_empty()
+        self.ids.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn chain(s: &VersionedStore<i64>, item: ItemId) -> Vec<Version> {
+        s.versions(item).unwrap().map(|(v, _)| v).collect()
+    }
 
     #[test]
     fn initialize_and_read() {
@@ -262,7 +366,7 @@ mod tests {
         s.initialize(ItemId(1), 0i64);
         for v in 1..=5u64 {
             s.apply(ItemId(1), Version(v), v as i64).unwrap();
-            assert_eq!(s.versions(ItemId(1)).unwrap().len(), 1);
+            assert_eq!(chain(&s, ItemId(1)).len(), 1);
         }
         assert_eq!(s.read(ItemId(1)), Some((Version(5), &5)));
         // With only the newest retained, read_at below it falls back
@@ -278,13 +382,10 @@ mod tests {
             s.apply(ItemId(1), Version(v), v as i64 * 10).unwrap();
         }
         // Chain holds versions 3, 4, 5.
-        let chain: Vec<Version> = s
-            .versions(ItemId(1))
-            .unwrap()
-            .iter()
-            .map(|(v, _)| *v)
-            .collect();
-        assert_eq!(chain, vec![Version(3), Version(4), Version(5)]);
+        assert_eq!(
+            chain(&s, ItemId(1)),
+            vec![Version(3), Version(4), Version(5)]
+        );
         assert_eq!(s.read_at(ItemId(1), Version(4)), Some((Version(4), &40)));
         assert_eq!(s.read_at(ItemId(1), Version(9)), Some((Version(5), &50)));
         // Below the oldest retained: fall back to the oldest.
@@ -300,36 +401,68 @@ mod tests {
             s.apply(ItemId(1), Version(v), v as i64).unwrap();
         }
         s.gc_below(Version(2));
-        let chain: Vec<Version> = s
-            .versions(ItemId(1))
-            .unwrap()
-            .iter()
-            .map(|(v, _)| *v)
-            .collect();
         // Version 2 (newest ≤ watermark) and everything newer survive.
-        assert_eq!(chain, vec![Version(2), Version(3), Version(4)]);
+        assert_eq!(
+            chain(&s, ItemId(1)),
+            vec![Version(2), Version(3), Version(4)]
+        );
         assert_eq!(s.read_at(ItemId(1), Version(2)), Some((Version(2), &2)));
         // A watermark below every entry drops nothing.
         let mut s2 = VersionedStore::with_retention(4);
         s2.apply(ItemId(1), Version(5), 1i64).unwrap();
         s2.apply(ItemId(1), Version(6), 2).unwrap();
         s2.gc_below(Version(3));
-        assert_eq!(s2.versions(ItemId(1)).unwrap().len(), 2);
+        assert_eq!(chain(&s2, ItemId(1)).len(), 2);
     }
 
     #[test]
     fn install_chain_is_idempotent_and_ordered() {
         let mut s = VersionedStore::with_retention(4);
-        s.install_chain(ItemId(1), &[(Version(1), 10i64), (Version(3), 30)]);
+        s.install_chain(ItemId(1), [(Version(1), 10i64), (Version(3), 30)]);
         // Re-installing (recovery replay) is a no-op.
-        s.install_chain(ItemId(1), &[(Version(1), 10), (Version(3), 30)]);
-        let chain: Vec<Version> = s
-            .versions(ItemId(1))
-            .unwrap()
-            .iter()
-            .map(|(v, _)| *v)
-            .collect();
-        assert_eq!(chain, vec![Version(1), Version(3)]);
+        s.install_chain(ItemId(1), [(Version(1), 10), (Version(3), 30)]);
+        assert_eq!(chain(&s, ItemId(1)), vec![Version(1), Version(3)]);
         assert_eq!(s.read_at(ItemId(1), Version(2)), Some((Version(1), &10)));
+    }
+
+    #[test]
+    fn install_chain_over_a_reloaded_copy_drops_what_it_superseded() {
+        // A store reloaded at the initial version, then handed a
+        // snapshot whose chain had already trimmed that version.
+        let mut s = VersionedStore::with_retention(4);
+        s.initialize(ItemId(1), 0i64);
+        s.install_chain(ItemId(1), [(Version(5), 50), (Version(6), 60)]);
+        assert_eq!(chain(&s, ItemId(1)), vec![Version(5), Version(6)]);
+        assert_eq!(s.read_at(ItemId(1), Version(0)), Some((Version(5), &50)));
+        // A chain reaching back to the held version only appends.
+        s.install_chain(ItemId(1), [(Version(6), 60), (Version(7), 70)]);
+        assert_eq!(
+            chain(&s, ItemId(1)),
+            vec![Version(5), Version(6), Version(7)]
+        );
+    }
+
+    #[test]
+    fn entries_walk_every_chain_in_item_then_version_order() {
+        let mut s = VersionedStore::with_retention(3);
+        for item in [ItemId(2), ItemId(5), ItemId(7)] {
+            s.initialize(item, 0i64);
+        }
+        s.apply(ItemId(5), Version(1), 10).unwrap();
+        s.apply(ItemId(5), Version(2), 20).unwrap();
+        s.apply(ItemId(7), Version(4), 40).unwrap();
+        let all: Vec<(ItemId, Version, i64)> = s.entries().map(|(i, v, &x)| (i, v, x)).collect();
+        assert_eq!(
+            all,
+            vec![
+                (ItemId(2), Version(0), 0),
+                (ItemId(5), Version(0), 0),
+                (ItemId(5), Version(1), 10),
+                (ItemId(5), Version(2), 20),
+                (ItemId(7), Version(0), 0),
+                (ItemId(7), Version(4), 40),
+            ]
+        );
+        assert_eq!(s.entry_count(), all.len());
     }
 }

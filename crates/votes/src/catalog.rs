@@ -3,29 +3,69 @@
 use crate::item::{ItemId, ItemSpec, VoteError};
 use qbc_simnet::SiteId;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The full replication catalog of the database: one [`ItemSpec`] per
 /// logical data item. Immutable once built, and shared rather than
 /// copied: sites hold it behind one `Arc` per replica group (see
 /// `NodeConfig::catalog` in `qbc-db`), so a cluster keeps one catalog
 /// per shard however many sites it runs.
+///
+/// Placements are interned: every item with the same (site, weight)
+/// set shares one [`ItemSpec::copies`] allocation, so an item costs its
+/// spec's slot in the index and nothing more.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Catalog {
     items: BTreeMap<ItemId, ItemSpec>,
 }
 
-impl Catalog {
-    /// Builds a catalog from specs, validating each and rejecting
-    /// duplicate item ids.
-    pub fn new(specs: impl IntoIterator<Item = ItemSpec>) -> Result<Self, VoteError> {
-        let mut items = BTreeMap::new();
-        for spec in specs {
-            spec.validate()?;
-            let id = spec.id;
-            if items.insert(id, spec).is_some() {
-                return Err(VoteError::DuplicateItem(id));
-            }
+/// Interns placements: one shared map per distinct (site, weight) set,
+/// looked up by its entries in site order.
+#[derive(Debug, Default)]
+struct Placements(BTreeMap<Vec<(SiteId, u32)>, Arc<Placement>>);
+
+/// An item's copies: the vote weight at each site.
+type Placement = BTreeMap<SiteId, u32>;
+
+impl Placements {
+    /// The shared placement holding exactly `copies` (ascending by
+    /// site); allocates only the first time a set is seen.
+    fn intern(&mut self, copies: &[(SiteId, u32)]) -> Arc<Placement> {
+        if let Some(shared) = self.0.get(copies) {
+            return Arc::clone(shared);
         }
+        let shared = Arc::new(copies.iter().copied().collect::<Placement>());
+        self.0.insert(copies.to_vec(), Arc::clone(&shared));
+        shared
+    }
+}
+
+impl Catalog {
+    /// Builds a catalog from specs, validating each, interning their
+    /// placements and rejecting duplicate item ids.
+    pub fn new(specs: impl IntoIterator<Item = ItemSpec>) -> Result<Self, VoteError> {
+        Self::interned(specs, &mut Placements::default())
+    }
+
+    fn interned(
+        specs: impl IntoIterator<Item = ItemSpec>,
+        placements: &mut Placements,
+    ) -> Result<Self, VoteError> {
+        let mut specs: Vec<ItemSpec> = specs.into_iter().collect();
+        let mut copies = Vec::new();
+        for spec in &mut specs {
+            spec.validate()?;
+            copies.clear();
+            copies.extend(spec.copies.iter().map(|(&s, &w)| (s, w)));
+            spec.copies = placements.intern(&copies);
+        }
+        specs.sort_unstable_by_key(|spec| spec.id);
+        if let Some(pair) = specs.windows(2).find(|pair| pair[0].id == pair[1].id) {
+            return Err(VoteError::DuplicateItem(pair[0].id));
+        }
+        // Collected from sorted input, the index is bulk-built with
+        // full nodes instead of split one insert at a time.
+        let items = specs.into_iter().map(|spec| (spec.id, spec)).collect();
         Ok(Catalog { items })
     }
 
@@ -110,10 +150,26 @@ impl Catalog {
 ///     .unwrap();
 /// assert_eq!(catalog.len(), 1);
 /// ```
+///
+/// The current item's copies collect in one scratch list reused across
+/// items and are interned when the next item starts, so a builder
+/// allocates per distinct placement, not per item.
 #[derive(Debug, Default)]
 pub struct CatalogBuilder {
     done: Vec<ItemSpec>,
-    current: Option<ItemSpec>,
+    current: Option<Started>,
+    /// The current item's copies, ascending by site.
+    copies: Vec<(SiteId, u32)>,
+    placements: Placements,
+}
+
+/// The item a [`CatalogBuilder`] is filling in, bar its copies.
+#[derive(Debug)]
+struct Started {
+    id: ItemId,
+    name: String,
+    read_quorum: u32,
+    write_quorum: u32,
 }
 
 impl CatalogBuilder {
@@ -123,18 +179,35 @@ impl CatalogBuilder {
     }
 
     fn flush(&mut self) {
-        if let Some(spec) = self.current.take() {
-            self.done.push(spec);
+        if let Some(item) = self.current.take() {
+            self.done.push(ItemSpec {
+                id: item.id,
+                name: item.name,
+                copies: self.placements.intern(&self.copies),
+                read_quorum: item.read_quorum,
+                write_quorum: item.write_quorum,
+            });
+            self.copies.clear();
         }
+    }
+
+    fn started(&mut self, call: &str) -> &mut Started {
+        self.current
+            .as_mut()
+            .unwrap_or_else(|| panic!("call .item() before .{call}()"))
+    }
+
+    /// The current item's total votes.
+    fn total_votes(&self) -> u32 {
+        self.copies.iter().map(|&(_, w)| w).sum()
     }
 
     /// Starts a new item with the given id and name.
     pub fn item(mut self, id: ItemId, name: impl Into<String>) -> Self {
         self.flush();
-        self.current = Some(ItemSpec {
+        self.current = Some(Started {
             id,
             name: name.into(),
-            copies: BTreeMap::new(),
             read_quorum: 1,
             write_quorum: 1,
         });
@@ -146,22 +219,19 @@ impl CatalogBuilder {
     /// # Panics
     /// Panics if no item was started.
     pub fn copy(mut self, site: SiteId, weight: u32) -> Self {
-        self.current
-            .as_mut()
-            .expect("call .item() before .copy()")
-            .copies
-            .insert(site, weight);
+        self.started("copy");
+        match self.copies.binary_search_by_key(&site, |&(s, _)| s) {
+            Ok(i) => self.copies[i].1 = weight,
+            Err(i) => self.copies.insert(i, (site, weight)),
+        }
         self
     }
 
     /// Places unit-weight copies of the current item at every given site.
     pub fn copies_at(mut self, sites: impl IntoIterator<Item = SiteId>) -> Self {
-        let cur = self
-            .current
-            .as_mut()
-            .expect("call .item() before .copies_at()");
+        self.started("copies_at");
         for s in sites {
-            cur.copies.insert(s, 1);
+            self = self.copy(s, 1);
         }
         self
     }
@@ -171,10 +241,7 @@ impl CatalogBuilder {
     /// # Panics
     /// Panics if no item was started.
     pub fn quorums(mut self, read: u32, write: u32) -> Self {
-        let cur = self
-            .current
-            .as_mut()
-            .expect("call .item() before .quorums()");
+        let cur = self.started("quorums");
         cur.read_quorum = read;
         cur.write_quorum = write;
         self
@@ -183,25 +250,18 @@ impl CatalogBuilder {
     /// Uses majority quorums for the current item:
     /// `w = floor(v/2)+1`, `r = v - w + 1` (minimal read quorum).
     pub fn majority(mut self) -> Self {
-        let cur = self
-            .current
-            .as_mut()
-            .expect("call .item() before .majority()");
-        let v: u32 = cur.copies.values().sum();
+        let v = self.total_votes();
+        let cur = self.started("majority");
         let w = v / 2 + 1;
-        let r = v - w + 1;
-        cur.read_quorum = r;
+        cur.read_quorum = v - w + 1;
         cur.write_quorum = w;
         self
     }
 
     /// Uses read-one/write-all quorums for the current item.
     pub fn read_one_write_all(mut self) -> Self {
-        let cur = self
-            .current
-            .as_mut()
-            .expect("call .item() before .read_one_write_all()");
-        let v: u32 = cur.copies.values().sum();
+        let v = self.total_votes();
+        let cur = self.started("read_one_write_all");
         cur.read_quorum = 1;
         cur.write_quorum = v;
         self
@@ -210,7 +270,7 @@ impl CatalogBuilder {
     /// Finishes, validating every item.
     pub fn build(mut self) -> Result<Catalog, VoteError> {
         self.flush();
-        Catalog::new(self.done)
+        Catalog::interned(self.done, &mut self.placements)
     }
 }
 
@@ -319,5 +379,37 @@ mod tests {
         let c = example1_catalog();
         assert_eq!(c.item(ItemId(1)).unwrap().name, "y");
         assert!(c.item(ItemId(5)).is_none());
+    }
+
+    #[test]
+    fn equal_placements_share_one_allocation() {
+        // Built out of order, with one weight overwritten: the copies
+        // are compared as sets, whichever way they were added.
+        let c = CatalogBuilder::new()
+            .item(ItemId(0), "a")
+            .copies_at([SiteId(2), SiteId(1)])
+            .quorums(2, 2)
+            .item(ItemId(1), "b")
+            .copy(SiteId(1), 3)
+            .copy(SiteId(2), 1)
+            .copy(SiteId(1), 1)
+            .quorums(2, 2)
+            .item(ItemId(2), "c")
+            .copies_at([SiteId(1), SiteId(3)])
+            .quorums(2, 2)
+            .build()
+            .unwrap();
+        let copies = |i| &c.expect_item(ItemId(i)).copies;
+        assert!(Arc::ptr_eq(copies(0), copies(1)));
+        assert!(!Arc::ptr_eq(copies(0), copies(2)));
+        // Specs handed to `Catalog::new` directly are interned too.
+        let rebuilt = Catalog::new(c.items().cloned().map(|mut spec| {
+            spec.copies = Arc::new((*spec.copies).clone());
+            spec
+        }))
+        .unwrap();
+        assert_eq!(rebuilt, c);
+        let copies = |i| &rebuilt.expect_item(ItemId(i)).copies;
+        assert!(Arc::ptr_eq(copies(0), copies(1)));
     }
 }

@@ -15,6 +15,7 @@
 use qbc_simnet::SiteId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a logical data item.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -133,10 +134,11 @@ impl std::error::Error for VoteError {}
 pub struct ItemSpec {
     /// Item identifier.
     pub id: ItemId,
-    /// Human-readable name (the paper's `x`, `y`, ...).
+    /// Human-readable name (the paper's `x`, `y`, ...); may be empty.
     pub name: String,
-    /// Vote weight of the copy stored at each site.
-    pub copies: BTreeMap<SiteId, u32>,
+    /// Vote weight of the copy stored at each site. [`crate::Catalog`]
+    /// interns it: items with equal placements share one map.
+    pub copies: Arc<BTreeMap<SiteId, u32>>,
     /// Read quorum `r(x)`.
     pub read_quorum: u32,
     /// Write quorum `w(x)`.
@@ -179,7 +181,7 @@ impl ItemSpec {
         if self.copies.is_empty() {
             return Err(VoteError::NoCopies(self.id));
         }
-        for (&s, &w) in &self.copies {
+        for (&s, &w) in self.copies.iter() {
             if w == 0 {
                 return Err(VoteError::ZeroWeight(self.id, s));
             }
@@ -224,7 +226,7 @@ mod tests {
         ItemSpec {
             id: ItemId(1),
             name: "x".into(),
-            copies: weights.iter().map(|&(s, v)| (SiteId(s), v)).collect(),
+            copies: Arc::new(weights.iter().map(|&(s, v)| (SiteId(s), v)).collect()),
             read_quorum: r,
             write_quorum: w,
         }

@@ -55,7 +55,7 @@ mod proptests {
                 ItemSpec {
                     id: ItemId(0),
                     name: "p".into(),
-                    copies,
+                    copies: std::sync::Arc::new(copies),
                     read_quorum: read,
                     write_quorum: write,
                 }
