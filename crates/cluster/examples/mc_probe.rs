@@ -1,14 +1,16 @@
 //! State-space probe: one bounded exhaustive exploration per run, with
 //! the explored-state counts on stdout. Used ad hoc for tuning
 //! `tests/model_check.rs` depths, and by the CI model-check smoke job
-//! (which runs the `clean`, `crash` and `paxos-crash` configs and relies
-//! on the nonzero exit + trace file below to surface a violation).
+//! (which runs every config but `mutant` — `clean 20`, `crash 30`,
+//! `xshard 40`, `xclient 40` and `paxos-crash 34` — and relies on the
+//! nonzero exit + trace file below to surface a violation).
 //!
 //! Usage: `cargo run --release -p qbc-cluster --example mc_probe -- <config> <depth>`
 //! where `<config>` is `clean`, `crash`, `mutant`, `xshard`, `xclient`
 //! (QC1), or `paxos-crash` (Paxos Commit, the ballot-0 leader at site 0
-//! crashing once; 284 states at depth 34). On a violation the counterexample trace is printed and
-//! also written to the path in `$MC_TRACE` (default
+//! crashing once). At the depths above they explore 81 / 388 / 180 /
+//! 135 / 284 states. On a violation the counterexample trace is printed
+//! and also written to the path in `$MC_TRACE` (default
 //! `mc_counterexample.txt`), and the process exits 1.
 
 use qbc_cluster::mc_harness::*;

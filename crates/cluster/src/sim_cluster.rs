@@ -6,9 +6,9 @@ use crate::metrics::{AtomicityViolation, ClusterMetrics};
 use crate::plan::ClusterPlanner;
 use crate::shard::{ShardId, ShardMap};
 use qbc_core::{Decision, TxnId, WriteSet};
-use qbc_db::{NetMsg, ReadResult, SiteNode, Violation};
+use qbc_db::{NetMsg, NodeTimer, ReadResult, SiteNode, Violation};
 use qbc_obs::{Obs, Registry};
-use qbc_simnet::{DelayModel, Duration, Quiescence, Sim, SimConfig, SiteId, Time};
+use qbc_simnet::{Ctx, DelayModel, Duration, Quiescence, Sim, SimConfig, SiteId, Time};
 use qbc_votes::{ItemId, Version};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -61,7 +61,11 @@ pub struct TxnHandle {
     pub submitted_at: Time,
 }
 
-/// A started quorum read, resolvable via [`SimCluster::read_result`].
+/// How a read starts at its coordinator: [`SiteNode::start_read`] or
+/// [`SiteNode::start_snapshot_read`].
+type StartRead = fn(&mut SiteNode, &mut Ctx<'_, NetMsg, NodeTimer>, u64, ItemId);
+
+/// A started read, resolvable via [`SimCluster::read_result`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReadHandle {
     /// Node-local request id at the coordinating site.
@@ -215,14 +219,6 @@ impl SimCluster {
         *self.planner.handles.last().expect("just planned")
     }
 
-    /// Round-robin coordinator for a read of `item` (the rotation
-    /// submissions use).
-    fn read_coordinator(&mut self, item: ItemId) -> SiteId {
-        self.planner
-            .plan_read(item, &BTreeSet::new())
-            .unwrap_or_else(|| panic!("{item:?} outside the cluster's item space"))
-    }
-
     /// The shard set of a handle: the involved shards of a cross-shard
     /// transaction, or the handle's single shard.
     pub fn shards_of(&self, h: &TxnHandle) -> Vec<ShardId> {
@@ -239,18 +235,7 @@ impl SimCluster {
     /// Starts a quorum read of `item` at virtual time `at`, coordinated
     /// round-robin like a transaction.
     pub fn read_at(&mut self, at: Time, item: ItemId) -> ReadHandle {
-        let coordinator = self.read_coordinator(item);
-        let req_id = self.next_read;
-        self.next_read += 1;
-        self.sim.schedule_call(at, coordinator, move |node, ctx| {
-            node.start_read(ctx, req_id, item);
-        });
-        ReadHandle {
-            req_id,
-            coordinator,
-            item,
-            submitted_at: at,
-        }
+        self.start_read_at(at, item, SiteNode::start_read)
     }
 
     /// Starts a snapshot read of `item` at virtual time `at`,
@@ -263,11 +248,20 @@ impl SimCluster {
             self.cfg.snapshot_reads,
             "snapshot reads are off; enable ClusterConfig::snapshot_reads"
         );
-        let coordinator = self.read_coordinator(item);
+        self.start_read_at(at, item, SiteNode::start_snapshot_read)
+    }
+
+    /// Starts a read of `item` at virtual time `at` with `start`, at a
+    /// coordinator picked round-robin (the rotation submissions use).
+    fn start_read_at(&mut self, at: Time, item: ItemId, start: StartRead) -> ReadHandle {
+        let coordinator = self
+            .planner
+            .plan_read(item, &BTreeSet::new())
+            .unwrap_or_else(|| panic!("{item:?} outside the cluster's item space"));
         let req_id = self.next_read;
         self.next_read += 1;
         self.sim.schedule_call(at, coordinator, move |node, ctx| {
-            node.start_snapshot_read(ctx, req_id, item);
+            start(node, ctx, req_id, item)
         });
         ReadHandle {
             req_id,
@@ -275,12 +269,6 @@ impl SimCluster {
             item,
             submitted_at: at,
         }
-    }
-
-    /// The outcome of a snapshot read, while its collector is alive
-    /// (collectors retire a few windows after resolving).
-    pub fn snap_read_result(&self, h: &ReadHandle) -> Option<ReadResult> {
-        self.sim.node(h.coordinator).snap_read_result(h.req_id)
     }
 
     /// Blocking snapshot read through a session: starts the read now,
@@ -299,15 +287,12 @@ impl SimCluster {
             .saturating_mul(self.cfg.replication as u64 + 2);
         let deadline = Time(self.now().0.saturating_add(budget.max(1)));
         let result = loop {
-            match self.snap_read_result(&h) {
+            match self.read_result(&h) {
                 Some(r) if r != ReadResult::Pending => break r,
+                _ if self.sim.now() >= deadline || !self.sim.step() => {
+                    break ReadResult::Unavailable
+                }
                 _ => {}
-            }
-            if self.sim.now() >= deadline || !self.sim.step() {
-                break match self.snap_read_result(&h) {
-                    Some(r) if r != ReadResult::Pending => r,
-                    _ => ReadResult::Unavailable,
-                };
             }
         };
         session.observe_snapshot(item, result)
@@ -361,7 +346,8 @@ impl SimCluster {
         }
     }
 
-    /// The outcome of a read, if its collection has concluded.
+    /// The outcome of a read, quorum or snapshot, while its collector
+    /// is alive (collectors retire a few windows after resolving).
     pub fn read_result(&self, h: &ReadHandle) -> Option<ReadResult> {
         self.sim.node(h.coordinator).read_result(h.req_id)
     }

@@ -256,3 +256,153 @@ fn killing_the_coordinator_resubmits_to_a_survivor() {
     let report = cluster.shutdown();
     assert_eq!(report.atomicity_violations, vec![]);
 }
+
+/// Polls every handle until it resolves, failing the test at
+/// `deadline` instead of hanging on an answer that never comes.
+fn await_all(handles: &[&qbc_reactor::Handle], within: std::time::Duration) -> Vec<Outcome> {
+    let deadline = std::time::Instant::now() + within;
+    let mut outcomes: Vec<Option<Outcome>> = vec![None; handles.len()];
+    loop {
+        for (slot, h) in outcomes.iter_mut().zip(handles) {
+            if slot.is_none() {
+                *slot = h.try_outcome();
+            }
+        }
+        let open = outcomes.iter().filter(|o| o.is_none()).count();
+        if open == 0 {
+            return outcomes.into_iter().flatten().collect();
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{open} of {} sessions never answered",
+            handles.len()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn snapshot_reads_through_the_front_door_see_acknowledged_writes() {
+    use qbc_votes::Version;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::time::Duration as Wall;
+
+    // Two copies per item over three sites: the planner's round robin
+    // sends about a third of the reads to a site holding no copy, which
+    // must ask a remote one.
+    let cfg = ClusterConfig {
+        shards: 1,
+        replication: 2,
+        t_bound: Duration(20),
+        seed: 17,
+        ..Default::default()
+    }
+    .with_snapshot_reads(4);
+    let cluster = ReactorCluster::spawn(cfg, ReactorConfig::default());
+    let shard = qbc_cluster::ShardId(0);
+    let items: Vec<ItemId> = cluster.map().catalog(shard).items().map(|s| s.id).collect();
+    let copyless = |item: ItemId| {
+        let spec = cluster.map().catalog(shard).item(item).expect("item");
+        cluster
+            .map()
+            .sites_iter(shard)
+            .any(|s| !spec.copies.contains_key(&s))
+    };
+    assert!(items.iter().all(|&i| copyless(i)), "placement: {items:?}");
+
+    // What a read may return: the initial load, or an acknowledged
+    // commit (at its version, when the answering site knew it).
+    let mut produced: BTreeMap<ItemId, BTreeSet<(Option<Version>, i64)>> = items
+        .iter()
+        .map(|&i| (i, BTreeSet::from([(Some(Version::INITIAL), 0)])))
+        .collect();
+    let allowed = |produced: &BTreeMap<ItemId, BTreeSet<(Option<Version>, i64)>>,
+                   item: ItemId,
+                   version: Version,
+                   value: i64| {
+        let seen = &produced[&item];
+        seen.contains(&(Some(version), value)) || seen.contains(&(None, value))
+    };
+
+    // Three rounds of one write per item, each value distinct.
+    for round in 0..3i64 {
+        let writes: Vec<(ItemId, i64)> = items
+            .iter()
+            .map(|&i| (i, 1_000 * (round + 1) + i.0 as i64))
+            .collect();
+        let handles: Vec<_> = writes.iter().map(|&w| cluster.submit(vec![w])).collect();
+        let refs: Vec<_> = handles.iter().collect();
+        let outcomes = await_all(&refs, Wall::from_secs(20));
+        for ((item, value), o) in writes.into_iter().zip(outcomes) {
+            match o {
+                Outcome::Committed { commit_version, .. } => {
+                    produced
+                        .get_mut(&item)
+                        .expect("item")
+                        .insert((commit_version, value));
+                }
+                // A copy still pinned by the previous round votes no.
+                Outcome::Aborted { .. } => {}
+                other => panic!("write of {item:?} ended {other:?}"),
+            }
+        }
+    }
+    assert!(
+        produced.values().any(|s| s.len() > 1),
+        "no write committed: the reads below would prove nothing"
+    );
+
+    // Reads after the acknowledged commits: every copy site is up, so
+    // each read answers, with a value some write produced.
+    let reads: Vec<(ItemId, _)> = (0..4)
+        .flat_map(|_| items.iter().map(|&i| (i, cluster.snapshot_read(i))))
+        .collect();
+    let handles: Vec<_> = reads.iter().map(|(_, h)| h).collect();
+    let outcomes = await_all(&handles, Wall::from_secs(20));
+    for ((item, _), o) in reads.iter().zip(outcomes) {
+        match o {
+            Outcome::ReadOk { version, value } => assert!(
+                allowed(&produced, *item, version, value),
+                "{item:?} read ({version:?}, {value}), which no acknowledged write produced"
+            ),
+            other => panic!("read of {item:?} with every site up ended {other:?}"),
+        }
+    }
+
+    // Reads racing kills. `victim` holds no copy of `item` and asks
+    // `first` before the other copy site. With `first` dead, a read of
+    // `item` at `victim` waits out a collection window (2T = 40 ms);
+    // killing `victim` within it leaves the read pending at a dead site.
+    // It, and every other read issued around the kills, must still be
+    // answered: served by a surviving copy or unavailable, never lost.
+    let victim = cluster.map().coordinator(shard, 1);
+    let spec = cluster
+        .map()
+        .catalog(shard)
+        .items()
+        .find(|spec| !spec.copies.contains_key(&victim))
+        .expect("an item the victim holds no copy of");
+    let (item, first) = (spec.id, spec.sites().next().expect("a copy site"));
+    cluster.kill_site(first);
+    let mut racing: Vec<(ItemId, _)> = (0..12)
+        .map(|_| (item, cluster.snapshot_read(item)))
+        .collect();
+    std::thread::sleep(Wall::from_millis(10));
+    cluster.kill_site(victim);
+    racing.extend(items.iter().map(|&i| (i, cluster.snapshot_read(i))));
+    let handles: Vec<_> = racing.iter().map(|(_, h)| h).collect();
+    let outcomes = await_all(&handles, Wall::from_secs(20));
+    for ((item, _), o) in racing.iter().zip(outcomes) {
+        match o {
+            Outcome::ReadOk { version, value } => assert!(
+                allowed(&produced, *item, version, value),
+                "{item:?} read ({version:?}, {value}) across the kills"
+            ),
+            Outcome::ReadUnavailable => {}
+            other => panic!("read of {item:?} across the kills ended {other:?}"),
+        }
+    }
+
+    let report = cluster.shutdown();
+    assert_eq!(report.atomicity_violations, vec![]);
+}

@@ -1,8 +1,8 @@
 //! Site-node configuration.
 
 use qbc_core::{FaultyMode, ProtocolKind, SiteVotes, TxnId};
-use qbc_obs::Obs;
-use qbc_simnet::{Duration, SiteId};
+use qbc_obs::{EventKind, Obs, TraceEvent, TraceSink};
+use qbc_simnet::{Duration, SiteId, Time};
 use qbc_storage::FileWalConfig;
 use qbc_votes::Catalog;
 use std::collections::BTreeSet;
@@ -54,8 +54,6 @@ pub struct NodeConfig {
     /// blocked (re-entrancy; the retry fires after
     /// [`NodeConfig::blocked_retry`]).
     pub retry_blocked: bool,
-    /// Delay before a blocked transaction's termination is retried.
-    pub blocked_retry: Duration,
     /// Maximum termination rounds this site will *initiate* per
     /// transaction. Unlimited by default (the paper's re-entrant loop);
     /// Monte-Carlo sweeps cap it so permanently blocked runs settle
@@ -169,7 +167,6 @@ impl NodeConfig {
             vote_no_on: BTreeSet::new(),
             faulty: FaultyMode::Correct,
             retry_blocked: true,
-            blocked_retry: Duration(t_bound.0 * 6),
             max_termination_rounds: u64::MAX,
             group_commit: false,
             group_commit_window: Duration((t_bound.0 / 2).max(1)),
@@ -272,6 +269,12 @@ impl NodeConfig {
         Duration(self.t_bound.times(3).0 + self.storage_slack().times(3).0)
     }
 
+    /// Delay `6T` before a blocked transaction's termination is
+    /// retried.
+    pub fn blocked_retry(&self) -> Duration {
+        self.t_bound.times(6)
+    }
+
     /// Cross-shard vote-collection window: long enough for the
     /// `X-BRANCH-REQ` hop plus a full in-shard vote + prepare round and
     /// the `X-VOTE` hop back (≈ 6 one-way delays), with storage slack —
@@ -291,6 +294,21 @@ impl NodeConfig {
     pub fn with_retire_horizon(mut self, horizon: Duration) -> Self {
         self.retire_horizon = Some(horizon);
         self
+    }
+
+    /// Emits one protocol trace event into [`NodeConfig::obs`] when
+    /// one is wired; free otherwise.
+    #[inline]
+    pub(crate) fn emit(&self, at: Time, txn: Option<TxnId>, kind: EventKind) {
+        if let Some(obs) = &self.obs {
+            let site = self.site;
+            obs.record(TraceEvent {
+                at,
+                site,
+                txn,
+                kind,
+            });
+        }
     }
 
     /// Sanity-check the protocol parameters for a given kind.
@@ -325,7 +343,7 @@ mod tests {
         let cfg = NodeConfig::new(SiteId(0), catalog(), Duration(10));
         assert_eq!(cfg.window_2t(), Duration(20));
         assert_eq!(cfg.watchdog_3t(), Duration(30));
-        assert_eq!(cfg.blocked_retry, Duration(60));
+        assert_eq!(cfg.blocked_retry(), Duration(60));
     }
 
     #[test]

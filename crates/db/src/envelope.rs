@@ -160,22 +160,18 @@ pub enum NodeTimer {
         /// Election-internal timer.
         timer: ElectionTimer,
     },
-    /// Quorum-read collection window expired.
+    /// A read's window expired: it closes a quorum read's collection
+    /// and ends a snapshot read's attempt at one copy site, which then
+    /// tries the next or gives up after the last one.
     ReadTimeout {
         /// Request id.
         req_id: u64,
     },
     /// Retire a finished read collector: once armed (at resolution,
     /// one collection window after the result settled) the entry is
-    /// removed outright, bounding the per-site read tables under
+    /// removed outright, bounding the per-site read table under
     /// sustained read load.
     ReadRetire {
-        /// Request id.
-        req_id: u64,
-    },
-    /// A snapshot read's per-site attempt window expired: try the next
-    /// copy site, or give up after the last one.
-    SnapReadTimeout {
         /// Request id.
         req_id: u64,
     },

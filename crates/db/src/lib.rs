@@ -28,8 +28,10 @@ mod config;
 mod durable_log;
 mod envelope;
 mod node;
+mod reads;
 mod txn_table;
 
 pub use config::{NodeConfig, WalBackendConfig};
 pub use envelope::{NetMsg, NodeTimer};
-pub use node::{build_cluster, DecisionEvent, ReadResult, SiteNode, Violation};
+pub use node::{build_cluster, DecisionEvent, SiteNode, Violation};
+pub use reads::{ReadEvent, ReadResult};

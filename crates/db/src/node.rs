@@ -29,12 +29,14 @@
 //!   ([`TxnSpec::commit_precedes_decided`]), which rides the next
 //!   force; recovery replays the log, re-pins the copies of in-doubt
 //!   yes votes and re-enters the termination path;
-//! * **quorum reads** — `r(x)` votes collected over live, unlocked
-//!   copies, returning the max-version value (Gifford's currency rule).
+//! * **the read path** — quorum and snapshot reads and the watermark
+//!   snapshot reads are served at, in [`Reads`] (`reads.rs`), which
+//!   the commit path feeds through a few hooks.
 
 use crate::config::NodeConfig;
 use crate::durable_log::{DeferredOp, DurableLog};
 use crate::envelope::{NetMsg, NodeTimer};
+use crate::reads::{local_max_version, ReadEvent, ReadResult, ReadSite, Reads};
 use crate::txn_table::{Outcome, TxnState, TxnTable, XCoord};
 use qbc_core::{
     last_checkpoint, recover_paxos, recover_state, recover_xstate, Action, CommitEngine,
@@ -44,62 +46,12 @@ use qbc_core::{
 };
 use qbc_election::{Action as ElAction, ElectionMsg, Input as ElInput};
 use qbc_locks::{LockManager, LockMode};
-use qbc_obs::{EventKind, TraceEvent, TraceSink};
+use qbc_obs::EventKind;
 use qbc_simnet::{Ctx, Label, Process, SiteId, Time, TimerId};
 use qbc_storage::{Lsn, VersionedStore, WalBackend};
-use qbc_votes::{Catalog, FastMap, ItemId, Version};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use qbc_votes::{Catalog, ItemId, Version};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
-
-/// Outcome of a quorum read.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReadResult {
-    /// Still collecting replies.
-    Pending,
-    /// Read quorum assembled; max-version value returned.
-    Success {
-        /// Version of the newest copy in the quorum.
-        version: Version,
-        /// Its value.
-        value: i64,
-    },
-    /// The collection window expired below quorum (partition, crashes,
-    /// or copies pinned by blocked transactions).
-    Unavailable,
-}
-
-#[derive(Clone, Debug)]
-struct ReadCollect {
-    item: ItemId,
-    votes: u32,
-    best: Option<(Version, i64)>,
-    result: ReadResult,
-}
-
-/// A snapshot read in flight: copy sites are tried one at a time (the
-/// answer needs one live copy, not a quorum), with a timeout advancing
-/// to the next site. Exhausting `targets` — only possible through real
-/// crashes or partitions, never pinned copies — yields `Unavailable`.
-#[derive(Clone, Debug)]
-struct SnapReadCollect {
-    item: ItemId,
-    targets: Vec<SiteId>,
-    /// Next entry of `targets` to try when the current attempt times out.
-    next_target: usize,
-    result: ReadResult,
-}
-
-impl SnapReadCollect {
-    /// A collector answered on the spot: nothing left to ask.
-    fn resolved(item: ItemId, result: ReadResult) -> Self {
-        SnapReadCollect {
-            item,
-            targets: Vec::new(),
-            next_target: 0,
-            result,
-        }
-    }
-}
 
 /// One local decision transition, recorded for
 /// [`SiteNode::drain_decision_events`] when
@@ -145,11 +97,8 @@ pub struct SiteNode {
     /// Everything this site knows about each transaction, live or
     /// retired, with the retirement policy.
     table: TxnTable,
-    reads: BTreeMap<u64, ReadCollect>,
-    /// Snapshot-read collectors. Kept apart from `reads` (different
-    /// resolution machinery) but sharing its request-id space; both
-    /// tables are bounded by the same `ReadRetire` timers.
-    snap_reads: BTreeMap<u64, SnapReadCollect>,
+    /// The read path: read collectors and the watermark.
+    reads: Reads,
     violations: Vec<Violation>,
     /// Self-addressed messages processed synchronously (local delivery).
     local_queue: VecDeque<NetMsg>,
@@ -173,29 +122,6 @@ pub struct SiteNode {
     /// Log end as of the last checkpoint (including the checkpoint
     /// record itself); no new checkpoint until the log outgrows it.
     last_checkpoint_end: Lsn,
-    /// This site's commit-stable watermark: every version at or below
-    /// it on a local copy belongs to a *decided* transaction. Monotone;
-    /// maintained only when [`NodeConfig::snapshot_reads`] is on.
-    local_wm: Version,
-    /// Highest version ever installed on a local copy.
-    vmax: Version,
-    /// Per-undecided-pinning-transaction floor on its eventual commit
-    /// version: a yes vote reporting local max `m` proves the commit
-    /// version, if any, exceeds `m`; a PreCommit record raises the floor
-    /// to `commit_version - 1`. The watermark may not pass the smallest
-    /// floor while its transaction's outcome is open here.
-    stable_floors: FastMap<TxnId, Version>,
-    /// Latest watermark heard from each peer, piggybacked on protocol
-    /// messages ([`NetMsg::ProtoW`]); max-merged so a stale delivery
-    /// never regresses it.
-    peer_watermarks: FastMap<SiteId, Version>,
-    /// The peers whose watermarks bound this site's *shard* watermark:
-    /// every other site holding a copy of any item this site hosts
-    /// (computed once from the catalog; unheard peers count as
-    /// [`Version::INITIAL`]).
-    wm_peers: Vec<SiteId>,
-    /// Shard watermark below which version GC already ran.
-    last_gc_wm: Version,
 }
 
 impl SiteNode {
@@ -228,15 +154,15 @@ impl SiteNode {
             }
         }
         peers.remove(&cfg.site);
-        let wm_peers: Vec<SiteId> = peers.into_iter().collect();
+        let peers = peers.into_iter().collect();
+        let reads = Reads::new(cfg.snapshot_reads, cfg.decision_events, peers);
         SiteNode {
             table: TxnTable::new(&cfg),
             cfg,
             log,
             items,
             locks: LockManager::new(),
-            reads: BTreeMap::new(),
-            snap_reads: BTreeMap::new(),
+            reads,
             violations: Vec::new(),
             local_queue: VecDeque::new(),
             released: Vec::new(),
@@ -244,12 +170,6 @@ impl SiteNode {
             decision_events: Vec::new(),
             checkpoint_armed: false,
             last_checkpoint_end: Lsn(0),
-            local_wm: Version::INITIAL,
-            vmax: Version::INITIAL,
-            stable_floors: FastMap::default(),
-            peer_watermarks: FastMap::default(),
-            wm_peers,
-            last_gc_wm: Version::INITIAL,
         }
     }
 
@@ -384,39 +304,38 @@ impl SiteNode {
         self.locks.is_locked(&item)
     }
 
-    /// The result of a quorum read started with [`SiteNode::start_read`].
+    /// The result of a read started with [`SiteNode::start_read`] or
+    /// [`SiteNode::start_snapshot_read`].
     ///
     /// Collectors are retired a couple of collection windows after they
     /// resolve (see [`NodeTimer::ReadRetire`]); `None` for an unknown or
     /// already-retired request id.
     pub fn read_result(&self, req_id: u64) -> Option<ReadResult> {
-        self.reads.get(&req_id).map(|r| r.result)
+        self.reads.result(req_id)
     }
 
-    /// The result of a snapshot read started with
-    /// [`SiteNode::start_snapshot_read`]; retired like quorum reads.
-    pub fn snap_read_result(&self, req_id: u64) -> Option<ReadResult> {
-        self.snap_reads.get(&req_id).map(|r| r.result)
-    }
-
-    /// Number of live quorum-read collectors (bounded by retirement).
+    /// Number of live read collectors (bounded by retirement).
     pub fn reads_table_len(&self) -> usize {
         self.reads.len()
     }
 
-    /// Number of live snapshot-read collectors (bounded by retirement).
-    pub fn snap_reads_table_len(&self) -> usize {
-        self.snap_reads.len()
+    /// Request ids of the reads this site is still collecting: a host
+    /// that stops driving the site must answer these itself.
+    pub fn pending_reads(&self) -> impl Iterator<Item = u64> + '_ {
+        self.reads.pending()
+    }
+
+    /// Like [`SiteNode::drain_decision_events`], for the reads this
+    /// site coordinates: each event is the moment one resolved.
+    pub fn drain_read_events(&mut self, out: &mut Vec<ReadEvent>) {
+        self.reads.drain_events(out);
     }
 
     /// The shard watermark this site currently serves snapshot reads
     /// at: its own watermark bounded by the latest one heard from every
     /// copy-sharing peer (unheard peers count as [`Version::INITIAL`]).
     pub fn shard_watermark(&self) -> Version {
-        let heard = |p| self.peer_watermarks.get(p).copied();
-        self.wm_peers.iter().fold(self.local_wm, |wm, p| {
-            wm.min(heard(p).unwrap_or(Version::INITIAL))
-        })
+        self.reads.shard_watermark()
     }
 
     /// The durable log, read back (for experiments and tests).
@@ -511,7 +430,8 @@ impl SiteNode {
         ));
         let state = self.ensure_txn(ctx.now(), &spec);
         state.started_at = ctx.now();
-        self.emit(ctx.now(), Some(txn), EventKind::Submitted { protocol });
+        self.cfg
+            .emit(ctx.now(), Some(txn), EventKind::Submitted { protocol });
         let actions = self.start_leader(spec);
         self.apply_actions(ctx, txn, self.cfg.site, actions);
         self.pump(ctx);
@@ -572,7 +492,7 @@ impl SiteNode {
             return; // duplicate submission
         }
         if let Some(b) = branches.first() {
-            self.emit(
+            self.cfg.emit(
                 ctx.now(),
                 Some(txn),
                 EventKind::Submitted {
@@ -628,143 +548,41 @@ impl SiteNode {
 
     /// Starts a quorum read of `item`, collecting `r(item)` votes.
     pub fn start_read(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, req_id: u64, item: ItemId) {
-        let spec = self.cfg.catalog.item(item);
-        let result = match spec {
-            Some(_) => ReadResult::Pending,
-            None => ReadResult::Unavailable,
-        };
-        let collector = ReadCollect {
-            item,
-            votes: 0,
-            best: None,
-            result,
-        };
-        self.reads.insert(req_id, collector);
-        let Some(spec) = spec else {
-            // Unknown item: an immediately-Unavailable collector, on the
-            // same retirement path as every other read (it used to leak
-            // here forever — no timer ever referenced it).
-            self.arm_read_retire(ctx, req_id);
-            return;
-        };
-        let targets: Vec<SiteId> = spec.sites().collect();
-        for to in targets {
-            self.send_net(ctx, to, NetMsg::ReadReq { req_id, item });
-        }
-        ctx.set_timer(self.cfg.window_2t(), NodeTimer::ReadTimeout { req_id });
+        let (reads, mut site) = self.read_site(ctx);
+        reads.start_read(&mut site, req_id, item);
         self.pump(ctx);
     }
 
-    /// Starts a snapshot read of `item` at the shard watermark.
-    ///
-    /// Locks and pins are never consulted: any single live copy site
-    /// can answer from its multi-version store, so — unlike the quorum
-    /// read — blocked transactions cannot make the item unavailable. A
-    /// local copy answers synchronously; otherwise copy sites are tried
-    /// one at a time ([`NodeTimer::SnapReadTimeout`] advances), and only
-    /// exhausting them all (crashes/partition) yields `Unavailable`.
+    /// Starts a snapshot read of `item` at the shard watermark. Locks
+    /// and pins are never consulted, so unlike a quorum read it is
+    /// unavailable only when no copy site is up (see `reads.rs`).
     pub fn start_snapshot_read(
         &mut self,
         ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
         req_id: u64,
         item: ItemId,
     ) {
-        let Some(spec) = self.cfg.catalog.item(item) else {
-            let collector = SnapReadCollect::resolved(item, ReadResult::Unavailable);
-            self.snap_reads.insert(req_id, collector);
-            self.emit(ctx.now(), None, EventKind::SnapshotReadUnavailable { item });
-            self.arm_read_retire(ctx, req_id);
-            return;
-        };
-        if let Some((version, value)) = self.items.read_at(item, self.shard_watermark()) {
-            // Local copy: answered without any network round.
-            let value = *value;
-            let collector = SnapReadCollect::resolved(item, ReadResult::Success { version, value });
-            self.snap_reads.insert(req_id, collector);
-            self.emit(
-                ctx.now(),
-                None,
-                EventKind::SnapshotRead { item, local: true },
-            );
-            self.arm_read_retire(ctx, req_id);
-            return;
-        }
-        let me = self.cfg.site;
-        let targets: Vec<SiteId> = spec.sites().filter(|&s| s != me).collect();
-        self.snap_reads.insert(
-            req_id,
-            SnapReadCollect {
-                item,
-                targets: targets.clone(),
-                next_target: 1,
-                result: ReadResult::Pending,
-            },
-        );
-        match targets.first() {
-            Some(&to) => {
-                self.send_net(ctx, to, NetMsg::SnapReadReq { req_id, item });
-                ctx.set_timer(self.cfg.window_2t(), NodeTimer::SnapReadTimeout { req_id });
-            }
-            None => {
-                // No copy anywhere (catalog lists only this copyless
-                // site): nothing can ever answer.
-                self.snap_reads
-                    .get_mut(&req_id)
-                    .expect("just inserted")
-                    .result = ReadResult::Unavailable;
-                self.emit(ctx.now(), None, EventKind::SnapshotReadUnavailable { item });
-                self.arm_read_retire(ctx, req_id);
-            }
-        }
+        let (reads, mut site) = self.read_site(ctx);
+        reads.start_snapshot_read(&mut site, req_id, item);
         self.pump(ctx);
     }
 
-    /// Arms the retirement timer that bounds both read tables: the
-    /// collector stays pollable for a couple of collection windows after
-    /// resolving, then is dropped.
-    fn arm_read_retire(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, req_id: u64) {
-        let ttl = qbc_simnet::Duration(self.cfg.window_2t().0.saturating_mul(2).max(1));
-        ctx.set_timer(ttl, NodeTimer::ReadRetire { req_id });
-    }
-
-    /// The current snapshot-read target stayed silent (crashed or
-    /// partitioned): try the next copy site, or give up once every one
-    /// has been asked.
-    fn on_snap_read_timeout(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, req_id: u64) {
-        let pending = |r: &&mut SnapReadCollect| r.result == ReadResult::Pending;
-        let Some(r) = self.snap_reads.get_mut(&req_id).filter(pending) else {
-            return;
+    /// Lends the read path what one step of it borrows from this site.
+    fn read_site<'a, 'c>(
+        &'a mut self,
+        ctx: &'a mut Ctx<'c, NetMsg, NodeTimer>,
+    ) -> (&'a mut Reads, ReadSite<'a, 'c>) {
+        let site = ReadSite {
+            cfg: &self.cfg,
+            items: &self.items,
+            locks: &self.locks,
+            local: &mut self.local_queue,
+            ctx,
         };
-        let item = r.item;
-        match r.targets.get(r.next_target).copied() {
-            Some(to) => {
-                r.next_target += 1;
-                self.send_net(ctx, to, NetMsg::SnapReadReq { req_id, item });
-                ctx.set_timer(self.cfg.window_2t(), NodeTimer::SnapReadTimeout { req_id });
-            }
-            None => {
-                r.result = ReadResult::Unavailable;
-                self.emit(ctx.now(), None, EventKind::SnapshotReadUnavailable { item });
-                self.arm_read_retire(ctx, req_id);
-            }
-        }
+        (&mut self.reads, site)
     }
 
     // ---- internals -----------------------------------------------------
-
-    /// Emits one protocol trace event when observability is wired
-    /// (`NodeConfig::obs`); free otherwise.
-    #[inline]
-    fn emit(&self, at: Time, txn: Option<TxnId>, kind: EventKind) {
-        if let Some(obs) = &self.cfg.obs {
-            obs.record(TraceEvent {
-                at,
-                site: self.cfg.site,
-                txn,
-                kind,
-            });
-        }
-    }
 
     /// Maps an engine action onto the trace event model. Called once
     /// per action from [`SiteNode::apply_actions`]; the gate on
@@ -828,15 +646,15 @@ impl SiteNode {
                     .is_some_and(|st| st.leader.is_some() || st.termination.is_some())
                     || self.table.xcoords.contains_key(&txn);
                 if driving {
-                    self.emit(at, Some(txn), EventKind::CommitPoint);
+                    self.cfg.emit(at, Some(txn), EventKind::CommitPoint);
                 }
             }
-            self.emit(at, Some(txn), kind);
+            self.cfg.emit(at, Some(txn), kind);
         }
         // A branch voting yes upward is *held* at its in-shard commit
         // point until the top-level outcome arrives.
         if let Action::Send(_, Msg::XVote { yes: true, .. }) = a {
-            self.emit(at, Some(txn), EventKind::Held);
+            self.cfg.emit(at, Some(txn), EventKind::Held);
         }
     }
 
@@ -894,13 +712,7 @@ impl SiteNode {
             "told before irrevocable: {} to {to:?}",
             msg.label()
         );
-        let msg = match msg {
-            NetMsg::Proto(m) if self.cfg.snapshot_reads => NetMsg::ProtoW {
-                msg: m,
-                wm: self.local_wm,
-            },
-            other => other,
-        };
+        let msg = self.reads.piggyback(msg);
         if let Some(obs) = &self.cfg.obs {
             obs.note_msg(msg.label());
         }
@@ -1051,67 +863,11 @@ impl SiteNode {
             NetMsg::ProtoW { msg: m, wm } => {
                 // Piggybacked watermark: merge it, then dispatch the
                 // protocol message as if it arrived bare.
-                self.hear_watermark(from, wm);
+                self.reads.hear_watermark(from, wm);
                 self.handle_proto(ctx, from, m);
-            }
-            NetMsg::SnapReadReq { req_id, item } => {
-                // Serve from the multi-version store at this site's own
-                // shard watermark — locks and pins are never consulted.
-                let wm = self.shard_watermark();
-                let copy = self.items.read_at(item, wm).map(|(v, val)| (v, *val));
-                self.send_net(
-                    ctx,
-                    from,
-                    NetMsg::SnapReadRep {
-                        req_id,
-                        item,
-                        copy,
-                        wm,
-                    },
-                );
-            }
-            NetMsg::SnapReadRep {
-                req_id,
-                item,
-                copy,
-                wm,
-            } => {
-                self.hear_watermark(from, wm);
-                let resolved = match self.snap_reads.get_mut(&req_id) {
-                    Some(r) if r.result == ReadResult::Pending && r.item == item => {
-                        match copy {
-                            Some((version, value)) => {
-                                r.result = ReadResult::Success { version, value };
-                                true
-                            }
-                            // A copyless answer (catalog drift): stay
-                            // pending, the timeout advances to the next
-                            // target.
-                            None => false,
-                        }
-                    }
-                    _ => false,
-                };
-                if resolved {
-                    self.emit(
-                        ctx.now(),
-                        None,
-                        EventKind::SnapshotRead { item, local: false },
-                    );
-                    self.arm_read_retire(ctx, req_id);
-                }
             }
             NetMsg::Election { txn, spec, msg } => {
                 self.handle_election_msg(ctx, from, txn, spec, msg)
-            }
-            NetMsg::ReadReq { req_id, item } => {
-                let copy = if self.locks.is_locked(&item) {
-                    // Pinned by an undecided transaction: inaccessible.
-                    None
-                } else {
-                    self.items.read(item).map(|(v, val)| (v, *val))
-                };
-                self.send_net(ctx, from, NetMsg::ReadRep { req_id, item, copy });
             }
             NetMsg::BeginTxn {
                 txn,
@@ -1125,57 +881,15 @@ impl SiteNode {
             NetMsg::BeginXTxn { txn, branches } => {
                 self.begin_xshard(ctx, txn, branches);
             }
-            NetMsg::BeginSnapRead { req_id, item } => {
-                // Wire form of `start_snapshot_read` for front-ends on
-                // transports without direct node access.
-                self.start_snapshot_read(ctx, req_id, item);
-            }
-            NetMsg::ReadRep { req_id, item, copy } => {
-                let Some(weight) = self.cfg.catalog.item(item).map(|spec| spec.weight_at(from))
-                else {
-                    return;
-                };
-                let read_quorum = self
-                    .cfg
-                    .catalog
-                    .item(item)
-                    .map(|s| s.read_quorum)
-                    .unwrap_or(u32::MAX);
-                if let Some(r) = self.reads.get_mut(&req_id) {
-                    if r.result != ReadResult::Pending || r.item != item {
-                        return;
-                    }
-                    if let Some((version, value)) = copy {
-                        r.votes += weight;
-                        if r.best.map(|(bv, _)| version > bv).unwrap_or(true) {
-                            r.best = Some((version, value));
-                        }
-                        if r.votes >= read_quorum {
-                            let (version, value) = r.best.expect("at least one copy");
-                            r.result = ReadResult::Success { version, value };
-                        }
-                    }
-                }
+            read @ (NetMsg::ReadReq { .. }
+            | NetMsg::ReadRep { .. }
+            | NetMsg::SnapReadReq { .. }
+            | NetMsg::SnapReadRep { .. }
+            | NetMsg::BeginSnapRead { .. }) => {
+                let (reads, mut site) = self.read_site(ctx);
+                reads.handle_net(&mut site, from, read);
             }
         }
-    }
-
-    /// Records a peer's watermark, max-merged: deliveries can reorder,
-    /// and a watermark never regresses.
-    fn hear_watermark(&mut self, from: SiteId, wm: Version) {
-        if self.cfg.snapshot_reads {
-            let e = self.peer_watermarks.entry(from).or_default();
-            *e = (*e).max(wm);
-        }
-    }
-
-    /// The highest local version among `spec`'s writeset copies: what a
-    /// yes vote reports, and the floor its pin puts on the watermark.
-    fn local_max_version(&self, spec: &TxnSpec) -> Option<Version> {
-        spec.writeset
-            .items()
-            .filter_map(|i| self.items.version(i))
-            .max()
     }
 
     /// Answers a straggler asking after a decided transaction with its
@@ -1313,26 +1027,21 @@ impl SiteNode {
                 let locked = scripted_no || !self.try_lock_writeset(ctx.now(), txn, spec);
                 let st = self.table.txns.get_mut(&txn).expect("ensured");
                 st.participant.set_vote(!locked);
-                if !locked && self.cfg.snapshot_reads {
-                    // A yes vote pins local copies whose eventual commit
-                    // version (if any) exceeds the local max it reports:
-                    // that max floors the watermark until the decision.
-                    if let Some(floor) = self.local_max_version(spec) {
-                        self.stable_floors.insert(txn, floor);
-                    }
+                if !locked {
+                    self.reads.pin(txn, &self.items, spec, None);
                 }
             }
         }
         if let Msg::Vote { yes, .. } = &m {
-            self.emit(ctx.now(), Some(txn), EventKind::VoteIn { yes: *yes });
+            self.cfg
+                .emit(ctx.now(), Some(txn), EventKind::VoteIn { yes: *yes });
         }
 
         // Reported in yes votes (basis of the commit version). Only
         // `VOTE-REQ` handling reads it — a vote is the only reply that
         // carries a version — so every other message skips the walk.
         let local_max_version = match &m {
-            Msg::VoteReq { .. } => self
-                .local_max_version(&self.table.txns[&txn].spec)
+            Msg::VoteReq { .. } => local_max_version(&self.items, &self.table.txns[&txn].spec)
                 .unwrap_or(Version::INITIAL),
             _ => Version::INITIAL,
         };
@@ -1549,7 +1258,7 @@ impl SiteNode {
         // The yes vote pins every local copy until the decision: the
         // pin-time clock starts here.
         for item in spec.writeset.items().filter(local) {
-            self.emit(now, Some(txn), EventKind::PinStart { item });
+            self.cfg.emit(now, Some(txn), EventKind::PinStart { item });
         }
         true
     }
@@ -1579,20 +1288,12 @@ impl SiteNode {
                     }
                 }
                 Action::Log(rec) => {
-                    if self.cfg.snapshot_reads {
-                        // A PreCommit fixes the commit version: the pin
-                        // now guards exactly `commit_version`, so the
-                        // floor rises to just below it (a decided-commit
-                        // neighbor at `commit_version - 1` is stable).
-                        if let LogRecord::PreCommit {
-                            txn: pc_txn,
-                            commit_version,
-                        } = &rec
-                        {
-                            let floor = Version(commit_version.0.saturating_sub(1));
-                            let e = self.stable_floors.entry(*pc_txn).or_default();
-                            *e = (*e).max(floor);
-                        }
+                    if let LogRecord::PreCommit {
+                        txn: pc_txn,
+                        commit_version,
+                    } = &rec
+                    {
+                        self.reads.raise_floor(*pc_txn, *commit_version);
                     }
                     self.log_record(ctx, rec)
                 }
@@ -1609,7 +1310,7 @@ impl SiteNode {
                         | TimerKind::Paxos1bCollection { .. }
                         | TimerKind::Paxos2bCollection { .. } => self.cfg.window_2t(),
                         TimerKind::CoordinatorWatch { .. } => self.cfg.watchdog_3t(),
-                        TimerKind::BlockedRetry { .. } => self.cfg.blocked_retry,
+                        TimerKind::BlockedRetry { .. } => self.cfg.blocked_retry(),
                         TimerKind::XVoteCollection { .. } => self.cfg.x_window(),
                     };
                     ctx.set_timer(span, NodeTimer::Proto(kind));
@@ -1623,7 +1324,7 @@ impl SiteNode {
                     }
                     if self.cfg.retry_blocked {
                         ctx.set_timer(
-                            self.cfg.blocked_retry,
+                            self.cfg.blocked_retry(),
                             NodeTimer::Proto(TimerKind::BlockedRetry { txn }),
                         );
                     }
@@ -1718,8 +1419,8 @@ impl SiteNode {
                     if self.items.read(item).is_some() {
                         // Regression errors mean the update was already
                         // applied (recovery replay): idempotent.
-                        if self.items.apply(item, version, value).is_ok() && version > self.vmax {
-                            self.vmax = version;
+                        if self.items.apply(item, version, value).is_ok() {
+                            self.reads.note_installed(version);
                         }
                     }
                 }
@@ -1731,44 +1432,15 @@ impl SiteNode {
         // locks is skipped entirely when no sink is wired.
         if self.cfg.obs.is_some() {
             for &item in self.locks.held_by(&txn) {
-                self.emit(now, Some(txn), EventKind::PinEnd { item });
+                self.cfg.emit(now, Some(txn), EventKind::PinEnd { item });
             }
         }
         self.locks.release_all(&txn);
         if applied {
-            self.emit(now, Some(txn), EventKind::DecisionApplied { decision });
+            self.cfg
+                .emit(now, Some(txn), EventKind::DecisionApplied { decision });
         }
-        if self.cfg.snapshot_reads {
-            // The decision frees this transaction's pins: its floor no
-            // longer binds the watermark, which may now advance (and the
-            // shard watermark with it, unlocking version GC).
-            self.stable_floors.remove(&txn);
-            self.refresh_watermark();
-            self.gc_versions();
-        }
-    }
-
-    /// Recomputes the local commit-stable watermark: everything at or
-    /// below `vmax` is stable except what an undecided pinning
-    /// transaction's floor still protects. Monotone by construction
-    /// (only ever raised).
-    fn refresh_watermark(&mut self) {
-        let wm = self
-            .stable_floors
-            .values()
-            .fold(self.vmax, |wm, &f| wm.min(f));
-        self.local_wm = self.local_wm.max(wm);
-    }
-
-    /// Drops item versions below the *shard* watermark (the level
-    /// snapshot reads are served at — a peer may still serve reads at
-    /// its lower watermark, so GC must not outrun the minimum).
-    fn gc_versions(&mut self) {
-        let wm = self.shard_watermark();
-        if wm > self.last_gc_wm {
-            self.last_gc_wm = wm;
-            self.items.gc_below(wm);
-        }
+        self.reads.release(txn, &mut self.items);
     }
 
     fn arm_watchdog(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
@@ -1803,7 +1475,8 @@ impl SiteNode {
             for to in targets {
                 self.send_net(ctx, to, NetMsg::Proto(Msg::XOutcomeReq { txn }));
             }
-            self.emit(ctx.now(), Some(txn), EventKind::OutcomeDiscoveryOut);
+            self.cfg
+                .emit(ctx.now(), Some(txn), EventKind::OutcomeDiscoveryOut);
             return;
         }
         if st.spec.protocol == ProtocolKind::PaxosCommit {
@@ -1823,7 +1496,8 @@ impl SiteNode {
         }
         let spec = Arc::clone(&st.spec);
         let actions = st.elector(self.cfg.site).step(ElInput::Start);
-        self.emit(ctx.now(), Some(txn), EventKind::ElectionStarted);
+        self.cfg
+            .emit(ctx.now(), Some(txn), EventKind::ElectionStarted);
         self.apply_election_actions(ctx, txn, spec, actions);
     }
 
@@ -1917,7 +1591,8 @@ impl SiteNode {
             st.participant.commit_version(),
         );
         st.termination = Some(Box::new(term));
-        self.emit(ctx.now(), Some(txn), EventKind::TerminationRound { round });
+        self.cfg
+            .emit(ctx.now(), Some(txn), EventKind::TerminationRound { round });
         self.apply_actions(ctx, txn, self.cfg.site, actions);
     }
 }
@@ -2031,20 +1706,10 @@ impl Process for SiteNode {
                 self.apply_election_actions(ctx, txn, spec, actions);
             }
             NodeTimer::ReadTimeout { req_id } => {
-                if let Some(r) = self.reads.get_mut(&req_id) {
-                    if r.result == ReadResult::Pending {
-                        r.result = ReadResult::Unavailable;
-                    }
-                    // Whatever the outcome, the collector's life now has
-                    // a bound: retire it after the polling grace period.
-                    self.arm_read_retire(ctx, req_id);
-                }
+                let (reads, mut site) = self.read_site(ctx);
+                reads.on_timeout(&mut site, req_id);
             }
-            NodeTimer::ReadRetire { req_id } => {
-                self.reads.remove(&req_id);
-                self.snap_reads.remove(&req_id);
-            }
-            NodeTimer::SnapReadTimeout { req_id } => self.on_snap_read_timeout(ctx, req_id),
+            NodeTimer::ReadRetire { req_id } => self.reads.retire(req_id),
             NodeTimer::FlushWal => {
                 if let Some(upto) = self.log.flush(ctx) {
                     self.advance_durable(ctx, upto);
@@ -2063,24 +1728,14 @@ impl Process for SiteNode {
         self.log.crash();
         self.table.crash();
         self.decision_events.clear();
-        self.reads.clear();
-        self.snap_reads.clear();
+        self.reads.crash();
         self.locks = LockManager::new();
         self.local_queue.clear();
         // Checkpoint bookkeeping is volatile (timers from before the
         // crash never fire); recovery rebuilds it from the log.
         self.checkpoint_armed = false;
         self.last_checkpoint_end = Lsn(0);
-        // Watermark state is volatile; recovery rebuilds floors from
-        // in-doubt records and vmax from the durable store. Peers keep
-        // their last-heard value for this site — stale but valid, since
-        // decided-ness never regresses.
-        self.stable_floors.clear();
-        self.peer_watermarks.clear();
-        self.local_wm = Version::INITIAL;
-        self.vmax = Version::INITIAL;
-        self.last_gc_wm = Version::INITIAL;
-        self.emit(now, None, EventKind::Crash);
+        self.cfg.emit(now, None, EventKind::Crash);
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
@@ -2165,23 +1820,13 @@ impl Process for SiteNode {
                     if self.items.read(item).is_some() {
                         let pinned = self.locks.acquire(txn, item, LockMode::Exclusive);
                         debug_assert!(pinned, "{txn:?} re-pins {item:?}, already pinned");
-                        self.emit(ctx.now(), Some(txn), EventKind::PinStart { item });
+                        self.cfg
+                            .emit(ctx.now(), Some(txn), EventKind::PinStart { item });
                     }
                 }
-                if self.cfg.snapshot_reads {
-                    // Rebuild the watermark floor the in-doubt pin
-                    // imposes: at least the current local max of its
-                    // writeset copies, raised to just below the commit
-                    // version when a PreCommit record fixed it.
-                    let mut floor = self.local_max_version(&spec);
-                    if let Some(cv) = rec.commit_version {
-                        let pc = Version(cv.0.saturating_sub(1));
-                        floor = Some(floor.map_or(pc, |f| f.max(pc)));
-                    }
-                    if let Some(floor) = floor {
-                        self.stable_floors.insert(txn, floor);
-                    }
-                }
+                // The watermark floor the in-doubt pin imposes, raised
+                // to just below the commit version a PreCommit fixed.
+                self.reads.pin(txn, &self.items, &spec, rec.commit_version);
             }
             // Sibling knowledge is volatile: a recovered branch falls
             // back to parent-only outcome discovery.
@@ -2295,19 +1940,12 @@ impl Process for SiteNode {
             }
         }
         self.table.forget_dead_records();
-        if self.cfg.snapshot_reads {
-            // Rebuild vmax from the durable store (every installed
-            // version survived in the chains) and recompute the local
-            // watermark over the floors the in-doubt pass re-imposed.
-            let installed = self.items.entries().map(|(_, v, _)| v);
-            self.vmax = installed.fold(self.vmax, Version::max);
-            self.refresh_watermark();
-        }
+        self.reads.recover(&self.items);
         // Emitted after the re-pins above: recovery's re-acquired locks
         // register while the site still counts as down, so the
         // availability tracker sees the copies stay inaccessible across
         // the down→up edge.
-        self.emit(ctx.now(), None, EventKind::Recover);
+        self.cfg.emit(ctx.now(), None, EventKind::Recover);
         self.pump(ctx);
     }
 }
@@ -2369,7 +2007,8 @@ impl SiteNode {
                 for to in targets {
                     self.send_net(ctx, to, NetMsg::Proto(Msg::XOutcomeReq { txn }));
                 }
-                self.emit(now, Some(txn), EventKind::OutcomeDiscoveryOut);
+                self.cfg
+                    .emit(now, Some(txn), EventKind::OutcomeDiscoveryOut);
             }
             self.apply_actions(ctx, txn, self.cfg.site, actions);
         } else {
@@ -2435,11 +2074,10 @@ impl qbc_simnet::Fingerprint for SiteNode {
             s.push_str("]);");
         }
         self.log.fingerprint_durable(&mut s);
-        // Volatile half: pin table, reads, violations, the local
-        // self-delivery queue (empty between events) and the durability
-        // gate (device, watermark, queue).
+        // Volatile half: pin table, violations, the local self-delivery
+        // queue (empty between events) and the durability gate (device,
+        // watermark, queue); then the read path's own fingerprint.
         let _ = write!(s, "|locks{:?}", self.locks.table_snapshot());
-        let _ = write!(s, "|reads{:?}", self.reads);
         let _ = write!(s, "|viol{:?}", self.violations);
         let _ = write!(s, "|lq{:?}", self.local_queue);
         self.log.fingerprint_volatile(now, &mut s);
@@ -2448,23 +2086,8 @@ impl qbc_simnet::Fingerprint for SiteNode {
             "|ckpt{}@{:?}",
             self.checkpoint_armed, self.last_checkpoint_end
         );
-        // Snapshot-read machinery (all constant when the feature is
-        // off, so legacy state spaces merge exactly as before).
-        let _ = write!(s, "|snreads{:?}", self.snap_reads);
-        let _ = write!(
-            s,
-            "|wm{:?},{:?},{:?}",
-            self.local_wm, self.vmax, self.last_gc_wm
-        );
-        let mut floors: Vec<(TxnId, Version)> =
-            self.stable_floors.iter().map(|(t, v)| (*t, *v)).collect();
-        floors.sort_unstable();
-        let _ = write!(s, "|floors{floors:?}");
-        let mut pws: Vec<(SiteId, Version)> =
-            self.peer_watermarks.iter().map(|(p, v)| (*p, *v)).collect();
-        pws.sort_unstable();
-        let _ = write!(s, "|pwm{pws:?}");
         h.write(s.as_bytes());
+        self.reads.fingerprint(now, h);
         self.table
             .fingerprint(now, h, |gate| self.log.above_watermark(gate));
     }

@@ -292,7 +292,7 @@ fn quorum_read_returns_latest_committed_value() {
         node.start_read(ctx, 900, ItemId(0));
     });
     // Poll after the collection window but before the collector retires
-    // (read tables are bounded: entries are dropped a couple of windows
+    // (the read table is bounded: entries are dropped a couple of windows
     // after resolving).
     sim.run_until(Time(1_040));
     match sim.node(SiteId(2)).read_result(900) {

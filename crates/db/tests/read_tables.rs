@@ -1,8 +1,8 @@
 //! Read-path table hygiene (ISSUE 8): resolved read collectors — quorum
 //! and snapshot alike, including reads of unknown items — retire a few
-//! collection windows after resolving, so the per-site `reads` /
-//! `snap_reads` maps stay bounded on long-running sites instead of
-//! growing until the next crash.
+//! collection windows after resolving, so the per-site read table stays
+//! bounded on long-running sites instead of growing until the next
+//! crash.
 
 use qbc_core::{ProtocolKind, TxnId, WriteSet};
 use qbc_db::{build_cluster, NodeConfig, ReadResult, SiteNode};
@@ -117,9 +117,9 @@ fn snapshot_read_collectors_retire_and_bound_the_table() {
     }
     sim.run_until(Time(1_020));
     let node = sim.node(SiteId(0));
-    assert_eq!(node.snap_reads_table_len(), 8);
+    assert_eq!(node.reads_table_len(), 8);
     for i in 0..8u64 {
-        match node.snap_read_result(600 + i) {
+        match node.read_result(600 + i) {
             Some(ReadResult::Success { value, .. }) => {
                 assert!(
                     value == 42 || value == 43,
@@ -132,8 +132,8 @@ fn snapshot_read_collectors_retire_and_bound_the_table() {
 
     sim.run_until(Time(1_200));
     let node = sim.node(SiteId(0));
-    assert_eq!(node.snap_reads_table_len(), 0);
-    assert_eq!(node.snap_read_result(600), None);
+    assert_eq!(node.reads_table_len(), 0);
+    assert_eq!(node.read_result(600), None);
 
     // Unknown item on the snapshot path: same unified retirement.
     sim.schedule_call(Time(1_300), SiteId(0), |node, ctx| {
@@ -141,11 +141,11 @@ fn snapshot_read_collectors_retire_and_bound_the_table() {
     });
     sim.run_until(Time(1_310));
     assert_eq!(
-        sim.node(SiteId(0)).snap_read_result(900),
+        sim.node(SiteId(0)).read_result(900),
         Some(ReadResult::Unavailable)
     );
     sim.run_until(Time(1_500));
     let node = sim.node(SiteId(0));
-    assert_eq!(node.snap_reads_table_len(), 0);
-    assert_eq!(node.snap_read_result(900), None);
+    assert_eq!(node.reads_table_len(), 0);
+    assert_eq!(node.read_result(900), None);
 }

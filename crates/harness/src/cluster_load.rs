@@ -222,12 +222,11 @@ pub fn run_cluster_load(cfg: &ClusterLoadConfig) -> ClusterLoadReport {
     // device backlog are observed live rather than only at the end.
     // With reads in flight the slices shrink and extend past the last
     // submission: read collectors retire a couple of collection windows
-    // after resolving (the read tables are bounded), so results must be
+    // after resolving (the read table is bounded), so results must be
     // polled while the entries are still present.
     let reads_issued = pending_reads.len() as u64;
     let mut reads_success = 0u64;
     let mut reads_unavailable = 0u64;
-    let snap = cfg.cluster.snapshot_reads;
     let (slice, drive_end) = if pending_reads.is_empty() {
         ((cfg.think_time.max(1)) * 4, last_submission)
     } else {
@@ -238,25 +237,18 @@ pub fn run_cluster_load(cfg: &ClusterLoadConfig) -> ClusterLoadReport {
         t = Time(t.0 + slice);
         cluster.run_until(t);
         let _ = cluster.metrics();
-        pending_reads.retain(|h| {
-            let r = if snap {
-                cluster.snap_read_result(h)
-            } else {
-                cluster.read_result(h)
-            };
-            match r {
-                Some(qbc_db::ReadResult::Success { .. }) => {
-                    reads_success += 1;
-                    false
-                }
-                Some(qbc_db::ReadResult::Unavailable) => {
-                    reads_unavailable += 1;
-                    false
-                }
-                // Still collecting (or already retired unobserved:
-                // counted in neither bucket).
-                _ => true,
+        pending_reads.retain(|h| match cluster.read_result(h) {
+            Some(qbc_db::ReadResult::Success { .. }) => {
+                reads_success += 1;
+                false
             }
+            Some(qbc_db::ReadResult::Unavailable) => {
+                reads_unavailable += 1;
+                false
+            }
+            // Still collecting (or already retired unobserved: counted
+            // in neither bucket).
+            _ => true,
         });
     }
     let mut settled = false;

@@ -132,23 +132,17 @@ pub fn run_cell(snapshot: bool) -> Cell {
         let site = live[(probes % live.len() as u64) as usize];
         let r = req_id;
         req_id += 1;
-        if snapshot {
-            c.sim_mut().schedule_call(Time(t), site, move |node, ctx| {
-                node.start_snapshot_read(ctx, r, item);
-            });
-        } else {
-            c.sim_mut().schedule_call(Time(t), site, move |node, ctx| {
-                node.start_read(ctx, r, item);
-            });
-        }
+        c.sim_mut().schedule_call(Time(t), site, move |node, ctx| {
+            if snapshot {
+                node.start_snapshot_read(ctx, r, item)
+            } else {
+                node.start_read(ctx, r, item)
+            }
+        });
         // Poll after the collection window but before the resolved
-        // collector retires (the read tables are bounded).
+        // collector retires (the read table is bounded).
         c.run_until(Time(t + 35));
-        let res = if snapshot {
-            c.sim().node(site).snap_read_result(r)
-        } else {
-            c.sim().node(site).read_result(r)
-        };
+        let res = c.sim().node(site).read_result(r);
         probes += 1;
         match res {
             Some(ReadResult::Success { value, .. }) => {

@@ -13,10 +13,11 @@
 //!   client connection, the session table and the [`Planner`]. Client
 //!   sessions are logical: one framed connection carries any number,
 //!   so 30k concurrent sessions need a handful of descriptors.
-//! * **Decisions are push, not poll.** Sites run with
-//!   [`qbc_db::NodeConfig::decision_events`] on; after every delivery
-//!   the hosting worker drains the events and forwards them to the
-//!   front door, which answers the waiting session immediately.
+//! * **Answers are push, not poll.** Sites run with
+//!   [`qbc_db::NodeConfig::decision_events`] on, which queues both
+//!   decisions and resolved reads. After every tick and delivery the
+//!   hosting worker drains both queues and forwards them to the front
+//!   door, which answers the waiting session immediately.
 //! * **Backpressure per connection.** Replies queue in a
 //!   [`FrameWriter`]; once its backlog crosses the high-water mark the
 //!   front door stops *reading* that connection (new requests wait in
@@ -27,16 +28,17 @@
 //!   its driver is retired, traffic to it is dropped, and requests the
 //!   planner routes elsewhere keep flowing. In-flight transactions it
 //!   coordinated are decided by the survivors' termination protocol,
-//!   whose decision events still answer the client.
+//!   whose decision events still answer the client; reads it was still
+//!   collecting are answered unavailable as its driver retires.
 
 use crate::frame::{FrameReader, FrameWriter, ReadState};
 use crate::poller::{Event, Interest, Poller, PollerKind, Token};
 use crate::wake::WakeFd;
 use crate::wire::{Reply, Request};
-use qbc_core::{Decision, TxnId};
-use qbc_db::{DecisionEvent, NetMsg, ReadResult, SiteNode};
+use qbc_core::TxnId;
+use qbc_db::{DecisionEvent, NetMsg, ReadEvent, ReadResult, SiteNode};
 use qbc_simnet::{NodeDriver, SiteId, Time};
-use qbc_votes::{ItemId, Version};
+use qbc_votes::ItemId;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -219,28 +221,18 @@ enum Mail {
         to: SiteId,
         msg: NetMsg,
     },
-    /// The front door asks the worker hosting `site` to watch a
-    /// snapshot read until it resolves.
-    WatchRead { site: SiteId, req_id: u64 },
     /// An event for the front door (worker 0).
     Front(FrontEvent),
 }
 
 enum FrontEvent {
     /// A hosted site recorded a decision.
-    Decision {
-        txn: TxnId,
-        decision: Decision,
-        commit_version: Option<Version>,
-    },
+    Decision(DecisionEvent),
     /// A begin was addressed at a site that is gone; the client should
     /// resubmit.
     BeginLost { txn: TxnId },
-    /// A watched snapshot read resolved (`None` = unavailable).
-    ReadDone {
-        req_id: u64,
-        value: Option<(Version, i64)>,
-    },
+    /// A snapshot read resolved.
+    Read(ReadEvent),
 }
 
 struct Mailbox {
@@ -337,8 +329,8 @@ struct Worker {
     out: Vec<(SiteId, NetMsg)>,
     /// Scratch for decision events.
     decisions: Vec<DecisionEvent>,
-    /// Snapshot reads this worker polls to completion.
-    watched_reads: Vec<(SiteId, u64)>,
+    /// Scratch for read events.
+    reads: Vec<ReadEvent>,
     /// Site → hosting worker, for routing.
     site_worker: Arc<BTreeMap<SiteId, usize>>,
     front: Option<FrontDoor>,
@@ -356,7 +348,6 @@ impl Worker {
             let now = self.now();
             self.retire_down_sites();
             self.pump(now);
-            self.poll_watched_reads();
             self.serve_front(now);
             if self.shared.shutdown.load(Ordering::Acquire) {
                 break;
@@ -417,13 +408,14 @@ impl Worker {
         for m in mail.drain(..) {
             match m {
                 Mail::Deliver { from, to, msg } => self.inbox.push_back((from, to, msg)),
-                Mail::WatchRead { site, req_id } => self.watched_reads.push((site, req_id)),
                 Mail::Front(ev) => self.local_front.push(ev),
             }
         }
     }
 
-    /// Moves freshly-killed sites out of the active driver set.
+    /// Moves freshly-killed sites out of the active driver set. The
+    /// reads a retired site was still collecting will never resolve, so
+    /// the front door answers them unavailable now.
     fn retire_down_sites(&mut self) {
         let down = self.shared.down.lock().expect("down set");
         if down.is_empty() {
@@ -437,8 +429,12 @@ impl Worker {
             .collect();
         drop(down);
         for site in doomed {
-            let driver = self.drivers.remove(&site).expect("listed");
-            self.dead.push((site, driver.into_node()));
+            let node = self.drivers.remove(&site).expect("listed").into_node();
+            for req_id in node.pending_reads() {
+                let result = ReadResult::Unavailable;
+                self.post_front(FrontEvent::Read(ReadEvent { req_id, result }));
+            }
+            self.dead.push((site, node));
         }
     }
 
@@ -458,7 +454,7 @@ impl Worker {
                     progress = true;
                     self.route(site);
                 }
-                self.forward_decisions(site);
+                self.forward_events(site);
             }
             self.sites = sites;
             while let Some((from, to, msg)) = self.inbox.pop_front() {
@@ -467,7 +463,7 @@ impl Worker {
                     Some(d) => {
                         d.deliver(now, from, msg, &mut self.out);
                         self.route(to);
-                        self.forward_decisions(to);
+                        self.forward_events(to);
                     }
                     None => self.begin_lost(msg),
                 }
@@ -481,8 +477,8 @@ impl Worker {
 
     /// Routes everything a driver emitted: local sites by queue push,
     /// remote sites via their worker's mailbox, anything else dropped
-    /// (the client pseudo-site gets answers via decision events and
-    /// watched reads, not protocol messages).
+    /// (the client pseudo-site gets answers via decision and read
+    /// events, not protocol messages).
     fn route(&mut self, from: SiteId) {
         for (to, msg) in self.out.drain(..) {
             match self.site_worker.get(&to) {
@@ -493,23 +489,28 @@ impl Worker {
         }
     }
 
-    fn forward_decisions(&mut self, site: SiteId) {
-        let d = self.drivers.get_mut(&site).expect("listed");
-        d.node_mut().drain_decision_events(&mut self.decisions);
-        if self.decisions.is_empty() {
-            return;
+    /// Forwards what `site` queued since the last drain, decisions and
+    /// resolved reads, to the front door.
+    fn forward_events(&mut self, site: SiteId) {
+        let node = self.drivers.get_mut(&site).expect("listed").node_mut();
+        node.drain_decision_events(&mut self.decisions);
+        node.drain_read_events(&mut self.reads);
+        let decisions = self.decisions.drain(..).map(FrontEvent::Decision);
+        let events = decisions.chain(self.reads.drain(..).map(FrontEvent::Read));
+        if self.front.is_some() {
+            self.local_front.extend(events);
+        } else {
+            events.for_each(|fe| self.shared.post(0, Mail::Front(fe)));
         }
-        for ev in self.decisions.drain(..) {
-            let fe = FrontEvent::Decision {
-                txn: ev.txn,
-                decision: ev.decision,
-                commit_version: ev.commit_version,
-            };
-            if self.front.is_some() {
-                self.local_front.push(fe);
-            } else {
-                self.shared.post(0, Mail::Front(fe));
-            }
+    }
+
+    /// Hands an event to the front door: directly on worker 0, by
+    /// mailbox from any other worker.
+    fn post_front(&mut self, fe: FrontEvent) {
+        if self.front.is_some() {
+            self.local_front.push(fe);
+        } else {
+            self.shared.post(0, Mail::Front(fe));
         }
     }
 
@@ -522,57 +523,13 @@ impl Worker {
             NetMsg::BeginTxn { txn, .. } | NetMsg::BeginXTxn { txn, .. } => {
                 FrontEvent::BeginLost { txn }
             }
-            NetMsg::BeginSnapRead { req_id, .. } => FrontEvent::ReadDone {
+            NetMsg::BeginSnapRead { req_id, .. } => FrontEvent::Read(ReadEvent {
                 req_id,
-                value: None,
-            },
+                result: ReadResult::Unavailable,
+            }),
             _ => return,
         };
-        if self.front.is_some() {
-            self.local_front.push(fe);
-        } else {
-            self.shared.post(0, Mail::Front(fe));
-        }
-    }
-
-    /// Checks watched snapshot reads for resolution (the read collector
-    /// resolves node-side; nothing is pushed for it).
-    fn poll_watched_reads(&mut self) {
-        if self.watched_reads.is_empty() {
-            return;
-        }
-        let mut done: Vec<FrontEvent> = Vec::new();
-        self.watched_reads.retain(|&(site, req_id)| {
-            let result = match self.drivers.get(&site) {
-                Some(d) => d.node().snap_read_result(req_id),
-                // Site killed mid-read: unavailable.
-                None => Some(ReadResult::Unavailable),
-            };
-            match result {
-                Some(ReadResult::Pending) | None => true,
-                Some(ReadResult::Success { version, value }) => {
-                    done.push(FrontEvent::ReadDone {
-                        req_id,
-                        value: Some((version, value)),
-                    });
-                    false
-                }
-                Some(ReadResult::Unavailable) => {
-                    done.push(FrontEvent::ReadDone {
-                        req_id,
-                        value: None,
-                    });
-                    false
-                }
-            }
-        });
-        for fe in done {
-            if self.front.is_some() {
-                self.local_front.push(fe);
-            } else {
-                self.shared.post(0, Mail::Front(fe));
-            }
-        }
+        self.post_front(fe);
     }
 
     // ---- front door (worker 0 only) -----------------------------------
@@ -627,11 +584,11 @@ impl Worker {
     fn handle_front_event(&mut self, fe: FrontEvent) {
         let front = self.front.as_mut().expect("front door");
         match fe {
-            FrontEvent::Decision {
+            FrontEvent::Decision(DecisionEvent {
                 txn,
                 decision,
                 commit_version,
-            } => {
+            }) => {
                 // First event wins; later sites' echoes find the
                 // session already answered.
                 if let Some((conn, session, _)) = front.by_txn.remove(&txn.0) {
@@ -655,8 +612,12 @@ impl Worker {
                     Self::queue_reply(front, &self.shared, conn, &Reply::Rejected { session });
                 }
             }
-            FrontEvent::ReadDone { req_id, value } => {
+            FrontEvent::Read(ReadEvent { req_id, result }) => {
                 if let Some((conn, session)) = front.pending_reads.remove(&req_id) {
+                    let value = match result {
+                        ReadResult::Success { version, value } => Some((version, value)),
+                        ReadResult::Unavailable | ReadResult::Pending => None,
+                    };
                     Self::queue_reply(
                         front,
                         &self.shared,
@@ -804,51 +765,14 @@ impl Worker {
                 let target = front
                     .planner
                     .plan_read(item, &down.lock().expect("down set"));
+                let req_id = front.next_req;
+                front.next_req += 1;
+                front.pending_reads.insert(req_id, (token, session));
+                let begin = NetMsg::BeginSnapRead { req_id, item };
                 match target {
-                    Some(site) => {
-                        let req_id = front.next_req;
-                        front.next_req += 1;
-                        front.pending_reads.insert(req_id, (token, session));
-                        let worker = self.site_worker.get(&site).copied();
-                        match worker {
-                            Some(w) if w == self.index => {
-                                self.watched_reads.push((site, req_id));
-                                self.inbox.push_back((
-                                    CLIENT_SITE,
-                                    site,
-                                    NetMsg::BeginSnapRead { req_id, item },
-                                ));
-                            }
-                            Some(w) => {
-                                self.shared.post(w, Mail::WatchRead { site, req_id });
-                                self.shared.post(
-                                    w,
-                                    Mail::Deliver {
-                                        from: CLIENT_SITE,
-                                        to: site,
-                                        msg: NetMsg::BeginSnapRead { req_id, item },
-                                    },
-                                );
-                            }
-                            None => {
-                                self.local_front.push(FrontEvent::ReadDone {
-                                    req_id,
-                                    value: None,
-                                });
-                            }
-                        }
-                    }
-                    None => {
-                        Self::queue_reply(
-                            front,
-                            &self.shared,
-                            token,
-                            &Reply::SnapRead {
-                                session,
-                                value: None,
-                            },
-                        );
-                    }
+                    Some(site) => self.inject(CLIENT_SITE, site, begin),
+                    // No live site: answered unavailable, like a lost begin.
+                    None => self.begin_lost(begin),
                 }
             }
         }
@@ -1026,7 +950,7 @@ impl ReactorServer {
                         inbox: VecDeque::new(),
                         out: Vec::new(),
                         decisions: Vec::new(),
-                        watched_reads: Vec::new(),
+                        reads: Vec::new(),
                         site_worker: site_worker_w,
                         front,
                         local_front: Vec::new(),

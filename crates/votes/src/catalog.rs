@@ -87,11 +87,6 @@ impl Catalog {
         self.items.values()
     }
 
-    /// All item ids.
-    pub fn item_ids(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.items.keys().copied()
-    }
-
     /// Number of items.
     pub fn len(&self) -> usize {
         self.items.len()
