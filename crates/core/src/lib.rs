@@ -53,7 +53,6 @@ pub use rules::{Phase2Outcome, StateView, TerminationKind};
 pub use states::{LocalState, Transition};
 pub use termination::{Termination, TerminationPhase};
 pub use types::{CommitVersion, Decision, ProtocolKind, SiteVotes, TxnId, TxnSpec, WriteSet};
-pub use wal_codec::encoded_len;
 pub use xshard::{XPhase, XTxnCoordinator};
 
 /// Derives the termination rule set for a protocol kind.

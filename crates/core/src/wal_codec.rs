@@ -165,60 +165,19 @@ fn spec_len(spec: &TxnSpec) -> usize {
         }
 }
 
-/// The exact on-disk size of a record's encoding, without encoding it.
-/// Drives the bytes-since-checkpoint trigger: the node accumulates
-/// this per appended record instead of paying an allocation + encode
-/// on the logging hot path. Pinned against [`WalCodec::encode_into`] by the
-/// `encoded_len_matches_encoding` test.
-pub fn encoded_len(rec: &LogRecord) -> usize {
-    1 + match rec {
-        LogRecord::CoordinatorStart { spec } | LogRecord::Voted { spec } => spec_len(spec),
-        LogRecord::VotedNo { .. } | LogRecord::PreAbort { .. } => 8,
-        LogRecord::PreCommit { .. } => 16,
-        LogRecord::Decided { commit_version, .. } => 9 + opt_version_len(*commit_version),
-        LogRecord::XStart { branches, .. } => {
-            12 + branches.iter().map(|b| spec_len(b)).sum::<usize>()
-        }
-        LogRecord::XDecision {
-            branch_versions, ..
-        } => {
-            13 + branch_versions
-                .iter()
-                .map(|(_, v)| 4 + opt_version_len(*v))
-                .sum::<usize>()
-        }
-        LogRecord::PaxosPromise { .. } => 16,
-        LogRecord::PaxosAccept { votes, .. } => 20 + 13 * votes.len(),
-        LogRecord::Checkpoint {
-            retired,
-            xretired,
-            items,
-        } => {
-            (4 + retired
-                .iter()
-                .map(|r| 9 + opt_version_len(r.commit_version))
-                .sum::<usize>())
-                + (4 + xretired
-                    .iter()
-                    .map(|x| {
-                        13 + x
-                            .branches
-                            .iter()
-                            .map(|(_, ps, v)| 8 + 4 * ps.len() + opt_version_len(*v))
-                            .sum::<usize>()
-                    })
-                    .sum::<usize>())
-                + (4 + 8 * item_chains(items).count() + 16 * items.len())
-        }
-    }
-}
-
 /// A checkpoint's flat item versions cut into per-item chains, the unit
 /// the on-disk layout counts: one count-prefixed chain per item.
 fn item_chains(
     items: &[(ItemId, Version, i64)],
 ) -> impl Iterator<Item = &[(ItemId, Version, i64)]> {
     items.chunk_by(|a, b| a.0 == b.0)
+}
+
+/// How many chains [`item_chains`] cuts `items` into, counted without
+/// cutting them.
+fn chain_count(items: &[(ItemId, Version, i64)]) -> usize {
+    let breaks = items.windows(2).filter(|w| w[0].0 != w[1].0).count();
+    usize::from(!items.is_empty()) + breaks
 }
 
 impl WalCodec for LogRecord {
@@ -301,12 +260,26 @@ impl WalCodec for LogRecord {
                 xretired,
                 items,
             } => {
+                // The two large sections — the site's retired outcomes
+                // and every copy it holds — are written one fixed-size
+                // block per entry, each grown into the buffer once. The
+                // in-memory log reserves the record's exact size from
+                // `encoded_len` first, so none of this reallocates there.
                 put_u8(buf, TAG_CHECKPOINT);
                 put_u32(buf, retired.len() as u32);
                 for r in retired {
-                    put_u64(buf, r.txn.0);
-                    put_decision(buf, r.decision);
-                    put_opt_version(buf, r.commit_version);
+                    let mut out = [0; 18];
+                    out[..8].copy_from_slice(&r.txn.0.to_le_bytes());
+                    out[8] = matches!(r.decision, Decision::Abort) as u8;
+                    // Two fixed lengths, each copied without a call.
+                    match r.commit_version {
+                        None => buf.extend_from_slice(&out[..10]),
+                        Some(v) => {
+                            out[9] = 1;
+                            out[10..].copy_from_slice(&v.0.to_le_bytes());
+                            buf.extend_from_slice(&out);
+                        }
+                    }
                 }
                 put_u32(buf, xretired.len() as u32);
                 for x in xretired {
@@ -322,15 +295,69 @@ impl WalCodec for LogRecord {
                         put_opt_version(buf, *v);
                     }
                 }
-                put_u32(buf, item_chains(items).count() as u32);
+                // One pass over the items, the chain count patched in
+                // at the end.
+                let count_at = buf.len();
+                put_u32(buf, 0);
+                let mut chains = 0u32;
                 for chain in item_chains(items) {
-                    put_u32(buf, chain[0].0 .0);
-                    put_u32(buf, chain.len() as u32);
+                    chains += 1;
+                    let mut head = [0; 8];
+                    head[..4].copy_from_slice(&chain[0].0 .0.to_le_bytes());
+                    head[4..].copy_from_slice(&(chain.len() as u32).to_le_bytes());
+                    buf.extend_from_slice(&head);
                     for &(_, version, value) in chain {
-                        put_u64(buf, version.0);
-                        put_i64(buf, value);
+                        let mut entry = [0; 16];
+                        entry[..8].copy_from_slice(&version.0.to_le_bytes());
+                        entry[8..].copy_from_slice(&value.to_le_bytes());
+                        buf.extend_from_slice(&entry);
                     }
                 }
+                buf[count_at..count_at + 4].copy_from_slice(&chains.to_le_bytes());
+            }
+        }
+    }
+
+    /// Pinned against [`WalCodec::encode_into`] by the roundtrip tests.
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            LogRecord::CoordinatorStart { spec } | LogRecord::Voted { spec } => spec_len(spec),
+            LogRecord::VotedNo { .. } | LogRecord::PreAbort { .. } => 8,
+            LogRecord::PreCommit { .. } => 16,
+            LogRecord::Decided { commit_version, .. } => 9 + opt_version_len(*commit_version),
+            LogRecord::XStart { branches, .. } => {
+                12 + branches.iter().map(|b| spec_len(b)).sum::<usize>()
+            }
+            LogRecord::XDecision {
+                branch_versions, ..
+            } => {
+                13 + branch_versions
+                    .iter()
+                    .map(|(_, v)| 4 + opt_version_len(*v))
+                    .sum::<usize>()
+            }
+            LogRecord::PaxosPromise { .. } => 16,
+            LogRecord::PaxosAccept { votes, .. } => 20 + 13 * votes.len(),
+            LogRecord::Checkpoint {
+                retired,
+                xretired,
+                items,
+            } => {
+                (4 + retired
+                    .iter()
+                    .map(|r| 9 + opt_version_len(r.commit_version))
+                    .sum::<usize>())
+                    + (4 + xretired
+                        .iter()
+                        .map(|x| {
+                            13 + x
+                                .branches
+                                .iter()
+                                .map(|(_, ps, v)| 8 + 4 * ps.len() + opt_version_len(*v))
+                                .sum::<usize>()
+                        })
+                        .sum::<usize>())
+                    + (4 + 8 * chain_count(items) + 16 * items.len())
             }
         }
     }
@@ -481,8 +508,8 @@ mod tests {
         let back = LogRecord::decode(&buf).expect("decodes");
         assert_eq!(back, rec);
         // The arithmetic size mirror must agree with the encoder
-        // exactly (it drives the bytes-since-checkpoint trigger).
-        assert_eq!(encoded_len(&rec), buf.len(), "encoded_len for {rec:?}");
+        // exactly (the in-memory log sizes a record's chunk from it).
+        assert_eq!(rec.encoded_len(), buf.len(), "encoded_len for {rec:?}");
         // Truncated payloads must never decode.
         for cut in 0..buf.len() {
             assert_eq!(LogRecord::decode(&buf[..cut]), None, "cut at {cut}");
@@ -649,7 +676,7 @@ mod tests {
         let mut buf = Vec::new();
         rec.encode_into(&mut buf);
         assert_eq!(buf, pinned);
-        assert_eq!(encoded_len(&rec), pinned.len());
+        assert_eq!(rec.encoded_len(), pinned.len());
         assert_eq!(LogRecord::decode(&pinned), Some(rec));
     }
 }

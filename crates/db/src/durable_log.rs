@@ -33,8 +33,8 @@ use crate::config::{NodeConfig, WalBackendConfig};
 use crate::envelope::{NetMsg, NodeTimer};
 use qbc_core::{Decision, LogRecord, TxnId};
 use qbc_obs::{EventKind, Obs, TraceEvent, TraceSink};
-use qbc_simnet::{Ctx, Duration, SiteId, Time, TimerId};
-use qbc_storage::{EitherWal, FileWal, Lsn, Wal, WalBackend};
+use qbc_simnet::{Ctx, Duration, FastHasher, SiteId, Time, TimerId};
+use qbc_storage::{EitherWal, FileWal, Lsn, Wal, WalBackend, WalCodec};
 use qbc_votes::Version;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -357,20 +357,37 @@ impl DurableLog {
     /// per-site record order is fixed by the site's own event order, so
     /// hashing it does not break cross-site delivery commutation.
     ///
-    /// The in-memory log is hashed in place: the model checker
-    /// fingerprints every state it explores, and a read-back would copy
-    /// the whole log each time.
+    /// The retained log is hashed as the payloads the in-memory backend
+    /// stores, in place: the model checker fingerprints every state it
+    /// explores, and the codec round-trips, so logs hash equal exactly
+    /// when their records are equal. A file log (never explored) is read
+    /// back and encoded the same way.
     pub(crate) fn fingerprint_durable(&self, s: &mut String) {
         use std::fmt::Write as _;
-        let _ = write!(s, "|wal@{:?}", self.wal.start_lsn());
-        let mut hash = |r: &LogRecord| {
-            let _ = write!(s, "{r:?};");
+        use std::hash::Hasher as _;
+        let mut h = FastHasher::default();
+        let mut hash = |payload: &[u8]| {
+            h.write_usize(payload.len());
+            h.write(payload);
         };
         match &self.wal {
-            EitherWal::Mem(wal) => wal.replay().for_each(|(_, r)| hash(r)),
-            EitherWal::File(wal) => wal.records().iter().for_each(hash),
+            EitherWal::Mem(wal) => wal.payloads().for_each(hash),
+            EitherWal::File(wal) => {
+                let mut buf = Vec::new();
+                for rec in wal.records() {
+                    buf.clear();
+                    rec.encode_into(&mut buf);
+                    hash(&buf);
+                }
+            }
         }
-        let _ = write!(s, "|pend{}", self.wal.pending_len());
+        let _ = write!(
+            s,
+            "|wal@{:?}#{:016x}|pend{}",
+            self.wal.start_lsn(),
+            h.finish(),
+            self.wal.pending_len()
+        );
     }
 
     /// The volatile half: device, watermark, queue, window timer. The

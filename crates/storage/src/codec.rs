@@ -1,21 +1,28 @@
-//! Record serialization for disk-backed WAL backends.
+//! Record serialization for the WAL backends.
 //!
-//! The file WAL defines its own minimal codec contract: [`WalCodec`]
-//! turns a record into bytes and back. Framing, checksumming and
-//! torn-tail handling live in [`crate::FileWal`]; a codec only sees
-//! whole, checksum-verified payloads, so [`WalCodec::decode`] failing
-//! means a format bug or version skew — corruption never reaches it.
+//! The log defines its own minimal codec contract: [`WalCodec`] turns a
+//! record into bytes and back. Both backends store a forced record as
+//! this payload: [`crate::FileWal`] frames and checksums it on disk, and
+//! the in-memory [`crate::Wal`] packs it unframed into byte chunks. A
+//! codec only sees whole payloads (on disk, checksum-verified ones), so
+//! [`WalCodec::decode`] failing means a format bug or version skew —
+//! corruption never reaches it.
 //!
 //! The `put_*` helpers and [`Dec`] cursor implement the shared
 //! primitive encoding (little-endian fixed-width integers,
 //! length-prefixed byte strings) so record codecs in other crates stay
 //! small and consistent.
 
-/// A record type the file-backed WAL can persist.
+/// A record type the WAL can store.
 pub trait WalCodec: Sized {
-    /// Appends this record's encoding to `buf` (no framing — the WAL
-    /// frames and checksums the payload).
+    /// Appends this record's encoding to `buf` (no framing — the file
+    /// WAL frames and checksums the payload).
     fn encode_into(&self, buf: &mut Vec<u8>);
+
+    /// The exact length [`WalCodec::encode_into`] appends, computed
+    /// without encoding: the in-memory log sizes a record's place in
+    /// its chunk from it before writing the record once.
+    fn encoded_len(&self) -> usize;
 
     /// Decodes a record from a whole payload previously produced by
     /// [`WalCodec::encode_into`]. `None` means the payload does not
@@ -121,6 +128,10 @@ impl WalCodec for u32 {
         put_u32(buf, *self);
     }
 
+    fn encoded_len(&self) -> usize {
+        4
+    }
+
     fn decode(bytes: &[u8]) -> Option<Self> {
         let mut d = Dec::new(bytes);
         let v = d.u32()?;
@@ -133,6 +144,10 @@ impl WalCodec for u64 {
         put_u64(buf, *self);
     }
 
+    fn encoded_len(&self) -> usize {
+        8
+    }
+
     fn decode(bytes: &[u8]) -> Option<Self> {
         let mut d = Dec::new(bytes);
         let v = d.u64()?;
@@ -143,6 +158,10 @@ impl WalCodec for u64 {
 impl WalCodec for String {
     fn encode_into(&self, buf: &mut Vec<u8>) {
         put_bytes(buf, self.as_bytes());
+    }
+
+    fn encoded_len(&self) -> usize {
+        4 + self.len()
     }
 
     fn decode(bytes: &[u8]) -> Option<Self> {
@@ -188,10 +207,16 @@ mod tests {
     fn builtin_codecs_roundtrip() {
         let mut buf = Vec::new();
         42u32.encode_into(&mut buf);
+        assert_eq!(buf.len(), 42u32.encoded_len());
         assert_eq!(u32::decode(&buf), Some(42));
         assert_eq!(u32::decode(&buf[..3]), None);
         let mut buf = Vec::new();
+        7u64.encode_into(&mut buf);
+        assert_eq!(buf.len(), 7u64.encoded_len());
+        assert_eq!(u64::decode(&buf), Some(7));
+        let mut buf = Vec::new();
         "torn".to_string().encode_into(&mut buf);
+        assert_eq!(buf.len(), "torn".to_string().encoded_len());
         assert_eq!(String::decode(&buf).as_deref(), Some("torn"));
     }
 }

@@ -57,7 +57,7 @@ mod proptests {
                     _ => wal.lose_volatile(),
                 }
             }
-            let replayed: Vec<u32> = wal.replay().map(|(_, r)| *r).collect();
+            let replayed: Vec<u32> = wal.replay().map(|(_, r)| r).collect();
             prop_assert_eq!(replayed, expected);
         }
 
@@ -103,8 +103,8 @@ mod proptests {
                         staged.clear();
                     }
                 }
-                let b: Vec<u32> = batched.replay().map(|(_, r)| *r).collect();
-                let u: Vec<u32> = unbatched.replay().map(|(_, r)| *r).collect();
+                let b: Vec<u32> = batched.replay().map(|(_, r)| r).collect();
+                let u: Vec<u32> = unbatched.replay().map(|(_, r)| r).collect();
                 prop_assert_eq!(b, u);
             }
         }
