@@ -44,8 +44,8 @@ pub struct ClusterConfig {
     /// after the decision (see [`qbc_db::NodeConfig::retire_after`]).
     /// `None` (the default) keeps every entry forever.
     pub retire_after: Option<Duration>,
-    /// Age retired outcome records out of the compact maps entirely
-    /// this long after retirement (see
+    /// Age retired outcomes out entirely this long after their
+    /// retirement (see
     /// [`qbc_db::NodeConfig::retire_horizon`]), so checkpoints are
     /// O(live + horizon) rather than O(history). Pick a horizon several
     /// times the widest straggler/retry window. `None` (the default)

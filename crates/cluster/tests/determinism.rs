@@ -11,7 +11,7 @@
 
 use qbc_cluster::{ClusterConfig, SimCluster};
 use qbc_core::{Decision, ProtocolKind, WriteSet};
-use qbc_simnet::{SiteId, Time};
+use qbc_simnet::{Duration, SiteId, Time};
 use qbc_votes::ItemId;
 
 /// The pinned digest of `scenario()` (see module docs for re-deriving).
@@ -26,6 +26,11 @@ const GOLDEN_XSHARD_DIGEST: u64 = 0x9b3c32b97d00abd7;
 /// under a leader crash, pinned the same way. Re-derive with
 /// `QBC_PRINT_PAXOS_DIGEST=1`.
 const GOLDEN_PAXOS_DIGEST: u64 = 0x71e157fb16e6c888;
+
+/// The pinned digest of `retirement_scenario()`: retirement, aging and
+/// checkpoints on, pinned the same way. Re-derive with
+/// `QBC_PRINT_RETIREMENT_DIGEST=1`.
+const GOLDEN_RETIREMENT_DIGEST: u64 = 0x4f5d3030b3431b42;
 
 fn fnv1a(h: u64, word: u64) -> u64 {
     let mut h = h;
@@ -214,6 +219,79 @@ fn paxos_scenario() -> u64 {
     digest
 }
 
+/// A deterministic scenario on the retirement path, which the
+/// scenarios above leave off: decided entries retire, their outcomes
+/// age out past the horizon, and every site checkpoints. Two shards
+/// under a mixed single/cross-shard load; the site coordinating most
+/// cross-shard transactions crashes and recovers from its checkpoint
+/// mid-stream. Besides the decisions, the digest takes every site's
+/// retired-outcome counts every 50 ticks, so an outcome that ages out
+/// one sweep early or late moves it, and it runs past the last horizon
+/// so the tables drain.
+fn retirement_scenario() -> u64 {
+    let cfg = ClusterConfig {
+        shards: 2,
+        sites_per_shard: 3,
+        replication: 3,
+        items_per_shard: 8,
+        seed: 29,
+        ..Default::default()
+    }
+    .with_retirement(Duration(60))
+    .with_retire_horizon(Duration(250))
+    .with_checkpoints(Duration(120));
+    let mut cluster = SimCluster::new(cfg);
+    cluster.sim_mut().schedule_crash(Time(610), SiteId(0));
+    cluster.sim_mut().schedule_recover(Time(900), SiteId(0));
+
+    for i in 0..96u64 {
+        let ws = if i % 3 == 1 {
+            let a = (i % 8) as u32;
+            let b = 8 + ((i * 3) % 8) as u32;
+            WriteSet::new([(ItemId(a), i as i64), (ItemId(b), (i * 7) as i64)])
+        } else {
+            WriteSet::new([(ItemId(((i * 5) % 16) as u32), i as i64)])
+        };
+        cluster.submit_at(Time(i * 19), ws);
+    }
+    // A late trickle of single-shard writes keeps every site sweeping
+    // until the last outcomes have aged out.
+    for k in 0..10u64 {
+        let ws = WriteSet::new([(ItemId(((k % 2) * 8 + k / 2) as u32), k as i64)]);
+        cluster.submit_at(Time(1_900 + k * 70), ws);
+    }
+    let mut digest = 0xcbf29ce484222325u64;
+    let mut t = 0u64;
+    while t < 2_600 {
+        t += 50;
+        cluster.run_until(Time(t));
+        for (site, node) in cluster.sim().nodes() {
+            digest = fnv1a(digest, site.0 as u64);
+            digest = fnv1a(digest, node.retired_len() as u64);
+            digest = fnv1a(digest, node.xretired_len() as u64);
+        }
+    }
+    for _ in 0..50 {
+        if cluster.run_to_quiescence(5_000_000).drained() {
+            break;
+        }
+    }
+
+    let handles: Vec<_> = cluster.handles().to_vec();
+    for h in &handles {
+        let d = match cluster.decision(h) {
+            Some(Decision::Commit) => 1u64,
+            Some(Decision::Abort) => 2,
+            None => 3,
+        };
+        digest = fnv1a(digest, h.txn.0);
+        digest = fnv1a(digest, d);
+    }
+    digest = fnv1a(digest, cluster.now().0);
+    digest = fnv1a(digest, cluster.sim().events_processed());
+    digest
+}
+
 #[test]
 fn fixed_seed_scenario_matches_golden_digest() {
     let digest = scenario();
@@ -274,6 +352,29 @@ fn paxos_scenario_is_self_consistent_across_two_runs() {
     assert_eq!(
         paxos_scenario(),
         paxos_scenario(),
+        "same-process nondeterminism"
+    );
+}
+
+#[test]
+fn fixed_seed_retirement_scenario_matches_golden_digest() {
+    let digest = retirement_scenario();
+    if std::env::var("QBC_PRINT_RETIREMENT_DIGEST").is_ok() {
+        panic!("retirement digest = {digest:#x}");
+    }
+    assert_eq!(
+        digest, GOLDEN_RETIREMENT_DIGEST,
+        "retirement event schedule changed: got {digest:#x}, pinned \
+         {GOLDEN_RETIREMENT_DIGEST:#x}. A perf refactor must be \
+         schedule-preserving; see module docs."
+    );
+}
+
+#[test]
+fn retirement_scenario_is_self_consistent_across_two_runs() {
+    assert_eq!(
+        retirement_scenario(),
+        retirement_scenario(),
         "same-process nondeterminism"
     );
 }

@@ -88,10 +88,14 @@ pub struct NodeConfig {
     /// stragglers still get their answer. `None` (the default) keeps
     /// every entry forever (the seed behaviour).
     pub retire_after: Option<Duration>,
-    /// Age *retired* outcome records out entirely this long after
-    /// retirement, so the retired maps — and the checkpoint records
-    /// that serialize them — are O(live + horizon) instead of
-    /// O(history). Must comfortably exceed every straggler window
+    /// Age each *retired* outcome out entirely this long after its own
+    /// retirement. Retired outcomes sit in one ring per kind, sorted by
+    /// transaction id; from each sweep on, an outcome retired at least
+    /// this long before it is absent to every reader (lookups, counts,
+    /// checkpoints, fingerprints), whether or not its memory has been
+    /// freed yet. So the rings — and the checkpoint records that
+    /// serialize them — are O(live + horizon) instead of O(history).
+    /// Must comfortably exceed every straggler window
     /// (watchdog, blocked-retry, re-announce): a straggler asking after
     /// the horizon finds no answer and escalates to termination, which
     /// then also finds nothing — so pick a horizon multiple times the

@@ -28,6 +28,7 @@ mod config;
 mod durable_log;
 mod envelope;
 mod node;
+mod outcome_ring;
 mod reads;
 mod txn_table;
 

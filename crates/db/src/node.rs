@@ -428,8 +428,7 @@ impl SiteNode {
             protocol,
             &self.cfg.catalog,
         ));
-        let state = self.ensure_txn(ctx.now(), &spec);
-        state.started_at = ctx.now();
+        self.ensure_txn(ctx.now(), &spec);
         self.cfg
             .emit(ctx.now(), Some(txn), EventKind::Submitted { protocol });
         let actions = self.start_leader(spec);
@@ -528,7 +527,6 @@ impl SiteNode {
             return; // long decided; duplicate request
         }
         let st = self.ensure_txn(ctx.now(), spec);
-        st.started_at = ctx.now();
         // Remember the sibling coordinators even on a duplicate request:
         // a retried solicitation may be the first one that arrives after
         // this entry was created by an in-shard message.
@@ -1743,7 +1741,7 @@ impl Process for SiteNode {
         let log: Vec<(Lsn, LogRecord)> = self.log.wal().replay().collect();
         let records = || log.iter().map(|(_, r)| r);
         // Checkpoint outcomes first: they stand in for truncated
-        // per-transaction records, so the retired maps must answer
+        // per-transaction records, so the retired outcomes must answer
         // before the replay passes decide what to resurrect.
         let (ck_retired, ck_xretired, ck_items) =
             last_checkpoint(records()).unwrap_or((&[], &[], &[]));

@@ -11,21 +11,22 @@
 //!   [`SiteNode`](crate::SiteNode);
 //! * **retired** — [`NodeConfig::retire_after`] past the decision the
 //!   live entries give way to a compact outcome that keeps answering
-//!   stragglers: 32 bytes for a transaction, and for a coordination
-//!   core's [`XRetiredOutcome`] — the very format the checkpoint record
-//!   carries;
-//! * **aged out** — [`NodeConfig::retire_horizon`] after retirement the
-//!   outcome goes too, and a straggler gets silence.
+//!   stragglers, in the format the checkpoint record carries
+//!   ([`RetiredOutcome`], [`XRetiredOutcome`]), kept in one
+//!   [`Ring`] per kind sorted by transaction id;
+//! * **aged out** — [`NodeConfig::retire_horizon`] after its own
+//!   retirement the outcome is absent, and a straggler gets silence.
 //!
-//! Every outcome lookup tries the live entry first, then the compact
-//! one. The table also keeps what the log needs to know of its entries:
-//! each entry's *gate* (the end LSN of the newest gating record staged
-//! for the transaction) and every live transaction's first LSN, below
-//! which a checkpoint may truncate. The checkpoint's outcome lists are written
+//! Every outcome lookup tries the live entry first, then the ring. The
+//! table also keeps what the log needs to know of its entries: each
+//! entry's *gate* (the end LSN of the newest gating record staged for
+//! the transaction) and every live transaction's first LSN, below which
+//! a checkpoint may truncate. The checkpoint's outcome lists are written
 //! by [`TxnTable::checkpoint_outcomes`] and read back by
 //! [`TxnTable::install_checkpoint`], and by nothing else.
 
 use crate::config::NodeConfig;
+use crate::outcome_ring::Ring;
 use qbc_core::{
     CommitEngine, Decision, LocalState, Msg, Participant, PaxosAcceptor, RetiredOutcome,
     Termination, TxnId, TxnSpec, XRetiredOutcome, XTxnCoordinator,
@@ -74,7 +75,6 @@ pub(crate) struct TxnState {
     pub(crate) decided_version: Option<Version>,
     pub(crate) blocked: bool,
     pub(crate) termination_rounds: u64,
-    pub(crate) started_at: Time,
     /// Coordinators of the sibling branches of a cross-shard
     /// transaction (from `X-BRANCH-REQ`). Outcome discovery asks them
     /// alongside the parent: any branch that learned the top-level
@@ -101,7 +101,6 @@ impl TxnState {
             decided_version: None,
             blocked: false,
             termination_rounds: 0,
-            started_at: now,
             x_siblings: Vec::new(),
         }
     }
@@ -131,17 +130,6 @@ pub(crate) struct XCoord {
     pub(crate) gate: Lsn,
 }
 
-/// Compact outcome of a retired transaction: everything a straggler's
-/// question can still need, without the engines, spec and audit trail
-/// of a live [`TxnState`]. Not core's [`RetiredOutcome`], which repeats
-/// the key and would grow every entry.
-#[derive(Clone, Copy, Debug)]
-struct RetiredTxn {
-    decision: Decision,
-    commit_version: Option<Version>,
-    decided_at: Time,
-}
-
 /// Every transaction a site knows about, live or retired.
 #[derive(Clone, Default)]
 pub(crate) struct TxnTable {
@@ -159,16 +147,13 @@ pub(crate) struct TxnTable {
     /// candidate's 1a can be answered before the site ever saw the
     /// `VOTE-REQ`. Dropped at retirement alongside the `txns` entry.
     pub(crate) acceptors: FastMap<TxnId, PaxosAcceptor>,
-    /// Compact outcomes of retired transactions.
-    retired: FastMap<TxnId, RetiredTxn>,
-    /// Compact outcomes of retired cross-shard coordinations.
-    xretired: FastMap<TxnId, XRetiredOutcome>,
+    /// Outcomes of retired transactions.
+    retired: Ring<RetiredOutcome>,
+    /// Outcomes of retired cross-shard coordinations.
+    xretired: Ring<XRetiredOutcome>,
     /// Decisions awaiting retirement, in decision-time order (times are
     /// event times, hence monotonic — a plain queue, no heap needed).
     retire_queue: VecDeque<(Time, TxnId)>,
-    /// Retired outcomes queued for aging out entirely; retirement-time
-    /// order, so the sweep stops at the first young entry.
-    age_queue: VecDeque<(Time, TxnId)>,
     /// First log record of every *live* transaction — the LSNs a
     /// checkpoint's truncation cutoff must stay below. Dropped at
     /// retirement (the checkpoint record then carries the outcome).
@@ -187,14 +172,14 @@ impl TxnTable {
         }
     }
 
-    // ---- outcomes: the live entry first, then the compact one ---------
+    // ---- outcomes: the live entry first, then the ring ----------------
 
     /// The decision reached for `txn`, if any.
     pub(crate) fn decision(&self, txn: TxnId) -> Option<Decision> {
         self.txns
             .get(&txn)
             .and_then(|t| t.decided)
-            .or_else(|| self.retired.get(&txn).map(|r| r.decision))
+            .or_else(|| self.retired.get(txn).map(|r| r.outcome.decision))
     }
 
     /// When this site decided `txn`.
@@ -202,7 +187,7 @@ impl TxnTable {
         self.txns
             .get(&txn)
             .and_then(|t| t.decided_at)
-            .or_else(|| self.retired.get(&txn).map(|r| r.decided_at))
+            .or_else(|| self.retired.get(txn).map(|r| r.decided_at))
     }
 
     /// The participant state of `txn`; a retired one is terminal.
@@ -211,7 +196,7 @@ impl TxnTable {
             .get(&txn)
             .map(|t| t.participant.state())
             .or_else(|| {
-                self.retired.get(&txn).map(|r| match r.decision {
+                self.retired.get(txn).map(|r| match r.outcome.decision {
                     Decision::Commit => LocalState::Committed,
                     Decision::Abort => LocalState::Aborted,
                 })
@@ -223,7 +208,7 @@ impl TxnTable {
         self.txns
             .get(&txn)
             .and_then(|t| t.commit_version())
-            .or_else(|| self.retired.get(&txn).and_then(|r| r.commit_version))
+            .or_else(|| self.retired.get(txn).and_then(|r| r.outcome.commit_version))
     }
 
     /// The top-level decision of a cross-shard transaction coordinated
@@ -232,7 +217,7 @@ impl TxnTable {
         self.xcoords
             .get(&txn)
             .and_then(|x| x.engine.decision())
-            .or_else(|| self.xretired.get(&txn).map(|x| x.decision))
+            .or_else(|| self.xretired.get(txn).map(|x| x.outcome.decision))
     }
 
     /// The outcome of `txn` if its live entry has decided.
@@ -244,13 +229,13 @@ impl TxnTable {
     /// The outcome of `txn` if it is retired.
     pub(crate) fn retired_outcome(&self, txn: TxnId) -> Option<Outcome> {
         self.retired
-            .get(&txn)
-            .map(|r| (r.decision, r.commit_version))
+            .get(txn)
+            .map(|r| (r.outcome.decision, r.outcome.commit_version))
     }
 
     /// True while a coordination of `txn` is live or retired here.
     pub(crate) fn x_known(&self, txn: TxnId) -> bool {
-        self.xcoords.contains_key(&txn) || self.xretired.contains_key(&txn)
+        self.xcoords.contains_key(&txn) || self.xretired.get(txn).is_some()
     }
 
     /// The `X-DECIDE` answering `to` about a cross-shard `txn` that has
@@ -263,8 +248,8 @@ impl TxnTable {
     /// carries none: the asker's engine keeps its own held version, and
     /// an engine-less asker falls back to its locally learned one.
     pub(crate) fn x_reply(&self, txn: TxnId, to: SiteId, cooperative: bool) -> Option<Msg> {
-        if let Some(x) = self.xretired.get(&txn) {
-            return Some(x.xdecide_for(to));
+        if let Some(x) = self.xretired.get(txn) {
+            return Some(x.outcome.xdecide_for(to));
         }
         let decision = self.decision(txn).filter(|_| cooperative)?;
         Some(Msg::XDecide {
@@ -274,14 +259,14 @@ impl TxnTable {
         })
     }
 
-    /// Number of retired transactions.
+    /// Number of retired transactions (a walk of the ring).
     pub(crate) fn retired_len(&self) -> usize {
-        self.retired.len()
+        self.retired.live().count()
     }
 
-    /// Number of retired cross-shard coordinations.
+    /// Number of retired cross-shard coordinations (a walk of the ring).
     pub(crate) fn xretired_len(&self) -> usize {
-        self.xretired.len()
+        self.xretired.live().count()
     }
 
     // ---- gates --------------------------------------------------------
@@ -322,11 +307,11 @@ impl TxnTable {
 
     /// Retires everything decided longer than `retire_after` ago — the
     /// live entries give way to compact outcomes that keep answering
-    /// stragglers — then ages out outcomes past the horizon. Runs at the
-    /// top of every delivery; the queue is in decision-time order, so
-    /// the scan stops at the first young entry. `gated(gate)` tells
-    /// whether a gate is still above the durable watermark: an entry
-    /// with a gating record still undurable stays one more round,
+    /// stragglers — then ages out outcomes retired a horizon ago. Runs
+    /// at the top of every delivery; the queue is in decision-time
+    /// order, so the scan stops at the first young entry. `gated(gate)`
+    /// tells whether a gate is still above the durable watermark: an
+    /// entry with a gating record still undurable stays one more round,
     /// because its gate lives in it and the compact outcome answers
     /// ungated. (An irrevocable commit's staged `Decided` gates nothing,
     /// so its outcome may be answered before that record is forced.)
@@ -339,20 +324,15 @@ impl TxnTable {
                 break;
             }
             self.retire_queue.pop_front();
-            let mut retired_any = false;
             if let Some(st) = self.txns.get(&txn) {
                 if let (Some(decision), Some(decided_at)) = (st.decided, st.decided_at) {
-                    let commit_version = st.commit_version();
-                    self.retired.insert(
+                    let outcome = RetiredOutcome {
                         txn,
-                        RetiredTxn {
-                            decision,
-                            commit_version,
-                            decided_at,
-                        },
-                    );
+                        decision,
+                        commit_version: st.commit_version(),
+                    };
+                    self.retired.insert(outcome, decided_at, now);
                     self.txns.remove(&txn);
-                    retired_any = true;
                 }
             }
             if let Some(XCoord { engine: x, .. }) = self.xcoords.get(&txn) {
@@ -365,16 +345,13 @@ impl TxnTable {
                             (b.coordinator, b.participants.iter().copied().collect(), v)
                         })
                         .collect();
-                    self.xretired.insert(
+                    let outcome = XRetiredOutcome {
                         txn,
-                        XRetiredOutcome {
-                            txn,
-                            decision,
-                            branches,
-                        },
-                    );
+                        decision,
+                        branches,
+                    };
+                    self.xretired.insert(outcome, now, now);
                     self.xcoords.remove(&txn);
-                    retired_any = true;
                 }
             }
             // The acceptor's promise/accept state is only needed while
@@ -388,30 +365,16 @@ impl TxnTable {
             if !self.txns.contains_key(&txn) && !self.xcoords.contains_key(&txn) {
                 self.first_lsn.remove(&txn);
             }
-            if retired_any && self.retire_horizon.is_some() {
-                self.age_queue.push_back((now, txn));
-            }
         }
-        self.age_out(now);
-    }
-
-    /// Ages retired outcomes out entirely once they have sat in the
-    /// compact maps for [`NodeConfig::retire_horizon`]: the maps — and
-    /// every checkpoint record serializing them — stay O(live +
-    /// horizon) instead of O(history). A straggler asking after the
-    /// horizon gets silence instead of the outcome, which is why the
-    /// horizon must dwarf every retry window (see the config doc).
-    fn age_out(&mut self, now: Time) {
-        let Some(horizon) = self.retire_horizon else {
-            return;
-        };
-        while let Some(&(t, txn)) = self.age_queue.front() {
-            if now.since(t) < horizon {
-                break;
-            }
-            self.age_queue.pop_front();
-            self.retired.remove(&txn);
-            self.xretired.remove(&txn);
+        // Aging: from this sweep on, an outcome retired a horizon ago is
+        // absent, so the rings — and every checkpoint record serializing
+        // them — stay O(live + horizon) instead of O(history). A
+        // straggler asking after the horizon gets silence instead of the
+        // outcome, which is why the horizon must dwarf every retry
+        // window (see the config doc).
+        if let Some(cutoff) = self.retire_horizon.and_then(|h| now.0.checked_sub(h.0)) {
+            self.retired.age(Time(cutoff));
+            self.xretired.age(Time(cutoff));
         }
     }
 
@@ -444,26 +407,16 @@ impl TxnTable {
             .retain(|t, _| txns.contains_key(t) || xcoords.contains_key(t));
     }
 
-    /// The retired outcomes a checkpoint record carries, sorted by
-    /// transaction for a canonical on-disk encoding.
+    /// The retired outcomes a checkpoint record carries, in the rings'
+    /// transaction order — a canonical on-disk encoding.
     pub(crate) fn checkpoint_outcomes(&self) -> (Vec<RetiredOutcome>, Vec<XRetiredOutcome>) {
-        let mut retired: Vec<RetiredOutcome> = self
-            .retired
-            .iter()
-            .map(|(&txn, r)| RetiredOutcome {
-                txn,
-                decision: r.decision,
-                commit_version: r.commit_version,
-            })
-            .collect();
-        retired.sort_unstable_by_key(|r| r.txn);
-        let mut xretired: Vec<XRetiredOutcome> = self.xretired.values().cloned().collect();
-        xretired.sort_unstable_by_key(|x| x.txn);
+        let retired = self.retired.live().map(|r| r.outcome).collect();
+        let xretired = self.xretired.live().map(|x| x.outcome.clone()).collect();
         (retired, xretired)
     }
 
-    /// Installs a recovered checkpoint's outcomes. Each re-enters the
-    /// aging pipeline with a fresh clock: the recovered site grants
+    /// Installs a recovered checkpoint's outcomes, already in
+    /// transaction order. Each retires afresh: the recovered site grants
     /// stragglers a full horizon again rather than guessing how much had
     /// already elapsed.
     pub(crate) fn install_checkpoint(
@@ -472,23 +425,11 @@ impl TxnTable {
         retired: &[RetiredOutcome],
         xretired: &[XRetiredOutcome],
     ) {
-        let aging = self.retire_horizon.is_some();
-        for o in retired {
-            let entry = RetiredTxn {
-                decision: o.decision,
-                commit_version: o.commit_version,
-                decided_at: now,
-            };
-            self.retired.insert(o.txn, entry);
-            if aging {
-                self.age_queue.push_back((now, o.txn));
-            }
+        for &o in retired {
+            self.retired.insert(o, now, now);
         }
         for o in xretired {
-            if aging && !self.retired.contains_key(&o.txn) {
-                self.age_queue.push_back((now, o.txn));
-            }
-            self.xretired.insert(o.txn, o.clone());
+            self.xretired.insert(o.clone(), now, now);
         }
     }
 
@@ -500,20 +441,19 @@ impl TxnTable {
         self.txns.clear();
         self.xcoords.clear();
         self.acceptors.clear();
-        self.retired.clear();
-        self.xretired.clear();
+        self.retired = Ring::default();
+        self.xretired = Ring::default();
         self.retire_queue.clear();
-        self.age_queue.clear();
         self.first_lsn.clear();
     }
 
-    /// The table's part of the site fingerprint. Every map is hashed in
-    /// key order (iteration order is insertion history, not state);
-    /// times are hashed relative to `now`, and each gate as
+    /// The table's part of the site fingerprint. Every map and ring is
+    /// hashed in id order (a map's iteration order is history, not
+    /// state); times are hashed relative to `now`, and each gate as
     /// `above_watermark(gate)` — its distance above the durable
     /// watermark, zero when open — so states that differ only by a clock
     /// or log-position translation merge. The participant's audit trail
-    /// and `started_at` are history, not state, and are left out.
+    /// and retirement times are history, not state, and are left out.
     pub(crate) fn fingerprint(
         &self,
         now: Time,
@@ -561,14 +501,13 @@ impl TxnTable {
             h.write(format!("a{id:?}").as_bytes());
             self.acceptors[&id].fingerprint(now, h);
         }
-        for id in sorted_keys(&self.retired) {
-            let r = &self.retired[&id];
-            let age = now.since(r.decided_at).0;
-            h.write(format!("r{id:?}={:?},{:?},{age}", r.decision, r.commit_version).as_bytes());
+        for r in self.retired.live() {
+            let (o, age) = (&r.outcome, now.since(r.decided_at).0);
+            let (id, d, v) = (o.txn, o.decision, o.commit_version);
+            h.write(format!("r{id:?}={d:?},{v:?},{age}").as_bytes());
         }
-        for id in sorted_keys(&self.xretired) {
-            let x = &self.xretired[&id];
-            h.write(format!("xr{id:?}={:?},{:?}", x.decision, x.branches).as_bytes());
+        for x in self.xretired.live().map(|x| &x.outcome) {
+            h.write(format!("xr{:?}={:?},{:?}", x.txn, x.decision, x.branches).as_bytes());
         }
         for (t, id) in &self.retire_queue {
             h.write(format!("rq{}:{id:?}", now.since(*t).0).as_bytes());
@@ -584,4 +523,281 @@ fn sorted_keys<V>(map: &FastMap<TxnId, V>) -> Vec<TxnId> {
     let mut ids: Vec<TxnId> = map.keys().copied().collect();
     ids.sort_unstable();
     ids
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qbc_core::{ParticipantConfig, ProtocolKind, WriteSet};
+    use qbc_votes::{CatalogBuilder, ItemId};
+    use std::collections::BTreeMap;
+
+    const SITES: [SiteId; 3] = [SiteId(0), SiteId(1), SiteId(2)];
+
+    fn table(after: u64, horizon: u64) -> TxnTable {
+        let catalog = CatalogBuilder::new()
+            .item(ItemId(0), "x")
+            .copies_at(SITES)
+            .majority()
+            .build()
+            .unwrap();
+        let cfg = NodeConfig::new(SiteId(0), catalog, Duration(10))
+            .with_retirement(Duration(after))
+            .with_retire_horizon(Duration(horizon));
+        TxnTable::new(&cfg)
+    }
+
+    /// A branch spec of `txn` coordinated here, with this site as parent.
+    fn spec(txn: TxnId) -> Arc<TxnSpec> {
+        Arc::new(TxnSpec {
+            id: txn,
+            coordinator: SiteId(0),
+            writeset: WriteSet::new([(ItemId(0), 1)]),
+            participants: SITES.into_iter().collect(),
+            protocol: ProtocolKind::QuorumCommit2,
+            parent: Some(SiteId(0)),
+        })
+    }
+
+    /// Adds a live, undecided entry for `txn`.
+    fn begin(t: &mut TxnTable, txn: TxnId, now: Time) {
+        let participant = Participant::new(SiteId(0), txn, ParticipantConfig::default());
+        t.txns
+            .insert(txn, TxnState::new(spec(txn), participant, now));
+    }
+
+    /// Decides `txn`'s live entry at `now` and queues it for retirement.
+    fn decide(t: &mut TxnTable, txn: TxnId, outcome: Outcome, decided_at: Time, now: Time) {
+        if !t.txns.contains_key(&txn) {
+            begin(t, txn, decided_at);
+        }
+        let st = t.txns.get_mut(&txn).unwrap();
+        (st.decided, st.decided_at, st.decided_version) =
+            (Some(outcome.0), Some(decided_at), outcome.1);
+        t.schedule_retire(now, txn);
+    }
+
+    /// Hosts a coordination of `txn` decided at `now` and queues it for
+    /// retirement.
+    fn decide_x(t: &mut TxnTable, txn: TxnId, commit: bool, now: Time) {
+        let mut engine = XTxnCoordinator::new(txn, vec![spec(txn)]);
+        if commit {
+            engine.on_vote(SiteId(0), true, Some(Version(txn.0)));
+        } else {
+            engine.on_vote_timer();
+        }
+        t.xcoords.insert(
+            txn,
+            XCoord {
+                engine,
+                gate: Lsn(0),
+            },
+        );
+        t.schedule_retire(now, txn);
+    }
+
+    #[test]
+    fn a_branch_retired_after_its_coordination_keeps_its_own_horizon() {
+        let (after, horizon) = (5, 40);
+        let mut t = table(after, horizon);
+        let txn = TxnId(7);
+        // The parent site hosts the coordination and the local branch,
+        // which is still undecided when the coordination retires.
+        begin(&mut t, txn, Time(0));
+        decide_x(&mut t, txn, false, Time(0));
+        t.retire_due(Time(after), |_| false);
+        assert!(t.x_known(txn));
+        assert_eq!(t.retired_len(), 0);
+        // The branch learns the abort later and retires a sweep later.
+        let branch_retired = 20 + after;
+        decide(&mut t, txn, (Decision::Abort, None), Time(20), Time(20));
+        t.retire_due(Time(branch_retired), |_| false);
+        assert_eq!(t.retired_len(), 1);
+        // One horizon after the coordination retired, it is gone; the
+        // branch outcome has sat a shorter time and still answers.
+        t.retire_due(Time(after + horizon), |_| false);
+        assert!(!t.x_known(txn));
+        assert_eq!(t.xretired_len(), 0);
+        assert_eq!(t.decision(txn), Some(Decision::Abort));
+        t.retire_due(Time(branch_retired + horizon - 1), |_| false);
+        assert_eq!(t.retired_outcome(txn), Some((Decision::Abort, None)));
+        t.retire_due(Time(branch_retired + horizon), |_| false);
+        assert_eq!(t.decision(txn), None);
+        assert_eq!(t.retired_len(), 0);
+    }
+
+    /// splitmix64: a fixed-seed source for the model test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The reference: every retired outcome with its retirement time,
+    /// and the time of the last sweep. An outcome is visible while less
+    /// than the horizon has passed between its retirement and that
+    /// sweep.
+    #[derive(Clone, Default)]
+    struct Model {
+        plain: BTreeMap<TxnId, (Outcome, Time, Time)>,
+        x: BTreeMap<TxnId, (XRetiredOutcome, Time)>,
+        sweep: Time,
+    }
+
+    impl Model {
+        fn visible(&self, retired: Time, horizon: u64) -> bool {
+            self.sweep.since(retired) < Duration(horizon)
+        }
+
+        fn plain(&self, txn: TxnId, horizon: u64) -> Option<(Outcome, Time)> {
+            let &(outcome, decided_at, retired) = self.plain.get(&txn)?;
+            self.visible(retired, horizon)
+                .then_some((outcome, decided_at))
+        }
+
+        fn x(&self, txn: TxnId, horizon: u64) -> Option<&XRetiredOutcome> {
+            let (x, retired) = self.x.get(&txn)?;
+            self.visible(*retired, horizon).then_some(x)
+        }
+
+        fn checkpoint(&self, horizon: u64) -> (Vec<RetiredOutcome>, Vec<XRetiredOutcome>) {
+            let plain = self.plain.iter().filter(|e| self.visible(e.1 .2, horizon));
+            let x = self.x.values().filter(|e| self.visible(e.1, horizon));
+            (
+                plain
+                    .map(|(&txn, &((decision, commit_version), ..))| RetiredOutcome {
+                        txn,
+                        decision,
+                        commit_version,
+                    })
+                    .collect(),
+                x.map(|(x, _)| x.clone()).collect(),
+            )
+        }
+    }
+
+    /// Every outcome answer of `t` for `txn` against the model's.
+    fn check(t: &TxnTable, m: &Model, txn: TxnId, horizon: u64) {
+        let plain = m.plain(txn, horizon);
+        let x = m.x(txn, horizon);
+        assert_eq!(t.decision(txn), plain.map(|p| p.0 .0), "{txn:?}");
+        assert_eq!(t.decided_at(txn), plain.map(|p| p.1), "{txn:?}");
+        assert_eq!(t.retired_outcome(txn), plain.map(|p| p.0), "{txn:?}");
+        assert_eq!(t.x_known(txn), x.is_some(), "{txn:?}");
+        for to in SITES {
+            let want = x.map(|x| x.xdecide_for(to));
+            assert_eq!(t.x_reply(txn, to, false), want, "{txn:?}");
+            let want = want.or_else(|| {
+                plain.map(|((decision, _), _)| Msg::XDecide {
+                    txn,
+                    decision,
+                    commit_version: None,
+                })
+            });
+            assert_eq!(t.x_reply(txn, to, true), want, "{txn:?}");
+        }
+    }
+
+    /// Random retirements far out of id order, lookups below and above
+    /// the newest id, time steps across the horizon, checkpoints and
+    /// crashes that reinstall the last one, checked against [`Model`]
+    /// after every step. Ids ≡ 3 (mod 5) are cross-shard coordinations,
+    /// the rest plain transactions.
+    #[test]
+    fn outcome_answers_match_a_model_with_exact_aging() {
+        const HORIZON: u64 = 60;
+        const WINDOW: u64 = 100;
+        for seed in 0..8 {
+            let mut rng = Rng(seed);
+            let mut t = table(0, HORIZON);
+            let mut m = Model::default();
+            let mut ck = (Vec::new(), Vec::new());
+            let mut pending: Vec<u64> = (1..=WINDOW).collect();
+            let mut next = WINDOW + 1;
+            let mut now = 0;
+            for _ in 0..3_000 {
+                match rng.below(20) {
+                    0..=9 => {
+                        // Retire a few decided transactions, each one a
+                        // random pick from the next `WINDOW` ids.
+                        for _ in 0..=rng.below(4) {
+                            let k = rng.below(pending.len() as u64) as usize;
+                            let id = pending.swap_remove(k);
+                            pending.push(next);
+                            next += 1;
+                            let txn = TxnId(id);
+                            let commit = rng.below(3) > 0;
+                            if id % 5 == 3 {
+                                decide_x(&mut t, txn, commit, Time(now));
+                                let x = XRetiredOutcome {
+                                    txn,
+                                    decision: [Decision::Abort, Decision::Commit][commit as usize],
+                                    branches: vec![(
+                                        SiteId(0),
+                                        SITES.to_vec(),
+                                        commit.then_some(Version(id)),
+                                    )],
+                                };
+                                m.x.insert(txn, (x, Time(now)));
+                            } else {
+                                let outcome = match commit {
+                                    true => (Decision::Commit, Some(Version(rng.below(1_000)))),
+                                    false => (Decision::Abort, None),
+                                };
+                                let at = Time(now.saturating_sub(rng.below(3)));
+                                decide(&mut t, txn, outcome, at, Time(now));
+                                m.plain.insert(txn, (outcome, at, Time(now)));
+                            }
+                        }
+                        t.retire_due(Time(now), |_| false);
+                        assert!(t.txns.is_empty() && t.xcoords.is_empty());
+                        m.sweep = Time(now);
+                    }
+                    10..=14 => {
+                        now += rng.below(HORIZON / 3);
+                        t.retire_due(Time(now), |_| false);
+                        m.sweep = Time(now);
+                    }
+                    15..=17 => {
+                        ck = t.checkpoint_outcomes();
+                        assert_eq!(ck, m.checkpoint(HORIZON));
+                    }
+                    18 => {
+                        t.crash();
+                        t.install_checkpoint(Time(now), &ck.0, &ck.1);
+                        m.plain =
+                            ck.0.iter()
+                                .map(|o| {
+                                    (
+                                        o.txn,
+                                        ((o.decision, o.commit_version), Time(now), Time(now)),
+                                    )
+                                })
+                                .collect();
+                        m.x =
+                            ck.1.iter()
+                                .map(|x| (x.txn, (x.clone(), Time(now))))
+                                .collect();
+                    }
+                    _ => {}
+                }
+                for _ in 0..8 {
+                    check(&t, &m, TxnId(rng.below(next + 150)), HORIZON);
+                }
+                let (plain, x) = m.checkpoint(HORIZON);
+                assert_eq!(t.retired_len(), plain.len());
+                assert_eq!(t.xretired_len(), x.len());
+            }
+        }
+    }
 }
