@@ -19,13 +19,18 @@
 //!   protocol 1" (§3.2).
 
 use crate::actions::{Action, TimerKind};
+use crate::inline_vec::InlineVec;
 use crate::log::LogRecord;
 use crate::messages::Msg;
 use crate::types::{Decision, ProtocolKind, SiteVotes, TxnSpec};
 use qbc_simnet::SiteId;
 use qbc_votes::{Catalog, Version};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Sites the vote and PC-ACK sets keep inside the engine: a group of up
+/// to five sites never allocates for them; a larger one spills.
+const INLINE_SITES: usize = 5;
 
 /// Coordinator progress.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,12 +52,13 @@ pub enum CoordPhase {
 /// One writeset item's pre-resolved ack arithmetic: the copy weights
 /// and quorums are fixed for the life of the transaction, so they are
 /// snapshotted from the catalog once (when the prepare round starts)
-/// and every PC-ACK afterwards costs a small in-cache scan instead of a
-/// catalog walk per item per ack.
+/// and every PC-ACK afterwards costs a lookup in the item's placement
+/// instead of a catalog walk per item per ack.
 #[derive(Clone, Debug)]
 struct ItemTally {
-    /// Copy holders and their vote weights, in site order.
-    copies: Vec<(SiteId, u32)>,
+    /// Copy holders and their vote weights: the catalog's shared
+    /// placement.
+    copies: Arc<BTreeMap<SiteId, u32>>,
     /// `w(x)` — the QC1 commit point per item.
     write_quorum: u32,
     /// `r(x)` — the QC2 commit point per item.
@@ -68,8 +74,10 @@ pub struct Coordinator {
     /// Site-vote parameters (Skeen `[16]` only).
     site_votes: Option<SiteVotes>,
     phase: CoordPhase,
-    votes: BTreeMap<SiteId, (bool, Version)>,
-    pc_acks: BTreeSet<SiteId>,
+    /// Each voter's vote and reported version, sorted by site.
+    votes: InlineVec<(SiteId, (bool, Version)), INLINE_SITES>,
+    /// Sites that acked the prepare round, sorted.
+    pc_acks: InlineVec<SiteId, INLINE_SITES>,
     /// One tally per writeset item (QC1/QC2 only; built at prepare).
     tallies: Vec<ItemTally>,
     commit_version: Option<Version>,
@@ -92,8 +100,8 @@ impl Coordinator {
             spec,
             site_votes,
             phase: CoordPhase::SolicitingVotes,
-            votes: BTreeMap::new(),
-            pc_acks: BTreeSet::new(),
+            votes: InlineVec::new(),
+            pc_acks: InlineVec::new(),
             tallies: Vec::new(),
             commit_version: None,
             weaken_qc1: false,
@@ -123,13 +131,13 @@ impl Coordinator {
             .items()
             .map(|x| match catalog.item(x) {
                 Some(i) => ItemTally {
-                    copies: i.copies.iter().map(|(&s, &w)| (s, w)).collect(),
+                    copies: Arc::clone(&i.copies),
                     write_quorum: i.write_quorum,
                     read_quorum: i.read_quorum,
                     acked: 0,
                 },
                 None => ItemTally {
-                    copies: Vec::new(),
+                    copies: Arc::default(),
                     write_quorum: u32::MAX,
                     read_quorum: u32::MAX,
                     acked: 0,
@@ -200,7 +208,15 @@ impl Coordinator {
         if !self.spec.participants.contains(&from) {
             return;
         }
-        self.votes.insert(from, (yes, max_version));
+        let vote = (yes, max_version);
+        match self
+            .votes
+            .as_slice()
+            .binary_search_by_key(&from, |&(s, _)| s)
+        {
+            Ok(at) => self.votes.as_mut_slice()[at].1 = vote,
+            Err(at) => self.votes.insert(at, (from, vote)),
+        }
         if !yes {
             // "The transaction can be committed iff every site votes yes."
             self.abort_unilaterally(out);
@@ -211,8 +227,9 @@ impl Coordinator {
             // any participant holds (Gifford's currency rule).
             let v = self
                 .votes
-                .values()
-                .map(|(_, v)| *v)
+                .as_slice()
+                .iter()
+                .map(|&(_, (_, v))| v)
                 .max()
                 .unwrap_or(Version::INITIAL);
             self.commit_version = Some(v.next());
@@ -257,11 +274,12 @@ impl Coordinator {
         if self.phase != CoordPhase::Preparing {
             return;
         }
-        if self.pc_acks.insert(from) {
+        if let Err(at) = self.pc_acks.as_slice().binary_search(&from) {
+            self.pc_acks.insert(at, from);
             // First ack from this site: fold its copy weights into the
             // per-item tallies (duplicates must not double-count).
             for t in &mut self.tallies {
-                if let Some(&(_, w)) = t.copies.iter().find(|&&(s, _)| s == from) {
+                if let Some(&w) = t.copies.get(&from) {
                     t.acked += w;
                 }
             }
@@ -343,7 +361,7 @@ impl Coordinator {
             ProtocolKind::ThreePhase => self.pc_acks.len() == self.spec.participants.len(),
             ProtocolKind::SkeenQuorum => {
                 let sv = self.site_votes.as_ref().expect("validated in new()");
-                sv.votes_among(&self.pc_acks) >= sv.commit_quorum
+                sv.votes_among(self.pc_acks.as_slice()) >= sv.commit_quorum
             }
             // QC1: w(x) PC-ACK votes for every x — "receiving these
             // PC-ACKs ensures that an abort quorum can never be formed".

@@ -27,6 +27,7 @@
 mod actions;
 mod commit_engine;
 mod coordinator;
+mod inline_vec;
 pub mod log;
 mod messages;
 mod participant;

@@ -18,6 +18,7 @@
 //! (answering prepares across the PC/PA wall) for the E3/E10 experiments.
 
 use crate::actions::Action;
+use crate::inline_vec::InlineVec;
 use crate::log::{LogRecord, RecoveredTxn};
 use crate::messages::Msg;
 use crate::states::{LocalState, Transition};
@@ -66,7 +67,9 @@ pub struct Participant {
     state: LocalState,
     commit_version: Option<Version>,
     /// Audit trail of every state change (consumed by experiment E6).
-    transitions: Vec<Transition>,
+    /// A correct run makes at most three (`q → W → PC → C`), kept
+    /// inline; a longer faulty-mode run spills to the heap.
+    transitions: InlineVec<Transition, 3>,
     /// Set when a command conflicting with an irrevocable decision
     /// arrived (never in correct runs).
     conflicting_command: bool,
@@ -82,7 +85,7 @@ impl Participant {
             spec: None,
             state: LocalState::Initial,
             commit_version: None,
-            transitions: Vec::new(),
+            transitions: InlineVec::new(),
             conflicting_command: false,
         }
     }
@@ -101,7 +104,7 @@ impl Participant {
             spec: rec.spec.clone(),
             state: rec.state,
             commit_version: rec.commit_version,
-            transitions: Vec::new(),
+            transitions: InlineVec::new(),
             conflicting_command: false,
         }
     }
@@ -128,7 +131,7 @@ impl Participant {
 
     /// Every state change this engine performed (for Fig. 6 audits).
     pub fn transitions(&self) -> &[Transition] {
-        &self.transitions
+        self.transitions.as_slice()
     }
 
     /// Overrides the vote this participant will cast on `VOTE-REQ`.
@@ -633,6 +636,26 @@ mod tests {
         assert_eq!(p.state(), LocalState::PreCommit);
         // The audit trail records the illegal transition.
         assert!(p.transitions().iter().any(|t| !t.is_legal()));
+        // Back across the wall and on to commit: a run longer than the
+        // trail's inline capacity keeps every transition.
+        p.on_msg_v(SiteId(2), &Msg::PrepareAbort { txn: TxnId(1) }, Version(0));
+        let commit = Msg::Commit {
+            txn: TxnId(1),
+            commit_version: Version(5),
+        };
+        p.on_msg_v(SiteId(3), &commit, Version(0));
+        use LocalState::*;
+        let trail: Vec<_> = p.transitions().iter().map(|t| (t.from, t.to)).collect();
+        assert_eq!(
+            trail,
+            [
+                (Initial, Wait),
+                (Wait, PreAbort),
+                (PreAbort, PreCommit),
+                (PreCommit, PreAbort),
+                (PreAbort, Committed),
+            ]
+        );
     }
 
     #[test]

@@ -17,9 +17,10 @@ use std::fmt;
 use crate::types::Decision;
 
 /// A participant's local state for one transaction.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum LocalState {
     /// `q` — has not voted.
+    #[default]
     Initial,
     /// `W` — voted yes, awaiting the coordinator.
     Wait,
@@ -112,7 +113,7 @@ impl fmt::Display for LocalState {
 
 /// A witness of one state transition, recorded by participants so the
 /// Fig. 6 conformance experiment (E6) can audit entire runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct Transition {
     /// State before.
     pub from: LocalState,

@@ -205,7 +205,7 @@ impl SiteNode {
     /// Number of live (unretired) per-transaction state entries — the
     /// table the retention policy ([`NodeConfig::retire_after`]) bounds.
     pub fn txn_table_len(&self) -> usize {
-        self.table.txns.len()
+        self.table.len()
     }
 
     /// Number of transactions retired to compact outcome records.
@@ -249,11 +249,7 @@ impl SiteNode {
 
     /// True while the transaction is declared blocked at this site.
     pub fn is_blocked(&self, txn: TxnId) -> bool {
-        self.table
-            .txns
-            .get(&txn)
-            .map(|t| t.blocked)
-            .unwrap_or(false)
+        self.table.get(txn).is_some_and(|t| t.blocked())
     }
 
     /// The commit version this site associates with its decision for
@@ -265,16 +261,13 @@ impl SiteNode {
 
     /// All transactions this site knows about, in id order.
     pub fn known_txns(&self) -> Vec<TxnId> {
-        let mut out: Vec<TxnId> = self.table.txns.keys().copied().collect();
-        out.sort_unstable();
-        out
+        self.table.ids()
     }
 
     /// The audit trail of participant state transitions (experiment E6).
     pub fn transitions(&self, txn: TxnId) -> &[Transition] {
         self.table
-            .txns
-            .get(&txn)
+            .get(txn)
             .map(|t| t.participant.transitions())
             .unwrap_or(&[])
     }
@@ -365,11 +358,7 @@ impl SiteNode {
 
     /// Number of termination rounds this site initiated for `txn`.
     pub fn termination_rounds(&self, txn: TxnId) -> u64 {
-        self.table
-            .txns
-            .get(&txn)
-            .map(|t| t.termination_rounds)
-            .unwrap_or(0)
+        self.table.get(txn).map_or(0, |t| t.termination_rounds())
     }
 
     /// Number of WAL forces this site has paid (one per flush; with
@@ -469,7 +458,7 @@ impl SiteNode {
     fn install_leader(&mut self, txn: TxnId, mut leader: Box<dyn CommitEngine>) -> Vec<Action> {
         let mut actions = self.take_actions();
         leader.start(&mut actions);
-        self.table.txns.get_mut(&txn).expect("ensured").leader = Some(leader);
+        self.table.get_mut(txn).expect("ensured").leader = Some(leader);
         actions
     }
 
@@ -530,7 +519,7 @@ impl SiteNode {
         // Remember the sibling coordinators even on a duplicate request:
         // a retried solicitation may be the first one that arrives after
         // this entry was created by an in-shard message.
-        st.x_siblings = siblings.to_vec();
+        st.escalation_mut().x_siblings = siblings.to_vec();
         if st.leader.is_some() || st.decided.is_some() {
             return; // duplicate request
         }
@@ -637,12 +626,13 @@ impl SiteNode {
                     decision: Decision::Commit,
                 })
             {
-                let driving = self
-                    .table
-                    .txns
-                    .get(&txn)
-                    .is_some_and(|st| st.leader.is_some() || st.termination.is_some())
-                    || self.table.xcoords.contains_key(&txn);
+                let driving = self.table.get(txn).is_some_and(|st| {
+                    st.leader.is_some()
+                        || st
+                            .escalation
+                            .as_ref()
+                            .is_some_and(|e| e.termination.is_some())
+                }) || self.table.xcoords.contains_key(&txn);
                 if driving {
                     self.cfg.emit(at, Some(txn), EventKind::CommitPoint);
                 }
@@ -659,7 +649,7 @@ impl SiteNode {
     fn ensure_txn(&mut self, now: Time, spec: &Arc<TxnSpec>) -> &mut TxnState {
         let site = self.cfg.site;
         let faulty = self.cfg.faulty;
-        self.table.txns.entry(spec.id).or_insert_with(|| {
+        self.table.get_or_insert_with(spec.id, || {
             let participant = Participant::new(
                 site,
                 spec.id,
@@ -774,8 +764,7 @@ impl SiteNode {
                 let irrevocable = commit
                     && self
                         .table
-                        .txns
-                        .get(&txn)
+                        .get(txn)
                         .is_some_and(|st| st.spec.commit_precedes_decided());
                 if !irrevocable {
                     self.table.raise_gate(txn, lsn);
@@ -961,7 +950,7 @@ impl SiteNode {
         // A retired transaction answers every straggler with its outcome
         // instead of resurrecting state (`Decided` itself needs no
         // answer — and must not echo into a reply loop).
-        if !self.table.txns.contains_key(&txn) {
+        if !self.table.contains(txn) {
             if let Some(outcome) = self.table.retired_outcome(txn) {
                 if !matches!(m, Msg::Decided { .. }) {
                     self.send_decided(ctx, from, txn, outcome);
@@ -978,7 +967,7 @@ impl SiteNode {
             }
             _ => {}
         }
-        if !self.table.txns.contains_key(&txn) {
+        if !self.table.contains(txn) {
             // A message about a transaction this site knows nothing of
             // (e.g. a stray ack to a recovered coordinator): ignore.
             return;
@@ -1000,7 +989,7 @@ impl SiteNode {
                 return;
             }
             if from != self.cfg.site {
-                if let Some(st) = self.table.txns.get_mut(&txn) {
+                if let Some(st) = self.table.get_mut(txn) {
                     st.last_coord_contact = ctx.now();
                 }
             }
@@ -1020,10 +1009,11 @@ impl SiteNode {
 
         // Dynamic vote decision: scripted no-votes and lock conflicts.
         if let Msg::VoteReq { spec } = &m {
-            if self.table.txns[&txn].participant.state() == LocalState::Initial {
+            let st = self.table.get(txn).expect("ensured");
+            if st.participant.state() == LocalState::Initial {
                 let scripted_no = self.cfg.vote_no_on.contains(&txn);
                 let locked = scripted_no || !self.try_lock_writeset(ctx.now(), txn, spec);
-                let st = self.table.txns.get_mut(&txn).expect("ensured");
+                let st = self.table.get_mut(txn).expect("ensured");
                 st.participant.set_vote(!locked);
                 if !locked {
                     self.reads.pin(txn, &self.items, spec, None);
@@ -1039,15 +1029,17 @@ impl SiteNode {
         // `VOTE-REQ` handling reads it — a vote is the only reply that
         // carries a version — so every other message skips the walk.
         let local_max_version = match &m {
-            Msg::VoteReq { .. } => local_max_version(&self.items, &self.table.txns[&txn].spec)
-                .unwrap_or(Version::INITIAL),
+            Msg::VoteReq { .. } => {
+                let spec = &self.table.get(txn).expect("ensured").spec;
+                local_max_version(&self.items, spec).unwrap_or(Version::INITIAL)
+            }
             _ => Version::INITIAL,
         };
 
         let mut actions = self.take_actions();
         {
             let catalog: &Catalog = &self.cfg.catalog;
-            let st = self.table.txns.get_mut(&txn).expect("checked");
+            let st = self.table.get_mut(txn).expect("checked");
             st.last_coord_contact = ctx.now();
             // The leader's messages: votes, PC-ACKs, Paxos 1b/2b, and a
             // straggler's `Decided`, which ends a live Paxos candidacy
@@ -1064,12 +1056,12 @@ impl SiteNode {
                 // Leader-only: handled above.
                 Msg::Vote { .. } | Msg::PaxosP1b { .. } | Msg::PaxosP2b { .. } => {}
                 Msg::PcAck { .. } => {
-                    if let Some(t) = st.termination.as_mut() {
+                    if let Some(t) = st.termination_mut() {
                         actions.extend(t.on_pc_ack(from, catalog));
                     }
                 }
                 Msg::PaAck { .. } => {
-                    if let Some(t) = st.termination.as_mut() {
+                    if let Some(t) = st.termination_mut() {
                         actions.extend(t.on_pa_ack(from, catalog));
                     }
                 }
@@ -1079,7 +1071,7 @@ impl SiteNode {
                     pc_version,
                     ..
                 } => {
-                    if let Some(t) = st.termination.as_mut() {
+                    if let Some(t) = st.termination_mut() {
                         actions.extend(t.on_state_rep(from, *round, *state, *pc_version, catalog));
                     }
                 }
@@ -1088,7 +1080,7 @@ impl SiteNode {
                     commit_version,
                     ..
                 } => {
-                    if let Some(t) = st.termination.as_mut() {
+                    if let Some(t) = st.termination_mut() {
                         actions.extend(t.on_decided(*decision, *commit_version));
                     }
                     st.participant
@@ -1134,12 +1126,7 @@ impl SiteNode {
     ) {
         let site = self.cfg.site;
         let mut actions = self.take_actions();
-        let Some(st) = self
-            .table
-            .txns
-            .get_mut(&txn)
-            .filter(|st| st.decided.is_none())
-        else {
+        let Some(st) = self.table.get_mut(txn).filter(|st| st.decided.is_none()) else {
             // Unknown, retired or decided: nothing held here.
             self.recycle_actions(actions);
             return;
@@ -1182,11 +1169,11 @@ impl SiteNode {
                     self.send_net(ctx, to, NetMsg::Proto(command.clone()));
                 }
                 if !spec.participants.contains(&site) {
-                    if let Some(st) = self.table.txns.get_mut(&txn) {
+                    if let Some(st) = self.table.get_mut(txn) {
                         let fresh = st.decided.is_none();
                         st.decided = Some(decision);
                         st.decided_at = Some(ctx.now());
-                        st.decided_version = version;
+                        st.escalation_mut().decided_version = version;
                         if fresh {
                             self.note_decision(txn, decision, version);
                         }
@@ -1217,7 +1204,7 @@ impl SiteNode {
     /// before it where the commit was irrevocable first (a quorum
     /// engine's PC-ACK quorum).
     fn adopt_coordinator_decision(&mut self, now: Time, txn: TxnId) {
-        let Some(st) = self.table.txns.get(&txn) else {
+        let Some(st) = self.table.get(txn) else {
             return;
         };
         if st.decided.is_some() || st.spec.participants.contains(&self.cfg.site) {
@@ -1317,8 +1304,8 @@ impl SiteNode {
                     self.start_termination_election(ctx, txn);
                 }
                 Action::DeclareBlocked { txn } => {
-                    if let Some(st) = self.table.txns.get_mut(&txn) {
-                        st.blocked = true;
+                    if let Some(st) = self.table.get_mut(txn) {
+                        st.escalation_mut().blocked = true;
                     }
                     if self.cfg.retry_blocked {
                         ctx.set_timer(
@@ -1344,7 +1331,7 @@ impl SiteNode {
         f: impl FnOnce(&mut TxnState, &Catalog, &mut Vec<Action>),
     ) {
         let mut actions = self.take_actions();
-        if let Some(st) = self.table.txns.get_mut(&txn) {
+        if let Some(st) = self.table.get_mut(txn) {
             f(st, &self.cfg.catalog, &mut actions);
         }
         self.apply_actions(ctx, txn, self.cfg.site, actions);
@@ -1402,14 +1389,16 @@ impl SiteNode {
             "{txn:?} applied before irrevocable"
         );
         let mut applied = false;
-        if let Some(st) = self.table.txns.get_mut(&txn) {
+        if let Some(st) = self.table.get_mut(txn) {
             if st.decided.is_some() {
                 return;
             }
             applied = true;
             st.decided = Some(decision);
             st.decided_at = Some(now);
-            st.blocked = false;
+            if let Some(e) = st.escalation.as_deref_mut() {
+                e.blocked = false;
+            }
             if decision == Decision::Commit {
                 let version = commit_version.expect("commit carries version");
                 let spec = Arc::clone(&st.spec);
@@ -1442,7 +1431,7 @@ impl SiteNode {
     }
 
     fn arm_watchdog(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
-        if let Some(st) = self.table.txns.get_mut(&txn) {
+        if let Some(st) = self.table.get_mut(txn) {
             if st.decided.is_none() && !st.watchdog_armed {
                 st.watchdog_armed = true;
                 ctx.set_timer(
@@ -1454,10 +1443,10 @@ impl SiteNode {
     }
 
     fn start_termination_election(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
-        let Some(st) = self.table.txns.get_mut(&txn) else {
+        let Some(st) = self.table.get_mut(txn) else {
             return;
         };
-        if st.decided.is_some() || st.termination_rounds >= self.cfg.max_termination_rounds {
+        if st.decided.is_some() || st.termination_rounds() >= self.cfg.max_termination_rounds {
             return;
         }
         if let Some(parent) = st.spec.parent {
@@ -1469,7 +1458,7 @@ impl SiteNode {
             // Sibling branch coordinators are asked alongside the
             // parent — any decided branch can relay the outcome, so a
             // crashed parent no longer blocks until recovery.
-            let targets = discovery_targets(parent, &st.x_siblings, self.cfg.site);
+            let targets = discovery_targets(parent, st.x_siblings(), self.cfg.site);
             for to in targets {
                 self.send_net(ctx, to, NetMsg::Proto(Msg::XOutcomeReq { txn }));
             }
@@ -1484,8 +1473,9 @@ impl SiteNode {
             // acceptor majority then tells the candidate what (if
             // anything) was already chosen; unchosen instances are
             // presumed aborted.
-            st.termination_rounds += 1;
-            let bal = qbc_election::recovery_ballot(st.termination_rounds, self.cfg.site);
+            let esc = st.escalation_mut();
+            esc.termination_rounds += 1;
+            let bal = qbc_election::recovery_ballot(esc.termination_rounds, self.cfg.site);
             let candidate = PaxosLeader::recover(Arc::clone(&st.spec), bal);
             let candidate = self.paxos_leader(candidate);
             let actions = self.install_leader(txn, candidate);
@@ -1518,7 +1508,7 @@ impl SiteNode {
             self.send_decided(ctx, from, txn, outcome);
             return;
         }
-        let st = self.table.txns.get_mut(&txn).expect("ensured");
+        let st = self.table.get_mut(txn).expect("ensured");
         st.last_coord_contact = ctx.now();
         let actions = st.elector(self.cfg.site).step(ElInput::Msg { from, msg });
         self.apply_election_actions(ctx, txn, spec, actions);
@@ -1547,7 +1537,7 @@ impl SiteNode {
                 }
                 ElAction::Elected => self.start_termination_round(ctx, txn),
                 ElAction::CoordinatorIs(_) => {
-                    if let Some(st) = self.table.txns.get_mut(&txn) {
+                    if let Some(st) = self.table.get_mut(txn) {
                         st.last_coord_contact = ctx.now();
                     }
                 }
@@ -1556,7 +1546,7 @@ impl SiteNode {
     }
 
     fn start_termination_round(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
-        let Some(st) = self.table.txns.get_mut(&txn) else {
+        let Some(st) = self.table.get_mut(txn) else {
             return;
         };
         if st.decided.is_some() {
@@ -1567,18 +1557,19 @@ impl SiteNode {
         // irrevocable before the round runs (see
         // `Participant::veto_abort`).
         let mut veto = self.take_actions();
-        let st = self.table.txns.get_mut(&txn).expect("checked above");
+        let st = self.table.get_mut(txn).expect("checked above");
         st.participant.veto_abort(&mut veto);
         if veto.is_empty() {
             self.recycle_actions(veto);
         } else {
             self.apply_actions(ctx, txn, self.cfg.site, veto);
         }
-        let Some(st) = self.table.txns.get_mut(&txn) else {
+        let Some(st) = self.table.get_mut(txn) else {
             return;
         };
-        st.termination_rounds += 1;
-        let round = st.termination_rounds;
+        let esc = st.escalation_mut();
+        esc.termination_rounds += 1;
+        let round = esc.termination_rounds;
         let kind = qbc_core::termination_kind_for(st.spec.protocol, self.cfg.site_votes.as_ref());
         let (term, actions) = Termination::start(
             self.cfg.site,
@@ -1588,7 +1579,7 @@ impl SiteNode {
             st.participant.state(),
             st.participant.commit_version(),
         );
-        st.termination = Some(Box::new(term));
+        st.escalation_mut().termination = Some(Box::new(term));
         self.cfg
             .emit(ctx.now(), Some(txn), EventKind::TerminationRound { round });
         self.apply_actions(ctx, txn, self.cfg.site, actions);
@@ -1655,14 +1646,14 @@ impl Process for SiteNode {
                 }
                 TimerKind::StateCollection { txn, round } => {
                     self.step(ctx, txn, |st, catalog, out| {
-                        if let Some(t) = st.termination.as_mut() {
+                        if let Some(t) = st.termination_mut() {
                             out.extend(t.on_state_timer(round, catalog));
                         }
                     })
                 }
                 TimerKind::TerminationAcks { txn, round } => {
                     self.step(ctx, txn, |st, catalog, out| {
-                        if let Some(t) = st.termination.as_mut() {
+                        if let Some(t) = st.termination_mut() {
                             out.extend(t.on_acks_timer(round, catalog));
                         }
                     })
@@ -1682,23 +1673,20 @@ impl Process for SiteNode {
                     }
                 }
                 TimerKind::BlockedRetry { txn } => {
-                    let undecided = self
-                        .table
-                        .txns
-                        .get(&txn)
-                        .map(|st| st.decided.is_none())
-                        .unwrap_or(false);
+                    let undecided = self.table.get(txn).is_some_and(|st| st.decided.is_none());
                     if undecided {
                         self.start_termination_election(ctx, txn);
                     }
                 }
             },
             NodeTimer::Election { txn, timer } => {
-                let (spec, actions) = match self.table.txns.get_mut(&txn) {
-                    Some(st) if st.decided.is_none() => match st.elector.as_mut() {
-                        Some(e) => (Arc::clone(&st.spec), e.step(ElInput::Timer(timer))),
-                        None => return,
-                    },
+                let (spec, actions) = match self.table.get_mut(txn) {
+                    Some(st) if st.decided.is_none() => {
+                        match st.escalation.as_mut().and_then(|e| e.elector.as_mut()) {
+                            Some(e) => (Arc::clone(&st.spec), e.step(ElInput::Timer(timer))),
+                            None => return,
+                        }
+                    }
                     _ => return,
                 };
                 self.apply_election_actions(ctx, txn, spec, actions);
@@ -1831,14 +1819,14 @@ impl Process for SiteNode {
             let mut st = TxnState::new(spec, participant, ctx.now());
             st.decided = decided;
             st.decided_at = decided.map(|_| ctx.now());
-            self.table.txns.insert(txn, st);
+            self.table.insert(txn, st);
             if decided.is_none() {
                 self.arm_watchdog(ctx, txn);
             } else {
                 self.table.schedule_retire(ctx.now(), txn);
             }
             // Coordinator-side recovery duties.
-            let st = self.table.txns.get(&txn).expect("just inserted");
+            let st = self.table.get(txn).expect("just inserted");
             if st.spec.coordinator != site {
                 continue;
             }
@@ -1883,13 +1871,12 @@ impl Process for SiteNode {
                         // Terminate the local participant too.
                         let mut actions = self.take_actions();
                         self.table
-                            .txns
-                            .get_mut(&txn)
+                            .get_mut(txn)
                             .expect("present")
                             .participant
                             .on_msg(site, &Msg::Abort { txn }, Version::INITIAL, &mut actions);
                         self.apply_actions(ctx, txn, site, actions);
-                    } else if let Some(st) = self.table.txns.get_mut(&txn) {
+                    } else if let Some(st) = self.table.get_mut(txn) {
                         st.decided = Some(Decision::Abort);
                         st.decided_at = Some(ctx.now());
                         self.note_decision(txn, Decision::Abort, None);
@@ -1954,7 +1941,7 @@ impl SiteNode {
         let watchdog = self.cfg.watchdog_3t();
         let site = self.cfg.site;
         {
-            let Some(st) = self.table.txns.get_mut(&txn) else {
+            let Some(st) = self.table.get_mut(txn) else {
                 return;
             };
             st.watchdog_armed = false;
@@ -1964,7 +1951,7 @@ impl SiteNode {
         }
         let mut actions = self.take_actions();
         let (expired, orphan_discovery) = {
-            let st = self.table.txns.get_mut(&txn).expect("checked above");
+            let st = self.table.get_mut(txn).expect("checked above");
             if now.since(st.last_coord_contact) >= watchdog {
                 if st.spec.protocol == ProtocolKind::PaxosCommit
                     && st.participant.state() == LocalState::Initial
@@ -1991,7 +1978,7 @@ impl SiteNode {
                 let discovery = if actions.is_empty() && st.spec.coordinator == site {
                     st.spec
                         .parent
-                        .map(|p| discovery_targets(p, &st.x_siblings, site))
+                        .map(|p| discovery_targets(p, st.x_siblings(), site))
                 } else {
                     None
                 };

@@ -17,6 +17,15 @@
 //! * **aged out** — [`NodeConfig::retire_horizon`] after its own
 //!   retirement the outcome is absent, and a straggler gets silence.
 //!
+//! A live entry is one [`TxnState`] of at most 128 B, boxed: its map
+//! slot holds the id and the box, 16 B. The map runs 44–88 % full, and
+//! the tombstones retirement leaves can halve that again; that slack
+//! costs 16 B slots, not whole entries. What only termination and
+//! cross-shard outcome discovery use sits in a second box
+//! ([`Escalation`]) that most transactions never allocate. Callers
+//! reach entries through [`TxnTable::get`] and its siblings; none of
+//! them sees the map.
+//!
 //! Every outcome lookup tries the live entry first, then the ring. The
 //! table also keeps what the log needs to know of its entries: each
 //! entry's *gate* (the end LSN of the newest gating record staged for
@@ -36,11 +45,20 @@ use qbc_simnet::{Duration, FastHasher, Fingerprint, SiteId, Time};
 use qbc_storage::Lsn;
 use qbc_votes::{FastMap, Version};
 use std::collections::VecDeque;
+use std::mem::size_of;
 use std::sync::Arc;
 
 /// A decided transaction's `(decision, commit version)`: what a
 /// straggler is told.
 pub(crate) type Outcome = (Decision, Option<Version>);
+
+/// What the table's map keeps per transaction: the entry lives behind
+/// it, so an empty or tombstoned slot costs 16 B, not an entry.
+type Entry = Box<TxnState>;
+
+// A field that re-inflates the entry or the map slot fails the build.
+const _: () = assert!(size_of::<TxnState>() <= 128, "TxnState outgrew 128 B");
+const _: () = assert!(size_of::<Entry>() <= 16, "the map value outgrew 16 B");
 
 /// Per-transaction state hosted at this site.
 #[derive(Clone, Debug)]
@@ -52,12 +70,9 @@ pub(crate) struct TxnState {
     /// a [`qbc_core::PaxosLeader`] — the ballot-0 leader there, or a
     /// recovery candidate at any participant whose watchdog fired. A
     /// later candidacy replaces an earlier engine; ballots only grow.
-    /// It and the two termination engines below are boxed: at two of
-    /// three sites every transaction is participant-only, and inline
-    /// they were three quarters of the entry.
+    /// Boxed: at two of three sites every transaction is
+    /// participant-only.
     pub(crate) leader: Option<Box<dyn CommitEngine>>,
-    pub(crate) termination: Option<Box<Termination>>,
-    pub(crate) elector: Option<Box<Elector>>,
     /// End LSN of the newest gating log record this site staged for the
     /// transaction ([`Lsn`]`(0)`: none) — every record but the `Decided`
     /// of a commit irrevocable before it. Whatever the transaction tells
@@ -68,13 +83,26 @@ pub(crate) struct TxnState {
     pub(crate) watchdog_armed: bool,
     pub(crate) decided: Option<Decision>,
     pub(crate) decided_at: Option<Time>,
+    /// Created on first use: see [`TxnState::escalation_mut`].
+    pub(crate) escalation: Option<Box<Escalation>>,
+}
+
+/// What a transaction needs only once it leaves the normal case —
+/// termination, the election before it, cross-shard outcome discovery —
+/// boxed apart from its [`TxnState`], which it would otherwise grow by
+/// half. The two engines stay boxed within: a branch coordinator
+/// creates this for its siblings alone.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Escalation {
+    pub(crate) termination: Option<Box<Termination>>,
+    pub(crate) elector: Option<Box<Elector>>,
+    pub(crate) termination_rounds: u64,
+    pub(crate) blocked: bool,
     /// Commit version adopted with an engine-less decision (a recovered
     /// copy-less branch coordinator learning `X-DECIDE` directly): the
     /// participant never saw a command, so the version must be kept
     /// here for retirement records and `Decided` re-announces.
     pub(crate) decided_version: Option<Version>,
-    pub(crate) blocked: bool,
-    pub(crate) termination_rounds: u64,
     /// Coordinators of the sibling branches of a cross-shard
     /// transaction (from `X-BRANCH-REQ`). Outcome discovery asks them
     /// alongside the parent: any branch that learned the top-level
@@ -91,18 +119,38 @@ impl TxnState {
             spec,
             participant,
             leader: None,
-            termination: None,
-            elector: None,
             gate: Lsn(0),
             last_coord_contact: now,
             watchdog_armed: false,
             decided: None,
             decided_at: None,
-            decided_version: None,
-            blocked: false,
-            termination_rounds: 0,
-            x_siblings: Vec::new(),
+            escalation: None,
         }
+    }
+
+    /// The escalation state, created on first use.
+    pub(crate) fn escalation_mut(&mut self) -> &mut Escalation {
+        self.escalation.get_or_insert_with(Box::default)
+    }
+
+    /// The termination engine, if a round runs here.
+    pub(crate) fn termination_mut(&mut self) -> Option<&mut Termination> {
+        self.escalation.as_mut()?.termination.as_deref_mut()
+    }
+
+    /// True while the transaction is declared blocked here.
+    pub(crate) fn blocked(&self) -> bool {
+        self.escalation.as_ref().is_some_and(|e| e.blocked)
+    }
+
+    /// Termination rounds this site initiated.
+    pub(crate) fn termination_rounds(&self) -> u64 {
+        self.escalation.as_ref().map_or(0, |e| e.termination_rounds)
+    }
+
+    /// The sibling branch coordinators outcome discovery asks.
+    pub(crate) fn x_siblings(&self) -> &[SiteId] {
+        self.escalation.as_ref().map_or(&[], |e| &e.x_siblings)
     }
 
     /// The commit version to re-announce with this entry's decision,
@@ -111,13 +159,15 @@ impl TxnState {
         self.participant
             .commit_version()
             .or_else(|| self.leader.as_ref().and_then(|l| l.commit_version()))
-            .or(self.decided_version)
+            .or_else(|| self.escalation.as_ref().and_then(|e| e.decided_version))
     }
 
     /// This site's elector for the transaction, created on first use.
     pub(crate) fn elector(&mut self, site: SiteId) -> &mut Elector {
         let participants = &self.spec.participants;
-        self.elector
+        let escalation = self.escalation.get_or_insert_with(Box::default);
+        escalation
+            .elector
             .get_or_insert_with(|| Box::new(Elector::new(site, participants.clone())))
     }
 }
@@ -133,11 +183,13 @@ pub(crate) struct XCoord {
 /// Every transaction a site knows about, live or retired.
 #[derive(Clone, Default)]
 pub(crate) struct TxnTable {
-    /// Per-transaction state. A (deterministic) hash map: the table
-    /// grows with every transaction the site hosts and sits on every
+    /// Live per-transaction entries, reached through [`TxnTable::get`]
+    /// and its siblings. A (deterministic) hash map: the table grows
+    /// with every transaction the site hosts and sits on every
     /// message's path; nothing iterates it in an order-sensitive way
-    /// (accessors sort), so O(1) lookups are free determinism-wise.
-    pub(crate) txns: FastMap<TxnId, TxnState>,
+    /// ([`TxnTable::ids`] sorts), so O(1) lookups are free
+    /// determinism-wise.
+    txns: FastMap<TxnId, Entry>,
     /// Cross-shard (top-level 2PC) coordinations hosted at this site.
     pub(crate) xcoords: FastMap<TxnId, XCoord>,
     /// Paxos Commit acceptor state, one per transaction this site
@@ -170,6 +222,47 @@ impl TxnTable {
             retire_horizon: cfg.retire_horizon,
             ..TxnTable::default()
         }
+    }
+
+    // ---- live entries -------------------------------------------------
+
+    /// `txn`'s live entry.
+    pub(crate) fn get(&self, txn: TxnId) -> Option<&TxnState> {
+        self.txns.get(&txn).map(|st| &**st)
+    }
+
+    /// `txn`'s live entry, mutably.
+    pub(crate) fn get_mut(&mut self, txn: TxnId) -> Option<&mut TxnState> {
+        self.txns.get_mut(&txn).map(|st| &mut **st)
+    }
+
+    /// True while `txn` has a live entry.
+    pub(crate) fn contains(&self, txn: TxnId) -> bool {
+        self.txns.contains_key(&txn)
+    }
+
+    /// Makes `st` the live entry of `txn`, replacing any.
+    pub(crate) fn insert(&mut self, txn: TxnId, st: TxnState) {
+        self.txns.insert(txn, Box::new(st));
+    }
+
+    /// `txn`'s live entry, made by `make` if there is none.
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        txn: TxnId,
+        make: impl FnOnce() -> TxnState,
+    ) -> &mut TxnState {
+        self.txns.entry(txn).or_insert_with(|| Box::new(make()))
+    }
+
+    /// Number of live entries.
+    pub(crate) fn len(&self) -> usize {
+        self.txns.len()
+    }
+
+    /// The ids of the live entries, ascending.
+    pub(crate) fn ids(&self) -> Vec<TxnId> {
+        sorted_keys(&self.txns)
     }
 
     // ---- outcomes: the live entry first, then the ring ----------------
@@ -464,30 +557,33 @@ impl TxnTable {
         use std::hash::Hasher as _;
         for id in sorted_keys(&self.txns) {
             let st = &self.txns[&id];
+            let esc = st.escalation.as_deref();
+            let termination = esc.and_then(|e| e.termination.as_deref());
+            let elector = esc.and_then(|e| e.elector.as_deref());
             let mut t = format!("t{id:?}");
             st.participant.fingerprint(now, h);
             if let Some(l) = &st.leader {
                 l.fingerprint(now, h);
             }
-            if let Some(term) = &st.termination {
+            if let Some(term) = termination {
                 term.fingerprint(now, h);
             }
-            if let Some(e) = &st.elector {
+            if let Some(e) = elector {
                 e.fingerprint(now, h);
             }
             let _ = write!(
                 t,
                 "|{}{}{}{}|{}|{:?}|{:?}|{}|{}|{:?}|{}",
                 st.leader.is_some() as u8,
-                st.termination.is_some() as u8,
-                st.elector.is_some() as u8,
+                termination.is_some() as u8,
+                elector.is_some() as u8,
                 st.watchdog_armed as u8,
                 now.since(st.last_coord_contact).0,
                 st.decided,
-                st.decided_version,
-                st.blocked as u8,
-                st.termination_rounds,
-                st.x_siblings,
+                esc.and_then(|e| e.decided_version),
+                st.blocked() as u8,
+                st.termination_rounds(),
+                st.x_siblings(),
                 above_watermark(st.gate),
             );
             h.write(t.as_bytes());
@@ -562,18 +658,17 @@ mod tests {
     /// Adds a live, undecided entry for `txn`.
     fn begin(t: &mut TxnTable, txn: TxnId, now: Time) {
         let participant = Participant::new(SiteId(0), txn, ParticipantConfig::default());
-        t.txns
-            .insert(txn, TxnState::new(spec(txn), participant, now));
+        t.insert(txn, TxnState::new(spec(txn), participant, now));
     }
 
     /// Decides `txn`'s live entry at `now` and queues it for retirement.
     fn decide(t: &mut TxnTable, txn: TxnId, outcome: Outcome, decided_at: Time, now: Time) {
-        if !t.txns.contains_key(&txn) {
+        if !t.contains(txn) {
             begin(t, txn, decided_at);
         }
-        let st = t.txns.get_mut(&txn).unwrap();
-        (st.decided, st.decided_at, st.decided_version) =
-            (Some(outcome.0), Some(decided_at), outcome.1);
+        let st = t.get_mut(txn).unwrap();
+        (st.decided, st.decided_at) = (Some(outcome.0), Some(decided_at));
+        st.escalation_mut().decided_version = outcome.1;
         t.schedule_retire(now, txn);
     }
 
@@ -640,6 +735,79 @@ mod tests {
 
         fn below(&mut self, n: u64) -> u64 {
             self.next() % n
+        }
+    }
+
+    /// The live-entry accessors and the truncation floor against a
+    /// `BTreeMap` reference. Entries are made (`get_or_insert_with`),
+    /// replaced (`insert`) and marked through `get_mut` in random id
+    /// order; decided ones retire, which removes them out of id order;
+    /// records are noted for live ids and for ids not live yet; and the
+    /// site crashes now and then. Each entry's mark is the time in its
+    /// `last_coord_contact`.
+    #[test]
+    fn live_entries_match_a_btreemap_reference() {
+        for seed in 0..8 {
+            let mut rng = Rng(seed);
+            let mut t = table(0, 1 << 40);
+            let mut live: BTreeMap<TxnId, u64> = BTreeMap::new();
+            // Each id's first noted record, kept as `note_record` keeps
+            // it: until its entry retires or the site crashes.
+            let mut first: BTreeMap<TxnId, Lsn> = BTreeMap::new();
+            let mut lsn = 0;
+            for step in 0..2_000 {
+                let txn = TxnId(rng.below(48));
+                let now = Time(step);
+                match rng.below(20) {
+                    0..=5 => {
+                        let st = t.get_or_insert_with(txn, || {
+                            let p = Participant::new(SiteId(0), txn, ParticipantConfig::default());
+                            TxnState::new(spec(txn), p, now)
+                        });
+                        let mark = *live.entry(txn).or_insert(step);
+                        assert_eq!(st.last_coord_contact, Time(mark), "{txn:?}");
+                    }
+                    6..=7 => {
+                        begin(&mut t, txn, now);
+                        live.insert(txn, step);
+                    }
+                    8..=10 => {
+                        if let Some(st) = t.get_mut(txn) {
+                            st.last_coord_contact = now;
+                        }
+                        if let Some(mark) = live.get_mut(&txn) {
+                            *mark = step;
+                        }
+                    }
+                    11..=14 => {
+                        lsn += 1 + rng.below(3);
+                        t.note_record(txn, Lsn(lsn));
+                        first.entry(txn).or_insert(Lsn(lsn));
+                    }
+                    15..=18 => {
+                        if live.remove(&txn).is_some() {
+                            decide(&mut t, txn, (Decision::Abort, None), now, now);
+                            t.retire_due(now, |_| false);
+                            first.remove(&txn);
+                            assert_eq!(t.retired_outcome(txn), Some((Decision::Abort, None)));
+                        }
+                    }
+                    _ => {
+                        t.crash();
+                        live.clear();
+                        first.clear();
+                    }
+                }
+                assert_eq!(t.len(), live.len());
+                assert_eq!(t.ids(), live.keys().copied().collect::<Vec<_>>());
+                for id in (0..48).map(TxnId) {
+                    assert_eq!(t.contains(id), live.contains_key(&id), "{id:?}");
+                    let mark = t.get(id).map(|st| st.last_coord_contact);
+                    assert_eq!(mark, live.get(&id).map(|&m| Time(m)), "{id:?}");
+                }
+                let floor = live.keys().filter_map(|id| first.get(id)).min();
+                assert_eq!(t.truncation_floor(), floor.copied());
+            }
         }
     }
 
@@ -760,7 +928,7 @@ mod tests {
                             }
                         }
                         t.retire_due(Time(now), |_| false);
-                        assert!(t.txns.is_empty() && t.xcoords.is_empty());
+                        assert!(t.len() == 0 && t.xcoords.is_empty());
                         m.sweep = Time(now);
                     }
                     10..=14 => {
