@@ -71,7 +71,7 @@ const N: u64 = 1_500;
 const THINK: u64 = 2;
 const ITEMS_PER_SHARD: u32 = 4_096;
 /// Bytes the cluster may hold per decided transaction. Boxed entries
-/// hold 1 422 B here (1 400–1 650 B for `N` from 1 000 to 3 000); an
+/// hold 1 366 B here (1 350–1 600 B for `N` from 1 000 to 3 000); an
 /// entry kept inline in its hash slot (192 B, times the map's slack, at
 /// three sites) with tree-based coordinator sets held 2 024 B
 /// (2 000–3 000 B).

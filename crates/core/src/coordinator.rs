@@ -28,9 +28,10 @@ use qbc_votes::{Catalog, Version};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Sites the vote and PC-ACK sets keep inside the engine: a group of up
-/// to five sites never allocates for them; a larger one spills.
-const INLINE_SITES: usize = 5;
+/// Sites the vote and PC-ACK sets keep inside the engine: the 3-site
+/// groups of the cluster workloads never allocate for them; a larger
+/// group spills.
+const INLINE_SITES: usize = 3;
 
 /// Coordinator progress.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,8 +101,8 @@ impl Coordinator {
             spec,
             site_votes,
             phase: CoordPhase::SolicitingVotes,
-            votes: InlineVec::new(),
-            pc_acks: InlineVec::new(),
+            votes: InlineVec::new((SiteId(0), (false, Version::INITIAL))),
+            pc_acks: InlineVec::new(SiteId(0)),
             tallies: Vec::new(),
             commit_version: None,
             weaken_qc1: false,

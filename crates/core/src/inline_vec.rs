@@ -12,7 +12,7 @@ use std::fmt;
 /// boxed `Vec`. The box is a thin pointer, so the spill path costs 8 B
 /// of the inline footprint and nothing else until it is taken.
 #[derive(Clone)]
-pub(crate) struct InlineVec<T: Copy + Default, const N: usize> {
+pub(crate) struct InlineVec<T: Copy, const N: usize> {
     inline: [T; N],
     /// Elements in use in `inline`; meaningless once `spill` is set.
     len: u8,
@@ -23,15 +23,16 @@ pub(crate) struct InlineVec<T: Copy + Default, const N: usize> {
     spill: Option<Box<Vec<T>>>,
 }
 
-impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
+impl<T: Copy, const N: usize> InlineVec<T, N> {
     /// Rejects, at compile time, a capacity `len` cannot count.
     const FITS: () = assert!(N <= u8::MAX as usize, "inline capacity exceeds u8");
 
-    /// An empty sequence.
-    pub(crate) fn new() -> Self {
+    /// An empty sequence. `fill` occupies the unused inline slots and is
+    /// never read back.
+    pub(crate) fn new(fill: T) -> Self {
         let () = Self::FITS;
         InlineVec {
-            inline: [T::default(); N],
+            inline: [fill; N],
             len: 0,
             spill: None,
         }
@@ -80,7 +81,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     }
 }
 
-impl<T: Copy + Default + fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
+impl<T: Copy + fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.as_slice()).finish()
     }
@@ -96,7 +97,7 @@ mod tests {
     fn matches_a_vec_across_the_spill() {
         let mut seed = 0x2545_f491_4f6c_dd1du64;
         for round in 0..200 {
-            let mut v: InlineVec<u16, 3> = InlineVec::new();
+            let mut v: InlineVec<u16, 3> = InlineVec::new(0);
             let mut model: Vec<u16> = Vec::new();
             for k in 0..(round % 9) {
                 seed ^= seed << 13;

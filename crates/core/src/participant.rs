@@ -27,6 +27,12 @@ use qbc_simnet::SiteId;
 use qbc_votes::Version;
 use std::sync::Arc;
 
+/// Fills the audit trail's unused inline slots; never read back.
+const NO_TRANSITION: Transition = Transition {
+    from: LocalState::Initial,
+    to: LocalState::Initial,
+};
+
 /// Whether the participant honours the PC/PA mutual-ignore rule.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FaultyMode {
@@ -85,7 +91,7 @@ impl Participant {
             spec: None,
             state: LocalState::Initial,
             commit_version: None,
-            transitions: InlineVec::new(),
+            transitions: InlineVec::new(NO_TRANSITION),
             conflicting_command: false,
         }
     }
@@ -104,7 +110,7 @@ impl Participant {
             spec: rec.spec.clone(),
             state: rec.state,
             commit_version: rec.commit_version,
-            transitions: InlineVec::new(),
+            transitions: InlineVec::new(NO_TRANSITION),
             conflicting_command: false,
         }
     }

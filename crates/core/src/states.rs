@@ -17,10 +17,9 @@ use std::fmt;
 use crate::types::Decision;
 
 /// A participant's local state for one transaction.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum LocalState {
     /// `q` — has not voted.
-    #[default]
     Initial,
     /// `W` — voted yes, awaiting the coordinator.
     Wait,
@@ -113,7 +112,7 @@ impl fmt::Display for LocalState {
 
 /// A witness of one state transition, recorded by participants so the
 /// Fig. 6 conformance experiment (E6) can audit entire runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Transition {
     /// State before.
     pub from: LocalState,

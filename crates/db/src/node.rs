@@ -626,13 +626,11 @@ impl SiteNode {
                     decision: Decision::Commit,
                 })
             {
-                let driving = self.table.get(txn).is_some_and(|st| {
-                    st.leader.is_some()
-                        || st
-                            .escalation
-                            .as_ref()
-                            .is_some_and(|e| e.termination.is_some())
-                }) || self.table.xcoords.contains_key(&txn);
+                let driving = self
+                    .table
+                    .get(txn)
+                    .is_some_and(|st| st.leader.is_some() || st.terminating())
+                    || self.table.xcoords.contains_key(&txn);
                 if driving {
                     self.cfg.emit(at, Some(txn), EventKind::CommitPoint);
                 }
@@ -1305,7 +1303,7 @@ impl SiteNode {
                 }
                 Action::DeclareBlocked { txn } => {
                     if let Some(st) = self.table.get_mut(txn) {
-                        st.escalation_mut().blocked = true;
+                        st.set_blocked(true);
                     }
                     if self.cfg.retry_blocked {
                         ctx.set_timer(
@@ -1396,9 +1394,7 @@ impl SiteNode {
             applied = true;
             st.decided = Some(decision);
             st.decided_at = Some(now);
-            if let Some(e) = st.escalation.as_deref_mut() {
-                e.blocked = false;
-            }
+            st.set_blocked(false);
             if decision == Decision::Commit {
                 let version = commit_version.expect("commit carries version");
                 let spec = Arc::clone(&st.spec);
@@ -1681,12 +1677,13 @@ impl Process for SiteNode {
             },
             NodeTimer::Election { txn, timer } => {
                 let (spec, actions) = match self.table.get_mut(txn) {
-                    Some(st) if st.decided.is_none() => {
-                        match st.escalation.as_mut().and_then(|e| e.elector.as_mut()) {
-                            Some(e) => (Arc::clone(&st.spec), e.step(ElInput::Timer(timer))),
-                            None => return,
+                    Some(st) if st.decided.is_none() => match st.elector_mut() {
+                        Some(e) => {
+                            let actions = e.step(ElInput::Timer(timer));
+                            (Arc::clone(&st.spec), actions)
                         }
-                    }
+                        None => return,
+                    },
                     _ => return,
                 };
                 self.apply_election_actions(ctx, txn, spec, actions);

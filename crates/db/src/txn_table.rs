@@ -83,8 +83,9 @@ pub(crate) struct TxnState {
     pub(crate) watchdog_armed: bool,
     pub(crate) decided: Option<Decision>,
     pub(crate) decided_at: Option<Time>,
-    /// Created on first use: see [`TxnState::escalation_mut`].
-    pub(crate) escalation: Option<Box<Escalation>>,
+    /// Created on first use: see [`TxnState::escalation_mut`]. Read
+    /// through the accessors below, never directly.
+    escalation: Option<Box<Escalation>>,
 }
 
 /// What a transaction needs only once it leaves the normal case —
@@ -138,9 +139,26 @@ impl TxnState {
         self.escalation.as_mut()?.termination.as_deref_mut()
     }
 
+    /// True once this site runs a termination engine for the transaction.
+    pub(crate) fn terminating(&self) -> bool {
+        self.escalation
+            .as_ref()
+            .is_some_and(|e| e.termination.is_some())
+    }
+
     /// True while the transaction is declared blocked here.
     pub(crate) fn blocked(&self) -> bool {
         self.escalation.as_ref().is_some_and(|e| e.blocked)
+    }
+
+    /// Declares the transaction blocked here, or lifts it. Lifting never
+    /// creates the escalation state.
+    pub(crate) fn set_blocked(&mut self, blocked: bool) {
+        if blocked {
+            self.escalation_mut().blocked = true;
+        } else if let Some(e) = self.escalation.as_deref_mut() {
+            e.blocked = false;
+        }
     }
 
     /// Termination rounds this site initiated.
@@ -160,6 +178,11 @@ impl TxnState {
             .commit_version()
             .or_else(|| self.leader.as_ref().and_then(|l| l.commit_version()))
             .or_else(|| self.escalation.as_ref().and_then(|e| e.decided_version))
+    }
+
+    /// This site's elector for the transaction, if an election ran here.
+    pub(crate) fn elector_mut(&mut self) -> Option<&mut Elector> {
+        self.escalation.as_mut()?.elector.as_deref_mut()
     }
 
     /// This site's elector for the transaction, created on first use.

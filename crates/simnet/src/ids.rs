@@ -11,7 +11,7 @@ use std::fmt;
 /// Sites are small dense integers so they can be used as indices into
 /// per-site tables. Display renders as `s<N>` to match the paper's
 /// `site1`, `site2`, ... naming.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub u32);
 
 impl SiteId {
