@@ -22,7 +22,7 @@ use qbc_cluster::mc_harness::{
 };
 use qbc_core::{Decision, ProtocolKind, TxnId};
 use qbc_db::SiteNode;
-use qbc_mc::{replay, Checker, Choice, FirePolicy, HostConfig, McConfig};
+use qbc_mc::{replay, Checker, Choice, ControlledHost, FirePolicy, HostConfig, McConfig};
 use qbc_simnet::SiteId;
 
 /// The three safety/termination invariants every exploration runs.
@@ -46,6 +46,37 @@ fn one_crash() -> HostConfig {
         max_crashes: 1,
         ..lazy()
     }
+}
+
+/// [`one_crash`] at `site`, and the crashed site recovers once: the
+/// recovery replays the site's durable log into its engines while the
+/// survivors' termination, election and announcements interleave.
+fn crash_and_recover(site: SiteId) -> HostConfig {
+    HostConfig {
+        crash_sites: vec![site],
+        max_recoveries: 1,
+        ..one_crash()
+    }
+}
+
+/// Explores one space that must close with no violation and returns
+/// its `(explored, quiescent, frontier cut)`.
+fn clean_space(name: &str, depth: usize, host: ControlledHost<SiteNode>) -> (usize, usize, usize) {
+    let report = protocol_checker(McConfig {
+        max_depth: depth,
+        ..McConfig::default()
+    })
+    .run(host);
+    println!("{name}: {}", report.stats.summary());
+    if let Some(cex) = &report.violation {
+        panic!("unexpected violation:\n{}", cex.render());
+    }
+    assert!(report.stats.complete, "exploration must finish in budget");
+    (
+        report.stats.explored,
+        report.stats.quiescent,
+        report.stats.frontier_cut,
+    )
 }
 
 #[test]
@@ -327,4 +358,63 @@ fn cross_shard_client_parent_crash_is_exhaustively_clean() {
     assert_eq!(report.stats.explored, 135);
     assert_eq!(report.stats.frontier_cut, 1);
     assert!(report.stats.quiescent > 0, "must reach decided quiescence");
+}
+
+/// Every placement of site 0's (the coordinator's) crash *and* of its
+/// one recovery along every QC1 schedule: the recovered site's engines
+/// come from its log alone, and whatever it re-announces or rejoins
+/// with must agree with what the survivors terminated to.
+#[test]
+fn qc1_coordinator_crash_and_recovery_is_exhaustively_clean() {
+    let host = single_shard_host(
+        ProtocolKind::QuorumCommit1,
+        crash_and_recover(SiteId(0)),
+        |cfg| cfg,
+    );
+    // `mc_probe crash-recover 40`.
+    assert_eq!(clean_space("qc1 crash+recover", 40, host), (83_186, 173, 0));
+}
+
+/// The Paxos Commit leader (site 0) crashes and recovers: its acceptor
+/// state comes back from its promise and accept records, and a
+/// recovery candidate may already be running a higher ballot.
+#[test]
+fn paxos_coordinator_crash_and_recovery_is_exhaustively_clean() {
+    let host = paxos_host(crash_and_recover(SiteId(0)), |cfg| cfg);
+    // `mc_probe paxos-recover 34`.
+    assert_eq!(
+        clean_space("paxos crash+recover", 34, host),
+        (7_262, 134, 0)
+    );
+}
+
+/// A Paxos acceptor (site 1) crashes and recovers: it must never break
+/// a promise or lose an acceptance an earlier incarnation logged.
+#[test]
+fn paxos_acceptor_crash_and_recovery_is_exhaustively_clean() {
+    let host = paxos_host(crash_and_recover(SiteId(1)), |cfg| cfg);
+    // `mc_probe paxos-acceptor-recover 30`.
+    assert_eq!(
+        clean_space("paxos acceptor crash+recover", 30, host),
+        (779, 46, 0)
+    );
+}
+
+/// The cross-shard parent crashes and recovers: an undecided
+/// coordination is presumed aborted, a decided one re-announced. Like
+/// the crash-only space it does not close below the bound (orphans
+/// whose parent is still down retry discovery forever), so the cut is
+/// asserted too.
+#[test]
+fn cross_shard_parent_crash_and_recovery_is_exhaustively_clean() {
+    let host = two_shard_host(
+        ProtocolKind::QuorumCommit1,
+        crash_and_recover(SiteId(0)),
+        |cfg| cfg,
+    );
+    // `mc_probe xshard-recover 40`.
+    assert_eq!(
+        clean_space("xshard crash+recover", 40, host),
+        (1_022, 14, 23)
+    );
 }
