@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use qbc_cluster::{ClusterConfig, SimCluster};
-use qbc_core::{recover_state, Decision, LocalState, WriteSet};
+use qbc_core::{Decision, LocalState, Participant, ParticipantConfig, WriteSet};
 use qbc_simnet::{Duration, SiteId, Time};
 use qbc_votes::ItemId;
 use std::collections::BTreeMap;
@@ -102,9 +102,19 @@ proptest! {
         // `log_records()` reads back durable records only, exactly what
         // a crash at this instant would preserve.
         for (site, node) in cluster.sim().nodes() {
-            let recovered = recover_state(&node.log_records().collect::<Vec<_>>());
-            for (txn, rec) in recovered {
-                let wal_decision = match rec.state {
+            // Each transaction's records redone into a fresh participant
+            // (the records of other engine kinds leave it untouched).
+            let mut recovered = BTreeMap::new();
+            for rec in node.log_records() {
+                if let Some(txn) = rec.txn() {
+                    recovered
+                        .entry(txn)
+                        .or_insert_with(|| Participant::new(site, txn, ParticipantConfig::default()))
+                        .redo(&rec);
+                }
+            }
+            for (txn, participant) in recovered {
+                let wal_decision = match participant.state() {
                     LocalState::Committed => Some(Decision::Commit),
                     LocalState::Aborted => Some(Decision::Abort),
                     _ => None,

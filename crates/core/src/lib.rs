@@ -43,10 +43,7 @@ mod xshard;
 pub use actions::{Action, TimerKind};
 pub use commit_engine::{CommitEngine, EngineCtx};
 pub use coordinator::{CoordPhase, Coordinator};
-pub use log::{
-    last_checkpoint, recover_paxos, recover_state, recover_xstate, LogRecord, RecoveredAcceptor,
-    RecoveredTxn, RecoveredXTxn, RetiredOutcome, XRetiredOutcome,
-};
+pub use log::{LogRecord, RetiredOutcome, XRetiredOutcome};
 pub use messages::Msg;
 pub use participant::{FaultyMode, Participant, ParticipantConfig};
 pub use paxos_commit::{PaxosAcceptor, PaxosLeader, PaxosPhase, PaxosVotes};

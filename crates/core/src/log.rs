@@ -2,11 +2,13 @@
 //!
 //! The rule: a participant logs *before* acknowledging. What the log
 //! contains after a crash is exactly what the participant may claim to
-//! remember; recovery replays these records to rebuild the local state
-//! (see [`recover_state`]).
+//! remember; recovery hands each record back to the engine kind that
+//! logged it ([`Participant::redo`](crate::Participant::redo),
+//! [`XTxnCoordinator::redo`](crate::XTxnCoordinator::redo),
+//! [`PaxosAcceptor::redo`](crate::PaxosAcceptor::redo)), so the engine
+//! that forces a record is the only code that says what it means.
 
 use crate::messages::Msg;
-use crate::states::LocalState;
 use crate::types::{Decision, TxnId, TxnSpec};
 use qbc_votes::Version;
 use std::sync::Arc;
@@ -198,226 +200,14 @@ impl LogRecord {
     }
 }
 
-/// The most recent [`LogRecord::Checkpoint`] in a replay, if any: the
-/// retired outcomes and item snapshot a recovering site must
-/// re-install before replaying the per-transaction suffix (their own
-/// records may be truncated). Returns
-/// `(retired, xretired, item versions)`.
-#[allow(clippy::type_complexity)]
-pub fn last_checkpoint<'a>(
-    records: impl IntoIterator<Item = &'a LogRecord>,
-) -> Option<(
-    &'a [RetiredOutcome],
-    &'a [XRetiredOutcome],
-    &'a [(qbc_votes::ItemId, Version, i64)],
-)> {
-    let mut found = None;
-    for rec in records {
-        if let LogRecord::Checkpoint {
-            retired,
-            xretired,
-            items,
-        } = rec
-        {
-            found = Some((retired.as_slice(), xretired.as_slice(), items.as_slice()));
-        }
-    }
-    found
-}
-
-/// The durable state of one transaction reconstructed from the log.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecoveredTxn {
-    /// The spec, if the site voted yes (q/vote-no sites have none).
-    pub spec: Option<Arc<TxnSpec>>,
-    /// Local state as of the last logged record.
-    pub state: LocalState,
-    /// Commit version learned (from PC or commit records).
-    pub commit_version: Option<Version>,
-}
-
-/// Replays a site's log records (in order) into per-transaction state.
-///
-/// Used by a recovering site to rebuild its participant engines: a
-/// transaction recovered in a non-terminal state re-enters the
-/// termination path.
-pub fn recover_state<'a>(
-    records: impl IntoIterator<Item = &'a LogRecord>,
-) -> std::collections::BTreeMap<TxnId, RecoveredTxn> {
-    let mut out: std::collections::BTreeMap<TxnId, RecoveredTxn> =
-        std::collections::BTreeMap::new();
-    for rec in records {
-        // Cross-shard coordinator records describe the top-level 2PC
-        // role, not this site's participant state (recovered separately
-        // by [`recover_xstate`]); checkpoints span many transactions
-        // (recovered by [`last_checkpoint`]).
-        let Some(txn) = rec.txn() else { continue };
-        if matches!(
-            rec,
-            LogRecord::XStart { .. }
-                | LogRecord::XDecision { .. }
-                | LogRecord::PaxosPromise { .. }
-                | LogRecord::PaxosAccept { .. }
-        ) {
-            // Cross-shard coordinator records are recovered by
-            // [`recover_xstate`]; Paxos acceptor records by
-            // [`recover_paxos`].
-            continue;
-        }
-        let entry = out.entry(txn).or_insert(RecoveredTxn {
-            spec: None,
-            state: LocalState::Initial,
-            commit_version: None,
-        });
-        // Terminal decisions are irrevocable: later records (which should
-        // not exist) never downgrade them.
-        if entry.state.is_terminal() {
-            continue;
-        }
-        match rec {
-            LogRecord::CoordinatorStart { spec } => {
-                // Establishes the spec; the local *participant* state is
-                // untouched (a pure coordinator never votes).
-                if entry.spec.is_none() {
-                    entry.spec = Some(Arc::clone(spec));
-                }
-            }
-            LogRecord::Voted { spec } => {
-                entry.spec = Some(Arc::clone(spec));
-                entry.state = LocalState::Wait;
-            }
-            LogRecord::VotedNo { .. } => {
-                entry.state = LocalState::Aborted;
-            }
-            LogRecord::PreCommit { commit_version, .. } => {
-                entry.state = LocalState::PreCommit;
-                entry.commit_version = Some(*commit_version);
-            }
-            LogRecord::PreAbort { .. } => {
-                entry.state = LocalState::PreAbort;
-            }
-            LogRecord::Decided {
-                decision,
-                commit_version,
-                ..
-            } => {
-                entry.state = match decision {
-                    Decision::Commit => LocalState::Committed,
-                    Decision::Abort => LocalState::Aborted,
-                };
-                if commit_version.is_some() {
-                    entry.commit_version = *commit_version;
-                }
-            }
-            LogRecord::XStart { .. }
-            | LogRecord::XDecision { .. }
-            | LogRecord::PaxosPromise { .. }
-            | LogRecord::PaxosAccept { .. }
-            | LogRecord::Checkpoint { .. } => {
-                unreachable!("skipped above")
-            }
-        }
-    }
-    out
-}
-
-/// `(branch coordinator, in-shard commit version)` per branch — the
-/// payload of [`LogRecord::XDecision`].
-pub type BranchVersions = Vec<(qbc_simnet::SiteId, Option<Version>)>;
-
-/// The durable state of one *cross-shard* coordination reconstructed
-/// from the log (the top-level 2PC counterpart of [`RecoveredTxn`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecoveredXTxn {
-    /// The branch specs logged at start.
-    pub branches: Vec<Arc<TxnSpec>>,
-    /// The logged top-level decision with per-branch commit versions,
-    /// if the transaction reached its cross-shard commit point.
-    pub decision: Option<(Decision, BranchVersions)>,
-}
-
-/// Replays a site's log into per-transaction cross-shard coordinator
-/// state. A transaction recovered *without* a decision is presumed
-/// aborted by the recovering coordinator (the top-level analogue of 2PC
-/// presumed abort): no durable [`LogRecord::XDecision`] means no
-/// `X-DECIDE` was ever sent, so abort is still safe.
-pub fn recover_xstate<'a>(
-    records: impl IntoIterator<Item = &'a LogRecord>,
-) -> std::collections::BTreeMap<TxnId, RecoveredXTxn> {
-    let mut out: std::collections::BTreeMap<TxnId, RecoveredXTxn> =
-        std::collections::BTreeMap::new();
-    for rec in records {
-        match rec {
-            LogRecord::XStart { txn, branches } => {
-                out.entry(*txn).or_insert(RecoveredXTxn {
-                    branches: branches.clone(),
-                    decision: None,
-                });
-            }
-            LogRecord::XDecision {
-                txn,
-                decision,
-                branch_versions,
-            } => {
-                if let Some(x) = out.get_mut(txn) {
-                    // The decision is irrevocable: keep the first.
-                    if x.decision.is_none() {
-                        x.decision = Some((*decision, branch_versions.clone()));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// The durable Paxos-acceptor state for one transaction reconstructed
-/// from the log: the highest ballot promised and the highest-ballot
-/// batch of values accepted.
-#[derive(Clone, Debug, PartialEq, Default)]
-pub struct RecoveredAcceptor {
-    /// Highest ballot promised (from both promise and accept records —
-    /// accepting at `b` implies promising `b`).
-    pub promised: u64,
-    /// The accepted batch with the highest ballot, if any:
-    /// `(ballot, values)`.
-    pub accepted: Option<(u64, crate::paxos_commit::PaxosVotes)>,
-}
-
-/// Replays a site's log into per-transaction Paxos acceptor state (the
-/// Paxos Commit counterpart of [`recover_state`]). A recovering
-/// acceptor re-installs these before answering any 1a/2a, so it never
-/// breaks a promise an earlier incarnation made.
-pub fn recover_paxos<'a>(
-    records: impl IntoIterator<Item = &'a LogRecord>,
-) -> std::collections::BTreeMap<TxnId, RecoveredAcceptor> {
-    let mut out: std::collections::BTreeMap<TxnId, RecoveredAcceptor> =
-        std::collections::BTreeMap::new();
-    for rec in records {
-        match rec {
-            LogRecord::PaxosPromise { txn, bal } => {
-                let a = out.entry(*txn).or_default();
-                a.promised = a.promised.max(*bal);
-            }
-            LogRecord::PaxosAccept { txn, bal, votes } => {
-                let a = out.entry(*txn).or_default();
-                a.promised = a.promised.max(*bal);
-                if a.accepted.as_ref().is_none_or(|(b, _)| *bal >= *b) {
-                    a.accepted = Some((*bal, votes.clone()));
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::states::LocalState;
     use crate::types::{ProtocolKind, WriteSet};
+    use crate::{Participant, ParticipantConfig, PaxosAcceptor, XTxnCoordinator};
     use qbc_simnet::SiteId;
+    use std::collections::BTreeMap;
 
     fn spec(id: u64) -> Arc<TxnSpec> {
         Arc::new(TxnSpec {
@@ -430,10 +220,61 @@ mod tests {
         })
     }
 
+    /// [`spec`] as a cross-shard branch coordinated by site 1.
+    fn branch(id: u64) -> Arc<TxnSpec> {
+        Arc::new(TxnSpec {
+            parent: Some(SiteId(1)),
+            ..(*spec(id)).clone()
+        })
+    }
+
+    /// The engines a replay rebuilds, per transaction.
+    #[derive(Default)]
+    struct Replayed {
+        participants: BTreeMap<TxnId, Participant>,
+        xcoords: BTreeMap<TxnId, XTxnCoordinator>,
+        acceptors: BTreeMap<TxnId, PaxosAcceptor>,
+    }
+
+    /// Recovery's replay in miniature: each record, in log order, to its
+    /// transaction's engine of the kind that logged it; a coordination
+    /// exists from its `XStart` on.
+    fn replay(records: &[LogRecord]) -> Replayed {
+        let mut out = Replayed::default();
+        for rec in records {
+            let Some(txn) = rec.txn() else { continue };
+            match rec {
+                LogRecord::XStart { branches, .. } => {
+                    out.xcoords
+                        .entry(txn)
+                        .or_insert_with(|| XTxnCoordinator::new(txn, branches.clone()));
+                }
+                LogRecord::XDecision { .. } => {
+                    if let Some(x) = out.xcoords.get_mut(&txn) {
+                        x.redo(rec);
+                    }
+                }
+                LogRecord::PaxosPromise { .. } | LogRecord::PaxosAccept { .. } => {
+                    out.acceptors.entry(txn).or_default().redo(rec)
+                }
+                _ => out
+                    .participants
+                    .entry(txn)
+                    .or_insert_with(|| {
+                        Participant::new(SiteId(0), txn, ParticipantConfig::default())
+                    })
+                    .redo(rec),
+            }
+        }
+        out
+    }
+
     #[test]
     fn empty_log_recovers_nothing() {
-        let state = recover_state([]);
-        assert!(state.is_empty());
+        let r = replay(&[]);
+        assert!(r.participants.is_empty());
+        assert!(r.xcoords.is_empty());
+        assert!(r.acceptors.is_empty());
     }
 
     #[test]
@@ -445,11 +286,11 @@ mod tests {
                 commit_version: Version(4),
             },
         ];
-        let state = recover_state(&records);
-        let t = &state[&TxnId(1)];
-        assert_eq!(t.state, LocalState::PreCommit);
-        assert_eq!(t.commit_version, Some(Version(4)));
-        assert!(t.spec.is_some());
+        let t = &replay(&records).participants[&TxnId(1)];
+        assert_eq!(t.state(), LocalState::PreCommit);
+        assert_eq!(t.commit_version(), Some(Version(4)));
+        assert!(t.spec().is_some());
+        assert!(t.transitions().is_empty(), "recovery is not a transition");
     }
 
     #[test]
@@ -467,8 +308,8 @@ mod tests {
                 commit_version: Version(9),
             },
         ];
-        let state = recover_state(&records);
-        assert_eq!(state[&TxnId(1)].state, LocalState::Aborted);
+        let t = &replay(&records).participants[&TxnId(1)];
+        assert_eq!(t.state(), LocalState::Aborted);
     }
 
     #[test]
@@ -483,10 +324,29 @@ mod tests {
                 commit_version: Some(Version(2)),
             },
         ];
-        let state = recover_state(&records);
-        assert_eq!(state[&TxnId(1)].state, LocalState::Committed);
-        assert_eq!(state[&TxnId(1)].commit_version, Some(Version(2)));
-        assert_eq!(state[&TxnId(2)].state, LocalState::PreAbort);
+        let state = replay(&records).participants;
+        assert_eq!(state[&TxnId(1)].state(), LocalState::Committed);
+        assert_eq!(state[&TxnId(1)].commit_version(), Some(Version(2)));
+        assert_eq!(state[&TxnId(2)].state(), LocalState::PreAbort);
+    }
+
+    #[test]
+    fn decided_without_version_keeps_the_pre_commit_version() {
+        let records = vec![
+            LogRecord::Voted { spec: spec(1) },
+            LogRecord::PreCommit {
+                txn: TxnId(1),
+                commit_version: Version(6),
+            },
+            LogRecord::Decided {
+                txn: TxnId(1),
+                decision: Decision::Commit,
+                commit_version: None,
+            },
+        ];
+        let t = &replay(&records).participants[&TxnId(1)];
+        assert_eq!(t.state(), LocalState::Committed);
+        assert_eq!(t.commit_version(), Some(Version(6)));
     }
 
     #[test]
@@ -494,36 +354,34 @@ mod tests {
         let records = vec![
             LogRecord::XStart {
                 txn: TxnId(5),
-                branches: vec![spec(5)],
+                branches: vec![branch(5)],
             },
-            LogRecord::Voted { spec: spec(5) },
+            LogRecord::Voted { spec: branch(5) },
             LogRecord::XDecision {
                 txn: TxnId(5),
                 decision: Decision::Commit,
                 branch_versions: vec![(SiteId(1), Some(Version(2)))],
             },
         ];
-        // Participant recovery sees only the Voted record.
-        let state = recover_state(&records);
-        assert_eq!(state[&TxnId(5)].state, LocalState::Wait);
-        // X recovery sees the start and the decision.
-        let x = recover_xstate(&records);
-        assert_eq!(x[&TxnId(5)].branches.len(), 1);
-        assert_eq!(
-            x[&TxnId(5)].decision,
-            Some((Decision::Commit, vec![(SiteId(1), Some(Version(2)))]))
-        );
+        let r = replay(&records);
+        // The participant sees only the Voted record.
+        assert_eq!(r.participants[&TxnId(5)].state(), LocalState::Wait);
+        // The coordination sees the start and the decision.
+        let x = &r.xcoords[&TxnId(5)];
+        assert_eq!(x.branches().len(), 1);
+        assert_eq!(x.decision(), Some(Decision::Commit));
+        assert_eq!(x.branch_versions(), vec![(SiteId(1), Some(Version(2)))]);
     }
 
     #[test]
     fn xstart_without_decision_recovers_undecided() {
         let records = vec![LogRecord::XStart {
             txn: TxnId(9),
-            branches: vec![spec(9), spec(9)],
+            branches: vec![branch(9), branch(9)],
         }];
-        let x = recover_xstate(&records);
-        assert_eq!(x[&TxnId(9)].decision, None);
-        assert_eq!(x[&TxnId(9)].branches.len(), 2);
+        let x = &replay(&records).xcoords[&TxnId(9)];
+        assert_eq!(x.decision(), None);
+        assert_eq!(x.branches().len(), 2);
     }
 
     #[test]
@@ -545,15 +403,17 @@ mod tests {
                 votes: vec![(SiteId(1), false, Version(0))],
             },
         ];
-        // Participant recovery is untouched by acceptor records.
-        let state = recover_state(&records);
-        assert_eq!(state[&TxnId(4)].state, LocalState::Wait);
-        // Acceptor recovery keeps the highest-ballot acceptance and the
+        let r = replay(&records);
+        // The participant is untouched by acceptor records.
+        assert_eq!(r.participants[&TxnId(4)].state(), LocalState::Wait);
+        // The acceptor keeps the highest-ballot acceptance and the
         // highest promise.
-        let paxos = recover_paxos(&records);
-        let a = &paxos[&TxnId(4)];
-        assert_eq!(a.promised, 3);
-        assert_eq!(a.accepted, Some((3, vec![(SiteId(1), false, Version(0))])));
+        let a = &r.acceptors[&TxnId(4)];
+        assert_eq!(a.promised(), 3);
+        assert_eq!(
+            a.accepted(),
+            Some(&(3, vec![(SiteId(1), false, Version(0))]))
+        );
     }
 
     #[test]
@@ -563,15 +423,43 @@ mod tests {
             bal: 5,
             votes: vec![],
         }];
-        let paxos = recover_paxos(&records);
-        assert_eq!(paxos[&TxnId(8)].promised, 5);
+        assert_eq!(replay(&records).acceptors[&TxnId(8)].promised(), 5);
     }
 
     #[test]
     fn vote_no_recovers_aborted_without_spec() {
         let records = vec![LogRecord::VotedNo { txn: TxnId(3) }];
-        let state = recover_state(&records);
-        assert_eq!(state[&TxnId(3)].state, LocalState::Aborted);
-        assert!(state[&TxnId(3)].spec.is_none());
+        let t = &replay(&records).participants[&TxnId(3)];
+        assert_eq!(t.state(), LocalState::Aborted);
+        assert!(t.spec().is_none());
+    }
+
+    /// A coordinator's start record alone — its own `Voted` record was
+    /// lost, or it holds no copy — recovers the spec in `Initial`: the
+    /// site never voted, so recovery pins none of its copies (the node
+    /// re-pins only undecided non-`Initial` participants; see
+    /// `db/tests/lsn_gating.rs::recovery_repins_only_copies_this_site_voted_on`).
+    #[test]
+    fn coordinator_start_alone_recovers_the_spec_in_initial() {
+        let records = vec![LogRecord::CoordinatorStart { spec: spec(6) }];
+        let t = &replay(&records).participants[&TxnId(6)];
+        assert_eq!(t.state(), LocalState::Initial);
+        assert_eq!(t.spec().map(|s| s.id), Some(TxnId(6)));
+        assert_eq!(t.decision(), None);
+        assert_eq!(t.commit_version(), None);
+    }
+
+    #[test]
+    fn coordinator_start_after_a_vote_keeps_the_voted_spec() {
+        let voted = spec(2);
+        let records = vec![
+            LogRecord::Voted {
+                spec: Arc::clone(&voted),
+            },
+            LogRecord::CoordinatorStart { spec: spec(2) },
+        ];
+        let t = &replay(&records).participants[&TxnId(2)];
+        assert_eq!(t.state(), LocalState::Wait);
+        assert!(Arc::ptr_eq(t.spec().unwrap(), &voted));
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::actions::Action;
 use crate::inline_vec::InlineVec;
-use crate::log::{LogRecord, RecoveredTxn};
+use crate::log::LogRecord;
 use crate::messages::Msg;
 use crate::states::{LocalState, Transition};
 use crate::types::{Decision, TxnId, TxnSpec};
@@ -96,22 +96,54 @@ impl Participant {
         }
     }
 
-    /// Rebuilds a participant from recovered durable state.
-    pub fn from_recovery(
-        site: SiteId,
-        txn: TxnId,
-        cfg: ParticipantConfig,
-        rec: &RecoveredTxn,
-    ) -> Self {
-        Participant {
-            site,
-            txn,
-            cfg,
-            spec: rec.spec.clone(),
-            state: rec.state,
-            commit_version: rec.commit_version,
-            transitions: InlineVec::new(NO_TRANSITION),
-            conflicting_command: false,
+    /// Re-applies one of this engine's own durable records after a
+    /// crash: called on a [`Participant::new`] engine with the
+    /// transaction's records in log order, it rebuilds the state the
+    /// records made durable. A terminal state ignores later records
+    /// (which should not exist); a coordinator's start record only
+    /// supplies a missing spec, since a pure coordinator never votes;
+    /// a decision without a version keeps the one a PreCommit fixed.
+    /// The audit trail stays empty: recovery is not a transition.
+    pub fn redo(&mut self, rec: &LogRecord) {
+        if self.state.is_terminal() {
+            return;
+        }
+        match rec {
+            LogRecord::CoordinatorStart { spec } => {
+                if self.spec.is_none() {
+                    self.spec = Some(Arc::clone(spec));
+                }
+            }
+            LogRecord::Voted { spec } => {
+                self.spec = Some(Arc::clone(spec));
+                self.state = LocalState::Wait;
+            }
+            LogRecord::VotedNo { .. } => self.state = LocalState::Aborted,
+            LogRecord::PreCommit { commit_version, .. } => {
+                self.state = LocalState::PreCommit;
+                self.commit_version = Some(*commit_version);
+            }
+            LogRecord::PreAbort { .. } => self.state = LocalState::PreAbort,
+            LogRecord::Decided {
+                decision,
+                commit_version,
+                ..
+            } => {
+                self.state = match decision {
+                    Decision::Commit => LocalState::Committed,
+                    Decision::Abort => LocalState::Aborted,
+                };
+                if commit_version.is_some() {
+                    self.commit_version = *commit_version;
+                }
+            }
+            // Cross-shard coordinator, acceptor and checkpoint records
+            // belong to other engines.
+            LogRecord::XStart { .. }
+            | LogRecord::XDecision { .. }
+            | LogRecord::PaxosPromise { .. }
+            | LogRecord::PaxosAccept { .. }
+            | LogRecord::Checkpoint { .. } => {}
         }
     }
 
@@ -126,8 +158,8 @@ impl Participant {
     }
 
     /// The spec, once known.
-    pub fn spec(&self) -> Option<&TxnSpec> {
-        self.spec.as_deref()
+    pub fn spec(&self) -> Option<&Arc<TxnSpec>> {
+        self.spec.as_ref()
     }
 
     /// The commit version learned from a prepare/commit, if any.
@@ -862,14 +894,15 @@ mod tests {
 
     #[test]
     fn recovery_restores_state_and_version() {
-        let rec = RecoveredTxn {
-            spec: Some(spec()),
-            state: LocalState::PreCommit,
-            commit_version: Some(Version(7)),
-        };
-        let p = Participant::from_recovery(SiteId(1), TxnId(1), ParticipantConfig::default(), &rec);
+        let mut p = fresh();
+        p.redo(&LogRecord::Voted { spec: spec() });
+        p.redo(&LogRecord::PreCommit {
+            txn: TxnId(1),
+            commit_version: Version(7),
+        });
         assert_eq!(p.state(), LocalState::PreCommit);
         assert_eq!(p.commit_version(), Some(Version(7)));
+        assert!(p.transitions().is_empty(), "recovery is not a transition");
     }
 
     #[test]

@@ -35,7 +35,7 @@
 
 use crate::actions::{Action, TimerKind};
 use crate::commit_engine::{CommitEngine, EngineCtx};
-use crate::log::{LogRecord, RecoveredAcceptor};
+use crate::log::LogRecord;
 use crate::messages::Msg;
 use crate::types::{Decision, TxnId, TxnSpec};
 use qbc_simnet::SiteId;
@@ -646,11 +646,22 @@ impl PaxosAcceptor {
         PaxosAcceptor::default()
     }
 
-    /// Re-installs the durable acceptor state after a crash.
-    pub fn from_recovery(rec: &RecoveredAcceptor) -> Self {
-        PaxosAcceptor {
-            promised: rec.promised,
-            accepted: rec.accepted.clone(),
+    /// Re-applies one of this acceptor's own durable records after a
+    /// crash, in log order on a fresh acceptor, so a recovering site
+    /// never breaks a promise an earlier incarnation made. The promise
+    /// is the highest ballot of any promise or accept (accepting at `b`
+    /// implies promising `b`); the accepted batch is the one at the
+    /// highest ballot, the later record winning a tie.
+    pub fn redo(&mut self, rec: &LogRecord) {
+        match rec {
+            LogRecord::PaxosPromise { bal, .. } => self.promised = self.promised.max(*bal),
+            LogRecord::PaxosAccept { bal, votes, .. } => {
+                self.promised = self.promised.max(*bal);
+                if self.accepted.as_ref().is_none_or(|(b, _)| *bal >= *b) {
+                    self.accepted = Some((*bal, votes.clone()));
+                }
+            }
+            _ => {}
         }
     }
 
@@ -1009,12 +1020,31 @@ mod tests {
                 votes: vec![(S0, true, Version(1))],
             },
         ];
-        let rec = &crate::log::recover_paxos(&records)[&TxnId(1)];
-        let b = PaxosAcceptor::from_recovery(rec);
+        let mut b = PaxosAcceptor::new();
+        for rec in &records {
+            b.redo(rec);
+        }
         assert_eq!(b.promised(), a.promised());
         assert_eq!(b.accepted(), a.accepted());
         // The reborn acceptor still honours the old promise.
         assert!(b.clone().on_p2a_v(TxnId(1), 3, &[]).is_empty());
+    }
+
+    #[test]
+    fn a_lower_ballot_accept_logged_later_keeps_the_higher_batch() {
+        let mut a = PaxosAcceptor::new();
+        a.redo(&LogRecord::PaxosAccept {
+            txn: TxnId(1),
+            bal: 4,
+            votes: vec![(S0, true, Version(1))],
+        });
+        a.redo(&LogRecord::PaxosAccept {
+            txn: TxnId(1),
+            bal: 2,
+            votes: vec![(S0, false, Version(0))],
+        });
+        assert_eq!(a.promised(), 4);
+        assert_eq!(a.accepted(), Some(&(4, vec![(S0, true, Version(1))])));
     }
 
     #[test]

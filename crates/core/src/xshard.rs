@@ -23,7 +23,7 @@
 //! and timer expiries, outputs are [`Action`]s applied by the driver.
 
 use crate::actions::{Action, TimerKind};
-use crate::log::{LogRecord, RecoveredXTxn};
+use crate::log::LogRecord;
 use crate::messages::Msg;
 use crate::types::{Decision, TxnId, TxnSpec};
 use qbc_simnet::SiteId;
@@ -69,26 +69,39 @@ impl XTxnCoordinator {
         }
     }
 
-    /// Rebuilds the engine from recovered durable state and returns the
-    /// recovery actions: a transaction recovered *undecided* is presumed
-    /// aborted (no durable [`LogRecord::XDecision`] proves no commit
-    /// `X-DECIDE` ever left this site); a recovered decision is
-    /// re-announced to every branch coordinator.
-    pub fn from_recovery(txn: TxnId, rec: &RecoveredXTxn) -> (Self, Vec<Action>) {
-        let mut x = XTxnCoordinator::new(txn, rec.branches.clone());
-        match &rec.decision {
-            None => {
-                let actions = x.decide(Decision::Abort);
-                (x, actions)
-            }
-            Some((decision, branch_versions)) => {
-                for &(coord, v) in branch_versions {
-                    x.votes.insert(coord, (*decision == Decision::Commit, v));
-                }
-                x.phase = XPhase::Decided(*decision);
-                let actions = x.relay_decision(*decision);
-                (x, actions)
-            }
+    /// Re-applies one of this engine's own durable records after a
+    /// crash, on an engine built with [`XTxnCoordinator::new`] from the
+    /// transaction's [`LogRecord::XStart`]: a logged
+    /// [`LogRecord::XDecision`] restores the decision and the branch
+    /// commit versions. The decision is irrevocable, so the first one
+    /// wins.
+    pub fn redo(&mut self, rec: &LogRecord) {
+        let LogRecord::XDecision {
+            decision,
+            branch_versions,
+            ..
+        } = rec
+        else {
+            return;
+        };
+        if self.phase != XPhase::CollectingVotes {
+            return;
+        }
+        for &(coord, v) in branch_versions {
+            self.votes.insert(coord, (*decision == Decision::Commit, v));
+        }
+        self.phase = XPhase::Decided(*decision);
+    }
+
+    /// What a recovered engine does once its records are redone: an
+    /// undecided transaction is presumed aborted (no durable
+    /// [`LogRecord::XDecision`] proves no commit `X-DECIDE` ever left
+    /// this site); a decision is re-announced to every branch
+    /// coordinator without being logged again.
+    pub fn resume(&mut self) -> Vec<Action> {
+        match self.phase {
+            XPhase::CollectingVotes => self.decide(Decision::Abort),
+            XPhase::Decided(decision) => self.relay_decision(decision),
         }
     }
 
@@ -435,13 +448,28 @@ mod tests {
         assert_eq!(x.decision(), None);
     }
 
+    fn xdecision(decision: Decision, branch_versions: &[(SiteId, Option<Version>)]) -> LogRecord {
+        LogRecord::XDecision {
+            txn: TxnId(7),
+            decision,
+            branch_versions: branch_versions.to_vec(),
+        }
+    }
+
+    /// The engine recovery builds from the coordination's `XStart`,
+    /// with `records` redone.
+    fn recovered(records: &[LogRecord]) -> XTxnCoordinator {
+        let mut x = engine();
+        for rec in records {
+            x.redo(rec);
+        }
+        x
+    }
+
     #[test]
     fn recovery_without_decision_presumes_abort() {
-        let rec = RecoveredXTxn {
-            branches: vec![branch(0, &[0, 1, 2], 0), branch(3, &[3, 4, 5], 10)],
-            decision: None,
-        };
-        let (x, actions) = XTxnCoordinator::from_recovery(TxnId(7), &rec);
+        let mut x = recovered(&[]);
+        let actions = x.resume();
         assert_eq!(x.decision(), Some(Decision::Abort));
         assert!(matches!(
             actions[0],
@@ -454,14 +482,11 @@ mod tests {
 
     #[test]
     fn recovery_with_decision_reannounces_without_relogging() {
-        let rec = RecoveredXTxn {
-            branches: vec![branch(0, &[0, 1, 2], 0), branch(3, &[3, 4, 5], 10)],
-            decision: Some((
-                Decision::Commit,
-                vec![(SiteId(0), Some(Version(3))), (SiteId(3), Some(Version(8)))],
-            )),
-        };
-        let (x, actions) = XTxnCoordinator::from_recovery(TxnId(7), &rec);
+        let mut x = recovered(&[xdecision(
+            Decision::Commit,
+            &[(SiteId(0), Some(Version(3))), (SiteId(3), Some(Version(8)))],
+        )]);
+        let actions = x.resume();
         assert_eq!(x.decision(), Some(Decision::Commit));
         assert!(
             actions.iter().all(|a| !matches!(a, Action::Log(_))),
@@ -478,5 +503,21 @@ mod tests {
             )
         )));
         assert_eq!(x.version_for_site(SiteId(2)), Some(Version(3)));
+    }
+
+    #[test]
+    fn a_second_logged_decision_never_replaces_the_first() {
+        let x = recovered(&[
+            xdecision(
+                Decision::Commit,
+                &[(SiteId(0), Some(Version(3))), (SiteId(3), Some(Version(8)))],
+            ),
+            xdecision(Decision::Abort, &[(SiteId(0), None), (SiteId(3), None)]),
+        ]);
+        assert_eq!(x.decision(), Some(Decision::Commit));
+        assert_eq!(
+            x.branch_versions(),
+            vec![(SiteId(0), Some(Version(3))), (SiteId(3), Some(Version(8)))]
+        );
     }
 }

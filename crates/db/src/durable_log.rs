@@ -21,13 +21,14 @@
 //!
 //! ## Force policy
 //!
-//! Two arms. *Staged with a window* (group commit): records wait for
-//! companions until the window timer fires or the batch fills, then
-//! share one force. *Flush per record*: every record is forced as it is
-//! appended. Either way the force then costs
-//! [`NodeConfig::force_latency`] on a serial device — the next force
-//! starts when the previous one completes — and at latency zero it
-//! completes on the spot, which is the seed's instant-force model.
+//! Records are staged, and wait for companions until the window timer
+//! fires or the batch fills; then they share one force. Without group
+//! commit the batch is one record, so every record is forced as it is
+//! appended and the window timer is never armed. Either way the force
+//! then costs [`NodeConfig::force_latency`] on a serial device — the
+//! next force starts when the previous one completes — and at latency
+//! zero it completes on the spot, which is the seed's instant-force
+//! model.
 
 use crate::config::{NodeConfig, WalBackendConfig};
 use crate::envelope::{NetMsg, NodeTimer};
@@ -94,16 +95,6 @@ impl Gated {
     }
 }
 
-/// When staged records are forced.
-#[derive(Clone, Copy, Debug)]
-enum ForcePolicy {
-    /// Group commit: the first staged record of a batch waits `window`
-    /// for companions; the batch is forced early at `max_batch` records.
-    Staged { window: Duration, max_batch: usize },
-    /// One force per record.
-    PerRecord,
-}
-
 /// The write-ahead log of one site together with its durability gate.
 ///
 /// `Clone` duplicates the whole log (the model checker branches on
@@ -112,7 +103,12 @@ enum ForcePolicy {
 #[derive(Clone)]
 pub(crate) struct DurableLog {
     wal: NodeWal,
-    policy: ForcePolicy,
+    /// How long the first staged record of a batch waits for
+    /// companions before the batch is forced.
+    window: Duration,
+    /// The batch is forced as soon as this many records are staged: 1
+    /// without group commit.
+    max_batch: usize,
     /// Device time one force costs (see [`NodeConfig::force_latency`]).
     force_latency: Duration,
     site: SiteId,
@@ -147,18 +143,15 @@ impl DurableLog {
                     .unwrap_or_else(|e| panic!("open WAL at {}: {e}", file.dir.display())),
             ),
         };
-        let policy = if cfg.group_commit {
-            ForcePolicy::Staged {
-                window: cfg.group_commit_window,
-                max_batch: cfg.group_commit_max_batch,
-            }
-        } else {
-            ForcePolicy::PerRecord
-        };
         DurableLog {
             durable_lsn: wal.next_lsn(),
             wal,
-            policy,
+            window: cfg.group_commit_window,
+            max_batch: if cfg.group_commit {
+                cfg.group_commit_max_batch
+            } else {
+                1
+            },
             force_latency: cfg.force_latency,
             site: cfg.site,
             obs: cfg.obs.clone(),
@@ -209,10 +202,10 @@ impl DurableLog {
         self.gated.push_back((gate, Gated::Effect(op)));
     }
 
-    /// Logs one record under the force policy. Returns its LSN and, when
-    /// a force completed on the spot with effects waiting, the end LSN
-    /// to hand to [`DurableLog::force_done`] before anything else —
-    /// until then the record does not count as durable
+    /// Stages one record and forces the batch once it is full. Returns
+    /// its LSN and, when a force completed on the spot with effects
+    /// waiting, the end LSN to hand to [`DurableLog::force_done`] before
+    /// anything else — until then the record does not count as durable
     /// ([`DurableLog::is_durable`]).
     #[must_use]
     pub(crate) fn append(
@@ -221,19 +214,13 @@ impl DurableLog {
         rec: LogRecord,
     ) -> (Lsn, Option<Lsn>) {
         let lsn = self.wal.buffer(rec);
-        let forced = match self.policy {
-            ForcePolicy::Staged { max_batch, .. } if self.wal.pending_len() >= max_batch => {
-                self.force(ctx)
-            }
-            ForcePolicy::Staged { window, .. } => {
-                if self.flush_timer.is_none() {
-                    self.flush_timer = Some(ctx.set_timer(window, NodeTimer::FlushWal));
-                }
-                None
-            }
-            ForcePolicy::PerRecord => self.force(ctx),
-        };
-        (lsn, forced)
+        if self.wal.pending_len() >= self.max_batch {
+            return (lsn, self.force(ctx));
+        }
+        if self.flush_timer.is_none() {
+            self.flush_timer = Some(ctx.set_timer(self.window, NodeTimer::FlushWal));
+        }
+        (lsn, None)
     }
 
     /// The batch window closed ([`NodeTimer::FlushWal`] fired): forces

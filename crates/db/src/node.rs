@@ -39,10 +39,9 @@ use crate::envelope::{NetMsg, NodeTimer};
 use crate::reads::{local_max_version, ReadEvent, ReadResult, ReadSite, Reads};
 use crate::txn_table::{Outcome, TxnState, TxnTable, XCoord};
 use qbc_core::{
-    last_checkpoint, recover_paxos, recover_state, recover_xstate, Action, CommitEngine,
-    Coordinator, Decision, EngineCtx, LocalState, LogRecord, Msg, Participant, ParticipantConfig,
-    PaxosAcceptor, PaxosLeader, ProtocolKind, Termination, TimerKind, Transition, TxnId, TxnSpec,
-    WriteSet, XTxnCoordinator,
+    Action, CommitEngine, Coordinator, Decision, EngineCtx, LocalState, LogRecord, Msg,
+    Participant, ParticipantConfig, PaxosAcceptor, PaxosLeader, ProtocolKind, Termination,
+    TimerKind, Transition, TxnId, TxnSpec, WriteSet, XTxnCoordinator,
 };
 use qbc_election::{Action as ElAction, ElectionMsg, Input as ElInput};
 use qbc_locks::{LockManager, LockMode};
@@ -50,7 +49,7 @@ use qbc_obs::EventKind;
 use qbc_simnet::{Ctx, Label, Process, SiteId, Time, TimerId};
 use qbc_storage::{Lsn, VersionedStore, WalBackend};
 use qbc_votes::{Catalog, ItemId, Version};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// One local decision transition, recorded for
@@ -974,7 +973,7 @@ impl SiteNode {
         // Paxos acceptor role: 1a/2a address the co-located acceptor,
         // never the participant engine. The acceptor entry is created on
         // demand; its force-logged promise/acceptance records rebuild it
-        // after a crash ([`recover_paxos`]). A decided site answers with
+        // after a crash ([`PaxosAcceptor::redo`]). A decided site answers with
         // the outcome instead — an acceptor that kept promising would
         // leave a late candidate chasing a consensus that is already
         // over. A *remote* candidate's contact counts as coordinator
@@ -1438,6 +1437,34 @@ impl SiteNode {
         }
     }
 
+    /// Orphan outcome discovery for a branch of a cross-shard
+    /// transaction: `X-OUTCOME-REQ` to the parent first, then to every
+    /// sibling branch coordinator (cooperative discovery), skipping the
+    /// parent (no duplicate ask when a sibling's coordinator *is* the
+    /// parent's site) and this site itself.
+    fn discover_outcome(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        txn: TxnId,
+        parent: SiteId,
+    ) {
+        let site = self.cfg.site;
+        let siblings = self.table.get(txn).map_or(&[][..], |st| st.x_siblings());
+        let targets: Vec<SiteId> = std::iter::once(parent)
+            .chain(
+                siblings
+                    .iter()
+                    .copied()
+                    .filter(|&s| s != parent && s != site),
+            )
+            .collect();
+        for to in targets {
+            self.send_net(ctx, to, NetMsg::Proto(Msg::XOutcomeReq { txn }));
+        }
+        self.cfg
+            .emit(ctx.now(), Some(txn), EventKind::OutcomeDiscoveryOut);
+    }
+
     fn start_termination_election(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
         let Some(st) = self.table.get_mut(txn) else {
             return;
@@ -1454,12 +1481,7 @@ impl SiteNode {
             // Sibling branch coordinators are asked alongside the
             // parent — any decided branch can relay the outcome, so a
             // crashed parent no longer blocks until recovery.
-            let targets = discovery_targets(parent, st.x_siblings(), self.cfg.site);
-            for to in targets {
-                self.send_net(ctx, to, NetMsg::Proto(Msg::XOutcomeReq { txn }));
-            }
-            self.cfg
-                .emit(ctx.now(), Some(txn), EventKind::OutcomeDiscoveryOut);
+            self.discover_outcome(ctx, txn, parent);
             return;
         }
         if st.spec.protocol == ProtocolKind::PaxosCommit {
@@ -1722,67 +1744,90 @@ impl Process for SiteNode {
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
-        // The log is read back once; every pass below walks this copy.
-        let log: Vec<(Lsn, LogRecord)> = self.log.wal().replay().collect();
-        let records = || log.iter().map(|(_, r)| r);
+        // One walk over the durable log: keep the newest checkpoint and
+        // its end LSN, note each transaction's first record (the
+        // truncation bookkeeping), and hand every other record to its
+        // transaction's engine of the kind that logged it, built fresh —
+        // each engine redoes its own records.
+        let site = self.cfg.site;
+        let participant_cfg = ParticipantConfig {
+            vote_yes: true,
+            faulty: self.cfg.faulty,
+        };
+        let mut checkpoint = None;
+        let mut participants = BTreeMap::new();
+        let mut xcoords = BTreeMap::new();
+        let mut acceptors: BTreeMap<TxnId, PaxosAcceptor> = BTreeMap::new();
+        for (lsn, rec) in self.log.wal().replay() {
+            let Some(txn) = rec.txn() else {
+                self.last_checkpoint_end = Lsn(lsn.0 + 1);
+                checkpoint = Some(rec);
+                continue;
+            };
+            self.table.note_record(txn, lsn);
+            match &rec {
+                // A coordination exists from its start record on.
+                LogRecord::XStart { branches, .. } => {
+                    xcoords
+                        .entry(txn)
+                        .or_insert_with(|| XTxnCoordinator::new(txn, branches.clone()));
+                }
+                LogRecord::XDecision { .. } => {
+                    if let Some(x) = xcoords.get_mut(&txn) {
+                        x.redo(&rec);
+                    }
+                }
+                LogRecord::PaxosPromise { .. } | LogRecord::PaxosAccept { .. } => {
+                    acceptors.entry(txn).or_default().redo(&rec)
+                }
+                _ => participants
+                    .entry(txn)
+                    .or_insert_with(|| Participant::new(site, txn, participant_cfg))
+                    .redo(&rec),
+            }
+        }
         // Checkpoint outcomes first: they stand in for truncated
         // per-transaction records, so the retired outcomes must answer
-        // before the replay passes decide what to resurrect.
-        let (ck_retired, ck_xretired, ck_items) =
-            last_checkpoint(records()).unwrap_or((&[], &[], &[]));
-        // Item snapshot before the replay passes: suffix records carry
-        // only post-checkpoint updates. Chain installation is additive
-        // and idempotent, so never-written copies (snapshot at the
-        // initial version) fall through to the load-time value
-        // harmlessly; over a store reloaded from scratch it also drops
-        // the load-time value wherever the snapshot had trimmed it.
-        for chain in ck_items.chunk_by(|a, b| a.0 == b.0) {
-            let item = chain[0].0;
-            if self.items.read(item).is_some() {
-                let versions = chain.iter().map(|&(_, v, value)| (v, value));
-                self.items.install_chain(item, versions);
+        // before the passes below decide what to resurrect.
+        if let Some(LogRecord::Checkpoint {
+            retired,
+            xretired,
+            items,
+        }) = &checkpoint
+        {
+            // Item snapshot before the passes: suffix records carry only
+            // post-checkpoint updates. Chain installation is additive
+            // and idempotent, so never-written copies (snapshot at the
+            // initial version) fall through to the load-time value
+            // harmlessly; over a store reloaded from scratch it also
+            // drops the load-time value wherever the snapshot had
+            // trimmed it.
+            for chain in items.chunk_by(|a, b| a.0 == b.0) {
+                let item = chain[0].0;
+                if self.items.read(item).is_some() {
+                    let versions = chain.iter().map(|&(_, v, value)| (v, value));
+                    self.items.install_chain(item, versions);
+                }
             }
+            self.table.install_checkpoint(ctx.now(), retired, xretired);
         }
-        self.table
-            .install_checkpoint(ctx.now(), ck_retired, ck_xretired);
-        // Rebuild the truncation bookkeeping from the durable log: the
-        // first retained LSN per transaction, and the log end as of the
-        // newest checkpoint.
-        for (lsn, rec) in &log {
-            match rec.txn() {
-                Some(t) => self.table.note_record(t, *lsn),
-                None => self.last_checkpoint_end = Lsn(lsn.0 + 1),
-            }
-        }
-        let recovered = recover_state(records());
-        let site = self.cfg.site;
-        let faulty = self.cfg.faulty;
-        for (txn, rec) in recovered {
+        for (txn, participant) in participants {
             if self.table.retired_outcome(txn).is_some() {
                 // Retired before the checkpoint: only leftover records
                 // of an already-answered history (truncation keeps
                 // whole segments). The compact outcome keeps answering.
                 continue;
             }
-            let Some(spec) = rec.spec.clone() else {
+            let Some(spec) = participant.spec().cloned() else {
                 // Without a spec (vote-no abort) there is nothing to
                 // re-enter; the decision is already durable.
                 continue;
             };
-            let participant = Participant::from_recovery(
-                site,
-                txn,
-                ParticipantConfig {
-                    vote_yes: true,
-                    faulty,
-                },
-                &rec,
-            );
             let state = participant.state();
             let decided = state.decision();
             // Re-apply committed updates (idempotent: version checks).
             if decided == Some(Decision::Commit) {
-                if let Some(version) = rec.commit_version {
+                if let Some(version) = participant.commit_version() {
                     for (&item, &value) in spec.writeset.updates.iter() {
                         if self.items.read(item).is_some() {
                             let _ = self.items.apply(item, version, value);
@@ -1809,7 +1854,8 @@ impl Process for SiteNode {
                 }
                 // The watermark floor the in-doubt pin imposes, raised
                 // to just below the commit version a PreCommit fixed.
-                self.reads.pin(txn, &self.items, &spec, rec.commit_version);
+                self.reads
+                    .pin(txn, &self.items, &spec, participant.commit_version());
             }
             // Sibling knowledge is volatile: a recovered branch falls
             // back to parent-only outcome discovery.
@@ -1890,15 +1936,14 @@ impl Process for SiteNode {
         // undecided XStart is presumed aborted — no durable XDecision
         // proves no commit X-DECIDE ever left this site — and a decided
         // one is re-announced to every branch coordinator.
-        let xrecovered = recover_xstate(records());
-        for (txn, rec) in xrecovered {
+        for (txn, mut engine) in xcoords {
             if self.table.x_known(txn) {
                 // Retired into the checkpoint: the compact record keeps
                 // answering orphans; no engine (and no re-announce
                 // storm) needed.
                 continue;
             }
-            let (engine, actions) = XTxnCoordinator::from_recovery(txn, &rec);
+            let actions = engine.resume();
             self.table.xcoords.insert(
                 txn,
                 XCoord {
@@ -1906,7 +1951,7 @@ impl Process for SiteNode {
                     gate: Lsn(0),
                 },
             );
-            self.apply_actions(ctx, txn, self.cfg.site, actions);
+            self.apply_actions(ctx, txn, site, actions);
             self.table.schedule_retire(ctx.now(), txn);
         }
         // Paxos Commit acceptor recovery: promises and accepted batches
@@ -1914,11 +1959,9 @@ impl Process for SiteNode {
         // records reconstruct exactly what this acceptor may still be
         // held to by a recovery candidate. Decided or retired
         // transactions answer with the outcome instead.
-        for (txn, rec) in recover_paxos(records()) {
+        for (txn, acceptor) in acceptors {
             if self.table.decision(txn).is_none() {
-                self.table
-                    .acceptors
-                    .insert(txn, PaxosAcceptor::from_recovery(&rec));
+                self.table.acceptors.insert(txn, acceptor);
             }
         }
         self.table.forget_dead_records();
@@ -1947,7 +1990,7 @@ impl SiteNode {
             }
         }
         let mut actions = self.take_actions();
-        let (expired, orphan_discovery) = {
+        let (expired, orphan_parent) = {
             let st = self.table.get_mut(txn).expect("checked above");
             if now.since(st.last_coord_contact) >= watchdog {
                 if st.spec.protocol == ProtocolKind::PaxosCommit
@@ -1972,25 +2015,18 @@ impl SiteNode {
                 // it must still discover the cross-shard outcome —
                 // from the parent, and cooperatively from sibling
                 // branch coordinators.
-                let discovery = if actions.is_empty() && st.spec.coordinator == site {
-                    st.spec
-                        .parent
-                        .map(|p| discovery_targets(p, st.x_siblings(), site))
-                } else {
-                    None
-                };
-                (true, discovery)
+                let parent = st
+                    .spec
+                    .parent
+                    .filter(|_| actions.is_empty() && st.spec.coordinator == site);
+                (true, parent)
             } else {
                 (false, None)
             }
         };
         if expired {
-            if let Some(targets) = orphan_discovery {
-                for to in targets {
-                    self.send_net(ctx, to, NetMsg::Proto(Msg::XOutcomeReq { txn }));
-                }
-                self.cfg
-                    .emit(now, Some(txn), EventKind::OutcomeDiscoveryOut);
+            if let Some(parent) = orphan_parent {
+                self.discover_outcome(ctx, txn, parent);
             }
             self.apply_actions(ctx, txn, self.cfg.site, actions);
         } else {
@@ -2000,21 +2036,6 @@ impl SiteNode {
         self.arm_watchdog(ctx, txn);
         self.pump(ctx);
     }
-}
-
-/// Who an orphaned branch asks for the cross-shard outcome: the parent
-/// first, then every sibling branch coordinator (cooperative
-/// discovery), skipping the parent (no duplicate ask when a sibling's
-/// coordinator *is* the parent's site) and this site itself.
-fn discovery_targets(parent: SiteId, siblings: &[SiteId], this: SiteId) -> Vec<SiteId> {
-    let mut targets = vec![parent];
-    targets.extend(
-        siblings
-            .iter()
-            .copied()
-            .filter(|&s| s != parent && s != this),
-    );
-    targets
 }
 
 /// Canonical whole-site state hash for the model checker's visited-set.

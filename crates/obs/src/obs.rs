@@ -25,8 +25,6 @@ pub struct ObsConfig {
     pub enabled: bool,
     /// Events retained per site by the flight recorder.
     pub ring_capacity: usize,
-    /// Store a flight-recorder dump automatically when a site crashes.
-    pub dump_on_crash: bool,
 }
 
 impl Default for ObsConfig {
@@ -34,7 +32,6 @@ impl Default for ObsConfig {
         ObsConfig {
             enabled: false,
             ring_capacity: 256,
-            dump_on_crash: true,
         }
     }
 }
@@ -536,7 +533,7 @@ impl Obs {
             _ => {}
         }
         g.flight.push(ev);
-        if ev.kind == EventKind::Crash && self.cfg.dump_on_crash {
+        if ev.kind == EventKind::Crash {
             let reason = format!("crash injected at site {} (t{})", ev.site.0, ev.at.0);
             let _ = Self::dump_locked(&mut g, &reason);
         }
