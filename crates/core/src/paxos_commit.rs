@@ -1048,6 +1048,24 @@ mod tests {
     }
 
     #[test]
+    fn a_promise_above_every_accept_survives_recovery() {
+        let mut a = PaxosAcceptor::new();
+        a.redo(&LogRecord::PaxosAccept {
+            txn: TxnId(1),
+            bal: 1,
+            votes: vec![(S0, true, Version(1))],
+        });
+        a.redo(&LogRecord::PaxosPromise {
+            txn: TxnId(1),
+            bal: 5,
+        });
+        assert_eq!(a.promised(), 5);
+        assert_eq!(a.accepted(), Some(&(1, vec![(S0, true, Version(1))])));
+        // The promise is kept: a 2a below it is ignored.
+        assert!(a.on_p2a_v(TxnId(1), 3, &[]).is_empty());
+    }
+
+    #[test]
     fn branch_holds_on_all_yes_like_2pc() {
         let branch = Arc::new(TxnSpec {
             parent: Some(SiteId(42)),
