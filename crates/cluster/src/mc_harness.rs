@@ -1,18 +1,17 @@
-//! Small-configuration hosts and protocol invariants for the model
-//! checker (`qbc-mc`).
+//! Small-configuration hosts, fault budgets and protocol invariants
+//! for the model checker (`qbc-mc`).
 //!
 //! The checker itself is generic over any `simnet` process; what makes
 //! it *prove* something about this system lives here: builders for the
-//! two canonical exhaustive configurations (a 3-site single-shard
-//! quorum commit, and a 2-shard cross-shard commit with a parent
-//! crash), plus the invariant functions the ISSUE's safety argument
+//! canonical exhaustive configurations (a 3-site single-shard quorum
+//! commit, and 2-shard cross-shard commits), the fault budgets they are
+//! explored under, plus the invariant functions the safety argument
 //! rests on — atomicity, decision stability, and bounded termination.
 //!
 //! Everything returns plain functions over
 //! `ControlledHost<SiteNode>` so the `qbc-mc` dependency stays confined
 //! to `dev-dependencies`: production builds of the cluster carry the
-//! harness (it is cheap, and the CI smoke binary wants it) but not the
-//! checker.
+//! harness (it is cheap) but not the checker.
 //!
 //! The hosts always run the **in-memory WAL** backend: exploration
 //! clones states freely, and the file-backed log is deliberately
@@ -23,7 +22,7 @@
 
 use qbc_core::{Decision, LogRecord, ProtocolKind, TxnId, TxnSpec, WriteSet};
 use qbc_db::{NetMsg, NodeConfig, SiteNode};
-use qbc_simnet::{ControlledHost, Duration, HostConfig, SiteId};
+use qbc_simnet::{ControlledHost, Duration, FirePolicy, HostConfig, SiteId};
 use qbc_votes::{Catalog, CatalogBuilder, ItemId, Version};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -36,6 +35,44 @@ pub const CLIENT: SiteId = SiteId(99);
 /// protocol timeouts are fixed multiples, and the model checker only
 /// cares about their relative order.
 pub const T_BOUND: Duration = Duration(10);
+
+/// Timeouts fire only at network quiescence ([`FirePolicy::Lazy`]), and
+/// nothing fails: the budget every exhaustive space starts from.
+pub fn lazy() -> HostConfig {
+    HostConfig {
+        fire_policy: FirePolicy::Lazy,
+        ..HostConfig::default()
+    }
+}
+
+/// [`lazy`], and `site` may crash once.
+pub fn one_crash(site: SiteId) -> HostConfig {
+    HostConfig {
+        crash_sites: vec![site],
+        max_crashes: 1,
+        ..lazy()
+    }
+}
+
+/// [`one_crash`] at `site`, and the crashed site recovers once: the
+/// recovery replays the site's durable log into its engines while the
+/// survivors' termination, election and announcements interleave.
+pub fn crash_and_recover(site: SiteId) -> HostConfig {
+    HostConfig {
+        max_recoveries: 1,
+        ..one_crash(site)
+    }
+}
+
+/// [`one_crash`] at site 0 plus four message losses: enough to lose
+/// both prepares (or 2a's) and both commit announcements of a
+/// coordinator that reached a weakened commit point, then crash it.
+pub fn crash_and_four_drops() -> HostConfig {
+    HostConfig {
+        max_drops: 4,
+        ..one_crash(SiteId(0))
+    }
+}
 
 /// A 3-site, 1-item majority catalog (`r = w = 2`) — the smallest
 /// configuration where the quorum argument is non-trivial: one site can

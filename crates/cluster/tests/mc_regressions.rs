@@ -25,10 +25,11 @@
 //! refactors that renumber messages without changing behavior.
 
 use qbc_cluster::mc_harness::{
-    atomicity, decision_stability, deliver, drop_in_flight as drop_msg, single_shard_host, CLIENT,
+    atomicity, crash_and_four_drops, decision_stability, deliver, drop_in_flight as drop_msg,
+    single_shard_host, CLIENT,
 };
 use qbc_core::{Decision, LogRecord, ProtocolKind, TxnId};
-use qbc_db::SiteNode;
+use qbc_db::{Mutation, SiteNode};
 use qbc_mc::{Choice, ControlledHost, HostConfig};
 use qbc_obs::{Obs, ObsConfig};
 use qbc_simnet::SiteId;
@@ -136,20 +137,16 @@ fn pinned_unvoted_veto_race_now_converges_on_abort() {
 }
 
 /// Builds the mutation host: weakened QC1 commit point, one coordinator
-/// crash, four message losses — exactly the budgets the checker search
-/// in `model_check.rs` uses.
+/// crash, four message losses — exactly the budget the checker search
+/// in `model_check.rs` uses. `ControlledHost::apply` takes a choice
+/// whatever the fire policy, so the schedules below replay under it.
 fn mutation_host(weakened: bool, obs: Option<Arc<Obs>>) -> ControlledHost<SiteNode> {
     single_shard_host(
         ProtocolKind::QuorumCommit1,
-        HostConfig {
-            crash_sites: vec![S0],
-            max_crashes: 1,
-            max_drops: 4,
-            ..HostConfig::default()
-        },
+        crash_and_four_drops(),
         move |mut cfg| {
             if weakened {
-                cfg = cfg.with_weakened_qc1();
+                cfg = cfg.with_mutation(Mutation::WeakenQc1);
             }
             match &obs {
                 Some(o) => cfg.with_obs(o.clone()),
@@ -220,20 +217,14 @@ fn pinned_mutation_counterexample_reproduces_the_violation() {
 
 /// Builds the Paxos mutation host: weakened acceptor quorum (F 2b
 /// echoes instead of F+1), one leader crash, four message losses — the
-/// budgets the `weakened_paxos_mutation_is_caught_with_replayable_trace`
-/// search in `model_check.rs` uses.
+/// budget the `mutant_weaken_paxos` search in `model_check.rs` uses.
 fn paxos_mutation_host(weakened: bool) -> ControlledHost<SiteNode> {
     single_shard_host(
         ProtocolKind::PaxosCommit,
-        HostConfig {
-            crash_sites: vec![S0],
-            max_crashes: 1,
-            max_drops: 4,
-            ..HostConfig::default()
-        },
+        crash_and_four_drops(),
         move |cfg| {
             if weakened {
-                cfg.with_weakened_paxos()
+                cfg.with_mutation(Mutation::WeakenPaxos)
             } else {
                 cfg
             }

@@ -1,420 +1,281 @@
 //! Exhaustive model checking of the commit/termination protocols on
-//! small configurations (the PR-7 tentpole acceptance suite).
+//! small configurations.
 //!
-//! Each test builds a `mc_harness` host, hands it to the `qbc-mc`
-//! checker, and asserts either *zero* invariant violations over the
-//! full bounded state space (clean protocol) or that a deliberately
-//! seeded mutation is caught with a replayable counterexample.
+//! Every space is one row of [`SPACES`] and every seeded fault one row
+//! of [`MUTANTS`]; each row expands to one `#[test]`, and one runner
+//! explores them all. A space must close with no invariant violation
+//! at its pinned (explored, quiescent, frontier cut) counts. A mutant
+//! must fail the named invariant in each of its killer spaces at a
+//! pinned explored count, and its trace must fail that invariant again
+//! when replayed on a fresh host. `docs/model-checking.md` holds the
+//! one copy of these numbers outside this file, checked by
+//! `the_doc_tables_match_the_rows`.
 //!
-//! All runs use [`FirePolicy::Lazy`] — timeouts fire only at network
-//! quiescence, with drop budgets covering the timeout-vs-loss races —
-//! which is what makes the exploration close: the clean 3-site space is
-//! 81 states, the one-crash space 388. The free-fire semantics (clock
-//! drift, process pauses) is exercised by the pinned regression
-//! schedules in `tests/mc_regressions.rs` instead of by search.
+//! All spaces run under `FirePolicy::Lazy` — timeouts fire only at
+//! network quiescence, with drop budgets covering the timeout-vs-loss
+//! races — which is what makes the explorations close. The free-fire
+//! semantics (clock drift, process pauses) is exercised by the pinned
+//! regression schedules in `tests/mc_regressions.rs` instead.
 //!
-//! See `docs/model-checking.md` for the state model, the reductions,
-//! and how to read a counterexample trace.
+//! One row runs alone with `cargo test --release -p qbc-cluster --test
+//! model_check -- <row> --nocapture`. On an unexpected violation the
+//! rendered trace is appended to the file `$MC_TRACE` names, when set.
 
 use qbc_cluster::mc_harness::{
-    atomicity, client_parent_host, decision_stability, paxos_host, quiescent_termination,
-    single_shard_host, two_shard_host,
+    atomicity, client_parent_host, crash_and_four_drops, crash_and_recover, decision_stability,
+    lazy, one_crash, paxos_host, quiescent_termination, single_shard_host, two_shard_host,
 };
-use qbc_core::{Decision, ProtocolKind, TxnId};
-use qbc_db::SiteNode;
-use qbc_mc::{replay, Checker, Choice, ControlledHost, FirePolicy, HostConfig, McConfig};
+use qbc_core::{ProtocolKind, TxnId};
+use qbc_db::{Mutation, NodeConfig, SiteNode};
+use qbc_mc::{replay, Checker, ControlledHost, HostConfig, McConfig, McReport};
 use qbc_simnet::SiteId;
+use std::io::Write;
 
-/// The three safety/termination invariants every exploration runs.
-fn protocol_checker(cfg: McConfig) -> Checker<SiteNode> {
-    Checker::new(cfg)
-        .invariant("atomicity", atomicity(vec![TxnId(1)]))
-        .invariant("decision-stability", decision_stability())
-        .quiescent_invariant("bounded-termination", quiescent_termination(vec![TxnId(1)]))
+type Host = ControlledHost<SiteNode>;
+
+const QC1: ProtocolKind = ProtocolKind::QuorumCommit1;
+const S0: SiteId = SiteId(0);
+const S1: SiteId = SiteId(1);
+
+/// One bounded exploration: a host, its fault budget and a depth bound.
+struct Space {
+    name: &'static str,
+    host: fn(HostConfig, Option<Mutation>) -> Host,
+    budget: fn() -> HostConfig,
+    depth: usize,
 }
 
-fn lazy() -> HostConfig {
-    HostConfig {
-        fire_policy: FirePolicy::Lazy,
-        ..HostConfig::default()
-    }
+/// A space a mutant must fail in: the states explored when the first
+/// violation is found, and the invariant it breaks.
+struct Killer {
+    space: Space,
+    explored: usize,
+    invariant: &'static str,
 }
 
-fn one_crash() -> HostConfig {
-    HostConfig {
-        crash_sites: vec![SiteId(0)],
-        max_crashes: 1,
-        ..lazy()
-    }
+fn qc1(budget: HostConfig, mutation: Option<Mutation>) -> Host {
+    single_shard_host(QC1, budget, mutated(mutation))
 }
 
-/// [`one_crash`] at `site`, and the crashed site recovers once: the
-/// recovery replays the site's durable log into its engines while the
-/// survivors' termination, election and announcements interleave.
-fn crash_and_recover(site: SiteId) -> HostConfig {
-    HostConfig {
-        crash_sites: vec![site],
-        max_recoveries: 1,
-        ..one_crash()
-    }
+fn paxos(budget: HostConfig, mutation: Option<Mutation>) -> Host {
+    paxos_host(budget, mutated(mutation))
 }
 
-/// Explores one space that must close with no violation and returns
-/// its `(explored, quiescent, frontier cut)`.
-fn clean_space(name: &str, depth: usize, host: ControlledHost<SiteNode>) -> (usize, usize, usize) {
-    let report = protocol_checker(McConfig {
+fn xshard(budget: HostConfig, mutation: Option<Mutation>) -> Host {
+    two_shard_host(QC1, budget, mutated(mutation))
+}
+
+fn xclient(budget: HostConfig, mutation: Option<Mutation>) -> Host {
+    client_parent_host(QC1, budget, mutated(mutation))
+}
+
+fn mutated(mutation: Option<Mutation>) -> impl FnMut(NodeConfig) -> NodeConfig {
+    move |cfg| NodeConfig { mutation, ..cfg }
+}
+
+/// The invariants every row runs: two in every state, one at
+/// quiescence.
+fn checker(depth: usize) -> Checker<SiteNode> {
+    Checker::new(McConfig {
         max_depth: depth,
         ..McConfig::default()
     })
-    .run(host);
-    println!("{name}: {}", report.stats.summary());
-    if let Some(cex) = &report.violation {
-        panic!("unexpected violation:\n{}", cex.render());
-    }
-    assert!(report.stats.complete, "exploration must finish in budget");
-    (
-        report.stats.explored,
-        report.stats.quiescent,
-        report.stats.frontier_cut,
-    )
+    .invariant("atomicity", atomicity(vec![TxnId(1)]))
+    .invariant("decision-stability", decision_stability())
+    .quiescent_invariant("bounded-termination", quiescent_termination(vec![TxnId(1)]))
 }
 
-#[test]
-fn qc1_three_sites_no_faults_is_exhaustively_clean() {
-    let host = single_shard_host(ProtocolKind::QuorumCommit1, lazy(), |cfg| cfg);
-    let report = protocol_checker(McConfig {
-        max_depth: 20,
-        ..McConfig::default()
-    })
-    .run(host);
-    println!("qc1 clean: {}", report.stats.summary());
-    if let Some(cex) = &report.violation {
-        panic!("unexpected violation:\n{}", cex.render());
-    }
-    assert!(report.stats.complete, "exploration must finish in budget");
-    assert_eq!(report.stats.frontier_cut, 0, "space must close below depth");
-    // `mc_probe clean 20`: the count every change to the node quotes.
-    assert_eq!(report.stats.explored, 81);
-    assert!(report.stats.quiescent > 0, "must reach decided quiescence");
+fn explore(space: &Space, mutation: Option<Mutation>) -> McReport {
+    let report = checker(space.depth).run((space.host)((space.budget)(), mutation));
+    println!("{}@{}: {}", space.name, space.depth, report.stats.summary());
+    report
 }
 
-#[test]
-fn qc1_three_sites_one_crash_is_exhaustively_clean() {
-    let host = single_shard_host(ProtocolKind::QuorumCommit1, one_crash(), |cfg| cfg);
-    let report = protocol_checker(McConfig {
-        max_depth: 30,
-        ..McConfig::default()
-    })
-    .run(host);
-    println!("qc1 one crash: {}", report.stats.summary());
+/// Explores a space that must close with no violation, and checks its
+/// `[explored, quiescent, frontier cut]`.
+fn expect_clean(space: &Space, expected: [usize; 3]) {
+    let report = explore(space, None);
     if let Some(cex) = &report.violation {
-        panic!("unexpected violation:\n{}", cex.render());
+        let trace = format!("{}@{}\n{}\n", space.name, space.depth, cex.render());
+        if let Some(path) = std::env::var_os("MC_TRACE") {
+            std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .and_then(|mut file| file.write_all(trace.as_bytes()))
+                .expect("append the trace to $MC_TRACE");
+        }
+        panic!("unexpected violation in {trace}");
     }
-    assert!(report.stats.complete, "exploration must finish in budget");
-    assert_eq!(report.stats.frontier_cut, 0, "space must close below depth");
-    // `mc_probe crash 30`.
-    assert_eq!(report.stats.explored, 388);
-    assert!(report.stats.quiescent > 0, "must reach decided quiescence");
+    let stats = &report.stats;
+    assert!(stats.complete, "{} must finish in budget", space.name);
+    assert_eq!(
+        [stats.explored, stats.quiescent, stats.frontier_cut],
+        expected,
+        "{}: [explored, quiescent, frontier cut]",
+        space.name
+    );
 }
 
-#[test]
-fn weakened_qc1_mutation_is_caught_with_replayable_trace() {
-    // The weakened commit point (one PC-ack of slack) lets the
-    // coordinator reach a durable Decided{Commit} on its self-ack
-    // alone; losing the prepares and the commit announcements and then
-    // crashing the coordinator leaves the survivors to run the
-    // termination protocol from Wait — which correctly aborts.
-    let make_host = || {
-        single_shard_host(
-            ProtocolKind::QuorumCommit1,
-            HostConfig {
-                max_drops: 4,
-                ..one_crash()
-            },
-            |cfg| cfg.with_weakened_qc1(),
-        )
+/// Checks that `mutation` fails each killer's invariant at its pinned
+/// count, and that the trace fails it again on a fresh host.
+fn expect_killed(mutation: Mutation, killers: &[Killer]) {
+    for k in killers {
+        let report = explore(&k.space, Some(mutation));
+        let cex = report
+            .violation
+            .unwrap_or_else(|| panic!("{mutation:?} survives {}", k.space.name));
+        println!("{}", cex.render());
+        assert_eq!(
+            (cex.invariant.as_str(), report.stats.explored),
+            (k.invariant, k.explored),
+            "{mutation:?} in {}: (invariant, explored)",
+            k.space.name
+        );
+        let (end, _) = replay(
+            (k.space.host)((k.space.budget)(), Some(mutation)),
+            &cex.schedule,
+        );
+        let again = checker(0).run(end).violation.map(|c| c.invariant);
+        assert_eq!(
+            again.as_deref(),
+            Some(k.invariant),
+            "{mutation:?} in {}: the replayed trace",
+            k.space.name
+        );
+    }
+}
+
+macro_rules! spaces {
+    ($($(#[$doc:meta])* $name:ident: $host:ident, $budget:expr, depth $depth:literal
+        => [$explored:literal, $quiescent:literal, $cut:literal];)*) => {
+        /// Every clean space, by row name.
+        #[allow(non_upper_case_globals)]
+        mod space {
+            use super::*;
+            $(pub const $name: Space = Space {
+                name: stringify!($name),
+                host: $host,
+                budget: || $budget,
+                depth: $depth,
+            };)*
+        }
+        /// Every clean space and its `[explored, quiescent, frontier cut]`.
+        const SPACES: &[(Space, [usize; 3])] = &[$((space::$name, [$explored, $quiescent, $cut])),*];
+        $($(#[$doc])* #[test] fn $name() {
+            expect_clean(&space::$name, [$explored, $quiescent, $cut]);
+        })*
     };
-    let report = protocol_checker(McConfig {
-        max_depth: 24,
-        ..McConfig::default()
-    })
-    .run(make_host());
-    let cex = report
-        .violation
-        .expect("the weakened commit-quorum check must violate atomicity");
-    println!("mutation caught: {}", report.stats.summary());
-    println!("{}", cex.render());
-    assert_eq!(cex.invariant, "atomicity");
-    assert_eq!(report.stats.explored, 141_975);
-    assert!(
-        cex.schedule.contains(&Choice::Crash { site: SiteId(0) }),
-        "the minimal trace crashes the over-eager coordinator"
-    );
-
-    // The counterexample replays deterministically to a disagreeing
-    // end state on a fresh host.
-    let (end, _) = replay(make_host(), &cex.schedule);
-    let survivor_ds: Vec<Option<Decision>> = end
-        .sites()
-        .filter(|&s| end.is_up(s))
-        .map(|s| end.node(s).decision(TxnId(1)))
-        .collect();
-    assert!(
-        survivor_ds.contains(&Some(Decision::Abort)),
-        "survivors must have aborted: {survivor_ds:?}"
-    );
-    let durable_commit = end.sites().any(|s| {
-        end.node(s).log_records().any(|r| {
-            matches!(
-                r,
-                qbc_core::LogRecord::Decided {
-                    txn: TxnId(1),
-                    decision: Decision::Commit,
-                    ..
-                }
-            )
-        })
-    });
-    assert!(
-        durable_commit,
-        "the crashed coordinator holds a durable commit"
-    );
 }
 
-#[test]
-fn paxos_three_sites_no_faults_is_exhaustively_clean() {
-    let host = paxos_host(lazy(), |cfg| cfg);
-    let report = protocol_checker(McConfig {
-        max_depth: 24,
-        ..McConfig::default()
-    })
-    .run(host);
-    println!("paxos clean: {}", report.stats.summary());
-    if let Some(cex) = &report.violation {
-        panic!("unexpected violation:\n{}", cex.render());
-    }
-    assert!(report.stats.complete, "exploration must finish in budget");
-    assert_eq!(report.stats.frontier_cut, 0, "space must close below depth");
-    assert_eq!(report.stats.explored, 85);
-    assert!(report.stats.quiescent > 0, "must reach decided quiescence");
-}
-
-/// One *acceptor* crash (site 1): the leader survives, so this space
-/// exercises losing one member of the 2F+1 acceptor set — the 2a/2b
-/// round must still choose through the remaining majority.
-#[test]
-fn paxos_one_acceptor_crash_is_exhaustively_clean() {
-    let host = paxos_host(
-        HostConfig {
-            crash_sites: vec![SiteId(1)],
-            max_crashes: 1,
-            ..lazy()
-        },
-        |cfg| cfg,
-    );
-    let report = protocol_checker(McConfig {
-        max_depth: 30,
-        ..McConfig::default()
-    })
-    .run(host);
-    println!("paxos acceptor crash: {}", report.stats.summary());
-    if let Some(cex) = &report.violation {
-        panic!("unexpected violation:\n{}", cex.render());
-    }
-    assert!(report.stats.complete, "exploration must finish in budget");
-    assert_eq!(report.stats.frontier_cut, 0, "space must close below depth");
-    assert_eq!(report.stats.explored, 211);
-    assert!(report.stats.quiescent > 0, "must reach decided quiescence");
-}
-
-/// The coordinator (= ballot-0 leader) crash: every interleaving of the
-/// crash against the vote/2a/2b traffic, with the survivors' watchdogs
-/// standing up Phase-1a recovery candidates. This is the space that
-/// proves leader failover terminates without the blocked windows 2PC
-/// shows in E16.
-#[test]
-fn paxos_coordinator_crash_is_exhaustively_clean() {
-    let host = paxos_host(one_crash(), |cfg| cfg);
-    let report = protocol_checker(McConfig {
-        max_depth: 34,
-        ..McConfig::default()
-    })
-    .run(host);
-    println!("paxos coordinator crash: {}", report.stats.summary());
-    if let Some(cex) = &report.violation {
-        panic!("unexpected violation:\n{}", cex.render());
-    }
-    assert!(report.stats.complete, "exploration must finish in budget");
-    assert_eq!(report.stats.frontier_cut, 0, "space must close below depth");
-    assert_eq!(report.stats.explored, 284);
-    assert!(report.stats.quiescent > 0, "must reach decided quiescence");
-}
-
-#[test]
-fn weakened_paxos_mutation_is_caught_with_replayable_trace() {
-    // The weakened acceptor quorum (F instead of F+1 2b echoes) lets
-    // the ballot-0 leader reach a durable Decided{Commit} on its own
-    // co-located acceptor alone; dropping the 2a broadcasts and the
-    // commit announcements and then crashing the leader leaves a
-    // recovery candidate whose Phase-1 majority saw nothing accepted —
-    // presumed abort, against the leader's durable commit.
-    let make_host = || {
-        paxos_host(
-            HostConfig {
-                max_drops: 4,
-                ..one_crash()
-            },
-            |cfg| cfg.with_weakened_paxos(),
-        )
+macro_rules! mutants {
+    ($($test:ident: $mutation:ident => [$($space:expr => $explored:literal, $invariant:literal;)+])*) => {
+        /// Every seeded fault and the spaces that must kill it.
+        const MUTANTS: &[(Mutation, &[Killer])] = &[$((Mutation::$mutation, &[$(Killer {
+            space: $space,
+            explored: $explored,
+            invariant: $invariant,
+        }),+])),*];
+        $(#[test] fn $test() {
+            let (_, killers) = MUTANTS.iter().find(|(m, _)| *m == Mutation::$mutation).expect("a row");
+            expect_killed(Mutation::$mutation, killers);
+        })*
     };
-    let report = protocol_checker(McConfig {
-        max_depth: 28,
-        ..McConfig::default()
-    })
-    .run(make_host());
-    let cex = report
-        .violation
-        .expect("the weakened acceptor quorum must violate atomicity");
-    println!("paxos mutation caught: {}", report.stats.summary());
-    println!("{}", cex.render());
-    assert_eq!(cex.invariant, "atomicity");
-    assert_eq!(report.stats.explored, 3_909);
-    assert!(
-        cex.schedule.contains(&Choice::Crash { site: SiteId(0) }),
-        "the minimal trace crashes the under-quorumed leader"
-    );
+}
 
-    // The counterexample replays deterministically to a disagreeing
-    // end state on a fresh host.
-    let (end, _) = replay(make_host(), &cex.schedule);
-    let survivor_ds: Vec<Option<Decision>> = end
-        .sites()
-        .filter(|&s| end.is_up(s))
-        .map(|s| end.node(s).decision(TxnId(1)))
-        .collect();
-    assert!(
-        survivor_ds.contains(&Some(Decision::Abort)),
-        "survivors must have aborted: {survivor_ds:?}"
-    );
-    let durable_commit = end.sites().any(|s| {
-        end.node(s).log_records().any(|r| {
-            matches!(
-                r,
-                qbc_core::LogRecord::Decided {
-                    txn: TxnId(1),
-                    decision: Decision::Commit,
-                    ..
-                }
-            )
+spaces! {
+    qc1_clean: qc1, lazy(), depth 20 => [81, 4, 0];
+    qc1_crash: qc1, one_crash(S0), depth 30 => [388, 12, 0];
+    /// The frontier cut is the schedules where the parent died before
+    /// anyone learned the outcome: the orphans retry discovery forever.
+    xshard_crash: xshard, one_crash(S0), depth 40 => [180, 4, 3];
+    /// The parent holds no branch, so its crash orphans both branch
+    /// coordinators and they must resolve through sibling discovery.
+    xclient_crash: xclient, one_crash(S0), depth 40 => [135, 4, 1];
+    paxos_clean: paxos, lazy(), depth 24 => [85, 4, 0];
+    /// The 2a/2b round must still choose through the remaining majority.
+    paxos_acceptor_crash: paxos, one_crash(S1), depth 30 => [211, 13, 0];
+    /// Leader failover: the survivors' watchdogs stand up Phase-1a
+    /// recovery candidates.
+    paxos_leader_crash: paxos, one_crash(S0), depth 34 => [284, 12, 0];
+    /// The recovered site's engines come from its log alone, and what it
+    /// re-announces must agree with what the survivors terminated to.
+    qc1_crash_recover: qc1, crash_and_recover(S0), depth 40 => [83_186, 173, 0];
+    paxos_leader_crash_recover: paxos, crash_and_recover(S0), depth 34 => [7_262, 134, 0];
+    /// The acceptor must never break a promise or lose an acceptance an
+    /// earlier incarnation logged.
+    paxos_acceptor_crash_recover: paxos, crash_and_recover(S1), depth 30 => [779, 46, 0];
+    /// An undecided coordination is presumed aborted, a decided one
+    /// re-announced; orphans whose parent is still down are cut.
+    xshard_crash_recover: xshard, crash_and_recover(S0), depth 40 => [1_022, 14, 23];
+}
+
+mutants! {
+    mutant_weaken_qc1: WeakenQc1 => [
+        Space { name: "qc1_crash_four_drops", host: qc1, budget: crash_and_four_drops, depth: 24 }
+            => 141_975, "atomicity";
+    ]
+    mutant_weaken_paxos: WeakenPaxos => [
+        Space { name: "paxos_crash_four_drops", host: paxos, budget: crash_and_four_drops, depth: 28 }
+            => 3_909, "atomicity";
+    ]
+    mutant_redo_commit_as_abort: RedoCommitAsAbort => [
+        space::qc1_crash_recover => 93, "atomicity";
+        space::paxos_leader_crash_recover => 92, "atomicity";
+        space::xshard_crash_recover => 164, "atomicity";
+        space::paxos_acceptor_crash_recover => 120, "atomicity";
+    ]
+}
+
+const DOC: &str = include_str!(concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../docs/",
+    "model-checking.md"
+));
+
+/// The rows of the `docs/model-checking.md` table whose header starts
+/// with `header`: each row's first `width` cells, without backticks,
+/// spaces or thousands separators.
+fn doc_rows(header: &str, width: usize) -> Vec<Vec<String>> {
+    DOC.lines()
+        .skip_while(|line| !line.starts_with(header))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| {
+            let cells = line.split('|').skip(1).take(width);
+            cells.map(|c| c.replace(['`', ',', ' '], "")).collect()
         })
-    });
-    assert!(
-        durable_commit,
-        "the crashed leader holds a durable commit chosen by too few acceptors"
-    );
+        .collect()
 }
 
 #[test]
-fn cross_shard_parent_crash_is_exhaustively_clean() {
-    let host = two_shard_host(ProtocolKind::QuorumCommit1, one_crash(), |cfg| cfg);
-    let report = protocol_checker(McConfig {
-        max_depth: 40,
-        ..McConfig::default()
-    })
-    .run(host);
-    println!("xshard parent crash: {}", report.stats.summary());
-    if let Some(cex) = &report.violation {
-        panic!("unexpected violation:\n{}", cex.render());
-    }
-    assert!(report.stats.complete, "exploration must finish in budget");
-    // `mc_probe xshard 40`.
-    assert_eq!(report.stats.explored, 180);
-    assert_eq!(report.stats.frontier_cut, 3);
-    assert!(report.stats.quiescent > 0, "must reach decided quiescence");
-}
-
-/// The cross-shard configuration where the parent holds no branch
-/// (`client_parent_host`): crashing it orphans *both* branch
-/// coordinators, and every interleaving in which the decision got out
-/// must be resolvable through cooperative sibling discovery. The only
-/// schedules that do not quiesce below the depth bound are the ones
-/// where the parent died before anyone learned the outcome — there the
-/// orphans retry discovery forever by design (only parent recovery can
-/// answer), which the depth bound cuts.
-#[test]
-fn cross_shard_client_parent_crash_is_exhaustively_clean() {
-    let host = client_parent_host(ProtocolKind::QuorumCommit1, one_crash(), |cfg| cfg);
-    let report = protocol_checker(McConfig {
-        max_depth: 40,
-        ..McConfig::default()
-    })
-    .run(host);
-    println!("xshard client-parent crash: {}", report.stats.summary());
-    if let Some(cex) = &report.violation {
-        panic!("unexpected violation:\n{}", cex.render());
-    }
-    assert!(report.stats.complete, "exploration must finish in budget");
-    // `mc_probe xclient 40`.
-    assert_eq!(report.stats.explored, 135);
-    assert_eq!(report.stats.frontier_cut, 1);
-    assert!(report.stats.quiescent > 0, "must reach decided quiescence");
-}
-
-/// Every placement of site 0's (the coordinator's) crash *and* of its
-/// one recovery along every QC1 schedule: the recovered site's engines
-/// come from its log alone, and whatever it re-announces or rejoins
-/// with must agree with what the survivors terminated to.
-#[test]
-fn qc1_coordinator_crash_and_recovery_is_exhaustively_clean() {
-    let host = single_shard_host(
-        ProtocolKind::QuorumCommit1,
-        crash_and_recover(SiteId(0)),
-        |cfg| cfg,
-    );
-    // `mc_probe crash-recover 40`.
-    assert_eq!(clean_space("qc1 crash+recover", 40, host), (83_186, 173, 0));
-}
-
-/// The Paxos Commit leader (site 0) crashes and recovers: its acceptor
-/// state comes back from its promise and accept records, and a
-/// recovery candidate may already be running a higher ballot.
-#[test]
-fn paxos_coordinator_crash_and_recovery_is_exhaustively_clean() {
-    let host = paxos_host(crash_and_recover(SiteId(0)), |cfg| cfg);
-    // `mc_probe paxos-recover 34`.
-    assert_eq!(
-        clean_space("paxos crash+recover", 34, host),
-        (7_262, 134, 0)
-    );
-}
-
-/// A Paxos acceptor (site 1) crashes and recovers: it must never break
-/// a promise or lose an acceptance an earlier incarnation logged.
-#[test]
-fn paxos_acceptor_crash_and_recovery_is_exhaustively_clean() {
-    let host = paxos_host(crash_and_recover(SiteId(1)), |cfg| cfg);
-    // `mc_probe paxos-acceptor-recover 30`.
-    assert_eq!(
-        clean_space("paxos acceptor crash+recover", 30, host),
-        (779, 46, 0)
-    );
-}
-
-/// The cross-shard parent crashes and recovers: an undecided
-/// coordination is presumed aborted, a decided one re-announced. Like
-/// the crash-only space it does not close below the bound (orphans
-/// whose parent is still down retry discovery forever), so the cut is
-/// asserted too.
-#[test]
-fn cross_shard_parent_crash_and_recovery_is_exhaustively_clean() {
-    let host = two_shard_host(
-        ProtocolKind::QuorumCommit1,
-        crash_and_recover(SiteId(0)),
-        |cfg| cfg,
-    );
-    // `mc_probe xshard-recover 40`.
-    assert_eq!(
-        clean_space("xshard crash+recover", 40, host),
-        (1_022, 14, 23)
-    );
+fn the_doc_tables_match_the_rows() {
+    let spaces: Vec<Vec<String>> = SPACES
+        .iter()
+        .map(|(s, [explored, quiescent, cut])| {
+            vec![
+                s.name.to_string(),
+                s.depth.to_string(),
+                explored.to_string(),
+                quiescent.to_string(),
+                cut.to_string(),
+            ]
+        })
+        .collect();
+    assert_eq!(doc_rows("| space |", 5), spaces);
+    let killers: Vec<Vec<String>> = MUTANTS
+        .iter()
+        .flat_map(|(mutation, killers)| {
+            killers.iter().map(move |k| {
+                vec![
+                    format!("{mutation:?}"),
+                    k.space.name.to_string(),
+                    k.space.depth.to_string(),
+                    k.explored.to_string(),
+                    k.invariant.to_string(),
+                ]
+            })
+        })
+        .collect();
+    assert_eq!(doc_rows("| mutant |", 5), killers);
 }

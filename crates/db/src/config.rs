@@ -28,6 +28,24 @@ pub enum WalBackendConfig {
     File(FileWalConfig),
 }
 
+/// A seeded protocol fault: each one moves a commit point or the
+/// replay of one, and the model-check suite names the spaces that must
+/// catch it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mutation {
+    /// Coordinators accept one PC-ACK less than the QC1 write quorum
+    /// ([`qbc_core::Coordinator::with_weakened_qc1`]).
+    WeakenQc1,
+    /// Paxos leaders and candidates decide on F acceptances instead of
+    /// the F+1 majority ([`qbc_core::PaxosLeader::with_weakened_quorum`]),
+    /// so a decision can rest on a quorum a recovery candidate's
+    /// Phase-1 quorum need not intersect.
+    WeakenPaxos,
+    /// Recovery hands a logged `Decided { Commit }` to its participant
+    /// as an abort.
+    RedoCommitAsAbort,
+}
+
 /// Static configuration of one database site.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
@@ -143,19 +161,10 @@ pub struct NodeConfig {
     /// path — and the three golden digests — are byte-identical to the
     /// uninstrumented build.
     pub obs: Option<Arc<Obs>>,
-    /// Seeded protocol mutation for model-checker validation: this
-    /// site's coordinators accept one PC-ACK less than the QC1 write
-    /// quorum ([`qbc_core::Coordinator::with_weakened_qc1`]). Never set
-    /// outside tests — the model-check suite proves the checker catches
-    /// the resulting atomicity violation.
-    pub mutation_weaken_qc1: bool,
-    /// Seeded Paxos Commit mutation for model-checker validation: this
-    /// site's Paxos leaders/candidates decide on F acceptances instead
-    /// of the F+1 majority
-    /// ([`qbc_core::PaxosLeader::with_weakened_quorum`]), so a decision
-    /// can rest on a quorum a recovery candidate's Phase-1 quorum need
-    /// not intersect. Never set outside tests.
-    pub mutation_weaken_paxos: bool,
+    /// A seeded protocol fault for model-checker validation. Never set
+    /// outside tests: the model-check suite proves its spaces catch
+    /// each [`Mutation`].
+    pub mutation: Option<Mutation>,
 }
 
 impl NodeConfig {
@@ -184,22 +193,14 @@ impl NodeConfig {
             snapshot_reads: false,
             version_retention: 1,
             obs: None,
-            mutation_weaken_qc1: false,
-            mutation_weaken_paxos: false,
+            mutation: None,
         }
     }
 
-    /// Installs the seeded QC1 commit-quorum mutation (builder style;
-    /// see [`NodeConfig::mutation_weaken_qc1`]).
-    pub fn with_weakened_qc1(mut self) -> Self {
-        self.mutation_weaken_qc1 = true;
-        self
-    }
-
-    /// Installs the seeded Paxos acceptor-quorum mutation (builder
-    /// style; see [`NodeConfig::mutation_weaken_paxos`]).
-    pub fn with_weakened_paxos(mut self) -> Self {
-        self.mutation_weaken_paxos = true;
+    /// Installs a seeded protocol fault (builder style; see
+    /// [`NodeConfig::mutation`]).
+    pub fn with_mutation(mut self, mutation: Mutation) -> Self {
+        self.mutation = Some(mutation);
         self
     }
 

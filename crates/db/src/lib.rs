@@ -32,7 +32,7 @@ mod outcome_ring;
 mod reads;
 mod txn_table;
 
-pub use config::{NodeConfig, WalBackendConfig};
+pub use config::{Mutation, NodeConfig, WalBackendConfig};
 pub use envelope::{NetMsg, NodeTimer};
 pub use node::{build_cluster, DecisionEvent, SiteNode, Violation};
 pub use reads::{ReadEvent, ReadResult};

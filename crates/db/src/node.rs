@@ -33,7 +33,7 @@
 //!   snapshot reads are served at, in [`Reads`] (`reads.rs`), which
 //!   the commit path feeds through a few hooks.
 
-use crate::config::NodeConfig;
+use crate::config::{Mutation, NodeConfig};
 use crate::durable_log::{DeferredOp, DurableLog};
 use crate::envelope::{NetMsg, NodeTimer};
 use crate::reads::{local_max_version, ReadEvent, ReadResult, ReadSite, Reads};
@@ -433,7 +433,7 @@ impl SiteNode {
             self.paxos_leader(PaxosLeader::new(spec))
         } else {
             let coord = Coordinator::new(spec, self.cfg.site_votes.clone());
-            Box::new(if self.cfg.mutation_weaken_qc1 {
+            Box::new(if self.cfg.mutation == Some(Mutation::WeakenQc1) {
                 coord.with_weakened_qc1()
             } else {
                 coord
@@ -445,7 +445,7 @@ impl SiteNode {
     /// A Paxos Commit leader or candidate with the configured test
     /// mutation.
     fn paxos_leader(&self, leader: PaxosLeader) -> Box<dyn CommitEngine> {
-        Box::new(if self.cfg.mutation_weaken_paxos {
+        Box::new(if self.cfg.mutation == Some(Mutation::WeakenPaxos) {
             leader.with_weakened_quorum()
         } else {
             leader
@@ -1780,10 +1780,26 @@ impl Process for SiteNode {
                 LogRecord::PaxosPromise { .. } | LogRecord::PaxosAccept { .. } => {
                     acceptors.entry(txn).or_default().redo(&rec)
                 }
-                _ => participants
-                    .entry(txn)
-                    .or_insert_with(|| Participant::new(site, txn, participant_cfg))
-                    .redo(&rec),
+                _ => {
+                    let rec = match rec {
+                        LogRecord::Decided {
+                            decision: Decision::Commit,
+                            commit_version,
+                            ..
+                        } if self.cfg.mutation == Some(Mutation::RedoCommitAsAbort) => {
+                            LogRecord::Decided {
+                                txn,
+                                decision: Decision::Abort,
+                                commit_version,
+                            }
+                        }
+                        rec => rec,
+                    };
+                    participants
+                        .entry(txn)
+                        .or_insert_with(|| Participant::new(site, txn, participant_cfg))
+                        .redo(&rec)
+                }
             }
         }
         // Checkpoint outcomes first: they stand in for truncated

@@ -115,7 +115,6 @@ fn docs_references_to_code_paths_exist() {
         "crates/cluster/tests/model_check.rs",
         "crates/cluster/tests/mc_regressions.rs",
         "crates/cluster/tests/xshard_discovery.rs",
-        "crates/cluster/examples/mc_probe.rs",
         "crates/mc/src/lib.rs",
         "crates/cluster/src/mc_harness.rs",
         "crates/core/tests/rule_safety.rs",
