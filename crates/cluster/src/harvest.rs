@@ -30,20 +30,6 @@ pub(crate) fn make_obs(cfg: &ClusterConfig, map: &ShardMap) -> Option<Arc<Obs>> 
     Some(obs)
 }
 
-/// The front-end's first fresh transaction id over a set of (possibly
-/// reopened) nodes: one past the largest id with any durable trace, so
-/// a restarted cluster never re-issues an id its previous incarnation
-/// used. Fresh logs yield the usual 1.
-pub(crate) fn first_fresh_txn(nodes: &[(SiteId, SiteNode)]) -> u64 {
-    nodes
-        .iter()
-        .filter_map(|(_, n)| n.max_durable_txn())
-        .map(|t| t.0 + 1)
-        .max()
-        .unwrap_or(1)
-        .max(1)
-}
-
 /// Builds one configured [`SiteNode`] per cluster site (initial item
 /// values zero), ready for any substrate. Every site of a shard shares
 /// the map's catalog for it. `decision_events` is on for

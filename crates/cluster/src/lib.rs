@@ -52,7 +52,6 @@
 
 mod config;
 mod harvest;
-pub mod mc_harness;
 mod metrics;
 mod plan;
 mod reactor_cluster;

@@ -13,7 +13,7 @@
 //! holds this front-end to the deterministic oracle's decisions.
 
 use crate::config::ClusterConfig;
-use crate::harvest::{build_nodes, first_fresh_txn, harvest, make_obs};
+use crate::harvest::{build_nodes, harvest, make_obs};
 use crate::metrics::{AtomicityViolation, ClusterMetrics};
 use crate::plan::{ClusterPlanner, SharedPlanner};
 use crate::shard::ShardMap;
@@ -92,13 +92,11 @@ impl ReactorCluster {
         let map = ShardMap::new(&cfg);
         let obs = make_obs(&cfg, &map);
         let nodes = build_nodes(&cfg, &map, obs.as_ref(), true);
-        let first_txn = first_fresh_txn(&nodes);
         let planner = Arc::new(Mutex::new(ClusterPlanner::new(map.clone(), cfg.protocol)));
         let path = socket_path();
         let server = ReactorServer::spawn(
             &rcfg,
             cfg.seed,
-            first_txn,
             nodes,
             Box::new(SharedPlanner(Arc::clone(&planner))),
             &path,

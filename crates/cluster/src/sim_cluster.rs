@@ -1,7 +1,7 @@
 //! The cluster front-end on the deterministic simulator.
 
 use crate::config::ClusterConfig;
-use crate::harvest::{build_nodes, first_fresh_txn, harvest, make_obs};
+use crate::harvest::{build_nodes, harvest, make_obs};
 use crate::metrics::{AtomicityViolation, ClusterMetrics};
 use crate::plan::ClusterPlanner;
 use crate::shard::{ShardId, ShardMap};
@@ -142,10 +142,7 @@ impl SimCluster {
         let map = ShardMap::new(&cfg);
         let obs = make_obs(&cfg, &map);
         let nodes = build_nodes(&cfg, &map, obs.as_ref(), false);
-        // Durable id allocation: a cluster reopening file-backed logs
-        // resumes numbering past its previous incarnation's ids.
-        let next_txn = first_fresh_txn(&nodes);
-        let sim = Sim::new(
+        let mut sim = Sim::new(
             SimConfig {
                 seed: cfg.seed,
                 delay: DelayModel::uniform(Duration(1), cfg.t_bound),
@@ -153,12 +150,16 @@ impl SimCluster {
             },
             nodes,
         );
+        // Sites start at time 0, where one over a reopened log recovers;
+        // the cluster then numbers past every id its logs hold.
+        sim.run_until(Time::ZERO);
+        let next_txn = sim.nodes().map(|(_, n)| n.first_fresh_txn()).max();
         SimCluster {
             peak_queue: vec![0; cfg.shards as usize],
             planner: ClusterPlanner::new(map, cfg.protocol),
             cfg,
             sim,
-            next_txn,
+            next_txn: next_txn.unwrap_or(1),
             next_read: 1,
             next_session: 0,
             obs,

@@ -8,10 +8,12 @@
 //! explored under, plus the invariant functions the safety argument
 //! rests on — atomicity, decision stability, and bounded termination.
 //!
-//! Everything returns plain functions over
-//! `ControlledHost<SiteNode>` so the `qbc-mc` dependency stays confined
-//! to `dev-dependencies`: production builds of the cluster carry the
-//! harness (it is cheap) but not the checker.
+//! Everything returns plain functions over `ControlledHost<SiteNode>`
+//! and uses only `qbc-cluster`'s public dependencies. The three
+//! model-checking test binaries (`model_check.rs`, `mc_regressions.rs`,
+//! `xshard_discovery.rs`) each compile this file as a module of their
+//! own, so no production build carries the harness or the checker.
+//! Each binary uses only part of it, hence `dead_code` is allowed here.
 //!
 //! The hosts always run the **in-memory WAL** backend: exploration
 //! clones states freely, and the file-backed log is deliberately
@@ -19,6 +21,8 @@
 //! identical by construction — `docs/wal-format.md` and the
 //! `file_wal_matches_memory_wal` property pin that equivalence — so
 //! what the checker proves about the memory model carries over.
+
+#![allow(dead_code)]
 
 use qbc_core::{Decision, LogRecord, ProtocolKind, TxnId, TxnSpec, WriteSet};
 use qbc_db::{NetMsg, NodeConfig, SiteNode};

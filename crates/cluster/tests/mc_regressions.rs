@@ -24,7 +24,10 @@
 //! rather than raw sequence numbers so they stay readable and survive
 //! refactors that renumber messages without changing behavior.
 
-use qbc_cluster::mc_harness::{
+#[path = "common/mc_harness.rs"]
+mod mc_harness;
+
+use mc_harness::{
     atomicity, crash_and_four_drops, decision_stability, deliver, drop_in_flight as drop_msg,
     single_shard_host, CLIENT,
 };

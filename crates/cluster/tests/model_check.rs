@@ -21,7 +21,10 @@
 //! model_check -- <row> --nocapture`. On an unexpected violation the
 //! rendered trace is appended to the file `$MC_TRACE` names, when set.
 
-use qbc_cluster::mc_harness::{
+#[path = "common/mc_harness.rs"]
+mod mc_harness;
+
+use mc_harness::{
     atomicity, client_parent_host, crash_and_four_drops, crash_and_recover, decision_stability,
     lazy, one_crash, paxos_host, quiescent_termination, single_shard_host, two_shard_host,
 };

@@ -11,7 +11,10 @@
 //! branch coordinator, so "ask the parent" and "ask the sibling" name
 //! the same site and cooperation is invisible.
 
-use qbc_cluster::mc_harness::{
+#[path = "common/mc_harness.rs"]
+mod mc_harness;
+
+use mc_harness::{
     atomicity, client_parent_host, decision_stability, deliver, drop_in_flight, find_in_flight,
     CLIENT,
 };

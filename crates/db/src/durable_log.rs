@@ -347,8 +347,8 @@ impl DurableLog {
     /// The retained log is hashed as the payloads the in-memory backend
     /// stores, in place: the model checker fingerprints every state it
     /// explores, and the codec round-trips, so logs hash equal exactly
-    /// when their records are equal. A file log (never explored) is read
-    /// back and encoded the same way.
+    /// when their records are equal. A file log (never explored) is
+    /// replayed and each record encoded the same way.
     pub(crate) fn fingerprint_durable(&self, s: &mut String) {
         use std::fmt::Write as _;
         use std::hash::Hasher as _;
@@ -361,7 +361,7 @@ impl DurableLog {
             EitherWal::Mem(wal) => wal.payloads().for_each(hash),
             EitherWal::File(wal) => {
                 let mut buf = Vec::new();
-                for rec in wal.records() {
+                for (_, rec) in wal.replay() {
                     buf.clear();
                     rec.encode_into(&mut buf);
                     hash(&buf);

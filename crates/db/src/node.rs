@@ -121,17 +121,21 @@ pub struct SiteNode {
     /// Log end as of the last checkpoint (including the checkpoint
     /// record itself); no new checkpoint until the log outgrows it.
     last_checkpoint_end: Lsn,
+    /// The largest transaction id the last recovery walk read. Derived
+    /// from the log, so not part of the fingerprint.
+    max_recovered_txn: Option<TxnId>,
 }
 
 impl SiteNode {
     /// Builds a site and loads the initial value of every local copy.
     ///
     /// With a file-backed WAL ([`crate::WalBackendConfig::File`]) the log
-    /// directory is opened, recovering any existing segments; a node
-    /// whose reopened log is non-empty then replays it automatically
-    /// in `on_start` (both substrates invoke it before delivering
-    /// anything), so restarting over an existing directory needs no
-    /// manual recovery scheduling.
+    /// directory is opened: every segment checked, a torn tail cut. A
+    /// node whose reopened log is non-empty recovers in `on_start`
+    /// (every substrate runs it before delivering anything), in one
+    /// streaming walk that also finds [`SiteNode::first_fresh_txn`]; no
+    /// manual recovery scheduling is needed, and nothing else reads the
+    /// log back.
     ///
     /// # Panics
     /// When the file-backed log cannot be opened (I/O error or non-tail
@@ -169,6 +173,7 @@ impl SiteNode {
             decision_events: Vec::new(),
             checkpoint_armed: false,
             last_checkpoint_end: Lsn(0),
+            max_recovered_txn: None,
         }
     }
 
@@ -330,29 +335,18 @@ impl SiteNode {
         self.reads.shard_watermark()
     }
 
-    /// The durable log, read back (for experiments and tests).
-    pub fn log_records(&self) -> impl Iterator<Item = LogRecord> {
-        self.log.wal().records().into_iter()
+    /// The durable log, read back one record at a time (for experiments
+    /// and tests).
+    pub fn log_records(&self) -> impl Iterator<Item = LogRecord> + '_ {
+        self.log.wal().replay().map(|(_, rec)| rec)
     }
 
-    /// The largest transaction id with any durable trace at this site —
-    /// in per-transaction records or folded into a checkpoint's retired
-    /// outcomes. A cluster reopening durable logs primes its id
-    /// allocator above the maximum across sites, so restarted workloads
-    /// never re-issue an id the old incarnation already used.
-    pub fn max_durable_txn(&self) -> Option<TxnId> {
-        self.log_records()
-            .map(|rec| match rec {
-                LogRecord::Checkpoint {
-                    retired, xretired, ..
-                } => {
-                    let x = xretired.iter().map(|o| o.txn);
-                    retired.iter().map(|o| o.txn).chain(x).max()
-                }
-                other => other.txn(),
-            })
-            .max()
-            .flatten()
+    /// One past the largest transaction id the last recovery read in
+    /// the log, checkpointed outcomes included (1 if it never ran). A
+    /// cluster over reopened logs numbers from the maximum across its
+    /// recovered sites, so it never re-issues an id.
+    pub fn first_fresh_txn(&self) -> u64 {
+        self.max_recovered_txn.map_or(1, |t| t.0 + 1)
     }
 
     /// Number of termination rounds this site initiated for `txn`.
@@ -1746,7 +1740,8 @@ impl Process for SiteNode {
     fn on_recover(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
         // One walk over the durable log: keep the newest checkpoint and
         // its end LSN, note each transaction's first record (the
-        // truncation bookkeeping), and hand every other record to its
+        // truncation bookkeeping) and the largest id of any record or
+        // checkpointed outcome, and hand every other record to its
         // transaction's engine of the kind that logged it, built fresh —
         // each engine redoes its own records.
         let site = self.cfg.site;
@@ -1758,12 +1753,21 @@ impl Process for SiteNode {
         let mut participants = BTreeMap::new();
         let mut xcoords = BTreeMap::new();
         let mut acceptors: BTreeMap<TxnId, PaxosAcceptor> = BTreeMap::new();
+        let mut max_txn = None;
         for (lsn, rec) in self.log.wal().replay() {
             let Some(txn) = rec.txn() else {
+                if let LogRecord::Checkpoint {
+                    retired, xretired, ..
+                } = &rec
+                {
+                    let x = xretired.iter().map(|o| o.txn);
+                    max_txn = max_txn.max(retired.iter().map(|o| o.txn).chain(x).max());
+                }
                 self.last_checkpoint_end = Lsn(lsn.0 + 1);
                 checkpoint = Some(rec);
                 continue;
             };
+            max_txn = max_txn.max(Some(txn));
             self.table.note_record(txn, lsn);
             match &rec {
                 // A coordination exists from its start record on.
@@ -1802,6 +1806,7 @@ impl Process for SiteNode {
                 }
             }
         }
+        self.max_recovered_txn = max_txn;
         // Checkpoint outcomes first: they stand in for truncated
         // per-transaction records, so the retired outcomes must answer
         // before the passes below decide what to resurrect.

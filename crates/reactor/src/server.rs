@@ -43,9 +43,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 /// Routing oracle the front door consults per request. Implemented by
@@ -246,6 +247,12 @@ struct Shared {
     mailboxes: Vec<Mailbox>,
     stats: SharedStats,
     start: Instant,
+    /// Every worker waits here once its sites have recovered, so none
+    /// serves anything while a log is still being replayed.
+    boot: Barrier,
+    /// The front door's first transaction id: the largest first fresh
+    /// id of any site, complete once every worker has passed `boot`.
+    first_txn: AtomicU64,
 }
 
 impl Shared {
@@ -855,12 +862,12 @@ pub struct ReactorServer {
 impl ReactorServer {
     /// Boots the server: binds `listen` (any stale socket file is
     /// replaced), partitions `nodes` round-robin over the workers and
-    /// starts the event loops. `seed` is mixed into each driver's RNG;
-    /// the front door numbers transactions from `first_txn`.
+    /// starts the event loops. `seed` is mixed into each driver's RNG.
+    /// No worker serves until every site has recovered; the front door
+    /// then numbers from the largest [`SiteNode::first_fresh_txn`].
     pub fn spawn(
         cfg: &ReactorConfig,
         seed: u64,
-        first_txn: u64,
         nodes: Vec<(SiteId, SiteNode)>,
         planner: Box<dyn Planner>,
         listen: &Path,
@@ -883,19 +890,18 @@ impl ReactorServer {
             mailboxes,
             stats: SharedStats::default(),
             start: Instant::now(),
+            boot: Barrier::new(cfg.workers),
+            first_txn: AtomicU64::new(1),
         });
 
         let mut site_worker = BTreeMap::new();
-        for (i, (site, _)) in nodes.iter().enumerate() {
-            site_worker.insert(*site, i % cfg.workers);
-        }
-        let site_worker = Arc::new(site_worker);
-
         let mut per_worker: Vec<Vec<(SiteId, SiteNode)>> =
             (0..cfg.workers).map(|_| Vec::new()).collect();
-        for (i, pair) in nodes.into_iter().enumerate() {
-            per_worker[i % cfg.workers].push(pair);
+        for (i, (site, node)) in nodes.into_iter().enumerate() {
+            site_worker.insert(site, i % cfg.workers);
+            per_worker[i % cfg.workers].push((site, node));
         }
+        let site_worker = Arc::new(site_worker);
 
         let mut handles = Vec::with_capacity(cfg.workers);
         let mut planner = Some(planner);
@@ -921,7 +927,8 @@ impl ReactorServer {
                     txn_timeout_ms: cfg.txn_timeout_ms,
                     last_sweep: Time(0),
                     pending_reads: HashMap::new(),
-                    next_txn: first_txn,
+                    // Set at the boot barrier.
+                    next_txn: 0,
                     next_req: 1,
                     write_hwm: cfg.write_hwm,
                     sockbuf: cfg.sockbuf,
@@ -932,6 +939,9 @@ impl ReactorServer {
             };
             // Boot the drivers inside the worker thread so on_start
             // effects (recovery, announcements) route like any others.
+            // A panic while booting is held until every worker has
+            // passed the barrier, so none waits for it forever; it
+            // still ends this worker and reaches `shutdown`'s join.
             let handle = std::thread::Builder::new()
                 .name(format!("qbc-reactor-{index}"))
                 .spawn(move || {
@@ -955,12 +965,23 @@ impl ReactorServer {
                         front,
                         local_front: Vec::new(),
                     };
-                    let now = worker.now();
-                    for (site, node) in assigned {
-                        let mix = seed ^ (site.0 as u64).wrapping_mul(0x9E37_79B9);
-                        let driver = NodeDriver::new(site, node, mix, now, &mut worker.out);
-                        worker.drivers.insert(site, driver);
-                        worker.route(site);
+                    let booted = panic::catch_unwind(AssertUnwindSafe(|| {
+                        let now = worker.now();
+                        for (site, node) in assigned {
+                            let mix = seed ^ (site.0 as u64).wrapping_mul(0x9E37_79B9);
+                            let driver = NodeDriver::new(site, node, mix, now, &mut worker.out);
+                            let fresh = driver.node().first_fresh_txn();
+                            worker.shared.first_txn.fetch_max(fresh, Ordering::Relaxed);
+                            worker.drivers.insert(site, driver);
+                            worker.route(site);
+                        }
+                    }));
+                    worker.shared.boot.wait();
+                    if let Err(cause) = booted {
+                        panic::resume_unwind(cause);
+                    }
+                    if let Some(front) = &mut worker.front {
+                        front.next_txn = worker.shared.first_txn.load(Ordering::Relaxed);
                     }
                     worker.run()
                 })
@@ -1039,5 +1060,72 @@ mod tests {
         assert_eq!(sleep_until_due(start, now, None), MAX_SLEEP);
         assert_eq!(sleep_until_due(start, now, Some(Time(60_000))), MAX_SLEEP);
         assert_eq!(sleep_until_due(start, now, Some(Time(u64::MAX))), MAX_SLEEP);
+    }
+
+    /// Rejects every request: the boot test never submits.
+    struct NoPlanner;
+
+    impl Planner for NoPlanner {
+        fn plan_submit(
+            &mut self,
+            _: Time,
+            _: TxnId,
+            _: &[(ItemId, i64)],
+            _: &BTreeSet<SiteId>,
+        ) -> Option<(SiteId, NetMsg)> {
+            None
+        }
+
+        fn plan_read(&mut self, _: ItemId, _: &BTreeSet<SiteId>) -> Option<SiteId> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_worker_that_panics_while_recovering_holds_up_no_other() {
+        use qbc_core::LogRecord;
+        use qbc_db::{NodeConfig, WalBackendConfig};
+        use qbc_storage::{FileWal, FileWalConfig, TempDir, WalBackend};
+        use qbc_votes::CatalogBuilder;
+
+        let dir = TempDir::new("reactor-boot-panic");
+        let catalog = CatalogBuilder::new()
+            .item(ItemId(0), "x")
+            .copies_at([SiteId(0), SiteId(1)])
+            .quorums(1, 2)
+            .build()
+            .expect("static catalog");
+        let catalog = Arc::new(catalog);
+        let mut nodes = Vec::new();
+        for site in [SiteId(0), SiteId(1)] {
+            let wal =
+                FileWalConfig::new(dir.path().join(format!("site-{}", site.0))).without_fsync();
+            let mut log: FileWal<LogRecord> = FileWal::open(wal.clone()).expect("open");
+            log.append(LogRecord::VotedNo { txn: TxnId(7) });
+            let mut nc = NodeConfig::new(site, Arc::clone(&catalog), qbc_simnet::Duration(10));
+            nc.wal_backend = WalBackendConfig::File(wal);
+            nodes.push((site, SiteNode::new(nc, |_| 0)));
+        }
+        // Site 1's log vanishes once opened, so its recovery on worker 1
+        // panics.
+        std::fs::remove_dir_all(dir.path().join("site-1")).expect("remove");
+        let cfg = ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        };
+        let sock = dir.path().join("sock");
+        let server =
+            ReactorServer::spawn(&cfg, 1, nodes, Box::new(NoPlanner), &sock).expect("spawn");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let shutdown = panic::catch_unwind(AssertUnwindSafe(|| server.shutdown()));
+            let _ = tx.send(shutdown.is_err());
+        });
+        let panicked = rx.recv_timeout(Duration::from_secs(30));
+        assert_eq!(
+            panicked,
+            Ok(true),
+            "shutdown must return the worker's panic"
+        );
     }
 }

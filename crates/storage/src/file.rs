@@ -34,9 +34,9 @@
 //!
 //! Only counters stay in memory — the first retained LSN and the
 //! durable record count — plus the staged batch. Open decodes every
-//! frame to verify it but keeps none; [`WalBackend::records`] reads the
-//! segments back with the same scanner, so memory does not grow with
-//! the log.
+//! frame to verify it but keeps none; [`WalBackend::replay`] reads the
+//! segments back one at a time with the same scanner, holding one
+//! segment and one decoded batch, so memory does not grow with the log.
 
 use crate::codec::WalCodec;
 use crate::wal::{Lsn, WalBackend};
@@ -243,6 +243,150 @@ struct Active {
     bytes: u64,
 }
 
+/// One segment read whole and scanned one acknowledged batch at a time,
+/// every frame's checksum verified and its payload decoded: `open`'s
+/// validating scan counts the batches, [`WalBackend::replay`] hands
+/// them out. Every force ends with a boundary marker, so the markers
+/// partition a segment into acknowledged batches plus (possibly) one
+/// unmarked tail that no caller was ever acknowledged for.
+struct SegmentScan {
+    path: PathBuf,
+    data: Vec<u8>,
+    /// Offset of the next unread frame.
+    pos: usize,
+    /// End of the most recent intact marker: everything below it is
+    /// acknowledged.
+    acked: usize,
+    /// Whether this is the highest segment on open, whose torn tail is
+    /// cut; replay scans every segment as not last (a running log's
+    /// segments all end at a marker, so any damage there is
+    /// corruption, never a tail to cut).
+    last: bool,
+    fsync: bool,
+}
+
+impl SegmentScan {
+    fn read(path: PathBuf, last: bool, fsync: bool) -> Result<Self, WalError> {
+        let data = fs::read(&path)?;
+        Ok(SegmentScan {
+            path,
+            data,
+            pos: 0,
+            acked: 0,
+            last,
+            fsync,
+        })
+    }
+
+    fn corrupt(&self, reason: String) -> WalError {
+        WalError::Corrupt {
+            segment: self.path.clone(),
+            reason,
+        }
+    }
+
+    /// The records of the next batch, handed over once its marker is
+    /// read; `None` at the end of the segment. A frame that checksums
+    /// but does not decode is corruption wherever it sits. Damage
+    /// rules, in order of what a bad frame can mean:
+    ///
+    /// * in a non-last segment — corruption (sealed by a completed
+    ///   force; a crash cannot explain it);
+    /// * in the last segment, with an intact marker *after* the damage
+    ///   — corruption inside acknowledged bytes (the marker's force
+    ///   returned, so everything before it was acknowledged; silently
+    ///   truncating it would un-happen acknowledged records);
+    /// * in the last segment, after the final marker — a torn tail,
+    ///   the expected remnant of a crash mid-`write`. The file is
+    ///   truncated back to the last marker: the whole unmarked batch is
+    ///   dropped, including any frames of it that happen to be intact
+    ///   (a crashed multi-frame force can persist an arbitrary subset
+    ///   of pages, so intact-looking frames past the tear are still
+    ///   unacknowledged).
+    fn next_batch<R: WalCodec>(&mut self) -> Result<Option<Vec<R>>, WalError> {
+        let mut batch = Vec::new();
+        let data = &self.data;
+        let damage = loop {
+            let pos = self.pos;
+            if pos == data.len() {
+                break None;
+            }
+            if pos + FRAME_HEADER > data.len() {
+                break Some("short frame header");
+            }
+            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
+            let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap());
+            if len == MARKER_LEN {
+                if pos + MARKER_SIZE > data.len() {
+                    break Some("short boundary marker");
+                }
+                let payload = &data[pos + FRAME_HEADER..pos + MARKER_SIZE];
+                if crc32(payload) != crc || &payload[..4] != MARKER_MAGIC {
+                    break Some("boundary marker damaged");
+                }
+                self.pos += MARKER_SIZE;
+                self.acked = self.pos;
+                return Ok(Some(batch));
+            }
+            let body = pos + FRAME_HEADER;
+            let len = len as usize;
+            if body + len > data.len() {
+                break Some("short frame payload");
+            }
+            let payload = &data[body..body + len];
+            if crc32(payload) != crc {
+                break Some("frame checksum mismatch");
+            }
+            let rec = R::decode(payload)
+                .ok_or_else(|| self.corrupt(format!("payload does not decode at offset {pos}")))?;
+            batch.push(rec);
+            self.pos = body + len;
+        };
+        let at = self.pos;
+        match damage {
+            None if at == self.acked => return Ok(None),
+            // Only a sealed segment keeps frames past its last marker: a
+            // completed force sealed it.
+            None if !self.last => {
+                self.acked = at;
+                return Ok(Some(batch));
+            }
+            // Intact frames with no closing marker: a crash persisted an
+            // exact prefix of a batch whose force never returned.
+            // Unacknowledged, so dropped — "survives open" means exactly
+            // "was acknowledged".
+            None => {}
+            Some(reason) if !self.last => {
+                return Err(self.corrupt(format!("{reason} at offset {at}")))
+            }
+            Some(reason) if find_marker_after(data, at + 1).is_some() => {
+                return Err(self.corrupt(format!(
+                    "{reason} at offset {at} inside acknowledged bytes \
+                     (an intact force-boundary marker follows the damage)"
+                )))
+            }
+            Some(_) => {}
+        }
+        // Torn tail: roll back to the last acknowledged force boundary.
+        // The dropped records were never acknowledged (their force never
+        // returned), so losing them is exactly `lose_volatile`.
+        let file = OpenOptions::new().write(true).open(&self.path)?;
+        file.set_len(self.acked as u64)?;
+        if self.fsync {
+            file.sync_all()?;
+        }
+        self.data.truncate(self.acked);
+        self.pos = self.acked;
+        Ok(None)
+    }
+}
+
+/// Unwraps a read-back step, panicking on its error: a site whose log
+/// cannot be read back has no safe way to go on.
+fn read_back<T>(step: Result<T, WalError>) -> T {
+    step.unwrap_or_else(|e| panic!("WAL read-back failed: {e}"))
+}
+
 /// A disk-backed [`WalBackend`]: append-only segment files, checksummed
 /// frames, `fsync` on force, torn-tail repair on open and
 /// whole-segment prefix truncation. See the module docs for the format.
@@ -312,9 +456,11 @@ impl<R: WalCodec> FileWal<R> {
                 });
             }
             let is_last = i + 1 == firsts.len();
-            let mut n = 0u64;
-            let bytes = wal.scan_segment(&path, is_last, |_| n += 1)?;
-            wal.len += n;
+            let mut scan = SegmentScan::read(path.clone(), is_last, wal.cfg.fsync)?;
+            while let Some(batch) = scan.next_batch::<R>()? {
+                wal.len += batch.len() as u64;
+            }
+            let bytes = scan.data.len() as u64;
             expected = wal.start + wal.len;
             if is_last {
                 let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
@@ -326,7 +472,7 @@ impl<R: WalCodec> FileWal<R> {
         }
         // An over-full recovered tail seals immediately so the next
         // force starts a fresh segment.
-        wal.maybe_seal()?;
+        wal.maybe_seal();
         Ok(wal)
     }
 
@@ -334,137 +480,12 @@ impl<R: WalCodec> FileWal<R> {
         self.cfg.dir.join(format!("wal-{first:016x}.seg"))
     }
 
-    /// Reads one segment, checking every frame's checksum and decoding
-    /// its payload, and hands each retained record to `visit` in log
-    /// order. Every force ends with a boundary marker, so the markers
-    /// partition a segment into acknowledged batches plus (possibly) one
-    /// unmarked tail that no caller was ever acknowledged for; a batch
-    /// is handed over once its marker is read. `open` counts the
-    /// records; [`WalBackend::records`] collects them, scanning every
-    /// segment as non-last (a running log's segments all end at a
-    /// marker, so any damage there is corruption, never a tail to cut).
-    ///
-    /// Damage rules, in order of what a bad frame can mean:
-    ///
-    /// * in a non-last segment — corruption (sealed by a completed
-    ///   force; a crash cannot explain it);
-    /// * in the last segment, with an intact marker *after* the damage
-    ///   — corruption inside acknowledged bytes (the marker's force
-    ///   returned, so everything before it was acknowledged; silently
-    ///   truncating it would un-happen acknowledged records);
-    /// * in the last segment, after the final marker — a torn tail,
-    ///   the expected remnant of a crash mid-`write`. The file is
-    ///   truncated back to the last marker: the whole unmarked batch is
-    ///   dropped, including any frames of it that happen to be intact
-    ///   (a crashed multi-frame force can persist an arbitrary subset
-    ///   of pages, so intact-looking frames past the tear are still
-    ///   unacknowledged).
-    ///
-    /// Returns the retained byte length.
-    fn scan_segment(
-        &self,
-        path: &Path,
-        is_last: bool,
-        mut visit: impl FnMut(R),
-    ) -> Result<u64, WalError> {
-        let data = fs::read(path)?;
-        let mut pos = 0usize;
-        // End of the most recent intact marker: everything at or below
-        // this is acknowledged.
-        let mut acked_bytes = 0usize;
-        // Decoded records the next marker acknowledges.
-        let mut batch: Vec<R> = Vec::new();
-        let corrupt = |reason: String| WalError::Corrupt {
-            segment: path.to_path_buf(),
-            reason,
-        };
-        let bad: Option<&str> = loop {
-            if pos == data.len() {
-                break None;
-            }
-            if pos + FRAME_HEADER > data.len() {
-                break Some("short frame header");
-            }
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
-            let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap());
-            if len == MARKER_LEN {
-                if pos + MARKER_SIZE > data.len() {
-                    break Some("short boundary marker");
-                }
-                let payload = &data[pos + FRAME_HEADER..pos + MARKER_SIZE];
-                if crc32(payload) != crc || &payload[..4] != MARKER_MAGIC {
-                    break Some("boundary marker damaged");
-                }
-                pos += MARKER_SIZE;
-                acked_bytes = pos;
-                batch.drain(..).for_each(&mut visit);
-                continue;
-            }
-            let body = pos + FRAME_HEADER;
-            let len = len as usize;
-            if body + len > data.len() {
-                break Some("short frame payload");
-            }
-            let payload = &data[body..body + len];
-            if crc32(payload) != crc {
-                break Some("frame checksum mismatch");
-            }
-            let rec = R::decode(payload)
-                .ok_or_else(|| corrupt(format!("payload does not decode at offset {pos}")))?;
-            batch.push(rec);
-            pos = body + len;
-        };
-        let Some(reason) = bad else {
-            if is_last && pos > acked_bytes {
-                // Intact frames with no closing marker: a crash
-                // persisted an exact prefix of a batch whose force
-                // never returned. Unacknowledged, so dropped — "survives
-                // open" means exactly "was acknowledged".
-                let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(acked_bytes as u64)?;
-                if self.cfg.fsync {
-                    file.sync_all()?;
-                }
-                return Ok(acked_bytes as u64);
-            }
-            // Only a sealed segment gets here with frames past its last
-            // marker, and keeps them: a completed force sealed it.
-            batch.into_iter().for_each(visit);
-            return Ok(pos as u64);
-        };
-        if !is_last {
-            return Err(corrupt(format!("{reason} at offset {pos}")));
-        }
-        if find_marker_after(&data, pos + 1).is_some() {
-            return Err(corrupt(format!(
-                "{reason} at offset {pos} inside acknowledged bytes \
-                 (an intact force-boundary marker follows the damage)"
-            )));
-        }
-        // Torn tail: roll back to the last acknowledged force boundary.
-        // The dropped records (still in `batch`) were never acknowledged
-        // (their force never returned), so losing them is exactly
-        // `lose_volatile`.
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(acked_bytes as u64)?;
-        if self.cfg.fsync {
-            file.sync_all()?;
-        }
-        Ok(acked_bytes as u64)
-    }
-
     /// Seals the active segment if it has reached the roll threshold.
-    fn maybe_seal(&mut self) -> Result<(), WalError> {
-        if let Some(active) = &self.active {
-            if active.bytes >= self.cfg.segment_bytes {
-                let active = self.active.take().expect("checked");
-                self.sealed.push(Sealed {
-                    first: active.first,
-                    bytes: active.bytes,
-                });
-            }
+    fn maybe_seal(&mut self) {
+        let full = |a: &mut Active| a.bytes >= self.cfg.segment_bytes;
+        if let Some(Active { first, bytes, .. }) = self.active.take_if(full) {
+            self.sealed.push(Sealed { first, bytes });
         }
-        Ok(())
     }
 
     /// Fsyncs the log directory so segment creations/deletions are
@@ -523,7 +544,7 @@ impl<R: WalCodec> FileWal<R> {
         self.len += n as u64;
         self.pending.clear();
         self.forces += 1;
-        self.maybe_seal()?;
+        self.maybe_seal();
         Ok(n)
     }
 
@@ -574,24 +595,6 @@ impl<R: WalCodec> FileWal<R> {
         Ok(())
     }
 
-    /// Reads the retained durable records back from the segments, in
-    /// log order (see [`WalBackend::records`], which panics on the
-    /// error).
-    fn try_records(&self) -> Result<Vec<R>, WalError> {
-        let mut out = Vec::with_capacity(self.len as usize);
-        let firsts = self.sealed.iter().map(|s| s.first);
-        for first in firsts.chain(self.active.as_ref().map(|a| a.first)) {
-            self.scan_segment(&self.segment_path(first), false, |r| out.push(r))?;
-        }
-        if out.len() as u64 != self.len {
-            return Err(WalError::Corrupt {
-                segment: self.cfg.dir.clone(),
-                reason: format!("{} records on disk, {} durable", out.len(), self.len),
-            });
-        }
-        Ok(out)
-    }
-
     /// The log directory.
     pub fn dir(&self) -> &Path {
         &self.cfg.dir
@@ -635,9 +638,36 @@ impl<R: WalCodec> WalBackend<R> for FileWal<R> {
         self.len as usize
     }
 
-    fn records(&self) -> Vec<R> {
-        self.try_records()
-            .unwrap_or_else(|e| panic!("WAL read-back failed: {e}"))
+    /// Reads the segments back one at a time, holding one segment and
+    /// one decoded batch. Panics on a read error, or when the segments
+    /// hold a different number of records than the log made durable.
+    fn replay(&self) -> Box<dyn Iterator<Item = (Lsn, R)> + '_> {
+        let sealed = self.sealed.iter().map(|s| s.first);
+        let segments = sealed.chain(self.active.as_ref().map(|a| a.first));
+        let mut records = segments
+            .flat_map(|first| {
+                let path = self.segment_path(first);
+                let mut scan = read_back(SegmentScan::read(path, false, self.cfg.fsync));
+                std::iter::from_fn(move || read_back(scan.next_batch()))
+            })
+            .flatten();
+        let mut next = self.start;
+        Box::new(std::iter::from_fn(move || {
+            let Some(rec) = records.next() else {
+                let read = next - self.start;
+                if read != self.len {
+                    let segment = self.cfg.dir.clone();
+                    let reason = format!("{read} records on disk, {} durable", self.len);
+                    panic!(
+                        "WAL read-back failed: {}",
+                        WalError::Corrupt { segment, reason }
+                    );
+                }
+                return None;
+            };
+            next += 1;
+            Some((Lsn(next - 1), rec))
+        }))
     }
 
     fn truncate_before(&mut self, cutoff: Lsn) {
@@ -680,75 +710,55 @@ impl<R: Clone> Clone for EitherWal<R> {
     }
 }
 
+/// Forwards a call to whichever backend an [`EitherWal`] holds.
+macro_rules! either {
+    ($wal:expr, $w:ident => $call:expr) => {
+        match $wal {
+            EitherWal::Mem($w) => $call,
+            EitherWal::File($w) => $call,
+        }
+    };
+}
+
 impl<R: Clone + WalCodec> WalBackend<R> for EitherWal<R> {
     fn buffer(&mut self, record: R) -> Lsn {
-        match self {
-            EitherWal::Mem(w) => WalBackend::buffer(w, record),
-            EitherWal::File(w) => w.buffer(record),
-        }
+        either!(self, w => w.buffer(record))
     }
 
     fn force(&mut self) -> usize {
-        match self {
-            EitherWal::Mem(w) => WalBackend::force(w),
-            EitherWal::File(w) => WalBackend::force(w),
-        }
+        either!(self, w => w.force())
     }
 
     fn lose_volatile(&mut self) {
-        match self {
-            EitherWal::Mem(w) => WalBackend::lose_volatile(w),
-            EitherWal::File(w) => WalBackend::lose_volatile(w),
-        }
+        either!(self, w => w.lose_volatile())
     }
 
     fn forces(&self) -> u64 {
-        match self {
-            EitherWal::Mem(w) => WalBackend::forces(w),
-            EitherWal::File(w) => WalBackend::forces(w),
-        }
+        either!(self, w => w.forces())
     }
 
     fn pending_len(&self) -> usize {
-        match self {
-            EitherWal::Mem(w) => WalBackend::pending_len(w),
-            EitherWal::File(w) => WalBackend::pending_len(w),
-        }
+        either!(self, w => w.pending_len())
     }
 
     fn start_lsn(&self) -> Lsn {
-        match self {
-            EitherWal::Mem(w) => WalBackend::start_lsn(w),
-            EitherWal::File(w) => WalBackend::start_lsn(w),
-        }
+        either!(self, w => w.start_lsn())
     }
 
     fn len(&self) -> usize {
-        match self {
-            EitherWal::Mem(w) => WalBackend::len(w),
-            EitherWal::File(w) => WalBackend::len(w),
-        }
+        either!(self, w => w.len())
     }
 
-    fn records(&self) -> Vec<R> {
-        match self {
-            EitherWal::Mem(w) => WalBackend::records(w),
-            EitherWal::File(w) => WalBackend::records(w),
-        }
+    fn replay(&self) -> Box<dyn Iterator<Item = (Lsn, R)> + '_> {
+        either!(self, w => w.replay())
     }
 
     fn truncate_before(&mut self, cutoff: Lsn) {
-        match self {
-            EitherWal::Mem(w) => WalBackend::truncate_before(w, cutoff),
-            EitherWal::File(w) => WalBackend::truncate_before(w, cutoff),
-        }
+        either!(self, w => w.truncate_before(cutoff))
     }
 
     fn storage_bytes(&self) -> u64 {
-        match self {
-            EitherWal::Mem(w) => WalBackend::storage_bytes(w),
-            EitherWal::File(w) => WalBackend::storage_bytes(w),
-        }
+        either!(self, w => w.storage_bytes())
     }
 }
 

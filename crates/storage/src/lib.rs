@@ -31,7 +31,7 @@ pub use codec::WalCodec;
 pub use file::{crc32, EitherWal, FileWal, FileWalConfig, WalError};
 pub use store::{StoreError, VersionedStore};
 pub use temp::TempDir;
-pub use wal::{Lsn, Wal, WalBackend, WalReplay};
+pub use wal::{Lsn, Wal, WalBackend};
 
 #[cfg(test)]
 mod proptests {

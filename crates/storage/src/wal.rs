@@ -32,7 +32,7 @@
 //! chunk of its own, sized from [`WalCodec::encoded_len`] and written
 //! once. The durable log therefore holds bytes, not values: it keeps no
 //! `Arc` of anything a record names alive, and reading it back
-//! ([`WalBackend::records`], [`WalBackend::replay`]) decodes.
+//! ([`WalBackend::replay`]) decodes one payload at a time.
 //!
 //! ## Truncation
 //!
@@ -57,29 +57,6 @@ pub struct Lsn(pub u64);
 impl fmt::Display for Lsn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "lsn{}", self.0)
-    }
-}
-
-/// Iterator over a log's retained durable records with their LSNs,
-/// returned by [`WalBackend::replay`]. It owns the records: a backend
-/// that keeps its log on disk reads them back for the replay.
-#[derive(Debug)]
-pub struct WalReplay<R> {
-    start: u64,
-    iter: std::iter::Enumerate<std::vec::IntoIter<R>>,
-}
-
-impl<R> Iterator for WalReplay<R> {
-    type Item = (Lsn, R);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.iter
-            .next()
-            .map(|(i, r)| (Lsn(self.start + i as u64), r))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.iter.size_hint()
     }
 }
 
@@ -116,11 +93,12 @@ pub trait WalBackend<R> {
     /// Number of retained durable records in the log.
     fn len(&self) -> usize;
 
-    /// The retained durable records in log order, owned; element `i`
-    /// sits at LSN `start_lsn + i`. A disk-backed log keeps no copy in
-    /// memory and reads them back from stable storage, so this is for
-    /// cold callers — recovery, inspection, tests.
-    fn records(&self) -> Vec<R>;
+    /// Replays the retained log from its start (recovery): each durable
+    /// record with its LSN, in log order, decoded as the walk reaches
+    /// it. A disk-backed log keeps no copy in memory and reads it back
+    /// from stable storage, so this is for cold callers — recovery,
+    /// inspection, tests.
+    fn replay(&self) -> Box<dyn Iterator<Item = (Lsn, R)> + '_>;
 
     /// Discards durable records below `cutoff`, keeping LSNs stable.
     /// A backend may retain *more* than asked (e.g. whole-segment
@@ -151,13 +129,10 @@ pub trait WalBackend<R> {
         Lsn(self.start_lsn().0 + self.len() as u64 + self.pending_len() as u64)
     }
 
-    /// Replays the retained log from its start (recovery): the
-    /// [`WalBackend::records`] with their LSNs.
-    fn replay(&self) -> WalReplay<R> {
-        WalReplay {
-            start: self.start_lsn().0,
-            iter: self.records().into_iter().enumerate(),
-        }
+    /// The retained durable records in log order, collected from
+    /// [`WalBackend::replay`]; element `i` sits at LSN `start_lsn + i`.
+    fn records(&self) -> Vec<R> {
+        self.replay().map(|(_, r)| r).collect()
     }
 }
 
@@ -322,10 +297,10 @@ impl<R: WalCodec> WalBackend<R> for Wal<R> {
         (self.end - self.start) as usize
     }
 
-    fn records(&self) -> Vec<R> {
-        self.payloads()
-            .map(|p| R::decode(p).expect("in-memory WAL payload decodes"))
-            .collect()
+    /// Decodes one payload at a time from the chunks.
+    fn replay(&self) -> Box<dyn Iterator<Item = (Lsn, R)> + '_> {
+        let decode = |p: &[u8]| R::decode(p).expect("in-memory WAL payload decodes");
+        Box::new((self.start..).map(Lsn).zip(self.payloads().map(decode)))
     }
 
     /// Exact: out-of-range cutoffs clamp, so at most the whole durable

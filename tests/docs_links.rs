@@ -116,7 +116,7 @@ fn docs_references_to_code_paths_exist() {
         "crates/cluster/tests/mc_regressions.rs",
         "crates/cluster/tests/xshard_discovery.rs",
         "crates/mc/src/lib.rs",
-        "crates/cluster/src/mc_harness.rs",
+        "crates/cluster/tests/common/mc_harness.rs",
         "crates/core/tests/rule_safety.rs",
         "crates/harness/src/bin/paper_figures.rs",
         "crates/cluster/tests/snapshot_reads.rs",
