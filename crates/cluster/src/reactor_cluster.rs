@@ -77,10 +77,14 @@ impl ReactorReport {
 }
 
 /// A sharded cluster served through the event-driven reactor.
+///
+/// Dropped without [`ReactorCluster::shutdown`], it still stops the
+/// client and then the server (fields drop in declaration order): no
+/// thread outlives it and its socket is removed.
 pub struct ReactorCluster {
     map: ShardMap,
-    server: Option<ReactorServer>,
     client: Option<ReactorClient>,
+    server: Option<ReactorServer>,
     planner: Arc<Mutex<ClusterPlanner>>,
     obs: Option<Arc<Obs>>,
 }

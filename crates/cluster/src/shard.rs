@@ -3,7 +3,7 @@
 use crate::config::ClusterConfig;
 use qbc_core::{ProtocolKind, TxnId, TxnSpec, WriteSet};
 use qbc_simnet::SiteId;
-use qbc_votes::{Catalog, CatalogBuilder, ItemId};
+use qbc_votes::{Catalog, ItemId, ItemSpec};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -46,18 +46,29 @@ impl ShardMap {
         cfg.validate();
         let mut catalogs = Vec::with_capacity(cfg.shards as usize);
         for shard in 0..cfg.shards {
-            let mut b = CatalogBuilder::new();
-            for k in 0..cfg.items_per_shard {
-                let item = ItemId(shard * cfg.items_per_shard + k);
-                // Unnamed: an empty name allocates nothing.
-                b = b.item(item, String::new());
-                for j in 0..cfg.replication {
-                    let site = SiteId(shard * cfg.sites_per_shard + (k + j) % cfg.sites_per_shard);
-                    b = b.copy(site, 1);
-                }
-                b = b.quorums(cfg.read_quorum, cfg.write_quorum);
-            }
-            catalogs.push(Arc::new(b.build().expect("validated cluster config")));
+            // Item `k`'s copies sit on the `replication` sites from
+            // `k mod sites_per_shard` on, so a shard has one placement
+            // class per site and an item is its id plus its class.
+            let base = shard * cfg.sites_per_shard;
+            let classes: Vec<ItemSpec> = (0..cfg.sites_per_shard)
+                .map(|c| ItemSpec {
+                    id: ItemId(0),
+                    // Unnamed: an empty name allocates nothing.
+                    name: String::new(),
+                    copies: Arc::new(
+                        (0..cfg.replication)
+                            .map(|j| (SiteId(base + (c + j) % cfg.sites_per_shard), 1))
+                            .collect(),
+                    ),
+                    read_quorum: cfg.read_quorum,
+                    write_quorum: cfg.write_quorum,
+                })
+                .collect();
+            let first = shard * cfg.items_per_shard;
+            let items = (0..cfg.items_per_shard)
+                .map(|k| (ItemId(first + k), (k % cfg.sites_per_shard) as usize));
+            let catalog = Catalog::from_classes(&classes, items).expect("validated cluster config");
+            catalogs.push(Arc::new(catalog));
         }
         ShardMap {
             shards: cfg.shards,

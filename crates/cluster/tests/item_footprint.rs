@@ -8,8 +8,11 @@
 //! the allocator calls (allocations plus reallocations) that building
 //! them made. A per-item allocation anywhere on that path — a name, a
 //! placement map, a version chain — costs ≥ 32 768 calls and fails the
-//! gate. This binary holds only this test, so nothing else allocates
-//! while it counts.
+//! gate. `ShardMap::new` builds each shard from its placement classes,
+//! so it must make as many calls at 1 024 items per shard as at 16 384:
+//! its start-up cost follows the placements, not the items. This
+//! binary holds only this test, so nothing else allocates while it
+//! counts.
 
 use qbc_cluster::{ClusterConfig, ShardId, ShardMap};
 use qbc_db::{NodeConfig, SiteNode};
@@ -57,11 +60,16 @@ static ALLOC: Counting = Counting;
 const ITEMS_PER_SHARD: u32 = 16_384;
 /// Bytes the placement and the six sites may still hold once built.
 const MAX_BYTES: usize = 5 << 20;
-/// Allocator calls building them may make.
-const MAX_CALLS: usize = 5_000;
+/// Allocator calls building them may make: 65 (replication 3) and 85
+/// (replication 2) measured, plus half again for headroom.
+const MAX_CALLS: usize = 128;
 
-fn build(cfg: &ClusterConfig) -> (ShardMap, Vec<SiteNode>) {
+/// Builds the placement and every site, returning the allocator calls
+/// `ShardMap::new` made on its own.
+fn build(cfg: &ClusterConfig) -> (ShardMap, Vec<SiteNode>, usize) {
+    let calls_before = CALLS.load(Relaxed);
     let map = ShardMap::new(cfg);
+    let map_calls = CALLS.load(Relaxed) - calls_before;
     let mut nodes = Vec::new();
     for shard in (0..cfg.shards).map(ShardId) {
         for site in map.sites_iter(shard) {
@@ -69,24 +77,31 @@ fn build(cfg: &ClusterConfig) -> (ShardMap, Vec<SiteNode>) {
             nodes.push(SiteNode::new(nc, |_| 0));
         }
     }
-    (map, nodes)
+    (map, nodes, map_calls)
+}
+
+fn config(replication: u32, items_per_shard: u32) -> ClusterConfig {
+    ClusterConfig {
+        shards: 2,
+        sites_per_shard: 3,
+        replication,
+        items_per_shard,
+        ..ClusterConfig::default()
+    }
 }
 
 #[test]
 fn a_copy_costs_a_slot_not_an_allocation() {
     for replication in [3, 2] {
-        let cfg = ClusterConfig {
-            shards: 2,
-            sites_per_shard: 3,
-            replication,
-            items_per_shard: ITEMS_PER_SHARD,
-            ..ClusterConfig::default()
-        };
+        let cfg = config(replication, ITEMS_PER_SHARD);
         let (bytes_before, calls_before) = (LIVE.load(Relaxed), CALLS.load(Relaxed));
-        let (map, nodes) = build(&cfg);
+        let (map, nodes, map_calls) = build(&cfg);
         let bytes = LIVE.load(Relaxed).wrapping_sub(bytes_before);
         let calls = CALLS.load(Relaxed) - calls_before;
-        println!("replication {replication}: {bytes} bytes held, {calls} allocator calls");
+        println!(
+            "replication {replication}: {bytes} bytes held, {calls} allocator calls \
+             ({map_calls} in ShardMap::new)"
+        );
         assert!(
             bytes <= MAX_BYTES,
             "replication {replication}: {bytes} bytes held (limit {MAX_BYTES})"
@@ -94,6 +109,17 @@ fn a_copy_costs_a_slot_not_an_allocation() {
         assert!(
             calls <= MAX_CALLS,
             "replication {replication}: {calls} allocator calls (limit {MAX_CALLS})"
+        );
+
+        // Start-up proportional to placements: a sixteenth of the items
+        // costs the placement exactly as many calls.
+        let (_, _, small_map_calls) = build(&config(replication, ITEMS_PER_SHARD / 16));
+        assert_eq!(
+            small_map_calls,
+            map_calls,
+            "replication {replication}: ShardMap::new made {small_map_calls} calls at {} \
+             items per shard and {map_calls} at {ITEMS_PER_SHARD}",
+            ITEMS_PER_SHARD / 16
         );
 
         // Interning: one placement per distinct copy layout, and with

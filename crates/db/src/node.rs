@@ -144,17 +144,25 @@ impl SiteNode {
         let log = DurableLog::open(&cfg);
         let mut items = VersionedStore::new();
         items.set_retention(cfg.version_retention.max(1));
-        // One walk over the catalog loads every local copy and, with
-        // snapshot reads, collects the peers bounding the shard
+        // The placements holding a copy here give the number of local
+        // copies and, with snapshot reads, the peers bounding the shard
         // watermark: every other site that holds a copy of anything
         // this site hosts, exactly the sites whose in-flight
-        // transactions can pin a local copy.
+        // transactions can pin a local copy. One walk then loads the
+        // copies into arrays sized for them.
+        let mut copies = 0;
         let mut peers: BTreeSet<SiteId> = BTreeSet::new();
+        for (placement, n) in cfg.catalog.placements() {
+            if placement.contains_key(&cfg.site) {
+                copies += n;
+                if cfg.snapshot_reads {
+                    peers.extend(placement.keys());
+                }
+            }
+        }
+        items.reserve(copies);
         for spec in cfg.catalog.items_at(cfg.site) {
             items.initialize(spec.id, initial_values(spec.id));
-            if cfg.snapshot_reads {
-                peers.extend(spec.sites());
-            }
         }
         peers.remove(&cfg.site);
         let peers = peers.into_iter().collect();

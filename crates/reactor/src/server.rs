@@ -1016,18 +1016,43 @@ impl ReactorServer {
 
     /// Stops the workers and returns every site node (killed sites
     /// included, frozen at their kill state) for harvesting.
-    pub fn shutdown(self) -> (Vec<(SiteId, SiteNode)>, ServerStats) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        for mb in &self.shared.mailboxes {
-            mb.waker.wake();
-        }
+    pub fn shutdown(mut self) -> (Vec<(SiteId, SiteNode)>, ServerStats) {
+        // Taking the handles leaves the drop nothing to join.
+        let handles = self.stop();
         let mut nodes = Vec::new();
-        for h in self.handles {
+        for h in handles {
             nodes.extend(h.join().expect("reactor worker panicked"));
         }
         nodes.sort_by_key(|(s, _)| *s);
         let _ = std::fs::remove_file(&self.path);
         (nodes, self.shared.stats.snapshot())
+    }
+
+    /// Raises the shutdown flag, wakes every worker and hands back the
+    /// join handles not yet taken.
+    fn stop(&mut self) -> Vec<std::thread::JoinHandle<Vec<(SiteId, SiteNode)>>> {
+        let handles = std::mem::take(&mut self.handles);
+        if !handles.is_empty() {
+            self.shared.shutdown.store(true, Ordering::Release);
+            for mb in &self.shared.mailboxes {
+                mb.waker.wake();
+            }
+        }
+        handles
+    }
+}
+
+/// A server dropped without [`ReactorServer::shutdown`] (a caller
+/// bailing out on an error) still stops and joins its workers and
+/// removes its socket; the site nodes are dropped with the threads.
+impl Drop for ReactorServer {
+    fn drop(&mut self) {
+        for h in self.stop() {
+            // A worker's panic was the caller's to see at shutdown;
+            // re-raising it here could abort an unwinding thread.
+            let _ = h.join();
+        }
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 

@@ -18,7 +18,7 @@
 //! every copy lives in one dense id-sorted array, and only items that
 //! actually retain older versions (retention > 1) get a side entry.
 
-use qbc_votes::{FastMap, ItemId, Version};
+use qbc_votes::{slot_of, FastMap, ItemId, Version};
 
 /// Error applying a versioned write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,7 +55,8 @@ impl std::error::Error for StoreError {}
 /// pairs (ascending, newest last) for the copies a site replicates.
 ///
 /// Layout: `ids` is the ascending array of held item ids (4 bytes a
-/// copy, so lookups binary-search 64 KiB for 16 384 copies) and
+/// copy; a lookup probes the slot the id would have without gaps, and
+/// binary-searches only when that slot holds another id) and
 /// `newest` the parallel array of each copy's newest `(version,
 /// value)`. A site loads its copies in catalog order, so filling the
 /// arrays is an append per copy. Versions older than the newest sit in
@@ -108,9 +109,18 @@ impl<V> VersionedStore<V> {
         self.retention
     }
 
-    /// The slot of `item` in the dense arrays.
+    /// The slot of `item` in the dense arrays: its offset from the
+    /// first id when the held ids run without gaps, a binary search
+    /// otherwise.
     fn slot(&self, item: ItemId) -> Option<usize> {
-        self.ids.binary_search(&item).ok()
+        slot_of(&self.ids, item, |&id| id)
+    }
+
+    /// Reserves room for `additional` more copies, so loading a site's
+    /// copies grows each dense array once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.ids.reserve_exact(additional);
+        self.newest.reserve_exact(additional);
     }
 
     /// The retained versions of `item` older than its newest.

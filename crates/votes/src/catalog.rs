@@ -1,6 +1,6 @@
 //! The replicated-data catalog: every item's placement and quorums.
 
-use crate::item::{ItemId, ItemSpec, VoteError};
+use crate::item::{slot_of, ItemId, ItemSpec, VoteError};
 use qbc_simnet::SiteId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -11,32 +11,103 @@ use std::sync::Arc;
 /// `NodeConfig::catalog` in `qbc-db`), so a cluster keeps one catalog
 /// per shard however many sites it runs.
 ///
-/// Placements are interned: every item with the same (site, weight)
-/// set shares one [`ItemSpec::copies`] allocation, so an item costs its
-/// spec's slot in the index and nothing more.
+/// The specs sit in one id-sorted array. A lookup tries the slot its
+/// id would have if the ids were contiguous and binary-searches when
+/// they are not, so a dense catalog answers in one probe and a sparse
+/// one still answers. Placements are interned: every item with the
+/// same (site, weight) set shares one [`ItemSpec::copies`] allocation,
+/// so an item costs its spec's slot and nothing more.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Catalog {
-    items: BTreeMap<ItemId, ItemSpec>,
+    /// Every item's spec, ascending by id, no two alike.
+    specs: Vec<ItemSpec>,
+    /// Every placement some item uses (the very `Arc` its specs hold),
+    /// with how many items use it, ascending by placement.
+    placements: Vec<(Arc<Placement>, usize)>,
 }
-
-/// Interns placements: one shared map per distinct (site, weight) set,
-/// looked up by its entries in site order.
-#[derive(Debug, Default)]
-struct Placements(BTreeMap<Vec<(SiteId, u32)>, Arc<Placement>>);
 
 /// An item's copies: the vote weight at each site.
 type Placement = BTreeMap<SiteId, u32>;
 
+/// Interns placements and counts their items: one shared map per
+/// distinct (site, weight) set, looked up by its entries in site order.
+#[derive(Debug, Default)]
+struct Placements {
+    index: BTreeMap<Vec<(SiteId, u32)>, usize>,
+    entries: Vec<Entry>,
+}
+
+/// One interned placement, the items placed on it so far, and the
+/// quorum pairs already validated over it.
+#[derive(Debug)]
+struct Entry {
+    copies: Arc<Placement>,
+    items: usize,
+    validated: Vec<(u32, u32)>,
+}
+
 impl Placements {
-    /// The shared placement holding exactly `copies` (ascending by
-    /// site); allocates only the first time a set is seen.
-    fn intern(&mut self, copies: &[(SiteId, u32)]) -> Arc<Placement> {
-        if let Some(shared) = self.0.get(copies) {
-            return Arc::clone(shared);
+    /// The index of the shared placement holding exactly `copies`
+    /// (ascending by site); allocates only the first time a set is
+    /// seen.
+    fn intern(&mut self, copies: &[(SiteId, u32)]) -> usize {
+        if let Some(&i) = self.index.get(copies) {
+            return i;
         }
-        let shared = Arc::new(copies.iter().copied().collect::<Placement>());
-        self.0.insert(copies.to_vec(), Arc::clone(&shared));
-        shared
+        self.entries.push(Entry {
+            copies: Arc::new(copies.iter().copied().collect()),
+            items: 0,
+            validated: Vec::new(),
+        });
+        self.index.insert(copies.to_vec(), self.entries.len() - 1);
+        self.entries.len() - 1
+    }
+
+    /// [`Placements::intern`] for a placement held as a map.
+    fn intern_map(&mut self, copies: &Placement, scratch: &mut Vec<(SiteId, u32)>) -> usize {
+        scratch.clear();
+        scratch.extend(copies.iter().map(|(&s, &w)| (s, w)));
+        self.intern(scratch)
+    }
+
+    /// The shared map of placement `i`.
+    fn copies(&self, i: usize) -> Arc<Placement> {
+        Arc::clone(&self.entries[i].copies)
+    }
+
+    /// Counts `spec` against placement `i`, validating it unless an
+    /// item with the same placement and quorums already passed. The
+    /// checks read nothing else, so the items skipped would pass too,
+    /// and a rejection still names the first invalid item.
+    fn admit(&mut self, i: usize, spec: &ItemSpec) -> Result<(), VoteError> {
+        let entry = &mut self.entries[i];
+        let quorums = (spec.read_quorum, spec.write_quorum);
+        if !entry.validated.contains(&quorums) {
+            spec.validate()?;
+            entry.validated.push(quorums);
+        }
+        entry.items += 1;
+        Ok(())
+    }
+
+    /// Sorts interned, validated specs by id and rejects duplicates.
+    fn finish(self, mut specs: Vec<ItemSpec>) -> Result<Catalog, VoteError> {
+        // Strictly ascending input, the common case, is checked in one
+        // pass and neither sorted nor searched for duplicates.
+        if !specs.windows(2).all(|pair| pair[0].id < pair[1].id) {
+            specs.sort_unstable_by_key(|spec| spec.id);
+            if let Some(pair) = specs.windows(2).find(|pair| pair[0].id == pair[1].id) {
+                return Err(VoteError::DuplicateItem(pair[0].id));
+            }
+        }
+        let mut placements: Vec<_> = self
+            .entries
+            .into_iter()
+            .filter(|entry| entry.items > 0)
+            .map(|entry| (entry.copies, entry.items))
+            .collect();
+        placements.sort_unstable();
+        Ok(Catalog { specs, placements })
     }
 }
 
@@ -44,65 +115,103 @@ impl Catalog {
     /// Builds a catalog from specs, validating each, interning their
     /// placements and rejecting duplicate item ids.
     pub fn new(specs: impl IntoIterator<Item = ItemSpec>) -> Result<Self, VoteError> {
-        Self::interned(specs, &mut Placements::default())
+        let mut placements = Placements::default();
+        let mut scratch = Vec::new();
+        let specs = specs
+            .into_iter()
+            .map(|mut spec| {
+                let i = placements.intern_map(&spec.copies, &mut scratch);
+                spec.copies = placements.copies(i);
+                placements.admit(i, &spec)?;
+                Ok(spec)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        placements.finish(specs)
     }
 
-    fn interned(
-        specs: impl IntoIterator<Item = ItemSpec>,
-        placements: &mut Placements,
+    /// Builds a catalog whose items each take one of a few class specs:
+    /// item `(id, c)` is `classes[c]` under its own id. A class is
+    /// interned once and validated on its first item, and every item
+    /// costs one slot; the result equals what [`Catalog::new`] builds
+    /// from the expanded specs, errors included. Classes no item names
+    /// are left out.
+    ///
+    /// # Panics
+    /// When an item names a class past the end of `classes`.
+    pub fn from_classes(
+        classes: &[ItemSpec],
+        items: impl IntoIterator<Item = (ItemId, usize)>,
     ) -> Result<Self, VoteError> {
-        let mut specs: Vec<ItemSpec> = specs.into_iter().collect();
-        let mut copies = Vec::new();
-        for spec in &mut specs {
-            spec.validate()?;
-            copies.clear();
-            copies.extend(spec.copies.iter().map(|(&s, &w)| (s, w)));
-            spec.copies = placements.intern(&copies);
+        let mut placements = Placements::default();
+        let mut scratch = Vec::new();
+        let interned: Vec<usize> = classes
+            .iter()
+            .map(|class| placements.intern_map(&class.copies, &mut scratch))
+            .collect();
+        let items = items.into_iter();
+        let mut specs = Vec::with_capacity(items.size_hint().0);
+        for (id, c) in items {
+            let class = &classes[c];
+            let spec = ItemSpec {
+                id,
+                name: class.name.clone(),
+                copies: placements.copies(interned[c]),
+                read_quorum: class.read_quorum,
+                write_quorum: class.write_quorum,
+            };
+            placements.admit(interned[c], &spec)?;
+            specs.push(spec);
         }
-        specs.sort_unstable_by_key(|spec| spec.id);
-        if let Some(pair) = specs.windows(2).find(|pair| pair[0].id == pair[1].id) {
-            return Err(VoteError::DuplicateItem(pair[0].id));
-        }
-        // Collected from sorted input, the index is bulk-built with
-        // full nodes instead of split one insert at a time.
-        let items = specs.into_iter().map(|spec| (spec.id, spec)).collect();
-        Ok(Catalog { items })
+        placements.finish(specs)
     }
 
     /// Looks up an item's spec.
     pub fn item(&self, id: ItemId) -> Option<&ItemSpec> {
-        self.items.get(&id)
+        slot_of(&self.specs, id, |spec| spec.id).map(|i| &self.specs[i])
     }
 
     /// Looks up an item's spec, panicking on unknown id (for internal use
     /// where the id is known to exist).
     pub fn expect_item(&self, id: ItemId) -> &ItemSpec {
-        self.items
-            .get(&id)
-            .unwrap_or_else(|| panic!("unknown item {id}"))
+        self.item(id).unwrap_or_else(|| panic!("unknown item {id}"))
     }
 
-    /// Iterates over all items.
+    /// Iterates over all items, in id order.
     pub fn items(&self) -> impl Iterator<Item = &ItemSpec> {
-        self.items.values()
+        self.specs.iter()
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.specs.len()
     }
 
     /// True when the catalog holds no items.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.specs.is_empty()
+    }
+
+    /// Every distinct placement the items use, each with the number of
+    /// items placed on it, ascending by placement. The maps are the
+    /// ones the specs share, so a placement holds every site that some
+    /// class of items is replicated at, once.
+    pub fn placements(&self) -> impl Iterator<Item = (&Arc<BTreeMap<SiteId, u32>>, usize)> {
+        self.placements.iter().map(|(copies, n)| (copies, *n))
     }
 
     /// The specs of the items stored (replicated) at a given site, in id
-    /// order, walked lazily.
+    /// order, walked lazily. The site's placements are found once; an
+    /// item then costs a pointer comparison per placement.
     pub fn items_at(&self, site: SiteId) -> impl Iterator<Item = &ItemSpec> {
-        self.items
-            .values()
-            .filter(move |s| s.copies.contains_key(&site))
+        let here: Vec<&Arc<Placement>> = self
+            .placements
+            .iter()
+            .filter(|(copies, _)| copies.contains_key(&site))
+            .map(|(copies, _)| copies)
+            .collect();
+        self.specs
+            .iter()
+            .filter(move |spec| here.iter().any(|p| Arc::ptr_eq(p, &spec.copies)))
     }
 
     /// The participant set of a transaction: every site holding a copy of
@@ -112,7 +221,7 @@ impl Catalog {
     pub fn participants(&self, writeset: impl IntoIterator<Item = ItemId>) -> BTreeSet<SiteId> {
         let mut out = BTreeSet::new();
         for id in writeset {
-            if let Some(spec) = self.items.get(&id) {
+            if let Some(spec) = self.item(id) {
                 out.extend(spec.sites());
             }
         }
@@ -122,8 +231,8 @@ impl Catalog {
     /// Every site that stores at least one copy of anything.
     pub fn all_sites(&self) -> BTreeSet<SiteId> {
         let mut out = BTreeSet::new();
-        for spec in self.items.values() {
-            out.extend(spec.sites());
+        for (copies, _) in &self.placements {
+            out.extend(copies.keys().copied());
         }
         out
     }
@@ -151,7 +260,8 @@ impl Catalog {
 /// allocates per distinct placement, not per item.
 #[derive(Debug, Default)]
 pub struct CatalogBuilder {
-    done: Vec<ItemSpec>,
+    /// Finished items, interned and each with its placement's index.
+    done: Vec<(usize, ItemSpec)>,
     current: Option<Started>,
     /// The current item's copies, ascending by site.
     copies: Vec<(SiteId, u32)>,
@@ -175,13 +285,17 @@ impl CatalogBuilder {
 
     fn flush(&mut self) {
         if let Some(item) = self.current.take() {
-            self.done.push(ItemSpec {
-                id: item.id,
-                name: item.name,
-                copies: self.placements.intern(&self.copies),
-                read_quorum: item.read_quorum,
-                write_quorum: item.write_quorum,
-            });
+            let i = self.placements.intern(&self.copies);
+            self.done.push((
+                i,
+                ItemSpec {
+                    id: item.id,
+                    name: item.name,
+                    copies: self.placements.copies(i),
+                    read_quorum: item.read_quorum,
+                    write_quorum: item.write_quorum,
+                },
+            ));
             self.copies.clear();
         }
     }
@@ -262,10 +376,16 @@ impl CatalogBuilder {
         self
     }
 
-    /// Finishes, validating every item.
+    /// Finishes, validating every item: once per distinct placement
+    /// and quorum pair, since the checks read nothing else.
     pub fn build(mut self) -> Result<Catalog, VoteError> {
         self.flush();
-        Catalog::interned(self.done, &mut self.placements)
+        let mut specs = Vec::with_capacity(self.done.len());
+        for (i, spec) in self.done {
+            self.placements.admit(i, &spec)?;
+            specs.push(spec);
+        }
+        self.placements.finish(specs)
     }
 }
 

@@ -33,6 +33,22 @@ impl fmt::Display for ItemId {
     }
 }
 
+/// The slot of `id` in `sorted`, whose keys ascend strictly: first the
+/// slot `id` would have if the keys ran on from the first without gaps,
+/// then — when that slot holds another key — a binary search. A dense
+/// run of ids answers in one probe; gaps cost the search, never a
+/// wrong answer.
+pub fn slot_of<T>(sorted: &[T], id: ItemId, key: impl Fn(&T) -> ItemId) -> Option<usize> {
+    let guess = id.0.checked_sub(key(sorted.first()?).0)? as usize;
+    match sorted.get(guess) {
+        Some(found) if key(found) == id => Some(guess),
+        // Strictly ascending keys put a larger one in the guessed slot,
+        // so `id`, if present, lies below it.
+        Some(_) => sorted[..guess].binary_search_by_key(&id, key).ok(),
+        None => sorted.binary_search_by_key(&id, key).ok(),
+    }
+}
+
 /// Version number identifying the most recent copy of an item.
 ///
 /// Gifford's currency rule: a read quorum always contains at least one

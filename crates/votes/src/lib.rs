@@ -27,7 +27,7 @@ mod item;
 
 pub use availability::{analyze, AccessReport, ItemAccess};
 pub use catalog::{Catalog, CatalogBuilder};
-pub use item::{ItemId, ItemSpec, Version, VoteError};
+pub use item::{slot_of, ItemId, ItemSpec, Version, VoteError};
 // Re-export so downstream crates keyed on item/txn ids can reach the
 // deterministic hasher without an extra dependency edge.
 pub use qbc_simnet::{FastBuildHasher, FastHasher, FastMap};
