@@ -22,10 +22,7 @@ pub(crate) fn make_obs(cfg: &ClusterConfig, map: &ShardMap) -> Option<Arc<Obs>> 
     }
     let obs = Arc::new(Obs::new(cfg.obs.clone()));
     for shard in 0..cfg.shards {
-        for spec in map.catalog(ShardId(shard)).items() {
-            let copies: Vec<(SiteId, u32)> = spec.copies.iter().map(|(&s, &w)| (s, w)).collect();
-            obs.register_item(spec.id, copies, spec.read_quorum);
-        }
+        obs.register_catalog(map.catalog(ShardId(shard)));
     }
     Some(obs)
 }

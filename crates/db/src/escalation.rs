@@ -1,0 +1,287 @@
+//! Escalation: what a site does once a transaction leaves the normal
+//! case.
+//!
+//! A watchdog per undecided transaction notices coordinator silence
+//! (`3T` without contact) and escalates. An in-shard transaction elects
+//! a termination coordinator per partition, and the elected site runs
+//! termination rounds until the transaction decides or blocks (a
+//! blocked one retries on a timer when so configured). Under Paxos
+//! Commit any participant stands as a recovery candidate instead. A
+//! branch of a cross-shard transaction may not terminate in-shard: it
+//! asks the parent, and its sibling branch coordinators, for the
+//! outcome.
+//!
+//! What this needs per transaction is [`Escalation`], a second box of
+//! the `TxnState` that most transactions never allocate; the functions
+//! here are the [`SiteNode`] methods that drive it.
+
+use crate::envelope::{NetMsg, NodeTimer};
+use crate::node::SiteNode;
+use qbc_core::{
+    LocalState, Msg, PaxosLeader, ProtocolKind, Termination, TimerKind, TxnId, TxnSpec,
+};
+use qbc_election::{Action as ElAction, ElectionMsg, ElectionTimer, Elector, Input as ElInput};
+use qbc_obs::EventKind;
+use qbc_simnet::{Ctx, SiteId};
+use qbc_votes::Version;
+use std::sync::Arc;
+
+/// What a transaction needs only once it leaves the normal case —
+/// termination, the election before it, cross-shard outcome discovery —
+/// boxed apart from its `TxnState`, which it would otherwise grow by
+/// half. The two engines stay boxed within: a branch coordinator
+/// creates this for its siblings alone.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Escalation {
+    pub(crate) termination: Option<Box<Termination>>,
+    pub(crate) elector: Option<Box<Elector>>,
+    pub(crate) termination_rounds: u64,
+    pub(crate) blocked: bool,
+    /// Commit version adopted with an engine-less decision (a recovered
+    /// copy-less branch coordinator learning `X-DECIDE` directly): the
+    /// participant never saw a command, so the version must be kept
+    /// here for retirement records and `Decided` re-announces.
+    pub(crate) decided_version: Option<Version>,
+    /// Coordinators of the sibling branches of a cross-shard
+    /// transaction (from `X-BRANCH-REQ`). Outcome discovery asks them
+    /// alongside the parent: any branch that learned the top-level
+    /// decision can answer, so a crashed parent no longer blocks this
+    /// shard until recovery. Volatile — a branch coordinator that
+    /// crashes falls back to parent-only discovery.
+    pub(crate) x_siblings: Vec<SiteId>,
+}
+
+impl SiteNode {
+    pub(crate) fn arm_watchdog(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
+        if let Some(st) = self.table.get_mut(txn) {
+            if st.decided.is_none() && !st.watchdog_armed {
+                st.watchdog_armed = true;
+                ctx.set_timer(
+                    self.cfg.watchdog_3t(),
+                    NodeTimer::Proto(TimerKind::CoordinatorWatch { txn }),
+                );
+            }
+        }
+    }
+
+    /// The watchdog fired: a participant that heard nothing from a
+    /// coordinator for `3T` escalates, and the watchdog re-arms while
+    /// `txn` is undecided (the re-entrant retry loop).
+    pub(crate) fn on_watchdog(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
+        let (now, site) = (ctx.now(), self.cfg.site);
+        let watchdog = self.cfg.watchdog_3t();
+        let mut actions = self.take_actions();
+        let Some(st) = self.table.get_mut(txn) else {
+            return self.recycle_actions(actions);
+        };
+        st.watchdog_armed = false;
+        if st.decided.is_some() {
+            return self.recycle_actions(actions);
+        }
+        let mut orphan_parent = None;
+        if now.since(st.last_coord_contact) >= watchdog {
+            if st.spec.protocol == ProtocolKind::PaxosCommit
+                && st.participant.state() == LocalState::Initial
+                && st.spec.participants.contains(&site)
+            {
+                // A Paxos copy holder still in `q` was drawn in by a
+                // candidate's 1a (the quorum engines' `STATE-REQ`
+                // vetoes on arrival instead). It never voted: its
+                // vote cannot leave before its `Voted` record is
+                // forced, so no commit can count on it. Waiting could
+                // be forever — a candidate that adopts a decided
+                // peer's answer tells no one, and a coordinator that
+                // lost its unforced start record knows nothing of the
+                // transaction — so it vetoes.
+                st.participant.veto_abort(&mut actions);
+            } else {
+                st.participant.on_coordinator_silent(&mut actions);
+            }
+            // A held branch coordinator that holds no copies has a
+            // participant still in `q` (which stays quiet): it must
+            // still discover the cross-shard outcome — from the
+            // parent, and cooperatively from sibling branch
+            // coordinators.
+            orphan_parent = st
+                .spec
+                .parent
+                .filter(|_| actions.is_empty() && st.spec.coordinator == site);
+        }
+        if let Some(parent) = orphan_parent {
+            self.discover_outcome(ctx, txn, parent);
+        }
+        self.apply_actions(ctx, txn, site, actions);
+        self.arm_watchdog(ctx, txn);
+    }
+
+    /// Orphan outcome discovery for a branch of a cross-shard
+    /// transaction: `X-OUTCOME-REQ` to the parent first, then to every
+    /// sibling branch coordinator (cooperative discovery), skipping the
+    /// parent (no duplicate ask when a sibling's coordinator *is* the
+    /// parent's site) and this site itself.
+    fn discover_outcome(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        txn: TxnId,
+        parent: SiteId,
+    ) {
+        let site = self.cfg.site;
+        let siblings = self.table.get(txn).map_or(&[][..], |st| st.x_siblings());
+        let mut targets = vec![parent];
+        targets.extend(siblings.iter().filter(|&&s| s != parent && s != site));
+        for to in targets {
+            self.send_net(ctx, to, NetMsg::Proto(Msg::XOutcomeReq { txn }));
+        }
+        self.cfg
+            .emit(ctx.now(), Some(txn), EventKind::OutcomeDiscoveryOut);
+    }
+
+    /// Escalates an undecided `txn` that has rounds left: outcome
+    /// discovery for a cross-shard branch, a recovery candidacy under
+    /// Paxos Commit, else a termination election.
+    pub(crate) fn start_termination_election(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        txn: TxnId,
+    ) {
+        let Some(st) = self.table.get_mut(txn) else {
+            return;
+        };
+        if st.decided.is_some() || st.termination_rounds() >= self.cfg.max_termination_rounds {
+            return;
+        }
+        if let Some(parent) = st.spec.parent {
+            // A branch of a cross-shard transaction may not terminate
+            // in-shard: once prepared it could contradict the top-level
+            // decision (e.g. a PC quorum committing a branch the parent
+            // aborted). Outcome discovery replaces the election; the
+            // watchdog re-arms, so the ask retries until answered.
+            // Sibling branch coordinators are asked alongside the
+            // parent — any decided branch can relay the outcome, so a
+            // crashed parent no longer blocks until recovery.
+            self.discover_outcome(ctx, txn, parent);
+            return;
+        }
+        if st.spec.protocol == ProtocolKind::PaxosCommit {
+            // Paxos Commit replaces the termination election entirely:
+            // any participant may stand up as a recovery candidate and
+            // run Phase 1a at a ballot above every earlier one. The
+            // acceptor majority then tells the candidate what (if
+            // anything) was already chosen; unchosen instances are
+            // presumed aborted.
+            let esc = st.escalation_mut();
+            esc.termination_rounds += 1;
+            let bal = qbc_election::recovery_ballot(esc.termination_rounds, self.cfg.site);
+            let candidate = PaxosLeader::recover(Arc::clone(&st.spec), bal);
+            let candidate = self.paxos_leader(candidate);
+            let actions = self.install_leader(txn, candidate);
+            self.apply_actions(ctx, txn, self.cfg.site, actions);
+            return;
+        }
+        let spec = Arc::clone(&st.spec);
+        let actions = st.elector(self.cfg.site).step(ElInput::Start);
+        self.cfg
+            .emit(ctx.now(), Some(txn), EventKind::ElectionStarted);
+        self.apply_election_actions(ctx, txn, spec, actions);
+    }
+
+    /// An election message for `txn` arrived. A site that knows the
+    /// outcome, live or retired, answers with it instead.
+    pub(crate) fn handle_election_msg(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        from: SiteId,
+        txn: TxnId,
+        spec: Arc<TxnSpec>,
+        msg: ElectionMsg,
+    ) {
+        if let Some(outcome) = self.table.outcome(txn) {
+            return self.send_decided(ctx, from, txn, outcome);
+        }
+        let site = self.cfg.site;
+        let st = self.ensure_txn(ctx.now(), &spec);
+        st.last_coord_contact = ctx.now();
+        let actions = st.elector(site).step(ElInput::Msg { from, msg });
+        self.apply_election_actions(ctx, txn, spec, actions);
+        self.arm_watchdog(ctx, txn);
+    }
+
+    pub(crate) fn on_election_timer(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        txn: TxnId,
+        timer: ElectionTimer,
+    ) {
+        if let Some(st) = self.table.get_mut(txn).filter(|st| st.decided.is_none()) {
+            if let Some(elector) = st.elector_mut() {
+                let actions = elector.step(ElInput::Timer(timer));
+                let spec = Arc::clone(&st.spec);
+                self.apply_election_actions(ctx, txn, spec, actions);
+            }
+        }
+    }
+
+    fn apply_election_actions(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        txn: TxnId,
+        spec: Arc<TxnSpec>,
+        actions: Vec<ElAction>,
+    ) {
+        for a in actions {
+            match a {
+                ElAction::Send { to, msg } => {
+                    let m = NetMsg::Election {
+                        txn,
+                        spec: Arc::clone(&spec),
+                        msg,
+                    };
+                    self.send_net(ctx, to, m);
+                }
+                ElAction::SetTimer(timer) => {
+                    ctx.set_timer(self.cfg.window_2t(), NodeTimer::Election { txn, timer });
+                }
+                ElAction::Elected => self.start_termination_round(ctx, txn),
+                ElAction::CoordinatorIs(_) => {
+                    if let Some(st) = self.table.get_mut(txn) {
+                        st.last_coord_contact = ctx.now();
+                    }
+                }
+            }
+        }
+    }
+
+    /// This site was elected: it runs the next termination round.
+    fn start_termination_round(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
+        let site = self.cfg.site;
+        // An elected leader that never voted seeds its own `q` state
+        // into the round's view — a veto, which must be durable and
+        // irrevocable before the round runs (see
+        // `Participant::veto_abort`).
+        let mut veto = self.take_actions();
+        match self.table.get_mut(txn) {
+            Some(st) if st.decided.is_none() => st.participant.veto_abort(&mut veto),
+            _ => return self.recycle_actions(veto),
+        }
+        self.apply_actions(ctx, txn, site, veto);
+        let Some(st) = self.table.get_mut(txn) else {
+            return;
+        };
+        let esc = st.escalation_mut();
+        esc.termination_rounds += 1;
+        let round = esc.termination_rounds;
+        let kind = qbc_core::termination_kind_for(st.spec.protocol, self.cfg.site_votes.as_ref());
+        let (term, actions) = Termination::start(
+            site,
+            Arc::clone(&st.spec),
+            kind,
+            round,
+            st.participant.state(),
+            st.participant.commit_version(),
+        );
+        st.escalation_mut().termination = Some(Box::new(term));
+        self.cfg
+            .emit(ctx.now(), Some(txn), EventKind::TerminationRound { round });
+        self.apply_actions(ctx, txn, site, actions);
+    }
+}

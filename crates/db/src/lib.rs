@@ -27,9 +27,11 @@
 mod config;
 mod durable_log;
 mod envelope;
+mod escalation;
 mod node;
 mod outcome_ring;
 mod reads;
+mod recovery;
 mod txn_table;
 
 pub use config::{Mutation, NodeConfig, WalBackendConfig};

@@ -32,6 +32,16 @@
 //! * **the read path** — quorum and snapshot reads and the watermark
 //!   snapshot reads are served at, in [`Reads`] (`reads.rs`), which
 //!   the commit path feeds through a few hooks.
+//!
+//! This file hosts the site itself: message and timer dispatch (the
+//! protocol router `handle_proto`), the durability gating of sends and
+//! decision applications, the one path that marks a transaction
+//! decided (`apply_decision`), checkpoints, and the cross-shard relay
+//! (`begin_xshard`, `start_branch`, `handle_x_decide`). Two parts live
+//! beside it as further `impl SiteNode` blocks: the watchdog,
+//! termination election and termination rounds, with their
+//! `Escalation` state, in `escalation.rs`, and restart's one walk over
+//! the log in `recovery.rs`.
 
 use crate::config::{Mutation, NodeConfig};
 use crate::durable_log::{DeferredOp, DurableLog};
@@ -40,16 +50,15 @@ use crate::reads::{local_max_version, ReadEvent, ReadResult, ReadSite, Reads};
 use crate::txn_table::{Outcome, TxnState, TxnTable, XCoord};
 use qbc_core::{
     Action, CommitEngine, Coordinator, Decision, EngineCtx, LocalState, LogRecord, Msg,
-    Participant, ParticipantConfig, PaxosAcceptor, PaxosLeader, ProtocolKind, Termination,
-    TimerKind, Transition, TxnId, TxnSpec, WriteSet, XTxnCoordinator,
+    Participant, ParticipantConfig, PaxosLeader, ProtocolKind, TimerKind, Transition, TxnId,
+    TxnSpec, WriteSet, XTxnCoordinator,
 };
-use qbc_election::{Action as ElAction, ElectionMsg, Input as ElInput};
 use qbc_locks::{LockManager, LockMode};
 use qbc_obs::EventKind;
 use qbc_simnet::{Ctx, Label, Process, SiteId, Time, TimerId};
 use qbc_storage::{Lsn, VersionedStore, WalBackend};
 use qbc_votes::{Catalog, ItemId, Version};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// One local decision transition, recorded for
@@ -83,21 +92,21 @@ pub struct Violation {
 /// a file-backed log panics (see [`qbc_storage::EitherWal`]).
 #[derive(Clone)]
 pub struct SiteNode {
-    cfg: NodeConfig,
+    pub(crate) cfg: NodeConfig,
     /// The write-ahead log behind its durability gate: nothing of a
     /// transaction is told or applied before it is irrevocable — while a
     /// record of it is undurable, bar the `Decided` of a commit that was
     /// irrevocable before it.
-    log: DurableLog,
+    pub(crate) log: DurableLog,
     /// The versioned copies this site holds. Durable: survives `on_crash`
     /// (the page store of a real site).
-    items: VersionedStore<i64>,
-    locks: LockManager<ItemId, TxnId>,
+    pub(crate) items: VersionedStore<i64>,
+    pub(crate) locks: LockManager<ItemId, TxnId>,
     /// Everything this site knows about each transaction, live or
     /// retired, with the retirement policy.
-    table: TxnTable,
+    pub(crate) table: TxnTable,
     /// The read path: read collectors and the watermark.
-    reads: Reads,
+    pub(crate) reads: Reads,
     violations: Vec<Violation>,
     /// Self-addressed messages processed synchronously (local delivery).
     local_queue: VecDeque<NetMsg>,
@@ -120,10 +129,10 @@ pub struct SiteNode {
     checkpoint_armed: bool,
     /// Log end as of the last checkpoint (including the checkpoint
     /// record itself); no new checkpoint until the log outgrows it.
-    last_checkpoint_end: Lsn,
+    pub(crate) last_checkpoint_end: Lsn,
     /// The largest transaction id the last recovery walk read. Derived
     /// from the log, so not part of the fingerprint.
-    max_recovered_txn: Option<TxnId>,
+    pub(crate) max_recovered_txn: Option<TxnId>,
 }
 
 impl SiteNode {
@@ -237,20 +246,6 @@ impl SiteNode {
     /// a transaction's outcome.
     pub fn drain_decision_events(&mut self, out: &mut Vec<DecisionEvent>) {
         out.append(&mut self.decision_events);
-    }
-
-    /// Records a local decision transition for
-    /// [`SiteNode::drain_decision_events`]. Call sites are exactly the
-    /// `st.decided` `None -> Some` assignments, so one event fires per
-    /// transaction per site lifetime.
-    fn note_decision(&mut self, txn: TxnId, decision: Decision, commit_version: Option<Version>) {
-        if self.cfg.decision_events {
-            self.decision_events.push(DecisionEvent {
-                txn,
-                decision,
-                commit_version,
-            });
-        }
     }
 
     /// The top-level decision of a cross-shard transaction coordinated
@@ -446,7 +441,7 @@ impl SiteNode {
 
     /// A Paxos Commit leader or candidate with the configured test
     /// mutation.
-    fn paxos_leader(&self, leader: PaxosLeader) -> Box<dyn CommitEngine> {
+    pub(crate) fn paxos_leader(&self, leader: PaxosLeader) -> Box<dyn CommitEngine> {
         Box::new(if self.cfg.mutation == Some(Mutation::WeakenPaxos) {
             leader.with_weakened_quorum()
         } else {
@@ -456,7 +451,11 @@ impl SiteNode {
 
     /// Starts `leader` as `txn`'s leader, replacing any earlier one, and
     /// returns what its start does.
-    fn install_leader(&mut self, txn: TxnId, mut leader: Box<dyn CommitEngine>) -> Vec<Action> {
+    pub(crate) fn install_leader(
+        &mut self,
+        txn: TxnId,
+        mut leader: Box<dyn CommitEngine>,
+    ) -> Vec<Action> {
         let mut actions = self.take_actions();
         leader.start(&mut actions);
         self.table.get_mut(txn).expect("ensured").leader = Some(leader);
@@ -491,13 +490,7 @@ impl SiteNode {
         }
         let mut engine = XTxnCoordinator::new(txn, branches);
         let actions = engine.start();
-        self.table.xcoords.insert(
-            txn,
-            XCoord {
-                engine,
-                gate: Lsn(0),
-            },
-        );
+        self.table.insert_x(txn, engine);
         self.apply_actions(ctx, txn, self.cfg.site, actions);
         self.pump(ctx);
     }
@@ -645,7 +638,7 @@ impl SiteNode {
         }
     }
 
-    fn ensure_txn(&mut self, now: Time, spec: &Arc<TxnSpec>) -> &mut TxnState {
+    pub(crate) fn ensure_txn(&mut self, now: Time, spec: &Arc<TxnSpec>) -> &mut TxnState {
         let site = self.cfg.site;
         let faulty = self.cfg.faulty;
         self.table.get_or_insert_with(spec.id, || {
@@ -676,7 +669,12 @@ impl SiteNode {
     /// another site is gated on a later LSN of the same log, which a
     /// prefix-ordered force makes durable no earlier than the record it
     /// followed.
-    fn send_net(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, to: SiteId, msg: NetMsg) {
+    pub(crate) fn send_net(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        to: SiteId,
+        msg: NetMsg,
+    ) {
         if to == self.cfg.site {
             self.local_queue.push_back(msg);
         } else if let Some(gate) = self.closed_gate(msg.txn()) {
@@ -739,7 +737,7 @@ impl SiteNode {
     }
 
     /// Records one engine log action; the log applies the force policy.
-    fn log_record(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, rec: LogRecord) {
+    pub(crate) fn log_record(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, rec: LogRecord) {
         let txn = rec.txn();
         let commit = matches!(
             rec,
@@ -836,7 +834,7 @@ impl SiteNode {
     }
 
     /// Drains locally queued (self-addressed) messages.
-    fn pump(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
+    pub(crate) fn pump(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
         let me = self.cfg.site;
         while let Some(msg) = self.local_queue.pop_front() {
             self.handle_net(ctx, me, msg);
@@ -880,7 +878,7 @@ impl SiteNode {
 
     /// Answers a straggler asking after a decided transaction with its
     /// outcome instead of resurrecting state.
-    fn send_decided(
+    pub(crate) fn send_decided(
         &mut self,
         ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
         to: SiteId,
@@ -983,7 +981,7 @@ impl SiteNode {
         // not, or a stale-ballot candidacy being ignored by every peer
         // would pet its own watchdog forever instead of escalating.
         if matches!(m, Msg::PaxosP1a { .. } | Msg::PaxosP2a { .. }) {
-            if let Some(outcome) = self.table.decided_outcome(txn) {
+            if let Some(outcome) = self.table.outcome(txn) {
                 self.send_decided(ctx, from, txn, outcome);
                 return;
             }
@@ -1161,23 +1159,19 @@ impl SiteNode {
             if st.spec.coordinator == site {
                 // Re-issue the in-shard command (idempotent at every
                 // receiver; the self-addressed copy terminates the local
-                // participant).
+                // participant). A coordinator without a copy is sent none
+                // and decides here, keeping the version to re-announce.
                 let spec = Arc::clone(&st.spec);
+                let copyless = !spec.participants.contains(&site);
+                if copyless {
+                    st.escalation_mut().decided_version = version;
+                }
                 self.recycle_actions(actions);
-                for to in spec.participants.iter().copied() {
+                for &to in &spec.participants {
                     self.send_net(ctx, to, NetMsg::Proto(command.clone()));
                 }
-                if !spec.participants.contains(&site) {
-                    if let Some(st) = self.table.get_mut(txn) {
-                        let fresh = st.decided.is_none();
-                        st.decided = Some(decision);
-                        st.decided_at = Some(ctx.now());
-                        st.escalation_mut().decided_version = version;
-                        if fresh {
-                            self.note_decision(txn, decision, version);
-                        }
-                    }
-                    self.table.schedule_retire(ctx.now(), txn);
+                if copyless {
+                    self.apply_when_durable(ctx.now(), txn, decision, version);
                 }
                 return;
             }
@@ -1254,7 +1248,7 @@ impl SiteNode {
     /// safe: each level pops its own buffer from the pool.
     ///
     /// [`take_actions`]: SiteNode::take_actions
-    fn apply_actions(
+    pub(crate) fn apply_actions(
         &mut self,
         ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
         txn: TxnId,
@@ -1323,7 +1317,7 @@ impl SiteNode {
 
     /// Runs `f` on `txn`'s live entry, if any, with a scratch action
     /// buffer, and applies what it emits.
-    fn step(
+    pub(crate) fn step(
         &mut self,
         ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
         txn: TxnId,
@@ -1338,13 +1332,13 @@ impl SiteNode {
 
     /// Pops a spare engine-action scratch buffer (empty, capacity
     /// retained from earlier events) or allocates the pool's first.
-    fn take_actions(&mut self) -> Vec<Action> {
+    pub(crate) fn take_actions(&mut self) -> Vec<Action> {
         self.spare_actions.pop().unwrap_or_default()
     }
 
     /// Returns an emptied action buffer to the pool (bounded, so a
     /// one-off burst does not pin memory forever).
-    fn recycle_actions(&mut self, buf: Vec<Action>) {
+    pub(crate) fn recycle_actions(&mut self, buf: Vec<Action>) {
         debug_assert!(buf.is_empty());
         if buf.capacity() > 0 && self.spare_actions.len() < 4 {
             self.spare_actions.push(buf);
@@ -1357,7 +1351,7 @@ impl SiteNode {
     /// the messages announcing it. The `Decided` record of an
     /// irrevocable commit does not gate, so such a commit applies at its
     /// commit point and the record reaches the log in the next force.
-    fn apply_when_durable(
+    pub(crate) fn apply_when_durable(
         &mut self,
         now: Time,
         txn: TxnId,
@@ -1376,6 +1370,13 @@ impl SiteNode {
         }
     }
 
+    /// The one path that marks a live entry decided (recovery alone
+    /// rebuilds entries with the decisions their logs hold, and queues
+    /// no event for them): installs a commit's writes, schedules the
+    /// retirement and records the transition for
+    /// [`SiteNode::drain_decision_events`], once per transaction per
+    /// site lifetime. An entry decided before is left alone; otherwise
+    /// `txn`'s locks and watermark floor are released, entry or not.
     fn apply_decision(
         &mut self,
         now: Time,
@@ -1410,7 +1411,13 @@ impl SiteNode {
                 }
             }
             self.table.schedule_retire(now, txn);
-            self.note_decision(txn, decision, commit_version);
+            if self.cfg.decision_events {
+                self.decision_events.push(DecisionEvent {
+                    txn,
+                    decision,
+                    commit_version,
+                });
+            }
         }
         // Pin-time clocks stop with the release; the walk over held
         // locks is skipped entirely when no sink is wired.
@@ -1426,184 +1433,6 @@ impl SiteNode {
         }
         self.reads.release(txn, &mut self.items);
     }
-
-    fn arm_watchdog(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
-        if let Some(st) = self.table.get_mut(txn) {
-            if st.decided.is_none() && !st.watchdog_armed {
-                st.watchdog_armed = true;
-                ctx.set_timer(
-                    self.cfg.watchdog_3t(),
-                    NodeTimer::Proto(TimerKind::CoordinatorWatch { txn }),
-                );
-            }
-        }
-    }
-
-    /// Orphan outcome discovery for a branch of a cross-shard
-    /// transaction: `X-OUTCOME-REQ` to the parent first, then to every
-    /// sibling branch coordinator (cooperative discovery), skipping the
-    /// parent (no duplicate ask when a sibling's coordinator *is* the
-    /// parent's site) and this site itself.
-    fn discover_outcome(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        txn: TxnId,
-        parent: SiteId,
-    ) {
-        let site = self.cfg.site;
-        let siblings = self.table.get(txn).map_or(&[][..], |st| st.x_siblings());
-        let targets: Vec<SiteId> = std::iter::once(parent)
-            .chain(
-                siblings
-                    .iter()
-                    .copied()
-                    .filter(|&s| s != parent && s != site),
-            )
-            .collect();
-        for to in targets {
-            self.send_net(ctx, to, NetMsg::Proto(Msg::XOutcomeReq { txn }));
-        }
-        self.cfg
-            .emit(ctx.now(), Some(txn), EventKind::OutcomeDiscoveryOut);
-    }
-
-    fn start_termination_election(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
-        let Some(st) = self.table.get_mut(txn) else {
-            return;
-        };
-        if st.decided.is_some() || st.termination_rounds() >= self.cfg.max_termination_rounds {
-            return;
-        }
-        if let Some(parent) = st.spec.parent {
-            // A branch of a cross-shard transaction may not terminate
-            // in-shard: once prepared it could contradict the top-level
-            // decision (e.g. a PC quorum committing a branch the parent
-            // aborted). Outcome discovery replaces the election; the
-            // watchdog re-arms, so the ask retries until answered.
-            // Sibling branch coordinators are asked alongside the
-            // parent — any decided branch can relay the outcome, so a
-            // crashed parent no longer blocks until recovery.
-            self.discover_outcome(ctx, txn, parent);
-            return;
-        }
-        if st.spec.protocol == ProtocolKind::PaxosCommit {
-            // Paxos Commit replaces the termination election entirely:
-            // any participant may stand up as a recovery candidate and
-            // run Phase 1a at a ballot above every earlier one. The
-            // acceptor majority then tells the candidate what (if
-            // anything) was already chosen; unchosen instances are
-            // presumed aborted.
-            let esc = st.escalation_mut();
-            esc.termination_rounds += 1;
-            let bal = qbc_election::recovery_ballot(esc.termination_rounds, self.cfg.site);
-            let candidate = PaxosLeader::recover(Arc::clone(&st.spec), bal);
-            let candidate = self.paxos_leader(candidate);
-            let actions = self.install_leader(txn, candidate);
-            self.apply_actions(ctx, txn, self.cfg.site, actions);
-            return;
-        }
-        let spec = Arc::clone(&st.spec);
-        let actions = st.elector(self.cfg.site).step(ElInput::Start);
-        self.cfg
-            .emit(ctx.now(), Some(txn), EventKind::ElectionStarted);
-        self.apply_election_actions(ctx, txn, spec, actions);
-    }
-
-    fn handle_election_msg(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        from: SiteId,
-        txn: TxnId,
-        spec: Arc<TxnSpec>,
-        msg: ElectionMsg,
-    ) {
-        // A retired or decided site answers the election with the
-        // outcome directly.
-        if let Some(outcome) = self.table.retired_outcome(txn) {
-            self.send_decided(ctx, from, txn, outcome);
-            return;
-        }
-        self.ensure_txn(ctx.now(), &spec);
-        if let Some(outcome) = self.table.decided_outcome(txn) {
-            self.send_decided(ctx, from, txn, outcome);
-            return;
-        }
-        let st = self.table.get_mut(txn).expect("ensured");
-        st.last_coord_contact = ctx.now();
-        let actions = st.elector(self.cfg.site).step(ElInput::Msg { from, msg });
-        self.apply_election_actions(ctx, txn, spec, actions);
-        self.arm_watchdog(ctx, txn);
-    }
-
-    fn apply_election_actions(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        txn: TxnId,
-        spec: Arc<TxnSpec>,
-        actions: Vec<ElAction>,
-    ) {
-        for a in actions {
-            match a {
-                ElAction::Send { to, msg } => {
-                    let m = NetMsg::Election {
-                        txn,
-                        spec: Arc::clone(&spec),
-                        msg,
-                    };
-                    self.send_net(ctx, to, m);
-                }
-                ElAction::SetTimer(timer) => {
-                    ctx.set_timer(self.cfg.window_2t(), NodeTimer::Election { txn, timer });
-                }
-                ElAction::Elected => self.start_termination_round(ctx, txn),
-                ElAction::CoordinatorIs(_) => {
-                    if let Some(st) = self.table.get_mut(txn) {
-                        st.last_coord_contact = ctx.now();
-                    }
-                }
-            }
-        }
-    }
-
-    fn start_termination_round(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
-        let Some(st) = self.table.get_mut(txn) else {
-            return;
-        };
-        if st.decided.is_some() {
-            return;
-        }
-        // An elected leader that never voted seeds its own `q` state
-        // into the round's view — a veto, which must be durable and
-        // irrevocable before the round runs (see
-        // `Participant::veto_abort`).
-        let mut veto = self.take_actions();
-        let st = self.table.get_mut(txn).expect("checked above");
-        st.participant.veto_abort(&mut veto);
-        if veto.is_empty() {
-            self.recycle_actions(veto);
-        } else {
-            self.apply_actions(ctx, txn, self.cfg.site, veto);
-        }
-        let Some(st) = self.table.get_mut(txn) else {
-            return;
-        };
-        let esc = st.escalation_mut();
-        esc.termination_rounds += 1;
-        let round = esc.termination_rounds;
-        let kind = qbc_core::termination_kind_for(st.spec.protocol, self.cfg.site_votes.as_ref());
-        let (term, actions) = Termination::start(
-            self.cfg.site,
-            Arc::clone(&st.spec),
-            kind,
-            round,
-            st.participant.state(),
-            st.participant.commit_version(),
-        );
-        st.escalation_mut().termination = Some(Box::new(term));
-        self.cfg
-            .emit(ctx.now(), Some(txn), EventKind::TerminationRound { round });
-        self.apply_actions(ctx, txn, self.cfg.site, actions);
-    }
 }
 
 impl Process for SiteNode {
@@ -1617,7 +1446,7 @@ impl Process for SiteNode {
         // is a no-op, so newly created clusters (and their golden
         // digests) are unaffected.
         if !self.log.wal().is_empty() {
-            self.on_recover(ctx);
+            self.recover(ctx);
         }
     }
 
@@ -1692,26 +1521,9 @@ impl Process for SiteNode {
                         self.table.schedule_retire(ctx.now(), txn);
                     }
                 }
-                TimerKind::BlockedRetry { txn } => {
-                    let undecided = self.table.get(txn).is_some_and(|st| st.decided.is_none());
-                    if undecided {
-                        self.start_termination_election(ctx, txn);
-                    }
-                }
+                TimerKind::BlockedRetry { txn } => self.start_termination_election(ctx, txn),
             },
-            NodeTimer::Election { txn, timer } => {
-                let (spec, actions) = match self.table.get_mut(txn) {
-                    Some(st) if st.decided.is_none() => match st.elector_mut() {
-                        Some(e) => {
-                            let actions = e.step(ElInput::Timer(timer));
-                            (Arc::clone(&st.spec), actions)
-                        }
-                        None => return,
-                    },
-                    _ => return,
-                };
-                self.apply_election_actions(ctx, txn, spec, actions);
-            }
+            NodeTimer::Election { txn, timer } => self.on_election_timer(ctx, txn, timer),
             NodeTimer::ReadTimeout { req_id } => {
                 let (reads, mut site) = self.read_site(ctx);
                 reads.on_timeout(&mut site, req_id);
@@ -1746,324 +1558,7 @@ impl Process for SiteNode {
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
-        // One walk over the durable log: keep the newest checkpoint and
-        // its end LSN, note each transaction's first record (the
-        // truncation bookkeeping) and the largest id of any record or
-        // checkpointed outcome, and hand every other record to its
-        // transaction's engine of the kind that logged it, built fresh —
-        // each engine redoes its own records.
-        let site = self.cfg.site;
-        let participant_cfg = ParticipantConfig {
-            vote_yes: true,
-            faulty: self.cfg.faulty,
-        };
-        let mut checkpoint = None;
-        let mut participants = BTreeMap::new();
-        let mut xcoords = BTreeMap::new();
-        let mut acceptors: BTreeMap<TxnId, PaxosAcceptor> = BTreeMap::new();
-        let mut max_txn = None;
-        for (lsn, rec) in self.log.wal().replay() {
-            let Some(txn) = rec.txn() else {
-                if let LogRecord::Checkpoint {
-                    retired, xretired, ..
-                } = &rec
-                {
-                    let x = xretired.iter().map(|o| o.txn);
-                    max_txn = max_txn.max(retired.iter().map(|o| o.txn).chain(x).max());
-                }
-                self.last_checkpoint_end = Lsn(lsn.0 + 1);
-                checkpoint = Some(rec);
-                continue;
-            };
-            max_txn = max_txn.max(Some(txn));
-            self.table.note_record(txn, lsn);
-            match &rec {
-                // A coordination exists from its start record on.
-                LogRecord::XStart { branches, .. } => {
-                    xcoords
-                        .entry(txn)
-                        .or_insert_with(|| XTxnCoordinator::new(txn, branches.clone()));
-                }
-                LogRecord::XDecision { .. } => {
-                    if let Some(x) = xcoords.get_mut(&txn) {
-                        x.redo(&rec);
-                    }
-                }
-                LogRecord::PaxosPromise { .. } | LogRecord::PaxosAccept { .. } => {
-                    acceptors.entry(txn).or_default().redo(&rec)
-                }
-                _ => {
-                    let rec = match rec {
-                        LogRecord::Decided {
-                            decision: Decision::Commit,
-                            commit_version,
-                            ..
-                        } if self.cfg.mutation == Some(Mutation::RedoCommitAsAbort) => {
-                            LogRecord::Decided {
-                                txn,
-                                decision: Decision::Abort,
-                                commit_version,
-                            }
-                        }
-                        rec => rec,
-                    };
-                    participants
-                        .entry(txn)
-                        .or_insert_with(|| Participant::new(site, txn, participant_cfg))
-                        .redo(&rec)
-                }
-            }
-        }
-        self.max_recovered_txn = max_txn;
-        // Checkpoint outcomes first: they stand in for truncated
-        // per-transaction records, so the retired outcomes must answer
-        // before the passes below decide what to resurrect.
-        if let Some(LogRecord::Checkpoint {
-            retired,
-            xretired,
-            items,
-        }) = &checkpoint
-        {
-            // Item snapshot before the passes: suffix records carry only
-            // post-checkpoint updates. Chain installation is additive
-            // and idempotent, so never-written copies (snapshot at the
-            // initial version) fall through to the load-time value
-            // harmlessly; over a store reloaded from scratch it also
-            // drops the load-time value wherever the snapshot had
-            // trimmed it.
-            for chain in items.chunk_by(|a, b| a.0 == b.0) {
-                let item = chain[0].0;
-                if self.items.read(item).is_some() {
-                    let versions = chain.iter().map(|&(_, v, value)| (v, value));
-                    self.items.install_chain(item, versions);
-                }
-            }
-            self.table.install_checkpoint(ctx.now(), retired, xretired);
-        }
-        for (txn, participant) in participants {
-            if self.table.retired_outcome(txn).is_some() {
-                // Retired before the checkpoint: only leftover records
-                // of an already-answered history (truncation keeps
-                // whole segments). The compact outcome keeps answering.
-                continue;
-            }
-            let Some(spec) = participant.spec().cloned() else {
-                // Without a spec (vote-no abort) there is nothing to
-                // re-enter; the decision is already durable.
-                continue;
-            };
-            let state = participant.state();
-            let decided = state.decision();
-            // Re-apply committed updates (idempotent: version checks).
-            if decided == Some(Decision::Commit) {
-                if let Some(version) = participant.commit_version() {
-                    for (&item, &value) in spec.writeset.updates.iter() {
-                        if self.items.read(item).is_some() {
-                            let _ = self.items.apply(item, version, value);
-                        }
-                    }
-                }
-            }
-            // Re-pin the copies of an in-doubt yes vote: its outcome is
-            // unknown, so its items must stay inaccessible. A transaction
-            // recovered in `Initial` (only its `CoordinatorStart` durable)
-            // never voted here and pins nothing. The re-pins cannot
-            // collide: a copy is released only once its holder's
-            // `Decided` record is at least staged, and the next yes vote
-            // on it is logged behind that record, so a prefix-forced log
-            // keeps at most one undecided yes vote per copy.
-            if decided.is_none() && state != LocalState::Initial {
-                for item in spec.writeset.items() {
-                    if self.items.read(item).is_some() {
-                        let pinned = self.locks.acquire(txn, item, LockMode::Exclusive);
-                        debug_assert!(pinned, "{txn:?} re-pins {item:?}, already pinned");
-                        self.cfg
-                            .emit(ctx.now(), Some(txn), EventKind::PinStart { item });
-                    }
-                }
-                // The watermark floor the in-doubt pin imposes, raised
-                // to just below the commit version a PreCommit fixed.
-                self.reads
-                    .pin(txn, &self.items, &spec, participant.commit_version());
-            }
-            // Sibling knowledge is volatile: a recovered branch falls
-            // back to parent-only outcome discovery.
-            let mut st = TxnState::new(spec, participant, ctx.now());
-            st.decided = decided;
-            st.decided_at = decided.map(|_| ctx.now());
-            self.table.insert(txn, st);
-            if decided.is_none() {
-                self.arm_watchdog(ctx, txn);
-            } else {
-                self.table.schedule_retire(ctx.now(), txn);
-            }
-            // Coordinator-side recovery duties.
-            let st = self.table.get(txn).expect("just inserted");
-            if st.spec.coordinator != site {
-                continue;
-            }
-            let targets: Vec<SiteId> = st.spec.participants.iter().copied().collect();
-            let is_participant = st.spec.participants.contains(&site);
-            let presumes_abort = st.spec.coordinator_presumes_abort();
-            let commit_version = st.participant.commit_version();
-            match st.decided {
-                // Re-announce a decision that may never have left this
-                // site (crash between log force and broadcast).
-                Some(decision) => {
-                    for to in targets {
-                        self.send_decided(ctx, to, txn, (decision, commit_version));
-                    }
-                }
-                // 2PC presumed abort: the commit point is this site's
-                // own Decided record; its absence proves the transaction
-                // never committed, so the recovering coordinator may
-                // (must, for liveness) abort it. The quorum protocols
-                // may NOT do this — their termination protocols can
-                // commit without the coordinator — and neither may a
-                // *branch* of a cross-shard transaction under any
-                // protocol: its commit point lives at the parent, which
-                // may already have counted this shard's yes vote. A
-                // recovered branch rejoins and rediscovers the outcome
-                // (the watchdog armed above drives the asks). The same
-                // predicate is why only this coordinator forces its start
-                // record before asking for votes.
-                None if presumes_abort => {
-                    // Through the configured force policy, so recovery
-                    // pays the same device costs as normal operation and
-                    // the abort broadcasts below wait for the force.
-                    self.log_record(
-                        ctx,
-                        LogRecord::Decided {
-                            txn,
-                            decision: Decision::Abort,
-                            commit_version: None,
-                        },
-                    );
-                    if is_participant {
-                        // Terminate the local participant too.
-                        let mut actions = self.take_actions();
-                        self.table
-                            .get_mut(txn)
-                            .expect("present")
-                            .participant
-                            .on_msg(site, &Msg::Abort { txn }, Version::INITIAL, &mut actions);
-                        self.apply_actions(ctx, txn, site, actions);
-                    } else if let Some(st) = self.table.get_mut(txn) {
-                        st.decided = Some(Decision::Abort);
-                        st.decided_at = Some(ctx.now());
-                        self.note_decision(txn, Decision::Abort, None);
-                    }
-                    for to in targets {
-                        self.send_net(ctx, to, NetMsg::Proto(Msg::Abort { txn }));
-                    }
-                }
-                None => {}
-            }
-        }
-        // Cross-shard coordinator recovery (after the participant pass,
-        // so self-addressed X-DECIDEs find the local branch state): an
-        // undecided XStart is presumed aborted — no durable XDecision
-        // proves no commit X-DECIDE ever left this site — and a decided
-        // one is re-announced to every branch coordinator.
-        for (txn, mut engine) in xcoords {
-            if self.table.x_known(txn) {
-                // Retired into the checkpoint: the compact record keeps
-                // answering orphans; no engine (and no re-announce
-                // storm) needed.
-                continue;
-            }
-            let actions = engine.resume();
-            self.table.xcoords.insert(
-                txn,
-                XCoord {
-                    engine,
-                    gate: Lsn(0),
-                },
-            );
-            self.apply_actions(ctx, txn, site, actions);
-            self.table.schedule_retire(ctx.now(), txn);
-        }
-        // Paxos Commit acceptor recovery: promises and accepted batches
-        // were force-logged before every 1b/2b echo, so the durable
-        // records reconstruct exactly what this acceptor may still be
-        // held to by a recovery candidate. Decided or retired
-        // transactions answer with the outcome instead.
-        for (txn, acceptor) in acceptors {
-            if self.table.decision(txn).is_none() {
-                self.table.acceptors.insert(txn, acceptor);
-            }
-        }
-        self.table.forget_dead_records();
-        self.reads.recover(&self.items);
-        // Emitted after the re-pins above: recovery's re-acquired locks
-        // register while the site still counts as down, so the
-        // availability tracker sees the copies stay inaccessible across
-        // the down→up edge.
-        self.cfg.emit(ctx.now(), None, EventKind::Recover);
-        self.pump(ctx);
-    }
-}
-
-impl SiteNode {
-    fn on_watchdog(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
-        let now = ctx.now();
-        let watchdog = self.cfg.watchdog_3t();
-        let site = self.cfg.site;
-        {
-            let Some(st) = self.table.get_mut(txn) else {
-                return;
-            };
-            st.watchdog_armed = false;
-            if st.decided.is_some() {
-                return;
-            }
-        }
-        let mut actions = self.take_actions();
-        let (expired, orphan_parent) = {
-            let st = self.table.get_mut(txn).expect("checked above");
-            if now.since(st.last_coord_contact) >= watchdog {
-                if st.spec.protocol == ProtocolKind::PaxosCommit
-                    && st.participant.state() == LocalState::Initial
-                    && st.spec.participants.contains(&site)
-                {
-                    // A Paxos copy holder still in `q` was drawn in by a
-                    // candidate's 1a (the quorum engines' `STATE-REQ`
-                    // vetoes on arrival instead). It never voted: its
-                    // vote cannot leave before its `Voted` record is
-                    // forced, so no commit can count on it. Waiting could
-                    // be forever — a candidate that adopts a decided
-                    // peer's answer tells no one, and a coordinator that
-                    // lost its unforced start record knows nothing of the
-                    // transaction — so it vetoes.
-                    st.participant.veto_abort(&mut actions);
-                } else {
-                    st.participant.on_coordinator_silent(&mut actions);
-                }
-                // A held branch coordinator that holds no copies has
-                // a participant still in `q` (which stays quiet):
-                // it must still discover the cross-shard outcome —
-                // from the parent, and cooperatively from sibling
-                // branch coordinators.
-                let parent = st
-                    .spec
-                    .parent
-                    .filter(|_| actions.is_empty() && st.spec.coordinator == site);
-                (true, parent)
-            } else {
-                (false, None)
-            }
-        };
-        if expired {
-            if let Some(parent) = orphan_parent {
-                self.discover_outcome(ctx, txn, parent);
-            }
-            self.apply_actions(ctx, txn, self.cfg.site, actions);
-        } else {
-            self.recycle_actions(actions);
-        }
-        // Re-arm while undecided (drives the re-entrant retry loop).
-        self.arm_watchdog(ctx, txn);
-        self.pump(ctx);
+        self.recover(ctx);
     }
 }
 

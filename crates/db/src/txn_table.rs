@@ -35,6 +35,7 @@
 //! [`TxnTable::install_checkpoint`], and by nothing else.
 
 use crate::config::NodeConfig;
+use crate::escalation::Escalation;
 use crate::outcome_ring::Ring;
 use qbc_core::{
     CommitEngine, Decision, LocalState, Msg, Participant, PaxosAcceptor, RetiredOutcome,
@@ -86,31 +87,6 @@ pub(crate) struct TxnState {
     /// Created on first use: see [`TxnState::escalation_mut`]. Read
     /// through the accessors below, never directly.
     escalation: Option<Box<Escalation>>,
-}
-
-/// What a transaction needs only once it leaves the normal case —
-/// termination, the election before it, cross-shard outcome discovery —
-/// boxed apart from its [`TxnState`], which it would otherwise grow by
-/// half. The two engines stay boxed within: a branch coordinator
-/// creates this for its siblings alone.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Escalation {
-    pub(crate) termination: Option<Box<Termination>>,
-    pub(crate) elector: Option<Box<Elector>>,
-    pub(crate) termination_rounds: u64,
-    pub(crate) blocked: bool,
-    /// Commit version adopted with an engine-less decision (a recovered
-    /// copy-less branch coordinator learning `X-DECIDE` directly): the
-    /// participant never saw a command, so the version must be kept
-    /// here for retirement records and `Decided` re-announces.
-    pub(crate) decided_version: Option<Version>,
-    /// Coordinators of the sibling branches of a cross-shard
-    /// transaction (from `X-BRANCH-REQ`). Outcome discovery asks them
-    /// alongside the parent: any branch that learned the top-level
-    /// decision can answer, so a crashed parent no longer blocks this
-    /// shard until recovery. Volatile — a branch coordinator that
-    /// crashes falls back to parent-only discovery.
-    pub(crate) x_siblings: Vec<SiteId>,
 }
 
 impl TxnState {
@@ -278,6 +254,12 @@ impl TxnTable {
         self.txns.entry(txn).or_insert_with(|| Box::new(make()))
     }
 
+    /// Makes `engine` the live coordination of `txn`, nothing staged.
+    pub(crate) fn insert_x(&mut self, txn: TxnId, engine: XTxnCoordinator) {
+        let gate = Lsn(0);
+        self.xcoords.insert(txn, XCoord { engine, gate });
+    }
+
     /// Number of live entries.
     pub(crate) fn len(&self) -> usize {
         self.txns.len()
@@ -336,10 +318,13 @@ impl TxnTable {
             .or_else(|| self.xretired.get(txn).map(|x| x.outcome.decision))
     }
 
-    /// The outcome of `txn` if its live entry has decided.
-    pub(crate) fn decided_outcome(&self, txn: TxnId) -> Option<Outcome> {
-        let st = self.txns.get(&txn)?;
-        Some((st.decided?, st.commit_version()))
+    /// The outcome of `txn`: its live entry's decision, else its
+    /// retired one.
+    pub(crate) fn outcome(&self, txn: TxnId) -> Option<Outcome> {
+        self.txns
+            .get(&txn)
+            .and_then(|st| st.decided.map(|d| (d, st.commit_version())))
+            .or_else(|| self.retired_outcome(txn))
     }
 
     /// The outcome of `txn` if it is retired.

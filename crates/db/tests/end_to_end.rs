@@ -1,8 +1,9 @@
 //! End-to-end protocol runs on the deterministic simulator.
 
-use qbc_core::{Decision, LocalState, ProtocolKind, SiteVotes, TxnId, WriteSet};
-use qbc_db::{build_cluster, NodeConfig, SiteNode};
+use qbc_core::{Decision, LocalState, LogRecord, ProtocolKind, SiteVotes, TxnId, WriteSet};
+use qbc_db::{build_cluster, DecisionEvent, NodeConfig, SiteNode};
 use qbc_simnet::{sites, DelayModel, Duration, Sim, SimConfig, SiteId, Time};
+use qbc_storage::Lsn;
 use qbc_votes::{Catalog, CatalogBuilder, ItemId};
 
 /// Catalog: one item `x` replicated at s0..s4 (unit votes, r=2, w=4).
@@ -471,4 +472,56 @@ fn deterministic_replay_same_seed_same_outcome() {
         )
     };
     assert_eq!(run(99), run(99));
+}
+
+#[test]
+fn recovered_copyless_two_pc_coordinator_retires_its_presumed_abort() {
+    // Example 3's shape: the coordinator s0 holds no copy of `x`
+    // (copies at s1..s3), so it never receives its own commands.
+    let catalog = CatalogBuilder::new()
+        .item(ItemId(0), "x")
+        .copies_at([SiteId(1), SiteId(2), SiteId(3)])
+        .quorums(2, 2)
+        .build()
+        .unwrap();
+    let (s0, txn) = (SiteId(0), TxnId(1));
+    let mut sim = sim_with(&catalog, 4, 17, |mut c| {
+        c.decision_events = true;
+        c.with_retirement(Duration(50))
+            .with_checkpoints(Duration(200))
+    });
+    begin(&mut sim, Time(0), s0, 1, 5, ProtocolKind::TwoPhase);
+    // 2PC forces `CoordinatorStart` before asking for votes; no vote
+    // can return before t=4, so the crash at t=3 leaves no `Decided`.
+    sim.schedule_crash(Time(3), s0);
+    sim.schedule_recover(Time(1_000), s0);
+    sim.run_until(Time(1_001));
+    assert!(matches!(
+        sim.node(s0).log_records().next(),
+        Some(LogRecord::CoordinatorStart { spec }) if spec.id == txn
+    ));
+    assert_eq!(sim.node(s0).decision(txn), Some(Decision::Abort));
+    let mut events = Vec::new();
+    sim.node_mut(s0).drain_decision_events(&mut events);
+    assert_eq!(
+        events,
+        [DecisionEvent {
+            txn,
+            decision: Decision::Abort,
+            commit_version: None,
+        }]
+    );
+    // Retirement (50 ticks) runs before the next checkpoint (200 ticks
+    // after recovery's `Decided`), which may then truncate past the
+    // transaction's first record, at LSN 0.
+    sim.run_until(Time(3_000));
+    assert_all_aborted(&sim, txn);
+    assert_eq!(sim.node(s0).txn_table_len(), 0, "the entry must retire");
+    assert_eq!(sim.node(s0).decision(txn), Some(Decision::Abort));
+    assert!(
+        sim.node(s0).wal_start_lsn() > Lsn(0),
+        "a checkpoint must truncate"
+    );
+    sim.node_mut(s0).drain_decision_events(&mut events);
+    assert_eq!(events.len(), 1, "one decision event: {events:?}");
 }

@@ -16,6 +16,7 @@ use qbc_core::TxnId;
 use qbc_simnet::{SiteId, Time};
 use qbc_votes::ItemId;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// One closed (or still-open) span of read unavailability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,7 +36,8 @@ impl Window {
 
 #[derive(Clone, Debug)]
 struct ItemState {
-    copies: Vec<(SiteId, u32)>,
+    /// Each copy site's votes: the catalog's placement, shared.
+    copies: Arc<BTreeMap<SiteId, u32>>,
     read_quorum: u32,
     /// Live pins: which transaction holds the copy at each site, and
     /// since when.
@@ -48,7 +50,7 @@ impl ItemState {
     fn available_votes(&self, down: &BTreeSet<SiteId>) -> u32 {
         self.copies
             .iter()
-            .filter(|(s, _)| !down.contains(s) && !self.pinned.contains_key(s))
+            .filter(|&(s, _)| !down.contains(s) && !self.pinned.contains_key(s))
             .map(|(_, w)| w)
             .sum()
     }
@@ -82,19 +84,28 @@ pub(crate) struct BlockingTracker {
 }
 
 impl BlockingTracker {
-    pub(crate) fn register_item(
+    /// Registers `(item, copies, read quorum)` shapes; an item already
+    /// registered keeps its first shape. Built apart and merged, so an
+    /// id-sorted batch costs one pass, not one tree descent per item.
+    pub(crate) fn register_items(
         &mut self,
-        item: ItemId,
-        copies: Vec<(SiteId, u32)>,
-        read_quorum: u32,
+        items: impl IntoIterator<Item = (ItemId, Arc<BTreeMap<SiteId, u32>>, u32)>,
     ) {
-        self.items.entry(item).or_insert(ItemState {
-            copies,
-            read_quorum,
-            pinned: BTreeMap::new(),
-            open: None,
-            windows: Vec::new(),
-        });
+        let mut fresh: BTreeMap<ItemId, ItemState> = items
+            .into_iter()
+            .map(|(item, copies, read_quorum)| {
+                let st = ItemState {
+                    copies,
+                    read_quorum,
+                    pinned: BTreeMap::new(),
+                    open: None,
+                    windows: Vec::new(),
+                };
+                (item, st)
+            })
+            .collect();
+        fresh.append(&mut self.items);
+        self.items = fresh;
     }
 
     pub(crate) fn pin_start(&mut self, now: Time, site: SiteId, txn: TxnId, item: ItemId) {
@@ -175,11 +186,8 @@ mod tests {
     fn tracker() -> BlockingTracker {
         let mut t = BlockingTracker::default();
         // Item 0: three single-vote copies, r = 2.
-        t.register_item(
-            ItemId(0),
-            vec![(SiteId(0), 1), (SiteId(1), 1), (SiteId(2), 1)],
-            2,
-        );
+        let copies = [(SiteId(0), 1), (SiteId(1), 1), (SiteId(2), 1)];
+        t.register_items([(ItemId(0), Arc::new(BTreeMap::from(copies)), 2)]);
         t
     }
 

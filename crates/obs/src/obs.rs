@@ -11,9 +11,9 @@ use crate::hist::LatencyHistogram;
 use crate::registry::Registry;
 use qbc_core::{Decision, TxnId};
 use qbc_simnet::{Duration, SiteId, Time};
-use qbc_votes::ItemId;
+use qbc_votes::Catalog;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Configuration of the observability layer. Off by default: with
 /// `enabled = false` no [`Obs`] is constructed at all, so the
@@ -155,12 +155,14 @@ impl Obs {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Declares an item's replication shape to the blocking tracker
-    /// (called once per catalog item at cluster construction).
-    pub fn register_item(&self, item: ItemId, copies: Vec<(SiteId, u32)>, read_quorum: u32) {
-        self.lock()
-            .blocking
-            .register_item(item, copies, read_quorum);
+    /// Declares the replication shape of every item of `catalog` to
+    /// the blocking tracker (called once per shard at cluster
+    /// construction), under one lock; each item shares its placement
+    /// with the catalog.
+    pub fn register_catalog(&self, catalog: &Catalog) {
+        let items = catalog.items();
+        let shapes = items.map(|spec| (spec.id, Arc::clone(&spec.copies), spec.read_quorum));
+        self.lock().blocking.register_items(shapes);
     }
 
     /// Counts one network message leaving a site (`label` is the wire
@@ -550,6 +552,7 @@ impl TraceSink for Obs {
 mod tests {
     use super::*;
     use qbc_core::ProtocolKind;
+    use qbc_votes::{CatalogBuilder, ItemId};
 
     fn ev(at: u64, site: u32, txn: u64, kind: EventKind) -> TraceEvent {
         TraceEvent {
@@ -671,7 +674,13 @@ mod tests {
     #[test]
     fn registry_snapshot_passes_its_own_validation() {
         let obs = Obs::new(ObsConfig::on());
-        obs.register_item(ItemId(0), vec![(SiteId(0), 1), (SiteId(1), 1)], 1);
+        let catalog = CatalogBuilder::new()
+            .item(ItemId(0), "x")
+            .copies_at([SiteId(0), SiteId(1)])
+            .quorums(1, 2)
+            .build()
+            .unwrap();
+        obs.register_catalog(&catalog);
         obs.note_msg("VOTE-REQ");
         obs.record(ev(
             0,
