@@ -48,13 +48,12 @@ impl ShardMap {
         for shard in 0..cfg.shards {
             // Item `k`'s copies sit on the `replication` sites from
             // `k mod sites_per_shard` on, so a shard has one placement
-            // class per site and an item is its id plus its class.
+            // class per site, and the catalog's slot column gets each
+            // item's id and class and nothing else.
             let base = shard * cfg.sites_per_shard;
             let classes: Vec<ItemSpec> = (0..cfg.sites_per_shard)
                 .map(|c| ItemSpec {
                     id: ItemId(0),
-                    // Unnamed: an empty name allocates nothing.
-                    name: String::new(),
                     copies: Arc::new(
                         (0..cfg.replication)
                             .map(|j| (SiteId(base + (c + j) % cfg.sites_per_shard), 1))
@@ -64,9 +63,20 @@ impl ShardMap {
                     write_quorum: cfg.write_quorum,
                 })
                 .collect();
+            // The class steps round the sites, counted rather than
+            // divided for: a division per item costs more than writing
+            // its slot.
             let first = shard * cfg.items_per_shard;
-            let items = (0..cfg.items_per_shard)
-                .map(|k| (ItemId(first + k), (k % cfg.sites_per_shard) as usize));
+            let mut class = 0;
+            let items = (0..cfg.items_per_shard).map(|k| {
+                let item = (ItemId(first + k), class);
+                class = if class + 1 == classes.len() {
+                    0
+                } else {
+                    class + 1
+                };
+                item
+            });
             let catalog = Catalog::from_classes(&classes, items).expect("validated cluster config");
             catalogs.push(Arc::new(catalog));
         }

@@ -83,7 +83,7 @@ pub fn crash_and_four_drops() -> HostConfig {
 /// fail and both quorums survive.
 pub fn three_site_catalog() -> Catalog {
     CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at([SiteId(0), SiteId(1), SiteId(2)])
         .quorums(2, 2)
         .build()
@@ -158,14 +158,14 @@ pub fn two_shard_host(
     customize: impl FnMut(NodeConfig) -> NodeConfig,
 ) -> ControlledHost<SiteNode> {
     let shard_a = CatalogBuilder::new()
-        .item(ItemId(0), "a")
+        .item(ItemId(0))
         .copies_at([SiteId(0), SiteId(1)])
         .quorums(1, 2)
         .build()
         .map(Arc::new)
         .expect("static catalog");
     let shard_b = CatalogBuilder::new()
-        .item(ItemId(1), "b")
+        .item(ItemId(1))
         .copies_at([SiteId(2)])
         .quorums(1, 1)
         .build()
@@ -225,14 +225,14 @@ pub fn client_parent_host(
     customize: impl FnMut(NodeConfig) -> NodeConfig,
 ) -> ControlledHost<SiteNode> {
     let shard_a = CatalogBuilder::new()
-        .item(ItemId(0), "a")
+        .item(ItemId(0))
         .copies_at([SiteId(1)])
         .quorums(1, 1)
         .build()
         .map(Arc::new)
         .expect("static catalog");
     let shard_b = CatalogBuilder::new()
-        .item(ItemId(1), "b")
+        .item(ItemId(1))
         .copies_at([SiteId(2)])
         .quorums(1, 1)
         .build()

@@ -9,10 +9,13 @@
 //! them made. A per-item allocation anywhere on that path — a name, a
 //! placement map, a version chain — costs ≥ 32 768 calls and fails the
 //! gate. `ShardMap::new` builds each shard from its placement classes,
-//! so it must make as many calls at 1 024 items per shard as at 16 384:
-//! its start-up cost follows the placements, not the items. This
-//! binary holds only this test, so nothing else allocates while it
-//! counts.
+//! and `SiteNode::new` builds its store in one bulk pass, so each must
+//! make as many calls at 1 024 items per shard as at 16 384: their
+//! start-up cost follows the placements, not the items. A catalog item
+//! is an (id, class) slot, so `ShardMap::new` may hold 8 B an item and
+//! a few placements beside; a per-item pointer, name or spec copy fails
+//! that bound. This binary holds only this test, so nothing else
+//! allocates while it counts.
 
 use qbc_cluster::{ClusterConfig, ShardId, ShardMap};
 use qbc_db::{NodeConfig, SiteNode};
@@ -58,26 +61,55 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting;
 
 const ITEMS_PER_SHARD: u32 = 16_384;
-/// Bytes the placement and the six sites may still hold once built.
-const MAX_BYTES: usize = 5 << 20;
-/// Allocator calls building them may make: 65 (replication 3) and 85
-/// (replication 2) measured, plus half again for headroom.
+/// Bytes the placement and the six sites may still hold once built:
+/// 2 236 384 (replication 3) measured, plus 12 %.
+const MAX_BYTES: usize = 2_500_000;
+/// Bytes a catalog item may cost in `ShardMap::new`: its id and its
+/// class index.
+const MAP_BYTES_PER_ITEM: usize = 8;
+/// What `ShardMap::new` may hold beside its items: the placements,
+/// the class rows and each shard's `Catalog` (768 and 1 408 B measured
+/// at replication 3 and 2).
+const MAP_FIXED_BYTES: usize = 4 << 10;
+/// Allocator calls building them may make: 72 (replication 3) and 92
+/// (replication 2) measured, and about 40 % above the larger.
 const MAX_CALLS: usize = 128;
 
-/// Builds the placement and every site, returning the allocator calls
-/// `ShardMap::new` made on its own.
-fn build(cfg: &ClusterConfig) -> (ShardMap, Vec<SiteNode>, usize) {
-    let calls_before = CALLS.load(Relaxed);
+/// What building one cluster's placement and sites cost.
+struct Built {
+    map: ShardMap,
+    nodes: Vec<SiteNode>,
+    /// Allocator calls `ShardMap::new` made, and the bytes it holds.
+    map_calls: usize,
+    map_bytes: usize,
+    /// Allocator calls the six `SiteNode::new` calls made.
+    node_calls: usize,
+}
+
+/// Builds the placement and every site.
+fn build(cfg: &ClusterConfig) -> Built {
+    let (bytes_before, calls_before) = (LIVE.load(Relaxed), CALLS.load(Relaxed));
     let map = ShardMap::new(cfg);
+    let map_bytes = LIVE.load(Relaxed).wrapping_sub(bytes_before);
     let map_calls = CALLS.load(Relaxed) - calls_before;
-    let mut nodes = Vec::new();
+    let mut nodes = Vec::with_capacity(6);
+    let mut node_calls = 0;
     for shard in (0..cfg.shards).map(ShardId) {
         for site in map.sites_iter(shard) {
             let nc = NodeConfig::new(site, Arc::clone(map.catalog(shard)), cfg.t_bound);
-            nodes.push(SiteNode::new(nc, |_| 0));
+            let calls_before = CALLS.load(Relaxed);
+            let node = SiteNode::new(nc, |_| 0);
+            node_calls += CALLS.load(Relaxed) - calls_before;
+            nodes.push(node);
         }
     }
-    (map, nodes, map_calls)
+    Built {
+        map,
+        nodes,
+        map_calls,
+        map_bytes,
+        node_calls,
+    }
 }
 
 fn config(replication: u32, items_per_shard: u32) -> ClusterConfig {
@@ -95,12 +127,15 @@ fn a_copy_costs_a_slot_not_an_allocation() {
     for replication in [3, 2] {
         let cfg = config(replication, ITEMS_PER_SHARD);
         let (bytes_before, calls_before) = (LIVE.load(Relaxed), CALLS.load(Relaxed));
-        let (map, nodes, map_calls) = build(&cfg);
+        let built = build(&cfg);
         let bytes = LIVE.load(Relaxed).wrapping_sub(bytes_before);
         let calls = CALLS.load(Relaxed) - calls_before;
+        let (map, map_calls, map_bytes) = (&built.map, built.map_calls, built.map_bytes);
         println!(
             "replication {replication}: {bytes} bytes held, {calls} allocator calls \
-             ({map_calls} in ShardMap::new)"
+             ({map_calls} calls and {map_bytes} bytes in ShardMap::new, {} calls in \
+             SiteNode::new)",
+            built.node_calls
         );
         assert!(
             bytes <= MAX_BYTES,
@@ -111,15 +146,33 @@ fn a_copy_costs_a_slot_not_an_allocation() {
             "replication {replication}: {calls} allocator calls (limit {MAX_CALLS})"
         );
 
+        let items = (cfg.shards * ITEMS_PER_SHARD) as usize;
+        let map_limit = items * MAP_BYTES_PER_ITEM + MAP_FIXED_BYTES;
+        assert!(
+            map_bytes <= map_limit,
+            "replication {replication}: ShardMap::new holds {map_bytes} bytes for {items} \
+             items (limit {map_limit})"
+        );
+
         // Start-up proportional to placements: a sixteenth of the items
-        // costs the placement exactly as many calls.
-        let (_, _, small_map_calls) = build(&config(replication, ITEMS_PER_SHARD / 16));
+        // costs the placement and the sites exactly as many calls.
+        let small = build(&config(replication, ITEMS_PER_SHARD / 16));
         assert_eq!(
-            small_map_calls,
+            small.map_calls,
             map_calls,
-            "replication {replication}: ShardMap::new made {small_map_calls} calls at {} \
-             items per shard and {map_calls} at {ITEMS_PER_SHARD}",
+            "replication {replication}: ShardMap::new made {} calls at {} items per shard \
+             and {map_calls} at {ITEMS_PER_SHARD}",
+            small.map_calls,
             ITEMS_PER_SHARD / 16
+        );
+        assert_eq!(
+            small.node_calls,
+            built.node_calls,
+            "replication {replication}: the six SiteNode::new made {} calls at {} items \
+             per shard and {} at {ITEMS_PER_SHARD}",
+            small.node_calls,
+            ITEMS_PER_SHARD / 16,
+            built.node_calls
         );
 
         // Interning: one placement per distinct copy layout, and with
@@ -137,6 +190,6 @@ fn a_copy_costs_a_slot_not_an_allocation() {
                 placements.len()
             );
         }
-        assert_eq!(nodes.len(), 6);
+        assert_eq!(built.nodes.len(), 6);
     }
 }

@@ -20,7 +20,7 @@ fn arb_world() -> impl Strategy<Value = (Catalog, TxnSpec)> {
                 let r = c - w + 1;
                 let mut b = CatalogBuilder::new();
                 for i in 0..n_items {
-                    b = b.item(ItemId(i), format!("x{i}"));
+                    b = b.item(ItemId(i));
                     for k in 0..c {
                         b = b.copy(SiteId((i + k) % n_sites), 1);
                     }

@@ -336,7 +336,7 @@ mod tests {
 
     fn catalog() -> Catalog {
         CatalogBuilder::new()
-            .item(ItemId(0), "x")
+            .item(ItemId(0))
             .copies_at([SiteId(0), SiteId(1), SiteId(2)])
             .majority()
             .build()

@@ -460,7 +460,7 @@ mod tests {
     /// flush-per-record, on a device of the given latency.
     fn host(group_commit: bool, latency: u64) -> NodeDriver<Host> {
         let catalog = CatalogBuilder::new()
-            .item(ItemId(0), "x")
+            .item(ItemId(0))
             .copies_at([SiteId(0)])
             .quorums(1, 1)
             .build()

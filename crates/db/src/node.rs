@@ -151,27 +151,24 @@ impl SiteNode {
     /// corruption): a site without its log has no safe way to run.
     pub fn new(cfg: NodeConfig, initial_values: impl Fn(ItemId) -> i64) -> Self {
         let log = DurableLog::open(&cfg);
-        let mut items = VersionedStore::new();
+        // The site's copies come in one bulk pass over the catalog's
+        // slots, every copy at the initial version.
+        let mut items = VersionedStore::load(
+            cfg.catalog.items_at(cfg.site).map(|item| item.id),
+            initial_values,
+        );
         items.set_retention(cfg.version_retention.max(1));
-        // The placements holding a copy here give the number of local
-        // copies and, with snapshot reads, the peers bounding the shard
-        // watermark: every other site that holds a copy of anything
-        // this site hosts, exactly the sites whose in-flight
-        // transactions can pin a local copy. One walk then loads the
-        // copies into arrays sized for them.
-        let mut copies = 0;
+        // With snapshot reads, the peers bounding the shard watermark:
+        // every other site that holds a copy of anything this site
+        // hosts, exactly the sites whose in-flight transactions can pin
+        // a local copy.
         let mut peers: BTreeSet<SiteId> = BTreeSet::new();
-        for (placement, n) in cfg.catalog.placements() {
-            if placement.contains_key(&cfg.site) {
-                copies += n;
-                if cfg.snapshot_reads {
+        if cfg.snapshot_reads {
+            for (placement, _) in cfg.catalog.placements() {
+                if placement.contains_key(&cfg.site) {
                     peers.extend(placement.keys());
                 }
             }
-        }
-        items.reserve(copies);
-        for spec in cfg.catalog.items_at(cfg.site) {
-            items.initialize(spec.id, initial_values(spec.id));
         }
         peers.remove(&cfg.site);
         let peers = peers.into_iter().collect();

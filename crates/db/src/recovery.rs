@@ -208,18 +208,11 @@ impl SiteNode {
                 // predicate is why only this coordinator forces its start
                 // record before asking for votes.
                 None if spec.coordinator_presumes_abort() => {
-                    // Through the configured force policy, so recovery
-                    // pays the same device costs as normal operation and
-                    // the abort waits for the force, like its broadcasts.
+                    // One `Decided{Abort}`, through the configured force
+                    // policy, so recovery pays the same device costs as
+                    // normal operation and the abort waits for the
+                    // force, like its broadcasts.
                     let abort = Msg::Abort { txn };
-                    self.log_record(
-                        ctx,
-                        LogRecord::Decided {
-                            txn,
-                            decision: Decision::Abort,
-                            commit_version: None,
-                        },
-                    );
                     if spec.participants.contains(&site) {
                         // The local participant's engine logs and
                         // applies the abort itself.
@@ -227,6 +220,14 @@ impl SiteNode {
                             st.participant.on_msg(site, &abort, Version::INITIAL, out)
                         });
                     } else {
+                        self.log_record(
+                            ctx,
+                            LogRecord::Decided {
+                                txn,
+                                decision: Decision::Abort,
+                                commit_version: None,
+                            },
+                        );
                         self.apply_when_durable(ctx.now(), txn, Decision::Abort, None);
                     }
                     for &to in &spec.participants {

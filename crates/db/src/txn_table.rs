@@ -640,7 +640,7 @@ mod tests {
 
     fn table(after: u64, horizon: u64) -> TxnTable {
         let catalog = CatalogBuilder::new()
-            .item(ItemId(0), "x")
+            .item(ItemId(0))
             .copies_at(SITES)
             .majority()
             .build()

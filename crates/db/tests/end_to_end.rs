@@ -9,7 +9,7 @@ use qbc_votes::{Catalog, CatalogBuilder, ItemId};
 /// Catalog: one item `x` replicated at s0..s4 (unit votes, r=2, w=4).
 fn small_catalog() -> Catalog {
     CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at(sites(5))
         .quorums(2, 4)
         .build()
@@ -479,7 +479,7 @@ fn recovered_copyless_two_pc_coordinator_retires_its_presumed_abort() {
     // Example 3's shape: the coordinator s0 holds no copy of `x`
     // (copies at s1..s3), so it never receives its own commands.
     let catalog = CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at([SiteId(1), SiteId(2), SiteId(3)])
         .quorums(2, 2)
         .build()

@@ -36,13 +36,13 @@ const T2: TxnId = TxnId(2);
 /// `z` with copies at s1 and s2 only: s0 coordinates it as a client.
 fn catalog() -> Catalog {
     CatalogBuilder::new()
-        .item(X, "x")
+        .item(X)
         .copies_at(sites(3))
         .quorums(2, 2)
-        .item(Y, "y")
+        .item(Y)
         .copies_at(sites(3))
         .quorums(2, 2)
-        .item(Z, "z")
+        .item(Z)
         .copies_at([S1, S2])
         .quorums(2, 2)
         .build()

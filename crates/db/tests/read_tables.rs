@@ -12,7 +12,7 @@ use qbc_votes::{Catalog, CatalogBuilder, ItemId};
 /// One item `x` replicated at s0..s4 (unit votes, r=2, w=4).
 fn small_catalog() -> Catalog {
     CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at(sites(5))
         .quorums(2, 4)
         .build()

@@ -44,16 +44,16 @@ const HORIZON: u64 = 1_000;
 
 fn catalog() -> Catalog {
     CatalogBuilder::new()
-        .item(X, "x")
+        .item(X)
         .copies_at(sites(3))
         .quorums(2, 2)
-        .item(Y, "y")
+        .item(Y)
         .copies_at(sites(3))
         .quorums(2, 2)
-        .item(U, "u")
+        .item(U)
         .copies_at([S0, S1])
         .quorums(1, 2)
-        .item(V, "v")
+        .item(V)
         .copies_at([S2])
         .quorums(1, 1)
         .build()

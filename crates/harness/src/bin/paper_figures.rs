@@ -631,7 +631,7 @@ fn e12() -> bool {
     /// rows appear before the final PC-ACK rows.
     fn chart_for(protocol: ProtocolKind, variable_delays: bool) -> String {
         let catalog = CatalogBuilder::new()
-            .item(ItemId(0), "x")
+            .item(ItemId(0))
             .copies_at(sites(4))
             .quorums(2, 3)
             .build()

@@ -54,7 +54,7 @@ impl ConcurrencyRelation {
 /// The enumeration configuration: a 6-site, single-item 3PC world.
 fn catalog() -> Catalog {
     CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at((1..=6).map(SiteId))
         .quorums(2, 5)
         .build()

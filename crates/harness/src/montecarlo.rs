@@ -71,7 +71,7 @@ impl MonteCarloConfig {
     pub fn catalog(&self) -> Catalog {
         let mut b = CatalogBuilder::new();
         for i in 0..self.n_items {
-            b = b.item(ItemId(i), format!("x{i}"));
+            b = b.item(ItemId(i));
             for k in 0..self.copies_per_item {
                 let site = SiteId((i * self.copies_per_item + k) % self.n_sites);
                 b = b.copy(site, 1);

@@ -32,10 +32,10 @@ pub const TR: u64 = 1;
 /// `r(x) = r(y) = 2`, `w(x) = w(y) = 3`.
 pub fn example_catalog() -> Catalog {
     CatalogBuilder::new()
-        .item(ITEM_X, "x")
+        .item(ITEM_X)
         .copies_at((1..=4).map(SiteId))
         .quorums(2, 3)
-        .item(ITEM_Y, "y")
+        .item(ITEM_Y)
         .copies_at((5..=8).map(SiteId))
         .quorums(2, 3)
         .build()
@@ -110,10 +110,10 @@ pub fn fig3_scenario(protocol: ProtocolKind, seed: u64) -> Scenario {
 /// s2–s5, `w = 3`, `r = 2`.
 pub fn fig7_catalog() -> Catalog {
     CatalogBuilder::new()
-        .item(ITEM_X, "x")
+        .item(ITEM_X)
         .copies_at((2..=5).map(SiteId))
         .quorums(2, 3)
-        .item(ITEM_Y, "y")
+        .item(ITEM_Y)
         .copies_at((2..=5).map(SiteId))
         .quorums(2, 3)
         .build()

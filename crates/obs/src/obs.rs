@@ -675,7 +675,7 @@ mod tests {
     fn registry_snapshot_passes_its_own_validation() {
         let obs = Obs::new(ObsConfig::on());
         let catalog = CatalogBuilder::new()
-            .item(ItemId(0), "x")
+            .item(ItemId(0))
             .copies_at([SiteId(0), SiteId(1)])
             .quorums(1, 2)
             .build()

@@ -1115,7 +1115,7 @@ mod tests {
 
         let dir = TempDir::new("reactor-boot-panic");
         let catalog = CatalogBuilder::new()
-            .item(ItemId(0), "x")
+            .item(ItemId(0))
             .copies_at([SiteId(0), SiteId(1)])
             .quorums(1, 2)
             .build()

@@ -16,7 +16,8 @@
 //!
 //! A copy costs one slot, not an allocation: the newest version of
 //! every copy lives in one dense id-sorted array, and only items that
-//! actually retain older versions (retention > 1) get a side entry.
+//! actually retain older versions (retention > 1) get a side entry. A
+//! site's store is built in one bulk pass ([`VersionedStore::load`]).
 
 use qbc_votes::{slot_of, FastMap, ItemId, Version};
 
@@ -58,18 +59,26 @@ impl std::error::Error for StoreError {}
 /// copy; a lookup probes the slot the id would have without gaps, and
 /// binary-searches only when that slot holds another id) and
 /// `newest` the parallel array of each copy's newest `(version,
-/// value)`. A site loads its copies in catalog order, so filling the
-/// arrays is an append per copy. Versions older than the newest sit in
-/// `older`, keyed by item, only for items that retain any — with the
-/// default retention of 1 it stays empty. Iteration walks the dense
-/// arrays in id order, so no observer sees hash order.
+/// value)`, the version as its bare number. A site builds both in one
+/// pass with [`VersionedStore::load`]: the ids from an exact-size walk
+/// of its catalog, the newest array allocated zeroed — every copy
+/// starts at `Version::INITIAL`, so an initial value whose default is
+/// all zero bytes (the `i64` 0) writes nothing. Versions older than
+/// the newest sit in `older`, keyed by item, only for items that
+/// retain any — with the default retention of 1 it stays empty.
+/// Iteration walks the dense arrays in id order, so no observer sees
+/// hash order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VersionedStore<V> {
     ids: Vec<ItemId>,
-    newest: Vec<(Version, V)>,
+    newest: Vec<Newest<V>>,
     older: FastMap<ItemId, Vec<(Version, V)>>,
     retention: usize,
 }
+
+/// A copy's newest `(version, value)`, the version as its bare number:
+/// a tuple of plain integers is what `vec!` allocates zeroed.
+type Newest<V> = (u64, V);
 
 impl<V> Default for VersionedStore<V> {
     fn default() -> Self {
@@ -98,6 +107,38 @@ impl<V> VersionedStore<V> {
         }
     }
 
+    /// A store holding a copy of each of `ids` at `Version::INITIAL`
+    /// with value `value(id)`, retaining one version per item. The ids
+    /// come from an exact-size walk (a site's
+    /// [`qbc_votes::Catalog::items_at`]), so each array is allocated
+    /// once; ids out of order are sorted and repeats kept once. The
+    /// newest array is allocated zeroed, and a value equal to
+    /// `V::default()` is not written: when that default is all zero
+    /// bytes, loading touches the id array alone.
+    pub fn load(ids: impl ExactSizeIterator<Item = ItemId>, value: impl Fn(ItemId) -> V) -> Self
+    where
+        V: Clone + Default + PartialEq,
+    {
+        let mut ids: Vec<ItemId> = ids.collect();
+        if !ids.windows(2).all(|pair| pair[0] < pair[1]) {
+            ids.sort_unstable();
+            ids.dedup();
+        }
+        let zero = V::default();
+        let mut newest = vec![(Version::INITIAL.0, zero.clone()); ids.len()];
+        for ((_, slot), &id) in newest.iter_mut().zip(&ids) {
+            let v = value(id);
+            if v != zero {
+                *slot = v;
+            }
+        }
+        VersionedStore {
+            ids,
+            newest,
+            ..Self::default()
+        }
+    }
+
     /// Changes the retention bound (clamped to at least 1). Existing
     /// chains are trimmed lazily on the next write to each item.
     pub fn set_retention(&mut self, retention: usize) {
@@ -116,13 +157,6 @@ impl<V> VersionedStore<V> {
         slot_of(&self.ids, item, |&id| id)
     }
 
-    /// Reserves room for `additional` more copies, so loading a site's
-    /// copies grows each dense array once.
-    pub fn reserve(&mut self, additional: usize) {
-        self.ids.reserve_exact(additional);
-        self.newest.reserve_exact(additional);
-    }
-
     /// The retained versions of `item` older than its newest.
     fn older_of(&self, item: ItemId) -> &[(Version, V)] {
         if self.older.is_empty() {
@@ -131,10 +165,11 @@ impl<V> VersionedStore<V> {
         self.older.get(&item).map_or(&[], Vec::as_slice)
     }
 
-    /// Makes `entry` the only retained version of `item`: an append
-    /// when ids arrive ascending (the load-time catalog walk), an
-    /// ordered insert otherwise.
-    fn place(&mut self, item: ItemId, entry: (Version, V)) {
+    /// Makes `(version, value)` the only retained version of `item`:
+    /// an append when ids arrive ascending, an ordered insert
+    /// otherwise.
+    fn place(&mut self, item: ItemId, (version, value): (Version, V)) {
+        let entry = (version.0, value);
         if self.ids.last().is_none_or(|&last| last < item) {
             self.ids.push(item);
             self.newest.push(entry);
@@ -152,7 +187,8 @@ impl<V> VersionedStore<V> {
         }
     }
 
-    /// Initialises a copy at `Version::INITIAL` (database load time).
+    /// Initialises a copy at `Version::INITIAL`, one at a time;
+    /// [`VersionedStore::load`] builds a whole site's copies at once.
     pub fn initialize(&mut self, item: ItemId, value: V) {
         self.place(item, (Version::INITIAL, value));
     }
@@ -161,7 +197,7 @@ impl<V> VersionedStore<V> {
     /// has a copy.
     pub fn read(&self, item: ItemId) -> Option<(Version, &V)> {
         let (v, val) = &self.newest[self.slot(item)?];
-        Some((*v, val))
+        Some((Version(*v), val))
     }
 
     /// The newest stored version ≤ `at`, or — when every retained
@@ -169,19 +205,14 @@ impl<V> VersionedStore<V> {
     /// keeps reads total (a copy always answers) and monotone per
     /// site: a chain's oldest entry only ever advances.
     pub fn read_at(&self, item: ItemId, at: Version) -> Option<(Version, &V)> {
-        let newest = &self.newest[self.slot(item)?];
-        let (v, val) = if newest.0 <= at {
-            newest
-        } else {
-            let older = self.older_of(item);
-            older
-                .iter()
-                .rev()
-                .find(|(v, _)| *v <= at)
-                .or(older.first())
-                .unwrap_or(newest)
-        };
-        Some((*v, val))
+        let (v, val) = &self.newest[self.slot(item)?];
+        let newest = (Version(*v), val);
+        if newest.0 <= at {
+            return Some(newest);
+        }
+        let older = self.older_of(item);
+        let found = older.iter().rev().find(|(v, _)| *v <= at).or(older.first());
+        Some(found.map_or(newest, |(v, val)| (*v, val)))
     }
 
     /// The newest stored version only.
@@ -191,12 +222,12 @@ impl<V> VersionedStore<V> {
 
     /// The full retained chain of an item, ascending by version.
     pub fn versions(&self, item: ItemId) -> Option<impl Iterator<Item = (Version, &V)>> {
-        let newest = &self.newest[self.slot(item)?];
+        let (v, val) = &self.newest[self.slot(item)?];
         Some(
             self.older_of(item)
                 .iter()
-                .chain(std::iter::once(newest))
-                .map(|(v, val)| (*v, val)),
+                .map(|(v, val)| (*v, val))
+                .chain(std::iter::once((Version(*v), val))),
         )
     }
 
@@ -209,7 +240,7 @@ impl<V> VersionedStore<V> {
             self.place(item, (version, value));
             return Ok(());
         };
-        let stored = self.newest[i].0;
+        let stored = Version(self.newest[i].0);
         if stored >= version {
             return Err(StoreError::VersionRegression {
                 item,
@@ -217,10 +248,10 @@ impl<V> VersionedStore<V> {
                 offered: version,
             });
         }
-        let superseded = std::mem::replace(&mut self.newest[i], (version, value));
+        let (_, superseded) = std::mem::replace(&mut self.newest[i], (version.0, value));
         if self.retention > 1 {
             let older = self.older.entry(item).or_default();
-            older.push(superseded);
+            older.push((stored, superseded));
             if older.len() >= self.retention {
                 let excess = older.len() + 1 - self.retention;
                 older.drain(..excess);
@@ -242,7 +273,7 @@ impl<V> VersionedStore<V> {
             let Ok(i) = ids.binary_search(item) else {
                 return false;
             };
-            if newest[i].0 <= watermark {
+            if Version(newest[i].0) <= watermark {
                 return false;
             }
             if let Some(keep_from) = older.iter().rposition(|(v, _)| *v <= watermark) {
@@ -266,7 +297,7 @@ impl<V> VersionedStore<V> {
             return;
         };
         match self.slot(item) {
-            Some(i) if self.newest[i].0 < oldest.0 => self.place(item, oldest),
+            Some(i) if Version(self.newest[i].0) < oldest.0 => self.place(item, oldest),
             _ => {
                 let _ = self.apply(item, oldest.0, oldest.1);
             }
@@ -288,11 +319,11 @@ impl<V> VersionedStore<V> {
         self.ids
             .iter()
             .zip(&self.newest)
-            .flat_map(move |(&item, newest)| {
+            .flat_map(move |(&item, (v, val))| {
                 self.older_of(item)
                     .iter()
-                    .chain(std::iter::once(newest))
                     .map(move |(v, val)| (item, *v, val))
+                    .chain(std::iter::once((item, Version(*v), val)))
             })
     }
 
@@ -328,6 +359,29 @@ mod tests {
         assert_eq!(s.read(ItemId(1)), Some((Version::INITIAL, &100)));
         assert_eq!(s.read(ItemId(2)), None);
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn load_equals_initializing_each_copy() {
+        let value = |id: ItemId| {
+            if id.0.is_multiple_of(3) {
+                0
+            } else {
+                id.0 as i64 * 10
+            }
+        };
+        let mut one_by_one = VersionedStore::new();
+        for id in [1, 2, 3, 5, 6, 9].map(ItemId) {
+            one_by_one.initialize(id, value(id));
+        }
+        let loaded = VersionedStore::load([1, 2, 3, 5, 6, 9].map(ItemId).into_iter(), value);
+        assert_eq!(loaded, one_by_one);
+        assert_eq!(loaded.read(ItemId(5)), Some((Version::INITIAL, &50)));
+        assert_eq!(loaded.read(ItemId(6)), Some((Version::INITIAL, &0)));
+        assert_eq!(loaded.read(ItemId(4)), None);
+        // Out of order and repeated, as `initialize` takes them.
+        let shuffled = [9, 2, 6, 1, 5, 3, 2].map(ItemId).into_iter();
+        assert_eq!(VersionedStore::load(shuffled, value), one_by_one);
     }
 
     #[test]

@@ -1,140 +1,186 @@
 //! The replicated-data catalog: every item's placement and quorums.
 
-use crate::item::{slot_of, ItemId, ItemSpec, VoteError};
+use crate::item::{slot_of, ItemClass, ItemId, ItemRef, ItemSpec, VoteError};
 use qbc_simnet::SiteId;
 use std::collections::{BTreeMap, BTreeSet};
+use std::slice;
 use std::sync::Arc;
 
-/// The full replication catalog of the database: one [`ItemSpec`] per
-/// logical data item. Immutable once built, and shared rather than
-/// copied: sites hold it behind one `Arc` per replica group (see
-/// `NodeConfig::catalog` in `qbc-db`), so a cluster keeps one catalog
-/// per shard however many sites it runs.
+/// The full replication catalog of the database: every logical data
+/// item's placement and quorums. Immutable once built, and shared
+/// rather than copied: sites hold it behind one `Arc` per replica group
+/// (see `NodeConfig::catalog` in `qbc-db`), so a cluster keeps one
+/// catalog per shard however many sites it runs.
 ///
-/// The specs sit in one id-sorted array. A lookup tries the slot its
-/// id would have if the ids were contiguous and binary-searches when
-/// they are not, so a dense catalog answers in one probe and a sparse
-/// one still answers. Placements are interned: every item with the
-/// same (site, weight) set shares one [`ItemSpec::copies`] allocation,
-/// so an item costs its spec's slot and nothing more.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+/// An item is an (id, class) slot: one id-sorted column holds each
+/// item's id beside the index of its [`ItemClass`], 8 B an item, with
+/// no pointer and no name. A class is one validated (placement, `r`, `w`)
+/// row, and placements are interned, so every class with the same
+/// (site, weight) set shares one map. A lookup tries the slot its id
+/// would have if the ids were contiguous and binary-searches when they
+/// are not, so a dense catalog answers in one probe and a sparse one
+/// still answers; it hands out an [`ItemRef`], the id and its class.
+#[derive(Clone, Debug, Default)]
 pub struct Catalog {
-    /// Every item's spec, ascending by id, no two alike.
-    specs: Vec<ItemSpec>,
-    /// Every placement some item uses (the very `Arc` its specs hold),
-    /// with how many items use it, ascending by placement.
+    /// Every item's id and its class (an index into `classes`),
+    /// ascending by id, no two ids alike.
+    slots: Vec<Slot>,
+    /// Every class some item takes, each validated.
+    classes: Vec<ItemClass>,
+    /// Every placement some item uses (the very `Arc` its classes
+    /// hold), with how many items use it, ascending by placement.
     placements: Vec<(Arc<Placement>, usize)>,
 }
+
+/// Item by item, so two catalogs holding the same items are equal
+/// however their classes are numbered.
+impl PartialEq for Catalog {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.items().eq(other.items())
+    }
+}
+
+impl Eq for Catalog {}
 
 /// An item's copies: the vote weight at each site.
 type Placement = BTreeMap<SiteId, u32>;
 
-/// Interns placements and counts their items: one shared map per
-/// distinct (site, weight) set, looked up by its entries in site order.
+/// An item in a catalog: its id and the index of its class.
+type Slot = (ItemId, u32);
+
+/// Interns placements and classes while a catalog is built: one shared
+/// map per distinct (site, weight) set, looked up by its entries in
+/// site order, and one class per distinct (placement, `r`, `w`).
 #[derive(Debug, Default)]
-struct Placements {
+struct Interner {
     index: BTreeMap<Vec<(SiteId, u32)>, usize>,
-    entries: Vec<Entry>,
+    /// Each interned placement, with the classes on it.
+    placements: Vec<(Arc<Placement>, Vec<u32>)>,
+    /// Each class, with its placement's index.
+    classes: Vec<(usize, ItemClass)>,
 }
 
-/// One interned placement, the items placed on it so far, and the
-/// quorum pairs already validated over it.
-#[derive(Debug)]
-struct Entry {
-    copies: Arc<Placement>,
-    items: usize,
-    validated: Vec<(u32, u32)>,
-}
-
-impl Placements {
+impl Interner {
     /// The index of the shared placement holding exactly `copies`
     /// (ascending by site); allocates only the first time a set is
     /// seen.
-    fn intern(&mut self, copies: &[(SiteId, u32)]) -> usize {
+    fn placement(&mut self, copies: &[(SiteId, u32)]) -> usize {
         if let Some(&i) = self.index.get(copies) {
             return i;
         }
-        self.entries.push(Entry {
-            copies: Arc::new(copies.iter().copied().collect()),
-            items: 0,
-            validated: Vec::new(),
-        });
-        self.index.insert(copies.to_vec(), self.entries.len() - 1);
-        self.entries.len() - 1
+        let i = self.placements.len();
+        let shared = Arc::new(copies.iter().copied().collect());
+        self.placements.push((shared, Vec::new()));
+        self.index.insert(copies.to_vec(), i);
+        i
     }
 
-    /// [`Placements::intern`] for a placement held as a map.
-    fn intern_map(&mut self, copies: &Placement, scratch: &mut Vec<(SiteId, u32)>) -> usize {
+    /// The index of the class with `spec`'s placement and quorums.
+    fn class_of(&mut self, spec: &ItemSpec, scratch: &mut Vec<(SiteId, u32)>) -> u32 {
         scratch.clear();
-        scratch.extend(copies.iter().map(|(&s, &w)| (s, w)));
-        self.intern(scratch)
+        scratch.extend(spec.copies.iter().map(|(&s, &w)| (s, w)));
+        let p = self.placement(scratch);
+        self.class(p, spec.read_quorum, spec.write_quorum)
     }
 
-    /// The shared map of placement `i`.
-    fn copies(&self, i: usize) -> Arc<Placement> {
-        Arc::clone(&self.entries[i].copies)
+    /// The index of the class on placement `p` with quorums `r` and
+    /// `w`, added the first time it is seen. A placement carries one or
+    /// two quorum pairs, so a scan of its own classes finds it.
+    fn class(&mut self, p: usize, r: u32, w: u32) -> u32 {
+        let (copies, on_p) = &mut self.placements[p];
+        let found = on_p.iter().copied().find(|&c| {
+            let class = &self.classes[c as usize].1;
+            (class.read_quorum, class.write_quorum) == (r, w)
+        });
+        found.unwrap_or_else(|| {
+            let c = self.classes.len() as u32;
+            on_p.push(c);
+            let class = ItemClass {
+                copies: Arc::clone(copies),
+                read_quorum: r,
+                write_quorum: w,
+            };
+            self.classes.push((p, class));
+            c
+        })
     }
 
-    /// Counts `spec` against placement `i`, validating it unless an
-    /// item with the same placement and quorums already passed. The
-    /// checks read nothing else, so the items skipped would pass too,
-    /// and a rejection still names the first invalid item.
-    fn admit(&mut self, i: usize, spec: &ItemSpec) -> Result<(), VoteError> {
-        let entry = &mut self.entries[i];
-        let quorums = (spec.read_quorum, spec.write_quorum);
-        if !entry.validated.contains(&quorums) {
-            spec.validate()?;
-            entry.validated.push(quorums);
+    /// Validates each class on its first item, in input order, sorts
+    /// the slots by id, rejects duplicates and drops the classes and
+    /// placements no item takes. The checks read the class alone, so
+    /// the items skipped would pass too, and a rejection names the
+    /// first invalid item.
+    fn finish(self, mut slots: Vec<Slot>) -> Result<Catalog, VoteError> {
+        // One pass counts the classes' items and checks that the ids
+        // ascend strictly, the common case, which is then neither
+        // sorted nor searched for duplicates.
+        let mut counts = vec![0usize; self.classes.len()];
+        let (mut ascending, mut least_next) = (true, 0u64);
+        for &(id, c) in &slots {
+            let n = &mut counts[c as usize];
+            if *n == 0 {
+                self.classes[c as usize].1.validate(id)?;
+            }
+            *n += 1;
+            ascending &= u64::from(id.0) >= least_next;
+            least_next = u64::from(id.0) + 1;
         }
-        entry.items += 1;
-        Ok(())
-    }
-
-    /// Sorts interned, validated specs by id and rejects duplicates.
-    fn finish(self, mut specs: Vec<ItemSpec>) -> Result<Catalog, VoteError> {
-        // Strictly ascending input, the common case, is checked in one
-        // pass and neither sorted nor searched for duplicates.
-        if !specs.windows(2).all(|pair| pair[0].id < pair[1].id) {
-            specs.sort_unstable_by_key(|spec| spec.id);
-            if let Some(pair) = specs.windows(2).find(|pair| pair[0].id == pair[1].id) {
-                return Err(VoteError::DuplicateItem(pair[0].id));
+        if !ascending {
+            slots.sort_unstable_by_key(|&(id, _)| id);
+            if let Some(pair) = slots.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+                return Err(VoteError::DuplicateItem(pair[0].0));
+            }
+        }
+        let mut per_placement = vec![0; self.placements.len()];
+        let mut renumber = Vec::with_capacity(counts.len());
+        let mut classes = Vec::with_capacity(counts.len());
+        for ((p, class), n) in self.classes.into_iter().zip(counts) {
+            per_placement[p] += n;
+            renumber.push(classes.len() as u32);
+            if n > 0 {
+                classes.push(class);
+            }
+        }
+        if classes.len() < renumber.len() {
+            for (_, c) in &mut slots {
+                *c = renumber[*c as usize];
             }
         }
         let mut placements: Vec<_> = self
-            .entries
+            .placements
             .into_iter()
-            .filter(|entry| entry.items > 0)
-            .map(|entry| (entry.copies, entry.items))
+            .zip(per_placement)
+            .filter(|&(_, n)| n > 0)
+            .map(|((copies, _), n)| (copies, n))
             .collect();
         placements.sort_unstable();
-        Ok(Catalog { specs, placements })
+        Ok(Catalog {
+            slots,
+            classes,
+            placements,
+        })
     }
 }
 
 impl Catalog {
-    /// Builds a catalog from specs, validating each, interning their
-    /// placements and rejecting duplicate item ids.
+    /// Builds a catalog from specs, validating each class, interning
+    /// placements and classes and rejecting duplicate item ids.
     pub fn new(specs: impl IntoIterator<Item = ItemSpec>) -> Result<Self, VoteError> {
-        let mut placements = Placements::default();
+        let mut interner = Interner::default();
         let mut scratch = Vec::new();
-        let specs = specs
+        let slots = specs
             .into_iter()
-            .map(|mut spec| {
-                let i = placements.intern_map(&spec.copies, &mut scratch);
-                spec.copies = placements.copies(i);
-                placements.admit(i, &spec)?;
-                Ok(spec)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        placements.finish(specs)
+            .map(|spec| (spec.id, interner.class_of(&spec, &mut scratch)))
+            .collect();
+        interner.finish(slots)
     }
 
     /// Builds a catalog whose items each take one of a few class specs:
-    /// item `(id, c)` is `classes[c]` under its own id. A class is
-    /// interned once and validated on its first item, and every item
-    /// costs one slot; the result equals what [`Catalog::new`] builds
-    /// from the expanded specs, errors included. Classes no item names
-    /// are left out.
+    /// item `(id, c)` is `classes[c]` under its own id (the specs' own
+    /// ids are ignored). The classes are interned first, and an item
+    /// then costs its slot; the result equals what
+    /// [`Catalog::new`] builds from the expanded specs, errors
+    /// included. Classes no item names are left out.
     ///
     /// # Panics
     /// When an item names a class past the end of `classes`.
@@ -142,76 +188,79 @@ impl Catalog {
         classes: &[ItemSpec],
         items: impl IntoIterator<Item = (ItemId, usize)>,
     ) -> Result<Self, VoteError> {
-        let mut placements = Placements::default();
+        let mut interner = Interner::default();
         let mut scratch = Vec::new();
-        let interned: Vec<usize> = classes
+        let interned: Vec<u32> = classes
             .iter()
-            .map(|class| placements.intern_map(&class.copies, &mut scratch))
+            .map(|class| interner.class_of(class, &mut scratch))
             .collect();
-        let items = items.into_iter();
-        let mut specs = Vec::with_capacity(items.size_hint().0);
-        for (id, c) in items {
-            let class = &classes[c];
-            let spec = ItemSpec {
-                id,
-                name: class.name.clone(),
-                copies: placements.copies(interned[c]),
-                read_quorum: class.read_quorum,
-                write_quorum: class.write_quorum,
-            };
-            placements.admit(interned[c], &spec)?;
-            specs.push(spec);
-        }
-        placements.finish(specs)
+        let slots = items.into_iter().map(|(id, c)| (id, interned[c])).collect();
+        interner.finish(slots)
     }
 
-    /// Looks up an item's spec.
-    pub fn item(&self, id: ItemId) -> Option<&ItemSpec> {
-        slot_of(&self.specs, id, |spec| spec.id).map(|i| &self.specs[i])
+    /// The item in slot `i`.
+    fn at(&self, i: usize) -> ItemRef<'_> {
+        let (id, c) = self.slots[i];
+        ItemRef::new(id, &self.classes[c as usize])
     }
 
-    /// Looks up an item's spec, panicking on unknown id (for internal use
+    /// Looks up an item.
+    pub fn item(&self, id: ItemId) -> Option<ItemRef<'_>> {
+        slot_of(&self.slots, id, |&(id, _)| id).map(|i| self.at(i))
+    }
+
+    /// Looks up an item, panicking on unknown id (for internal use
     /// where the id is known to exist).
-    pub fn expect_item(&self, id: ItemId) -> &ItemSpec {
+    pub fn expect_item(&self, id: ItemId) -> ItemRef<'_> {
         self.item(id).unwrap_or_else(|| panic!("unknown item {id}"))
     }
 
     /// Iterates over all items, in id order.
-    pub fn items(&self) -> impl Iterator<Item = &ItemSpec> {
-        self.specs.iter()
+    pub fn items(&self) -> impl ExactSizeIterator<Item = ItemRef<'_>> {
+        let class = |c: u32| &self.classes[c as usize];
+        self.slots
+            .iter()
+            .map(move |&(id, c)| ItemRef::new(id, class(c)))
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.specs.len()
+        self.slots.len()
     }
 
     /// True when the catalog holds no items.
     pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
+        self.slots.is_empty()
     }
 
     /// Every distinct placement the items use, each with the number of
     /// items placed on it, ascending by placement. The maps are the
-    /// ones the specs share, so a placement holds every site that some
-    /// class of items is replicated at, once.
+    /// ones the classes share, so a placement holds every site that
+    /// some class of items is replicated at, once.
     pub fn placements(&self) -> impl Iterator<Item = (&Arc<BTreeMap<SiteId, u32>>, usize)> {
         self.placements.iter().map(|(copies, n)| (copies, *n))
     }
 
-    /// The specs of the items stored (replicated) at a given site, in id
-    /// order, walked lazily. The site's placements are found once; an
-    /// item then costs a pointer comparison per placement.
-    pub fn items_at(&self, site: SiteId) -> impl Iterator<Item = &ItemSpec> {
-        let here: Vec<&Arc<Placement>> = self
-            .placements
+    /// The items stored (replicated) at a given site, in id order,
+    /// walked lazily. The site's classes and its number of copies are
+    /// found once from the placements; an item then costs a look at its
+    /// class index, and the walk knows its exact length.
+    pub fn items_at(&self, site: SiteId) -> impl ExactSizeIterator<Item = ItemRef<'_>> {
+        let here = self
+            .classes
             .iter()
-            .filter(|(copies, _)| copies.contains_key(&site))
-            .map(|(copies, _)| copies)
+            .map(|class| class.copies.contains_key(&site).then_some(class))
             .collect();
-        self.specs
-            .iter()
-            .filter(move |spec| here.iter().any(|p| Arc::ptr_eq(p, &spec.copies)))
+        let left = self
+            .placements()
+            .filter(|(copies, _)| copies.contains_key(&site))
+            .map(|(_, n)| n)
+            .sum();
+        ItemsAt {
+            slots: self.slots.iter(),
+            here,
+            left,
+        }
     }
 
     /// The participant set of a transaction: every site holding a copy of
@@ -238,6 +287,43 @@ impl Catalog {
     }
 }
 
+/// The items of a [`Catalog`] with a copy at one site, in id order
+/// ([`Catalog::items_at`]). Its length is known from the start, so
+/// collecting it allocates once.
+struct ItemsAt<'a> {
+    /// The slots not looked at yet.
+    slots: slice::Iter<'a, Slot>,
+    /// Each class, when it has a copy at the site.
+    here: Vec<Option<&'a ItemClass>>,
+    /// Items still to yield.
+    left: usize,
+}
+
+impl<'a> Iterator for ItemsAt<'a> {
+    type Item = ItemRef<'a>;
+
+    fn next(&mut self) -> Option<ItemRef<'a>> {
+        // `left` counts the matching slots still ahead, so the scan
+        // ends on the last of them.
+        if self.left == 0 {
+            return None;
+        }
+        for &(id, c) in self.slots.by_ref() {
+            if let Some(class) = self.here[c as usize] {
+                self.left -= 1;
+                return Some(ItemRef::new(id, class));
+            }
+        }
+        None
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for ItemsAt<'_> {}
+
 /// Fluent builder for [`Catalog`].
 ///
 /// ```
@@ -245,7 +331,7 @@ impl Catalog {
 /// use qbc_simnet::SiteId;
 ///
 /// let catalog = CatalogBuilder::new()
-///     .item(ItemId(0), "x")
+///     .item(ItemId(0))
 ///     .copy(SiteId(1), 1)
 ///     .copy(SiteId(2), 1)
 ///     .copy(SiteId(3), 1)
@@ -256,23 +342,22 @@ impl Catalog {
 /// ```
 ///
 /// The current item's copies collect in one scratch list reused across
-/// items and are interned when the next item starts, so a builder
-/// allocates per distinct placement, not per item.
+/// items, and the item is interned into its class when the next item
+/// starts, so a builder allocates per distinct placement, not per item.
 #[derive(Debug, Default)]
 pub struct CatalogBuilder {
-    /// Finished items, interned and each with its placement's index.
-    done: Vec<(usize, ItemSpec)>,
+    /// Finished items, in the order they were added.
+    slots: Vec<Slot>,
     current: Option<Started>,
     /// The current item's copies, ascending by site.
     copies: Vec<(SiteId, u32)>,
-    placements: Placements,
+    interner: Interner,
 }
 
 /// The item a [`CatalogBuilder`] is filling in, bar its copies.
 #[derive(Debug)]
 struct Started {
     id: ItemId,
-    name: String,
     read_quorum: u32,
     write_quorum: u32,
 }
@@ -285,17 +370,9 @@ impl CatalogBuilder {
 
     fn flush(&mut self) {
         if let Some(item) = self.current.take() {
-            let i = self.placements.intern(&self.copies);
-            self.done.push((
-                i,
-                ItemSpec {
-                    id: item.id,
-                    name: item.name,
-                    copies: self.placements.copies(i),
-                    read_quorum: item.read_quorum,
-                    write_quorum: item.write_quorum,
-                },
-            ));
+            let p = self.interner.placement(&self.copies);
+            let c = self.interner.class(p, item.read_quorum, item.write_quorum);
+            self.slots.push((item.id, c));
             self.copies.clear();
         }
     }
@@ -311,12 +388,11 @@ impl CatalogBuilder {
         self.copies.iter().map(|&(_, w)| w).sum()
     }
 
-    /// Starts a new item with the given id and name.
-    pub fn item(mut self, id: ItemId, name: impl Into<String>) -> Self {
+    /// Starts a new item with the given id.
+    pub fn item(mut self, id: ItemId) -> Self {
         self.flush();
         self.current = Some(Started {
             id,
-            name: name.into(),
             read_quorum: 1,
             write_quorum: 1,
         });
@@ -376,16 +452,11 @@ impl CatalogBuilder {
         self
     }
 
-    /// Finishes, validating every item: once per distinct placement
-    /// and quorum pair, since the checks read nothing else.
+    /// Finishes, validating every item: once per class, since the
+    /// checks read nothing else.
     pub fn build(mut self) -> Result<Catalog, VoteError> {
         self.flush();
-        let mut specs = Vec::with_capacity(self.done.len());
-        for (i, spec) in self.done {
-            self.placements.admit(i, &spec)?;
-            specs.push(spec);
-        }
-        self.placements.finish(specs)
+        self.interner.finish(self.slots)
     }
 }
 
@@ -397,10 +468,10 @@ mod tests {
     /// unit-vote copies each, r = 2, w = 3.
     pub fn example1_catalog() -> Catalog {
         CatalogBuilder::new()
-            .item(ItemId(0), "x")
+            .item(ItemId(0))
             .copies_at([SiteId(1), SiteId(2), SiteId(3), SiteId(4)])
             .quorums(2, 3)
-            .item(ItemId(1), "y")
+            .item(ItemId(1))
             .copies_at([SiteId(5), SiteId(6), SiteId(7), SiteId(8)])
             .quorums(2, 3)
             .build()
@@ -443,10 +514,10 @@ mod tests {
     #[test]
     fn duplicate_item_rejected() {
         let r = CatalogBuilder::new()
-            .item(ItemId(0), "x")
+            .item(ItemId(0))
             .copy(SiteId(1), 1)
             .quorums(1, 1)
-            .item(ItemId(0), "x2")
+            .item(ItemId(0))
             .copy(SiteId(2), 1)
             .quorums(1, 1)
             .build();
@@ -456,7 +527,7 @@ mod tests {
     #[test]
     fn majority_quorums_satisfy_constraints() {
         let c = CatalogBuilder::new()
-            .item(ItemId(0), "m")
+            .item(ItemId(0))
             .copies_at([SiteId(0), SiteId(1), SiteId(2), SiteId(3), SiteId(4)])
             .majority()
             .build()
@@ -469,7 +540,7 @@ mod tests {
     #[test]
     fn read_one_write_all_satisfies_constraints() {
         let c = CatalogBuilder::new()
-            .item(ItemId(0), "rowa")
+            .item(ItemId(0))
             .copies_at([SiteId(0), SiteId(1), SiteId(2)])
             .read_one_write_all()
             .build()
@@ -482,7 +553,7 @@ mod tests {
     #[test]
     fn invalid_quorums_rejected_at_build() {
         let r = CatalogBuilder::new()
-            .item(ItemId(0), "bad")
+            .item(ItemId(0))
             .copies_at([SiteId(0), SiteId(1)])
             .quorums(1, 1)
             .build();
@@ -490,9 +561,11 @@ mod tests {
     }
 
     #[test]
-    fn item_lookup_by_name_and_id() {
+    fn item_lookup_by_id() {
         let c = example1_catalog();
-        assert_eq!(c.item(ItemId(1)).unwrap().name, "y");
+        let y = c.item(ItemId(1)).unwrap();
+        assert_eq!(y.id, ItemId(1));
+        assert!(y.copies.contains_key(&SiteId(5)));
         assert!(c.item(ItemId(5)).is_none());
     }
 
@@ -501,30 +574,30 @@ mod tests {
         // Built out of order, with one weight overwritten: the copies
         // are compared as sets, whichever way they were added.
         let c = CatalogBuilder::new()
-            .item(ItemId(0), "a")
+            .item(ItemId(0))
             .copies_at([SiteId(2), SiteId(1)])
             .quorums(2, 2)
-            .item(ItemId(1), "b")
+            .item(ItemId(1))
             .copy(SiteId(1), 3)
             .copy(SiteId(2), 1)
             .copy(SiteId(1), 1)
             .quorums(2, 2)
-            .item(ItemId(2), "c")
+            .item(ItemId(2))
             .copies_at([SiteId(1), SiteId(3)])
             .quorums(2, 2)
             .build()
             .unwrap();
-        let copies = |i| &c.expect_item(ItemId(i)).copies;
-        assert!(Arc::ptr_eq(copies(0), copies(1)));
-        assert!(!Arc::ptr_eq(copies(0), copies(2)));
+        let copies = |i| Arc::clone(&c.expect_item(ItemId(i)).copies);
+        assert!(Arc::ptr_eq(&copies(0), &copies(1)));
+        assert!(!Arc::ptr_eq(&copies(0), &copies(2)));
         // Specs handed to `Catalog::new` directly are interned too.
-        let rebuilt = Catalog::new(c.items().cloned().map(|mut spec| {
+        let rebuilt = Catalog::new(c.items().map(ItemSpec::from).map(|mut spec| {
             spec.copies = Arc::new((*spec.copies).clone());
             spec
         }))
         .unwrap();
         assert_eq!(rebuilt, c);
-        let copies = |i| &rebuilt.expect_item(ItemId(i)).copies;
-        assert!(Arc::ptr_eq(copies(0), copies(1)));
+        let copies = |i| Arc::clone(&rebuilt.expect_item(ItemId(i)).copies);
+        assert!(Arc::ptr_eq(&copies(0), &copies(1)));
     }
 }

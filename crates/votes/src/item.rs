@@ -15,6 +15,7 @@
 use qbc_simnet::SiteId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Identifier of a logical data item.
@@ -145,13 +146,13 @@ impl fmt::Display for VoteError {
 impl std::error::Error for VoteError {}
 
 /// The replication specification of one data item: where its copies live,
-/// how many votes each copy carries, and its read/write quorums.
+/// how many votes each copy carries, and its read/write quorums. The
+/// owned input of [`crate::Catalog`], which keeps only the id and a
+/// class: the quorum arithmetic lives on [`ItemClass`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ItemSpec {
     /// Item identifier.
     pub id: ItemId,
-    /// Human-readable name (the paper's `x`, `y`, ...); may be empty.
-    pub name: String,
     /// Vote weight of the copy stored at each site. [`crate::Catalog`]
     /// interns it: items with equal placements share one map.
     pub copies: Arc<BTreeMap<SiteId, u32>>,
@@ -162,12 +163,33 @@ pub struct ItemSpec {
 }
 
 impl ItemSpec {
-    /// Total votes `v(x)` of the item.
+    /// The sites storing a copy of this item.
+    pub fn sites(&self) -> impl Iterator<Item = SiteId> + '_ {
+        self.copies.keys().copied()
+    }
+}
+
+/// What a class of items shares: the placement of the copies, each
+/// copy's votes, and the quorums `r(x)` and `w(x)`. A catalog keeps one
+/// per distinct (placement, `r`, `w`), and its items point at them.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ItemClass {
+    /// Vote weight of the copy stored at each site, shared with every
+    /// other class on the same placement.
+    pub copies: Arc<BTreeMap<SiteId, u32>>,
+    /// Read quorum `r(x)`.
+    pub read_quorum: u32,
+    /// Write quorum `w(x)`.
+    pub write_quorum: u32,
+}
+
+impl ItemClass {
+    /// Total votes `v(x)` of an item of this class.
     pub fn total_votes(&self) -> u32 {
         self.copies.values().sum()
     }
 
-    /// The sites storing a copy of this item.
+    /// The sites storing a copy.
     pub fn sites(&self) -> impl Iterator<Item = SiteId> + '_ {
         self.copies.keys().copied()
     }
@@ -182,34 +204,35 @@ impl ItemSpec {
         sites.into_iter().map(|s| self.weight_at(*s)).sum()
     }
 
-    /// True when the given sites muster a read quorum for this item.
+    /// True when the given sites muster a read quorum.
     pub fn read_quorum_among(&self, sites: &BTreeSet<SiteId>) -> bool {
         self.votes_among(sites) >= self.read_quorum
     }
 
-    /// True when the given sites muster a write quorum for this item.
+    /// True when the given sites muster a write quorum.
     pub fn write_quorum_among(&self, sites: &BTreeSet<SiteId>) -> bool {
         self.votes_among(sites) >= self.write_quorum
     }
 
-    /// Validates Gifford's two constraints plus basic sanity.
-    pub fn validate(&self) -> Result<(), VoteError> {
+    /// Validates Gifford's two constraints plus basic sanity; an error
+    /// names `item`, an item of this class.
+    pub fn validate(&self, item: ItemId) -> Result<(), VoteError> {
         if self.copies.is_empty() {
-            return Err(VoteError::NoCopies(self.id));
+            return Err(VoteError::NoCopies(item));
         }
         for (&s, &w) in self.copies.iter() {
             if w == 0 {
-                return Err(VoteError::ZeroWeight(self.id, s));
+                return Err(VoteError::ZeroWeight(item, s));
             }
         }
         if self.read_quorum == 0 || self.write_quorum == 0 {
-            return Err(VoteError::ZeroQuorum(self.id));
+            return Err(VoteError::ZeroQuorum(item));
         }
         let total = self.total_votes();
         for q in [self.read_quorum, self.write_quorum] {
             if q > total {
                 return Err(VoteError::QuorumTooLarge {
-                    item: self.id,
+                    item,
                     quorum: q,
                     total,
                 });
@@ -217,7 +240,7 @@ impl ItemSpec {
         }
         if self.read_quorum + self.write_quorum <= total {
             return Err(VoteError::ReadWriteOverlap {
-                item: self.id,
+                item,
                 read: self.read_quorum,
                 write: self.write_quorum,
                 total,
@@ -225,7 +248,7 @@ impl ItemSpec {
         }
         if 2 * self.write_quorum <= total {
             return Err(VoteError::WriteMajority {
-                item: self.id,
+                item,
                 write: self.write_quorum,
                 total,
             });
@@ -234,14 +257,66 @@ impl ItemSpec {
     }
 }
 
+/// An item as a [`crate::Catalog`] holds it: its id and its class. It
+/// derefs to the class, so `item.copies`, `item.read_quorum` and the
+/// quorum checks read as they would on an [`ItemSpec`].
+#[derive(Clone, Copy, Debug)]
+pub struct ItemRef<'a> {
+    /// Item identifier.
+    pub id: ItemId,
+    class: &'a ItemClass,
+}
+
+impl<'a> ItemRef<'a> {
+    pub(crate) fn new(id: ItemId, class: &'a ItemClass) -> Self {
+        ItemRef { id, class }
+    }
+}
+
+impl Deref for ItemRef<'_> {
+    type Target = ItemClass;
+
+    fn deref(&self) -> &ItemClass {
+        self.class
+    }
+}
+
+impl PartialEq for ItemRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id && self.class == other.class
+    }
+}
+
+impl Eq for ItemRef<'_> {}
+
+/// Compares an item with a spec field by field, so a walk of a
+/// catalog can be checked against the specs it was built from.
+impl PartialEq<&ItemSpec> for ItemRef<'_> {
+    fn eq(&self, spec: &&ItemSpec) -> bool {
+        self.id == spec.id
+            && self.copies == spec.copies
+            && self.read_quorum == spec.read_quorum
+            && self.write_quorum == spec.write_quorum
+    }
+}
+
+impl From<ItemRef<'_>> for ItemSpec {
+    fn from(item: ItemRef<'_>) -> Self {
+        ItemSpec {
+            id: item.id,
+            copies: Arc::clone(&item.copies),
+            read_quorum: item.read_quorum,
+            write_quorum: item.write_quorum,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn spec(weights: &[(u32, u32)], r: u32, w: u32) -> ItemSpec {
-        ItemSpec {
-            id: ItemId(1),
-            name: "x".into(),
+    fn spec(weights: &[(u32, u32)], r: u32, w: u32) -> ItemClass {
+        ItemClass {
             copies: Arc::new(weights.iter().map(|&(s, v)| (SiteId(s), v)).collect()),
             read_quorum: r,
             write_quorum: w,
@@ -252,7 +327,7 @@ mod tests {
     fn paper_example_assignment_is_valid() {
         // Example 1: each copy has 1 vote, r = 2, w = 3, 4 copies.
         let s = spec(&[(1, 1), (2, 1), (3, 1), (4, 1)], 2, 3);
-        assert_eq!(s.validate(), Ok(()));
+        assert_eq!(s.validate(ItemId(1)), Ok(()));
         assert_eq!(s.total_votes(), 4);
     }
 
@@ -260,7 +335,7 @@ mod tests {
     fn read_write_overlap_enforced() {
         let s = spec(&[(1, 1), (2, 1), (3, 1), (4, 1)], 1, 3);
         assert!(matches!(
-            s.validate(),
+            s.validate(ItemId(1)),
             Err(VoteError::ReadWriteOverlap { .. })
         ));
     }
@@ -268,20 +343,26 @@ mod tests {
     #[test]
     fn write_majority_enforced() {
         let s = spec(&[(1, 1), (2, 1), (3, 1), (4, 1)], 3, 2);
-        assert!(matches!(s.validate(), Err(VoteError::WriteMajority { .. })));
+        assert!(matches!(
+            s.validate(ItemId(1)),
+            Err(VoteError::WriteMajority { .. })
+        ));
     }
 
     #[test]
     fn zero_weight_rejected() {
         let s = spec(&[(1, 0), (2, 2), (3, 2)], 2, 3);
-        assert!(matches!(s.validate(), Err(VoteError::ZeroWeight(_, _))));
+        assert!(matches!(
+            s.validate(ItemId(1)),
+            Err(VoteError::ZeroWeight(_, _))
+        ));
     }
 
     #[test]
     fn quorum_larger_than_total_rejected() {
         let s = spec(&[(1, 1), (2, 1)], 3, 2);
         assert!(matches!(
-            s.validate(),
+            s.validate(ItemId(1)),
             Err(VoteError::QuorumTooLarge { .. })
         ));
     }
@@ -289,13 +370,13 @@ mod tests {
     #[test]
     fn no_copies_rejected() {
         let s = spec(&[], 1, 1);
-        assert!(matches!(s.validate(), Err(VoteError::NoCopies(_))));
+        assert!(matches!(s.validate(ItemId(1)), Err(VoteError::NoCopies(_))));
     }
 
     #[test]
     fn weighted_copies_count_correctly() {
         let s = spec(&[(1, 3), (2, 1), (3, 1)], 2, 4);
-        assert_eq!(s.validate(), Ok(()));
+        assert_eq!(s.validate(ItemId(1)), Ok(()));
         let g: BTreeSet<SiteId> = [SiteId(1)].into();
         assert!(s.read_quorum_among(&g), "3 votes at s1 beat r=2");
         assert!(!s.write_quorum_among(&g), "3 votes at s1 miss w=4");

@@ -9,7 +9,9 @@
 //! This crate provides:
 //!
 //! * [`ItemSpec`]/[`Catalog`] — per-item copy placement, vote weights and
-//!   quorum parameters, with constraint validation;
+//!   quorum parameters, with constraint validation; a catalog keeps each
+//!   item as its id and an [`ItemClass`], and hands it out as an
+//!   [`ItemRef`];
 //! * [`CatalogBuilder`] — fluent construction (including `majority()` and
 //!   `read_one_write_all()` presets);
 //! * quorum arithmetic over arbitrary site sets (the primitive queried by
@@ -27,7 +29,7 @@ mod item;
 
 pub use availability::{analyze, AccessReport, ItemAccess};
 pub use catalog::{Catalog, CatalogBuilder};
-pub use item::{slot_of, ItemId, ItemSpec, Version, VoteError};
+pub use item::{slot_of, ItemClass, ItemId, ItemRef, ItemSpec, Version, VoteError};
 // Re-export so downstream crates keyed on item/txn ids can reach the
 // deterministic hasher without an extra dependency edge.
 pub use qbc_simnet::{FastBuildHasher, FastHasher, FastMap};
@@ -39,9 +41,9 @@ mod proptests {
     use qbc_simnet::SiteId;
     use std::collections::BTreeSet;
 
-    /// Strategy: a valid item spec over up to 8 sites with weights 1..=3,
-    /// majority-style quorums.
-    fn arb_valid_spec() -> impl Strategy<Value = ItemSpec> {
+    /// Strategy: a valid item class over up to 8 sites with weights
+    /// 1..=3, majority-style quorums.
+    fn arb_valid_spec() -> impl Strategy<Value = ItemClass> {
         (2usize..=8).prop_flat_map(|n| {
             proptest::collection::vec(1u32..=3, n).prop_map(move |weights| {
                 let copies: std::collections::BTreeMap<SiteId, u32> = weights
@@ -52,9 +54,7 @@ mod proptests {
                 let total: u32 = copies.values().sum();
                 let write = total / 2 + 1;
                 let read = total - write + 1;
-                ItemSpec {
-                    id: ItemId(0),
-                    name: "p".into(),
+                ItemClass {
                     copies: std::sync::Arc::new(copies),
                     read_quorum: read,
                     write_quorum: write,
@@ -67,7 +67,7 @@ mod proptests {
         /// Majority-style assignments always satisfy Gifford's constraints.
         #[test]
         fn generated_specs_validate(spec in arb_valid_spec()) {
-            prop_assert_eq!(spec.validate(), Ok(()));
+            prop_assert_eq!(spec.validate(ItemId(0)), Ok(()));
         }
 
         /// Core safety of weighted voting: a read quorum and a write

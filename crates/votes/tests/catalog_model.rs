@@ -1,4 +1,4 @@
-//! Model check of [`Catalog`]'s id-sorted array against a
+//! Model check of [`Catalog`]'s id-sorted (id, class) slots against a
 //! `BTreeMap<ItemId, ItemSpec>` reference.
 //!
 //! Random id sets — contiguous runs, runs with gaps, scattered ids,
@@ -6,8 +6,9 @@
 //! placements, built three ways (the builder, `Catalog::new` and
 //! `Catalog::from_classes`). Every query answers as the map does:
 //! `item` for ids in the set, in its gaps, below its first and above
-//! its last; `items_at`, `participants`, `all_sites`, and `items()` in
-//! id order. A repeated id is rejected on every path.
+//! its last; `items_at` and its exact length, `participants`,
+//! `all_sites`, and `items()` in id order. A repeated id is rejected
+//! on every path.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -59,7 +60,6 @@ fn arb_class() -> impl Strategy<Value = ItemSpec> {
         let write = total / 2 + 1;
         ItemSpec {
             id: ItemId(0),
-            name: String::new(),
             copies: Arc::new(copies),
             read_quorum: total - write + 1,
             write_quorum: write,
@@ -81,12 +81,10 @@ fn arb_catalog() -> impl Strategy<Value = (Vec<u32>, Vec<usize>, Vec<ItemSpec>, 
     })
 }
 
-/// Item `id` of class `c`, named after its class as
-/// [`Catalog::from_classes`] names it.
+/// Item `id` of class `c`.
 fn spec(id: u32, c: usize, classes: &[ItemSpec]) -> ItemSpec {
     ItemSpec {
         id: ItemId(id),
-        name: format!("c{c}"),
         // A private copy: the catalog must intern equal placements.
         copies: Arc::new((*classes[c].copies).clone()),
         ..classes[c].clone()
@@ -97,24 +95,16 @@ fn spec(id: u32, c: usize, classes: &[ItemSpec]) -> ItemSpec {
 fn build_all(order: &[(u32, usize)], classes: &[ItemSpec]) -> [Result<Catalog, VoteError>; 3] {
     let mut b = CatalogBuilder::new();
     for &(id, c) in order {
-        b = b.item(ItemId(id), format!("c{c}"));
+        b = b.item(ItemId(id));
         for (&site, &weight) in classes[c].copies.iter() {
             b = b.copy(site, weight);
         }
         b = b.quorums(classes[c].read_quorum, classes[c].write_quorum);
     }
-    let named: Vec<ItemSpec> = classes
-        .iter()
-        .enumerate()
-        .map(|(c, class)| ItemSpec {
-            name: format!("c{c}"),
-            ..class.clone()
-        })
-        .collect();
     [
         b.build(),
         Catalog::new(order.iter().map(|&(id, c)| spec(id, c, classes))),
-        Catalog::from_classes(&named, order.iter().map(|&(id, c)| (ItemId(id), c))),
+        Catalog::from_classes(classes, order.iter().map(|&(id, c)| (ItemId(id), c))),
     ]
 }
 
@@ -156,10 +146,16 @@ proptest! {
             prop_assert_eq!(catalog.len(), reference.len());
             prop_assert!(catalog.items().eq(reference.values()), "items() order");
             for id in probes(&ids) {
-                prop_assert_eq!(catalog.item(ItemId(id)), reference.get(&ItemId(id)), "item {}", id);
+                prop_assert_eq!(
+                    catalog.item(ItemId(id)).map(ItemSpec::from),
+                    reference.get(&ItemId(id)).cloned(),
+                    "item {}",
+                    id
+                );
             }
             for site in (0..=SITES).map(SiteId) {
                 let want = reference.values().filter(|s| s.copies.contains_key(&site));
+                prop_assert_eq!(catalog.items_at(site).len(), want.clone().count(), "items_at {} len", site);
                 prop_assert!(catalog.items_at(site).eq(want), "items_at {}", site);
             }
             let asked: Vec<ItemId> = probes(&ids)

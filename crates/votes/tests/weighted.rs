@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 #[test]
 fn primary_biased_weights_shift_quorums() {
     let catalog = CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copy(SiteId(0), 3) // primary
         .copy(SiteId(1), 1)
         .copy(SiteId(2), 1)
@@ -67,7 +67,7 @@ fn primary_biased_weights_shift_quorums() {
 #[test]
 fn weighted_constraint_violations_rejected() {
     let r = CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copy(SiteId(0), 5)
         .copy(SiteId(1), 1)
         .quorums(4, 3) // w=3 ≤ v/2=3: two writes could run in parallel
@@ -80,7 +80,7 @@ fn weighted_constraint_violations_rejected() {
 #[test]
 fn blocking_subtracts_weight() {
     let catalog = CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copy(SiteId(0), 3)
         .copy(SiteId(1), 1)
         .copy(SiteId(2), 1)

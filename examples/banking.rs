@@ -22,13 +22,13 @@ const CAROL: ItemId = ItemId(2);
 fn main() {
     // Accounts replicated at 4 of 6 branches each, r=2, w=3.
     let catalog = CatalogBuilder::new()
-        .item(ALICE, "alice")
+        .item(ALICE)
         .copies_at([SiteId(0), SiteId(1), SiteId(2), SiteId(3)])
         .quorums(2, 3)
-        .item(BOB, "bob")
+        .item(BOB)
         .copies_at([SiteId(2), SiteId(3), SiteId(4), SiteId(5)])
         .quorums(2, 3)
-        .item(CAROL, "carol")
+        .item(CAROL)
         .copies_at([SiteId(0), SiteId(1), SiteId(4), SiteId(5)])
         .quorums(2, 3)
         .build()

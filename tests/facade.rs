@@ -79,7 +79,7 @@ fn readme_quickstart_compiles_and_commits() {
     use quorum_commit::votes::{CatalogBuilder, ItemId};
 
     let catalog = CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at(sites(5))
         .majority()
         .build()

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 #[test]
 fn bare_node_drivers_commit_failure_free() {
     let catalog = CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at(sites(5))
         .majority()
         .build()

@@ -1,13 +1,13 @@
 //! Crash-recovery integration tests spanning storage, core and db.
 
-use quorum_commit::core::{Decision, ProtocolKind, TxnId, WriteSet};
+use quorum_commit::core::{Decision, LogRecord, ProtocolKind, TxnId, WriteSet};
 use quorum_commit::db::{build_cluster, SiteNode};
 use quorum_commit::simnet::{sites, DelayModel, Duration, Sim, SimConfig, SiteId, Time};
 use quorum_commit::votes::{Catalog, CatalogBuilder, ItemId};
 
 fn catalog(n: u32) -> Catalog {
     CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at(sites(n))
         .quorums(2, n - 1)
         .build()
@@ -141,6 +141,25 @@ fn two_pc_coordinator_recovery_applies_presumed_abort() {
         );
         assert!(!s.node(SiteId(k)).is_item_locked(ItemId(0)));
     }
+    // The coordinator holds a copy, so its participant engine logs the
+    // presumed abort, once, and the coordinator adds no second record.
+    let s0 = s.node(SiteId(0));
+    let aborts = s0
+        .log_records()
+        .filter(|r| {
+            matches!(
+                r,
+                LogRecord::Decided {
+                    txn: TxnId(1),
+                    decision: Decision::Abort,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(aborts, 1, "s0 logs Decided{{Abort}} once");
+    // Four forces when it logged the abort twice.
+    assert_eq!(s0.wal_forces(), 3);
 }
 
 #[test]

@@ -9,7 +9,7 @@ use quorum_commit::votes::{Catalog, CatalogBuilder, ItemId};
 
 fn majority_catalog(n: u32) -> Catalog {
     CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at(sites(n))
         .majority()
         .build()
@@ -51,7 +51,7 @@ fn random_message_loss_never_breaks_atomicity() {
 #[test]
 fn rowa_specialization_terminates_any_partition_with_a_copy() {
     let catalog = CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at(sites(4))
         .read_one_write_all()
         .build()
@@ -177,10 +177,10 @@ fn partition_churn_is_survivable() {
 #[test]
 fn multi_item_disjoint_copies_commit() {
     let catalog = CatalogBuilder::new()
-        .item(ItemId(0), "x")
+        .item(ItemId(0))
         .copies_at([SiteId(0), SiteId(1), SiteId(2)])
         .quorums(2, 2)
-        .item(ItemId(1), "y")
+        .item(ItemId(1))
         .copies_at([SiteId(3), SiteId(4), SiteId(5)])
         .quorums(2, 2)
         .build()
