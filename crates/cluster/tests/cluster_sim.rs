@@ -5,7 +5,7 @@
 use qbc_cluster::{ClusterConfig, ShardId, SimCluster};
 use qbc_core::{Decision, WriteSet};
 use qbc_db::ReadResult;
-use qbc_simnet::{Duration, SiteId, Time};
+use qbc_simnet::{Duration, Fault, SiteId, Time};
 use qbc_votes::ItemId;
 
 /// A writeset of one or two items within one shard, varied by index.
@@ -130,8 +130,12 @@ fn coordinator_crash_mid_stream_keeps_the_cluster_atomic() {
         cluster.submit_at(Time(k * 30), ws);
     }
     // Crash one site of shard 0 mid-stream; recover it later.
-    cluster.sim_mut().schedule_crash(Time(600), SiteId(0));
-    cluster.sim_mut().schedule_recover(Time(1_400), SiteId(0));
+    cluster
+        .sim_mut()
+        .schedule(Time(600), Fault::Crash(SiteId(0)));
+    cluster
+        .sim_mut()
+        .schedule(Time(1_400), Fault::Recover(SiteId(0)));
     let q = cluster.run_to_quiescence(20_000_000);
     assert!(q.drained());
     assert_eq!(cluster.atomicity_violations(), vec![]);

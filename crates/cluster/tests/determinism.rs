@@ -11,7 +11,7 @@
 
 use qbc_cluster::{ClusterConfig, SimCluster};
 use qbc_core::{Decision, ProtocolKind, WriteSet};
-use qbc_simnet::{Duration, SiteId, Time};
+use qbc_simnet::{Duration, Fault, SiteId, Time};
 use qbc_votes::ItemId;
 
 /// The pinned digest of `scenario()` (see module docs for re-deriving).
@@ -55,8 +55,12 @@ fn scenario() -> u64 {
     };
     let mut cluster = SimCluster::new(cfg);
     // Site 1 (shard 0) fails under load and comes back.
-    cluster.sim_mut().schedule_crash(Time(120), SiteId(1));
-    cluster.sim_mut().schedule_recover(Time(700), SiteId(1));
+    cluster
+        .sim_mut()
+        .schedule(Time(120), Fault::Crash(SiteId(1)));
+    cluster
+        .sim_mut()
+        .schedule(Time(700), Fault::Recover(SiteId(1)));
 
     let per_shard = 12u64;
     for i in 0..48u64 {
@@ -113,8 +117,12 @@ fn xshard_scenario() -> u64 {
         ..Default::default()
     };
     let mut cluster = SimCluster::new(cfg);
-    cluster.sim_mut().schedule_crash(Time(150), SiteId(0));
-    cluster.sim_mut().schedule_recover(Time(800), SiteId(0));
+    cluster
+        .sim_mut()
+        .schedule(Time(150), Fault::Crash(SiteId(0)));
+    cluster
+        .sim_mut()
+        .schedule(Time(800), Fault::Recover(SiteId(0)));
 
     for i in 0..36u64 {
         let ws = match i % 3 {
@@ -178,8 +186,12 @@ fn paxos_scenario() -> u64 {
         ..Default::default()
     };
     let mut cluster = SimCluster::new(cfg);
-    cluster.sim_mut().schedule_crash(Time(110), SiteId(0));
-    cluster.sim_mut().schedule_recover(Time(750), SiteId(0));
+    cluster
+        .sim_mut()
+        .schedule(Time(110), Fault::Crash(SiteId(0)));
+    cluster
+        .sim_mut()
+        .schedule(Time(750), Fault::Recover(SiteId(0)));
 
     for i in 0..32u64 {
         let a = ItemId((i % 12) as u32);
@@ -241,8 +253,12 @@ fn retirement_scenario() -> u64 {
     .with_retire_horizon(Duration(250))
     .with_checkpoints(Duration(120));
     let mut cluster = SimCluster::new(cfg);
-    cluster.sim_mut().schedule_crash(Time(610), SiteId(0));
-    cluster.sim_mut().schedule_recover(Time(900), SiteId(0));
+    cluster
+        .sim_mut()
+        .schedule(Time(610), Fault::Crash(SiteId(0)));
+    cluster
+        .sim_mut()
+        .schedule(Time(900), Fault::Recover(SiteId(0)));
 
     for i in 0..96u64 {
         let ws = if i % 3 == 1 {

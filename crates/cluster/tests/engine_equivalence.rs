@@ -38,7 +38,7 @@
 use proptest::prelude::*;
 use qbc_cluster::{ClusterConfig, SimCluster};
 use qbc_core::{Decision, ProtocolKind, TxnId, WriteSet};
-use qbc_simnet::{SiteId, Time};
+use qbc_simnet::{Fault, SiteId, Time};
 use qbc_votes::ItemId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -146,10 +146,12 @@ fn run_engine_aimed(
         Some((h.coordinator.0, h.submitted_at.0 + after))
     });
     let crash_and_recover = |cluster: &mut SimCluster, site: u32, at: u64| {
-        cluster.sim_mut().schedule_crash(Time(at), SiteId(site));
         cluster
             .sim_mut()
-            .schedule_recover(Time(at + 600), SiteId(site));
+            .schedule(Time(at), Fault::Crash(SiteId(site)));
+        cluster
+            .sim_mut()
+            .schedule(Time(at + 600), Fault::Recover(SiteId(site)));
     };
     for (site, at) in crash.into_iter().chain(aimed_crash) {
         crash_and_recover(&mut cluster, site, at);

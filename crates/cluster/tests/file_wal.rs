@@ -18,7 +18,7 @@
 
 use qbc_cluster::{ClusterConfig, ShardId, SimCluster};
 use qbc_core::{Decision, WriteSet};
-use qbc_simnet::{Duration, SiteId, Time};
+use qbc_simnet::{Duration, Fault, SiteId, Time};
 use qbc_storage::TempDir;
 use qbc_votes::{ItemId, Version};
 use std::path::Path;
@@ -68,10 +68,18 @@ fn drive(cluster: &mut SimCluster, n: u64) -> Vec<qbc_cluster::TxnHandle> {
     }
     // One participant down and back up mid-stream per shard: recovery
     // replays the log while the load is still running.
-    cluster.sim_mut().schedule_crash(Time(400), SiteId(1));
-    cluster.sim_mut().schedule_recover(Time(900), SiteId(1));
-    cluster.sim_mut().schedule_crash(Time(700), SiteId(4));
-    cluster.sim_mut().schedule_recover(Time(1300), SiteId(4));
+    cluster
+        .sim_mut()
+        .schedule(Time(400), Fault::Crash(SiteId(1)));
+    cluster
+        .sim_mut()
+        .schedule(Time(900), Fault::Recover(SiteId(1)));
+    cluster
+        .sim_mut()
+        .schedule(Time(700), Fault::Crash(SiteId(4)));
+    cluster
+        .sim_mut()
+        .schedule(Time(1300), Fault::Recover(SiteId(4)));
     let q = cluster.run_to_quiescence(20_000_000);
     assert!(q.drained(), "cluster must quiesce, got {q:?}");
     handles

@@ -20,7 +20,7 @@
 use qbc_cluster::{ClusterConfig, ObsConfig, ShardId, SimCluster};
 use qbc_core::{Decision, ProtocolKind, WriteSet};
 use qbc_obs::EventKind;
-use qbc_simnet::{Duration, SiteId, Time};
+use qbc_simnet::{Duration, Fault, SiteId, Time};
 use std::collections::BTreeMap;
 
 /// One shard of three sites, one vote per copy, r = w = 2: a single
@@ -84,10 +84,18 @@ fn crashed_quorum_blocks_and_the_window_matches_the_event_timeline() {
     // Coordinator and one participant die right after the vote round
     // starts; the survivor alone musters 1 < w = 2 votes, so every
     // termination attempt it runs ends in rule 5 (blocked).
-    cluster.sim_mut().schedule_crash(Time(12), SiteId(0));
-    cluster.sim_mut().schedule_crash(Time(12), SiteId(1));
-    cluster.sim_mut().schedule_recover(Time(600), SiteId(0));
-    cluster.sim_mut().schedule_recover(Time(650), SiteId(1));
+    cluster
+        .sim_mut()
+        .schedule(Time(12), Fault::Crash(SiteId(0)));
+    cluster
+        .sim_mut()
+        .schedule(Time(12), Fault::Crash(SiteId(1)));
+    cluster
+        .sim_mut()
+        .schedule(Time(600), Fault::Recover(SiteId(0)));
+    cluster
+        .sim_mut()
+        .schedule(Time(650), Fault::Recover(SiteId(1)));
 
     let q = cluster.run_to_quiescence(10_000_000);
     assert!(q.drained(), "cluster must quiesce, got {q:?}");
@@ -170,8 +178,12 @@ fn observer_is_passive_and_snapshots_are_deterministic() {
                 WriteSet::new([(a, k as i64), (b, -(k as i64))]),
             ));
         }
-        cluster.sim_mut().schedule_crash(Time(60), SiteId(2));
-        cluster.sim_mut().schedule_recover(Time(300), SiteId(2));
+        cluster
+            .sim_mut()
+            .schedule(Time(60), Fault::Crash(SiteId(2)));
+        cluster
+            .sim_mut()
+            .schedule(Time(300), Fault::Recover(SiteId(2)));
         let q = cluster.run_to_quiescence(10_000_000);
         assert!(q.drained());
         let decisions: Vec<Option<Decision>> =

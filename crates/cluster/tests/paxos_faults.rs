@@ -10,7 +10,7 @@
 
 use qbc_cluster::{ClusterConfig, SimCluster};
 use qbc_core::{Decision, ProtocolKind, WriteSet};
-use qbc_simnet::{SiteId, Time};
+use qbc_simnet::{Fault, SiteId, Time};
 use qbc_votes::ItemId;
 
 /// Which sites the cell crashes.
@@ -102,10 +102,11 @@ fn run_cell(target: Target, step: Step, seed: u64) -> CellOutcome {
         Target::AcceptorMajorityLost => &[SiteId(1), SiteId(2)],
     };
     for (i, &v) in victims.iter().enumerate() {
-        c.sim_mut().schedule_crash(step.crash_at(), v);
+        c.sim_mut().schedule(step.crash_at(), Fault::Crash(v));
         // Staggered recovery keeps the two majority-lost corpses from
         // reappearing in lockstep.
-        c.sim_mut().schedule_recover(Time(900 + i as u64 * 60), v);
+        c.sim_mut()
+            .schedule(Time(900 + i as u64 * 60), Fault::Recover(v));
     }
 
     let mut drained = false;

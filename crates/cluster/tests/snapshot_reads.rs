@@ -15,7 +15,7 @@
 use qbc_cluster::{ClusterConfig, ShardId, SimCluster};
 use qbc_core::{Decision, WriteSet};
 use qbc_db::ReadResult;
-use qbc_simnet::{Duration, SiteId, Time};
+use qbc_simnet::{Duration, Fault, SiteId, Time};
 use qbc_votes::{ItemId, Version};
 use std::collections::BTreeMap;
 
@@ -67,8 +67,8 @@ fn snapshot_reads_observe_only_committed_data_and_never_go_backwards() {
             let site = SiteId((next(&mut st) % total_sites as u64) as u32);
             let down = 150 + next(&mut st) % 500;
             let up = down + 200 + next(&mut st) % 600;
-            c.sim_mut().schedule_crash(Time(down), site);
-            c.sim_mut().schedule_recover(Time(up), site);
+            c.sim_mut().schedule(Time(down), Fault::Crash(site));
+            c.sim_mut().schedule(Time(up), Fault::Recover(site));
         }
 
         // Interleave snapshot reads with the running schedule: two

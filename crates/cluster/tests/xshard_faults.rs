@@ -9,7 +9,7 @@
 
 use qbc_cluster::{ClusterConfig, SimCluster};
 use qbc_core::{Decision, WriteSet};
-use qbc_simnet::{SiteId, Time};
+use qbc_simnet::{Fault, SiteId, Time};
 use qbc_votes::ItemId;
 
 /// Which site the cell crashes.
@@ -105,8 +105,8 @@ fn run_cell(target: Target, step: Step, seed: u64) -> CellOutcome {
         Target::BranchCoordinator => SiteId(3),
         Target::Participant => SiteId(4),
     };
-    c.sim_mut().schedule_crash(step.crash_at(), victim);
-    c.sim_mut().schedule_recover(Time(900), victim);
+    c.sim_mut().schedule(step.crash_at(), Fault::Crash(victim));
+    c.sim_mut().schedule(Time(900), Fault::Recover(victim));
 
     let mut drained = false;
     for _ in 0..100 {

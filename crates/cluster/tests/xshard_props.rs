@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use qbc_cluster::{ClusterConfig, SimCluster};
 use qbc_core::{Decision, LocalState, Participant, ParticipantConfig, WriteSet};
-use qbc_simnet::{Duration, SiteId, Time};
+use qbc_simnet::{Duration, Fault, SiteId, Time};
 use qbc_votes::ItemId;
 use std::collections::BTreeMap;
 
@@ -63,8 +63,8 @@ proptest! {
             (h.coordinator.0, h.submitted_at.0 + after)
         });
         for (site, at) in crashes.iter().copied().chain(staged) {
-            cluster.sim_mut().schedule_crash(Time(at), SiteId(site));
-            cluster.sim_mut().schedule_recover(Time(at + 500), SiteId(site));
+            cluster.sim_mut().schedule(Time(at), Fault::Crash(SiteId(site)));
+            cluster.sim_mut().schedule(Time(at + 500), Fault::Recover(SiteId(site)));
         }
         let mut drained = false;
         for _ in 0..100 {

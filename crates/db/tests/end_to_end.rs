@@ -2,7 +2,7 @@
 
 use qbc_core::{Decision, LocalState, LogRecord, ProtocolKind, SiteVotes, TxnId, WriteSet};
 use qbc_db::{build_cluster, DecisionEvent, NodeConfig, SiteNode};
-use qbc_simnet::{sites, DelayModel, Duration, Sim, SimConfig, SiteId, Time};
+use qbc_simnet::{sites, DelayModel, Duration, Fault, Sim, SimConfig, SiteId, Time};
 use qbc_storage::Lsn;
 use qbc_votes::{Catalog, CatalogBuilder, ItemId};
 
@@ -147,9 +147,9 @@ fn two_pc_blocks_on_coordinator_crash_after_votes() {
     // earliest possible decision time minus epsilon is racy with random
     // delays; instead block all outgoing command links, then crash.
     for s in 1..5 {
-        sim.schedule_block_link(Time(11), SiteId(0), SiteId(s));
+        sim.schedule(Time(11), Fault::BlockLink(SiteId(0), SiteId(s)));
     }
-    sim.schedule_crash(Time(30), SiteId(0));
+    sim.schedule(Time(30), Fault::Crash(SiteId(0)));
     sim.run_until(Time(3_000));
     // Participants voted yes, coordinator unreachable: cooperative
     // termination finds all-W and blocks. The transaction stays
@@ -178,9 +178,9 @@ fn qc1_terminates_after_coordinator_crash_before_prepare() {
     // Cut the coordinator off after VoteReq delivery but before it can
     // send PREPARE-TO-COMMIT, then crash it: participants are all in W.
     for s in 1..5 {
-        sim.schedule_block_link(Time(11), SiteId(0), SiteId(s));
+        sim.schedule(Time(11), Fault::BlockLink(SiteId(0), SiteId(s)));
     }
-    sim.schedule_crash(Time(30), SiteId(0));
+    sim.schedule(Time(30), Fault::Crash(SiteId(0)));
     sim.run_until(Time(3_000));
     // TP1: all-W partition {s1..s4} holds 4 ≥ r(x)=2 votes among
     // non-PC sites → abort quorum → everyone aborts and unlocks.
@@ -205,9 +205,9 @@ fn qc2_terminates_after_coordinator_crash_before_prepare() {
         ProtocolKind::QuorumCommit2,
     );
     for s in 1..5 {
-        sim.schedule_block_link(Time(11), SiteId(0), SiteId(s));
+        sim.schedule(Time(11), Fault::BlockLink(SiteId(0), SiteId(s)));
     }
-    sim.schedule_crash(Time(30), SiteId(0));
+    sim.schedule(Time(30), Fault::Crash(SiteId(0)));
     sim.run_until(Time(3_000));
     // TP2 abort rule needs w(x)=4 votes from non-PC sites: s1..s4 hold
     // exactly 4 → abort.
@@ -236,8 +236,8 @@ fn crashed_participant_recovers_and_learns_commit() {
     // s4 crashes right after voting; the rest commit (w(x)=4 of 5 votes
     // reachable... s4's ack may be missing: commit needs w(x)=4 votes of
     // PC-acks among 5 copies: s0,s1,s2,s3 suffice).
-    sim.schedule_crash(Time(25), SiteId(4));
-    sim.schedule_recover(Time(500), SiteId(4));
+    sim.schedule(Time(25), Fault::Crash(SiteId(4)));
+    sim.schedule(Time(500), Fault::Recover(SiteId(4)));
     sim.run_until(Time(5_000));
     assert_all_committed(&sim, TxnId(1));
     assert_consistent(&sim, TxnId(1));
@@ -258,14 +258,14 @@ fn partition_heals_and_stragglers_learn_the_outcome() {
         ProtocolKind::QuorumCommit1,
     );
     // Partition away s3, s4 before the prepare round completes there.
-    sim.schedule_partition(
+    sim.schedule(
         Time(12),
-        vec![
+        Fault::Partition(vec![
             vec![SiteId(0), SiteId(1), SiteId(2)],
             vec![SiteId(3), SiteId(4)],
-        ],
+        ]),
     );
-    sim.schedule_heal(Time(600));
+    sim.schedule(Time(600), Fault::Heal);
     sim.run_until(Time(6_000));
     // Majority side cannot commit (w(x)=4 > 3 copies reachable) → the
     // outcome either way must become uniform after healing.
@@ -310,9 +310,9 @@ fn quorum_read_fails_while_item_is_pinned_by_blocked_txn() {
     // Block the 2PC coordinator's commands and crash it: participants
     // stay blocked in W holding X-locks.
     for s in 1..5 {
-        sim.schedule_block_link(Time(11), SiteId(0), SiteId(s));
+        sim.schedule(Time(11), Fault::BlockLink(SiteId(0), SiteId(s)));
     }
-    sim.schedule_crash(Time(30), SiteId(0));
+    sim.schedule(Time(30), Fault::Crash(SiteId(0)));
     // All copies are pinned: the read cannot assemble r(x)=2 votes.
     sim.schedule_call(Time(1_000), SiteId(2), |node, ctx| {
         node.start_read(ctx, 901, ItemId(0));
@@ -421,12 +421,12 @@ fn partitioned_but_alive_coordinator_hands_off_to_termination() {
         5,
         ProtocolKind::QuorumCommit1,
     );
-    sim.schedule_partition(
+    sim.schedule(
         Time(21),
-        vec![
+        Fault::Partition(vec![
             vec![SiteId(0)],
             vec![SiteId(1), SiteId(2), SiteId(3), SiteId(4)],
-        ],
+        ]),
     );
     sim.run_until(Time(2_500));
     // Majority side {s1..s4}: 4 votes of x; TP1 terminates it (which
@@ -437,7 +437,7 @@ fn partitioned_but_alive_coordinator_hands_off_to_termination() {
         assert_eq!(sim.node(SiteId(s)).decision(TxnId(1)), d1, "s{s}");
     }
     // Heal: the coordinator converges to the same outcome.
-    sim.schedule_heal(Time(2_600));
+    sim.schedule(Time(2_600), Fault::Heal);
     sim.run_until(Time(8_000));
     assert_eq!(sim.node(SiteId(0)).decision(TxnId(1)), d1, "s0 converges");
     assert_consistent(&sim, TxnId(1));
@@ -456,14 +456,14 @@ fn deterministic_replay_same_seed_same_outcome() {
             5,
             ProtocolKind::QuorumCommit1,
         );
-        sim.schedule_partition(
+        sim.schedule(
             Time(15),
-            vec![
+            Fault::Partition(vec![
                 vec![SiteId(0), SiteId(1)],
                 vec![SiteId(2), SiteId(3), SiteId(4)],
-            ],
+            ]),
         );
-        sim.schedule_heal(Time(800));
+        sim.schedule(Time(800), Fault::Heal);
         sim.run_until(Time(5_000));
         (
             decisions(&sim, TxnId(1)),
@@ -493,8 +493,8 @@ fn recovered_copyless_two_pc_coordinator_retires_its_presumed_abort() {
     begin(&mut sim, Time(0), s0, 1, 5, ProtocolKind::TwoPhase);
     // 2PC forces `CoordinatorStart` before asking for votes; no vote
     // can return before t=4, so the crash at t=3 leaves no `Decided`.
-    sim.schedule_crash(Time(3), s0);
-    sim.schedule_recover(Time(1_000), s0);
+    sim.schedule(Time(3), Fault::Crash(s0));
+    sim.schedule(Time(1_000), Fault::Recover(s0));
     sim.run_until(Time(1_001));
     assert!(matches!(
         sim.node(s0).log_records().next(),

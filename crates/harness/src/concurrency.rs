@@ -10,10 +10,10 @@
 //!
 //! The result is checked against [`qbc_core::partition_state::paper_concurrency_claims`].
 
-use crate::scenario::{Fault, Scenario};
+use crate::scenario::Scenario;
 use qbc_core::partition_state::{classify, Ps};
 use qbc_core::{ProtocolKind, TxnId, WriteSet};
-use qbc_simnet::{SiteId, Time};
+use qbc_simnet::{Fault, SiteId, Time};
 use qbc_votes::{Catalog, CatalogBuilder, ItemId};
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -44,4 +44,4 @@ pub mod scenario;
 pub mod table;
 pub mod workload;
 
-pub use scenario::{Fault, Scenario, ScenarioOutcome, TxnSubmission, TxnVerdict};
+pub use scenario::{Scenario, ScenarioOutcome, TxnSubmission, TxnVerdict};

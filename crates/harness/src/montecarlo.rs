@@ -10,9 +10,9 @@
 //! * atomicity-violation rates (zero for the correct protocols; nonzero
 //!   for 3PC-under-partition and for the Example 3 faulty variant).
 
-use crate::scenario::{Fault, Scenario};
+use crate::scenario::Scenario;
 use qbc_core::{FaultyMode, ProtocolKind, SiteVotes, TxnId, WriteSet};
-use qbc_simnet::{sites, Duration, SiteId, Time};
+use qbc_simnet::{sites, Duration, Fault, SiteId, Time};
 use qbc_votes::{Catalog, CatalogBuilder, ItemId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -115,6 +115,7 @@ pub fn render_filtered(trace: &[TraceEvent], sites: &[SiteId], labels: &[&str]) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qbc_simnet::Fault;
 
     fn ev(at: u64, from: u32, to: u32, label: &'static str) -> TraceEvent {
         TraceEvent::Delivered {
@@ -129,9 +130,9 @@ mod tests {
     fn hops_extracts_only_deliveries() {
         let trace = vec![
             ev(1, 0, 1, "VOTE-REQ"),
-            TraceEvent::Crashed {
+            TraceEvent::Fault {
                 at: Time(2),
-                site: SiteId(0),
+                fault: Fault::Crash(SiteId(0)),
             },
             ev(3, 1, 0, "VOTE-YES"),
         ];

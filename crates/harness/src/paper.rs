@@ -16,9 +16,9 @@
 //! message arrival times are exact; each builder's doc comment gives
 //! its timeline.
 
-use crate::scenario::{Fault, Scenario};
+use crate::scenario::Scenario;
 use qbc_core::{ProtocolKind, SiteVotes, WriteSet};
-use qbc_simnet::{SiteId, Time};
+use qbc_simnet::{Fault, SiteId, Time};
 use qbc_votes::{Catalog, CatalogBuilder, ItemId};
 
 /// Item `x` of the Fig. 3 configuration.

@@ -13,7 +13,7 @@
 
 use qbc_cluster::{ClusterConfig, LatencyHistogram, ObsConfig, ShardId, SimCluster};
 use qbc_core::{ProtocolKind, WriteSet};
-use qbc_simnet::{Duration, SiteId, Time};
+use qbc_simnet::{Duration, Fault, SiteId, Time};
 
 /// The protocols compared, in table order.
 pub const PROTOCOLS: [ProtocolKind; 6] = [
@@ -107,10 +107,10 @@ pub fn run_cell(protocol: ProtocolKind, crash: bool) -> Cell {
         // must be terminated by the survivors (or block until it
         // returns, depending on the protocol).
         let mid = Time(10 + (TXNS_PER_CLIENT as u64 / 2) * think + 5);
-        cluster.sim_mut().schedule_crash(mid, SiteId(0));
+        cluster.sim_mut().schedule(mid, Fault::Crash(SiteId(0)));
         cluster
             .sim_mut()
-            .schedule_recover(Time(mid.0 + 2_000), SiteId(0));
+            .schedule(Time(mid.0 + 2_000), Fault::Recover(SiteId(0)));
     }
     for _ in 0..200 {
         if cluster.run_to_quiescence(10_000_000).drained() {

@@ -22,7 +22,7 @@
 use qbc_cluster::{ClusterConfig, ObsConfig, ShardId, SimCluster};
 use qbc_core::{ProtocolKind, WriteSet};
 use qbc_db::ReadResult;
-use qbc_simnet::{Duration, Time};
+use qbc_simnet::{Duration, Fault, Time};
 use qbc_votes::ItemId;
 
 /// Ticks between consecutive probe reads of the pinned item.
@@ -112,9 +112,10 @@ pub fn run_cell(snapshot: bool) -> Cell {
     // in the paper's sense) until the coordinator returns.
     let h2 = c.submit_at(Time(PIN_START), WriteSet::new([(item, 42)]));
     let crashed = h2.coordinator;
-    c.sim_mut().schedule_crash(Time(PIN_START + 6), crashed);
     c.sim_mut()
-        .schedule_recover(Time(PIN_START + PIN_LEN), crashed);
+        .schedule(Time(PIN_START + 6), Fault::Crash(crashed));
+    c.sim_mut()
+        .schedule(Time(PIN_START + PIN_LEN), Fault::Recover(crashed));
 
     // Probe through the live sites only (alternating), via direct
     // scheduled calls: the round-robin front-end would aim a third of

@@ -2,28 +2,9 @@
 
 use qbc_core::{Decision, FaultyMode, LocalState, ProtocolKind, SiteVotes, TxnId, WriteSet};
 use qbc_db::{build_cluster, SiteNode};
-use qbc_simnet::{DelayModel, Duration, Sim, SimConfig, SiteId, Time};
+use qbc_simnet::{DelayModel, Duration, Fault, Sim, SimConfig, SiteId, Time};
 use qbc_votes::Catalog;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// A fault injected at a point in virtual time.
-#[derive(Clone, Debug)]
-pub enum Fault {
-    /// Crash a site (volatile state lost).
-    Crash(SiteId),
-    /// Recover a crashed site (log replayed).
-    Recover(SiteId),
-    /// Partition the network into components.
-    Partition(Vec<Vec<SiteId>>),
-    /// Heal all partitions.
-    Heal,
-    /// Block the directed link.
-    BlockLink(SiteId, SiteId),
-    /// Unblock the directed link.
-    UnblockLink(SiteId, SiteId),
-    /// Set random message-loss probability.
-    SetLoss(f64),
-}
 
 /// A client transaction submission.
 #[derive(Clone, Debug)]
@@ -173,15 +154,7 @@ impl Scenario {
             });
         }
         for (at, f) in &self.nemesis {
-            match f.clone() {
-                Fault::Crash(s) => sim.schedule_crash(*at, s),
-                Fault::Recover(s) => sim.schedule_recover(*at, s),
-                Fault::Partition(c) => sim.schedule_partition(*at, c),
-                Fault::Heal => sim.schedule_heal(*at),
-                Fault::BlockLink(a, b) => sim.schedule_block_link(*at, a, b),
-                Fault::UnblockLink(a, b) => sim.schedule_unblock_link(*at, a, b),
-                Fault::SetLoss(p) => sim.schedule_loss(*at, p),
-            }
+            sim.schedule(*at, f.clone());
         }
         sim.run_until(self.run_until);
         ScenarioOutcome {

@@ -2,9 +2,9 @@
 //! injection over a stream of transactions (supports experiment E11 and
 //! the intro's concurrency motivation).
 
-use crate::scenario::{Fault, Scenario};
+use crate::scenario::Scenario;
 use qbc_core::{ProtocolKind, SiteVotes, TxnId, WriteSet};
-use qbc_simnet::{sites, Duration, SiteId, Time};
+use qbc_simnet::{sites, Duration, Fault, SiteId, Time};
 use qbc_votes::{Catalog, CatalogBuilder, ItemId};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;

@@ -13,6 +13,9 @@
 //!   adversarial (directed link blocks, needed for the paper's Example 3).
 //! * **Site crashes and recoveries** with crash-epoch timer invalidation.
 //!
+//! Each of these is one [`Fault`], applied at a virtual instant by
+//! [`Sim::schedule`] and recorded in the trace.
+//!
 //! Determinism: a run is a pure function of `(seed, node set, schedule)`.
 //! All experiments in this repository are reproducible byte-for-byte.
 //!
@@ -68,7 +71,7 @@ pub use fasthash::{FastBuildHasher, FastHasher, FastMap};
 pub use host::{Choice, ControlledHost, Fingerprint, FirePolicy, HostConfig};
 pub use ids::{sites, SiteId, TimerId};
 pub use process::{Ctx, Label, Process};
-pub use sim::{DelayModel, Quiescence, Sim, SimConfig};
+pub use sim::{DelayModel, Fault, Quiescence, Sim, SimConfig};
 pub use time::{Duration, Time};
 pub use topology::{DropReason, Topology};
 pub use trace::{NetStats, TraceEvent};

@@ -18,7 +18,7 @@ use crate::topology::{DropReason, Topology};
 use crate::trace::{NetStats, TraceEvent};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
 /// Delay model for message transit.
 #[derive(Clone, Copy, Debug)]
@@ -72,11 +72,22 @@ impl Default for SimConfig {
     }
 }
 
-impl SimConfig {
-    /// The longest end-to-end propagation delay `T` of this configuration.
-    pub fn t_bound(&self) -> Duration {
-        self.delay.max
-    }
+/// A fault applied at a point in virtual time by [`Sim::schedule`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Fault {
+    /// Crash a site: volatile state is lost, messages in flight to it
+    /// are dropped, and timers it set before the crash never fire.
+    Crash(SiteId),
+    /// Recover a crashed site (invokes `on_recover`).
+    Recover(SiteId),
+    /// Partition the network into components ([`Topology::partition`]).
+    Partition(Vec<Vec<SiteId>>),
+    /// Heal all partitions.
+    Heal,
+    /// Block the directed link `from -> to`.
+    BlockLink(SiteId, SiteId),
+    /// Set the random message-loss probability.
+    SetLoss(f64),
 }
 
 enum EventKind<N: Process> {
@@ -92,13 +103,7 @@ enum EventKind<N: Process> {
         timer: N::Timer,
         epoch: u64,
     },
-    Crash(SiteId),
-    Recover(SiteId),
-    Partition(Vec<Vec<SiteId>>),
-    Heal,
-    BlockLink(SiteId, SiteId),
-    UnblockLink(SiteId, SiteId),
-    SetLoss(f64),
+    Fault(Fault),
     #[allow(clippy::type_complexity)]
     Call {
         site: SiteId,
@@ -110,19 +115,13 @@ impl<N: Process> EventKind<N> {
     /// Tie-break priority at equal virtual time. The load-bearing rule:
     /// **deliveries precede timers**, so a timeout window of `2T` is
     /// inclusive of messages that took exactly the maximum delay `T`
-    /// each way (the paper's timeout arithmetic assumes this). Control
-    /// events (crashes, partitions) apply before message processing at
-    /// the same instant, and `Start` runs first of all.
+    /// each way (the paper's timeout arithmetic assumes this). Faults
+    /// apply before message processing at the same instant, and `Start`
+    /// runs first of all.
     fn priority(&self) -> u8 {
         match self {
             EventKind::Start(_) => 0,
-            EventKind::Crash(_)
-            | EventKind::Recover(_)
-            | EventKind::Partition(_)
-            | EventKind::Heal
-            | EventKind::BlockLink(..)
-            | EventKind::UnblockLink(..)
-            | EventKind::SetLoss(_) => 1,
+            EventKind::Fault(_) => 1,
             EventKind::Call { .. } => 2,
             EventKind::Deliver { .. } => 3,
             EventKind::Timer { .. } => 4,
@@ -264,11 +263,6 @@ impl<N: Process> Sim<N> {
         self.now
     }
 
-    /// The longest end-to-end delay `T` of this run.
-    pub fn t_bound(&self) -> Duration {
-        self.config.t_bound()
-    }
-
     /// Immutable access to a node.
     pub fn node(&self, s: SiteId) -> &N {
         &self.nodes[&s]
@@ -311,11 +305,6 @@ impl<N: Process> Sim<N> {
         &self.topology
     }
 
-    /// Sites currently up and reachable from `s` (including `s`).
-    pub fn reachable_from(&self, s: SiteId) -> BTreeSet<SiteId> {
-        self.topology.reachable_from(s)
-    }
-
     fn push(&mut self, at: Time, kind: EventKind<N>) {
         let seq = self.seq;
         self.seq += 1;
@@ -330,40 +319,10 @@ impl<N: Process> Sim<N> {
 
     // ---- schedule API -------------------------------------------------
 
-    /// Crashes a site at `at`: volatile state is lost, in-flight messages
-    /// to it are dropped, timers set before the crash never fire.
-    pub fn schedule_crash(&mut self, at: Time, site: SiteId) {
-        self.push(at, EventKind::Crash(site));
-    }
-
-    /// Recovers a crashed site at `at` (invokes `on_recover`).
-    pub fn schedule_recover(&mut self, at: Time, site: SiteId) {
-        self.push(at, EventKind::Recover(site));
-    }
-
-    /// Partitions the network into the given components at `at`.
-    pub fn schedule_partition(&mut self, at: Time, components: Vec<Vec<SiteId>>) {
-        self.push(at, EventKind::Partition(components));
-    }
-
-    /// Heals all partitions at `at`.
-    pub fn schedule_heal(&mut self, at: Time) {
-        self.push(at, EventKind::Heal);
-    }
-
-    /// Blocks the directed link `from -> to` at `at`.
-    pub fn schedule_block_link(&mut self, at: Time, from: SiteId, to: SiteId) {
-        self.push(at, EventKind::BlockLink(from, to));
-    }
-
-    /// Unblocks the directed link `from -> to` at `at`.
-    pub fn schedule_unblock_link(&mut self, at: Time, from: SiteId, to: SiteId) {
-        self.push(at, EventKind::UnblockLink(from, to));
-    }
-
-    /// Sets the random loss probability at `at`.
-    pub fn schedule_loss(&mut self, at: Time, p: f64) {
-        self.push(at, EventKind::SetLoss(p));
+    /// Applies `fault` at `at`, before any message or timer of that
+    /// instant.
+    pub fn schedule(&mut self, at: Time, fault: Fault) {
+        self.push(at, EventKind::Fault(fault));
     }
 
     /// Invokes a closure on a node inside the event loop at `at`, with a
@@ -420,47 +379,7 @@ impl<N: Process> Sim<N> {
                 }
                 self.invoke(site, |n, ctx| n.on_timer(ctx, id, timer));
             }
-            EventKind::Crash(site) => {
-                if !self.topology.is_down(site) {
-                    self.topology.mark_down(site);
-                    *self.epochs.get_mut(&site).expect("unknown site") += 1;
-                    if self.config.record_trace {
-                        self.trace.push(TraceEvent::Crashed { at: self.now, site });
-                    }
-                    let now = self.now;
-                    if let Some(n) = self.nodes.get_mut(&site) {
-                        n.on_crash(now);
-                    }
-                }
-            }
-            EventKind::Recover(site) => {
-                if self.topology.is_down(site) {
-                    self.topology.mark_up(site);
-                    if self.config.record_trace {
-                        self.trace
-                            .push(TraceEvent::Recovered { at: self.now, site });
-                    }
-                    self.invoke(site, |n, ctx| n.on_recover(ctx));
-                }
-            }
-            EventKind::Partition(components) => {
-                self.topology.partition(&components);
-                if self.config.record_trace {
-                    self.trace.push(TraceEvent::Partitioned {
-                        at: self.now,
-                        components: self.topology.components().len(),
-                    });
-                }
-            }
-            EventKind::Heal => {
-                self.topology.heal();
-                if self.config.record_trace {
-                    self.trace.push(TraceEvent::Healed { at: self.now });
-                }
-            }
-            EventKind::BlockLink(a, b) => self.topology.block_link(a, b),
-            EventKind::UnblockLink(a, b) => self.topology.unblock_link(a, b),
-            EventKind::SetLoss(p) => self.topology.set_loss_probability(p),
+            EventKind::Fault(fault) => self.apply(fault),
             EventKind::Call { site, f } => {
                 if !self.topology.is_down(site) {
                     self.invoke(site, f);
@@ -505,6 +424,43 @@ impl<N: Process> Sim<N> {
     }
 
     // ---- internals ----------------------------------------------------
+
+    /// Applies a fault and records it. Crashing a down site or
+    /// recovering an up one changes nothing and records nothing.
+    fn apply(&mut self, fault: Fault) {
+        let noop = match fault {
+            Fault::Crash(site) => self.topology.is_down(site),
+            Fault::Recover(site) => !self.topology.is_down(site),
+            _ => false,
+        };
+        if noop {
+            return;
+        }
+        if self.config.record_trace {
+            self.trace.push(TraceEvent::Fault {
+                at: self.now,
+                fault: fault.clone(),
+            });
+        }
+        match fault {
+            Fault::Crash(site) => {
+                self.topology.mark_down(site);
+                *self.epochs.get_mut(&site).expect("unknown site") += 1;
+                let now = self.now;
+                if let Some(n) = self.nodes.get_mut(&site) {
+                    n.on_crash(now);
+                }
+            }
+            Fault::Recover(site) => {
+                self.topology.mark_up(site);
+                self.invoke(site, |n, ctx| n.on_recover(ctx));
+            }
+            Fault::Partition(components) => self.topology.partition(&components),
+            Fault::Heal => self.topology.heal(),
+            Fault::BlockLink(from, to) => self.topology.block_link(from, to),
+            Fault::SetLoss(p) => self.topology.set_loss_probability(p),
+        }
+    }
 
     fn deliver(&mut self, from: SiteId, to: SiteId, msg: N::Msg) {
         // Re-check routability at delivery: partitions or crashes that
@@ -791,8 +747,8 @@ mod tests {
         let mut sim = Sim::new(cfg, [(SiteId(0), P::default()), (SiteId(1), P::default())]);
         // Crash s1 at t=5, while the message (arriving t=10) is in flight
         // and before its own timer (t=100).
-        sim.schedule_crash(Time(5), SiteId(1));
-        sim.schedule_recover(Time(50), SiteId(1));
+        sim.schedule(Time(5), Fault::Crash(SiteId(1)));
+        sim.schedule(Time(50), Fault::Recover(SiteId(1)));
         let q = sim.run_to_quiescence(1000);
         assert!(q.drained());
         assert_eq!(sim.node(SiteId(1)).got, 0, "in-flight message must drop");
@@ -861,7 +817,10 @@ mod tests {
         };
         let mut sim = Sim::new(cfg, [(SiteId(0), P::default()), (SiteId(1), P::default())]);
         // Partition at t=5 separates them while the message is in flight.
-        sim.schedule_partition(Time(5), vec![vec![SiteId(0)], vec![SiteId(1)]]);
+        sim.schedule(
+            Time(5),
+            Fault::Partition(vec![vec![SiteId(0)], vec![SiteId(1)]]),
+        );
         sim.run_to_quiescence(100);
         assert_eq!(sim.node(SiteId(1)).got, 0);
         assert_eq!(sim.stats().dropped_partitioned, 1);
@@ -949,7 +908,8 @@ mod tests {
 
     #[test]
     fn control_events_precede_deliveries_at_equal_time() {
-        // A crash scheduled at t kills a delivery arriving at t.
+        // A fault scheduled at t applies before a delivery arriving at
+        // t: every fault shares one priority, so each row loses it.
         #[derive(Debug, Default)]
         struct P {
             got: bool,
@@ -970,15 +930,59 @@ mod tests {
             }
             fn on_timer(&mut self, _c: &mut Ctx<'_, M, ()>, _id: TimerId, _t: ()) {}
         }
-        let cfg = SimConfig {
-            seed: 5,
-            delay: DelayModel::constant(Duration(10)),
-            record_trace: false,
-        };
-        let mut sim = Sim::new(cfg, [(SiteId(0), P::default()), (SiteId(1), P::default())]);
-        sim.schedule_crash(Time(10), SiteId(1));
-        sim.run_to_quiescence(100);
-        assert!(!sim.node(SiteId(1)).got, "crash at t beats delivery at t");
+        let rows = [
+            Fault::Crash(SiteId(1)),
+            Fault::Partition(vec![vec![SiteId(0)], vec![SiteId(1)]]),
+        ];
+        for fault in rows {
+            let cfg = SimConfig {
+                seed: 5,
+                delay: DelayModel::constant(Duration(10)),
+                record_trace: false,
+            };
+            let mut sim = Sim::new(cfg, [(SiteId(0), P::default()), (SiteId(1), P::default())]);
+            sim.schedule(Time(10), fault.clone());
+            sim.run_to_quiescence(100);
+            assert!(
+                !sim.node(SiteId(1)).got,
+                "{fault:?} at t beats delivery at t"
+            );
+        }
+    }
+
+    #[test]
+    fn trace_records_each_fault_that_applies() {
+        let mut sim = ring_sim(3, 3);
+        let schedule = [
+            (1, Fault::Crash(SiteId(2))),
+            (2, Fault::Crash(SiteId(2))),
+            (3, Fault::Recover(SiteId(2))),
+            (4, Fault::Recover(SiteId(2))),
+            (5, Fault::Partition(vec![vec![SiteId(0)]])),
+            (6, Fault::Heal),
+            (7, Fault::BlockLink(SiteId(0), SiteId(1))),
+            (8, Fault::SetLoss(0.5)),
+        ];
+        for (at, fault) in &schedule {
+            sim.schedule(Time(*at), fault.clone());
+        }
+        sim.run_to_quiescence(10_000);
+        let recorded: Vec<(Time, Fault)> = sim
+            .trace()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Fault { at, fault } => Some((*at, fault.clone())),
+                _ => None,
+            })
+            .collect();
+        // The second crash of the down s2 (t=2) and the recovery of the
+        // up s2 (t=4) change nothing and record nothing.
+        let applied: Vec<(Time, Fault)> = schedule
+            .into_iter()
+            .filter(|&(at, _)| at != 2 && at != 4)
+            .map(|(at, fault)| (Time(at), fault))
+            .collect();
+        assert_eq!(recorded, applied);
     }
 
     #[test]
@@ -1000,8 +1004,8 @@ mod tests {
             }
         }
         let mut sim = Sim::new(SimConfig::default(), [(SiteId(0), P::default())]);
-        sim.schedule_crash(Time(1), SiteId(0));
-        sim.schedule_recover(Time(10), SiteId(0));
+        sim.schedule(Time(1), Fault::Crash(SiteId(0)));
+        sim.schedule(Time(10), Fault::Recover(SiteId(0)));
         sim.run_to_quiescence(100);
         assert!(sim.node(SiteId(0)).recovered);
     }

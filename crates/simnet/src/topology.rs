@@ -116,20 +116,6 @@ impl Topology {
         self.component.get(&s).copied()
     }
 
-    /// Returns the set of sites in the same component as `s` (including
-    /// `s` itself), ignoring crash status.
-    pub fn component_members(&self, s: SiteId) -> BTreeSet<SiteId> {
-        match self.component.get(&s) {
-            None => BTreeSet::new(),
-            Some(c) => self
-                .component
-                .iter()
-                .filter(|(_, cc)| *cc == c)
-                .map(|(&k, _)| k)
-                .collect(),
-        }
-    }
-
     /// Returns the partition as a list of components (sorted, deterministic).
     pub fn components(&self) -> Vec<BTreeSet<SiteId>> {
         let mut by_comp: BTreeMap<u32, BTreeSet<SiteId>> = BTreeMap::new();
@@ -144,11 +130,6 @@ impl Topology {
         self.blocked.insert((from, to));
     }
 
-    /// Unblocks a directed link.
-    pub fn unblock_link(&mut self, from: SiteId, to: SiteId) {
-        self.blocked.remove(&(from, to));
-    }
-
     /// Sets the probability that any individual message is lost.
     ///
     /// # Panics
@@ -156,11 +137,6 @@ impl Topology {
     pub fn set_loss_probability(&mut self, p: f64) {
         assert!((0.0..=1.0).contains(&p), "loss probability out of range");
         self.loss_probability = p;
-    }
-
-    /// Current random-loss probability.
-    pub fn loss_probability(&self) -> f64 {
-        self.loss_probability
     }
 
     /// Marks a site crashed. Messages to and from it are dropped.
@@ -176,14 +152,6 @@ impl Topology {
     /// True when the site is currently crashed.
     pub fn is_down(&self, s: SiteId) -> bool {
         self.down.contains(&s)
-    }
-
-    /// Sites that are up *and* in the same component as `s`.
-    pub fn reachable_from(&self, s: SiteId) -> BTreeSet<SiteId> {
-        self.component_members(s)
-            .into_iter()
-            .filter(|x| !self.down.contains(x))
-            .collect()
     }
 
     /// Decides the fate of a message on the link `from -> to`.
@@ -262,7 +230,14 @@ mod tests {
             t.route(SiteId(2), SiteId(0), &mut r),
             Err(DropReason::Partitioned)
         );
-        assert_eq!(t.component_members(SiteId(2)).len(), 1);
+        assert_ne!(t.component_of(SiteId(2)), t.component_of(SiteId(0)));
+        assert_eq!(
+            t.components(),
+            [
+                BTreeSet::from([SiteId(0), SiteId(1)]),
+                BTreeSet::from([SiteId(2)])
+            ]
+        );
     }
 
     #[test]
@@ -285,8 +260,6 @@ mod tests {
             Err(DropReason::LinkBlocked)
         );
         assert_eq!(t.route(SiteId(1), SiteId(0), &mut r), Ok(()));
-        t.unblock_link(SiteId(0), SiteId(1));
-        assert_eq!(t.route(SiteId(0), SiteId(1), &mut r), Ok(()));
     }
 
     #[test]
@@ -322,14 +295,5 @@ mod tests {
     fn duplicate_site_in_partition_panics() {
         let mut t = Topology::fully_connected(sites(2));
         t.partition(&[vec![SiteId(0)], vec![SiteId(0), SiteId(1)]]);
-    }
-
-    #[test]
-    fn reachable_from_excludes_down_sites() {
-        let mut t = Topology::fully_connected(sites(4));
-        t.partition(&[vec![SiteId(0), SiteId(1), SiteId(2)], vec![SiteId(3)]]);
-        t.mark_down(SiteId(1));
-        let r = t.reachable_from(SiteId(0));
-        assert_eq!(r, [SiteId(0), SiteId(2)].into_iter().collect());
     }
 }

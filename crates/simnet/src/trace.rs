@@ -1,11 +1,12 @@
 //! Simulation traces and network statistics.
 //!
 //! Every externally observable event of a run is appended to a trace:
-//! sends, deliveries, drops (with reason), timer firings, crashes,
-//! recoveries and topology changes. Experiments derive message counts and
+//! sends, deliveries, drops (with reason), timer firings and the faults
+//! that applied. Experiments derive message counts and
 //! timing series from the trace; tests use it to assert on schedules.
 
 use crate::ids::SiteId;
+use crate::sim::Fault;
 use crate::time::Time;
 use crate::topology::DropReason;
 use std::collections::BTreeMap;
@@ -39,14 +40,9 @@ pub enum TraceEvent {
     },
     /// A timer fired at a site.
     TimerFired { at: Time, site: SiteId },
-    /// A site crashed.
-    Crashed { at: Time, site: SiteId },
-    /// A site recovered.
-    Recovered { at: Time, site: SiteId },
-    /// The network was partitioned (component count recorded).
-    Partitioned { at: Time, components: usize },
-    /// The network healed to full connectivity.
-    Healed { at: Time },
+    /// A scheduled fault applied. A crash of a down site or a recovery
+    /// of an up one does not apply and is not recorded.
+    Fault { at: Time, fault: Fault },
 }
 
 impl TraceEvent {
@@ -57,10 +53,7 @@ impl TraceEvent {
             | TraceEvent::Delivered { at, .. }
             | TraceEvent::Dropped { at, .. }
             | TraceEvent::TimerFired { at, .. }
-            | TraceEvent::Crashed { at, .. }
-            | TraceEvent::Recovered { at, .. }
-            | TraceEvent::Partitioned { at, .. }
-            | TraceEvent::Healed { at } => *at,
+            | TraceEvent::Fault { at, .. } => *at,
         }
     }
 }
@@ -189,12 +182,15 @@ mod tests {
 
     #[test]
     fn trace_event_time_accessor() {
-        let e = TraceEvent::Crashed {
+        let e = TraceEvent::Fault {
             at: Time(9),
-            site: SiteId(2),
+            fault: Fault::Crash(SiteId(2)),
         };
         assert_eq!(e.at(), Time(9));
-        let e = TraceEvent::Healed { at: Time(4) };
+        let e = TraceEvent::TimerFired {
+            at: Time(4),
+            site: SiteId(0),
+        };
         assert_eq!(e.at(), Time(4));
     }
 

@@ -12,7 +12,7 @@
 
 use quorum_commit::core::{Decision, ProtocolKind, TxnId, WriteSet};
 use quorum_commit::db::{ReadResult, SiteNode};
-use quorum_commit::simnet::{sites, DelayModel, Duration, Sim, SimConfig, SiteId, Time};
+use quorum_commit::simnet::{sites, DelayModel, Duration, Fault, Sim, SimConfig, SiteId, Time};
 use quorum_commit::votes::{analyze, CatalogBuilder, ItemId};
 
 const ALICE: ItemId = ItemId(0);
@@ -81,12 +81,12 @@ fn main() {
             ProtocolKind::QuorumCommit2,
         );
     });
-    sim.schedule_partition(
+    sim.schedule(
         Time(600),
-        vec![
+        Fault::Partition(vec![
             vec![SiteId(0), SiteId(1), SiteId(2), SiteId(3)],
             vec![SiteId(4), SiteId(5)],
-        ],
+        ]),
     );
 
     sim.run_until(Time(4_000));
@@ -149,7 +149,7 @@ fn main() {
     }
 
     // Heal; everything terminates; balances must conserve money.
-    sim.schedule_heal(Time(4_300));
+    sim.schedule(Time(4_300), Fault::Heal);
     sim.run_until(Time(10_000));
     println!("\nafter heal:");
     let mut total = 0i64;

@@ -119,6 +119,7 @@ fn docs_references_to_code_paths_exist() {
         "crates/cluster/tests/common/mc_harness.rs",
         "crates/core/tests/rule_safety.rs",
         "crates/harness/src/bin/paper_figures.rs",
+        "crates/harness/tests/paper_figures.stdout",
         "crates/cluster/tests/snapshot_reads.rs",
         "crates/db/tests/read_tables.rs",
         "crates/reactor/src/poller.rs",

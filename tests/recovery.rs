@@ -2,7 +2,7 @@
 
 use quorum_commit::core::{Decision, LogRecord, ProtocolKind, TxnId, WriteSet};
 use quorum_commit::db::{build_cluster, SiteNode};
-use quorum_commit::simnet::{sites, DelayModel, Duration, Sim, SimConfig, SiteId, Time};
+use quorum_commit::simnet::{sites, DelayModel, Duration, Fault, Sim, SimConfig, SiteId, Time};
 use quorum_commit::votes::{Catalog, CatalogBuilder, ItemId};
 
 fn catalog(n: u32) -> Catalog {
@@ -39,8 +39,8 @@ fn coordinator_recovers_and_rejoins_decision() {
     // Coordinator dies mid-protocol and comes back much later; the rest
     // terminate via TP1 and the recovered site must converge to the
     // same outcome through its own termination path.
-    s.schedule_crash(Time(18), SiteId(0));
-    s.schedule_recover(Time(1_500), SiteId(0));
+    s.schedule(Time(18), Fault::Crash(SiteId(0)));
+    s.schedule(Time(1_500), Fault::Recover(SiteId(0)));
     s.run_until(Time(8_000));
     let d_rest = s.node(SiteId(1)).decision(TxnId(1));
     assert!(d_rest.is_some(), "survivors must terminate");
@@ -58,8 +58,8 @@ fn participant_recovers_from_pc_state_and_commits() {
     // Crash a participant after it likely acked PC (t=35 > prepare
     // delivery), recover later; 3PC commits (ack timeout) and the
     // recovered node must apply the value from its log + decided relay.
-    s.schedule_crash(Time(35), SiteId(4));
-    s.schedule_recover(Time(600), SiteId(4));
+    s.schedule(Time(35), Fault::Crash(SiteId(4)));
+    s.schedule(Time(600), Fault::Recover(SiteId(4)));
     s.run_until(Time(6_000));
     assert_eq!(
         s.node(SiteId(4)).decision(TxnId(1)),
@@ -75,10 +75,10 @@ fn participant_recovers_from_pc_state_and_commits() {
 fn double_crash_still_converges() {
     let mut s = sim(6, 7);
     begin(&mut s, 0, 0, 1, ProtocolKind::QuorumCommit2);
-    s.schedule_crash(Time(15), SiteId(0));
-    s.schedule_crash(Time(45), SiteId(3));
-    s.schedule_recover(Time(900), SiteId(3));
-    s.schedule_recover(Time(1_400), SiteId(0));
+    s.schedule(Time(15), Fault::Crash(SiteId(0)));
+    s.schedule(Time(45), Fault::Crash(SiteId(3)));
+    s.schedule(Time(900), Fault::Recover(SiteId(3)));
+    s.schedule(Time(1_400), Fault::Recover(SiteId(0)));
     s.run_until(Time(10_000));
     let decisions: Vec<Option<Decision>> = s
         .site_ids()
@@ -100,11 +100,11 @@ fn recovered_in_doubt_participant_repins_its_locks() {
     // Isolate the coordinator's commands, crash it for good: classic
     // 2PC blocking. Crash + recover a participant while in doubt.
     for k in 1..5 {
-        s.schedule_block_link(Time(11), SiteId(0), SiteId(k));
+        s.schedule(Time(11), Fault::BlockLink(SiteId(0), SiteId(k)));
     }
-    s.schedule_crash(Time(30), SiteId(0));
-    s.schedule_crash(Time(200), SiteId(2));
-    s.schedule_recover(Time(400), SiteId(2));
+    s.schedule(Time(30), Fault::Crash(SiteId(0)));
+    s.schedule(Time(200), Fault::Crash(SiteId(2)));
+    s.schedule(Time(400), Fault::Recover(SiteId(2)));
     s.run_until(Time(3_000));
     // Still in doubt after recovery: the lock must be re-acquired so the
     // item stays inaccessible (the availability-reduction effect).
@@ -125,13 +125,13 @@ fn two_pc_coordinator_recovery_applies_presumed_abort() {
     // (minimum round trip is 4 ticks), so no decision is ever logged.
     let mut s = sim(5, 17);
     begin(&mut s, 0, 0, 1, ProtocolKind::TwoPhase);
-    s.schedule_crash(Time(3), SiteId(0));
+    s.schedule(Time(3), Fault::Crash(SiteId(0)));
     // Blocked window: participants voted yes into the void and hold
     // their locks; cooperative termination sees all-W and blocks.
     s.run_until(Time(1_000));
     assert_eq!(s.node(SiteId(1)).decision(TxnId(1)), None);
     assert!(s.node(SiteId(1)).is_item_locked(ItemId(0)));
-    s.schedule_recover(Time(1_010), SiteId(0));
+    s.schedule(Time(1_010), Fault::Recover(SiteId(0)));
     s.run_until(Time(5_000));
     for k in 0..5u32 {
         assert_eq!(
@@ -174,10 +174,10 @@ fn two_pc_coordinator_recovery_reannounces_a_logged_commit() {
     // (≤ 2T = 20) so the decision — logged at the coordinator — never
     // reaches the participants before the crash.
     for k in 1..5 {
-        s.schedule_block_link(Time(21), SiteId(0), SiteId(k));
+        s.schedule(Time(21), Fault::BlockLink(SiteId(0), SiteId(k)));
     }
-    s.schedule_crash(Time(40), SiteId(0));
-    s.schedule_recover(Time(1_000), SiteId(0));
+    s.schedule(Time(40), Fault::Crash(SiteId(0)));
+    s.schedule(Time(1_000), Fault::Recover(SiteId(0)));
     s.run_until(Time(6_000));
     // Whatever the durable decision was, after recovery it must be
     // uniform and total: every site decided the same way.
@@ -197,8 +197,8 @@ fn log_replay_is_idempotent_across_repeated_crashes() {
     let value_before = s.node(SiteId(3)).item_value(ItemId(0));
     // Crash and recover the same site repeatedly after the commit.
     for k in 0..3 {
-        s.schedule_crash(Time(600 + k * 200), SiteId(3));
-        s.schedule_recover(Time(700 + k * 200), SiteId(3));
+        s.schedule(Time(600 + k * 200), Fault::Crash(SiteId(3)));
+        s.schedule(Time(700 + k * 200), Fault::Recover(SiteId(3)));
     }
     s.run_until(Time(2_000));
     assert_eq!(s.node(SiteId(3)).decision(TxnId(1)), Some(Decision::Commit));

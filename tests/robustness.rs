@@ -3,8 +3,8 @@
 //! cluster, and repeated partition churn.
 
 use quorum_commit::core::{Decision, ProtocolKind, TxnId, WriteSet};
-use quorum_commit::harness::scenario::{Fault, Scenario};
-use quorum_commit::simnet::{sites, SiteId, Time};
+use quorum_commit::harness::scenario::Scenario;
+use quorum_commit::simnet::{sites, Fault, SiteId, Time};
 use quorum_commit::votes::{Catalog, CatalogBuilder, ItemId};
 
 fn majority_catalog(n: u32) -> Catalog {
