@@ -1,8 +1,18 @@
 //! The pluggable commit-engine abstraction.
 //!
-//! Every commit protocol in this repo is a sans-IO state machine that
-//! consumes messages and timer expiries and returns [`Action`]s. This
-//! module names the *leader* half of that shape as a trait, so the
+//! The engines of this crate share one event contract: each is fed one
+//! message (`on_msg`) or one timer expiry (`on_timer`) at a time,
+//! ignores the events of other roles, and pushes its effects
+//! ([`Action`]s) into a buffer the caller supplies. Besides the leader
+//! slot below, the termination coordinator ([`crate::Termination`]) and
+//! the cross-shard coordinator ([`crate::XTxnCoordinator`]) keep it as
+//! inherent methods, and the [`crate::Participant`] takes messages the
+//! same way (its one timer, the watchdog, is the site's). So a site
+//! feeds each message to every engine a transaction holds without
+//! knowing which one it is for. Only the Paxos acceptor, which a site
+//! addresses apart, keeps one method per message.
+//!
+//! This module names the *leader* slot as a trait, so the
 //! [`Coordinator`] that drives the five quorum-paper engines and Gray &
 //! Lamport's Paxos Commit leader ([`crate::paxos_commit::PaxosLeader`])
 //! are peers: a site builds one by [`crate::types::ProtocolKind`], holds

@@ -19,8 +19,11 @@
 //!   `X-OUTCOME-REQ` (the branches' replacement for the in-shard
 //!   termination protocol, which may not run while a branch is held).
 //!
-//! Like every engine in this crate it is sans-IO: inputs are messages
-//! and timer expiries, outputs are [`Action`]s applied by the driver.
+//! Like every engine in this crate it is sans-IO, and it takes events
+//! the way the leader slot ([`crate::CommitEngine`]) does: one message
+//! or timer expiry at a time through [`XTxnCoordinator::on_msg`] and
+//! [`XTxnCoordinator::on_timer`], which ignore other roles' events and
+//! push [`Action`]s into the caller's buffer.
 
 use crate::actions::{Action, TimerKind};
 use crate::log::LogRecord;
@@ -98,10 +101,10 @@ impl XTxnCoordinator {
     /// [`LogRecord::XDecision`] proves no commit `X-DECIDE` ever left
     /// this site); a decision is re-announced to every branch
     /// coordinator without being logged again.
-    pub fn resume(&mut self) -> Vec<Action> {
+    pub fn resume(&mut self, out: &mut Vec<Action>) {
         match self.phase {
-            XPhase::CollectingVotes => self.decide(Decision::Abort),
-            XPhase::Decided(decision) => self.relay_decision(decision),
+            XPhase::CollectingVotes => self.decide(Decision::Abort, out),
+            XPhase::Decided(decision) => self.relay_decision(decision, out),
         }
     }
 
@@ -130,9 +133,8 @@ impl XTxnCoordinator {
 
     /// Kicks off the top-level protocol: durably record the branch set,
     /// then ask every branch coordinator to run its in-shard protocol.
-    pub fn start(&mut self) -> Vec<Action> {
-        let mut actions = Vec::with_capacity(self.branches.len() + 2);
-        actions.push(Action::Log(LogRecord::XStart {
+    pub fn start(&mut self, out: &mut Vec<Action>) {
+        out.push(Action::Log(LogRecord::XStart {
             txn: self.txn,
             branches: self.branches.clone(),
         }));
@@ -146,7 +148,7 @@ impl XTxnCoordinator {
                 .map(|o| o.coordinator)
                 .filter(|&c| c != b.coordinator)
                 .collect();
-            actions.push(Action::Send(
+            out.push(Action::Send(
                 b.coordinator,
                 Msg::XBranchReq {
                     spec: Arc::clone(b),
@@ -154,54 +156,62 @@ impl XTxnCoordinator {
                 },
             ));
         }
-        actions.push(Action::SetTimer(TimerKind::XVoteCollection {
+        out.push(Action::SetTimer(TimerKind::XVoteCollection {
             txn: self.txn,
         }));
-        actions
     }
 
-    /// Handles a branch's vote. A vote from an unknown site is ignored;
-    /// a vote arriving after the decision is answered with it (the
-    /// sender is a held branch coordinator that needs the outcome).
-    pub fn on_vote(
+    /// Feeds one message: a branch's `X-VOTE` or an orphaned branch
+    /// site's `X-OUTCOME-REQ`; appends the effects to `out`. Messages for
+    /// other roles, and votes from a site that coordinates no branch, are
+    /// ignored.
+    pub fn on_msg(&mut self, from: SiteId, msg: &Msg, out: &mut Vec<Action>) {
+        let branch = self.branches.iter().any(|b| b.coordinator == from);
+        match (msg, self.phase) {
+            (Msg::XVote { .. }, _) if !branch => {}
+            (
+                Msg::XVote {
+                    yes,
+                    commit_version,
+                    ..
+                },
+                XPhase::CollectingVotes,
+            ) => self.on_vote(from, *yes, *commit_version, out),
+            // Once decided, a late vote (from a held branch coordinator)
+            // and an outcome request are answered with the decision;
+            // while collecting, an outcome request goes unanswered (the
+            // asker's watchdog retries).
+            (Msg::XVote { .. } | Msg::XOutcomeReq { .. }, XPhase::Decided(d)) => {
+                out.push(Action::Send(from, self.xdecide_for(from, d)))
+            }
+            _ => {}
+        }
+    }
+
+    /// Feeds one timer expiry: the vote-collection window, which
+    /// presumes abort for whatever is still missing. Other timers are
+    /// ignored.
+    pub fn on_timer(&mut self, kind: TimerKind, out: &mut Vec<Action>) {
+        if matches!(kind, TimerKind::XVoteCollection { .. })
+            && self.phase == XPhase::CollectingVotes
+        {
+            self.decide(Decision::Abort, out);
+        }
+    }
+
+    /// A branch's vote while collecting: any no aborts, all yes commits.
+    fn on_vote(
         &mut self,
         from: SiteId,
         yes: bool,
         commit_version: Option<Version>,
-    ) -> Vec<Action> {
-        if !self.branches.iter().any(|b| b.coordinator == from) {
-            return Vec::new();
-        }
-        if let XPhase::Decided(d) = self.phase {
-            return vec![Action::Send(from, self.xdecide_for(from, d))];
-        }
+        out: &mut Vec<Action>,
+    ) {
         self.votes.insert(from, (yes, commit_version));
         if !yes {
-            return self.decide(Decision::Abort);
-        }
-        if self.votes.len() == self.branches.len() && self.votes.values().all(|(y, _)| *y) {
-            self.decide(Decision::Commit)
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// The vote-collection window expired: top-level presumed abort for
-    /// whatever is still missing.
-    pub fn on_vote_timer(&mut self) -> Vec<Action> {
-        match self.phase {
-            XPhase::CollectingVotes => self.decide(Decision::Abort),
-            XPhase::Decided(_) => Vec::new(),
-        }
-    }
-
-    /// An orphaned branch site asks for the outcome: answer once
-    /// decided, stay silent while collecting (the asker's watchdog
-    /// retries).
-    pub fn on_outcome_req(&mut self, from: SiteId) -> Vec<Action> {
-        match self.phase {
-            XPhase::Decided(d) => vec![Action::Send(from, self.xdecide_for(from, d))],
-            XPhase::CollectingVotes => Vec::new(),
+            self.decide(Decision::Abort, out);
+        } else if self.votes.len() == self.branches.len() && self.votes.values().all(|(y, _)| *y) {
+            self.decide(Decision::Commit, out);
         }
     }
 
@@ -243,23 +253,51 @@ impl XTxnCoordinator {
     /// Reaches the top-level decision: force-log it (the cross-shard
     /// commit point), then relay it to every branch coordinator. The
     /// driver's durability gate keeps the sends behind the force.
-    fn decide(&mut self, decision: Decision) -> Vec<Action> {
+    fn decide(&mut self, decision: Decision, out: &mut Vec<Action>) {
         self.phase = XPhase::Decided(decision);
-        let mut actions = Vec::with_capacity(self.branches.len() + 1);
-        actions.push(Action::Log(LogRecord::XDecision {
+        out.push(Action::Log(LogRecord::XDecision {
             txn: self.txn,
             decision,
             branch_versions: self.branch_versions(),
         }));
-        actions.extend(self.relay_decision(decision));
-        actions
+        self.relay_decision(decision, out);
     }
 
-    fn relay_decision(&self, decision: Decision) -> Vec<Action> {
-        self.branches
-            .iter()
-            .map(|b| Action::Send(b.coordinator, self.xdecide_for(b.coordinator, decision)))
-            .collect()
+    fn relay_decision(&self, decision: Decision, out: &mut Vec<Action>) {
+        out.extend(
+            self.branches
+                .iter()
+                .map(|b| Action::Send(b.coordinator, self.xdecide_for(b.coordinator, decision))),
+        );
+    }
+}
+
+/// Collecting wrappers for unit tests: same entry points, fresh buffer
+/// per call (production code passes a reused scratch buffer instead).
+#[cfg(test)]
+impl XTxnCoordinator {
+    fn start_v(&mut self) -> Vec<Action> {
+        let mut v = Vec::new();
+        self.start(&mut v);
+        v
+    }
+
+    fn resume_v(&mut self) -> Vec<Action> {
+        let mut v = Vec::new();
+        self.resume(&mut v);
+        v
+    }
+
+    fn on_msg_v(&mut self, from: SiteId, msg: Msg) -> Vec<Action> {
+        let mut v = Vec::new();
+        self.on_msg(from, &msg, &mut v);
+        v
+    }
+
+    fn on_timer_v(&mut self, kind: TimerKind) -> Vec<Action> {
+        let mut v = Vec::new();
+        self.on_timer(kind, &mut v);
+        v
     }
 }
 
@@ -299,10 +337,26 @@ mod tests {
         )
     }
 
+    fn xvote(yes: bool, commit_version: Option<Version>) -> Msg {
+        Msg::XVote {
+            txn: TxnId(7),
+            yes,
+            commit_version,
+        }
+    }
+
+    fn outcome_req() -> Msg {
+        Msg::XOutcomeReq { txn: TxnId(7) }
+    }
+
+    fn vote_timer() -> TimerKind {
+        TimerKind::XVoteCollection { txn: TxnId(7) }
+    }
+
     #[test]
     fn start_logs_before_soliciting_branches() {
         let mut x = engine();
-        let actions = x.start();
+        let actions = x.start_v();
         assert!(matches!(actions[0], Action::Log(LogRecord::XStart { .. })));
         // Each solicitation names the *other* branch coordinators so an
         // orphaned branch can run cooperative outcome discovery.
@@ -327,9 +381,11 @@ mod tests {
     #[test]
     fn all_yes_commits_with_per_branch_versions() {
         let mut x = engine();
-        x.start();
-        assert!(x.on_vote(SiteId(0), true, Some(Version(3))).is_empty());
-        let actions = x.on_vote(SiteId(3), true, Some(Version(8)));
+        x.start_v();
+        assert!(x
+            .on_msg_v(SiteId(0), xvote(true, Some(Version(3))))
+            .is_empty());
+        let actions = x.on_msg_v(SiteId(3), xvote(true, Some(Version(8))));
         assert!(matches!(
             actions[0],
             Action::Log(LogRecord::XDecision {
@@ -365,9 +421,9 @@ mod tests {
     #[test]
     fn any_no_vote_aborts_every_branch() {
         let mut x = engine();
-        x.start();
-        x.on_vote(SiteId(0), true, Some(Version(3)));
-        let actions = x.on_vote(SiteId(3), false, None);
+        x.start_v();
+        x.on_msg_v(SiteId(0), xvote(true, Some(Version(3))));
+        let actions = x.on_msg_v(SiteId(3), xvote(false, None));
         assert!(matches!(
             actions[0],
             Action::Log(LogRecord::XDecision {
@@ -386,23 +442,23 @@ mod tests {
     #[test]
     fn vote_timeout_presumes_abort() {
         let mut x = engine();
-        x.start();
-        x.on_vote(SiteId(0), true, Some(Version(3)));
-        let actions = x.on_vote_timer();
+        x.start_v();
+        x.on_msg_v(SiteId(0), xvote(true, Some(Version(3))));
+        let actions = x.on_timer_v(vote_timer());
         assert_eq!(x.decision(), Some(Decision::Abort));
         assert!(matches!(
             actions[0],
             Action::Log(LogRecord::XDecision { .. })
         ));
-        assert!(x.on_vote_timer().is_empty(), "timer is idempotent");
+        assert!(x.on_timer_v(vote_timer()).is_empty(), "timer is idempotent");
     }
 
     #[test]
     fn late_vote_after_decision_gets_the_outcome() {
         let mut x = engine();
-        x.start();
-        x.on_vote(SiteId(3), false, None);
-        let actions = x.on_vote(SiteId(0), true, Some(Version(3)));
+        x.start_v();
+        x.on_msg_v(SiteId(3), xvote(false, None));
+        let actions = x.on_msg_v(SiteId(0), xvote(true, Some(Version(3))));
         assert!(matches!(
             actions[0],
             Action::Send(
@@ -418,15 +474,15 @@ mod tests {
     #[test]
     fn outcome_req_served_by_participant_branch_lookup() {
         let mut x = engine();
-        x.start();
+        x.start_v();
         assert!(
-            x.on_outcome_req(SiteId(4)).is_empty(),
+            x.on_msg_v(SiteId(4), outcome_req()).is_empty(),
             "undecided discovery stays silent"
         );
-        x.on_vote(SiteId(0), true, Some(Version(3)));
-        x.on_vote(SiteId(3), true, Some(Version(8)));
+        x.on_msg_v(SiteId(0), xvote(true, Some(Version(3))));
+        x.on_msg_v(SiteId(3), xvote(true, Some(Version(8))));
         // Site 4 participates in the second branch: gets that version.
-        let actions = x.on_outcome_req(SiteId(4));
+        let actions = x.on_msg_v(SiteId(4), outcome_req());
         assert!(matches!(
             actions[0],
             Action::Send(
@@ -443,8 +499,8 @@ mod tests {
     #[test]
     fn votes_from_unknown_sites_are_ignored() {
         let mut x = engine();
-        x.start();
-        assert!(x.on_vote(SiteId(9), false, None).is_empty());
+        x.start_v();
+        assert!(x.on_msg_v(SiteId(9), xvote(false, None)).is_empty());
         assert_eq!(x.decision(), None);
     }
 
@@ -469,7 +525,7 @@ mod tests {
     #[test]
     fn recovery_without_decision_presumes_abort() {
         let mut x = recovered(&[]);
-        let actions = x.resume();
+        let actions = x.resume_v();
         assert_eq!(x.decision(), Some(Decision::Abort));
         assert!(matches!(
             actions[0],
@@ -486,7 +542,7 @@ mod tests {
             Decision::Commit,
             &[(SiteId(0), Some(Version(3))), (SiteId(3), Some(Version(8)))],
         )]);
-        let actions = x.resume();
+        let actions = x.resume_v();
         assert_eq!(x.decision(), Some(Decision::Commit));
         assert!(
             actions.iter().all(|a| !matches!(a, Action::Log(_))),
@@ -519,5 +575,102 @@ mod tests {
             x.branch_versions(),
             vec![(SiteId(0), Some(Version(3))), (SiteId(3), Some(Version(8)))]
         );
+    }
+
+    /// The engine after `start`, collecting votes.
+    fn collecting() -> XTxnCoordinator {
+        let mut x = engine();
+        x.start_v();
+        x
+    }
+
+    /// The engine after its vote window presumed abort.
+    fn decided() -> XTxnCoordinator {
+        let mut x = collecting();
+        x.on_timer_v(vote_timer());
+        x
+    }
+
+    enum Event {
+        Msg(Msg),
+        Timer(TimerKind),
+    }
+
+    /// Every event the engine must ignore pushes nothing and leaves the
+    /// engine, its phase included, as it was. It runs no rounds and
+    /// awaits no acks, so its rows are other roles' events and its own
+    /// silent answers.
+    #[test]
+    fn ignored_events_push_nothing_and_keep_the_phase() {
+        let txn = TxnId(7);
+        type Row = (&'static str, fn() -> XTxnCoordinator, u32, Event);
+        let rows: Vec<Row> = vec![
+            (
+                "the termination coordinator's PC-ACK",
+                collecting,
+                0,
+                Event::Msg(Msg::PcAck { txn }),
+            ),
+            (
+                "the leader's VOTE",
+                collecting,
+                3,
+                Event::Msg(Msg::Vote {
+                    txn,
+                    yes: false,
+                    max_version: Version(1),
+                }),
+            ),
+            (
+                "a branch site's X-DECIDE",
+                decided,
+                3,
+                Event::Msg(Msg::XDecide {
+                    txn,
+                    decision: Decision::Abort,
+                    commit_version: None,
+                }),
+            ),
+            (
+                "the leader's vote window",
+                collecting,
+                0,
+                Event::Timer(TimerKind::VoteCollection { txn }),
+            ),
+            (
+                "a termination state window",
+                collecting,
+                0,
+                Event::Timer(TimerKind::StateCollection { txn, round: 1 }),
+            ),
+            (
+                "an X-VOTE from a site that coordinates no branch",
+                collecting,
+                9,
+                Event::Msg(xvote(false, None)),
+            ),
+            (
+                "an X-OUTCOME-REQ while collecting",
+                collecting,
+                4,
+                Event::Msg(outcome_req()),
+            ),
+            (
+                "the vote window once decided",
+                decided,
+                0,
+                Event::Timer(vote_timer()),
+            ),
+        ];
+        for (row, engine, from, event) in rows {
+            let mut x = engine();
+            let before = format!("{x:?}");
+            let out = match event {
+                Event::Msg(m) => x.on_msg_v(SiteId(from), m),
+                Event::Timer(k) => x.on_timer_v(k),
+            };
+            assert!(out.is_empty(), "{row}: pushed {out:?}");
+            assert_eq!(format!("{x:?}"), before, "{row}: changed the engine");
+        }
     }
 }

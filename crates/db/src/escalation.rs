@@ -264,20 +264,22 @@ impl SiteNode {
             _ => return self.recycle_actions(veto),
         }
         self.apply_actions(ctx, txn, site, veto);
+        let mut actions = self.take_actions();
         let Some(st) = self.table.get_mut(txn) else {
-            return;
+            return self.recycle_actions(actions);
         };
         let esc = st.escalation_mut();
         esc.termination_rounds += 1;
         let round = esc.termination_rounds;
         let kind = qbc_core::termination_kind_for(st.spec.protocol, self.cfg.site_votes.as_ref());
-        let (term, actions) = Termination::start(
+        let term = Termination::start(
             site,
             Arc::clone(&st.spec),
             kind,
             round,
             st.participant.state(),
             st.participant.commit_version(),
+            &mut actions,
         );
         st.escalation_mut().termination = Some(Box::new(term));
         self.cfg

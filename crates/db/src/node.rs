@@ -11,7 +11,8 @@
 //!   Paxos recovery candidate at a participant whose watchdog fired —
 //!   named only where it is built and driven only through
 //!   [`CommitEngine`],
-//! * an [`Elector`](qbc_election::Elector) plus a [`Termination`] engine while the termination
+//! * an [`Elector`](qbc_election::Elector) plus a
+//!   [`Termination`](qbc_core::Termination) engine while the termination
 //!   protocol runs (any site of the partition can end up coordinator —
 //!   including several at once),
 //!
@@ -33,11 +34,14 @@
 //!   snapshot reads are served at, in [`Reads`] (`reads.rs`), which
 //!   the commit path feeds through a few hooks.
 //!
-//! This file hosts the site itself: message and timer dispatch (the
-//! protocol router `handle_proto`), the durability gating of sends and
-//! decision applications, the one path that marks a transaction
-//! decided (`apply_decision`), checkpoints, and the cross-shard relay
-//! (`begin_xshard`, `start_branch`, `handle_x_decide`). Two parts live
+//! This file hosts the site itself: message and timer dispatch, the
+//! durability gating of sends and decision applications, the one path
+//! that marks a transaction decided (`apply_decision`), checkpoints,
+//! and the cross-shard relay (`begin_xshard`, `start_branch`,
+//! `handle_x_decide`). Dispatch does not route by message: every engine
+//! takes events the way the leader slot does (see [`CommitEngine`]),
+//! ignoring other roles' events, so `handle_proto` feeds a message to
+//! every engine the transaction's entry holds. Two parts live
 //! beside it as further `impl SiteNode` blocks: the watchdog,
 //! termination election and termination rounds, with their
 //! `Escalation` state, in `escalation.rs`, and restart's one walk over
@@ -485,10 +489,9 @@ impl SiteNode {
                 },
             );
         }
-        let mut engine = XTxnCoordinator::new(txn, branches);
-        let actions = engine.start();
-        self.table.insert_x(txn, engine);
-        self.apply_actions(ctx, txn, self.cfg.site, actions);
+        self.table
+            .insert_x(txn, XTxnCoordinator::new(txn, branches));
+        self.step_x(ctx, txn, |x, out| x.start(out));
         self.pump(ctx);
     }
 
@@ -890,6 +893,11 @@ impl SiteNode {
         self.send_net(ctx, to, NetMsg::Proto(reply));
     }
 
+    /// One protocol message. Cross-shard messages and the Paxos 1a/2a
+    /// an acceptor answers are dispatched first, and a retired
+    /// transaction answers with its outcome; every other message goes to
+    /// each engine of the live entry, which ignores what is not its
+    /// role's.
     fn handle_proto(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, from: SiteId, m: Msg) {
         let txn = m.txn();
         // Cross-shard messages first: they address the X coordinator or
@@ -900,34 +908,15 @@ impl SiteNode {
                 self.start_branch(ctx, spec, siblings);
                 return;
             }
-            Msg::XVote {
-                yes,
-                commit_version,
-                ..
-            } => {
-                if let Some(XCoord { engine: x, .. }) = self.table.xcoords.get_mut(&txn) {
-                    let was_decided = x.decision().is_some();
-                    let actions = x.on_vote(from, *yes, *commit_version);
-                    let now_decided = x.decision().is_some();
-                    self.apply_actions(ctx, txn, self.cfg.site, actions);
-                    // Only the None→Some transition queues retirement;
-                    // late votes after the decision must not re-enqueue.
-                    if now_decided && !was_decided {
-                        self.table.schedule_retire(ctx.now(), txn);
+            Msg::XVote { .. } | Msg::XOutcomeReq { .. } => {
+                if !self.step_x(ctx, txn, |x, out| x.on_msg(from, &m, out)) {
+                    // Not the parent: a retired coordination, or (asked
+                    // for the outcome) cooperative discovery from a
+                    // decided branch.
+                    let cooperative = matches!(m, Msg::XOutcomeReq { .. });
+                    if let Some(reply) = self.table.x_reply(txn, from, cooperative) {
+                        self.send_net(ctx, from, NetMsg::Proto(reply));
                     }
-                } else if let Some(reply) = self.table.x_reply(txn, from, false) {
-                    self.send_net(ctx, from, NetMsg::Proto(reply));
-                }
-                return;
-            }
-            Msg::XOutcomeReq { .. } => {
-                if let Some(x) = self.table.xcoords.get_mut(&txn) {
-                    let actions = x.engine.on_outcome_req(from);
-                    self.apply_actions(ctx, txn, self.cfg.site, actions);
-                } else if let Some(reply) = self.table.x_reply(txn, from, true) {
-                    // Not the parent: a retired coordination, or
-                    // cooperative discovery from a decided branch.
-                    self.send_net(ctx, from, NetMsg::Proto(reply));
                 }
                 return;
             }
@@ -1030,76 +1019,26 @@ impl SiteNode {
             _ => Version::INITIAL,
         };
 
+        // The leader, the termination round, then the participant: the
+        // order the digests pin. A straggler's `Decided` is for all
+        // three: it quietly ends a live Paxos candidacy, decides a
+        // running termination round, and the participant applies it.
         let mut actions = self.take_actions();
-        {
-            let catalog: &Catalog = &self.cfg.catalog;
-            let st = self.table.get_mut(txn).expect("checked");
-            st.last_coord_contact = ctx.now();
-            // The leader's messages: votes, PC-ACKs, Paxos 1b/2b, and a
-            // straggler's `Decided`, which ends a live Paxos candidacy
-            // quietly (the participant path below applies the outcome).
-            // It ignores the rest.
-            if let Some(l) = st.leader.as_mut() {
-                let ectx = EngineCtx {
-                    catalog,
-                    local_max_version,
-                };
-                l.on_msg(from, &m, &ectx, &mut actions);
-            }
-            match &m {
-                // Leader-only: handled above.
-                Msg::Vote { .. } | Msg::PaxosP1b { .. } | Msg::PaxosP2b { .. } => {}
-                Msg::PcAck { .. } => {
-                    if let Some(t) = st.termination_mut() {
-                        actions.extend(t.on_pc_ack(from, catalog));
-                    }
-                }
-                Msg::PaAck { .. } => {
-                    if let Some(t) = st.termination_mut() {
-                        actions.extend(t.on_pa_ack(from, catalog));
-                    }
-                }
-                Msg::StateRep {
-                    round,
-                    state,
-                    pc_version,
-                    ..
-                } => {
-                    if let Some(t) = st.termination_mut() {
-                        actions.extend(t.on_state_rep(from, *round, *state, *pc_version, catalog));
-                    }
-                }
-                Msg::Decided {
-                    decision,
-                    commit_version,
-                    ..
-                } => {
-                    if let Some(t) = st.termination_mut() {
-                        actions.extend(t.on_decided(*decision, *commit_version));
-                    }
-                    st.participant
-                        .on_msg(from, &m, local_max_version, &mut actions);
-                }
-                // Participant-role messages.
-                Msg::VoteReq { .. }
-                | Msg::PrepareCommit { .. }
-                | Msg::PrepareAbort { .. }
-                | Msg::Commit { .. }
-                | Msg::Abort { .. }
-                | Msg::StateReq { .. } => {
-                    st.participant
-                        .on_msg(from, &m, local_max_version, &mut actions);
-                }
-                // Cross-shard and Paxos acceptor messages returned
-                // early above.
-                Msg::XBranchReq { .. }
-                | Msg::XVote { .. }
-                | Msg::XDecide { .. }
-                | Msg::XOutcomeReq { .. }
-                | Msg::PaxosP1a { .. }
-                | Msg::PaxosP2a { .. } => unreachable!("dispatched before the engine match"),
-            }
+        let catalog: &Catalog = &self.cfg.catalog;
+        let st = self.table.get_mut(txn).expect("checked");
+        st.last_coord_contact = ctx.now();
+        if let Some(l) = st.leader.as_mut() {
+            let ectx = EngineCtx {
+                catalog,
+                local_max_version,
+            };
+            l.on_msg(from, &m, &ectx, &mut actions);
         }
+        if let Some(t) = st.termination_mut() {
+            t.on_msg(from, &m, catalog, &mut actions);
+        }
+        st.participant
+            .on_msg(from, &m, local_max_version, &mut actions);
         self.apply_actions(ctx, txn, from, actions);
         self.adopt_coordinator_decision(ctx.now(), txn);
         self.arm_watchdog(ctx, txn);
@@ -1327,6 +1266,31 @@ impl SiteNode {
         self.apply_actions(ctx, txn, self.cfg.site, actions);
     }
 
+    /// Runs `f` on the cross-shard coordination of `txn` hosted here,
+    /// if any, with a scratch action buffer, and applies what it emits;
+    /// the step that decides queues the coordination's retirement.
+    /// Tells whether this site hosts the coordination.
+    fn step_x(
+        &mut self,
+        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        txn: TxnId,
+        f: impl FnOnce(&mut XTxnCoordinator, &mut Vec<Action>),
+    ) -> bool {
+        let mut actions = self.take_actions();
+        let Some(XCoord { engine, .. }) = self.table.xcoords.get_mut(&txn) else {
+            self.recycle_actions(actions);
+            return false;
+        };
+        let undecided = engine.decision().is_none();
+        f(engine, &mut actions);
+        let decides = undecided && engine.decision().is_some();
+        self.apply_actions(ctx, txn, self.cfg.site, actions);
+        if decides {
+            self.table.schedule_retire(ctx.now(), txn);
+        }
+        true
+    }
+
     /// Pops a spare engine-action scratch buffer (empty, capacity
     /// retained from earlier events) or allocates the pool's first.
     pub(crate) fn take_actions(&mut self) -> Vec<Action> {
@@ -1490,33 +1454,16 @@ impl Process for SiteNode {
                         self.adopt_coordinator_decision(ctx.now(), txn);
                     }
                 }
-                TimerKind::StateCollection { txn, round } => {
+                TimerKind::StateCollection { txn, .. } | TimerKind::TerminationAcks { txn, .. } => {
                     self.step(ctx, txn, |st, catalog, out| {
                         if let Some(t) = st.termination_mut() {
-                            out.extend(t.on_state_timer(round, catalog));
-                        }
-                    })
-                }
-                TimerKind::TerminationAcks { txn, round } => {
-                    self.step(ctx, txn, |st, catalog, out| {
-                        if let Some(t) = st.termination_mut() {
-                            out.extend(t.on_acks_timer(round, catalog));
+                            t.on_timer(kind, catalog, out);
                         }
                     })
                 }
                 TimerKind::CoordinatorWatch { txn } => self.on_watchdog(ctx, txn),
                 TimerKind::XVoteCollection { txn } => {
-                    let actions = self
-                        .table
-                        .xcoords
-                        .get_mut(&txn)
-                        .map(|x| x.engine.on_vote_timer())
-                        .unwrap_or_default();
-                    let decided = !actions.is_empty();
-                    self.apply_actions(ctx, txn, self.cfg.site, actions);
-                    if decided {
-                        self.table.schedule_retire(ctx.now(), txn);
-                    }
+                    self.step_x(ctx, txn, |x, out| x.on_timer(kind, out));
                 }
                 TimerKind::BlockedRetry { txn } => self.start_termination_election(ctx, txn),
             },

@@ -249,7 +249,8 @@ impl SiteNode {
                 // storm) needed.
                 continue;
             }
-            let actions = engine.resume();
+            let mut actions = self.take_actions();
+            engine.resume(&mut actions);
             self.table.insert_x(txn, engine);
             self.apply_actions(ctx, txn, site, actions);
             self.table.schedule_retire(ctx.now(), txn);

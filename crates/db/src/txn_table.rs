@@ -632,7 +632,7 @@ fn sorted_keys<V>(map: &FastMap<TxnId, V>) -> Vec<TxnId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qbc_core::{ParticipantConfig, ProtocolKind, WriteSet};
+    use qbc_core::{ParticipantConfig, ProtocolKind, TimerKind, WriteSet};
     use qbc_votes::{CatalogBuilder, ItemId};
     use std::collections::BTreeMap;
 
@@ -684,10 +684,16 @@ mod tests {
     /// retirement.
     fn decide_x(t: &mut TxnTable, txn: TxnId, commit: bool, now: Time) {
         let mut engine = XTxnCoordinator::new(txn, vec![spec(txn)]);
+        let out = &mut Vec::new();
         if commit {
-            engine.on_vote(SiteId(0), true, Some(Version(txn.0)));
+            let vote = Msg::XVote {
+                txn,
+                yes: true,
+                commit_version: Some(Version(txn.0)),
+            };
+            engine.on_msg(SiteId(0), &vote, out);
         } else {
-            engine.on_vote_timer();
+            engine.on_timer(TimerKind::XVoteCollection { txn }, out);
         }
         t.xcoords.insert(
             txn,

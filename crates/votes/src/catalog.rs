@@ -163,23 +163,11 @@ impl Interner {
 }
 
 impl Catalog {
-    /// Builds a catalog from specs, validating each class, interning
-    /// placements and classes and rejecting duplicate item ids.
-    pub fn new(specs: impl IntoIterator<Item = ItemSpec>) -> Result<Self, VoteError> {
-        let mut interner = Interner::default();
-        let mut scratch = Vec::new();
-        let slots = specs
-            .into_iter()
-            .map(|spec| (spec.id, interner.class_of(&spec, &mut scratch)))
-            .collect();
-        interner.finish(slots)
-    }
-
     /// Builds a catalog whose items each take one of a few class specs:
     /// item `(id, c)` is `classes[c]` under its own id (the specs' own
     /// ids are ignored). The classes are interned first, and an item
-    /// then costs its slot; the result equals what
-    /// [`Catalog::new`] builds from the expanded specs, errors
+    /// then costs its slot; the result equals what a
+    /// [`CatalogBuilder`] builds from the expanded items, errors
     /// included. Classes no item names are left out.
     ///
     /// # Panics
@@ -590,12 +578,19 @@ mod tests {
         let copies = |i| Arc::clone(&c.expect_item(ItemId(i)).copies);
         assert!(Arc::ptr_eq(&copies(0), &copies(1)));
         assert!(!Arc::ptr_eq(&copies(0), &copies(2)));
-        // Specs handed to `Catalog::new` directly are interned too.
-        let rebuilt = Catalog::new(c.items().map(ItemSpec::from).map(|mut spec| {
-            spec.copies = Arc::new((*spec.copies).clone());
-            spec
-        }))
-        .unwrap();
+        // Classes handed to `from_classes` with private copies of one
+        // placement are interned too.
+        let classes: Vec<ItemSpec> = c
+            .items()
+            .map(ItemSpec::from)
+            .map(|mut spec| {
+                spec.copies = Arc::new((*spec.copies).clone());
+                spec
+            })
+            .collect();
+        let rebuilt =
+            Catalog::from_classes(&classes, classes.iter().enumerate().map(|(k, s)| (s.id, k)))
+                .unwrap();
         assert_eq!(rebuilt, c);
         let copies = |i| Arc::clone(&rebuilt.expect_item(ItemId(i)).copies);
         assert!(Arc::ptr_eq(&copies(0), &copies(1)));

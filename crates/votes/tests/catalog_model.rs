@@ -3,7 +3,7 @@
 //!
 //! Random id sets — contiguous runs, runs with gaps, scattered ids,
 //! runs ending at `u32::MAX` — each item on one of a few random
-//! placements, built three ways (the builder, `Catalog::new` and
+//! placements, built both ways (the builder and
 //! `Catalog::from_classes`). Every query answers as the map does:
 //! `item` for ids in the set, in its gaps, below its first and above
 //! its last; `items_at` and its exact length, `participants`,
@@ -85,14 +85,12 @@ fn arb_catalog() -> impl Strategy<Value = (Vec<u32>, Vec<usize>, Vec<ItemSpec>, 
 fn spec(id: u32, c: usize, classes: &[ItemSpec]) -> ItemSpec {
     ItemSpec {
         id: ItemId(id),
-        // A private copy: the catalog must intern equal placements.
-        copies: Arc::new((*classes[c].copies).clone()),
         ..classes[c].clone()
     }
 }
 
-/// The three ways to build the same catalog, from items in `order`.
-fn build_all(order: &[(u32, usize)], classes: &[ItemSpec]) -> [Result<Catalog, VoteError>; 3] {
+/// The two ways to build the same catalog, from items in `order`.
+fn build_all(order: &[(u32, usize)], classes: &[ItemSpec]) -> [Result<Catalog, VoteError>; 2] {
     let mut b = CatalogBuilder::new();
     for &(id, c) in order {
         b = b.item(ItemId(id));
@@ -103,7 +101,6 @@ fn build_all(order: &[(u32, usize)], classes: &[ItemSpec]) -> [Result<Catalog, V
     }
     [
         b.build(),
-        Catalog::new(order.iter().map(|&(id, c)| spec(id, c, classes))),
         Catalog::from_classes(classes, order.iter().map(|&(id, c)| (ItemId(id), c))),
     ]
 }
