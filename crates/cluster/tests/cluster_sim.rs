@@ -117,10 +117,32 @@ fn four_shard_cluster_commits_under_load() {
     drive(SimCluster::new(cfg), 80, 15);
 }
 
+/// `coord-kill`'s shape in virtual time: site 0, a coordinator of shard
+/// 0, crashes mid-stream, for every seed, replication, crash instant and
+/// whether it recovers. Every row stays atomic with no engine violation.
+/// A recovered cluster decides everything it accepted and resolves every
+/// handle. With the coordinator down for good, shard 0 may block (at
+/// replication 2 a lone survivor holds no quorum), so its undecided
+/// count is printed (`--nocapture`) instead of required to be 0; every
+/// handle of shard 1, which the crash does not touch, still resolves.
 #[test]
 fn coordinator_crash_mid_stream_keeps_the_cluster_atomic() {
+    for seed in [11, 12, 13] {
+        for replication in [2, 3] {
+            for crash_at in [300, 600, 1_000] {
+                for recovers in [true, false] {
+                    coordinator_crash_row(seed, replication, crash_at, recovers);
+                }
+            }
+        }
+    }
+}
+
+fn coordinator_crash_row(seed: u64, replication: u32, crash_at: u64, recovers: bool) {
+    let row = format!("seed {seed}, r{replication}, crash at {crash_at}, recovers {recovers}");
     let mut cluster = SimCluster::new(ClusterConfig {
-        seed: 11,
+        seed,
+        replication,
         ..Default::default()
     });
     let shards = cluster.map().shards();
@@ -129,36 +151,49 @@ fn coordinator_crash_mid_stream_keeps_the_cluster_atomic() {
         let ws = writeset(&cluster, shard, k);
         cluster.submit_at(Time(k * 30), ws);
     }
-    // Crash one site of shard 0 mid-stream; recover it later.
-    cluster
-        .sim_mut()
-        .schedule(Time(600), Fault::Crash(SiteId(0)));
-    cluster
-        .sim_mut()
-        .schedule(Time(1_400), Fault::Recover(SiteId(0)));
-    let q = cluster.run_to_quiescence(20_000_000);
-    assert!(q.drained());
-    assert_eq!(cluster.atomicity_violations(), vec![]);
-    assert_eq!(cluster.engine_violations(), vec![]);
+    let sim = cluster.sim_mut();
+    sim.schedule(Time(crash_at), Fault::Crash(SiteId(0)));
+    if recovers {
+        sim.schedule(Time(crash_at + 800), Fault::Recover(SiteId(0)));
+        let q = cluster.run_to_quiescence(20_000_000);
+        assert!(q.drained(), "{row}");
+    } else {
+        // A blocked transaction retries forever: run a long while
+        // instead of to quiescence.
+        cluster.run_until(Time(20_000));
+    }
+    assert_eq!(cluster.atomicity_violations(), vec![], "{row}");
+    assert_eq!(cluster.engine_violations(), vec![], "{row}");
     let m = cluster.metrics();
-    assert_eq!(
-        m.total_undecided(),
-        0,
-        "healed cluster must decide everything it accepted"
-    );
     // Submissions aimed at the crashed site while it was down are
-    // rejected (never reached a coordinator), and every handle reaches a
-    // terminal status.
+    // rejected (never reached a coordinator).
     let rejected: u64 = m.shards.iter().map(|s| s.rejected).sum();
-    assert!(rejected < 10, "too many rejected: {rejected}");
-    let statuses: Vec<_> = cluster
+    let unresolved: Vec<_> = cluster
         .handles()
-        .to_vec()
         .iter()
-        .map(|h| cluster.status(h))
+        .filter(|h| !cluster.status(h).is_resolved())
+        .map(|h| (h.txn, h.shard))
         .collect();
-    assert!(statuses.iter().all(|s| s.is_resolved()));
-    assert!(m.total_committed() > 25);
+    if recovers {
+        assert_eq!(
+            m.total_undecided(),
+            0,
+            "{row}: a healed cluster must decide everything it accepted"
+        );
+        assert_eq!(unresolved, vec![], "{row}");
+        assert!(rejected < 10, "{row}: too many rejected: {rejected}");
+        assert!(m.total_committed() > 25, "{row}");
+    } else {
+        println!(
+            "{row}: {} committed, {} undecided, {rejected} rejected",
+            m.total_committed(),
+            m.total_undecided()
+        );
+        assert!(
+            unresolved.iter().all(|&(_, shard)| shard == ShardId(0)),
+            "{row}: unresolved outside the crashed shard: {unresolved:?}"
+        );
+    }
 }
 
 #[test]

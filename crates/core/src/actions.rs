@@ -73,6 +73,21 @@ pub enum TimerKind {
         /// Leader's ballot.
         bal: u64,
     },
+    /// Elector waiting for `ELECTION-ALIVE` from a higher site (`2T`).
+    ElectionAlive {
+        /// Transaction.
+        txn: TxnId,
+        /// Election round.
+        round: u64,
+    },
+    /// Elector that heard `ELECTION-ALIVE`, waiting for the higher
+    /// site's `ELECTION-COORD` (`2T` more).
+    ElectionCoordinator {
+        /// Transaction.
+        txn: TxnId,
+        /// Election round.
+        round: u64,
+    },
 }
 
 /// An effect requested by a protocol engine.
@@ -101,6 +116,12 @@ pub enum Action {
     /// commit coordinator gave up, or a termination round failed and
     /// Fig. 5 says "start the election protocol").
     RequestTermination {
+        /// Transaction.
+        txn: TxnId,
+    },
+    /// This site won the election for `txn`'s termination coordinator
+    /// and runs the next termination round.
+    Elected {
         /// Transaction.
         txn: TxnId,
     },

@@ -1,16 +1,17 @@
 //! The pluggable commit-engine abstraction.
 //!
-//! The engines of this crate share one event contract: each is fed one
-//! message (`on_msg`) or one timer expiry (`on_timer`) at a time,
+//! Every engine of this crate shares one event contract: each is fed
+//! one message (`on_msg`) or one timer expiry (`on_timer`) at a time,
 //! ignores the events of other roles, and pushes its effects
 //! ([`Action`]s) into a buffer the caller supplies. Besides the leader
-//! slot below, the termination coordinator ([`crate::Termination`]) and
-//! the cross-shard coordinator ([`crate::XTxnCoordinator`]) keep it as
-//! inherent methods, and the [`crate::Participant`] takes messages the
-//! same way (its one timer, the watchdog, is the site's). So a site
-//! feeds each message to every engine a transaction holds without
-//! knowing which one it is for. Only the Paxos acceptor, which a site
-//! addresses apart, keeps one method per message.
+//! slot below, the termination coordinator ([`crate::Termination`]),
+//! the election before it ([`crate::election::Elector`]), the
+//! cross-shard coordinator ([`crate::XTxnCoordinator`]) and the Paxos
+//! acceptor ([`crate::PaxosAcceptor`]) keep it as inherent methods, and
+//! the [`crate::Participant`] takes messages the same way (its one
+//! timer, the watchdog, is the site's). So a site feeds each message
+//! and timer to every engine a transaction holds without knowing which
+//! one it is for.
 //!
 //! This module names the *leader* slot as a trait, so the
 //! [`Coordinator`] that drives the five quorum-paper engines and Gray &

@@ -14,6 +14,7 @@
 //! | [`PaxosLeader`] + [`PaxosAcceptor`] (`ProtocolKind::PaxosCommit`) | Gray & Lamport's Paxos Commit (comparison engine) |
 //! | [`Participant`] | Fig. 5 "PARTICIPANTS" (all variants) |
 //! | [`Termination`] + [`rules`] | Figs. 5 & 8, TP1/TP2 + baselines |
+//! | [`election::Elector`] | the termination protocols' election `[7]` |
 //! | [`LocalState`]/[`Transition`] | Fig. 6 state-transition diagram |
 //! | [`partition_state`] | Fig. 4 partition states & concurrency sets |
 //!
@@ -27,6 +28,7 @@
 mod actions;
 mod commit_engine;
 mod coordinator;
+pub mod election;
 mod inline_vec;
 pub mod log;
 mod messages;
@@ -46,7 +48,7 @@ pub use coordinator::{CoordPhase, Coordinator};
 pub use log::{LogRecord, RetiredOutcome, XRetiredOutcome};
 pub use messages::Msg;
 pub use participant::{FaultyMode, Participant, ParticipantConfig};
-pub use paxos_commit::{PaxosAcceptor, PaxosLeader, PaxosPhase, PaxosVotes};
+pub use paxos_commit::{recovery_ballot, PaxosAcceptor, PaxosLeader, PaxosPhase, PaxosVotes};
 pub use rules::{Phase2Outcome, StateView, TerminationKind};
 pub use states::{LocalState, Transition};
 pub use termination::{Termination, TerminationPhase};

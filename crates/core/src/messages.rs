@@ -1,5 +1,6 @@
 //! The protocol message vocabulary (Figs. 1, 2, 5, 8, 9).
 
+use crate::election::ElectionMsg;
 use crate::states::LocalState;
 use crate::types::{Decision, TxnId, TxnSpec};
 use qbc_simnet::{Label, SiteId};
@@ -198,6 +199,17 @@ pub enum Msg {
         /// The values this acceptor accepted (echo of the 2a batch).
         votes: Vec<(SiteId, bool, Version)>,
     },
+    /// A message of the election of a termination coordinator
+    /// ([`crate::election`]). Carries the spec so sites that never saw
+    /// the transaction can still take part.
+    Election {
+        /// Transaction whose termination needs a coordinator.
+        txn: TxnId,
+        /// Transaction description (shared, like [`Msg::VoteReq`]'s).
+        spec: Arc<TxnSpec>,
+        /// The election payload.
+        msg: ElectionMsg,
+    },
 }
 
 impl Msg {
@@ -222,7 +234,8 @@ impl Msg {
             | Msg::XOutcomeReq { txn }
             | Msg::PaxosP1b { txn, .. }
             | Msg::PaxosP2a { txn, .. }
-            | Msg::PaxosP2b { txn, .. } => *txn,
+            | Msg::PaxosP2b { txn, .. }
+            | Msg::Election { txn, .. } => *txn,
         }
     }
 }
@@ -251,6 +264,7 @@ impl Label for Msg {
             Msg::PaxosP1b { .. } => "PAXOS-1B",
             Msg::PaxosP2a { .. } => "PAXOS-2A",
             Msg::PaxosP2b { .. } => "PAXOS-2B",
+            Msg::Election { msg, .. } => msg.label(),
         }
     }
 }
@@ -343,6 +357,11 @@ mod tests {
                 bal: 0,
                 votes: vec![(SiteId(2), true, Version(4))],
             },
+            Msg::Election {
+                txn: TxnId(7),
+                spec: spec(),
+                msg: ElectionMsg::Alive { round: 1 },
+            },
         ];
         for m in &msgs {
             assert_eq!(m.txn(), TxnId(7), "{m:?}");
@@ -376,5 +395,18 @@ mod tests {
             "PREPARE-TO-COMMIT"
         );
         assert_eq!(Msg::PaAck { txn: TxnId(0) }.label(), "PA-ACK");
+        // E16's message tables count the election by these labels.
+        let election = |msg| Msg::Election {
+            txn: TxnId(7),
+            spec: spec(),
+            msg,
+        };
+        let labels = [
+            ElectionMsg::Election { round: 1 },
+            ElectionMsg::Alive { round: 1 },
+            ElectionMsg::Coordinator { round: 1 },
+        ]
+        .map(|m| election(m).label());
+        assert_eq!(labels, ["ELECTION", "ELECTION-ALIVE", "ELECTION-COORD"]);
     }
 }

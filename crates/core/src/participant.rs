@@ -232,8 +232,8 @@ impl Participant {
                 Decision::Abort => self.on_abort(out),
             },
             Msg::StateReq { round, spec } => self.on_state_req(*round, spec, out),
-            // Coordinator/termination/cross-shard/acceptor-role messages
-            // are not ours.
+            // Coordinator/termination/cross-shard/acceptor/elector-role
+            // messages are not ours.
             Msg::Vote { .. }
             | Msg::PcAck { .. }
             | Msg::PaAck { .. }
@@ -245,7 +245,8 @@ impl Participant {
             | Msg::PaxosP1a { .. }
             | Msg::PaxosP1b { .. }
             | Msg::PaxosP2a { .. }
-            | Msg::PaxosP2b { .. } => {}
+            | Msg::PaxosP2b { .. }
+            | Msg::Election { .. } => {}
         }
     }
 

@@ -24,14 +24,14 @@
 //!
 //! Leader failover replaces the quorum-paper termination protocol for
 //! this engine: a participant whose watchdog fires becomes a recovery
-//! candidate at a ballot > 0 unique to it ([`qbc_election`]'s
-//! `recovery_ballot`), runs Phase 1a/1b over the acceptors, adopts the
-//! highest-ballot accepted batch any quorum member reports (presumed
-//! abort when none does), and **must** drive that batch through a full
-//! Phase 2 at its own ballot before deciding — deciding straight off an
-//! empty Phase 1 would leave the outcome invisible to the next
-//! candidate's quorum, which is exactly the split the model checker's
-//! seeded `weaken_paxos` mutation demonstrates.
+//! candidate at a ballot > 0 unique to it ([`recovery_ballot`]), runs
+//! Phase 1a/1b over the acceptors, adopts the highest-ballot accepted
+//! batch any quorum member reports (presumed abort when none does), and
+//! **must** drive that batch through a full Phase 2 at its own ballot
+//! before deciding — deciding straight off an empty Phase 1 would leave
+//! the outcome invisible to the next candidate's quorum, which is
+//! exactly the split the model checker's seeded `weaken_paxos` mutation
+//! demonstrates.
 
 use crate::actions::{Action, TimerKind};
 use crate::commit_engine::{CommitEngine, EngineCtx};
@@ -499,6 +499,23 @@ impl PaxosLeader {
     }
 }
 
+/// The Paxos Commit recovery ballot for a candidate site's `round`-th
+/// takeover attempt.
+///
+/// Paxos leader failover needs no election at all — any number of
+/// candidates may run Phase 1 concurrently and safety holds — but every
+/// candidate must use a ballot that is (a) strictly greater than 0 (the
+/// original coordinator's ballot) and (b) distinct from every other
+/// candidate's, or two candidates could split one ballot's acceptances.
+/// Packing the per-site retry round into the high bits and the site id
+/// (+1, so round 1 of site 0 stays above ballot 0) into the low 16 bits
+/// gives both properties, and later rounds dominate earlier ones at
+/// every site.
+pub fn recovery_ballot(round: u64, site: SiteId) -> u64 {
+    debug_assert!(round > 0, "recovery rounds start at 1");
+    (round << 16) | (u64::from(site.0) + 1)
+}
+
 /// Vec-returning wrappers so protocol unit tests keep their original
 /// collect-and-assert shape without threading scratch buffers through.
 #[cfg(test)]
@@ -675,10 +692,21 @@ impl PaxosAcceptor {
         self.accepted.as_ref()
     }
 
+    /// Feeds one message: a candidate's Phase-1a or a leader's Phase-2a,
+    /// each answered with a [`Action::Reply`]; appends the effects to
+    /// `out`. Messages for other roles are ignored.
+    pub fn on_msg(&mut self, _from: SiteId, msg: &Msg, out: &mut Vec<Action>) {
+        match msg {
+            Msg::PaxosP1a { txn, bal, .. } => self.on_p1a(*txn, *bal, out),
+            Msg::PaxosP2a { txn, bal, votes } => self.on_p2a(*txn, *bal, votes, out),
+            _ => {}
+        }
+    }
+
     /// Phase 1a: promise `bal` (idempotent re-answer at the promised
     /// ballot, so candidate re-broadcasts stay live), force-logging the
     /// promise before it leaves the site.
-    pub fn on_p1a(&mut self, txn: TxnId, bal: u64, out: &mut Vec<Action>) {
+    fn on_p1a(&mut self, txn: TxnId, bal: u64, out: &mut Vec<Action>) {
         if bal < self.promised {
             return;
         }
@@ -700,6 +728,8 @@ impl PaxosAcceptor {
 
     /// Phase 2a: accept the batch at `bal` unless a higher ballot was
     /// promised, force-logging the acceptance before the 2b echo.
+    /// Public beside [`PaxosAcceptor::on_msg`]: the per-layer benchmark
+    /// (`benchmark/src/layers.rs`) drives an acceptor through it.
     pub fn on_p2a(
         &mut self,
         txn: TxnId,
@@ -850,6 +880,51 @@ mod tests {
         l.on_p2b_v(S1, 0);
         l.on_p2b_v(S2, 0);
         assert_eq!(l.commit_version(), Some(Version(10)));
+    }
+
+    #[test]
+    fn recovery_ballots_are_positive_and_unique() {
+        let sites = [SiteId(0), SiteId(1), SiteId(7), SiteId(65000)];
+        let mut seen = BTreeSet::new();
+        for round in 1..=3u64 {
+            for s in sites {
+                let b = recovery_ballot(round, s);
+                assert!(b > 0, "every recovery ballot beats the leader's 0");
+                assert!(seen.insert(b), "ballot {b} duplicated");
+            }
+        }
+        // Later rounds dominate earlier ones at every site.
+        assert!(recovery_ballot(2, SiteId(0)) > recovery_ballot(1, SiteId(65000)));
+    }
+
+    /// `on_msg` routes a 1a and a 2a exactly as the per-phase methods
+    /// do, and ignores every other role's message.
+    #[test]
+    fn acceptor_on_msg_routes_1a_and_2a_and_ignores_the_rest() {
+        let (txn, votes) = (TxnId(1), vec![(S1, true, Version(3))]);
+        let (mut direct, mut via) = (PaxosAcceptor::new(), PaxosAcceptor::new());
+        let mut out = Vec::new();
+        let p2a = Msg::PaxosP2a {
+            txn,
+            bal: 2,
+            votes: votes.clone(),
+        };
+        via.on_msg(S0, &p2a, &mut out);
+        assert_eq!(out, direct.on_p2a_v(txn, 2, &votes));
+        out.clear();
+        let p1a = Msg::PaxosP1a {
+            txn,
+            bal: 4,
+            spec: spec(),
+        };
+        via.on_msg(S2, &p1a, &mut out);
+        assert_eq!(out, direct.on_p1a_v(txn, 4));
+        out.clear();
+        for other in [Msg::Abort { txn }, Msg::PaxosP2b { txn, bal: 9, votes }] {
+            via.on_msg(S0, &other, &mut out);
+        }
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!((via.promised(), via.accepted()), (4, direct.accepted()));
     }
 
     #[test]

@@ -3,8 +3,20 @@
 //! message barrages.
 
 use proptest::prelude::*;
-use qbc_election::{Action, ElectionMsg, ElectionTimer, Elector, Input, Phase};
+use qbc_core::election::{ElectionMsg, Elector, Phase};
+use qbc_core::{Action, Msg, ProtocolKind, TimerKind, TxnId, TxnSpec, WriteSet};
 use qbc_simnet::SiteId;
+use std::sync::Arc;
+
+const TXN: TxnId = TxnId(1);
+
+/// One event fed to an elector.
+#[derive(Clone, Debug)]
+enum Input {
+    Start,
+    Msg(SiteId, ElectionMsg),
+    Timer(TimerKind),
+}
 
 fn arb_msg() -> impl Strategy<Value = ElectionMsg> {
     prop_oneof![
@@ -17,13 +29,41 @@ fn arb_msg() -> impl Strategy<Value = ElectionMsg> {
 fn arb_input(n_sites: u32) -> impl Strategy<Value = Input> {
     prop_oneof![
         1 => Just(Input::Start),
-        4 => (0..n_sites, arb_msg()).prop_map(|(from, msg)| Input::Msg {
-            from: SiteId(from),
-            msg,
-        }),
-        2 => (0u64..5).prop_map(|round| Input::Timer(ElectionTimer::AwaitAlive { round })),
-        2 => (0u64..5).prop_map(|round| Input::Timer(ElectionTimer::AwaitCoordinator { round })),
+        4 => (0..n_sites, arb_msg()).prop_map(|(from, msg)| Input::Msg(SiteId(from), msg)),
+        2 => (0u64..5).prop_map(|round| Input::Timer(TimerKind::ElectionAlive { txn: TXN, round })),
+        2 => (0u64..5)
+            .prop_map(|round| Input::Timer(TimerKind::ElectionCoordinator { txn: TXN, round })),
     ]
+}
+
+/// The transaction every elector runs for: participants s0..s5.
+fn spec() -> Arc<TxnSpec> {
+    Arc::new(TxnSpec {
+        id: TXN,
+        coordinator: SiteId(0),
+        writeset: WriteSet::default(),
+        participants: (0..6).map(SiteId).collect(),
+        protocol: ProtocolKind::QuorumCommit2,
+        parent: None,
+    })
+}
+
+/// Feeds one input; returns what the elector emitted.
+fn step(e: &mut Elector, input: Input) -> Vec<Action> {
+    let mut out = Vec::new();
+    match input {
+        Input::Start => e.start(&mut out),
+        Input::Msg(from, msg) => {
+            let election = Msg::Election {
+                txn: TXN,
+                spec: spec(),
+                msg,
+            };
+            e.on_msg(from, &election, &mut out)
+        }
+        Input::Timer(kind) => e.on_timer(kind, &mut out),
+    }
+    out
 }
 
 proptest! {
@@ -34,29 +74,29 @@ proptest! {
         me in 0u32..6,
         inputs in proptest::collection::vec(arb_input(6), 0..60),
     ) {
-        let mut e = Elector::new(SiteId(me), (0..6).map(SiteId));
+        let mut e = Elector::new(SiteId(me), spec());
         let mut last_round = e.round();
         for input in inputs {
-            let _ = e.step(input);
+            let _ = step(&mut e, input);
             prop_assert!(e.round() >= last_round, "round went backwards");
             last_round = e.round();
         }
     }
 
     /// Liveness of the timeout path: whatever garbage arrived before,
-    /// Start followed by the matching AwaitAlive timeout always leaves
+    /// Start followed by the matching `ElectionAlive` timeout always leaves
     /// the site Leader when it has no higher peers alive to answer.
     #[test]
     fn start_then_timeout_always_elects_highest(
         noise in proptest::collection::vec(arb_input(6), 0..30),
     ) {
         // Site 5 is the highest of 0..6: Start elects it immediately.
-        let mut e = Elector::new(SiteId(5), (0..6).map(SiteId));
+        let mut e = Elector::new(SiteId(5), spec());
         for input in noise {
-            let _ = e.step(input);
+            let _ = step(&mut e, input);
         }
-        let out = e.step(Input::Start);
-        prop_assert!(out.contains(&Action::Elected), "highest site must win on Start");
+        let out = step(&mut e, Input::Start);
+        prop_assert!(out.contains(&Action::Elected { txn: TXN }), "highest site must win on Start");
         prop_assert!(e.is_leader());
     }
 
@@ -66,9 +106,9 @@ proptest! {
         me in 0u32..6,
         inputs in proptest::collection::vec(arb_input(6), 0..60),
     ) {
-        let mut e = Elector::new(SiteId(me), (0..6).map(SiteId));
+        let mut e = Elector::new(SiteId(me), spec());
         for input in inputs {
-            let _ = e.step(input);
+            let _ = step(&mut e, input);
             match e.phase() {
                 Phase::Leader => prop_assert_eq!(e.coordinator(), Some(SiteId(me))),
                 Phase::Follower(c) => prop_assert_eq!(e.coordinator(), Some(c)),

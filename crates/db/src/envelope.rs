@@ -1,7 +1,6 @@
 //! The network message envelope and timer vocabulary of a database site.
 
 use qbc_core::{Msg, ProtocolKind, TimerKind, TxnId, TxnSpec, WriteSet};
-use qbc_election::{ElectionMsg, ElectionTimer};
 use qbc_simnet::Label;
 use qbc_storage::Lsn;
 use qbc_votes::{ItemId, Version};
@@ -23,17 +22,6 @@ pub enum NetMsg {
         msg: Msg,
         /// The sender's site-local commit-stable watermark.
         wm: Version,
-    },
-    /// A per-transaction election message; carries the spec so sites
-    /// that never saw the transaction can still take part.
-    Election {
-        /// Transaction whose termination needs a coordinator.
-        txn: TxnId,
-        /// Transaction description (shared: one allocation per
-        /// transaction, refcounted across every election message).
-        spec: Arc<TxnSpec>,
-        /// The election payload.
-        msg: ElectionMsg,
     },
     /// Quorum-read request for one item copy.
     ReadReq {
@@ -116,9 +104,7 @@ impl NetMsg {
     pub(crate) fn txn(&self) -> Option<TxnId> {
         match self {
             NetMsg::Proto(m) | NetMsg::ProtoW { msg: m, .. } => Some(m.txn()),
-            NetMsg::Election { txn, .. }
-            | NetMsg::BeginTxn { txn, .. }
-            | NetMsg::BeginXTxn { txn, .. } => Some(*txn),
+            NetMsg::BeginTxn { txn, .. } | NetMsg::BeginXTxn { txn, .. } => Some(*txn),
             NetMsg::ReadReq { .. }
             | NetMsg::ReadRep { .. }
             | NetMsg::SnapReadReq { .. }
@@ -135,7 +121,6 @@ impl Label for NetMsg {
             // (and the E16 comparisons built on it) keep seeing the
             // protocol message inside.
             NetMsg::Proto(m) | NetMsg::ProtoW { msg: m, .. } => m.label(),
-            NetMsg::Election { msg, .. } => msg.label(),
             NetMsg::ReadReq { .. } => "READ-REQ",
             NetMsg::ReadRep { .. } => "READ-REP",
             NetMsg::SnapReadReq { .. } => "SNAP-READ-REQ",
@@ -150,16 +135,9 @@ impl Label for NetMsg {
 /// Everything a site arms timers with.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NodeTimer {
-    /// A protocol timer (vote/ack/state collection, watchdog, retry).
+    /// A protocol timer (vote/ack/state collection, election, watchdog,
+    /// retry).
     Proto(TimerKind),
-    /// An election timer for a transaction's termination coordinator
-    /// election.
-    Election {
-        /// Transaction.
-        txn: TxnId,
-        /// Election-internal timer.
-        timer: ElectionTimer,
-    },
     /// A read's window expired: it closes a quorum read's collection
     /// and ends a snapshot read's attempt at one copy site, which then
     /// tries the next or gives up after the last one.

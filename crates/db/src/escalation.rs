@@ -13,14 +13,19 @@
 //!
 //! What this needs per transaction is [`Escalation`], a second box of
 //! the `TxnState` that most transactions never allocate; the functions
-//! here are the [`SiteNode`] methods that drive it.
+//! here are the [`SiteNode`] methods that start each step. The elector
+//! and the termination round they start take their messages and timers
+//! like every other engine, through `handle_proto` and `on_timer` in
+//! `node.rs`; an election won there comes back as
+//! [`Action::Elected`](qbc_core::Action::Elected) to
+//! `start_termination_round`.
 
 use crate::envelope::{NetMsg, NodeTimer};
 use crate::node::SiteNode;
+use qbc_core::election::Elector;
 use qbc_core::{
-    LocalState, Msg, PaxosLeader, ProtocolKind, Termination, TimerKind, TxnId, TxnSpec,
+    recovery_ballot, LocalState, Msg, PaxosLeader, ProtocolKind, Termination, TimerKind, TxnId,
 };
-use qbc_election::{Action as ElAction, ElectionMsg, ElectionTimer, Elector, Input as ElInput};
 use qbc_obs::EventKind;
 use qbc_simnet::{Ctx, SiteId};
 use qbc_votes::Version;
@@ -171,119 +176,42 @@ impl SiteNode {
             // presumed aborted.
             let esc = st.escalation_mut();
             esc.termination_rounds += 1;
-            let bal = qbc_election::recovery_ballot(esc.termination_rounds, self.cfg.site);
+            let bal = recovery_ballot(esc.termination_rounds, self.cfg.site);
             let candidate = PaxosLeader::recover(Arc::clone(&st.spec), bal);
             let candidate = self.paxos_leader(candidate);
             let actions = self.install_leader(txn, candidate);
             self.apply_actions(ctx, txn, self.cfg.site, actions);
             return;
         }
-        let spec = Arc::clone(&st.spec);
-        let actions = st.elector(self.cfg.site).step(ElInput::Start);
         self.cfg
             .emit(ctx.now(), Some(txn), EventKind::ElectionStarted);
-        self.apply_election_actions(ctx, txn, spec, actions);
-    }
-
-    /// An election message for `txn` arrived. A site that knows the
-    /// outcome, live or retired, answers with it instead.
-    pub(crate) fn handle_election_msg(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        from: SiteId,
-        txn: TxnId,
-        spec: Arc<TxnSpec>,
-        msg: ElectionMsg,
-    ) {
-        if let Some(outcome) = self.table.outcome(txn) {
-            return self.send_decided(ctx, from, txn, outcome);
-        }
         let site = self.cfg.site;
-        let st = self.ensure_txn(ctx.now(), &spec);
-        st.last_coord_contact = ctx.now();
-        let actions = st.elector(site).step(ElInput::Msg { from, msg });
-        self.apply_election_actions(ctx, txn, spec, actions);
-        self.arm_watchdog(ctx, txn);
+        self.step(ctx, txn, |st, _, out| st.elector(site).start(out));
     }
 
-    pub(crate) fn on_election_timer(
+    /// This site was elected: it runs the next termination round. A
+    /// leader that never voted seeds its own `q` state into the round's
+    /// view — a veto, made durable and irrevocable before the round's
+    /// messages leave (see `Participant::veto_abort`).
+    pub(crate) fn start_termination_round(
         &mut self,
         ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
         txn: TxnId,
-        timer: ElectionTimer,
     ) {
-        if let Some(st) = self.table.get_mut(txn).filter(|st| st.decided.is_none()) {
-            if let Some(elector) = st.elector_mut() {
-                let actions = elector.step(ElInput::Timer(timer));
-                let spec = Arc::clone(&st.spec);
-                self.apply_election_actions(ctx, txn, spec, actions);
-            }
-        }
-    }
-
-    fn apply_election_actions(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        txn: TxnId,
-        spec: Arc<TxnSpec>,
-        actions: Vec<ElAction>,
-    ) {
-        for a in actions {
-            match a {
-                ElAction::Send { to, msg } => {
-                    let m = NetMsg::Election {
-                        txn,
-                        spec: Arc::clone(&spec),
-                        msg,
-                    };
-                    self.send_net(ctx, to, m);
-                }
-                ElAction::SetTimer(timer) => {
-                    ctx.set_timer(self.cfg.window_2t(), NodeTimer::Election { txn, timer });
-                }
-                ElAction::Elected => self.start_termination_round(ctx, txn),
-                ElAction::CoordinatorIs(_) => {
-                    if let Some(st) = self.table.get_mut(txn) {
-                        st.last_coord_contact = ctx.now();
-                    }
-                }
-            }
-        }
-    }
-
-    /// This site was elected: it runs the next termination round.
-    fn start_termination_round(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
-        let site = self.cfg.site;
-        // An elected leader that never voted seeds its own `q` state
-        // into the round's view — a veto, which must be durable and
-        // irrevocable before the round runs (see
-        // `Participant::veto_abort`).
-        let mut veto = self.take_actions();
-        match self.table.get_mut(txn) {
-            Some(st) if st.decided.is_none() => st.participant.veto_abort(&mut veto),
-            _ => return self.recycle_actions(veto),
-        }
-        self.apply_actions(ctx, txn, site, veto);
-        let mut actions = self.take_actions();
-        let Some(st) = self.table.get_mut(txn) else {
-            return self.recycle_actions(actions);
+        let Some(st) = self.table.get(txn).filter(|st| st.decided.is_none()) else {
+            return;
         };
-        let esc = st.escalation_mut();
-        esc.termination_rounds += 1;
-        let round = esc.termination_rounds;
         let kind = qbc_core::termination_kind_for(st.spec.protocol, self.cfg.site_votes.as_ref());
-        let term = Termination::start(
-            site,
-            Arc::clone(&st.spec),
-            kind,
-            round,
-            st.participant.state(),
-            st.participant.commit_version(),
-            &mut actions,
-        );
-        st.escalation_mut().termination = Some(Box::new(term));
+        let (site, round) = (self.cfg.site, st.termination_rounds() + 1);
+        self.step(ctx, txn, |st, _, out| st.participant.veto_abort(out));
         self.cfg
             .emit(ctx.now(), Some(txn), EventKind::TerminationRound { round });
-        self.apply_actions(ctx, txn, site, actions);
+        self.step(ctx, txn, |st, _, out| {
+            st.escalation_mut().termination_rounds = round;
+            let (state, version) = (st.participant.state(), st.participant.commit_version());
+            let spec = Arc::clone(&st.spec);
+            let term = Termination::start(site, spec, kind, round, state, version, out);
+            st.escalation_mut().termination = Some(Box::new(term));
+        });
     }
 }

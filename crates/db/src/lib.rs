@@ -1,11 +1,11 @@
 //! # qbc-db — the distributed database site node
 //!
 //! Ties every substrate together into a runnable database site
-//! ([`SiteNode`]): the commit/termination engines of `qbc-core`, the
-//! bully election of `qbc-election`, strict no-wait 2PL from
-//! `qbc-locks`, the WAL and versioned store of `qbc-storage`, and
-//! Gifford quorum reads over `qbc-votes` — all driven by the
-//! deterministic simulator (or a `NodeDriver` host) of `qbc-simnet`.
+//! ([`SiteNode`]): the commit, election and termination engines of
+//! `qbc-core`, strict no-wait 2PL from `qbc-locks`, the WAL and
+//! versioned store of `qbc-storage`, and Gifford quorum reads over
+//! `qbc-votes` — all driven by the deterministic simulator (or a
+//! `NodeDriver` host) of `qbc-simnet`.
 //!
 //! ## Lifecycle of a transaction
 //!

@@ -11,10 +11,12 @@
 //!   Paxos recovery candidate at a participant whose watchdog fired —
 //!   named only where it is built and driven only through
 //!   [`CommitEngine`],
-//! * an [`Elector`](qbc_election::Elector) plus a
+//! * an [`Elector`](qbc_core::election::Elector) plus a
 //!   [`Termination`](qbc_core::Termination) engine while the termination
 //!   protocol runs (any site of the partition can end up coordinator —
 //!   including several at once),
+//! * a [`PaxosAcceptor`](qbc_core::PaxosAcceptor) under Paxos Commit,
+//!   in a map of its own,
 //!
 //! and integrates them with:
 //!
@@ -38,14 +40,16 @@
 //! durability gating of sends and decision applications, the one path
 //! that marks a transaction decided (`apply_decision`), checkpoints,
 //! and the cross-shard relay (`begin_xshard`, `start_branch`,
-//! `handle_x_decide`). Dispatch does not route by message: every engine
-//! takes events the way the leader slot does (see [`CommitEngine`]),
-//! ignoring other roles' events, so `handle_proto` feeds a message to
-//! every engine the transaction's entry holds. Two parts live
-//! beside it as further `impl SiteNode` blocks: the watchdog,
-//! termination election and termination rounds, with their
-//! `Escalation` state, in `escalation.rs`, and restart's one walk over
-//! the log in `recovery.rs`.
+//! `handle_x_decide`). Dispatch does not route by message or timer:
+//! every engine takes events the way the leader slot does (see
+//! [`CommitEngine`]), ignoring other roles' events, so `handle_proto`
+//! feeds a message, and `on_timer` a protocol timer, to every engine
+//! the transaction's entry holds, and a site that knows the outcome
+//! answers stragglers with it in one place. Two parts live beside it
+//! as further `impl SiteNode` blocks: the watchdog and the start of an
+//! election or of a termination round, with their `Escalation` state,
+//! in `escalation.rs`, and restart's one walk over the log in
+//! `recovery.rs`.
 
 use crate::config::{Mutation, NodeConfig};
 use crate::durable_log::{DeferredOp, DurableLog};
@@ -850,9 +854,6 @@ impl SiteNode {
                 self.reads.hear_watermark(from, wm);
                 self.handle_proto(ctx, from, m);
             }
-            NetMsg::Election { txn, spec, msg } => {
-                self.handle_election_msg(ctx, from, txn, spec, msg)
-            }
             NetMsg::BeginTxn {
                 txn,
                 writeset,
@@ -893,13 +894,12 @@ impl SiteNode {
         self.send_net(ctx, to, NetMsg::Proto(reply));
     }
 
-    /// One protocol message. Cross-shard messages and the Paxos 1a/2a
-    /// an acceptor answers are dispatched first, and a retired
-    /// transaction answers with its outcome; every other message goes to
-    /// each engine of the live entry, which ignores what is not its
-    /// role's.
+    /// One protocol message. Cross-shard messages are dispatched first,
+    /// and a site that knows the outcome answers stragglers with it;
+    /// every other message goes to each engine of the live entry, which
+    /// ignores what is not its role's.
     fn handle_proto(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, from: SiteId, m: Msg) {
-        let txn = m.txn();
+        let (txn, site) = (m.txn(), self.cfg.site);
         // Cross-shard messages first: they address the X coordinator or
         // the branch machinery, not the per-transaction participant
         // table (and must work even when that table knows nothing yet).
@@ -930,63 +930,42 @@ impl SiteNode {
             }
             _ => {}
         }
-        // A retired transaction answers every straggler with its outcome
-        // instead of resurrecting state (`Decided` itself needs no
-        // answer — and must not echo into a reply loop).
-        if !self.table.contains(txn) {
-            if let Some(outcome) = self.table.retired_outcome(txn) {
-                if !matches!(m, Msg::Decided { .. }) {
-                    self.send_decided(ctx, from, txn, outcome);
-                }
-                return;
+        // A site that knows the outcome answers a straggler with it
+        // instead of resurrecting state: a retired transaction answers
+        // every message but `Decided` (no echo into a reply loop), a
+        // live decided one a Paxos candidate's 1a/2a and an election
+        // message, whose senders would otherwise chase a consensus that
+        // is already over.
+        let to_acceptor = matches!(m, Msg::PaxosP1a { .. } | Msg::PaxosP2a { .. });
+        let outcome = if !self.table.contains(txn) {
+            self.table.retired_outcome(txn)
+        } else if to_acceptor || matches!(m, Msg::Election { .. }) {
+            self.table.outcome(txn)
+        } else {
+            None
+        };
+        if let Some(outcome) = outcome {
+            if !matches!(m, Msg::Decided { .. }) {
+                self.send_decided(ctx, from, txn, outcome);
             }
+            return;
         }
         // Learn the spec from spec-carrying messages (a recovery
         // candidate's 1a may be the first word this site ever hears of
-        // the transaction).
+        // the transaction); an election message also draws this site
+        // into the election.
         match &m {
             Msg::VoteReq { spec } | Msg::StateReq { spec, .. } | Msg::PaxosP1a { spec, .. } => {
                 self.ensure_txn(ctx.now(), spec);
+            }
+            Msg::Election { spec, .. } => {
+                self.ensure_txn(ctx.now(), spec).elector(site);
             }
             _ => {}
         }
         if !self.table.contains(txn) {
             // A message about a transaction this site knows nothing of
             // (e.g. a stray ack to a recovered coordinator): ignore.
-            return;
-        }
-
-        // Paxos acceptor role: 1a/2a address the co-located acceptor,
-        // never the participant engine. The acceptor entry is created on
-        // demand; its force-logged promise/acceptance records rebuild it
-        // after a crash ([`PaxosAcceptor::redo`]). A decided site answers with
-        // the outcome instead — an acceptor that kept promising would
-        // leave a late candidate chasing a consensus that is already
-        // over. A *remote* candidate's contact counts as coordinator
-        // liveness for the watchdog; a candidate's own broadcast must
-        // not, or a stale-ballot candidacy being ignored by every peer
-        // would pet its own watchdog forever instead of escalating.
-        if matches!(m, Msg::PaxosP1a { .. } | Msg::PaxosP2a { .. }) {
-            if let Some(outcome) = self.table.outcome(txn) {
-                self.send_decided(ctx, from, txn, outcome);
-                return;
-            }
-            if from != self.cfg.site {
-                if let Some(st) = self.table.get_mut(txn) {
-                    st.last_coord_contact = ctx.now();
-                }
-            }
-            let mut actions = self.take_actions();
-            let acceptor = self.table.acceptors.entry(txn).or_default();
-            match &m {
-                Msg::PaxosP2a { bal, votes, .. } => acceptor.on_p2a(txn, *bal, votes, &mut actions),
-                Msg::PaxosP1a { bal, .. } => acceptor.on_p1a(txn, *bal, &mut actions),
-                _ => unreachable!("matched above"),
-            }
-            self.apply_actions(ctx, txn, from, actions);
-            if matches!(m, Msg::PaxosP1a { .. }) {
-                self.arm_watchdog(ctx, txn);
-            }
             return;
         }
 
@@ -1019,14 +998,20 @@ impl SiteNode {
             _ => Version::INITIAL,
         };
 
-        // The leader, the termination round, then the participant: the
-        // order the digests pin. A straggler's `Decided` is for all
-        // three: it quietly ends a live Paxos candidacy, decides a
-        // running termination round, and the participant applies it.
+        // The leader, the termination round, the elector, then the
+        // participant: the order the digests pin. A straggler's
+        // `Decided` is for three of them: it quietly ends a live Paxos
+        // candidacy, decides a running termination round, and the
+        // participant applies it.
         let mut actions = self.take_actions();
         let catalog: &Catalog = &self.cfg.catalog;
         let st = self.table.get_mut(txn).expect("checked");
-        st.last_coord_contact = ctx.now();
+        // A candidate's own 1a/2a is no word from a coordinator: else a
+        // stale-ballot candidacy ignored by every peer would pet its own
+        // watchdog forever instead of escalating.
+        if !(to_acceptor && from == site) {
+            st.last_coord_contact = ctx.now();
+        }
         if let Some(l) = st.leader.as_mut() {
             let ectx = EngineCtx {
                 catalog,
@@ -1037,11 +1022,23 @@ impl SiteNode {
         if let Some(t) = st.termination_mut() {
             t.on_msg(from, &m, catalog, &mut actions);
         }
+        if let Some(e) = st.elector_mut() {
+            e.on_msg(from, &m, &mut actions);
+        }
         st.participant
             .on_msg(from, &m, local_max_version, &mut actions);
+        // The co-located Paxos acceptor exists from the first 1a or 2a
+        // on, apart from the entry (see `TxnTable::acceptors`).
+        if to_acceptor {
+            let acceptor = self.table.acceptors.entry(txn).or_default();
+            acceptor.on_msg(from, &m, &mut actions);
+        }
         self.apply_actions(ctx, txn, from, actions);
         self.adopt_coordinator_decision(ctx.now(), txn);
-        self.arm_watchdog(ctx, txn);
+        // Of the acceptor's messages, only a 1a arms the watchdog.
+        if !matches!(m, Msg::PaxosP2a { .. }) {
+            self.arm_watchdog(ctx, txn);
+        }
     }
 
     /// The cross-shard decision arrived at a branch site: terminate the
@@ -1222,7 +1219,9 @@ impl SiteNode {
                         | TimerKind::StateCollection { .. }
                         | TimerKind::TerminationAcks { .. }
                         | TimerKind::Paxos1bCollection { .. }
-                        | TimerKind::Paxos2bCollection { .. } => self.cfg.window_2t(),
+                        | TimerKind::Paxos2bCollection { .. }
+                        | TimerKind::ElectionAlive { .. }
+                        | TimerKind::ElectionCoordinator { .. } => self.cfg.window_2t(),
                         TimerKind::CoordinatorWatch { .. } => self.cfg.watchdog_3t(),
                         TimerKind::BlockedRetry { .. } => self.cfg.blocked_retry(),
                         TimerKind::XVoteCollection { .. } => self.cfg.x_window(),
@@ -1232,6 +1231,7 @@ impl SiteNode {
                 Action::RequestTermination { txn } => {
                     self.start_termination_election(ctx, txn);
                 }
+                Action::Elected { txn } => self.start_termination_round(ctx, txn),
                 Action::DeclareBlocked { txn } => {
                     if let Some(st) = self.table.get_mut(txn) {
                         st.set_blocked(true);
@@ -1425,21 +1425,33 @@ impl Process for SiteNode {
             .retire_due(ctx.now(), |gate| log.closed(gate).is_some());
         match timer {
             NodeTimer::Proto(kind) => match kind {
+                TimerKind::CoordinatorWatch { txn } => self.on_watchdog(ctx, txn),
+                TimerKind::XVoteCollection { txn } => {
+                    self.step_x(ctx, txn, |x, out| x.on_timer(kind, out));
+                }
+                TimerKind::BlockedRetry { txn } => self.start_termination_election(ctx, txn),
                 TimerKind::VoteCollection { txn }
                 | TimerKind::AckCollection { txn }
+                | TimerKind::StateCollection { txn, .. }
+                | TimerKind::TerminationAcks { txn, .. }
                 | TimerKind::Paxos1bCollection { txn, .. }
-                | TimerKind::Paxos2bCollection { txn, .. } => {
-                    // The Paxos round timers are guarded on the undecided
-                    // state: a leader stuck in `Proposing` after a
-                    // higher-ballot candidate already decided would
-                    // otherwise re-broadcast forever. They decide nothing,
-                    // so there is no decision to adopt after them.
-                    let paxos_round = matches!(
+                | TimerKind::Paxos2bCollection { txn, .. }
+                | TimerKind::ElectionAlive { txn, .. }
+                | TimerKind::ElectionCoordinator { txn, .. } => {
+                    // Paxos round and election windows skip a decided
+                    // entry: a leader stuck in `Proposing` after a
+                    // higher-ballot candidate decided would re-broadcast
+                    // forever, an elector elect for nothing. Only the
+                    // commit coordinator's own windows decide a leader.
+                    let undecided_only = matches!(
                         kind,
-                        TimerKind::Paxos1bCollection { .. } | TimerKind::Paxos2bCollection { .. }
+                        TimerKind::Paxos1bCollection { .. }
+                            | TimerKind::Paxos2bCollection { .. }
+                            | TimerKind::ElectionAlive { .. }
+                            | TimerKind::ElectionCoordinator { .. }
                     );
                     self.step(ctx, txn, |st, catalog, out| {
-                        if paxos_round && st.decided.is_some() {
+                        if undecided_only && st.decided.is_some() {
                             return;
                         }
                         if let Some(l) = st.leader.as_mut() {
@@ -1449,25 +1461,21 @@ impl Process for SiteNode {
                             };
                             l.on_timer(kind, &ectx, out);
                         }
-                    });
-                    if !paxos_round {
-                        self.adopt_coordinator_decision(ctx.now(), txn);
-                    }
-                }
-                TimerKind::StateCollection { txn, .. } | TimerKind::TerminationAcks { txn, .. } => {
-                    self.step(ctx, txn, |st, catalog, out| {
                         if let Some(t) = st.termination_mut() {
                             t.on_timer(kind, catalog, out);
                         }
-                    })
+                        if let Some(e) = st.elector_mut() {
+                            e.on_timer(kind, out);
+                        }
+                    });
+                    if matches!(
+                        kind,
+                        TimerKind::VoteCollection { .. } | TimerKind::AckCollection { .. }
+                    ) {
+                        self.adopt_coordinator_decision(ctx.now(), txn);
+                    }
                 }
-                TimerKind::CoordinatorWatch { txn } => self.on_watchdog(ctx, txn),
-                TimerKind::XVoteCollection { txn } => {
-                    self.step_x(ctx, txn, |x, out| x.on_timer(kind, out));
-                }
-                TimerKind::BlockedRetry { txn } => self.start_termination_election(ctx, txn),
             },
-            NodeTimer::Election { txn, timer } => self.on_election_timer(ctx, txn, timer),
             NodeTimer::ReadTimeout { req_id } => {
                 let (reads, mut site) = self.read_site(ctx);
                 reads.on_timeout(&mut site, req_id);

@@ -37,11 +37,11 @@
 use crate::config::NodeConfig;
 use crate::escalation::Escalation;
 use crate::outcome_ring::Ring;
+use qbc_core::election::Elector;
 use qbc_core::{
     CommitEngine, Decision, LocalState, Msg, Participant, PaxosAcceptor, RetiredOutcome,
     Termination, TxnId, TxnSpec, XRetiredOutcome, XTxnCoordinator,
 };
-use qbc_election::Elector;
 use qbc_simnet::{Duration, FastHasher, Fingerprint, SiteId, Time};
 use qbc_storage::Lsn;
 use qbc_votes::{FastMap, Version};
@@ -163,11 +163,11 @@ impl TxnState {
 
     /// This site's elector for the transaction, created on first use.
     pub(crate) fn elector(&mut self, site: SiteId) -> &mut Elector {
-        let participants = &self.spec.participants;
+        let spec = &self.spec;
         let escalation = self.escalation.get_or_insert_with(Box::default);
         escalation
             .elector
-            .get_or_insert_with(|| Box::new(Elector::new(site, participants.clone())))
+            .get_or_insert_with(|| Box::new(Elector::new(site, Arc::clone(spec))))
     }
 }
 

@@ -12,9 +12,9 @@
 //! `DECIDED`, and both carry the same pair. After the aging horizon the
 //! questions that carry no spec meet silence.
 
+use qbc_core::election::ElectionMsg;
 use qbc_core::{Decision, LogRecord, Msg, ProtocolKind, TxnId, TxnSpec, WriteSet};
 use qbc_db::{NetMsg, NodeConfig, SiteNode};
-use qbc_election::ElectionMsg;
 use qbc_simnet::{sites, Duration, NodeDriver, Process, SiteId, Time};
 use qbc_storage::Lsn;
 use qbc_votes::{Catalog, CatalogBuilder, ItemId, Version};
@@ -175,11 +175,11 @@ impl Sites {
     fn stragglers(&mut self) -> Vec<Told> {
         let t1 = Arc::new(spec(T1, X, ProtocolKind::QuorumCommit2));
         let t2 = Arc::new(spec(T2, Y, ProtocolKind::PaxosCommit));
-        let election = NetMsg::Election {
+        let election = proto(Msg::Election {
             txn: T1,
             spec: Arc::clone(&t1),
             msg: ElectionMsg::Election { round: 1 },
-        };
+        });
         let (parent_ask, sibling_ask, late_vote) = t3_stragglers();
         vec![
             // A termination coordinator's STATE-REQ to a participant.

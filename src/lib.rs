@@ -18,8 +18,8 @@
 
 pub use qbc_cluster as cluster;
 pub use qbc_core as core;
+pub use qbc_core::election;
 pub use qbc_db as db;
-pub use qbc_election as election;
 pub use qbc_harness as harness;
 pub use qbc_locks as locks;
 pub use qbc_simnet as simnet;
