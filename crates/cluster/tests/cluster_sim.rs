@@ -118,8 +118,11 @@ fn four_shard_cluster_commits_under_load() {
 }
 
 /// `coord-kill`'s shape in virtual time: site 0, a coordinator of shard
-/// 0, crashes mid-stream, for every seed, replication, crash instant and
-/// whether it recovers. Every row stays atomic with no engine violation.
+/// 0, crashes mid-stream, for every seed, replication, crash instant,
+/// whether it recovers and whether the log runs group commit (a 2-tick
+/// force behind a window, as `coord-kill` does; at replication 2 that
+/// puts coordinators without a copy behind closed gates). Every row
+/// stays atomic with no engine violation.
 /// A recovered cluster decides everything it accepted and resolves every
 /// handle. With the coordinator down for good, shard 0 may block (at
 /// replication 2 a lone survivor holds no quorum), so its undecided
@@ -131,20 +134,35 @@ fn coordinator_crash_mid_stream_keeps_the_cluster_atomic() {
         for replication in [2, 3] {
             for crash_at in [300, 600, 1_000] {
                 for recovers in [true, false] {
-                    coordinator_crash_row(seed, replication, crash_at, recovers);
+                    for group_commit in [false, true] {
+                        coordinator_crash_row(seed, replication, crash_at, recovers, group_commit);
+                    }
                 }
             }
         }
     }
 }
 
-fn coordinator_crash_row(seed: u64, replication: u32, crash_at: u64, recovers: bool) {
-    let row = format!("seed {seed}, r{replication}, crash at {crash_at}, recovers {recovers}");
-    let mut cluster = SimCluster::new(ClusterConfig {
+fn coordinator_crash_row(
+    seed: u64,
+    replication: u32,
+    crash_at: u64,
+    recovers: bool,
+    group_commit: bool,
+) {
+    let row = format!(
+        "seed {seed}, r{replication}, crash at {crash_at}, recovers {recovers}, \
+         group commit {group_commit}"
+    );
+    let mut cfg = ClusterConfig {
         seed,
         replication,
         ..Default::default()
-    });
+    };
+    if group_commit {
+        cfg = cfg.with_group_commit().with_force_latency(Duration(2));
+    }
+    let mut cluster = SimCluster::new(cfg);
     let shards = cluster.map().shards();
     for k in 0..50u64 {
         let shard = ShardId((k % shards as u64) as u32);

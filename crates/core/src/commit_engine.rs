@@ -31,8 +31,9 @@
 
 use crate::actions::{Action, TimerKind};
 use crate::coordinator::{CoordPhase, Coordinator};
+use crate::log::LogRecord;
 use crate::messages::Msg;
-use crate::types::Decision;
+use crate::types::{Decision, TxnSpec};
 use qbc_simnet::SiteId;
 use qbc_votes::{Catalog, Version};
 
@@ -55,6 +56,10 @@ pub struct EngineCtx<'a> {
 /// buffers, so the steady-state message path performs no allocation per
 /// event. Engines only ever *push* — they must not read, clear, or
 /// reorder what the caller already buffered.
+///
+/// A leader at a coordinator that holds no copy of the writeset
+/// (Example 3's s1) applies its own decision: the event that decides
+/// ends with an [`Action::ApplyAndDecide`] for the site.
 pub trait CommitEngine: qbc_simnet::Fingerprint + std::fmt::Debug + Send {
     /// Kicks the engine off.
     fn start(&mut self, out: &mut Vec<Action>);
@@ -74,6 +79,71 @@ pub trait CommitEngine: qbc_simnet::Fingerprint + std::fmt::Debug + Send {
 
     /// A boxed copy of this engine.
     fn clone_box(&self) -> Box<dyn CommitEngine>;
+}
+
+/// A leader's decision: force-log it, then command every participant;
+/// a branch aborting before its yes vote (`abort_upward`) tells the
+/// parent too. The event ends with [`apply_at_copyless_coordinator`]
+/// where the leader runs at the coordinator (`at_coordinator` is false
+/// only for a Paxos recovery candidate, which runs at a participant).
+pub(crate) fn push_decision(
+    spec: &TxnSpec,
+    decision: Decision,
+    commit_version: Option<Version>,
+    abort_upward: bool,
+    at_coordinator: bool,
+    out: &mut Vec<Action>,
+) {
+    let txn = spec.id;
+    let (commit_version, command) = match decision {
+        Decision::Commit => {
+            let v = commit_version.expect("commit implies version");
+            (
+                Some(v),
+                Msg::Commit {
+                    txn,
+                    commit_version: v,
+                },
+            )
+        }
+        Decision::Abort => (None, Msg::Abort { txn }),
+    };
+    out.push(Action::Log(LogRecord::Decided {
+        txn,
+        decision,
+        commit_version,
+    }));
+    let everyone = spec.participants.iter().copied().collect();
+    out.push(Action::Broadcast(everyone, command));
+    if let Some(parent) = spec.parent.filter(|_| abort_upward) {
+        let no = Msg::XVote {
+            txn,
+            yes: false,
+            commit_version: None,
+        };
+        out.push(Action::Send(parent, no));
+    }
+    if at_coordinator {
+        apply_at_copyless_coordinator(spec, decision, commit_version, out);
+    }
+}
+
+/// At a coordinator that holds no copy of `spec`'s writeset, which is
+/// sent none of the commands it broadcasts, the site applies `decision`
+/// itself, behind the durability gate a participant's application takes.
+pub(crate) fn apply_at_copyless_coordinator(
+    spec: &TxnSpec,
+    decision: Decision,
+    commit_version: Option<Version>,
+    out: &mut Vec<Action>,
+) {
+    if !spec.participants.contains(&spec.coordinator) {
+        let commit_version = commit_version.filter(|_| decision == Decision::Commit);
+        out.push(Action::ApplyAndDecide {
+            decision,
+            commit_version,
+        });
+    }
 }
 
 impl Clone for Box<dyn CommitEngine> {
@@ -248,5 +318,188 @@ mod tests {
         candidate.on_timer(TimerKind::Paxos1bCollection { txn, bal: 5 }, &ctx, &mut out);
         candidate.on_timer(TimerKind::Paxos2bCollection { txn, bal: 5 }, &ctx, &mut out);
         assert!(out.is_empty(), "a decided candidate stays quiet: {out:?}");
+    }
+
+    /// `spec(protocol)` coordinated at `coordinator`, under `parent` if
+    /// any.
+    fn spec_at(protocol: ProtocolKind, coordinator: u32, parent: Option<u32>) -> Arc<TxnSpec> {
+        Arc::new(TxnSpec {
+            coordinator: SiteId(coordinator),
+            parent: parent.map(SiteId),
+            ..(*spec(protocol)).clone()
+        })
+    }
+
+    /// Starts `leader`, feeds it `events` and returns what the last
+    /// one pushed.
+    fn last_event(leader: &mut dyn CommitEngine, events: &[(u32, Msg)]) -> Vec<Action> {
+        let cat = catalog();
+        let ctx = EngineCtx {
+            catalog: &cat,
+            local_max_version: Version(0),
+        };
+        let mut out = Vec::new();
+        leader.start(&mut out);
+        for (from, msg) in events {
+            out.clear();
+            leader.on_msg(SiteId(*from), msg, &ctx, &mut out);
+        }
+        out
+    }
+
+    fn no_vote(s: u32) -> (u32, Msg) {
+        let (txn, yes, max_version) = (TxnId(1), false, Version(0));
+        (
+            s,
+            Msg::Vote {
+                txn,
+                yes,
+                max_version,
+            },
+        )
+    }
+
+    /// The events that take `protocol`'s leader to a commit, or to an
+    /// abort: every vote yes then the commit point's acks, or one no.
+    fn run_to(protocol: ProtocolKind, commit: bool) -> Vec<(u32, Msg)> {
+        if !commit {
+            return vec![no_vote(0)];
+        }
+        let mut events: Vec<_> = (0..3).map(|s| (s, vote(s))).collect();
+        let txn = TxnId(1);
+        match protocol {
+            ProtocolKind::QuorumCommit2 => events.extend((0..2).map(|s| (s, Msg::PcAck { txn }))),
+            ProtocolKind::PaxosCommit => {
+                let votes = Vec::new();
+                let p2b = Msg::PaxosP2b { txn, bal: 0, votes };
+                events.extend((0..2).map(|s| (s, p2b.clone())));
+            }
+            _ => {}
+        }
+        events
+    }
+
+    fn leader(protocol: ProtocolKind, spec: Arc<TxnSpec>) -> Box<dyn CommitEngine> {
+        match protocol {
+            ProtocolKind::PaxosCommit => Box::new(PaxosLeader::new(spec)),
+            _ => Box::new(Coordinator::new(spec, None)),
+        }
+    }
+
+    fn applies(out: &[Action]) -> usize {
+        let apply = |a: &&Action| matches!(a, Action::ApplyAndDecide { .. });
+        out.iter().filter(apply).count()
+    }
+
+    /// A leader at a coordinator that holds no copy (site 9; the copies
+    /// are at 0–2) ends the deciding event with one `ApplyAndDecide`,
+    /// after its `Decided` record and its command; at a coordinator
+    /// that holds a copy the same event pushes none.
+    #[test]
+    fn a_copyless_coordinator_applies_its_own_decision() {
+        let two_pc = ProtocolKind::TwoPhase;
+        let qc2 = ProtocolKind::QuorumCommit2;
+        let paxos = ProtocolKind::PaxosCommit;
+        for protocol in [two_pc, qc2, paxos] {
+            for commit in [true, false] {
+                let row = format!("{protocol:?}, commit {commit}");
+                let events = run_to(protocol, commit);
+                let mut copyless = leader(protocol, spec_at(protocol, 9, None));
+                let out = last_event(copyless.as_mut(), &events);
+                let (decision, commit_version) = match commit {
+                    true => (Decision::Commit, Some(Version(3))),
+                    false => (Decision::Abort, None),
+                };
+                let logged = |a: &Action| matches!(a, Action::Log(LogRecord::Decided { decision: d, .. }) if *d == decision);
+                let apply = Action::ApplyAndDecide {
+                    decision,
+                    commit_version,
+                };
+                assert_eq!(out.len(), 3, "{row}: {out:?}");
+                assert!(logged(&out[0]), "{row}: {out:?}");
+                assert!(matches!(out[1], Action::Broadcast(..)), "{row}: {out:?}");
+                assert_eq!(out[2], apply, "{row}");
+                let mut holder = leader(protocol, spec_at(protocol, 0, None));
+                let out = last_event(holder.as_mut(), &events);
+                assert_eq!(out.len(), 2, "{row}: {out:?}");
+                assert_eq!(applies(&out), 0, "{row}: {out:?}");
+            }
+        }
+        // A branch's upward no comes before the application.
+        let mut branch = leader(two_pc, spec_at(two_pc, 9, Some(7)));
+        let out = last_event(branch.as_mut(), &[no_vote(0)]);
+        assert!(
+            matches!(
+                out.as_slice(),
+                [
+                    Action::Log(_),
+                    Action::Broadcast(..),
+                    Action::Send(SiteId(7), Msg::XVote { yes: false, .. }),
+                    Action::ApplyAndDecide {
+                        decision: Decision::Abort,
+                        commit_version: None
+                    }
+                ]
+            ),
+            "{out:?}"
+        );
+        // A ballot-0 leader that adopts a straggler's outcome applies it
+        // too; it logs and commands nothing.
+        let decided = Msg::Decided {
+            txn: TxnId(1),
+            decision: Decision::Commit,
+            commit_version: Some(Version(4)),
+        };
+        let mut copyless = leader(paxos, spec_at(paxos, 9, None));
+        let out = last_event(copyless.as_mut(), &[(2, decided)]);
+        let apply = Action::ApplyAndDecide {
+            decision: Decision::Commit,
+            commit_version: Some(Version(4)),
+        };
+        assert_eq!(out, vec![apply]);
+    }
+
+    /// A Paxos recovery candidate runs at a participant, which its own
+    /// command reaches: even for a coordinator without a copy it decides
+    /// (commit on an adopted all-prepared batch, abort on an empty
+    /// Phase 1) and adopts without an `ApplyAndDecide`.
+    #[test]
+    fn a_recovery_candidate_applies_nothing_itself() {
+        let paxos = ProtocolKind::PaxosCommit;
+        let (txn, bal) = (TxnId(1), 5);
+        for commit in [true, false] {
+            let accepted: Vec<_> = match commit {
+                true => (0..3)
+                    .map(|s| (SiteId(s), 0, true, Version(s.into())))
+                    .collect(),
+                false => Vec::new(),
+            };
+            let p1b = Msg::PaxosP1b { txn, bal, accepted };
+            let p2b = Msg::PaxosP2b {
+                txn,
+                bal,
+                votes: Vec::new(),
+            };
+            let events = [(0, p1b.clone()), (1, p1b), (0, p2b.clone()), (1, p2b)];
+            let mut candidate = PaxosLeader::recover(spec_at(paxos, 9, None), bal);
+            let out = last_event(&mut candidate, &events);
+            let decision = if commit {
+                Decision::Commit
+            } else {
+                Decision::Abort
+            };
+            assert_eq!(candidate.decision(), Some(decision));
+            assert!(
+                matches!(out.as_slice(), [Action::Log(_), Action::Broadcast(..)]),
+                "commit {commit}: {out:?}"
+            );
+        }
+        let decided = Msg::Decided {
+            txn,
+            decision: Decision::Abort,
+            commit_version: None,
+        };
+        let mut candidate = PaxosLeader::recover(spec_at(paxos, 9, None), bal);
+        assert_eq!(last_event(&mut candidate, &[(2, decided)]), vec![]);
     }
 }

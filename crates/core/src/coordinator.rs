@@ -19,6 +19,7 @@
 //!   protocol 1" (§3.2).
 
 use crate::actions::{Action, TimerKind};
+use crate::commit_engine::push_decision;
 use crate::inline_vec::InlineVec;
 use crate::log::LogRecord;
 use crate::messages::Msg;
@@ -317,17 +318,8 @@ impl Coordinator {
     /// yes from this shard. A plain transaction aborts exactly as
     /// before; a branch additionally reports the no vote upward.
     fn abort_unilaterally(&mut self, out: &mut Vec<Action>) {
-        self.decide(Decision::Abort, out);
-        if let Some(parent) = self.spec.parent {
-            out.push(Action::Send(
-                parent,
-                Msg::XVote {
-                    txn: self.spec.id,
-                    yes: false,
-                    commit_version: None,
-                },
-            ));
-        }
+        self.phase = CoordPhase::Decided(Decision::Abort);
+        push_decision(&self.spec, Decision::Abort, None, true, true, out);
     }
 
     /// The cross-shard decision arrived (branches only): terminate the
@@ -390,35 +382,7 @@ impl Coordinator {
     /// Commits or aborts: force-log the decision, then command everyone.
     fn decide(&mut self, decision: Decision, out: &mut Vec<Action>) {
         self.phase = CoordPhase::Decided(decision);
-        let everyone: Vec<SiteId> = self.spec.participants.iter().copied().collect();
-        match decision {
-            Decision::Commit => {
-                let v = self.commit_version.expect("commit implies version");
-                out.push(Action::Log(LogRecord::Decided {
-                    txn: self.spec.id,
-                    decision,
-                    commit_version: Some(v),
-                }));
-                out.push(Action::Broadcast(
-                    everyone,
-                    Msg::Commit {
-                        txn: self.spec.id,
-                        commit_version: v,
-                    },
-                ));
-            }
-            Decision::Abort => {
-                out.push(Action::Log(LogRecord::Decided {
-                    txn: self.spec.id,
-                    decision,
-                    commit_version: None,
-                }));
-                out.push(Action::Broadcast(
-                    everyone,
-                    Msg::Abort { txn: self.spec.id },
-                ));
-            }
-        }
+        push_decision(&self.spec, decision, self.commit_version, false, true, out);
     }
 
     /// Vote-collection window expired.

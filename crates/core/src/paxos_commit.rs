@@ -34,7 +34,7 @@
 //! demonstrates.
 
 use crate::actions::{Action, TimerKind};
-use crate::commit_engine::{CommitEngine, EngineCtx};
+use crate::commit_engine::{apply_at_copyless_coordinator, push_decision, CommitEngine, EngineCtx};
 use crate::log::LogRecord;
 use crate::messages::Msg;
 use crate::types::{Decision, TxnId, TxnSpec};
@@ -417,8 +417,14 @@ impl PaxosLeader {
 
     /// Another engine (a higher-ballot candidate, or a decided
     /// straggler's re-announcement) already terminated the transaction:
-    /// adopt the outcome without re-commanding anyone.
-    pub(crate) fn adopt_decision(&mut self, decision: Decision, commit_version: Option<Version>) {
+    /// adopt the outcome without re-commanding anyone. A ballot-0 leader
+    /// at a coordinator without a copy still applies it here.
+    pub(crate) fn adopt_decision(
+        &mut self,
+        decision: Decision,
+        commit_version: Option<Version>,
+        out: &mut Vec<Action>,
+    ) {
         if matches!(self.phase, PaxosPhase::Decided(_)) {
             return;
         }
@@ -426,6 +432,9 @@ impl PaxosLeader {
             self.commit_version = commit_version;
         }
         self.phase = PaxosPhase::Decided(decision);
+        if self.bal == 0 {
+            apply_at_copyless_coordinator(&self.spec, decision, self.commit_version, out);
+        }
     }
 
     fn hold_and_vote_yes(&mut self, out: &mut Vec<Action>) {
@@ -442,17 +451,8 @@ impl PaxosLeader {
     }
 
     fn abort_unilaterally(&mut self, out: &mut Vec<Action>) {
-        self.decide(Decision::Abort, out);
-        if let Some(parent) = self.spec.parent {
-            out.push(Action::Send(
-                parent,
-                Msg::XVote {
-                    txn: self.spec.id,
-                    yes: false,
-                    commit_version: None,
-                },
-            ));
-        }
+        self.phase = PaxosPhase::Decided(Decision::Abort);
+        push_decision(&self.spec, Decision::Abort, None, true, self.bal == 0, out);
     }
 
     fn decision_reply(&self, d: Decision) -> Action {
@@ -468,34 +468,15 @@ impl PaxosLeader {
     /// Force-log the decision, then command every participant.
     fn decide(&mut self, decision: Decision, out: &mut Vec<Action>) {
         self.phase = PaxosPhase::Decided(decision);
-        match decision {
-            Decision::Commit => {
-                let v = self.commit_version.expect("commit implies version");
-                out.push(Action::Log(LogRecord::Decided {
-                    txn: self.spec.id,
-                    decision,
-                    commit_version: Some(v),
-                }));
-                out.push(Action::Broadcast(
-                    self.everyone(),
-                    Msg::Commit {
-                        txn: self.spec.id,
-                        commit_version: v,
-                    },
-                ));
-            }
-            Decision::Abort => {
-                out.push(Action::Log(LogRecord::Decided {
-                    txn: self.spec.id,
-                    decision,
-                    commit_version: None,
-                }));
-                out.push(Action::Broadcast(
-                    self.everyone(),
-                    Msg::Abort { txn: self.spec.id },
-                ));
-            }
-        }
+        let at_coordinator = self.bal == 0;
+        push_decision(
+            &self.spec,
+            decision,
+            self.commit_version,
+            false,
+            at_coordinator,
+            out,
+        );
     }
 }
 
@@ -615,7 +596,7 @@ impl CommitEngine for PaxosLeader {
                 decision,
                 commit_version,
                 ..
-            } => self.adopt_decision(*decision, *commit_version),
+            } => self.adopt_decision(*decision, *commit_version, out),
             _ => {}
         }
     }

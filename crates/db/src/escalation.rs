@@ -8,8 +8,8 @@
 //! blocked one retries on a timer when so configured). Under Paxos
 //! Commit any participant stands as a recovery candidate instead. A
 //! branch of a cross-shard transaction may not terminate in-shard: it
-//! asks the parent, and its sibling branch coordinators, for the
-//! outcome.
+//! asks the parent and its sibling branch coordinators for the outcome
+//! (`discover_outcome`, in `xrelay.rs`).
 //!
 //! What this needs per transaction is [`Escalation`], a second box of
 //! the `TxnState` that most transactions never allocate; the functions
@@ -24,7 +24,7 @@ use crate::envelope::{NetMsg, NodeTimer};
 use crate::node::SiteNode;
 use qbc_core::election::Elector;
 use qbc_core::{
-    recovery_ballot, LocalState, Msg, PaxosLeader, ProtocolKind, Termination, TimerKind, TxnId,
+    recovery_ballot, LocalState, PaxosLeader, ProtocolKind, Termination, TimerKind, TxnId,
 };
 use qbc_obs::EventKind;
 use qbc_simnet::{Ctx, SiteId};
@@ -117,28 +117,6 @@ impl SiteNode {
         }
         self.apply_actions(ctx, txn, site, actions);
         self.arm_watchdog(ctx, txn);
-    }
-
-    /// Orphan outcome discovery for a branch of a cross-shard
-    /// transaction: `X-OUTCOME-REQ` to the parent first, then to every
-    /// sibling branch coordinator (cooperative discovery), skipping the
-    /// parent (no duplicate ask when a sibling's coordinator *is* the
-    /// parent's site) and this site itself.
-    fn discover_outcome(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        txn: TxnId,
-        parent: SiteId,
-    ) {
-        let site = self.cfg.site;
-        let siblings = self.table.get(txn).map_or(&[][..], |st| st.x_siblings());
-        let mut targets = vec![parent];
-        targets.extend(siblings.iter().filter(|&&s| s != parent && s != site));
-        for to in targets {
-            self.send_net(ctx, to, NetMsg::Proto(Msg::XOutcomeReq { txn }));
-        }
-        self.cfg
-            .emit(ctx.now(), Some(txn), EventKind::OutcomeDiscoveryOut);
     }
 
     /// Escalates an undecided `txn` that has rounds left: outcome

@@ -33,6 +33,7 @@ mod outcome_ring;
 mod reads;
 mod recovery;
 mod txn_table;
+mod xrelay;
 
 pub use config::{Mutation, NodeConfig, WalBackendConfig};
 pub use envelope::{NetMsg, NodeTimer};

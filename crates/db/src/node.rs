@@ -38,28 +38,28 @@
 //!
 //! This file hosts the site itself: message and timer dispatch, the
 //! durability gating of sends and decision applications, the one path
-//! that marks a transaction decided (`apply_decision`), checkpoints,
-//! and the cross-shard relay (`begin_xshard`, `start_branch`,
-//! `handle_x_decide`). Dispatch does not route by message or timer:
-//! every engine takes events the way the leader slot does (see
-//! [`CommitEngine`]), ignoring other roles' events, so `handle_proto`
-//! feeds a message, and `on_timer` a protocol timer, to every engine
-//! the transaction's entry holds, and a site that knows the outcome
-//! answers stragglers with it in one place. Two parts live beside it
-//! as further `impl SiteNode` blocks: the watchdog and the start of an
-//! election or of a termination round, with their `Escalation` state,
-//! in `escalation.rs`, and restart's one walk over the log in
-//! `recovery.rs`.
+//! that marks a transaction decided (`apply_decision`) and checkpoints.
+//! Dispatch does not route by message or timer: every engine takes
+//! events the way the leader slot does (see [`CommitEngine`]), ignoring
+//! other roles' events, so `handle_proto` feeds a message, and
+//! `on_timer` a protocol timer, to every engine the transaction's entry
+//! holds, and a site that knows the outcome answers stragglers with it
+//! in one place. A leader at a coordinator without a copy applies its
+//! own decision through [`Action::ApplyAndDecide`], as a participant
+//! does. Three parts live beside it as further `impl SiteNode` blocks:
+//! the watchdog and the start of an election or of a termination round
+//! in `escalation.rs`, restart's one walk over the log in
+//! `recovery.rs`, and the cross-shard relay in `xrelay.rs`.
 
 use crate::config::{Mutation, NodeConfig};
 use crate::durable_log::{DeferredOp, DurableLog};
 use crate::envelope::{NetMsg, NodeTimer};
 use crate::reads::{local_max_version, ReadEvent, ReadResult, ReadSite, Reads};
-use crate::txn_table::{Outcome, TxnState, TxnTable, XCoord};
+use crate::txn_table::{Outcome, TxnState, TxnTable};
 use qbc_core::{
     Action, CommitEngine, Coordinator, Decision, EngineCtx, LocalState, LogRecord, Msg,
     Participant, ParticipantConfig, PaxosLeader, ProtocolKind, TimerKind, Transition, TxnId,
-    TxnSpec, WriteSet, XTxnCoordinator,
+    TxnSpec, WriteSet,
 };
 use qbc_locks::{LockManager, LockMode};
 use qbc_obs::EventKind;
@@ -336,13 +336,6 @@ impl SiteNode {
         self.reads.drain_events(out);
     }
 
-    /// The shard watermark this site currently serves snapshot reads
-    /// at: its own watermark bounded by the latest one heard from every
-    /// copy-sharing peer (unheard peers count as [`Version::INITIAL`]).
-    pub fn shard_watermark(&self) -> Version {
-        self.reads.shard_watermark()
-    }
-
     /// The durable log, read back one record at a time (for experiments
     /// and tests).
     pub fn log_records(&self) -> impl Iterator<Item = LogRecord> + '_ {
@@ -355,11 +348,6 @@ impl SiteNode {
     /// recovered sites, so it never re-issues an id.
     pub fn first_fresh_txn(&self) -> u64 {
         self.max_recovered_txn.map_or(1, |t| t.0 + 1)
-    }
-
-    /// Number of termination rounds this site initiated for `txn`.
-    pub fn termination_rounds(&self, txn: TxnId) -> u64 {
-        self.table.get(txn).map_or(0, |t| t.termination_rounds())
     }
 
     /// Number of WAL forces this site has paid (one per flush; with
@@ -429,7 +417,7 @@ impl SiteNode {
     /// Installs this site as the driving engine of `spec` — a Paxos
     /// Commit leader at ballot 0 or a commit coordinator, with the
     /// configured test mutation — and returns what its start does.
-    fn start_leader(&mut self, spec: Arc<TxnSpec>) -> Vec<Action> {
+    pub(crate) fn start_leader(&mut self, spec: Arc<TxnSpec>) -> Vec<Action> {
         let txn = spec.id;
         let leader: Box<dyn CommitEngine> = if spec.protocol == ProtocolKind::PaxosCommit {
             self.paxos_leader(PaxosLeader::new(spec))
@@ -465,70 +453,6 @@ impl SiteNode {
         leader.start(&mut actions);
         self.table.get_mut(txn).expect("ensured").leader = Some(leader);
         actions
-    }
-
-    /// Submits a *cross-shard* transaction at this site (this site runs
-    /// the top-level 2PC over the given per-shard branches and also
-    /// coordinates the branch whose spec names it).
-    ///
-    /// The branch specs are pre-split by the cluster layer — only it
-    /// holds every shard's catalog — each with `parent` set to this
-    /// site. Invoke inside the simulation via `Sim::schedule_call`, or
-    /// over the wire via [`NetMsg::BeginXTxn`].
-    pub fn begin_xshard(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        txn: TxnId,
-        branches: Vec<Arc<TxnSpec>>,
-    ) {
-        if self.table.x_known(txn) {
-            return; // duplicate submission
-        }
-        if let Some(b) = branches.first() {
-            self.cfg.emit(
-                ctx.now(),
-                Some(txn),
-                EventKind::Submitted {
-                    protocol: b.protocol,
-                },
-            );
-        }
-        self.table
-            .insert_x(txn, XTxnCoordinator::new(txn, branches));
-        self.step_x(ctx, txn, |x, out| x.start(out));
-        self.pump(ctx);
-    }
-
-    /// Starts coordinating one branch of a cross-shard transaction
-    /// (`X-BRANCH-REQ` arrived, possibly self-addressed).
-    fn start_branch(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        spec: &Arc<TxnSpec>,
-        siblings: &[SiteId],
-    ) {
-        debug_assert_eq!(spec.coordinator, self.cfg.site, "misrouted X-BRANCH-REQ");
-        debug_assert!(self.cfg.validate_for(spec.protocol).is_ok());
-        let txn = spec.id;
-        if self.table.retired_outcome(txn).is_some() {
-            return; // long decided; duplicate request
-        }
-        let st = self.ensure_txn(ctx.now(), spec);
-        // Remember the sibling coordinators even on a duplicate request:
-        // a retried solicitation may be the first one that arrives after
-        // this entry was created by an in-shard message.
-        st.escalation_mut().x_siblings = siblings.to_vec();
-        if st.leader.is_some() || st.decided.is_some() {
-            return; // duplicate request
-        }
-        // A Paxos branch behaves like 2PC toward the parent: all yes →
-        // held + X-VOTE yes; the parent is the only outcome authority,
-        // so no Paxos rounds ever run in-shard.
-        let actions = self.start_leader(Arc::clone(spec));
-        self.apply_actions(ctx, txn, self.cfg.site, actions);
-        // A held branch coordinator may be left orphaned by a crashed
-        // parent: the watchdog drives its outcome discovery.
-        self.arm_watchdog(ctx, txn);
     }
 
     /// Starts a quorum read of `item`, collecting `r(item)` votes.
@@ -894,42 +818,16 @@ impl SiteNode {
         self.send_net(ctx, to, NetMsg::Proto(reply));
     }
 
-    /// One protocol message. Cross-shard messages are dispatched first,
-    /// and a site that knows the outcome answers stragglers with it;
-    /// every other message goes to each engine of the live entry, which
-    /// ignores what is not its role's.
+    /// One protocol message. The cross-shard relay takes its messages
+    /// first, and a site that knows the outcome answers stragglers with
+    /// it; every other message goes to each engine of the live entry,
+    /// which ignores what is not its role's.
     fn handle_proto(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, from: SiteId, m: Msg) {
-        let (txn, site) = (m.txn(), self.cfg.site);
-        // Cross-shard messages first: they address the X coordinator or
-        // the branch machinery, not the per-transaction participant
-        // table (and must work even when that table knows nothing yet).
-        match &m {
-            Msg::XBranchReq { spec, siblings } => {
-                self.start_branch(ctx, spec, siblings);
-                return;
-            }
-            Msg::XVote { .. } | Msg::XOutcomeReq { .. } => {
-                if !self.step_x(ctx, txn, |x, out| x.on_msg(from, &m, out)) {
-                    // Not the parent: a retired coordination, or (asked
-                    // for the outcome) cooperative discovery from a
-                    // decided branch.
-                    let cooperative = matches!(m, Msg::XOutcomeReq { .. });
-                    if let Some(reply) = self.table.x_reply(txn, from, cooperative) {
-                        self.send_net(ctx, from, NetMsg::Proto(reply));
-                    }
-                }
-                return;
-            }
-            Msg::XDecide {
-                decision,
-                commit_version,
-                ..
-            } => {
-                self.handle_x_decide(ctx, from, txn, *decision, *commit_version);
-                return;
-            }
-            _ => {}
+        // Cross-shard messages first (`xrelay.rs`).
+        if self.handle_x(ctx, from, &m) {
+            return;
         }
+        let (txn, site) = (m.txn(), self.cfg.site);
         // A site that knows the outcome answers a straggler with it
         // instead of resurrecting state: a retired transaction answers
         // every message but `Decided` (no echo into a reply loop), a
@@ -1034,116 +932,10 @@ impl SiteNode {
             acceptor.on_msg(from, &m, &mut actions);
         }
         self.apply_actions(ctx, txn, from, actions);
-        self.adopt_coordinator_decision(ctx.now(), txn);
         // Of the acceptor's messages, only a 1a arms the watchdog.
         if !matches!(m, Msg::PaxosP2a { .. }) {
             self.arm_watchdog(ctx, txn);
         }
-    }
-
-    /// The cross-shard decision arrived at a branch site: terminate the
-    /// branch with the parent's outcome. At the branch coordinator the
-    /// engine broadcasts the command in-shard; a site without an engine
-    /// (a recovered coordinator, or a discovering participant) applies
-    /// or relays it directly. Idempotent once decided.
-    fn handle_x_decide(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        from: SiteId,
-        txn: TxnId,
-        decision: Decision,
-        commit_version: Option<Version>,
-    ) {
-        let site = self.cfg.site;
-        let mut actions = self.take_actions();
-        let Some(st) = self.table.get_mut(txn).filter(|st| st.decided.is_none()) else {
-            // Unknown, retired or decided: nothing held here.
-            self.recycle_actions(actions);
-            return;
-        };
-        st.last_coord_contact = ctx.now();
-        if let Some(l) = st.leader.as_mut() {
-            let ectx = EngineCtx {
-                catalog: &self.cfg.catalog,
-                local_max_version: Version::INITIAL,
-            };
-            let msg = Msg::XDecide {
-                txn,
-                decision,
-                commit_version,
-            };
-            l.on_msg(from, &msg, &ectx, &mut actions);
-        } else {
-            // No engine: a recovered branch coordinator or a discovering
-            // participant carries the command out itself. The parent's
-            // echo carries the branch version; a sibling's answer does
-            // not — fall back to the locally learned PC version. A commit
-            // with neither cannot be built yet: drop it — the watchdog
-            // re-arms, and the parent's echo answers a later retry.
-            let version = commit_version.or(st.participant.commit_version());
-            let command = match (decision, version) {
-                (Decision::Commit, Some(v)) => Msg::Commit {
-                    txn,
-                    commit_version: v,
-                },
-                (Decision::Abort, _) => Msg::Abort { txn },
-                (Decision::Commit, None) => return self.recycle_actions(actions),
-            };
-            if st.spec.coordinator == site {
-                // Re-issue the in-shard command (idempotent at every
-                // receiver; the self-addressed copy terminates the local
-                // participant). A coordinator without a copy is sent none
-                // and decides here, keeping the version to re-announce.
-                let spec = Arc::clone(&st.spec);
-                let copyless = !spec.participants.contains(&site);
-                if copyless {
-                    st.escalation_mut().decided_version = version;
-                }
-                self.recycle_actions(actions);
-                for &to in &spec.participants {
-                    self.send_net(ctx, to, NetMsg::Proto(command.clone()));
-                }
-                if copyless {
-                    self.apply_when_durable(ctx.now(), txn, decision, version);
-                }
-                return;
-            }
-            if st.participant.state() == LocalState::Initial {
-                return self.recycle_actions(actions);
-            }
-            st.participant
-                .on_msg(from, &command, Version::INITIAL, &mut actions);
-        }
-        self.apply_actions(ctx, txn, site, actions);
-        self.adopt_coordinator_decision(ctx.now(), txn);
-    }
-
-    /// A coordinator that holds no copies (it is a client, not a
-    /// participant — Example 3's s1) never receives the commit/abort
-    /// command it broadcasts; its bookkeeping adopts the engine's
-    /// decision directly. Participant coordinators are handled by the
-    /// normal participant path (which also applies the updates), so
-    /// they are excluded here. The adoption is what tells the client, so
-    /// it takes the gate the participant path's
-    /// [`Action::ApplyAndDecide`] takes: the engine's `Decided` record
-    /// where that record is the commit point (2PC), only the records
-    /// before it where the commit was irrevocable first (a quorum
-    /// engine's PC-ACK quorum).
-    fn adopt_coordinator_decision(&mut self, now: Time, txn: TxnId) {
-        let Some(st) = self.table.get(txn) else {
-            return;
-        };
-        if st.decided.is_some() || st.spec.participants.contains(&self.cfg.site) {
-            return;
-        }
-        let Some(decision) = st.leader.as_ref().and_then(|l| l.decision()) else {
-            return;
-        };
-        let commit_version = match decision {
-            Decision::Commit => st.commit_version(),
-            Decision::Abort => None,
-        };
-        self.apply_when_durable(now, txn, decision, commit_version);
     }
 
     fn try_lock_writeset(&mut self, now: Time, txn: TxnId, spec: &TxnSpec) -> bool {
@@ -1264,31 +1056,6 @@ impl SiteNode {
             f(st, &self.cfg.catalog, &mut actions);
         }
         self.apply_actions(ctx, txn, self.cfg.site, actions);
-    }
-
-    /// Runs `f` on the cross-shard coordination of `txn` hosted here,
-    /// if any, with a scratch action buffer, and applies what it emits;
-    /// the step that decides queues the coordination's retirement.
-    /// Tells whether this site hosts the coordination.
-    fn step_x(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        txn: TxnId,
-        f: impl FnOnce(&mut XTxnCoordinator, &mut Vec<Action>),
-    ) -> bool {
-        let mut actions = self.take_actions();
-        let Some(XCoord { engine, .. }) = self.table.xcoords.get_mut(&txn) else {
-            self.recycle_actions(actions);
-            return false;
-        };
-        let undecided = engine.decision().is_none();
-        f(engine, &mut actions);
-        let decides = undecided && engine.decision().is_some();
-        self.apply_actions(ctx, txn, self.cfg.site, actions);
-        if decides {
-            self.table.schedule_retire(ctx.now(), txn);
-        }
-        true
     }
 
     /// Pops a spare engine-action scratch buffer (empty, capacity
@@ -1468,12 +1235,6 @@ impl Process for SiteNode {
                             e.on_timer(kind, out);
                         }
                     });
-                    if matches!(
-                        kind,
-                        TimerKind::VoteCollection { .. } | TimerKind::AckCollection { .. }
-                    ) {
-                        self.adopt_coordinator_decision(ctx.now(), txn);
-                    }
                 }
             },
             NodeTimer::ReadTimeout { req_id } => {

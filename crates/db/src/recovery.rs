@@ -237,24 +237,7 @@ impl SiteNode {
                 None => {}
             }
         }
-        // Cross-shard coordinator recovery (after the participant pass,
-        // so self-addressed X-DECIDEs find the local branch state): an
-        // undecided XStart is presumed aborted — no durable XDecision
-        // proves no commit X-DECIDE ever left this site — and a decided
-        // one is re-announced to every branch coordinator.
-        for (txn, mut engine) in xcoords {
-            if self.table.x_known(txn) {
-                // Retired into the checkpoint: the compact record keeps
-                // answering orphans; no engine (and no re-announce
-                // storm) needed.
-                continue;
-            }
-            let mut actions = self.take_actions();
-            engine.resume(&mut actions);
-            self.table.insert_x(txn, engine);
-            self.apply_actions(ctx, txn, site, actions);
-            self.table.schedule_retire(ctx.now(), txn);
-        }
+        self.resume_xcoords(ctx, xcoords);
         // Paxos Commit acceptor recovery: promises and accepted batches
         // were force-logged before every 1b/2b echo, so the durable
         // records reconstruct exactly what this acceptor may still be
