@@ -10,6 +10,11 @@
 //! [`DurableLog::wal`], a shared reference, and every `WalBackend`
 //! mutator takes `&mut self`.
 //!
+//! It owns truncation too: an id *pins* its first record while an engine
+//! that logs for it is live (its entry, cross-shard coordination or Paxos
+//! acceptor), and a checkpoint, once durable, cuts below itself and every
+//! pin. The node only assembles what a checkpoint carries.
+//!
 //! The node's half of the contract is small. It remembers, per
 //! transaction, the *gate* — the end LSN of the newest gating record
 //! [`DurableLog::append`] reported as not yet durable (every record but
@@ -31,12 +36,12 @@
 //! model.
 
 use crate::config::{NodeConfig, WalBackendConfig};
-use crate::envelope::{NetMsg, NodeTimer};
+use crate::envelope::{NetMsg, NodeCtx, NodeTimer};
 use qbc_core::{Decision, LogRecord, TxnId};
 use qbc_obs::{EventKind, Obs, TraceEvent, TraceSink};
-use qbc_simnet::{Ctx, Duration, FastHasher, SiteId, Time, TimerId};
+use qbc_simnet::{Duration, FastHasher, SiteId, Time, TimerId};
 use qbc_storage::{EitherWal, FileWal, Lsn, Wal, WalBackend, WalCodec};
-use qbc_votes::Version;
+use qbc_votes::{FastMap, Version};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -125,6 +130,15 @@ pub(crate) struct DurableLog {
     flush_timer: Option<TimerId>,
     /// Virtual time at which the serial log device becomes idle.
     free_at: Time,
+    /// The checkpoint tick's period: `None` never checkpoints.
+    checkpoint_interval: Option<Duration>,
+    /// A [`NodeTimer::Checkpoint`] tick is outstanding (armed by the first
+    /// record after a quiet period, so an idle site quiesces).
+    checkpoint_armed: bool,
+    /// Log end as of the last checkpoint, its own record included.
+    last_checkpoint_end: Lsn,
+    /// Each id's first record while an engine that logs for it is live.
+    first_lsn: FastMap<TxnId, Lsn>,
 }
 
 impl DurableLog {
@@ -158,6 +172,10 @@ impl DurableLog {
             gated: VecDeque::new(),
             flush_timer: None,
             free_at: Time::ZERO,
+            checkpoint_interval: cfg.checkpoint_interval,
+            checkpoint_armed: false,
+            last_checkpoint_end: Lsn(0),
+            first_lsn: FastMap::default(),
         }
     }
 
@@ -208,11 +226,7 @@ impl DurableLog {
     /// anything else — until then the record does not count as durable
     /// ([`DurableLog::is_durable`]).
     #[must_use]
-    pub(crate) fn append(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        rec: LogRecord,
-    ) -> (Lsn, Option<Lsn>) {
+    pub(crate) fn append(&mut self, ctx: &mut NodeCtx<'_>, rec: LogRecord) -> (Lsn, Option<Lsn>) {
         let lsn = self.wal.buffer(rec);
         if self.wal.pending_len() >= self.max_batch {
             return (lsn, self.force(ctx));
@@ -226,7 +240,7 @@ impl DurableLog {
     /// The batch window closed ([`NodeTimer::FlushWal`] fired): forces
     /// whatever is staged. Returns as [`DurableLog::append`] does.
     #[must_use]
-    pub(crate) fn flush(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) -> Option<Lsn> {
+    pub(crate) fn flush(&mut self, ctx: &mut NodeCtx<'_>) -> Option<Lsn> {
         // Fired, not pending: nothing to cancel.
         self.flush_timer = None;
         self.force(ctx)
@@ -239,7 +253,7 @@ impl DurableLog {
     /// a log that forces per record — and else the end LSN is handed
     /// back for [`DurableLog::force_done`]. On a slow device
     /// [`NodeTimer::WalForceDone`] carries it when the force completes.
-    fn force(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) -> Option<Lsn> {
+    fn force(&mut self, ctx: &mut NodeCtx<'_>) -> Option<Lsn> {
         if let Some(id) = self.flush_timer.take() {
             ctx.cancel_timer(id);
         }
@@ -318,10 +332,44 @@ impl DurableLog {
         }
     }
 
+    /// The record at `lsn` of `txn` (none: a checkpoint) was appended and
+    /// what its force released has run (the order the digests pin): pins
+    /// `txn`'s first record or cuts behind the checkpoint, and arms the
+    /// tick if it is not, so the site ticks while it logs.
+    pub(crate) fn after_append(&mut self, ctx: &mut NodeCtx<'_>, txn: Option<TxnId>, lsn: Lsn) {
+        let Some(interval) = self.checkpoint_interval else {
+            return;
+        };
+        if let Some(txn) = txn {
+            self.first_lsn.entry(txn).or_insert(lsn);
+        } else {
+            // Below the oldest pin and this checkpoint the log is dead.
+            let cutoff = self.first_lsn.values().fold(lsn, |c, &f| c.min(f));
+            self.last_checkpoint_end = Lsn(lsn.0 + 1);
+            self.truncate_when_durable(self.last_checkpoint_end, cutoff);
+        }
+        if !std::mem::replace(&mut self.checkpoint_armed, true) {
+            ctx.set_timer(interval, NodeTimer::Checkpoint);
+        }
+    }
+
+    /// The checkpoint tick fired. True when the log grew since the last
+    /// checkpoint: the caller logs a new [`LogRecord::Checkpoint`], which
+    /// re-arms the tick; a quiet log stays quiet until its next record.
+    pub(crate) fn checkpoint_due(&mut self) -> bool {
+        self.checkpoint_armed = false;
+        self.wal.next_lsn() > self.last_checkpoint_end
+    }
+
+    /// The last engine that logs for `txn` retired.
+    pub(crate) fn unpin(&mut self, txn: TxnId) {
+        self.first_lsn.remove(&txn);
+    }
+
     /// Discards the log prefix below `cutoff` once the checkpoint record
     /// justifying it — the one ending at `checkpoint_end` — is durable:
     /// now, or behind the force that carries it.
-    pub(crate) fn truncate_when_durable(&mut self, checkpoint_end: Lsn, cutoff: Lsn) {
+    fn truncate_when_durable(&mut self, checkpoint_end: Lsn, cutoff: Lsn) {
         match self.closed(checkpoint_end) {
             Some(gate) => self.gated.push_back((gate, Gated::Truncate { cutoff })),
             None => self.wal.truncate_before(cutoff),
@@ -331,12 +379,33 @@ impl DurableLog {
     /// The site crashed: staged records (the group-commit loss window)
     /// and every effect waiting on them die with it. What survives is
     /// exactly what was forced, so the watermark is the log end again.
+    /// So is the truncation policy's state, which recovery rebuilds.
     pub(crate) fn crash(&mut self) {
         self.wal.lose_volatile();
         self.durable_lsn = self.wal.next_lsn();
         self.gated.clear();
         self.flush_timer = None;
         self.free_at = Time::ZERO;
+        self.checkpoint_armed = false;
+        self.last_checkpoint_end = Lsn(0);
+        self.first_lsn.clear();
+    }
+
+    /// Recovery's one walk: hands every record to `each` in order, and
+    /// pins each id's first record and notes the newest checkpoint's end.
+    pub(crate) fn recover(&mut self, mut each: impl FnMut(LogRecord)) {
+        for (lsn, rec) in self.wal.replay() {
+            match rec.txn() {
+                Some(txn) => _ = self.first_lsn.entry(txn).or_insert(lsn),
+                None => self.last_checkpoint_end = Lsn(lsn.0 + 1),
+            }
+            each(rec);
+        }
+    }
+
+    /// Unpins every id no engine logs for after recovery.
+    pub(crate) fn retain_pins(&mut self, live: impl Fn(TxnId) -> bool) {
+        self.first_lsn.retain(|&txn, _| live(txn));
     }
 
     /// The durable half of the site fingerprint: the retained and the
@@ -377,11 +446,11 @@ impl DurableLog {
         );
     }
 
-    /// The volatile half: device, watermark, queue, window timer. The
-    /// device's idle point is hashed relative to `now`, the watermark as
-    /// its distance below the log end and each queued gate as its
-    /// distance above the watermark, so states that differ only by a
-    /// clock or log-position translation merge.
+    /// The volatile half: device, watermark, queue, window timer,
+    /// checkpoint tick and pins. The device's idle point is hashed
+    /// relative to `now`, the watermark as its distance below the log end
+    /// and each queued gate as its distance above the watermark, so states
+    /// that differ only by a clock or log-position translation merge.
     pub(crate) fn fingerprint_volatile(&self, now: Time, s: &mut String) {
         use std::fmt::Write as _;
         let _ = write!(s, "|dev{}", self.backlog(now).0);
@@ -395,6 +464,10 @@ impl DurableLog {
             };
         }
         let _ = write!(s, "|flush{}", self.flush_timer.is_some());
+        let (armed, end) = (self.checkpoint_armed, self.last_checkpoint_end);
+        let mut pins: Vec<_> = self.first_lsn.iter().collect();
+        pins.sort_unstable();
+        let _ = write!(s, "|ckpt{armed}@{end:?}|pins{pins:?}");
     }
 }
 
@@ -412,7 +485,8 @@ mod tests {
 
     /// Logs one record for every message's transaction, then echoes the
     /// message — at once, or when the log releases it. `told` is
-    /// everything echoed so far, in order.
+    /// everything echoed so far, in order. A due checkpoint tick logs
+    /// an empty checkpoint.
     struct Host {
         log: DurableLog,
         gates: BTreeMap<TxnId, Lsn>,
@@ -432,10 +506,11 @@ mod tests {
         type Msg = NetMsg;
         type Timer = NodeTimer;
 
-        fn on_message(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, from: SiteId, msg: NetMsg) {
+        fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: SiteId, msg: NetMsg) {
             let txn = msg.txn().expect("a protocol message");
             let (lsn, forced) = self.log.append(ctx, LogRecord::VotedNo { txn });
             self.done(forced);
+            self.log.after_append(ctx, Some(txn), lsn);
             if !self.log.is_durable(lsn) {
                 self.gates.insert(txn, Lsn(lsn.0 + 1));
             }
@@ -446,10 +521,23 @@ mod tests {
             }
         }
 
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, _: TimerId, t: NodeTimer) {
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _: TimerId, t: NodeTimer) {
             let forced = match t {
                 NodeTimer::FlushWal => self.log.flush(ctx),
                 NodeTimer::WalForceDone { upto } => Some(upto),
+                NodeTimer::Checkpoint if self.log.checkpoint_due() => {
+                    let (retired, xretired, items) = (Vec::new(), Vec::new(), Vec::new());
+                    let rec = LogRecord::Checkpoint {
+                        retired,
+                        xretired,
+                        items,
+                    };
+                    let (lsn, forced) = self.log.append(ctx, rec);
+                    self.done(forced);
+                    self.log.after_append(ctx, None, lsn);
+                    None
+                }
+                NodeTimer::Checkpoint => None,
                 other => unreachable!("the log arms no {other:?}"),
             };
             self.done(forced);
@@ -459,6 +547,11 @@ mod tests {
     /// A host whose log runs group commit (window 5, batch of 3) or
     /// flush-per-record, on a device of the given latency.
     fn host(group_commit: bool, latency: u64) -> NodeDriver<Host> {
+        host_with(group_commit, latency, None)
+    }
+
+    /// [`host`], checkpointing every `checkpoints` ticks if given.
+    fn host_with(group_commit: bool, latency: u64, checkpoints: Option<u64>) -> NodeDriver<Host> {
         let catalog = CatalogBuilder::new()
             .item(ItemId(0))
             .copies_at([SiteId(0)])
@@ -469,6 +562,7 @@ mod tests {
             NodeConfig::new(SiteId(0), catalog, Duration(10)).with_force_latency(Duration(latency));
         cfg.group_commit = group_commit;
         cfg.group_commit_max_batch = 3;
+        cfg.checkpoint_interval = checkpoints.map(Duration);
         let host = Host {
             log: DurableLog::open(&cfg),
             gates: BTreeMap::new(),
@@ -572,5 +666,69 @@ mod tests {
         tick(&mut d, 9);
         assert_eq!(told(&d), []);
         assert_eq!(d.node().log.wal().forces(), 0);
+    }
+
+    /// The LSN of the oldest retained record.
+    fn start(d: &NodeDriver<Host>) -> u64 {
+        d.node().log.wal().start_lsn().0
+    }
+
+    #[test]
+    fn a_checkpoint_cuts_below_itself_and_below_every_pin() {
+        const T3: TxnId = TxnId(3);
+        let mut d = host_with(false, 0, Some(10));
+        tell(&mut d, 0, T1); // record 0: T1's pin
+        tell(&mut d, 0, T2); // record 1: T2's pin
+        tell(&mut d, 1, T1); // record 2
+        assert_eq!(
+            d.next_deadline(),
+            Some(Time(10)),
+            "the first record armed the tick"
+        );
+        tick(&mut d, 10); // checkpoint at record 3
+        assert_eq!(start(&d), 0, "T1 pins record 0");
+        d.node_mut().log.unpin(T1);
+        tell(&mut d, 11, T2); // record 4
+        tick(&mut d, 20); // checkpoint at record 5
+        assert_eq!(start(&d), 1, "T2 pins record 1");
+        d.node_mut().log.unpin(T2);
+        tick(&mut d, 30); // nothing logged since: no checkpoint
+        assert_eq!(d.node().log.wal().next_lsn(), Lsn(6));
+        assert_eq!(d.next_deadline(), None, "a quiet log stops ticking");
+        tell(&mut d, 31, T3); // record 6
+        tick(&mut d, 41); // checkpoint at record 7
+        assert_eq!(start(&d), 6, "T3 pins record 6");
+        d.node_mut().log.unpin(T3);
+        tell(&mut d, 42, T3); // record 8: a fresh pin
+        tick(&mut d, 52); // checkpoint at record 9
+        assert_eq!(start(&d), 8);
+
+        // Recovery's walk rebuilds T3's pin and the checkpoint end; an id
+        // it leaves with no engine is unpinned.
+        let log = &mut d.node_mut().log;
+        log.crash();
+        let mut walked = 0;
+        log.recover(|_| walked += 1);
+        assert_eq!(walked, 2, "record 8 and the checkpoint");
+        tick(&mut d, 62); // the tick armed before the crash: nothing due
+        assert_eq!(d.node().log.wal().next_lsn(), Lsn(10));
+        tell(&mut d, 63, T1); // record 10
+        tick(&mut d, 73); // checkpoint at record 11
+        assert_eq!(start(&d), 8, "T3 still pins record 8");
+        d.node_mut().log.retain_pins(|txn| txn == T1);
+        tell(&mut d, 74, T1); // record 12
+        tick(&mut d, 84); // checkpoint at record 13
+        assert_eq!(start(&d), 10, "T1 pins record 10");
+    }
+
+    #[test]
+    fn a_checkpoint_on_a_slow_device_truncates_once_it_is_durable() {
+        let mut d = host_with(false, 4, Some(10));
+        tell(&mut d, 0, T1); // record 0, durable at t4
+        d.node_mut().log.unpin(T1);
+        tick(&mut d, 10); // checkpoint at record 1, durable at t14
+        assert_eq!(start(&d), 0, "the checkpoint is still in flight");
+        tick(&mut d, 14);
+        assert_eq!(start(&d), 1);
     }
 }

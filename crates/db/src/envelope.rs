@@ -1,10 +1,14 @@
 //! The network message envelope and timer vocabulary of a database site.
 
 use qbc_core::{Msg, ProtocolKind, TimerKind, TxnId, TxnSpec, WriteSet};
-use qbc_simnet::Label;
+use qbc_simnet::{Ctx, Label};
 use qbc_storage::Lsn;
 use qbc_votes::{ItemId, Version};
 use std::sync::Arc;
+
+/// What a site's handlers act through: the substrate's context over
+/// this envelope and timer vocabulary.
+pub(crate) type NodeCtx<'a> = Ctx<'a, NetMsg, NodeTimer>;
 
 /// Everything a site sends over the wire.
 #[derive(Clone, Debug)]

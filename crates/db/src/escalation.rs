@@ -20,14 +20,14 @@
 //! [`Action::Elected`](qbc_core::Action::Elected) to
 //! `start_termination_round`.
 
-use crate::envelope::{NetMsg, NodeTimer};
+use crate::envelope::{NodeCtx, NodeTimer};
 use crate::node::SiteNode;
 use qbc_core::election::Elector;
 use qbc_core::{
     recovery_ballot, LocalState, PaxosLeader, ProtocolKind, Termination, TimerKind, TxnId,
 };
 use qbc_obs::EventKind;
-use qbc_simnet::{Ctx, SiteId};
+use qbc_simnet::SiteId;
 use qbc_votes::Version;
 use std::sync::Arc;
 
@@ -57,7 +57,7 @@ pub(crate) struct Escalation {
 }
 
 impl SiteNode {
-    pub(crate) fn arm_watchdog(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
+    pub(crate) fn arm_watchdog(&mut self, ctx: &mut NodeCtx<'_>, txn: TxnId) {
         if let Some(st) = self.table.get_mut(txn) {
             if st.decided.is_none() && !st.watchdog_armed {
                 st.watchdog_armed = true;
@@ -72,7 +72,7 @@ impl SiteNode {
     /// The watchdog fired: a participant that heard nothing from a
     /// coordinator for `3T` escalates, and the watchdog re-arms while
     /// `txn` is undecided (the re-entrant retry loop).
-    pub(crate) fn on_watchdog(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, txn: TxnId) {
+    pub(crate) fn on_watchdog(&mut self, ctx: &mut NodeCtx<'_>, txn: TxnId) {
         let (now, site) = (ctx.now(), self.cfg.site);
         let watchdog = self.cfg.watchdog_3t();
         let mut actions = self.take_actions();
@@ -122,11 +122,7 @@ impl SiteNode {
     /// Escalates an undecided `txn` that has rounds left: outcome
     /// discovery for a cross-shard branch, a recovery candidacy under
     /// Paxos Commit, else a termination election.
-    pub(crate) fn start_termination_election(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        txn: TxnId,
-    ) {
+    pub(crate) fn start_termination_election(&mut self, ctx: &mut NodeCtx<'_>, txn: TxnId) {
         let Some(st) = self.table.get_mut(txn) else {
             return;
         };
@@ -171,11 +167,7 @@ impl SiteNode {
     /// leader that never voted seeds its own `q` state into the round's
     /// view — a veto, made durable and irrevocable before the round's
     /// messages leave (see `Participant::veto_abort`).
-    pub(crate) fn start_termination_round(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        txn: TxnId,
-    ) {
+    pub(crate) fn start_termination_round(&mut self, ctx: &mut NodeCtx<'_>, txn: TxnId) {
         let Some(st) = self.table.get(txn).filter(|st| st.decided.is_none()) else {
             return;
         };

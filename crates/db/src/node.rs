@@ -38,7 +38,9 @@
 //!
 //! This file hosts the site itself: message and timer dispatch, the
 //! durability gating of sends and decision applications, the one path
-//! that marks a transaction decided (`apply_decision`) and checkpoints.
+//! that marks a transaction decided (`apply_decision`) and what a
+//! checkpoint carries (when to write one and how far to truncate is
+//! the log's call).
 //! Dispatch does not route by message or timer: every engine takes
 //! events the way the leader slot does (see [`CommitEngine`]), ignoring
 //! other roles' events, so `handle_proto` feeds a message, and
@@ -53,7 +55,7 @@
 
 use crate::config::{Mutation, NodeConfig};
 use crate::durable_log::{DeferredOp, DurableLog};
-use crate::envelope::{NetMsg, NodeTimer};
+use crate::envelope::{NetMsg, NodeCtx, NodeTimer};
 use crate::reads::{local_max_version, ReadEvent, ReadResult, ReadSite, Reads};
 use crate::txn_table::{Outcome, TxnState, TxnTable};
 use qbc_core::{
@@ -131,13 +133,6 @@ pub struct SiteNode {
     /// [`NodeConfig::decision_events`]); push-style front-ends drain it
     /// after every delivery to answer waiting client sessions.
     decision_events: Vec<DecisionEvent>,
-    /// Whether a [`NodeTimer::Checkpoint`] tick is outstanding (armed
-    /// lazily by the first record after a quiet period, so an idle site
-    /// quiesces instead of ticking forever).
-    checkpoint_armed: bool,
-    /// Log end as of the last checkpoint (including the checkpoint
-    /// record itself); no new checkpoint until the log outgrows it.
-    pub(crate) last_checkpoint_end: Lsn,
     /// The largest transaction id the last recovery walk read. Derived
     /// from the log, so not part of the fingerprint.
     pub(crate) max_recovered_txn: Option<TxnId>,
@@ -193,8 +188,6 @@ impl SiteNode {
             released: Vec::new(),
             spare_actions: Vec::new(),
             decision_events: Vec::new(),
-            checkpoint_armed: false,
-            last_checkpoint_end: Lsn(0),
             max_recovered_txn: None,
         }
     }
@@ -597,12 +590,7 @@ impl SiteNode {
     /// another site is gated on a later LSN of the same log, which a
     /// prefix-ordered force makes durable no earlier than the record it
     /// followed.
-    pub(crate) fn send_net(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        to: SiteId,
-        msg: NetMsg,
-    ) {
+    pub(crate) fn send_net(&mut self, ctx: &mut NodeCtx<'_>, to: SiteId, msg: NetMsg) {
         if to == self.cfg.site {
             self.local_queue.push_back(msg);
         } else if let Some(gate) = self.closed_gate(msg.txn()) {
@@ -619,7 +607,7 @@ impl SiteNode {
     /// happens here — the last moment before the wire — so messages
     /// withheld behind their gate ship the watermark as of the send,
     /// not as of when they were queued.
-    fn send_net_now(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, to: SiteId, msg: NetMsg) {
+    fn send_net_now(&mut self, ctx: &mut NodeCtx<'_>, to: SiteId, msg: NetMsg) {
         debug_assert!(
             self.closed_gate(msg.txn()).is_none(),
             "told before irrevocable: {} to {to:?}",
@@ -646,7 +634,7 @@ impl SiteNode {
 
     /// A force up to `upto` completed: runs every withheld effect the
     /// log releases, in arrival order.
-    fn advance_durable(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, upto: Lsn) {
+    fn advance_durable(&mut self, ctx: &mut NodeCtx<'_>, upto: Lsn) {
         let mut released = std::mem::take(&mut self.released);
         let table = &self.table;
         self.log
@@ -665,7 +653,7 @@ impl SiteNode {
     }
 
     /// Records one engine log action; the log applies the force policy.
-    pub(crate) fn log_record(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, rec: LogRecord) {
+    pub(crate) fn log_record(&mut self, ctx: &mut NodeCtx<'_>, rec: LogRecord) {
         let txn = rec.txn();
         let commit = matches!(
             rec,
@@ -696,36 +684,15 @@ impl SiteNode {
                 }
             }
         }
-        // Track the live transaction's earliest record: the truncation
-        // cutoff must never pass it. (`None`: the record is itself a
-        // checkpoint.) Only the checkpointer reads this map, so the
-        // common no-checkpoint configuration pays nothing on the
-        // logging hot path. The tick is armed lazily, by record
-        // arrival rather than free-running, so an idle site quiesces.
-        if let Some(interval) = self.cfg.checkpoint_interval {
-            if let Some(txn) = txn {
-                self.table.note_record(txn, lsn);
-            }
-            if !self.checkpoint_armed {
-                self.checkpoint_armed = true;
-                ctx.set_timer(interval, NodeTimer::Checkpoint);
-            }
-        }
+        // The truncation policy's share: a pin, a checkpoint's cutoff,
+        // the checkpoint tick.
+        self.log.after_append(ctx, txn, lsn);
     }
 
-    /// The checkpoint tick: if the log grew since the last checkpoint,
-    /// force a [`LogRecord::Checkpoint`] carrying every retired outcome
-    /// and truncate the prefix no live transaction (and no recovery)
-    /// needs any more. Under group commit the truncation waits for the
-    /// watermark to pass the checkpoint record, like every other effect
-    /// that depends on a staged record. Logging the checkpoint re-arms
-    /// the tick, so the site keeps ticking while it keeps logging; a
-    /// quiet log stays quiet until the next record.
-    fn on_checkpoint_tick(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
-        self.checkpoint_armed = false;
-        if self.log.wal().next_lsn() <= self.last_checkpoint_end {
-            return;
-        }
+    /// What a checkpoint carries: every retired outcome and the item
+    /// snapshot. The log decides when to write one and how far to
+    /// truncate behind it (see [`DurableLog::checkpoint_due`]).
+    fn checkpoint_record(&self) -> LogRecord {
         let (retired, xretired) = self.table.checkpoint_outcomes();
         // Snapshot the versioned copies — every retained version, so a
         // recovered multi-version store can keep serving snapshot reads
@@ -739,37 +706,22 @@ impl SiteNode {
                 .entries()
                 .map(|(item, v, &value)| (item, v, value)),
         );
-        // Everything below the oldest live transaction's first record
-        // AND below this checkpoint is dead: retired outcomes live in
-        // the checkpoint now, decided-but-unretired transactions still
-        // have their Decided record above their first record.
-        let checkpoint_lsn = self.log.wal().next_lsn();
-        let cutoff = self
-            .table
-            .truncation_floor()
-            .map_or(checkpoint_lsn, |floor| floor.min(checkpoint_lsn));
-        self.log_record(
-            ctx,
-            LogRecord::Checkpoint {
-                retired,
-                xretired,
-                items,
-            },
-        );
-        self.last_checkpoint_end = self.log.wal().next_lsn();
-        self.log
-            .truncate_when_durable(self.last_checkpoint_end, cutoff);
+        LogRecord::Checkpoint {
+            retired,
+            xretired,
+            items,
+        }
     }
 
     /// Drains locally queued (self-addressed) messages.
-    pub(crate) fn pump(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
+    pub(crate) fn pump(&mut self, ctx: &mut NodeCtx<'_>) {
         let me = self.cfg.site;
         while let Some(msg) = self.local_queue.pop_front() {
             self.handle_net(ctx, me, msg);
         }
     }
 
-    fn handle_net(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, from: SiteId, msg: NetMsg) {
+    fn handle_net(&mut self, ctx: &mut NodeCtx<'_>, from: SiteId, msg: NetMsg) {
         match msg {
             NetMsg::Proto(m) => self.handle_proto(ctx, from, m),
             NetMsg::ProtoW { msg: m, wm } => {
@@ -805,7 +757,7 @@ impl SiteNode {
     /// outcome instead of resurrecting state.
     pub(crate) fn send_decided(
         &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        ctx: &mut NodeCtx<'_>,
         to: SiteId,
         txn: TxnId,
         (decision, commit_version): Outcome,
@@ -822,7 +774,7 @@ impl SiteNode {
     /// first, and a site that knows the outcome answers stragglers with
     /// it; every other message goes to each engine of the live entry,
     /// which ignores what is not its role's.
-    fn handle_proto(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, from: SiteId, m: Msg) {
+    fn handle_proto(&mut self, ctx: &mut NodeCtx<'_>, from: SiteId, m: Msg) {
         // Cross-shard messages first (`xrelay.rs`).
         if self.handle_x(ctx, from, &m) {
             return;
@@ -975,7 +927,7 @@ impl SiteNode {
     /// [`take_actions`]: SiteNode::take_actions
     pub(crate) fn apply_actions(
         &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        ctx: &mut NodeCtx<'_>,
         txn: TxnId,
         reply_to: SiteId,
         mut actions: Vec<Action>,
@@ -1047,7 +999,7 @@ impl SiteNode {
     /// buffer, and applies what it emits.
     pub(crate) fn step(
         &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        ctx: &mut NodeCtx<'_>,
         txn: TxnId,
         f: impl FnOnce(&mut TxnState, &Catalog, &mut Vec<Action>),
     ) {
@@ -1167,7 +1119,7 @@ impl Process for SiteNode {
     type Msg = NetMsg;
     type Timer = NodeTimer;
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         // A node built over a reopened (non-empty) file WAL holds
         // durable history but no volatile state: recover before serving
         // anything, exactly as post-crash recovery would. A fresh log
@@ -1178,18 +1130,14 @@ impl Process for SiteNode {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, from: SiteId, msg: NetMsg) {
-        let log = &self.log;
-        self.table
-            .retire_due(ctx.now(), |gate| log.closed(gate).is_some());
+    fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: SiteId, msg: NetMsg) {
+        self.table.retire_due(ctx.now(), &mut self.log);
         self.handle_net(ctx, from, msg);
         self.pump(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, _id: TimerId, timer: NodeTimer) {
-        let log = &self.log;
-        self.table
-            .retire_due(ctx.now(), |gate| log.closed(gate).is_some());
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _id: TimerId, timer: NodeTimer) {
+        self.table.retire_due(ctx.now(), &mut self.log);
         match timer {
             NodeTimer::Proto(kind) => match kind {
                 TimerKind::CoordinatorWatch { txn } => self.on_watchdog(ctx, txn),
@@ -1248,7 +1196,12 @@ impl Process for SiteNode {
                 }
             }
             NodeTimer::WalForceDone { upto } => self.advance_durable(ctx, upto),
-            NodeTimer::Checkpoint => self.on_checkpoint_tick(ctx),
+            NodeTimer::Checkpoint => {
+                if self.log.checkpoint_due() {
+                    let rec = self.checkpoint_record();
+                    self.log_record(ctx, rec);
+                }
+            }
         }
         self.pump(ctx);
     }
@@ -1263,14 +1216,10 @@ impl Process for SiteNode {
         self.reads.crash();
         self.locks = LockManager::new();
         self.local_queue.clear();
-        // Checkpoint bookkeeping is volatile (timers from before the
-        // crash never fire); recovery rebuilds it from the log.
-        self.checkpoint_armed = false;
-        self.last_checkpoint_end = Lsn(0);
         self.cfg.emit(now, None, EventKind::Crash);
     }
 
-    fn on_recover(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
+    fn on_recover(&mut self, ctx: &mut NodeCtx<'_>) {
         self.recover(ctx);
     }
 }
@@ -1321,11 +1270,6 @@ impl qbc_simnet::Fingerprint for SiteNode {
         let _ = write!(s, "|viol{:?}", self.violations);
         let _ = write!(s, "|lq{:?}", self.local_queue);
         self.log.fingerprint_volatile(now, &mut s);
-        let _ = write!(
-            s,
-            "|ckpt{}@{:?}",
-            self.checkpoint_armed, self.last_checkpoint_end
-        );
         h.write(s.as_bytes());
         self.reads.fingerprint(now, h);
         self.table

@@ -14,7 +14,7 @@
 //! else.
 
 use crate::config::Mutation;
-use crate::envelope::{NetMsg, NodeTimer};
+use crate::envelope::{NetMsg, NodeCtx};
 use crate::node::SiteNode;
 use crate::txn_table::TxnState;
 use qbc_core::{
@@ -23,8 +23,6 @@ use qbc_core::{
 };
 use qbc_locks::LockMode;
 use qbc_obs::EventKind;
-use qbc_simnet::Ctx;
-use qbc_storage::{Lsn, WalBackend};
 use qbc_votes::Version;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -32,13 +30,13 @@ use std::sync::Arc;
 impl SiteNode {
     /// Rebuilds this site's volatile state from its log and re-enters
     /// every transaction the log leaves open.
-    pub(crate) fn recover(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>) {
-        // One walk over the durable log: keep the newest checkpoint and
-        // its end LSN, note each transaction's first record (the
-        // truncation bookkeeping) and the largest id of any record or
-        // checkpointed outcome, and hand every other record to its
-        // transaction's engine of the kind that logged it, built fresh —
-        // each engine redoes its own records.
+    pub(crate) fn recover(&mut self, ctx: &mut NodeCtx<'_>) {
+        // One walk over the durable log (which rebuilds its own
+        // truncation pins on the way): keep the newest checkpoint and
+        // the largest id of any record or checkpointed outcome, and hand
+        // every other record to its transaction's engine of the kind
+        // that logged it, built fresh — each engine redoes its own
+        // records.
         let site = self.cfg.site;
         let participant_cfg = ParticipantConfig {
             vote_yes: true,
@@ -49,7 +47,8 @@ impl SiteNode {
         let mut xcoords = BTreeMap::new();
         let mut acceptors: BTreeMap<TxnId, PaxosAcceptor> = BTreeMap::new();
         let mut max_txn = None;
-        for (lsn, rec) in self.log.wal().replay() {
+        let redo_commit_as_abort = self.cfg.mutation == Some(Mutation::RedoCommitAsAbort);
+        self.log.recover(|rec| {
             let Some(txn) = rec.txn() else {
                 if let LogRecord::Checkpoint {
                     retired, xretired, ..
@@ -58,12 +57,10 @@ impl SiteNode {
                     let x = xretired.iter().map(|o| o.txn);
                     max_txn = max_txn.max(retired.iter().map(|o| o.txn).chain(x).max());
                 }
-                self.last_checkpoint_end = Lsn(lsn.0 + 1);
                 checkpoint = Some(rec);
-                continue;
+                return;
             };
             max_txn = max_txn.max(Some(txn));
-            self.table.note_record(txn, lsn);
             match &rec {
                 // A coordination exists from its start record on.
                 LogRecord::XStart { branches, .. } => {
@@ -85,13 +82,11 @@ impl SiteNode {
                             decision: Decision::Commit,
                             commit_version,
                             ..
-                        } if self.cfg.mutation == Some(Mutation::RedoCommitAsAbort) => {
-                            LogRecord::Decided {
-                                txn,
-                                decision: Decision::Abort,
-                                commit_version,
-                            }
-                        }
+                        } if redo_commit_as_abort => LogRecord::Decided {
+                            txn,
+                            decision: Decision::Abort,
+                            commit_version,
+                        },
                         rec => rec,
                     };
                     participants
@@ -100,7 +95,7 @@ impl SiteNode {
                         .redo(&rec)
                 }
             }
-        }
+        });
         self.max_recovered_txn = max_txn;
         // Checkpoint outcomes first: they stand in for truncated
         // per-transaction records, so the retired outcomes must answer
@@ -248,7 +243,10 @@ impl SiteNode {
                 self.table.acceptors.insert(txn, acceptor);
             }
         }
-        self.table.forget_dead_records();
+        // Recovery leaves an id with no engine (retired or abandoned):
+        // its records would pin the cutoff forever.
+        let table = &self.table;
+        self.log.retain_pins(|txn| table.logs_for(txn));
         self.reads.recover(&self.items);
         // Emitted after the re-pins above: recovery's re-acquired locks
         // register while the site still counts as down, so the

@@ -29,12 +29,14 @@
 //! Every outcome lookup tries the live entry first, then the ring. The
 //! table also keeps what the log needs to know of its entries: each
 //! entry's *gate* (the end LSN of the newest gating record staged for
-//! the transaction) and every live transaction's first LSN, below which
-//! a checkpoint may truncate. The checkpoint's outcome lists are written
-//! by [`TxnTable::checkpoint_outcomes`] and read back by
+//! the transaction), and it tells the log when the last engine that
+//! logs for an id retires, which unpins that id's first record. The
+//! checkpoint's outcome lists are written by
+//! [`TxnTable::checkpoint_outcomes`] and read back by
 //! [`TxnTable::install_checkpoint`], and by nothing else.
 
 use crate::config::NodeConfig;
+use crate::durable_log::DurableLog;
 use crate::escalation::Escalation;
 use crate::outcome_ring::Ring;
 use qbc_core::election::Elector;
@@ -205,10 +207,6 @@ pub(crate) struct TxnTable {
     /// Decisions awaiting retirement, in decision-time order (times are
     /// event times, hence monotonic — a plain queue, no heap needed).
     retire_queue: VecDeque<(Time, TxnId)>,
-    /// First log record of every *live* transaction — the LSNs a
-    /// checkpoint's truncation cutoff must stay below. Dropped at
-    /// retirement (the checkpoint record then carries the outcome).
-    first_lsn: FastMap<TxnId, Lsn>,
     retire_after: Option<Duration>,
     retire_horizon: Option<Duration>,
 }
@@ -238,6 +236,14 @@ impl TxnTable {
     /// True while `txn` has a live entry.
     pub(crate) fn contains(&self, txn: TxnId) -> bool {
         self.txns.contains_key(&txn)
+    }
+
+    /// True while any engine that logs for `txn` is live here: its
+    /// entry, its cross-shard coordination or its Paxos acceptor.
+    pub(crate) fn logs_for(&self, txn: TxnId) -> bool {
+        self.txns.contains_key(&txn)
+            || self.xcoords.contains_key(&txn)
+            || self.acceptors.contains_key(&txn)
     }
 
     /// Makes `st` the live entry of `txn`, replacing any.
@@ -410,18 +416,18 @@ impl TxnTable {
     /// live entries give way to compact outcomes that keep answering
     /// stragglers — then ages out outcomes retired a horizon ago. Runs
     /// at the top of every delivery; the queue is in decision-time
-    /// order, so the scan stops at the first young entry. `gated(gate)`
-    /// tells whether a gate is still above the durable watermark: an
-    /// entry with a gating record still undurable stays one more round,
-    /// because its gate lives in it and the compact outcome answers
-    /// ungated. (An irrevocable commit's staged `Decided` gates nothing,
-    /// so its outcome may be answered before that record is forced.)
-    pub(crate) fn retire_due(&mut self, now: Time, gated: impl Fn(Lsn) -> bool) {
+    /// order, so the scan stops at the first young entry. An entry whose
+    /// gate `log` still holds closed stays one more round, because its
+    /// gate lives in it and the compact outcome answers ungated. (An
+    /// irrevocable commit's staged `Decided` gates nothing, so its
+    /// outcome may be answered before that record is forced.) An id
+    /// left with no engine that logs is unpinned in `log`.
+    pub(crate) fn retire_due(&mut self, now: Time, log: &mut DurableLog) {
         let Some(after) = self.retire_after else {
             return;
         };
         while let Some(&(t, txn)) = self.retire_queue.front() {
-            if now.since(t) < after || gated(self.gate(txn)) {
+            if now.since(t) < after || log.closed(self.gate(txn)).is_some() {
                 break;
             }
             self.retire_queue.pop_front();
@@ -461,10 +467,9 @@ impl TxnTable {
             if !self.txns.contains_key(&txn) {
                 self.acceptors.remove(&txn);
             }
-            // Fully retired: the next checkpoint carries the outcome, so
-            // this transaction no longer pins the truncation cutoff.
-            if !self.txns.contains_key(&txn) && !self.xcoords.contains_key(&txn) {
-                self.first_lsn.remove(&txn);
+            // Fully retired: the next checkpoint carries the outcome.
+            if !self.logs_for(txn) {
+                log.unpin(txn);
             }
         }
         // Aging: from this sweep on, an outcome retired a horizon ago is
@@ -479,34 +484,7 @@ impl TxnTable {
         }
     }
 
-    // ---- the log's view -----------------------------------------------
-
-    /// Notes a record of `txn` logged at `lsn`: the first one of a live
-    /// transaction bounds the checkpoint's truncation.
-    pub(crate) fn note_record(&mut self, txn: TxnId, lsn: Lsn) {
-        self.first_lsn.entry(txn).or_insert(lsn);
-    }
-
-    /// The oldest first record of any live transaction or coordination:
-    /// the log below it (and below the checkpoint) is dead. `None` when
-    /// no live entry has a record.
-    pub(crate) fn truncation_floor(&self) -> Option<Lsn> {
-        self.txns
-            .keys()
-            .chain(self.xcoords.keys())
-            .filter_map(|t| self.first_lsn.get(t))
-            .min()
-            .copied()
-    }
-
-    /// Forgets the first records of transactions recovery left without
-    /// a live entry (retired or abandoned): they would pin the
-    /// truncation cutoff forever.
-    pub(crate) fn forget_dead_records(&mut self) {
-        let (txns, xcoords) = (&self.txns, &self.xcoords);
-        self.first_lsn
-            .retain(|t, _| txns.contains_key(t) || xcoords.contains_key(t));
-    }
+    // ---- checkpoints --------------------------------------------------
 
     /// The retired outcomes a checkpoint record carries, in the rings'
     /// transaction order — a canonical on-disk encoding.
@@ -545,7 +523,6 @@ impl TxnTable {
         self.retired = Ring::default();
         self.xretired = Ring::default();
         self.retire_queue.clear();
-        self.first_lsn.clear();
     }
 
     /// The table's part of the site fingerprint. Every map and ring is
@@ -616,9 +593,6 @@ impl TxnTable {
         for (t, id) in &self.retire_queue {
             h.write(format!("rq{}:{id:?}", now.since(*t).0).as_bytes());
         }
-        for id in sorted_keys(&self.first_lsn) {
-            h.write(format!("fl{id:?}@{:?}", self.first_lsn[&id]).as_bytes());
-        }
     }
 }
 
@@ -638,7 +612,9 @@ mod tests {
 
     const SITES: [SiteId; 3] = [SiteId(0), SiteId(1), SiteId(2)];
 
-    fn table(after: u64, horizon: u64) -> TxnTable {
+    /// A table under the retirement policy, and an empty log for its
+    /// sweeps: every gate open, nothing pinned.
+    fn table(after: u64, horizon: u64) -> (TxnTable, DurableLog) {
         let catalog = CatalogBuilder::new()
             .item(ItemId(0))
             .copies_at(SITES)
@@ -648,7 +624,7 @@ mod tests {
         let cfg = NodeConfig::new(SiteId(0), catalog, Duration(10))
             .with_retirement(Duration(after))
             .with_retire_horizon(Duration(horizon));
-        TxnTable::new(&cfg)
+        (TxnTable::new(&cfg), DurableLog::open(&cfg))
     }
 
     /// A branch spec of `txn` coordinated here, with this site as parent.
@@ -708,29 +684,29 @@ mod tests {
     #[test]
     fn a_branch_retired_after_its_coordination_keeps_its_own_horizon() {
         let (after, horizon) = (5, 40);
-        let mut t = table(after, horizon);
+        let (mut t, mut log) = table(after, horizon);
         let txn = TxnId(7);
         // The parent site hosts the coordination and the local branch,
         // which is still undecided when the coordination retires.
         begin(&mut t, txn, Time(0));
         decide_x(&mut t, txn, false, Time(0));
-        t.retire_due(Time(after), |_| false);
+        t.retire_due(Time(after), &mut log);
         assert!(t.x_known(txn));
         assert_eq!(t.retired_len(), 0);
         // The branch learns the abort later and retires a sweep later.
         let branch_retired = 20 + after;
         decide(&mut t, txn, (Decision::Abort, None), Time(20), Time(20));
-        t.retire_due(Time(branch_retired), |_| false);
+        t.retire_due(Time(branch_retired), &mut log);
         assert_eq!(t.retired_len(), 1);
         // One horizon after the coordination retired, it is gone; the
         // branch outcome has sat a shorter time and still answers.
-        t.retire_due(Time(after + horizon), |_| false);
+        t.retire_due(Time(after + horizon), &mut log);
         assert!(!t.x_known(txn));
         assert_eq!(t.xretired_len(), 0);
         assert_eq!(t.decision(txn), Some(Decision::Abort));
-        t.retire_due(Time(branch_retired + horizon - 1), |_| false);
+        t.retire_due(Time(branch_retired + horizon - 1), &mut log);
         assert_eq!(t.retired_outcome(txn), Some((Decision::Abort, None)));
-        t.retire_due(Time(branch_retired + horizon), |_| false);
+        t.retire_due(Time(branch_retired + horizon), &mut log);
         assert_eq!(t.decision(txn), None);
         assert_eq!(t.retired_len(), 0);
     }
@@ -752,23 +728,17 @@ mod tests {
         }
     }
 
-    /// The live-entry accessors and the truncation floor against a
-    /// `BTreeMap` reference. Entries are made (`get_or_insert_with`),
-    /// replaced (`insert`) and marked through `get_mut` in random id
-    /// order; decided ones retire, which removes them out of id order;
-    /// records are noted for live ids and for ids not live yet; and the
-    /// site crashes now and then. Each entry's mark is the time in its
-    /// `last_coord_contact`.
+    /// The live-entry accessors against a `BTreeMap` reference. Entries
+    /// are made (`get_or_insert_with`), replaced (`insert`) and marked
+    /// through `get_mut` in random id order; decided ones retire, which
+    /// removes them out of id order; and the site crashes now and then.
+    /// Each entry's mark is the time in its `last_coord_contact`.
     #[test]
     fn live_entries_match_a_btreemap_reference() {
         for seed in 0..8 {
             let mut rng = Rng(seed);
-            let mut t = table(0, 1 << 40);
+            let (mut t, mut log) = table(0, 1 << 40);
             let mut live: BTreeMap<TxnId, u64> = BTreeMap::new();
-            // Each id's first noted record, kept as `note_record` keeps
-            // it: until its entry retires or the site crashes.
-            let mut first: BTreeMap<TxnId, Lsn> = BTreeMap::new();
-            let mut lsn = 0;
             for step in 0..2_000 {
                 let txn = TxnId(rng.below(48));
                 let now = Time(step);
@@ -793,23 +763,16 @@ mod tests {
                             *mark = step;
                         }
                     }
-                    11..=14 => {
-                        lsn += 1 + rng.below(3);
-                        t.note_record(txn, Lsn(lsn));
-                        first.entry(txn).or_insert(Lsn(lsn));
-                    }
-                    15..=18 => {
+                    11..=18 => {
                         if live.remove(&txn).is_some() {
                             decide(&mut t, txn, (Decision::Abort, None), now, now);
-                            t.retire_due(now, |_| false);
-                            first.remove(&txn);
+                            t.retire_due(now, &mut log);
                             assert_eq!(t.retired_outcome(txn), Some((Decision::Abort, None)));
                         }
                     }
                     _ => {
                         t.crash();
                         live.clear();
-                        first.clear();
                     }
                 }
                 assert_eq!(t.len(), live.len());
@@ -819,8 +782,6 @@ mod tests {
                     let mark = t.get(id).map(|st| st.last_coord_contact);
                     assert_eq!(mark, live.get(&id).map(|&m| Time(m)), "{id:?}");
                 }
-                let floor = live.keys().filter_map(|id| first.get(id)).min();
-                assert_eq!(t.truncation_floor(), floor.copied());
             }
         }
     }
@@ -901,7 +862,7 @@ mod tests {
         const WINDOW: u64 = 100;
         for seed in 0..8 {
             let mut rng = Rng(seed);
-            let mut t = table(0, HORIZON);
+            let (mut t, mut log) = table(0, HORIZON);
             let mut m = Model::default();
             let mut ck = (Vec::new(), Vec::new());
             let mut pending: Vec<u64> = (1..=WINDOW).collect();
@@ -941,13 +902,13 @@ mod tests {
                                 m.plain.insert(txn, (outcome, at, Time(now)));
                             }
                         }
-                        t.retire_due(Time(now), |_| false);
+                        t.retire_due(Time(now), &mut log);
                         assert!(t.len() == 0 && t.xcoords.is_empty());
                         m.sweep = Time(now);
                     }
                     10..=14 => {
                         now += rng.below(HORIZON / 3);
-                        t.retire_due(Time(now), |_| false);
+                        t.retire_due(Time(now), &mut log);
                         m.sweep = Time(now);
                     }
                     15..=17 => {

@@ -12,7 +12,7 @@
 //! coordinations and their retired outcomes are `TxnTable`'s
 //! cross-shard half.
 
-use crate::envelope::{NetMsg, NodeTimer};
+use crate::envelope::{NetMsg, NodeCtx, NodeTimer};
 use crate::node::SiteNode;
 use crate::txn_table::XCoord;
 use qbc_core::{Action, Decision, EngineCtx, LocalState, Msg, TxnId, TxnSpec, XTxnCoordinator};
@@ -59,12 +59,7 @@ impl SiteNode {
     /// the branch machinery, not the transaction's entry, and must work
     /// when the table knows nothing of the transaction yet. Tells
     /// whether `m` was one.
-    pub(crate) fn handle_x(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        from: SiteId,
-        m: &Msg,
-    ) -> bool {
+    pub(crate) fn handle_x(&mut self, ctx: &mut NodeCtx<'_>, from: SiteId, m: &Msg) -> bool {
         match m {
             Msg::XBranchReq { spec, siblings } => self.start_branch(ctx, spec, siblings),
             &(Msg::XVote { txn, .. } | Msg::XOutcomeReq { txn }) => {
@@ -86,12 +81,7 @@ impl SiteNode {
 
     /// Starts coordinating one branch of a cross-shard transaction
     /// (`X-BRANCH-REQ` arrived, possibly self-addressed).
-    fn start_branch(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        spec: &Arc<TxnSpec>,
-        siblings: &[SiteId],
-    ) {
+    fn start_branch(&mut self, ctx: &mut NodeCtx<'_>, spec: &Arc<TxnSpec>, siblings: &[SiteId]) {
         debug_assert_eq!(spec.coordinator, self.cfg.site, "misrouted X-BRANCH-REQ");
         debug_assert!(self.cfg.validate_for(spec.protocol).is_ok());
         let txn = spec.id;
@@ -122,7 +112,7 @@ impl SiteNode {
     /// broadcasts the command in-shard; a site without an engine (a
     /// recovered coordinator, or a discovering participant) applies or
     /// relays it directly. Idempotent once decided.
-    fn handle_x_decide(&mut self, ctx: &mut Ctx<'_, NetMsg, NodeTimer>, from: SiteId, msg: &Msg) {
+    fn handle_x_decide(&mut self, ctx: &mut NodeCtx<'_>, from: SiteId, msg: &Msg) {
         let &Msg::XDecide {
             txn,
             decision,
@@ -192,7 +182,7 @@ impl SiteNode {
     /// Tells whether this site hosts the coordination.
     pub(crate) fn step_x(
         &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        ctx: &mut NodeCtx<'_>,
         txn: TxnId,
         f: impl FnOnce(&mut XTxnCoordinator, &mut Vec<Action>),
     ) -> bool {
@@ -216,12 +206,7 @@ impl SiteNode {
     /// sibling branch coordinator (cooperative discovery), skipping the
     /// parent (no duplicate ask when a sibling's coordinator *is* the
     /// parent's site) and this site itself.
-    pub(crate) fn discover_outcome(
-        &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
-        txn: TxnId,
-        parent: SiteId,
-    ) {
+    pub(crate) fn discover_outcome(&mut self, ctx: &mut NodeCtx<'_>, txn: TxnId, parent: SiteId) {
         let site = self.cfg.site;
         let siblings = self.table.get(txn).map_or(&[][..], |st| st.x_siblings());
         let mut targets = vec![parent];
@@ -241,7 +226,7 @@ impl SiteNode {
     /// re-announced to every branch coordinator.
     pub(crate) fn resume_xcoords(
         &mut self,
-        ctx: &mut Ctx<'_, NetMsg, NodeTimer>,
+        ctx: &mut NodeCtx<'_>,
         xcoords: BTreeMap<TxnId, XTxnCoordinator>,
     ) {
         for (txn, mut engine) in xcoords {
