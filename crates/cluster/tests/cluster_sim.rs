@@ -128,6 +128,15 @@ fn four_shard_cluster_commits_under_load() {
 /// replication 2 a lone survivor holds no quorum), so its undecided
 /// count is printed (`--nocapture`) instead of required to be 0; every
 /// handle of shard 1, which the crash does not touch, still resolves.
+///
+/// The loss-window rows drop 10 % of messages over [50, 1 500), around
+/// a crash at 200 and a recovery at 800, under a denser stream at
+/// replication 2. Loss draws from the seed, so there every seed is its
+/// own schedule, and lost acks push coordinators without a copy into
+/// termination, where they must not veto a shard that committed. They
+/// run to t = 20 000, not to quiescence: a coordinator without a copy
+/// that no peer tells the outcome stays undecided, its watchdog
+/// re-arming for good.
 #[test]
 fn coordinator_crash_mid_stream_keeps_the_cluster_atomic() {
     for seed in [11, 12, 13] {
@@ -135,25 +144,51 @@ fn coordinator_crash_mid_stream_keeps_the_cluster_atomic() {
             for crash_at in [300, 600, 1_000] {
                 for recovers in [true, false] {
                     for group_commit in [false, true] {
-                        coordinator_crash_row(seed, replication, crash_at, recovers, group_commit);
+                        let shape = Shape {
+                            txns: 50,
+                            every: 30,
+                            crash_at,
+                            down_for: recovers.then_some(800),
+                            loss: None,
+                            min_committed: 26,
+                        };
+                        coordinator_crash_row(seed, replication, group_commit, shape);
                     }
                 }
             }
         }
     }
+    for seed in 0..8 {
+        for group_commit in [false, true] {
+            let shape = Shape {
+                txns: 40,
+                every: 13,
+                crash_at: 200,
+                down_for: Some(600),
+                loss: Some((50, 1_500)),
+                min_committed: 15,
+            };
+            coordinator_crash_row(seed, 2, group_commit, shape);
+        }
+    }
 }
 
-fn coordinator_crash_row(
-    seed: u64,
-    replication: u32,
+/// One row's stream and faults: `txns` writesets, one every `every`
+/// ticks, alternating shards; site 0 down from `crash_at` for
+/// `down_for` ticks (or for good); 10 % loss over the `loss` window.
+/// A row where site 0 recovers commits at least `min_committed`.
+#[derive(Debug)]
+struct Shape {
+    txns: u64,
+    every: u64,
     crash_at: u64,
-    recovers: bool,
-    group_commit: bool,
-) {
-    let row = format!(
-        "seed {seed}, r{replication}, crash at {crash_at}, recovers {recovers}, \
-         group commit {group_commit}"
-    );
+    down_for: Option<u64>,
+    loss: Option<(u64, u64)>,
+    min_committed: u64,
+}
+
+fn coordinator_crash_row(seed: u64, replication: u32, group_commit: bool, shape: Shape) {
+    let row = format!("seed {seed}, r{replication}, group commit {group_commit}, {shape:?}");
     let mut cfg = ClusterConfig {
         seed,
         replication,
@@ -164,15 +199,22 @@ fn coordinator_crash_row(
     }
     let mut cluster = SimCluster::new(cfg);
     let shards = cluster.map().shards();
-    for k in 0..50u64 {
+    for k in 0..shape.txns {
         let shard = ShardId((k % shards as u64) as u32);
         let ws = writeset(&cluster, shard, k);
-        cluster.submit_at(Time(k * 30), ws);
+        cluster.submit_at(Time(k * shape.every), ws);
     }
     let sim = cluster.sim_mut();
-    sim.schedule(Time(crash_at), Fault::Crash(SiteId(0)));
-    if recovers {
-        sim.schedule(Time(crash_at + 800), Fault::Recover(SiteId(0)));
+    if let Some((from, to)) = shape.loss {
+        sim.schedule(Time(from), Fault::SetLoss(0.1));
+        sim.schedule(Time(to), Fault::SetLoss(0.0));
+    }
+    sim.schedule(Time(shape.crash_at), Fault::Crash(SiteId(0)));
+    let recovers = shape.down_for.is_some();
+    if let Some(down_for) = shape.down_for {
+        sim.schedule(Time(shape.crash_at + down_for), Fault::Recover(SiteId(0)));
+    }
+    if recovers && shape.loss.is_none() {
         let q = cluster.run_to_quiescence(20_000_000);
         assert!(q.drained(), "{row}");
     } else {
@@ -199,8 +241,12 @@ fn coordinator_crash_row(
             "{row}: a healed cluster must decide everything it accepted"
         );
         assert_eq!(unresolved, vec![], "{row}");
+        println!(
+            "{row}: {} committed, {rejected} rejected",
+            m.total_committed()
+        );
         assert!(rejected < 10, "{row}: too many rejected: {rejected}");
-        assert!(m.total_committed() > 25, "{row}");
+        assert!(m.total_committed() >= shape.min_committed, "{row}");
     } else {
         println!(
             "{row}: {} committed, {} undecided, {rejected} rejected",

@@ -21,6 +21,7 @@
 //! other roles' events and push the effects into the caller's buffer.
 
 use crate::actions::{Action, TimerKind};
+use crate::commit_engine::apply_at_copyless_coordinator;
 use crate::messages::Msg;
 use crate::rules::{phase2, phase3_satisfied, Phase2Outcome, StateView, TerminationKind};
 use crate::states::LocalState;
@@ -63,6 +64,10 @@ pub struct Termination {
     acks: BTreeSet<SiteId>,
     /// Direction being attempted in phase 3.
     attempt: Option<Decision>,
+    /// Whether this site is one of the participants; if not, it is a
+    /// coordinator without a copy, which the commands it broadcasts
+    /// skip, so it applies the decision itself.
+    participates: bool,
 }
 
 impl Termination {
@@ -70,8 +75,10 @@ impl Termination {
     /// `out`: broadcast `STATE-REQ` and arm the `2T` collection timer.
     ///
     /// `own_state`/`own_pc_version` seed the view with the coordinator's
-    /// own participant state (it is always itself a participant, except
-    /// for a site that learned the spec only through a `STATE-REQ`).
+    /// own participant state. A site outside `spec.participants` (a
+    /// coordinator that holds no copy) contributes no state: its
+    /// participant never votes, and its `q` would make every phase-2
+    /// rule abort.
     pub fn start(
         self_site: SiteId,
         spec: Arc<TxnSpec>,
@@ -82,7 +89,10 @@ impl Termination {
         out: &mut Vec<Action>,
     ) -> Self {
         let mut view = StateView::new();
-        view.record(self_site, own_state);
+        let participates = spec.participants.contains(&self_site);
+        if participates {
+            view.record(self_site, own_state);
+        }
         let peers: Vec<SiteId> = spec
             .participants
             .iter()
@@ -111,6 +121,7 @@ impl Termination {
             base: BTreeSet::new(),
             acks: BTreeSet::new(),
             attempt: None,
+            participates,
         }
     }
 
@@ -273,7 +284,8 @@ impl Termination {
         }));
     }
 
-    /// Issues the decision to every reachable participant.
+    /// Issues the decision to every reachable participant; a site that
+    /// is none applies it here.
     fn decide(&mut self, decision: Decision, out: &mut Vec<Action>) {
         self.phase = TerminationPhase::Done(decision);
         let everyone: Vec<SiteId> = self.spec.participants.iter().copied().collect();
@@ -293,6 +305,9 @@ impl Termination {
             Decision::Abort => Msg::Abort { txn: self.spec.id },
         };
         out.push(Action::Broadcast(everyone, msg));
+        if !self.participates {
+            apply_at_copyless_coordinator(&self.spec, decision, self.pc_version, out);
+        }
     }
 
     /// Commands the attempted decision once the phase-3 quorum is
@@ -459,6 +474,66 @@ mod tests {
         assert!(matches!(
             actions[1],
             Action::SetTimer(TimerKind::StateCollection { round: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn a_site_without_a_copy_contributes_no_state() {
+        // s9 coordinates but holds no copy: its participant is in `q`.
+        let cat = catalog();
+        let (mut t, actions) = Termination::start_v(
+            SiteId(9),
+            spec(),
+            TerminationKind::Tp1,
+            1,
+            LocalState::Initial,
+            None,
+        );
+        assert!(t.view.is_empty(), "no state of its own: {:?}", t.view);
+        match &actions[0] {
+            Action::Broadcast(targets, Msg::StateReq { .. }) => {
+                assert_eq!(targets.len(), 8, "every participant");
+            }
+            other => panic!("expected StateReq broadcast, got {other:?}"),
+        }
+        // Every participant answers, s5 from PC: the view is complete
+        // without s9, and the round attempts the commit.
+        for s in 1..=8u32 {
+            let (st, v) = if s == 5 {
+                (LocalState::PreCommit, Some(Version(7)))
+            } else {
+                (LocalState::Wait, None)
+            };
+            t.on_msg_v(SiteId(s), state_rep(1, st, v), &cat);
+        }
+        assert_eq!(*t.phase(), TerminationPhase::AwaitingPcAcks);
+    }
+
+    #[test]
+    fn a_coordinator_without_a_copy_applies_the_decision_itself() {
+        let copyless = Arc::new(TxnSpec {
+            coordinator: SiteId(9),
+            ..(*spec()).clone()
+        });
+        let (mut t, _) = Termination::start_v(
+            SiteId(9),
+            copyless,
+            TerminationKind::Tp1,
+            1,
+            LocalState::Initial,
+            None,
+        );
+        let rep = state_rep(1, LocalState::Committed, Some(Version(4)));
+        let actions = t.on_msg_v(SiteId(3), rep, &catalog());
+        assert!(matches!(
+            actions[..],
+            [
+                Action::Broadcast(_, Msg::Commit { .. }),
+                Action::ApplyAndDecide {
+                    decision: Decision::Commit,
+                    commit_version: Some(Version(4)),
+                },
+            ]
         ));
     }
 

@@ -132,8 +132,7 @@ pub(crate) struct DurableLog {
     free_at: Time,
     /// The checkpoint tick's period: `None` never checkpoints.
     checkpoint_interval: Option<Duration>,
-    /// A [`NodeTimer::Checkpoint`] tick is outstanding (armed by the first
-    /// record after a quiet period, so an idle site quiesces).
+    /// A [`NodeTimer::Checkpoint`] tick is outstanding (idle sites quiesce).
     checkpoint_armed: bool,
     /// Log end as of the last checkpoint, its own record included.
     last_checkpoint_end: Lsn,
@@ -379,7 +378,6 @@ impl DurableLog {
     /// The site crashed: staged records (the group-commit loss window)
     /// and every effect waiting on them die with it. What survives is
     /// exactly what was forced, so the watermark is the log end again.
-    /// So is the truncation policy's state, which recovery rebuilds.
     pub(crate) fn crash(&mut self) {
         self.wal.lose_volatile();
         self.durable_lsn = self.wal.next_lsn();

@@ -164,16 +164,19 @@ impl SiteNode {
     }
 
     /// This site was elected: it runs the next termination round. A
-    /// leader that never voted seeds its own `q` state into the round's
-    /// view — a veto, made durable and irrevocable before the round's
-    /// messages leave (see `Participant::veto_abort`).
+    /// participant that never voted seeds its own `q` state into the
+    /// round's view — a veto, made durable and irrevocable before the
+    /// round's messages leave (see `Participant::veto_abort`). A
+    /// coordinator without a copy is no participant and does neither.
     pub(crate) fn start_termination_round(&mut self, ctx: &mut NodeCtx<'_>, txn: TxnId) {
         let Some(st) = self.table.get(txn).filter(|st| st.decided.is_none()) else {
             return;
         };
         let kind = qbc_core::termination_kind_for(st.spec.protocol, self.cfg.site_votes.as_ref());
         let (site, round) = (self.cfg.site, st.termination_rounds() + 1);
-        self.step(ctx, txn, |st, _, out| st.participant.veto_abort(out));
+        if st.spec.participants.contains(&site) {
+            self.step(ctx, txn, |st, _, out| st.participant.veto_abort(out));
+        }
         self.cfg
             .emit(ctx.now(), Some(txn), EventKind::TerminationRound { round });
         self.step(ctx, txn, |st, _, out| {

@@ -875,8 +875,7 @@ impl SiteNode {
         if let Some(e) = st.elector_mut() {
             e.on_msg(from, &m, &mut actions);
         }
-        st.participant
-            .on_msg(from, &m, local_max_version, &mut actions);
+        st.participant_on_msg(site, from, &m, local_max_version, &mut actions);
         // The co-located Paxos acceptor exists from the first 1a or 2a
         // on, apart from the entry (see `TxnTable::acceptors`).
         if to_acceptor {

@@ -41,7 +41,7 @@ use crate::escalation::Escalation;
 use crate::outcome_ring::Ring;
 use qbc_core::election::Elector;
 use qbc_core::{
-    CommitEngine, Decision, LocalState, Msg, Participant, PaxosAcceptor, RetiredOutcome,
+    Action, CommitEngine, Decision, LocalState, Msg, Participant, PaxosAcceptor, RetiredOutcome,
     Termination, TxnId, TxnSpec, XRetiredOutcome, XTxnCoordinator,
 };
 use qbc_simnet::{Duration, FastHasher, Fingerprint, SiteId, Time};
@@ -158,6 +158,36 @@ impl TxnState {
             .or_else(|| self.escalation.as_ref().and_then(|e| e.decided_version))
     }
 
+    /// Feeds `m` to the participant at `site`. A coordinator without a
+    /// copy is no participant: its own never votes, so it adopts the
+    /// outcome a decided peer tells it, as it applies its leader's.
+    pub(crate) fn participant_on_msg(
+        &mut self,
+        site: SiteId,
+        from: SiteId,
+        m: &Msg,
+        local_max_version: Version,
+        out: &mut Vec<Action>,
+    ) {
+        if self.spec.participants.contains(&site) {
+            return self.participant.on_msg(from, m, local_max_version, out);
+        }
+        if let &Msg::Decided {
+            decision,
+            commit_version,
+            ..
+        } = m
+        {
+            if self.decided.is_none() && (decision == Decision::Abort || commit_version.is_some()) {
+                self.escalation_mut().decided_version = commit_version;
+                out.push(Action::ApplyAndDecide {
+                    decision,
+                    commit_version,
+                });
+            }
+        }
+    }
+
     /// This site's elector for the transaction, if an election ran here.
     pub(crate) fn elector_mut(&mut self) -> Option<&mut Elector> {
         self.escalation.as_mut()?.elector.as_deref_mut()
@@ -238,8 +268,7 @@ impl TxnTable {
         self.txns.contains_key(&txn)
     }
 
-    /// True while any engine that logs for `txn` is live here: its
-    /// entry, its cross-shard coordination or its Paxos acceptor.
+    /// True while an engine that logs for `txn` is live: entry, coordination or acceptor.
     pub(crate) fn logs_for(&self, txn: TxnId) -> bool {
         self.txns.contains_key(&txn)
             || self.xcoords.contains_key(&txn)
