@@ -342,10 +342,14 @@ impl DurableLog {
         if let Some(txn) = txn {
             self.first_lsn.entry(txn).or_insert(lsn);
         } else {
-            // Below the oldest pin and this checkpoint the log is dead.
+            // Below the oldest pin and this checkpoint the log is dead,
+            // once the checkpoint is durable: now, or behind its force.
             let cutoff = self.first_lsn.values().fold(lsn, |c, &f| c.min(f));
             self.last_checkpoint_end = Lsn(lsn.0 + 1);
-            self.truncate_when_durable(self.last_checkpoint_end, cutoff);
+            match self.closed(self.last_checkpoint_end) {
+                Some(gate) => self.gated.push_back((gate, Gated::Truncate { cutoff })),
+                None => self.wal.truncate_before(cutoff),
+            }
         }
         if !std::mem::replace(&mut self.checkpoint_armed, true) {
             ctx.set_timer(interval, NodeTimer::Checkpoint);
@@ -363,16 +367,6 @@ impl DurableLog {
     /// The last engine that logs for `txn` retired.
     pub(crate) fn unpin(&mut self, txn: TxnId) {
         self.first_lsn.remove(&txn);
-    }
-
-    /// Discards the log prefix below `cutoff` once the checkpoint record
-    /// justifying it — the one ending at `checkpoint_end` — is durable:
-    /// now, or behind the force that carries it.
-    fn truncate_when_durable(&mut self, checkpoint_end: Lsn, cutoff: Lsn) {
-        match self.closed(checkpoint_end) {
-            Some(gate) => self.gated.push_back((gate, Gated::Truncate { cutoff })),
-            None => self.wal.truncate_before(cutoff),
-        }
     }
 
     /// The site crashed: staged records (the group-commit loss window)

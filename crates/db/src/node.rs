@@ -684,8 +684,8 @@ impl SiteNode {
                 }
             }
         }
-        // The truncation policy's share: a pin, a checkpoint's cutoff,
-        // the checkpoint tick.
+        // Last, after the sends `advance_durable` released: the log may
+        // arm its checkpoint tick, and the digests pin that order.
         self.log.after_append(ctx, txn, lsn);
     }
 
